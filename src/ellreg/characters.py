@@ -17,6 +17,7 @@ from .special import periodic_bernoulli2
 
 
 def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -25,7 +26,22 @@ def _xgcd(a, b):
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _divisors(n):
+    """The positive divisors of n in increasing order."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
 
 
 def _crt_pair(r1, m1, m2):
@@ -121,6 +137,17 @@ class DirichletCharacter:
         self.order = order
         assert len(self._exp) == modulus
         self._cache = None
+        # Exponents as fractions of a full turn, in lowest terms: the
+        # identity behind __eq__ and __hash__, fixed since chi is immutable.
+        key = []
+        for e in self._exp:
+            if e is None:
+                key.append(None)
+            else:
+                g = math.gcd(e, order)
+                key.append((e // g, order // g))
+        self._reduced_key = tuple(key)
+        self._hash = hash((modulus, self._reduced_key))
 
     @property
     def exponents(self):
@@ -188,27 +215,16 @@ class DirichletCharacter:
                 exps.append((e1 * (m // self.order) + e2 * (m // other.order)) % m)
         return DirichletCharacter(self.modulus, m, exps)
 
-    def _reduced_key(self):
-        # Exponents as fractions of a full turn, in lowest terms.
-        key = []
-        for e in self._exp:
-            if e is None:
-                key.append(None)
-            else:
-                g = math.gcd(e, self.order)
-                key.append((e // g, self.order // g))
-        return tuple(key)
-
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
         return (
             self.modulus == other.modulus
-            and self._reduced_key() == other._reduced_key()
+            and self._reduced_key == other._reduced_key
         )
 
     def __hash__(self):
-        return hash((self.modulus, self._reduced_key()))
+        return self._hash
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, order {self.order})"
@@ -216,18 +232,6 @@ class DirichletCharacter:
 
 def _lcm(a, b):
     return a // math.gcd(a, b) * b
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def enumerate_characters(modulus):
@@ -313,8 +317,9 @@ class FiniteMap:
         )
 
 
+@lru_cache(maxsize=None)
 def gauss_sum(chi) -> complex:
-    """tau(chi) = sum_a chi(a) e^{2 pi i a / N}."""
+    """tau(chi) = sum_a chi(a) e^{2 pi i a / N}, memoized per character."""
     n = chi.modulus
     return sum(
         chi(a) * cmath.exp(2j * math.pi * a / n) for a in range(1, n)

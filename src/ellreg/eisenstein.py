@@ -7,23 +7,27 @@ Three independent evaluation routes are kept side by side:
 * literal non-holomorphic Fourier expansions of the Epstein zeta
   functions zeta*_{a,b},
 * a combined divisor-sum expansion ("stream") for arbitrary weighted
-  sums of E*_{(u,v)}, which is the fast path used by the quadrature.
+  sums of E*_{(u,v)}, which the general quadrature evaluates.
 
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams and integrated along geodesics with
-Gauss-Legendre panels and node doubling.
+Gauss-Legendre panels and node doubling.  Along the arc rho -> rho^2,
+which every suite integrates over, a per-level node table of the single
+pairs E*_(u,v) turns each pulled-back arc into sparse dot products.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .characters import FiniteMap
+from .characters import FiniteMap, _divisors
 from .special import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -108,18 +112,6 @@ def zeta_star(a: int, b: int, z: complex, modulus: int,
     w = (a - b * z) / N
     theta = siegel_theta(w, z, ctl)
     return 2.0 * math.pi**2 * b * b * y / N**2 - TWO_PI * math.log(abs(theta))
-
-
-def _divisors(r):
-    out = []
-    k = 1
-    while k * k <= r:
-        if r % k == 0:
-            out.append(k)
-            if k * k != r:
-                out.append(r // k)
-        k += 1
-    return sorted(out)
 
 
 def zeta_star_qexp(a: int, b: int, z: complex, modulus: int, rmax: int) -> float:
@@ -427,8 +419,12 @@ class EtaForm:
         self.left = left
         self.right = right
         self.rmax = rmax
-        self._L = EisensteinStream(left, rmax)
-        self._M = EisensteinStream(right, rmax)
+
+    @cached_property
+    def _streams(self):
+        # Built on first evaluation: the arc tables never need them.
+        return (EisensteinStream(self.left, self.rmax),
+                EisensteinStream(self.right, self.rmax))
 
     @classmethod
     def from_residue_maps(cls, l: FiniteMap, m: FiniteMap, rmax: int):
@@ -446,10 +442,11 @@ class EtaForm:
         )
 
     def coefficients(self, z) -> OneFormValue:
-        vl = self._L.value(z)
-        vm = self._M.value(z)
-        p = vl * self._M.d_z(z) - vm * self._L.d_z(z)
-        q = -(vl * self._M.d_zbar(z) - vm * self._L.d_zbar(z))
+        L, M = self._streams
+        vl = L.value(z)
+        vm = M.value(z)
+        p = vl * M.d_z(z) - vm * L.d_z(z)
+        q = -(vl * M.d_zbar(z) - vm * L.d_zbar(z))
         return OneFormValue(p, q)
 
 
@@ -553,3 +550,146 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY, **kw):
     pulled = form.pullback(g) if g != IDENTITY else form
     value, _ = integrate_eta_geodesic(pulled, RHO, RHO2, **kw)
     return value
+
+
+class ArcTable:
+    """E*_x and d_z E*_x for every pair x in (Z/N)^2 at the Gauss-Legendre
+    nodes of the arc rho -> rho^2, at 64 and at 128 nodes.
+
+    E*_x is real, so d_zbar E*_x = conj(d_z E*_x) is not stored, and
+    E*_{-x} = E*_x, so one row serves the pair {x, -x}.  E*_F is linear
+    in F and pulling eta back by g only moves divisor entries, so the
+    arc integral of any pulled-back eta(l, m) is a sparse combination of
+    rows.  The rows follow the EisensteinStream expansion truncated at
+    rmax, summed straight from the divisor pairs (k, m) with k m <= rmax.
+    """
+
+    NODES = (64, 128)
+
+    def __init__(self, modulus: int, rmax: int):
+        N = modulus
+        self.modulus = N
+        self.rmax = rmax
+        path, velocity = _geodesic_path(RHO, RHO2)
+        ts, weights = [], []
+        for n in self.NODES:
+            x, w = np.polynomial.legendre.leggauss(n)
+            t = 0.5 * (x + 1.0)
+            ts.append(t)
+            weights.append(0.5 * w * velocity(t))
+        z = path(np.concatenate(ts))
+        self.nodes = z  # the 64 nodes, then the 128
+        y = z.imag
+        # The quadrature of P dz + Q dzbar is sum(wdz P + conj(wdz) Q).
+        self._wdz = np.concatenate(weights)
+        qpow = np.exp(
+            2j * math.pi * np.multiply.outer(np.arange(rmax + 1), z) / N)
+
+        index = np.empty((N, N), dtype=np.intp)
+        keys = []
+        for u in range(N):
+            for v in range(N):
+                key = min((u, v), ((-u) % N, (-v) % N))
+                if key == (u, v):
+                    index[u, v] = len(keys)
+                    keys.append(key)
+                else:
+                    index[u, v] = index[key]
+        self._index = index
+        keys = np.array(keys)
+
+        log_circle = [
+            math.log(abs(1.0 - cmath.exp(2j * math.pi * a / N)))
+            for a in range(1, N)
+        ]
+        c_log = -math.pi / N**2
+        V = np.empty((len(keys), z.size))
+        D = np.empty((len(keys), z.size), dtype=complex)
+        for u in range(N):
+            w = (-u) % N
+            if w < u:
+                continue  # the pairs (u, v) fold into rows keyed (w, -v)
+            block = np.flatnonzero(keys[:, 0] == u)
+            vs = keys[block, 1]
+            s_u, t_u = _divisor_sums(u, N, qpow)
+            s_w, t_w = (s_u, t_u) if w == u else _divisor_sums(w, N, qpow)
+            hol = (math.pi / N) * (s_u[vs] + s_w[(-vs) % N])
+            dhol = (2j * math.pi**2 / N**2) * (t_u[vs] + t_w[(-vs) % N])
+            c_0 = (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0) - sum(
+                math.cos(TWO_PI * a * u / N) * log_circle[a - 1]
+                for a in range(1, N)))
+            c_y = np.zeros((vs.size, 1))
+            if u == 0:
+                c_y[:, 0] = [(2.0 * math.pi**2 / N) * _beta2(v, N) for v in vs]
+            V[block] = c_y * y + c_log * np.log(y) + c_0 + 2.0 * hol.real
+            D[block] = c_y / 2j + c_log / (2j * y) + dhol
+        self._V = V
+        self._D = D
+
+    def row(self, x):
+        """E*_x and d_z E*_x at the nodes."""
+        i = self._index[x[0] % self.modulus, x[1] % self.modulus]
+        return self._V[i], self._D[i]
+
+    def _combine(self, divisor: PairDivisor, g: UnimodularMatrix):
+        """E*_F, d_z E*_F and d_zbar E*_F at the nodes, F = divisor g."""
+        N = self.modulus
+        pairs = np.array(list(divisor.coeffs), dtype=np.int64).reshape(-1, 2)
+        c = np.array(list(divisor.coeffs.values()), dtype=complex)
+        u, v = pairs[:, 0], pairs[:, 1]
+        rows = self._index[(u * g.a + v * g.c) % N, (u * g.b + v * g.d) % N]
+        d = self._D[rows]
+        return c @ self._V[rows], c @ d, c @ d.conj()
+
+    def integral(self, form: EtaForm, g: UnimodularMatrix = IDENTITY,
+                 tol: float = 1e-10):
+        """(value, gap) of the integral of form along g(rho) -> g(rho^2).
+
+        The value uses 128 nodes and gap is its distance to the 64-node
+        value; like integrate_one_form, raises if the gap is not below
+        tol * max(1, |value|).
+        """
+        if (form.left.modulus, form.rmax) != (self.modulus, self.rmax):
+            raise ValueError("form does not match the table's level and rmax")
+        vl, dl, dbl = self._combine(form.left, g)
+        vm, dm, dbm = self._combine(form.right, g)
+        f = ((vl * dm - vm * dl) * self._wdz
+             - (vl * dbm - vm * dbl) * self._wdz.conj())
+        n = self.NODES[0]
+        value = complex(f[n:].sum())
+        gap = abs(value - complex(f[:n].sum()))
+        if gap >= tol * max(1.0, abs(value)):
+            raise RuntimeError("quadrature failed to settle below tolerance")
+        return value, gap
+
+
+def _divisor_sums(u, N, qpow):
+    """For every v mod N, the sums over k = u (mod N) and m >= 1 with
+    k m <= rmax of q^{km} e^{2 pi i m v / N} / k, and of the same terms
+    with weight m instead of 1/k; qpow[r] holds q^r at the nodes."""
+    rmax = len(qpow) - 1
+    roots = np.exp(2j * math.pi * np.arange(N) / N)
+    s = np.zeros((N, qpow.shape[1]), dtype=complex)
+    t = np.zeros_like(s)
+    for k in range(u if u else N, rmax + 1, N):
+        q = qpow[k::k]  # q^{km} for m = 1 .. rmax // k, a view
+        m = np.arange(1, len(q) + 1)
+        # m v is reduced mod N in integers before it picks a root of unity.
+        phase = roots[np.multiply.outer(np.arange(N), m) % N]
+        s += (phase / k) @ q
+        t += (phase * m) @ q
+    return s, t
+
+
+_ARC_TABLES = {}
+_ARC_TABLES_LOCK = threading.Lock()
+
+
+def arc_table(modulus: int, rmax: int) -> ArcTable:
+    """The process-wide ArcTable of a level and truncation, built once on
+    first use; concurrent callers wait for the one build."""
+    with _ARC_TABLES_LOCK:
+        table = _ARC_TABLES.get((modulus, rmax))
+        if table is None:
+            table = _ARC_TABLES[(modulus, rmax)] = ArcTable(modulus, rmax)
+    return table

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from sympy import Matrix, Rational
 
-from .characters import enumerate_characters, gauss_sum
+from .characters import _xgcd, enumerate_characters, gauss_sum
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
@@ -101,20 +101,6 @@ def _complete_row(c: int, d: int):
     a, b = t, -s
     shift = a // c
     return a - shift * c, b - shift * d
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 class SymbolVector:

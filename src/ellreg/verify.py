@@ -23,7 +23,14 @@ from .characters import (
     fourier_transform,
     gauss_sum,
 )
-from .eisenstein import arc_integral, eta_chi, eta_form, g_column
+from .eisenstein import (
+    ArcTable,
+    arc_integral,
+    arc_table,
+    eta_chi,
+    eta_form,
+    g_column,
+)
 from .elliptic import (
     CURVE_11A,
     CURVE_REGISTRY,
@@ -312,13 +319,34 @@ def run_cor101(config=None):
     return reports
 
 
-def _arc_tables(evens, p):
-    """Geodesic integrals of eta_chi over the standard arcs g_v."""
+def _table_arcs(eta, lifts):
+    """Node-table integrals of eta over the arcs g(rho) -> g(rho^2) for
+    the matrices in lifts (a dict), and the worst 64-vs-128 node gap."""
+    table = arc_table(eta.left.modulus, eta.rmax)
     arcs = {}
+    gap = 0.0
+    for key, g in lifts.items():
+        arcs[key], err = table.integral(eta, g)
+        gap = max(gap, err)
+    return arcs, gap
+
+
+def _arc_truncation(gap):
+    """What the table arcs of a row used: both node counts and the worst
+    gap between them."""
+    return {"arc_nodes": list(ArcTable.NODES), "arc_gap": gap}
+
+
+def _arc_tables(evens, p):
+    """Geodesic integrals of eta_chi over the standard arcs g_v, and the
+    worst node gap among them."""
+    columns = {v: g_column(v) for v in range(1, p)}
+    arcs = {}
+    gap = 0.0
     for chi in evens:
-        eta = eta_chi(chi)
-        arcs[chi] = {v: arc_integral(eta, g_column(v)) for v in range(1, p)}
-    return arcs
+        arcs[chi], err = _table_arcs(eta_chi(chi), columns)
+        gap = max(gap, err)
+    return arcs, gap
 
 
 def _c_coefficient(arcs, eta_char, pair_char, p):
@@ -352,15 +380,17 @@ def run_thm1(config=None):
              if c.is_even and not c.is_trivial]
     odds = [c for c in enumerate_characters(p) if c.is_odd]
     t0 = time.perf_counter()
-    arcs = _arc_tables(evens, p)
+    arcs, gap = _arc_tables(evens, p)
     arc_seconds = time.perf_counter() - t0
-    trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13,
-             "arc_count": len(evens) * (p - 1)}
 
     t0 = time.perf_counter()
-    eta = eta_chi(evens[0])
-    inf_arc = arc_integral(eta, matrix_lift(SymbolIndex(p, 1, 0)))
-    zero_arc = arc_integral(eta, matrix_lift(SymbolIndex(p, 0, 1)))
+    cusps, cusp_gap = _table_arcs(eta_chi(evens[0]), {
+        "inf": matrix_lift(SymbolIndex(p, 1, 0)),
+        "zero": matrix_lift(SymbolIndex(p, 0, 1))})
+    inf_arc, zero_arc = cusps["inf"], cusps["zero"]
+    trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13,
+             "arc_count": len(evens) * (p - 1),
+             **_arc_truncation(max(gap, cusp_gap))}
     reports.append(make_report(
         f"thm1:cusp-arcs:{character_label(evens[0])}",
         dict(base, character=character_label(evens[0])),
@@ -403,14 +433,16 @@ def run_thm2(config=None):
     evens = [c for c in enumerate_characters(p)
              if c.is_even and not c.is_trivial]
     odds = [c for c in enumerate_characters(p) if c.is_odd]
-    arcs = _arc_tables(evens, p)
+    arcs, gap = _arc_tables(evens, p)
+    trunc.update(_arc_truncation(gap))
 
+    coef = {(chi2, chi): _c_coefficient(arcs, chi2, chi, p)
+            for chi2 in evens for chi in evens}
     lam = {}
     for chi in evens:
         for chip in odds:
             lam[(chi, chip)] = sum(
-                gauss_sum(chi2) / gauss_sum(chip * chi2)
-                * _c_coefficient(arcs, chi2, chi, p)
+                gauss_sum(chi2) / gauss_sum(chip * chi2) * coef[(chi2, chi)]
                 for chi2 in evens)
     weighted = sum(lam[(chi, chip)] * l_one[chi] * l_one[chip]
                    for chi in evens for chip in odds)
@@ -476,34 +508,40 @@ def run_thm3(config=None):
     evens = [c for c in enumerate_characters(p)
              if c.is_even and not c.is_trivial]
     delta_one = FiniteMap.delta(p, 1)
+    # x and -x lift to the same arc, so one arc per pair {x, -x}; the
+    # lifts do not depend on the character.
+    lifts = {}
+    for u, v in pairs:
+        key = min((u, v), ((-u) % p, (-v) % p))
+        if key not in lifts:
+            lifts[key] = matrix_lift(SymbolIndex(p, key[0], key[1]))
     linearity_done = False
     for chi in evens:
         label = character_label(chi)
         t0 = time.perf_counter()
         chihat = fourier_transform(FiniteMap.from_character(chi))
         eta = eta_form(delta_one, chihat)
-        arcs = {}
+        arcs, gap = _table_arcs(eta, lifts)
         total = 0.0 + 0.0j
         for u, v in pairs:
             key = min((u, v), ((-u) % p, (-v) % p))
-            if key not in arcs:
-                arcs[key] = arc_integral(
-                    eta, matrix_lift(SymbolIndex(p, key[0], key[1])))
             total += arcs[key] * xi.plus(SymbolIndex(p, u, v))
         rhs = (p * 1j / 4.0) * total
         reports.append(make_report(
             f"thm3:identity:{label}", dict(base, character=label),
             l_two * l_one[chi], rhs, _tol(config, TOL_QUADRATURE),
             time.perf_counter() - t0,
-            dict(trunc, arc_count=len(arcs)), scale=l_two))
+            dict(trunc, arc_count=len(arcs), **_arc_truncation(gap)),
+            scale=l_two))
 
         if not linearity_done:
-            # eta(delta_1, chihat) must match the chihat-weighted sum of
-            # the elementary forms eta(delta_1, delta_b) arc by arc.
+            # The node-table arc of eta(delta_1, chihat) must match the
+            # chihat-weighted sum of per-arc quadratures of the elementary
+            # forms eta(delta_1, delta_b).
             linearity_done = True
             t0 = time.perf_counter()
             g = g_column(3)
-            direct = arc_integral(eta, g)
+            direct, gap = arc_table(p, eta.rmax).integral(eta, g)
             assembled = sum(
                 complex(chihat.values[b])
                 * arc_integral(eta_form(delta_one, FiniteMap.delta(p, b)), g)
@@ -511,8 +549,8 @@ def run_thm3(config=None):
             reports.append(make_report(
                 f"thm3:eta-linearity:{label}",
                 dict(base, character=label), direct, assembled,
-                _tol(config, 1e-9), time.perf_counter() - t0, trunc,
-                error_kind="abs"))
+                _tol(config, 1e-9), time.perf_counter() - t0,
+                dict(trunc, **_arc_truncation(gap)), error_kind="abs"))
     return reports
 
 

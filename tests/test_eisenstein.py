@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ellreg.eisenstein import (
     PairDivisor,
     UnimodularMatrix,
     arc_integral,
+    arc_table,
     divisor_bracket,
     e_star_map,
     e_star_point,
@@ -29,6 +32,7 @@ from ellreg.eisenstein import (
     zeta_star_qexp,
 )
 from ellreg.eisenstein import _restricted_zeta2
+from ellreg.modsym import SymbolIndex, matrix_lift
 
 N = 11
 Z0 = 0.31 + 0.83j
@@ -278,3 +282,92 @@ def test_pair_divisor_algebra():
     assert flipped.coeffs == {(10, 2): 2.0}
     scaled = d.scaled(0.5)
     assert scaled.coeffs == {(1, 2): 1.0}
+
+
+def _worst_oracle_diff(form, lifts):
+    """Largest |table arc - arc_integral| over the lifts."""
+    table = arc_table(form.left.modulus, form.rmax)
+    worst = 0.0
+    for g in lifts:
+        value, _ = table.integral(form, g)
+        worst = max(worst, abs(value - arc_integral(form, g)))
+    return worst
+
+
+@pytest.mark.parametrize("p", [11, 17])
+def test_arc_table_matches_arc_integral_on_every_column(p):
+    columns = [g_column(v) for v in range(1, p)]
+    for chi in enumerate_characters(p):
+        if chi.is_even:
+            assert _worst_oracle_diff(eta_chi(chi), columns) <= 1e-13
+
+
+def test_arc_table_matches_arc_integral_at_37():
+    p = 37
+    evens = [c for c in enumerate_characters(p)
+             if c.is_even and not c.is_trivial]
+    columns = [g_column(v) for v in (1, 5, 18, 36)]
+    for chi in evens[::6]:
+        assert _worst_oracle_diff(eta_chi(chi), columns) <= 1e-13
+    # The thm3 form on the symbol lifts, whose matrices reach past N.
+    chihat = fourier_transform(FiniteMap.from_character(evens[0]))
+    form = eta_form(FiniteMap.delta(p, 1), chihat)
+    lifts = [matrix_lift(SymbolIndex(p, u, v))
+             for u, v in [(1, 0), (0, 1), (3, 7), (20, 11), (36, 2)]]
+    assert _worst_oracle_diff(form, lifts) <= 1e-13
+
+
+def test_arc_table_rows_match_closed_forms():
+    table = arc_table(N, suggested_rmax(N, math.sqrt(3) / 2))
+    h = 1e-4
+    for x in [(0, 0), (0, 4), (3, 5), (7, 10)]:
+        values, d_z = table.row(x)
+        assert np.array_equal(values, table.row((-x[0], -x[1]))[0])
+        for j in (0, 40, 64, 150):
+            z = table.nodes[j]
+            assert abs(values[j] - e_star_point(x, z, N)) < 1e-11
+            # d_z = (d_x - i d_y) / 2 by central differences.
+            dx = e_star_point(x, z + h, N) - e_star_point(x, z - h, N)
+            dy = e_star_point(x, z + 1j * h, N) - e_star_point(x, z - 1j * h, N)
+            assert abs(d_z[j] - (dx - 1j * dy) / (4 * h)) < 1e-7
+
+
+def test_arc_table_raises_when_node_counts_disagree():
+    chi = [c for c in enumerate_characters(N) if c.order == 5][0]
+    form = eta_chi(chi)
+    table = arc_table(N, form.rmax)
+    value, gap = table.integral(form, g_column(2))
+    assert gap < 1e-10 * max(1.0, abs(value))
+    # The table route never builds the form's Eisenstein streams.
+    assert "_streams" not in vars(form)
+    with pytest.raises(RuntimeError):
+        table.integral(form, g_column(2), tol=0.0)
+    with pytest.raises(ValueError):
+        table.integral(eta_chi(chi, y_min=0.5), g_column(2))
+
+
+def test_arc_table_is_built_once_across_threads():
+    # A level and truncation no other test tabulates, so the threads
+    # race the first build.
+    key = (13, suggested_rmax(13, 0.8))
+    workers = 4
+    barrier = threading.Barrier(workers)
+    tables = []
+
+    def build():
+        barrier.wait(timeout=30)
+        tables.append(arc_table(*key))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(tables) == workers
+    assert all(t is tables[0] for t in tables)

@@ -14,6 +14,8 @@ from ellreg.verify import (
     run_cor101,
     run_mahler,
     run_thm1,
+    run_thm2,
+    run_thm3,
     run_thm8,
     summarize,
 )
@@ -118,6 +120,17 @@ def test_thm1_cross_prime_handles_vanishing_twist():
             and not r.truncation.get("degenerate")]
     assert len(live) == 6
     assert max(r.error for r in live) < 1e-9
+
+
+def test_arc_rows_record_nodes_and_gap():
+    rows = run_thm1() + run_thm2() + run_thm3()
+    arc_rows = [r for r in rows if "arc_nodes" in r.truncation]
+    # Every row but thm1's Fricke sign and thm3's closedness shares its
+    # suite's node-table arcs.
+    assert len(arc_rows) == len(rows) - 2
+    for r in arc_rows:
+        assert r.truncation["arc_nodes"] == [64, 128]
+        assert 0.0 <= r.truncation["arc_gap"] < 1e-10
 
 
 def test_summarize_readable(thm8_reports):
