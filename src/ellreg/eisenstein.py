@@ -32,6 +32,7 @@ from .special import (
     DEFAULT_CONTROL,
     SeriesControl,
     dedekind_eta,
+    gauss_legendre_nodes,
     periodic_bernoulli2,
     siegel_theta,
 )
@@ -512,7 +513,7 @@ def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 64,
     Returns (value, error_estimate); raises if doubling stalls above tol.
     """
     def quad(n):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = gauss_legendre_nodes(n)
         t = 0.5 * (x + 1.0)
         z = path(t)
         v = velocity(t)
@@ -573,7 +574,7 @@ class ArcTable:
         path, velocity = _geodesic_path(RHO, RHO2)
         ts, weights = [], []
         for n in self.NODES:
-            x, w = np.polynomial.legendre.leggauss(n)
+            x, w = gauss_legendre_nodes(n)
             t = 0.5 * (x + 1.0)
             ts.append(t)
             weights.append(0.5 * w * velocity(t))

@@ -52,9 +52,12 @@ class BivariatePolynomial:
     def deg_y(self) -> int:
         return self.coeffs.shape[1] - 1
 
-    def y_coefficients(self, x: complex) -> np.ndarray:
-        """Coefficients of P(x, Y) as a polynomial in Y, ascending."""
-        powers = x ** np.arange(self.deg_x + 1)
+    def y_coefficients(self, x) -> np.ndarray:
+        """Coefficients of P(x, Y) as a polynomial in Y, ascending.
+
+        An array of points x gives one coefficient row per point.
+        """
+        powers = np.asarray(x)[..., None] ** np.arange(self.deg_x + 1)
         return powers @ self.coeffs.astype(complex)
 
     def reciprocal_x(self) -> "BivariatePolynomial":
@@ -182,9 +185,90 @@ def _crossing_indicator(poly: BivariatePolynomial, u: float) -> float:
     return float(np.prod(np.abs(roots) - 1.0))
 
 
+def _node_rows(poly: BivariatePolynomial, us: np.ndarray):
+    """Y-coefficient rows of P(e^{2 pi i u}, Y) for every u, and the mask
+    of the rows the batched solve takes.
+
+    Those are the rows np.roots would use untrimmed: Y-degree at least 1
+    and nonzero leading and constant coefficients.  The other rows go
+    through the scalar routines.
+    """
+    rows = poly.y_coefficients(np.exp(2j * math.pi * us))
+    batched = (rows[:, -1] != 0) & (rows[:, 0] != 0) & (poly.deg_y > 0)
+    return rows, batched
+
+
+def _companion_roots(rows: np.ndarray) -> np.ndarray:
+    """Roots of every ascending coefficient row, one row of roots each.
+
+    One eigenvalue solve over the stack of the companion matrices that
+    np.roots builds, so each row gets the roots np.roots gives it.
+    """
+    count, width = rows.shape
+    monic = rows / rows[:, -1:]
+    companion = np.zeros((count, width - 1, width - 1), dtype=complex)
+    companion[:, 0, :] = -monic[:, -2::-1] / monic[:, -1:]
+    sub = np.arange(width - 2)
+    companion[:, sub + 1, sub] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each ascending coefficient row evaluated at its own row of points.
+
+    The complex products are spelled out in real arithmetic, the rounding
+    of numpy's scalar complex product, which the scalar route's
+    Polynomial evaluation uses; the vectorized complex product may fuse
+    them.  Near a double root the Newton step divides this residual by a
+    small slope, so the two routes agree only if the residuals do.
+    """
+    xr, xi = x.real, x.imag
+    accr, acci = rows[:, -1:].real, rows[:, -1:].imag
+    for j in range(rows.shape[1] - 2, -1, -1):
+        accr, acci = (rows[:, j:j + 1].real + (accr * xr - acci * xi),
+                      rows[:, j:j + 1].imag + (accr * xi + acci * xr))
+    return accr + 1j * acci
+
+
+def _inner_measures(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarray:
+    """_one_variable_measure of P(e^{2 pi i u}, Y) at every node u.
+
+    The batched rows follow _polished_roots: companion roots, then one
+    Newton step per root, kept only where it lowers |P|.
+    """
+    rows, batched = _node_rows(poly, us)
+    out = np.empty(len(us))
+    if batched.any():
+        c = rows[batched]
+        roots = _companion_roots(c)
+        value = _horner(c, roots)
+        slope = _horner(c[:, 1:] * np.arange(1, c.shape[1]), roots)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            refined = roots - value / slope
+        better = (slope != 0) & (np.abs(_horner(c, refined)) < np.abs(value))
+        roots = np.where(better, refined, roots)
+        out[batched] = np.log(np.abs(c[:, -1])) + np.sum(
+            np.log(np.maximum(1.0, np.abs(roots))), axis=1)
+    for k in np.flatnonzero(~batched):
+        out[k] = _one_variable_measure(rows[k])
+    return out
+
+
+def _crossing_indicators(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarray:
+    """_crossing_indicator at every u, from one batched eigenvalue solve."""
+    rows, batched = _node_rows(poly, us)
+    out = np.empty(len(us))
+    if batched.any():
+        out[batched] = np.prod(
+            np.abs(_companion_roots(rows[batched])) - 1.0, axis=1)
+    for k in np.flatnonzero(~batched):
+        out[k] = _crossing_indicator(poly, us[k])
+    return out
+
+
 def _unit_circle_crossings(poly: BivariatePolynomial, grid: int = 1024) -> list:
     us = np.linspace(0.0, 1.0, grid + 1)
-    vals = [_crossing_indicator(poly, u) for u in us]
+    vals = _crossing_indicators(poly, us)
     found = []
     for m in range(grid):
         a, b = vals[m], vals[m + 1]
@@ -205,49 +289,64 @@ def _unit_circle_crossings(poly: BivariatePolynomial, grid: int = 1024) -> list:
     return found
 
 
-def _panel(f, a: float, b: float, nodes: int) -> float:
-    xs, ws = gauss_legendre_nodes(nodes, a, b)
-    return float(sum(w * f(x) for x, w in zip(xs, ws)))
-
-
 def _adaptive_panel(f, a: float, b: float, nodes: int, tol: float,
-                    depth: int = 0) -> float:
-    coarse = _panel(f, a, b, nodes)
-    fine = _panel(f, a, b, 2 * nodes)
+                    depth: int = 0):
+    """Integral of the vectorized f over [a, b], and the panels it took.
+
+    f takes the coarse and the fine nodes of a panel in one call.
+    """
+    xc, wc = gauss_legendre_nodes(nodes, a, b)
+    xf, wf = gauss_legendre_nodes(2 * nodes, a, b)
+    values = f(np.concatenate([xc, xf]))
+    coarse = float(wc @ values[:nodes])
+    fine = float(wf @ values[nodes:])
     # Width floor: near a repeated root on the unit circle the root finder
     # carries sqrt(machine-eps) noise, so refinement below 1e-9 only chases
     # noise while the remaining kink error is already far below tolerance.
     if abs(fine - coarse) <= tol or (b - a) < 1e-9:
-        return fine
+        return fine, 1
     if depth >= 48:
         raise RuntimeError("outer quadrature failed to converge on [%g, %g]"
                            % (a, b))
     mid = 0.5 * (a + b)
     half = 0.5 * tol
-    return (_adaptive_panel(f, a, mid, nodes, half, depth + 1)
-            + _adaptive_panel(f, mid, b, nodes, half, depth + 1))
+    left, left_panels = _adaptive_panel(f, a, mid, nodes, half, depth + 1)
+    right, right_panels = _adaptive_panel(f, mid, b, nodes, half, depth + 1)
+    return left + right, left_panels + right_panels
 
 
 def mahler_measure(poly: BivariatePolynomial,
                    ctl: SeriesControl = DEFAULT_CONTROL,
-                   base_nodes: int = 24) -> float:
-    """Logarithmic Mahler measure of an integer polynomial in X and Y."""
+                   base_nodes: int = 24,
+                   quadrature: dict | None = None) -> float:
+    """Logarithmic Mahler measure of an integer polynomial in X and Y.
+
+    A dict passed as quadrature receives what the outer quadrature ran:
+    outer_nodes and abs_tol, cut_points (the kinks inside (0, 1) that
+    split the integral) and outer_panels (the Gauss-Legendre panels the
+    adaptive rule accepted).
+    """
     cuts = {0.0, 1.0}
     for j in range(poly.deg_y + 1):
         cuts.update(_column_circle_arguments(poly.coeffs[:, j]))
     cuts.update(_unit_circle_crossings(poly))
     pts = sorted(cuts)
 
-    def f(u):
-        return _one_variable_measure(
-            poly.y_coefficients(cmath.exp(2j * math.pi * u)))
+    def f(us):
+        return _inner_measures(poly, us)
 
     total = 0.0
+    panels = 0
     for a, b in zip(pts, pts[1:]):
         if b - a < 1e-12:
             continue
         tol = max(ctl.abs_tol * (b - a), ctl.abs_tol / 64.0)
-        total += _adaptive_panel(f, a, b, base_nodes, tol)
+        value, used = _adaptive_panel(f, a, b, base_nodes, tol)
+        total += value
+        panels += used
+    if quadrature is not None:
+        quadrature.update(outer_nodes=base_nodes, abs_tol=ctl.abs_tol,
+                          cut_points=len(pts) - 2, outer_panels=panels)
     return total
 
 
@@ -261,17 +360,26 @@ def curve_identity_polynomials():
     return first, second
 
 
-def mahler_identity_checks(ctl: SeriesControl = DEFAULT_CONTROL) -> dict:
-    """Measure both level-11 polynomials against 77/(4 pi^2) and 55/(4 pi^2) times L(E, 2)."""
-    first, second = curve_identity_polynomials()
-    lval = l_value(newform_from_curve(CURVE_11A), 2.0, ctl).real
+def mahler_identity_checks(ctl: SeriesControl = DEFAULT_CONTROL,
+                           lval: float | None = None) -> dict:
+    """Measure both level-11 polynomials against 77/(4 pi^2) and 55/(4 pi^2) times L(E, 2).
 
-    t0 = time.perf_counter()
-    m_first = mahler_measure(first, ctl)
-    t_first = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    m_second = mahler_measure(second, ctl)
-    t_second = time.perf_counter() - t0
+    lval is L(E, 2); when it is not given it is computed for curve 11a.
+    Each measure reports its time and the quadrature it ran.
+    """
+    first, second = curve_identity_polynomials()
+    if lval is None:
+        lval = l_value(newform_from_curve(CURVE_11A), 2.0, ctl).real
+
+    def timed(poly):
+        quadrature = {}
+        t0 = time.perf_counter()
+        value = mahler_measure(poly, ctl, quadrature=quadrature)
+        return value, quadrature, time.perf_counter() - t0
+
+    m_first, quad_first, t_first = timed(first)
+    m_second, quad_second, t_second = timed(second)
+    m_recip, quad_recip, t_recip = timed(first.reciprocal_x())
 
     want_first = 77.0 / (4.0 * math.pi**2)
     want_second = 55.0 / (4.0 * math.pi**2)
@@ -283,8 +391,11 @@ def mahler_identity_checks(ctl: SeriesControl = DEFAULT_CONTROL) -> dict:
         "ratio_second": m_second / lval,
         "ratio_first_err": abs(m_first / lval - want_first) / want_first,
         "ratio_second_err": abs(m_second / lval - want_second) / want_second,
-        "reciprocal_err": abs(mahler_measure(first.reciprocal_x(), ctl)
-                              - m_first),
+        "reciprocal_err": abs(m_recip - m_first),
         "seconds_first": t_first,
         "seconds_second": t_second,
+        "seconds_reciprocal": t_recip,
+        "quadrature_first": quad_first,
+        "quadrature_second": quad_second,
+        "quadrature_reciprocal": quad_recip,
     }

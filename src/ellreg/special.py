@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,8 +124,9 @@ def bloch_wigner(z) -> float:
 
 
 def _upper_gamma_cf(s, x):
-    # Modified Lentz continued fraction for Gamma(s, x), stable for
-    # x > max(1, s).
+    # Modified Lentz continued fraction for Gamma(s, x) / (x^s e^-x),
+    # stable for x > max(1, s).  Every step is generic over complex s;
+    # the caller applies the prefactor with math or cmath.
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -144,11 +146,12 @@ def _upper_gamma_cf(s, x):
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return math.exp(-x + s * math.log(x)) * h
+    return h
 
 
 def _lower_gamma_series(s, x):
-    # gamma(s, x) by the standard ascending series, for x <= max(1, s), s > 0.
+    # gamma(s, x) / (x^s e^-x) by the standard ascending series, for
+    # x <= max(1, s) and Re s > 0.  Every step is generic over complex s.
     total = 1.0 / s
     term = 1.0 / s
     sk = s
@@ -158,7 +161,7 @@ def _lower_gamma_series(s, x):
         total += term
         if abs(term) < abs(total) * 1e-17:
             break
-    return math.exp(-x + s * math.log(x)) * total
+    return total
 
 
 def _exp_integral_e1(x):
@@ -184,9 +187,10 @@ def incomplete_gamma_upper(s: float, x: float) -> float:
     s = float(s)
     x = float(x)
     if x > max(1.0, s):
-        return _upper_gamma_cf(s, x)
+        return math.exp(-x + s * math.log(x)) * _upper_gamma_cf(s, x)
     if s > 0:
-        return math.gamma(s) - _lower_gamma_series(s, x)
+        return math.gamma(s) - (math.exp(-x + s * math.log(x))
+                                * _lower_gamma_series(s, x))
     # s <= 0 and x <= 1: climb down from Gamma(0, x) = E_1(x) when s is
     # integral, otherwise climb up to a positive order and come back.
     if s == math.floor(s):
@@ -197,7 +201,9 @@ def incomplete_gamma_upper(s: float, x: float) -> float:
             g = (g - math.exp(-x + k * math.log(x))) / k
         return g
     shift = int(math.ceil(-s)) + 1
-    g = math.gamma(s + shift) - _lower_gamma_series(s + shift, x)
+    ss = s + shift
+    g = math.gamma(ss) - (math.exp(-x + ss * math.log(x))
+                          * _lower_gamma_series(ss, x))
     for j in range(shift - 1, -1, -1):
         sj = s + j
         g = (g - math.exp(-x + sj * math.log(x))) / sj
@@ -238,40 +244,10 @@ def incomplete_gamma_upper_complex(s, x: float) -> complex:
         return complex(incomplete_gamma_upper(s.real, x))
     if not x > 0:
         raise ValueError("incomplete_gamma_upper_complex requires x > 0")
+    prefactor = cmath.exp(-x + s * cmath.log(x))
     if x > abs(s) + 1.0:
-        # Same Lentz continued fraction as the real branch; every step
-        # is already generic over complex s.
-        tiny = 1e-300
-        b = x + 1.0 - s
-        c = 1.0 / tiny
-        d = 1.0 / b if b != 0 else 1.0 / tiny
-        h = d
-        for i in range(1, 500):
-            an = -i * (i - s)
-            b += 2.0
-            d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) < 1e-16:
-                break
-        return cmath.exp(-x + s * cmath.log(x)) * h
-    total = 1.0 / s
-    term = 1.0 / s
-    sk = s
-    for _ in range(1000):
-        sk += 1.0
-        term *= x / sk
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    lower = cmath.exp(-x + s * cmath.log(x)) * total
-    return complex_gamma(s) - lower
+        return prefactor * _upper_gamma_cf(s, x)
+    return complex_gamma(s) - prefactor * _lower_gamma_series(s, x)
 
 
 def periodic_bernoulli2(x: float) -> float:
@@ -324,14 +300,30 @@ def siegel_theta(w, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     raise TruncationError("siegel_theta hit the term cap")
 
 
-def gauss_legendre_nodes(n: int, a: float, b: float):
-    """Nodes and weights for n-point Gauss-Legendre on [a, b]."""
+@lru_cache(maxsize=None)
+def _leggauss(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_nodes(n: int, a: float = -1.0, b: float = 1.0):
+    """Read-only nodes and weights for n-point Gauss-Legendre on [a, b].
+
+    The rule on [-1, 1] is computed once per n and returned as is.
+    """
     if n < 1:
         raise ValueError("need at least one node")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
+    if a == -1.0 and b == 1.0:
+        return x, w
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return mid + half * x, half * w
+    xs, ws = mid + half * x, half * w
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
 
 
 def gauss_legendre(integrand, a: float, b: float, n: int):

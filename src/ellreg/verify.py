@@ -599,24 +599,23 @@ def run_mahler(config=None):
     config = config or VerifyConfig()
     _require_conductor_11(config, "the Mahler measure identities")
     base = _base_inputs(config)
-    t0 = time.perf_counter()
-    data = mahler_identity_checks()
-    seconds = time.perf_counter() - t0
-    trunc = {"outer_nodes": 24, "abs_tol": 1e-12}
+    form = newform_from_curve(config.curve, nmax=config.terms)
+    l_two = complex(l_value(form, 2.0)).real
+    data = mahler_identity_checks(lval=l_two)
+    tol = _tol(config, TOL_QUADRATURE)
     reports = [
         make_report(
             "mahler:first", dict(base, ratio="77/4pi^2"),
-            data["m_first"], (77.0 / (4.0 * math.pi ** 2)) * data["l_value"],
-            _tol(config, TOL_QUADRATURE),
-            data.get("seconds_first", seconds / 2), trunc),
+            data["m_first"], (77.0 / (4.0 * math.pi ** 2)) * l_two, tol,
+            data["seconds_first"], data["quadrature_first"]),
         make_report(
             "mahler:second", dict(base, ratio="55/4pi^2"),
-            data["m_second"], (55.0 / (4.0 * math.pi ** 2)) * data["l_value"],
-            _tol(config, TOL_QUADRATURE),
-            data.get("seconds_second", seconds / 2), trunc),
+            data["m_second"], (55.0 / (4.0 * math.pi ** 2)) * l_two, tol,
+            data["seconds_second"], data["quadrature_second"]),
         make_report(
             "mahler:reciprocal", base, data["reciprocal_err"], 0.0,
-            _tol(config, TOL_SERIES), 0.0, trunc, error_kind="abs"),
+            _tol(config, TOL_SERIES), data["seconds_reciprocal"],
+            data["quadrature_reciprocal"], error_kind="abs"),
     ]
     return reports
 

@@ -1,17 +1,25 @@
 """Tests for the two-variable Mahler measure engine."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from ellreg import mahler
 from ellreg.mahler import (
     BivariatePolynomial,
+    _column_circle_arguments,
+    _crossing_indicator,
+    _crossing_indicators,
+    _inner_measures,
     _one_variable_measure,
+    _unit_circle_crossings,
     curve_identity_polynomials,
     mahler_identity_checks,
     mahler_measure,
 )
+from ellreg.special import gauss_legendre_nodes
 
 X = BivariatePolynomial([[0], [1]])
 Y = BivariatePolynomial([[0, 1]])
@@ -145,3 +153,138 @@ def test_curve_identities(identity_report):
                                                rel=1e-10)
     assert rep["ratio_second"] == pytest.approx(55.0 / (4 * math.pi**2),
                                                 rel=1e-10)
+
+
+def _scalar_inner_measure(poly, u):
+    return _one_variable_measure(poly.y_coefficients(cmath.exp(2j * math.pi * u)))
+
+
+def test_batched_inner_measure_matches_scalar_oracle():
+    rng = np.random.default_rng(5)
+    for poly in curve_identity_polynomials():
+        # The kinks of the integrand: where the Y-degree drops, where a
+        # root crosses the unit circle, and u = 0 = 1, where the second
+        # polynomial has the double root Y = -1.
+        kinks = {0.0, 0.5, 1.0}
+        for j in range(poly.deg_y + 1):
+            kinks.update(_column_circle_arguments(poly.coeffs[:, j]))
+        kinks.update(_unit_circle_crossings(poly))
+        offsets = 10.0 ** rng.uniform(-9.0, -6.0, 16) * rng.choice([-1.0, 1.0], 16)
+        near = [k + d for k in sorted(kinks) for d in offsets if 0.0 <= k + d <= 1.0]
+        us = np.concatenate([near, rng.random(200 - len(near))])
+        got = _inner_measures(poly, us)
+        want = [_scalar_inner_measure(poly, u) for u in us]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_batched_newton_step_keeps_the_acceptance_rule():
+    # Within 1e-6 of the double root the Newton step divides a rounding
+    # residual by a small slope.  At about 2% of such nodes the step
+    # raises |P| and the rule rejects it; taking it there moves the
+    # measure by up to 5e-13.
+    _, second = curve_identity_polynomials()
+    us = 10.0 ** np.random.default_rng(6).uniform(-9.0, -6.0, 2000)
+    got = _inner_measures(second, us)
+    want = [_scalar_inner_measure(second, u) for u in us]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_batched_crossing_scan_matches_scalar_scan(monkeypatch):
+    polys = [BivariatePolynomial([[1, 1], [1, 0]]),
+             BivariatePolynomial([[1, -1], [0, 1]]),
+             BivariatePolynomial([[2, 1, 1], [-1, 3, 0], [1, 0, -2]]),
+             *curve_identity_polynomials()]
+    batched = [_unit_circle_crossings(p) for p in polys]
+    assert batched[0] and batched[2]
+    monkeypatch.setattr(mahler, "_crossing_indicators", lambda poly, us: np.array(
+        [_crossing_indicator(poly, u) for u in us]))
+    assert [_unit_circle_crossings(p) for p in polys] == batched
+
+
+def test_zero_leading_coefficient_takes_the_scalar_route(monkeypatch):
+    # (X - 1) Y + 1 loses its Y term at u = 0, a point of the crossing grid.
+    poly = BivariatePolynomial([[1, -1], [0, 1]])
+    calls = []
+
+    def counted(cvec):
+        calls.append(len(cvec))
+        return _one_variable_measure(cvec)
+
+    monkeypatch.setattr(mahler, "_one_variable_measure", counted)
+    us = np.array([0.0, 0.25, 0.6])
+    got = _inner_measures(poly, us)
+    assert len(calls) == 1
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - [_scalar_inner_measure(poly, u) for u in us])) <= 1e-14
+    assert _crossing_indicators(poly, np.array([0.0]))[0] == 1.0
+    assert _crossing_indicator(poly, 0.0) == 1.0
+    # m(1 - Y + XY) = m(1 + X + Y); the second value is the scalar quadrature's.
+    m = mahler_measure(poly)
+    assert m == pytest.approx(0.3230659472194505, abs=1e-13)
+    assert abs(m - 0.3230659472194491) <= 1e-15
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    x, w = gauss_legendre_nodes(24)
+    assert gauss_legendre_nodes(24)[0] is x
+    xs, ws = gauss_legendre_nodes(24, 0.25, 0.5)
+    for arr in (x, w, xs, ws):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert np.allclose(xs, 0.375 + 0.125 * x) and np.allclose(ws, 0.125 * w)
+
+
+def test_quadrature_stays_batched(monkeypatch):
+    # A call count, not a timer: a return to one np.roots per node makes
+    # about 9,600 calls on the second polynomial.
+    counts = {"roots": 0, "eigvals": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np, "roots", counting("roots", np.roots))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    _, second = curve_identity_polynomials()
+    mahler_measure(second)
+    assert counts["roots"] <= 1000
+    assert counts["eigvals"] >= 1
+
+
+def test_identity_rows_report_the_quadrature_that_ran(identity_report):
+    rep = identity_report
+    for key in ("first", "second", "reciprocal"):
+        quad = rep["quadrature_" + key]
+        assert quad["abs_tol"] == 1e-13
+        assert quad["outer_nodes"] == 24
+        assert quad["cut_points"] >= 0 and quad["outer_panels"] >= 1
+        assert rep["seconds_" + key] > 0.0
+    # The first polynomial loses its Y^2 term at X = -1 and its
+    # reciprocal does too; the second keeps its degree on the circle.
+    assert rep["quadrature_first"]["cut_points"] == 1
+    assert rep["quadrature_reciprocal"]["cut_points"] == 1
+    assert rep["quadrature_second"]["cut_points"] == 0
+
+
+def test_identity_checks_use_the_given_l_value(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the L-value was given")
+
+    # The three measures go through the public mahler_measure, where a
+    # profiler or tracer that wraps it sees them.
+    measured = []
+
+    def counted(*args, **kwargs):
+        measured.append(args[0])
+        return mahler_measure(*args, **kwargs)
+
+    monkeypatch.setattr(mahler, "newform_from_curve", refuse)
+    monkeypatch.setattr(mahler, "mahler_measure", counted)
+    rep = mahler_identity_checks(lval=2.0)
+    assert rep["l_value"] == 2.0
+    assert rep["ratio_first"] == rep["m_first"] / 2.0
+    first, second = curve_identity_polynomials()
+    assert measured == [first, second, first.reciprocal_x()]

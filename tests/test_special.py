@@ -307,6 +307,36 @@ def test_incomplete_gamma_complex_quadrature_oracle():
     assert abs(got - oracle) < 1e-10
 
 
+def test_incomplete_gamma_shared_helpers_keep_real_values_bitwise():
+    # Values of the real routine before the continued fraction and the
+    # series were shared with the complex one: continued fraction
+    # (x > max(1, s)), ascending series (s > 0), the integral climb-down
+    # and the non-integral climb-up.
+    before = {
+        (2.0, 5.0): "0x1.4b2efe809fe97p-5",
+        (3.0, 10.0): "0x1.6afd800e3c6c7p-8",
+        (0.5, 3.0): "0x1.9f70e8923d59dp-6",
+        (1.5, 0.3): "0x1.96c12b0c87c67p-1",
+        (2.0, 0.7): "0x1.b03a544628878p-1",
+        (0.25, 1.0): "0x1.f854d1a2c3150p-3",
+        (-2.0, 0.5): "0x1.c5327ad9ce83ep-2",
+        (-1.5, 0.4): "0x1.3af3e76f06293p+0",
+    }
+    for (s, x), value in before.items():
+        assert incomplete_gamma_upper(s, x) == float.fromhex(value)
+        assert incomplete_gamma_upper_complex(complex(s), x) == float.fromhex(value)
+    # Complex s on both branches of the shared helpers.
+    before_complex = {
+        (2 + 1j, 5.0): ("-0x1.2d72984974305p-7", "0x1.3de6a835d8107p-5"),
+        (2 + 0.7j, 9.0): ("-0x1.c8af8c00bf4a8p-15", "0x1.42692517444f5p-10"),
+        (0.5 + 3j, 1.2): ("-0x1.45d81f1ea17afp-6", "0x1.02ca53e547bbep-3"),
+        (1.5 - 0.5j, 0.4): ("0x1.688ac45ae17f5p-1", "-0x1.e61ae6ec20144p-4"),
+    }
+    for (s, x), (re, im) in before_complex.items():
+        want = complex(float.fromhex(re), float.fromhex(im))
+        assert abs(incomplete_gamma_upper_complex(s, x) - want) <= 1e-15 * abs(want)
+
+
 def test_incomplete_gamma_complex_small_x_limit():
     s = 1.3 + 0.9j
     got = incomplete_gamma_upper_complex(s, 1e-8)

@@ -133,6 +133,31 @@ def test_arc_rows_record_nodes_and_gap():
         assert 0.0 <= r.truncation["arc_gap"] < 1e-10
 
 
+def test_mahler_rows_report_what_ran(monkeypatch):
+    import ellreg.verify as verify
+
+    built = []
+
+    def newform(curve, nmax):
+        built.append(nmax)
+        return real_newform(curve, nmax)
+
+    real_newform = verify.newform_from_curve
+    monkeypatch.setattr(verify, "newform_from_curve", newform)
+    rows = {r.check: r for r in run_mahler(resolve_config(terms=300))}
+    # L(E, 2) comes from the configured curve and --terms, once.
+    assert built == [300]
+    assert set(rows) == {"mahler:first", "mahler:second", "mahler:reciprocal"}
+    for r in rows.values():
+        assert r.passed
+        assert r.truncation["abs_tol"] == 1e-13
+        assert r.truncation["outer_nodes"] == 24
+        assert r.truncation["outer_panels"] >= 1
+        assert r.seconds > 0.0
+    assert rows["mahler:first"].truncation["cut_points"] == 1
+    assert rows["mahler:second"].truncation["cut_points"] == 0
+
+
 def test_summarize_readable(thm8_reports):
     text = summarize(thm8_reports)
     lines = text.splitlines()
