@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override every per-check tolerance")
     verify.add_argument("--terms", type=int, default=4000,
                         help="q-expansion length for the newform")
-    verify.add_argument("--jobs", type=int, default=None,
-                        help="parallel suites for 'all' (default: all)")
     verify.add_argument("--out", default=None,
                         help="write the JSON report array here")
 
@@ -63,8 +61,7 @@ def _parse_curve(text: str) -> CurveModel:
 def _cmd_verify(args) -> int:
     curve = _parse_curve(args.curve) if args.curve else None
     config = resolve_config(level=args.level, curve=curve,
-                            tolerance=args.tolerance, terms=args.terms,
-                            jobs=args.jobs)
+                            tolerance=args.tolerance, terms=args.terms)
     runner = run_all if args.suite == "all" else SUITES[args.suite]
     reports = runner(config)
     print(summarize(reports))
@@ -98,15 +95,18 @@ def _cmd_mahler(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Exit 0 when every check passes, 1 when one fails, 2 on a bad
+    input, 3 when a series, quadrature or reduction does not converge
+    (TruncationError and the engines' other RuntimeErrors)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"verify": _cmd_verify, "units": _cmd_units,
                 "mahler": _cmd_mahler}
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"ellreg: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -469,15 +469,7 @@ def _geodesic_path(z0: complex, z1: complex):
     z0 = complex(z0)
     z1 = complex(z1)
     if abs(z0.real - z1.real) < 1e-14 * max(1.0, abs(z0), abs(z1)):
-        dz = z1 - z0
-
-        def path(t):
-            return z0 + t * dz
-
-        def velocity(t):
-            return np.full_like(np.asarray(t, dtype=float), dz, dtype=complex)
-
-        return path, velocity
+        return _straight_path(z0, z1)
     center = (abs(z1) ** 2 - abs(z0) ** 2) / (2.0 * (z1.real - z0.real))
     radius = abs(z0 - center)
     th0 = cmath.phase(z0 - center)

@@ -245,20 +245,6 @@ def _character_values_wide(chi: DirichletCharacter, nmax: int) -> np.ndarray:
     return out
 
 
-def rankin_sigma(chi1: DirichletCharacter, chi2: DirichletCharacter,
-                 nmax: int) -> np.ndarray:
-    """sigma_{chi1,chi2}(n) = sum_{d | n} d chi1(d) chi2(n/d), n <= nmax."""
-    v1 = _character_values_wide(chi1, nmax)
-    v2 = _character_values_wide(chi2, nmax)
-    out = np.zeros(nmax + 1, dtype=_WIDE)
-    for d in range(1, nmax + 1):
-        cd = d * v1[d]
-        if cd == 0:
-            continue
-        out[d::d] += cd * v2[1:nmax // d + 1]
-    return out
-
-
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nmax = len(a) - 1
     out = np.zeros(nmax + 1, dtype=a.dtype)
@@ -268,6 +254,14 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             continue
         out[d::d] += ad * b[1:nmax // d + 1]
     return out
+
+
+def rankin_sigma(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                 nmax: int) -> np.ndarray:
+    """sigma_{chi1,chi2}(n) = sum_{d | n} d chi1(d) chi2(n/d), n <= nmax."""
+    return _dirichlet_convolve(
+        np.arange(nmax + 1) * _character_values_wide(chi1, nmax),
+        _character_values_wide(chi2, nmax))
 
 
 def _dirichlet_inverse(a: np.ndarray) -> np.ndarray:

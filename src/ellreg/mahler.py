@@ -326,6 +326,11 @@ def mahler_measure(poly: BivariatePolynomial,
     split the integral) and outer_panels (the Gauss-Legendre panels the
     adaptive rule accepted).
     """
+    # m(Y^k P) = m(P).  Without the factor Y^k no node row has a zero
+    # constant Y-coefficient, so every row stays on the batched solve.
+    k = int(np.flatnonzero(poly.coeffs.any(axis=0))[0])
+    if k:
+        poly = BivariatePolynomial(poly.coeffs[:, k:])
     cuts = {0.0, 1.0}
     for j in range(poly.deg_y + 1):
         cuts.update(_column_circle_arguments(poly.coeffs[:, j]))

@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from sympy import isprime
 
@@ -80,37 +80,14 @@ class CheckReport:
     truncation: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "inputs": dict(self.inputs),
-            "left": [self.left.real, self.left.imag],
-            "right": [self.right.real, self.right.imag],
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "error_kind": self.error_kind,
-            "error": self.error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seconds": self.seconds,
-            "truncation": dict(self.truncation),
-        }
+        return dict(asdict(self), left=[self.left.real, self.left.imag],
+                    right=[self.right.real, self.right.imag])
 
     @staticmethod
     def from_dict(data: dict) -> "CheckReport":
-        return CheckReport(
-            check=data["check"],
-            inputs=dict(data["inputs"]),
-            left=complex(data["left"][0], data["left"][1]),
-            right=complex(data["right"][0], data["right"][1]),
-            abs_err=data["abs_err"],
-            rel_err=data["rel_err"],
-            error_kind=data["error_kind"],
-            error=data["error"],
-            tolerance=data["tolerance"],
-            passed=data["passed"],
-            seconds=data["seconds"],
-            truncation=dict(data["truncation"]),
-        )
+        return CheckReport(**dict(
+            data, left=complex(*data["left"]), right=complex(*data["right"]),
+            inputs=dict(data["inputs"]), truncation=dict(data["truncation"])))
 
 
 def make_report(check, inputs, left, right, tolerance, seconds,
@@ -121,8 +98,7 @@ def make_report(check, inputs, left, right, tolerance, seconds,
     relative error is meaningless (the identity degenerates to 0 = 0),
     so the row switches to the absolute error and records that.
     """
-    left = complex(left)
-    right = complex(right)
+    left, right = complex(left), complex(right)
     truncation = dict(truncation or {})
     abs_err = abs(left - right)
     denom = max(abs(left), abs(right))
@@ -132,19 +108,10 @@ def make_report(check, inputs, left, right, tolerance, seconds,
         truncation["degenerate"] = True
     error = rel_err if error_kind == "rel" else abs_err
     return CheckReport(
-        check=check,
-        inputs=dict(inputs),
-        left=left,
-        right=right,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        error_kind=error_kind,
-        error=error,
-        tolerance=tolerance,
-        passed=bool(error <= tolerance),
-        seconds=seconds,
-        truncation=truncation,
-    )
+        check=check, inputs=dict(inputs), left=left, right=right,
+        abs_err=abs_err, rel_err=rel_err, error_kind=error_kind, error=error,
+        tolerance=tolerance, passed=bool(error <= tolerance),
+        seconds=seconds, truncation=truncation)
 
 
 def reports_to_json(reports) -> str:
@@ -161,11 +128,9 @@ def reports_from_json(text: str):
 
 
 def summarize(reports) -> str:
-    lines = []
-    for r in reports:
-        lines.append("%s  %-42s %s %.3e <= %.1e  (%.2fs)" % (
-            "PASS" if r.passed else "FAIL", r.check, r.error_kind,
-            r.error, r.tolerance, r.seconds))
+    lines = ["%s  %-42s %s %.3e <= %.1e  (%.2fs)" % (
+        "PASS" if r.passed else "FAIL", r.check, r.error_kind, r.error,
+        r.tolerance, r.seconds) for r in reports]
     good = sum(r.passed for r in reports)
     lines.append("%d/%d checks passed in %.1fs" % (
         good, len(reports), sum(r.seconds for r in reports)))
@@ -174,37 +139,119 @@ def summarize(reports) -> str:
 
 @dataclass
 class VerifyConfig:
-    """Shared knobs for the verification suites."""
+    """Shared knobs for the verification suites; all suites run on one
+    config object share its context."""
 
     curve: CurveModel = CURVE_11A
     level: int = 11
     tolerance: float | None = None
     terms: int = 4000
-    jobs: int | None = None
+
+    @cached_property
+    def context(self) -> "CurveContext":
+        return CurveContext(self)
 
 
-def resolve_config(level=None, curve=None, tolerance=None, terms=4000,
-                   jobs=None) -> VerifyConfig:
+def resolve_config(level=None, curve=None, tolerance=None,
+                   terms=4000) -> VerifyConfig:
     """Resolve CLI-style arguments into a consistent VerifyConfig."""
     if curve is None:
         wanted = 11 if level is None else level
         by_conductor = {c.conductor: c for c in CURVE_REGISTRY.values()}
         if wanted not in by_conductor:
-            known = sorted(by_conductor)
-            raise ValueError(
-                f"no registered curve of conductor {wanted}; known: {known}")
+            raise ValueError(f"no registered curve of conductor {wanted}; "
+                             f"known: {sorted(by_conductor)}")
         curve = by_conductor[wanted]
     elif level is not None and curve.conductor != level:
         raise ValueError(
             f"curve conductor {curve.conductor} does not match level {level}")
+    disc = curve.discriminant
+    if disc == 0:
+        raise ValueError("the curve is singular: its discriminant is 0")
+    if not isprime(curve.conductor):
+        raise ValueError(f"level {curve.conductor} must be prime")
+    if disc % curve.conductor:
+        raise ValueError(f"conductor {curve.conductor} does not divide the "
+                         f"discriminant {disc}")
     if terms < 100:
         raise ValueError("need at least 100 series terms")
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be positive")
     if tolerance is not None and tolerance <= 0:
         raise ValueError("tolerance must be positive")
     return VerifyConfig(curve=curve, level=curve.conductor,
-                        tolerance=tolerance, terms=terms, jobs=jobs)
+                        tolerance=tolerance, terms=terms)
+
+
+class CurveContext:
+    """The quantities the suites share for one configuration.
+
+    Each is computed on first use and then kept, so a run of every
+    suite builds the newform, the twisted table and the rest once.
+    """
+
+    def __init__(self, config: VerifyConfig):
+        self.curve, self.p = config.curve, config.level
+        self.terms = config.terms
+
+    @cached_property
+    def form(self):
+        return newform_from_curve(self.curve, nmax=self.terms)
+
+    @cached_property
+    def w(self) -> complex:
+        return root_number(self.form)
+
+    @cached_property
+    def lambda_table(self) -> dict:
+        return twisted_lambda_table(self.form)
+
+    @cached_property
+    def l_one(self) -> dict:
+        """The twisted central values L(f, chi, 1), chi nontrivial."""
+        return {chi: (2.0 * math.pi / self.p) * v
+                for chi, v in self.lambda_table.items()}
+
+    @cached_property
+    def l_two(self) -> float:
+        return complex(l_value(self.form, 2.0)).real
+
+    @cached_property
+    def evens(self) -> list:
+        return [c for c in enumerate_characters(self.p)
+                if c.is_even and not c.is_trivial]
+
+    @cached_property
+    def odds(self) -> list:
+        return [c for c in enumerate_characters(self.p) if c.is_odd]
+
+    @cached_property
+    def dilog(self) -> dict:
+        """D_E(aP) for a = 1..4 at the five-torsion point P = (0, 0)."""
+        lattice = periods(self.curve)
+        point = torsion_coordinate(self.curve, (0, 0), 5)
+        return {a: elliptic_dilog(lattice, point.scale(a))
+                for a in range(1, 5)}
+
+    @cached_property
+    def xi(self):
+        return xi_bridge_table(self.form)
+
+    @cached_property
+    def eta_arcs(self):
+        """Table integrals arcs[chi][v] of eta_chi over the standard arcs
+        g_v for every even chi, and the worst node gap among them."""
+        columns = {v: g_column(v) for v in range(1, self.p)}
+        arcs = {}
+        gap = 0.0
+        for chi in self.evens:
+            arcs[chi], err = _table_arcs(eta_chi(chi), columns)
+            gap = max(gap, err)
+        return arcs, gap
+
+    @cached_property
+    def residue(self) -> float:
+        """Res_{s=2} L(f (x) f, s), from the shared twisted table."""
+        return residue_tensor_square(self.form,
+                                     lambda_table=self.lambda_table)
 
 
 def _tol(config, default):
@@ -213,28 +260,17 @@ def _tol(config, default):
 
 def _base_inputs(config):
     c = config.curve
-    return {
-        "level": config.level,
-        "curve": [c.a1, c.a2, c.a3, c.a4, c.a6],
-        "terms": config.terms,
-    }
+    return {"level": config.level, "curve": [c.a1, c.a2, c.a3, c.a4, c.a6],
+            "terms": config.terms}
+
+
+class NotApplicable(ValueError):
+    """A suite that does not apply to the configured curve."""
 
 
 def _require_conductor_11(config, what):
     if config.level != 11 or config.curve != CURVE_11A:
-        raise ValueError(f"{what} is specific to the conductor-11 curve")
-
-
-def _prime_engine(config):
-    """Newform, unit L-values and w for a prime-level configuration."""
-    p = config.level
-    if not isprime(p):
-        raise ValueError(f"level {p} must be prime here")
-    form = newform_from_curve(config.curve, nmax=config.terms)
-    lam = twisted_lambda_table(form)
-    l_one = {chi: (2.0 * math.pi / p) * v for chi, v in lam.items()}
-    l_two = complex(l_value(form, 2.0)).real
-    return form, l_one, l_two
+        raise NotApplicable(f"{what} is specific to the conductor-11 curve")
 
 
 def run_thm8(config=None):
@@ -247,24 +283,19 @@ def run_thm8(config=None):
     reports = []
 
     t0 = time.perf_counter()
-    lattice = periods(config.curve)
-    point = torsion_coordinate(config.curve, (0, 0), 5)
-    dilog = {0: 0.0}
-    for a in range(1, 5):
-        dilog[a] = elliptic_dilog(lattice, point.scale(a))
-    form = newform_from_curve(config.curve, nmax=config.terms)
-    l_two = complex(l_value(form, 2.0)).real
+    ctx = config.context
+    dilog, l_two = ctx.dilog, ctx.l_two
     prep = time.perf_counter() - t0
 
-    evens = [c for c in enumerate_characters(11)
-             if c.is_even and not c.is_trivial]
+    evens = ctx.evens
     values = {}
     for chi in evens:
         t0 = time.perf_counter()
         zeta = complex(chi(3))
         ratio = (1.0 + 3.0 * (zeta + zeta.conjugate())) / (zeta - zeta.conjugate())
+        # The a = 0 term drops out: D_E vanishes at the origin.
         rhs = (20.0 * math.pi / 121.0) * ratio * sum(
-            zeta ** a * dilog[a] for a in range(5))
+            zeta ** a * dilog[a] for a in range(1, 5))
         values[chi] = rhs
         reports.append(make_report(
             f"thm8:identity:{character_label(chi)}",
@@ -291,11 +322,7 @@ def run_cor101(config=None):
     reports = []
 
     t0 = time.perf_counter()
-    lattice = periods(config.curve)
-    point = torsion_coordinate(config.curve, (0, 0), 5)
-    dilog = {a: elliptic_dilog(lattice, point.scale(a)) for a in range(1, 5)}
-    form = newform_from_curve(config.curve, nmax=config.terms)
-    l_two = complex(l_value(form, 2.0)).real
+    dilog, l_two = config.context.dilog, config.context.l_two
     seconds = time.perf_counter() - t0
 
     first = (10.0 * math.pi / 11.0) * dilog[1]
@@ -337,18 +364,6 @@ def _arc_truncation(gap):
     return {"arc_nodes": list(ArcTable.NODES), "arc_gap": gap}
 
 
-def _arc_tables(evens, p):
-    """Geodesic integrals of eta_chi over the standard arcs g_v, and the
-    worst node gap among them."""
-    columns = {v: g_column(v) for v in range(1, p)}
-    arcs = {}
-    gap = 0.0
-    for chi in evens:
-        arcs[chi], err = _table_arcs(eta_chi(chi), columns)
-        gap = max(gap, err)
-    return arcs, gap
-
-
 def _c_coefficient(arcs, eta_char, pair_char, p):
     """Gauss-sum weighted pairing of arc values with a character.
 
@@ -369,18 +384,16 @@ def run_thm1(config=None):
     reports = []
 
     t0 = time.perf_counter()
-    form, l_one, l_two = _prime_engine(config)
-    w = root_number(form)
+    ctx = config.context
+    l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
     reports.append(make_report(
         "thm1:fricke-sign", base, w, -a_p(config.curve, p),
         _tol(config, TOL_SERIES), time.perf_counter() - t0,
         {"lseries_terms": config.terms}, error_kind="abs"))
 
-    evens = [c for c in enumerate_characters(p)
-             if c.is_even and not c.is_trivial]
-    odds = [c for c in enumerate_characters(p) if c.is_odd]
+    evens, odds = ctx.evens, ctx.odds
     t0 = time.perf_counter()
-    arcs, gap = _arc_tables(evens, p)
+    arcs, gap = ctx.eta_arcs
     arc_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -428,12 +441,10 @@ def run_thm2(config=None):
     reports = []
 
     t0 = time.perf_counter()
-    form, l_one, l_two = _prime_engine(config)
-    w = root_number(form)
-    evens = [c for c in enumerate_characters(p)
-             if c.is_even and not c.is_trivial]
-    odds = [c for c in enumerate_characters(p) if c.is_odd]
-    arcs, gap = _arc_tables(evens, p)
+    ctx = config.context
+    l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
+    evens, odds = ctx.evens, ctx.odds
+    arcs, gap = ctx.eta_arcs
     trunc.update(_arc_truncation(gap))
 
     coef = {(chi2, chi): _c_coefficient(arcs, chi2, chi, p)
@@ -449,7 +460,7 @@ def run_thm2(config=None):
     prep = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    residue = residue_tensor_square(form)
+    residue = ctx.residue
     explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * sum(
         l_one[chi] * l_one[chip] / gauss_sum(chi * chip)
         for chi in evens for chip in odds)
@@ -486,8 +497,8 @@ def run_thm3(config=None):
     reports = []
 
     t0 = time.perf_counter()
-    form, l_one, l_two = _prime_engine(config)
-    xi = xi_bridge_table(form)
+    ctx = config.context
+    xi, l_one, l_two = ctx.xi, ctx.l_one, ctx.l_two
     prep = time.perf_counter() - t0
 
     pairs = [(u, v) for u in range(p) for v in range(p)
@@ -505,8 +516,7 @@ def run_thm3(config=None):
         _tol(config, 1e-9), prep + time.perf_counter() - t0, trunc,
         error_kind="abs"))
 
-    evens = [c for c in enumerate_characters(p)
-             if c.is_even and not c.is_trivial]
+    evens = ctx.evens
     delta_one = FiniteMap.delta(p, 1)
     # x and -x lift to the same arc, so one arc per pair {x, -x}; the
     # lifts do not depend on the character.
@@ -562,10 +572,9 @@ def run_appendix(config=None):
     reports = []
 
     t0 = time.perf_counter()
-    form, l_one, l_two = _prime_engine(config)
-    xi = xi_bridge_table(form)
+    form, xi = config.context.form, config.context.xi
     pairing = petersson(xi, xi)
-    residue = residue_tensor_square(form)
+    residue = config.context.residue
     seconds = time.perf_counter() - t0
 
     reports.append(make_report(
@@ -597,13 +606,12 @@ def run_appendix(config=None):
 def run_mahler(config=None):
     """Mahler measures of the two conductor-11 polynomials."""
     config = config or VerifyConfig()
-    _require_conductor_11(config, "the Mahler measure identities")
+    _require_conductor_11(config, "each Mahler measure identity")
     base = _base_inputs(config)
-    form = newform_from_curve(config.curve, nmax=config.terms)
-    l_two = complex(l_value(form, 2.0)).real
+    l_two = config.context.l_two
     data = mahler_identity_checks(lval=l_two)
     tol = _tol(config, TOL_QUADRATURE)
-    reports = [
+    return [
         make_report(
             "mahler:first", dict(base, ratio="77/4pi^2"),
             data["m_first"], (77.0 / (4.0 * math.pi ** 2)) * l_two, tol,
@@ -617,7 +625,6 @@ def run_mahler(config=None):
             _tol(config, TOL_SERIES), data["seconds_reciprocal"],
             data["quadrature_reciprocal"], error_kind="abs"),
     ]
-    return reports
 
 
 SUITES = {
@@ -632,17 +639,16 @@ SUITES = {
 
 
 def run_all(config=None):
-    """Run every suite, in parallel across suites, in a fixed order."""
+    """Run every suite in a fixed order on one shared context.
+
+    A suite that does not apply to the curve is skipped, with one line
+    on stdout that names it and gives the reason.
+    """
     config = config or VerifyConfig()
-    names = list(SUITES)
-    workers = config.jobs or len(names)
-    if workers == 1:
-        batches = [SUITES[name](config) for name in names]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(SUITES[name], config) for name in names]
-            batches = [f.result() for f in futures]
     reports = []
-    for batch in batches:
-        reports.extend(batch)
+    for name, suite in SUITES.items():
+        try:
+            reports.extend(suite(config))
+        except NotApplicable as exc:
+            print(f"SKIP  {name}: {exc}")
     return reports

@@ -53,3 +53,31 @@ def test_mahler_subcommand(capsys):
     # Smyth's height-one line value, frozen independently in test_mahler.
     assert abs(data["mahler_measure"] - 0.3230659472194505) < 1e-10
     assert main(["mahler", "--poly", "Z: 1"]) == 2
+
+
+def test_verify_all_skips_suites_that_need_conductor_11(capsys):
+    assert main(["verify", "all", "--level", "17"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    skipped = [line.split()[1].rstrip(":") for line in out
+               if line.startswith("SKIP")]
+    assert skipped == ["thm8", "cor101", "mahler"]
+    assert all("conductor-11" in line for line in out
+               if line.startswith("SKIP"))
+    ran = {line.split()[1].split(":")[0] for line in out
+           if line.startswith(("PASS", "FAIL"))}
+    assert ran == {"thm1", "thm2", "thm3", "appendix"}
+    assert out[-1].startswith("36/36 checks passed")
+
+
+@pytest.mark.parametrize("argv, code, words", [
+    (["--curve", "0,0,0,0,0,11"], 2, "singular"),
+    (["--curve", "0,-1,1,0,0,13"], 2, "does not divide the discriminant"),
+    (["--terms", "100"], 3, "need more coefficients"),
+])
+def test_bad_inputs_give_one_line(argv, code, words, capsys):
+    assert main(["verify", "thm1"] + argv) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellreg: ")
+    assert words in lines[0]
+    assert captured.out == ""

@@ -288,3 +288,20 @@ def test_identity_checks_use_the_given_l_value(monkeypatch):
     assert rep["ratio_first"] == rep["m_first"] / 2.0
     first, second = curve_identity_polynomials()
     assert measured == [first, second, first.reciprocal_x()]
+
+
+def test_power_of_y_is_divided_out(monkeypatch):
+    # m(Y^k P) = m(P); without the factor Y the node rows keep a nonzero
+    # constant Y-coefficient and stay on the batched solve.
+    calls = []
+    real_roots = np.roots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_roots(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roots", counting)
+    divisible = mahler_measure(Y + X * Y + Y * Y)
+    assert len(calls) <= 1000
+    assert abs(divisible - mahler_measure(ONE + X + Y)) <= 1e-15
+    assert mahler_measure(Y * Y * (X + Y + ONE)) == divisible

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -77,8 +78,6 @@ def test_resolve_config():
     with pytest.raises(ValueError):
         resolve_config(terms=10)
     with pytest.raises(ValueError):
-        resolve_config(jobs=0)
-    with pytest.raises(ValueError):
         resolve_config(tolerance=-1.0)
 
 
@@ -96,14 +95,14 @@ def test_conductor_guard():
 
 
 def test_run_all_order_and_verdict():
-    reports = run_all(VerifyConfig(jobs=2))
+    reports = run_all(VerifyConfig())
     assert all(r.passed for r in reports)
     suites = []
     for r in reports:
         name = r.check.split(":", 1)[0]
         if not suites or suites[-1] != name:
             suites.append(name)
-    # Fixed assembly order regardless of thread completion order.
+    # Fixed assembly order: the order of SUITES.
     assert suites == ["thm8", "cor101", "thm1", "thm2", "thm3", "mahler",
                       "appendix"]
     assert set(SUITES) == set(suites)
@@ -164,3 +163,49 @@ def test_summarize_readable(thm8_reports):
     assert len(lines) == len(thm8_reports) + 1
     assert all(line.startswith(("PASS", "FAIL")) for line in lines[:-1])
     assert "6/6 checks passed" in lines[-1]
+
+
+def test_run_all_builds_each_quantity_once(monkeypatch):
+    import ellreg.lseries as lseries
+    import ellreg.verify as verify
+
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("newform_from_curve", "twisted_lambda_table", "periods",
+                 "xi_bridge_table"):
+        counting(verify, name)
+    # residue_tensor_square looks the table up in lseries when it is not
+    # handed one.
+    monkeypatch.setattr(lseries, "twisted_lambda_table",
+                        verify.twisted_lambda_table)
+    rows = run_all()
+    assert len(rows) == 40 and all(r.passed for r in rows)
+    assert calls == {"newform_from_curve": 1, "twisted_lambda_table": 1,
+                     "periods": 1, "xi_bridge_table": 1}
+
+
+def test_context_belongs_to_its_config():
+    cfg = VerifyConfig()
+    assert cfg.context is cfg.context
+    assert VerifyConfig().context is not cfg.context
+    assert len(dataclasses.fields(VerifyConfig)) == 4
+
+
+def test_shared_context_gives_the_rows_of_fresh_ones():
+    def rows(reports):
+        return [dict(r.to_dict(), seconds=None) for r in reports]
+
+    names = ["thm1", "thm2", "thm3", "appendix"]
+    fresh = {name: rows(SUITES[name](resolve_config(level=17)))
+             for name in names}
+    shared = resolve_config(level=17)
+    for name in reversed(names):
+        assert rows(SUITES[name](shared)) == fresh[name], name
