@@ -11,8 +11,6 @@ import cmath
 import math
 from functools import lru_cache
 
-from sympy import primitive_root
-
 from .special import periodic_bernoulli2
 
 
@@ -67,6 +65,32 @@ def _factorize(n):
     return out
 
 
+def _prime_factors(n):
+    return [q for q, _ in _factorize(n)]
+
+
+def _is_prime(n):
+    return _factorize(n) == [(n, 1)]
+
+
+def _totient(n):
+    for q in _prime_factors(n):
+        n = n // q * (q - 1)
+    return n
+
+
+def _primitive_root(n):
+    """The smallest primitive root mod n >= 2, or None if there is none."""
+    odd = [q for q in _prime_factors(n) if q > 2]
+    if n not in (2, 4) and (len(odd) != 1 or n % 4 == 0):
+        return None  # (Z/n)* is cyclic only for n = 2, 4, q^k and 2 q^k
+    phi = _totient(n)
+    exponents = [phi // q for q in _prime_factors(phi)]
+    for g in range(1, n):
+        if math.gcd(g, n) == 1 and all(pow(g, e, n) != 1 for e in exponents):
+            return g
+
+
 @lru_cache(maxsize=None)
 def _unit_group(n):
     """Generators (g_i, m_i) with (Z/nZ)* the direct product of <g_i>."""
@@ -82,7 +106,7 @@ def _unit_group(n):
                 gens.append((_crt_pair(pe - 1, pe, n // pe), 2))
                 gens.append((_crt_pair(5 % pe, pe, n // pe), 2 ** (e - 2)))
         else:
-            g = int(primitive_root(pe))
+            g = _primitive_root(pe)
             gens.append((_crt_pair(g, pe, n // pe), pe // p * (p - 1)))
     return tuple(gens)
 
@@ -410,7 +434,7 @@ def character_label(chi) -> str:
     n = chi.modulus
     if n <= 2:
         return f"{n}:g=1,zeta1^0"
-    g = primitive_root(n)
+    g = _primitive_root(n)
     if g is None:
         raise ValueError(f"(Z/{n})* is not cyclic; no label for modulus {n}")
     return f"{n}:g={g},zeta{chi.order}^{chi.exponent_at(g)}"

@@ -107,6 +107,19 @@ def _terms_for_rate(rate: float, nmax: int, tol: float) -> int:
     )
 
 
+def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
+    """_terms_for_rate at each of an array of decay rates."""
+    counts = np.zeros(rates.shape, dtype=int)
+    k = 8
+    while k <= nmax and not counts.all():
+        tail = 4.0 * k ** 1.5 * np.exp(-rates * k) / (1.0 - np.exp(-rates))
+        counts[(counts == 0) & (tail < tol)] = k
+        k += 1 + k // 8
+    for i in np.flatnonzero(counts == 0):  # the scalar rule raises here
+        counts[i] = _terms_for_rate(float(rates[i]), nmax, tol)
+    return counts
+
+
 def eval_form(form: ModularFormData, z: complex,
               ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     """Sum of the q-expansion at z in the upper half plane."""

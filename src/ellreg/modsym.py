@@ -12,18 +12,17 @@ points with the level-p involution.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from sympy import Matrix, Rational
 
 from .characters import _xgcd, enumerate_characters, gauss_sum
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
+    _terms_for_rates,
     eval_form,
     l_value,
     root_number,
@@ -237,6 +236,8 @@ def boundary(vec: SymbolVector) -> dict:
 
 @lru_cache(maxsize=None)
 def _symbol_space(level: int):
+    from sympy import Matrix  # loaded only when exact algebra is asked for
+
     symbols = enumerate_symbols(level)
     reps = []
     rep_index = {}
@@ -285,8 +286,10 @@ def relation_quotient_dims(level: int):
     return quotient, cuspidal
 
 
-def cuspidal_hecke_t2_matrix(level: int) -> Matrix:
-    """Exact matrix of T_2 on the cuspidal relation quotient."""
+def cuspidal_hecke_t2_matrix(level: int):
+    """Exact sympy matrix of T_2 on the cuspidal relation quotient."""
+    from sympy import Matrix
+
     _, reps, idx, relations, bnd, _ = _symbol_space(level)
     nreps = len(reps)
 
@@ -389,90 +392,130 @@ def xi_bridge_table(form: ModularFormData,
     return XiTable(p, at_inf, units)
 
 
+def _reduce_points(p: int, z, w: complex, threshold: float,
+                   max_steps: int = 40):
+    """Push an array of points z upward until each has Im z >= threshold.
+
+    The moves are translations, bottom rows (kp, d), and the level
+    involution z -> -1/(pz), which trades f for w times the conjugate
+    stream.  Returns the reduced points, the factors with f(z) = mult *
+    g(z_reduced), the flags for g = conjugate partner, and the most
+    moves any point took.
+    """
+    z = np.array(z, dtype=complex)
+    mult = np.ones_like(z)
+    conj = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    offsets = np.arange(-2, 3)
+    for moves in range(max_steps):
+        zl = z[live] - np.round(z[live].real)
+        z[live] = zl
+        keep = zl.imag < threshold
+        live, zl = live[keep], zl[keep]
+        if not live.size:
+            return z, mult, conj, moves
+        x, y = zl.real[:, None], zl.imag[:, None]
+        rows = np.arange(live.size)
+        best = np.zeros((3, live.size))  # gain, c, d
+        # Scan k, then d, and keep the first largest gain above 1.0001.
+        for k in (*range(-8, 0), *range(1, 9)):
+            c = k * p
+            d = np.round(-c * x) + offsets
+            gain = 1.0 / np.hypot(c * x + d, c * y) ** 2
+            gain[(gain <= 1.0001) | (np.gcd(c, d.astype(int)) != 1)] = 0.0
+            j = gain.argmax(axis=1)
+            pick = np.stack([gain[rows, j], np.full(rows.size, c), d[rows, j]])
+            better = pick[0] > best[0]
+            best[:, better] = pick[:, better]
+        fricke_gain = 1.0 / (p * np.abs(zl) ** 2)
+        fricke = (fricke_gain > 1.0001) & (fricke_gain > best[0])
+        stalled = ~fricke & (best[0] == 0.0)
+        if stalled.any():
+            raise RuntimeError("point reduction stalled at %r"
+                               % (complex(zl[stalled][0]),))
+        # f(z) = (w / (p z^2)) fbar(-1/(pz)); fbar uses wbar
+        i, zf = live[fricke], zl[fricke]
+        mult[i] *= np.where(conj[i], w.conjugate(), w) / (p * zf * zf)
+        z[i] = -1.0 / (p * zf)
+        conj[i] = ~conj[i]
+        # bottom row (c, d) = (kp, d), so the map is level-stable and
+        # f((az+b)/(cz+d)) = (cz+d)^2 f(z); (-c, -d) is the same map
+        i, zm = live[~fricke], zl[~fricke]
+        c, d = (best[1:, ~fricke] * np.sign(best[1, ~fricke])).astype(int)
+        pairs, where = np.unique(np.stack([c, d]), axis=1, return_inverse=True)
+        a, b = np.array([_complete_row(*cd) for cd in pairs.T.tolist()]
+                        ).reshape(-1, 2)[where.ravel()].T
+        mult[i] /= (c * zm + d) ** 2
+        z[i] = (a * zm + b) / (c * zm + d)
+    raise RuntimeError("point reduction exceeded %d steps" % max_steps)
+
+
 def _reduced_eval(form: ModularFormData, z: complex, w: complex,
                   ctl: SeriesControl = DEFAULT_CONTROL,
                   threshold: float | None = None,
                   max_steps: int = 40) -> complex:
-    """f(z) anywhere in the upper half plane.
-
-    Pushes z upward with translations, bottom rows (kp, d), and the
-    level involution z -> -1/(pz) (which trades f for w times the
-    conjugate stream) until the q-expansion converges comfortably.
-    """
-    p = form.level
+    """f(z) anywhere in the upper half plane, through _reduce_points."""
     if threshold is None:
-        threshold = 0.7 / p
-    mult = 1.0 + 0.0j
-    conjugated = False
-    for _ in range(max_steps):
-        shift = round(z.real)
-        z -= shift
-        if z.imag >= threshold:
-            g = form.conjugate_partner() if conjugated else form
-            return mult * eval_form(g, z, ctl)
-        best = None
-        for k in range(-8, 9):
-            if k == 0:
-                continue
-            c = k * p
-            for d in range(round(-c * z.real) - 2, round(-c * z.real) + 3):
-                if math.gcd(c, d) != 1:
-                    continue
-                gain = 1.0 / abs(c * z + d) ** 2
-                if gain > 1.0001 and (best is None or gain > best[0]):
-                    best = (gain, c, d)
-        fricke_gain = 1.0 / (p * abs(z) ** 2)
-        if fricke_gain > 1.0001 and (best is None or fricke_gain > best[0]):
-            # f(z) = (w / (p z^2)) fbar(-1/(pz)); fbar uses wbar
-            mult *= (w if not conjugated else w.conjugate()) / (p * z * z)
-            z = -1.0 / (p * z)
-            conjugated = not conjugated
-            continue
-        if best is None:
-            raise RuntimeError("point reduction stalled at %r" % (z,))
-        _, c, d = best
-        if c < 0:
-            c, d = -c, -d  # same moebius map and same cocycle value
-        a, b = _complete_row(c, d)
-        # bottom row is (c, d) = (kp, d), so the map is level-stable and
-        # f((az+b)/(cz+d)) = (cz+d)^2 f(z)
-        mult /= (c * z + d) ** 2
-        z = (a * z + b) / (c * z + d)
-    raise RuntimeError("point reduction exceeded %d steps" % max_steps)
+        threshold = 0.7 / form.level
+    zr, mult, conj, _ = _reduce_points(form.level, [complex(z)], w,
+                                       threshold, max_steps)
+    g = form.conjugate_partner() if conj[0] else form
+    return complex(mult[0]) * eval_form(g, complex(zr[0]), ctl)
+
+
+def _eval_points(form: ModularFormData, z: np.ndarray, conj: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """eval_form at each point, of the conjugate partner where conj is set.
+
+    The points are summed in groups that share a stream and term count.
+    """
+    counts = _terms_for_rates(TWO_PI * z.imag, form.nmax, tol)
+    out = np.empty(z.shape, dtype=complex)
+    for flag, coefficients in ((False, form.coefficients),
+                               (True, form.conjugates)):
+        for k in np.unique(counts[conj == flag]):
+            idx = np.flatnonzero((counts == k) & (conj == flag))
+            n = np.arange(1, k + 1)
+            # ceil(size k / 2^16) blocks, so at most 1 MB of exponentials
+            for block in np.array_split(idx, -(-idx.size * k >> 16)):
+                q = np.exp((2j * math.pi * z[block])[:, None] * n)
+                out[block] = (q * coefficients[1:k + 1]).sum(axis=1)
+    return out
 
 
 def period_integral_oracle(form: ModularFormData, x: SymbolIndex,
                            ctl: SeriesControl = DEFAULT_CONTROL,
-                           nodes: int = 32, panel: float = 3.0) -> complex:
+                           nodes: int = 32, panel: float = 3.0,
+                           quadrature: dict | None = None) -> complex:
     """-i times the integral of f along the lift of x, by quadrature.
 
     Loose-tolerance independent route to the period pairing: both path
     ends are cusps, reached through the substitution t -> 1/t and
-    pointwise reduced evaluation.
+    reduced evaluation of every node of the path at once.  A given
+    quadrature dict is filled with the node and panel counts, the
+    cut-off tmax and the most reduction moves any node took.
     """
     if form.level != x.level:
         raise ValueError("level mismatch between form and symbol")
+    p = form.level
     w = root_number(form)
     g = matrix_lift(x)
-
-    def integrand(t: float) -> complex:
-        zt = g.act(1j * t)
-        up = _reduced_eval(form, zt, w, ctl) * g.derivative(1j * t)
-        zs = g.act(1j / t)
-        down = (_reduced_eval(form, zs, w, ctl) * g.derivative(1j / t)
-                / (t * t))
-        return up + down
-
-    tmax = x.level * math.log(1.0 / ctl.abs_tol) / TWO_PI + 4.0
-    total = 0.0 + 0.0j
-    t0 = 1.0
-    while t0 < tmax:
-        t1 = min(t0 + panel, tmax)
-        ts, ws = gauss_legendre_nodes(nodes, t0, t1)
-        total += sum(wt * integrand(tt) for tt, wt in zip(ts, ws))
-        t0 = t1
+    tmax = p * math.log(1.0 / ctl.abs_tol) / TWO_PI + 4.0
+    cuts = [1.0]
+    while cuts[-1] < tmax:
+        cuts.append(min(cuts[-1] + panel, tmax))
+    ts, ws = map(np.concatenate, zip(*(gauss_legendre_nodes(nodes, t0, t1)
+                                       for t0, t1 in zip(cuts, cuts[1:]))))
+    # Both halves of the path: g(it), and g(i/t) with dt/t^2.
+    it = np.concatenate([1j * ts, 1j / ts])
+    jac = g.derivative(it) * np.concatenate([ws, ws / (ts * ts)])
+    z, mult, conj, moves = _reduce_points(p, g.act(it), w, 0.7 / p)
+    values = _eval_points(form, z, conj, ctl.abs_tol)
+    if quadrature is not None:
+        quadrature.update(nodes=int(z.size), panels=len(cuts) - 1,
+                          tmax=tmax, max_reduction_steps=moves)
     # d(g(it)) = g'(it) i dt, and the overall -i of the pairing
-    return total
+    return complex(np.sum(jac * mult * values))
 
 
 def petersson(xi1: XiTable, xi2: XiTable) -> complex:

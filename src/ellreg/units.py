@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from sympy import primefactors, totient
-
 from .characters import (
     DirichletCharacter,
     FiniteMap,
+    _prime_factors,
+    _totient,
     enumerate_characters,
     fourier_transform,
     l_chi_2,
@@ -145,7 +145,7 @@ def _l2_even(chi: DirichletCharacter) -> complex:
     """L(chi, 2) for even nontrivial chi, reduced to the primitive part."""
     prim = _primitive_part(chi)
     value = l_chi_2(prim)
-    for p in primefactors(chi.modulus):
+    for p in _prime_factors(chi.modulus):
         if prim.modulus % p != 0:
             value *= 1.0 - complex(prim(p)) / p**2
     return value
@@ -184,14 +184,14 @@ def unit_divisor_chihat(chi: DirichletCharacter) -> CuspDivisor:
     if not chi.is_even:
         raise ValueError("the transform unit needs an even character")
     cond = chi.conductor
-    phi_n = int(totient(n))
+    phi_n = _totient(n)
     coeffs = {}
     for cls in cusp_classes(n):
         d = math.gcd(cls.u, n)
         if d % cond != 0:
             coeffs[cls] = 0.0
             continue
-        phi_d = int(totient(d))
+        phi_d = _totient(d)
         front = (phi_n / n) / (phi_d / d)
         s = sum(periodic_bernoulli2(beta / d) * _induced_value(chi, d, beta)
                 for beta in range(d) if math.gcd(beta, d) == 1)

@@ -14,10 +14,9 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from sympy import isprime
-
 from .characters import (
     FiniteMap,
+    _is_prime,
     character_label,
     enumerate_characters,
     fourier_transform,
@@ -168,17 +167,24 @@ def resolve_config(level=None, curve=None, tolerance=None,
     disc = curve.discriminant
     if disc == 0:
         raise ValueError("the curve is singular: its discriminant is 0")
-    if not isprime(curve.conductor):
-        raise ValueError(f"level {curve.conductor} must be prime")
-    if disc % curve.conductor:
-        raise ValueError(f"conductor {curve.conductor} does not divide the "
+    n = curve.conductor
+    if not _is_prime(n):
+        raise ValueError(f"level {n} must be prime")
+    if disc % n:
+        raise ValueError(f"conductor {n} does not divide the "
                          f"discriminant {disc}")
+    rest = abs(disc)
+    while rest % n == 0:
+        rest //= n
+    if rest != 1:
+        raise ValueError(f"discriminant {disc} is not +-{n}^k: the model "
+                         f"has bad reduction at a prime other than {n}")
     if terms < 100:
         raise ValueError("need at least 100 series terms")
     if tolerance is not None and tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    return VerifyConfig(curve=curve, level=curve.conductor,
-                        tolerance=tolerance, terms=terms)
+    return VerifyConfig(curve=curve, level=n, tolerance=tolerance,
+                        terms=terms)
 
 
 class CurveContext:
@@ -594,12 +600,13 @@ def run_appendix(config=None):
     for u, v in picks:
         t0 = time.perf_counter()
         x = SymbolIndex(p, u % p, v % p)
-        direct = period_integral_oracle(form, x)
+        quad = {}
+        direct = period_integral_oracle(form, x, quadrature=quad)
         reports.append(make_report(
             f"appendix:xi-oracle:{u},{v}", dict(base, symbol=[u, v]),
             xi(x), direct, _tol(config, 1e-7),
-            time.perf_counter() - t0, dict(trunc, quadrature_nodes=32),
-            error_kind="abs"))
+            time.perf_counter() - t0,
+            dict(trunc, quadrature_nodes=32, **quad), error_kind="abs"))
     return reports
 
 

@@ -6,6 +6,10 @@ import pytest
 
 from ellreg.characters import (
     DirichletCharacter,
+    _is_prime,
+    _prime_factors,
+    _primitive_root,
+    _totient,
     FiniteMap,
     character_from_label,
     character_label,
@@ -210,3 +214,15 @@ def test_equality_is_exact_not_float():
     a, b = enumerate_characters(5)[1], enumerate_characters(5)[1]
     assert a == b and hash(a) == hash(b)
     assert a != a.conjugate() or a.order <= 2
+
+
+def test_number_theory_helpers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 2000):
+        assert _totient(n) == sympy.totient(n)
+        assert _prime_factors(n) == sympy.primefactors(n)
+        assert _is_prime(n) == sympy.isprime(n)
+        if n >= 2:
+            # The smallest root, or None when (Z/n)* is not cyclic; the
+            # character labels are built on it.
+            assert _primitive_root(n) == sympy.primitive_root(n), n

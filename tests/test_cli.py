@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,3 +84,24 @@ def test_bad_inputs_give_one_line(argv, code, words, capsys):
     assert len(lines) == 1 and lines[0].startswith("ellreg: ")
     assert words in lines[0]
     assert captured.out == ""
+
+
+def test_wrong_conductor_is_rejected_up_front(capsys):
+    # Curve 14a given conductor 7: 7 divides its discriminant -21952 =
+    # -2^6 7^3, but so does 2.
+    assert main(["verify", "thm1", "--curve", "1,0,1,4,-6,7"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellreg: ")
+    assert "other than 7" in lines[0]
+    assert captured.out == ""
+
+
+def test_cli_import_loads_no_sympy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys, ellreg.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('sympy', 'mpmath')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

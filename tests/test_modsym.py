@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from sympy import Matrix, Rational
 
-from ellreg.elliptic import CURVE_11A
+from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
 from ellreg.eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from ellreg.lseries import (
+    _terms_for_rate,
+    _terms_for_rates,
     eval_form,
     l_value,
     newform_from_curve,
@@ -21,6 +23,9 @@ from ellreg.modsym import (
     SymbolIndex,
     SymbolVector,
     XiTable,
+    _complete_row,
+    _eval_points,
+    _reduce_points,
     _reduced_eval,
     boundary,
     cusp_class_of,
@@ -35,7 +40,7 @@ from ellreg.modsym import (
     relation_quotient_dims,
     xi_bridge_table,
 )
-from ellreg.special import SeriesControl
+from ellreg.special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +253,156 @@ def test_petersson_sesquilinear(table11):
     assert abs(petersson(scaled, table11) - s * pet) < 1e-12 * abs(s * pet)
     assert abs(petersson(table11, scaled)
                - np.conj(s) * pet) < 1e-12 * abs(s * pet)
+
+
+# Point reduction one point at a time, as period_integral_oracle did it
+# before it reduced every node of a path at once.  Kept here as the
+# reference for the batched reducer: returns the value, the reduced point,
+# the multiplier and whether the conjugate stream was used.
+def _scalar_reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
+                         max_steps=40):
+    p = form.level
+    if threshold is None:
+        threshold = 0.7 / p
+    mult = 1.0 + 0.0j
+    conjugated = False
+    for _ in range(max_steps):
+        shift = round(z.real)
+        z -= shift
+        if z.imag >= threshold:
+            g = form.conjugate_partner() if conjugated else form
+            return mult * eval_form(g, z, ctl), z, mult, conjugated
+        best = None
+        for k in range(-8, 9):
+            if k == 0:
+                continue
+            c = k * p
+            for d in range(round(-c * z.real) - 2, round(-c * z.real) + 3):
+                if math.gcd(c, d) != 1:
+                    continue
+                gain = 1.0 / abs(c * z + d) ** 2
+                if gain > 1.0001 and (best is None or gain > best[0]):
+                    best = (gain, c, d)
+        fricke_gain = 1.0 / (p * abs(z) ** 2)
+        if fricke_gain > 1.0001 and (best is None or fricke_gain > best[0]):
+            mult *= (w if not conjugated else w.conjugate()) / (p * z * z)
+            z = -1.0 / (p * z)
+            conjugated = not conjugated
+            continue
+        if best is None:
+            raise RuntimeError("point reduction stalled at %r" % (z,))
+        _, c, d = best
+        if c < 0:
+            c, d = -c, -d
+        a, b = _complete_row(c, d)
+        mult /= (c * z + d) ** 2
+        z = (a * z + b) / (c * z + d)
+    raise RuntimeError("point reduction exceeded %d steps" % max_steps)
+
+
+APPENDIX_SYMBOLS = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
+CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
+
+
+@pytest.fixture(scope="module", params=[11, 17, 37])
+def oracle_paths(request):
+    """Every node of the appendix symbols' paths, reduced one at a time.
+
+    Per symbol: the nodes z, the scalar values, reduced points and
+    conjugation flags, and the oracle total summed panel by panel in
+    the order the scalar oracle used.
+    """
+    p = request.param
+    curve = {11: CURVE_11A, 17: CURVE_17A, 37: CURVE_37A}[p]
+    form = newform_from_curve(curve, nmax=4000)
+    w = root_number(form)
+    tmax = p * math.log(1.0 / DEFAULT_CONTROL.abs_tol) / (2 * math.pi) + 4.0
+    paths = []
+    for u, v in APPENDIX_SYMBOLS:
+        x = SymbolIndex(p, u, v)
+        g = matrix_lift(x)
+        points, refs, total, t0 = [], [], 0.0 + 0.0j, 1.0
+        while t0 < tmax:
+            t1 = min(t0 + 3.0, tmax)
+            ts, ws = gauss_legendre_nodes(32, t0, t1)
+            panel = []
+            for tt, wt in zip(ts, ws):
+                up, down = g.act(1j * tt), g.act(1j / tt)
+                ref_up = _scalar_reduced_eval(form, up, w)
+                ref_down = _scalar_reduced_eval(form, down, w)
+                points += [up, down]
+                refs += [ref_up, ref_down]
+                panel.append(wt * (ref_up[0] * g.derivative(1j * tt)
+                                   + ref_down[0] * g.derivative(1j / tt)
+                                   / (tt * tt)))
+            total += sum(panel)
+            t0 = t1
+        paths.append((x, np.array(points), refs, total))
+    return form, w, paths
+
+
+def test_batched_reduction_matches_scalar_on_every_node(oracle_paths):
+    form, w, paths = oracle_paths
+    p = form.level
+    tol = DEFAULT_CONTROL.abs_tol
+    for x, points, refs, _ in paths:
+        ref_value, ref_z, ref_mult, ref_conj = map(np.array, zip(*refs))
+        z, mult, conj, moves = _reduce_points(p, points, w, 0.7 / p)
+        assert np.array_equal(conj, ref_conj), x
+        assert np.max(np.abs(z - ref_z)) < 1e-12, x
+        assert np.max(np.abs(mult - ref_mult) / np.abs(ref_mult)) < 1e-13, x
+        assert moves >= 1
+        # The evaluation, on the reference's own reduced points: each
+        # node gets the scalar term count, and the value agrees to 1e-13
+        # relative.  (The two routes' reduced points differ by up to
+        # 1e-13, and near a cusp, where |mult| reaches 1e4 and the value
+        # 1e-14, that moves the value by up to 6e-13 relative.)
+        rates = 2 * math.pi * ref_z.imag
+        assert list(_terms_for_rates(rates, form.nmax, tol)) == [
+            _terms_for_rate(r, form.nmax, tol) for r in rates]
+        values = _eval_points(form, ref_z, ref_conj, tol)
+        err = np.abs(ref_mult * values - ref_value)
+        big = ref_value != 0  # 0 where q^n underflows, high on the path
+        assert np.all(err[big] <= 1e-13 * np.abs(ref_value[big])), x
+        assert np.all(err[~big] == 0.0), x
+
+
+def test_period_oracle_matches_scalar_total(oracle_paths):
+    form, _, paths = oracle_paths
+    for x, points, _, total in paths:
+        quad = {}
+        value = period_integral_oracle(form, x, quadrature=quad)
+        assert abs(value - total) < 1e-13, (x, value, total)
+        assert quad["nodes"] == len(points)
+        assert quad["nodes"] == 2 * 32 * quad["panels"]
+        assert quad["tmax"] == pytest.approx(
+            form.level * math.log(1e13) / (2 * math.pi) + 4.0)
+        assert quad["max_reduction_steps"] >= 1
+
+
+def test_scalar_entry_matches_reference_on_a_tie(form11):
+    # At x = 1/2 the rows (11, -5) and (11, -6) give exactly the same
+    # gain; the first one in (k, d) order must win, as it always did.
+    w = root_number(form11)
+    for z in (0.5 + 0.01j, 0.5 + 0.003j, -0.5 + 0.02j):
+        ref, ref_z, _, ref_conj = _scalar_reduced_eval(form11, z, w)
+        zr, _, conj, _ = _reduce_points(11, [z], w, 0.7 / 11)
+        assert conj[0] == ref_conj
+        assert abs(zr[0] - ref_z) < 1e-12, (z, zr[0], ref_z)
+        assert abs(_reduced_eval(form11, z, w) - ref) <= 1e-13 * abs(ref)
+
+
+def test_reduction_raises_like_the_scalar_loop(form11):
+    w = root_number(form11)
+    z = 0.2 + 0.0001j
+    steps = _reduce_points(11, [z], w, 0.7 / 11)[3]
+    assert steps >= 2
+    _reduced_eval(form11, z, w, max_steps=steps + 1)
+    for reduce in (_reduced_eval, _scalar_reduced_eval):
+        with pytest.raises(RuntimeError, match="exceeded"):
+            reduce(form11, z, w, max_steps=steps)
+        # Nothing lifts 0.1 + i by more than 1.0001 at level 11.
+        with pytest.raises(RuntimeError, match="stalled"):
+            reduce(form11, 0.1 + 1j, w, threshold=10.0)
+    with pytest.raises(RuntimeError, match="exceeded"):
+        _reduce_points(11, [0.2 + 2j, z], w, 0.7 / 11, max_steps=steps)
