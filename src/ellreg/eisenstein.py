@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import FiniteMap, _divisors
+from .characters import FiniteMap, _divisors, fourier_transform
 from .special import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -216,6 +216,14 @@ def _beta2(v: int, N: int) -> float:
     )
 
 
+def _constant_term(u: int, N: int) -> float:
+    """The constant term of E*_(u,v), the same for every v."""
+    return (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0) - sum(
+        math.cos(TWO_PI * a * u / N)
+        * math.log(abs(1.0 - cmath.exp(2j * math.pi * a / N)))
+        for a in range(1, N)))
+
+
 class EisensteinStream:
     """Fourier data of E*_F for a pair divisor F:
 
@@ -227,85 +235,48 @@ class EisensteinStream:
         N = divisor.modulus
         self.modulus = N
         self.rmax = rmax
-        self.divisor = divisor
-        c_y = 0.0 + 0.0j
-        c_0 = 0.0 + 0.0j
-        log_circle = [0.0] + [
-            math.log(abs(1.0 - cmath.exp(2j * math.pi * a / N)))
-            for a in range(1, N)
-        ]
-        for (u, v), c in divisor.items():
-            if u % N == 0:
-                c_y += c * (2.0 * math.pi**2 / N) * _beta2(v, N)
-            const = TWO_PI / N**2 * (EULER_GAMMA - math.log(2.0))
-            for a in range(1, N):
-                const -= (
-                    TWO_PI / N**2
-                ) * cmath.exp(-2j * math.pi * a * u / N) * log_circle[a]
-            c_0 += c * const
-        self.c_y = c_y
+        self.c_y = self.c_0 = 0.0 + 0.0j
         self.c_log = -math.pi / N**2 * divisor.degree
-        self.c_0 = c_0
-        A = np.zeros(rmax + 1, dtype=complex)
-        B = np.zeros(rmax + 1, dtype=complex)
-        for r in range(1, rmax + 1):
-            for k in _divisors(r):
-                e_phase = cmath.exp(2j * math.pi * (r // k) / N)
-                for (u, v), c in divisor.items():
-                    base = 0.0 + 0.0j
-                    if k % N == u % N:
-                        base += e_phase**v / k
-                    if k % N == (-u) % N:
-                        base += e_phase ** (-v) / k
-                    if base != 0.0:
-                        A[r] += c * (math.pi / N) * base
-                        B[r] += c * (math.pi / N) * base.conjugate()
-        self.A = A
-        self.B = B
+        self.A = np.zeros(rmax + 1, dtype=complex)
+        self.B = np.zeros(rmax + 1, dtype=complex)
+        for (u, v), c in divisor.items():
+            if u == 0:
+                self.c_y += c * (2.0 * math.pi**2 / N) * _beta2(v, N)
+            self.c_0 += c * _constant_term(u, N)
+            for sign in (1, -1):
+                # r = k m with k = sign u mod N gains e(sign m v / N) / k.
+                for k in range((sign * u) % N or N, rmax + 1, N):
+                    m = np.arange(1, rmax // k + 1)
+                    base = np.exp(sign * 2j * math.pi * (m * v % N) / N) / k
+                    self.A[k * m] += c * (math.pi / N) * base
+                    self.B[k * m] += c * (math.pi / N) * base.conj()
 
     def _exps(self, z):
-        z = np.asarray(z, dtype=complex)
+        """The table of e^{2 pi i r z / N} for r = 0 .. rmax."""
         r = np.arange(self.rmax + 1)
-        ez = np.exp(2j * math.pi * np.multiply.outer(r, z) / self.modulus)
-        ezbar = np.exp(
-            -2j * math.pi * np.multiply.outer(r, np.conj(z)) / self.modulus
-        )
-        return ez, ezbar
+        return np.exp(2j * math.pi * np.multiply.outer(r, z) / self.modulus)
 
     def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        y = z.imag
-        ez, ezbar = self._exps(z)
-        out = (
-            self.c_y * y
-            + self.c_log * np.log(y)
-            + self.c_0
-            + np.tensordot(self.A, ez, axes=(0, 0))
-            + np.tensordot(self.B, ezbar, axes=(0, 0))
-        )
-        return out
+        return self.jet(z)[0]
 
-    def d_z(self, z):
-        """Coefficient of dz in the total differential."""
+    def jet(self, z, ez=None):
+        """E*_F at z and the coefficients of dz and dzbar in its total
+        differential; ez is _exps(z), which streams of one level and rmax
+        can share."""
         z = np.asarray(z, dtype=complex)
         y = z.imag
-        ez, _ = self._exps(z)
+        ez = self._exps(z) if ez is None else ez
+        ezbar = ez.conj()
         r = np.arange(self.rmax + 1)
-        hol = np.tensordot(
-            self.A * (2j * math.pi * r / self.modulus), ez, axes=(0, 0)
-        )
-        return self.c_y / 2j + self.c_log / (2j * y) + hol
-
-    def d_zbar(self, z):
-        """Coefficient of dzbar in the total differential."""
-        z = np.asarray(z, dtype=complex)
-        y = z.imag
-        _, ezbar = self._exps(z)
-        r = np.arange(self.rmax + 1)
-        anti = np.tensordot(
-            self.B * (-2j * math.pi * r / self.modulus), ezbar, axes=(0, 0)
-        )
-        return -self.c_y / 2j - self.c_log / (2j * y) + anti
+        value = (self.c_y * y + self.c_log * np.log(y) + self.c_0
+                 + np.einsum("r,r...->...", self.A, ez)
+                 + np.einsum("r,r...->...", self.B, ezbar))
+        hol = np.einsum(
+            "r,r...->...", self.A * (2j * math.pi * r / self.modulus), ez)
+        anti = np.einsum(
+            "r,r...->...", self.B * (-2j * math.pi * r / self.modulus), ezbar)
+        return (value, self.c_y / 2j + self.c_log / (2j * y) + hol,
+                -self.c_y / 2j - self.c_log / (2j * y) + anti)
 
 
 def suggested_rmax(modulus: int, y_min: float, tol: float = 1e-13) -> int:
@@ -330,10 +301,7 @@ def e_star_point(x, z, modulus, ctl: SeriesControl = DEFAULT_CONTROL):
 def e_star_map(f: FiniteMap, z, ctl: SeriesControl = DEFAULT_CONTROL):
     """E*_f(z) = sum_v f(v) E*_{(0,v)}(z) by the closed-form route."""
     N = f.modulus
-    fhat = [
-        sum(f(v) * cmath.exp(-2j * math.pi * b * v / N) for v in range(N))
-        for b in range(N)
-    ]
+    fhat = fourier_transform(f).values
     total = 0.0 + 0.0j
     for b in range(N):
         if fhat[b] == 0:
@@ -377,10 +345,7 @@ def e_star_sum_zero_expansion(f: FiniteMap, z, rmax: int):
     y_coeff = sum(
         (f(v) + f(-v)) * _restricted_zeta2(v, N) for v in range(1, N + 1)
     )
-    fhat = [
-        sum(f(v) * cmath.exp(-2j * math.pi * b * v / N) for v in range(N))
-        for b in range(N)
-    ]
+    fhat = fourier_transform(f).values
     q = cmath.exp(2j * math.pi * z)
     osc = 0.0 + 0.0j
     for r in range(1, rmax + 1):
@@ -444,11 +409,10 @@ class EtaForm:
 
     def coefficients(self, z) -> OneFormValue:
         L, M = self._streams
-        vl = L.value(z)
-        vm = M.value(z)
-        p = vl * M.d_z(z) - vm * L.d_z(z)
-        q = -(vl * M.d_zbar(z) - vm * L.d_zbar(z))
-        return OneFormValue(p, q)
+        ez = L._exps(np.asarray(z, dtype=complex))  # same level and rmax
+        vl, dl, dbl = L.jet(z, ez)
+        vm, dm, dbm = M.jet(z, ez)
+        return OneFormValue(vl * dm - vm * dl, -(vl * dbm - vm * dbl))
 
 
 def eta_form(l: FiniteMap, m: FiniteMap, y_min: float = math.sqrt(3) / 2,
@@ -551,10 +515,11 @@ class ArcTable:
 
     E*_x is real, so d_zbar E*_x = conj(d_z E*_x) is not stored, and
     E*_{-x} = E*_x, so one row serves the pair {x, -x}.  E*_F is linear
-    in F and pulling eta back by g only moves divisor entries, so the
-    arc integral of any pulled-back eta(l, m) is a sparse combination of
-    rows.  The rows follow the EisensteinStream expansion truncated at
-    rmax, summed straight from the divisor pairs (k, m) with k m <= rmax.
+    in F and pulling eta back by g only moves divisor entries, so any
+    pulled-back eta(l, m) integrates as a sparse combination of rows
+    (integral) or, for many arcs at once, as a bilinear pairing of rows
+    (integrals).  The rows follow the EisensteinStream expansion
+    truncated at rmax, summed from the divisor pairs (k, m), k m <= rmax.
     """
 
     NODES = (64, 128)
@@ -578,23 +543,17 @@ class ArcTable:
         qpow = np.exp(
             2j * math.pi * np.multiply.outer(np.arange(rmax + 1), z) / N)
 
-        index = np.empty((N, N), dtype=np.intp)
-        keys = []
-        for u in range(N):
-            for v in range(N):
-                key = min((u, v), ((-u) % N, (-v) % N))
-                if key == (u, v):
-                    index[u, v] = len(keys)
-                    keys.append(key)
-                else:
-                    index[u, v] = index[key]
-        self._index = index
-        keys = np.array(keys)
+        # Row keys are the pairs x = (u, v) with x <= -x, in the order of
+        # the flat index u N + v; -x shares the row of x.
+        u, v = np.divmod(np.arange(N * N), N)
+        neg = (-u) % N * N + (-v) % N
+        own = np.arange(N * N) <= neg
+        index = np.empty(N * N, dtype=np.intp)
+        index[own] = np.arange(np.count_nonzero(own))
+        index[~own] = index[neg[~own]]
+        self._index = index.reshape(N, N)
+        keys = np.stack([u[own], v[own]], axis=1)
 
-        log_circle = [
-            math.log(abs(1.0 - cmath.exp(2j * math.pi * a / N)))
-            for a in range(1, N)
-        ]
         c_log = -math.pi / N**2
         V = np.empty((len(keys), z.size))
         D = np.empty((len(keys), z.size), dtype=complex)
@@ -608,9 +567,7 @@ class ArcTable:
             s_w, t_w = (s_u, t_u) if w == u else _divisor_sums(w, N, qpow)
             hol = (math.pi / N) * (s_u[vs] + s_w[(-vs) % N])
             dhol = (2j * math.pi**2 / N**2) * (t_u[vs] + t_w[(-vs) % N])
-            c_0 = (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0) - sum(
-                math.cos(TWO_PI * a * u / N) * log_circle[a - 1]
-                for a in range(1, N)))
+            c_0 = _constant_term(u, N)
             c_y = np.zeros((vs.size, 1))
             if u == 0:
                 c_y[:, 0] = [(2.0 * math.pi**2 / N) * _beta2(v, N) for v in vs]
@@ -618,6 +575,9 @@ class ArcTable:
             D[block] = c_y / 2j + c_log / (2j * y) + dhol
         self._V = V
         self._D = D
+        # The integrand of eta(l, m) is bilinear in the divisors; with
+        # X = 2 Im(d_z E* wdz), rows x and y pair to i (V_x X_y - V_y X_x).
+        self._X = 2.0 * (D * self._wdz).imag
 
     def row(self, x):
         """E*_x and d_z E*_x at the nodes."""
@@ -631,8 +591,8 @@ class ArcTable:
         c = np.array(list(divisor.coeffs.values()), dtype=complex)
         u, v = pairs[:, 0], pairs[:, 1]
         rows = self._index[(u * g.a + v * g.c) % N, (u * g.b + v * g.d) % N]
-        d = self._D[rows]
-        return c @ self._V[rows], c @ d, c @ d.conj()
+        V, D = self._V[rows], self._D[rows]
+        return [np.einsum("i,in->n", c, a) for a in (V, D, D.conj())]
 
     def integral(self, form: EtaForm, g: UnimodularMatrix = IDENTITY,
                  tol: float = 1e-10):
@@ -654,6 +614,43 @@ class ArcTable:
         if gap >= tol * max(1.0, abs(value)):
             raise RuntimeError("quadrature failed to settle below tolerance")
         return value, gap
+
+    # Doubles per gathered array of a block: its four arrays take 1 MB.
+    BLOCK = 2**15
+
+    def integrals(self, left, right, left_weights, right_weights,
+                  tol: float = 1e-10):
+        """(values, gaps)[s, k] of arc s of eta(l, m) pulled back to
+        l = sum_i left_weights[k, i] E*_left[s, i] and m likewise on the
+        right; left and right hold pairs (u, v) in their last axis.
+
+        The weights contract the pairing J[x, y] = i (V_x . X_y - V_y . X_x)
+        of gathered rows at each node count; values, gaps and the
+        RuntimeError follow integral entry by entry."""
+        N = self.modulus
+        left, right = np.asarray(left) % N, np.asarray(right) % N
+        lrows = self._index[left[..., 0], left[..., 1]]
+        rrows = self._index[right[..., 0], right[..., 1]]
+        n = self.NODES[0]
+        step = max(1, self.BLOCK // (self._V.shape[1] * max(
+            lrows.shape[1], rrows.shape[1])))
+        fine = np.empty((len(lrows), len(left_weights)), dtype=complex)
+        coarse = np.empty_like(fine)
+        for s in range(0, len(lrows), step):
+            block = slice(s, s + step)
+            vl, xl = self._V[lrows[block]], self._X[lrows[block]]
+            vr, xr = self._V[rrows[block]], self._X[rrows[block]]
+            for out, nodes in ((fine, slice(n, None)), (coarse, slice(n))):
+                pairing = (
+                    np.einsum("sin,sjn->sij", vl[..., nodes], xr[..., nodes])
+                    - np.einsum("sjn,sin->sij", vr[..., nodes],
+                                xl[..., nodes]))
+                out[block] = 1j * np.einsum(
+                    "ki,sij,kj->sk", left_weights, pairing, right_weights)
+        gaps = np.abs(fine - coarse)
+        if np.any(gaps >= tol * np.maximum(1.0, np.abs(fine))):
+            raise RuntimeError("quadrature failed to settle below tolerance")
+        return fine, gaps
 
 
 def _divisor_sums(u, N, qpow):

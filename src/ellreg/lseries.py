@@ -361,15 +361,17 @@ def residue_tensor_square(form: ModularFormData,
     n = form.level
     if lambda_table is None:
         lambda_table = twisted_lambda_table(form, ctl)
-    chars = list(lambda_table)
+    # enumerate_characters(n)[k] is chi_k(g^a) = e(k a / (n - 1)), so
+    # chi_j chi_k = chi_{j+k}, and chi_k is odd exactly when k is.
+    chars = enumerate_characters(n)
+    exponent = {chi: k for k, chi in enumerate(chars)}
     total = 0.0 + 0.0j
-    for chi in chars:
-        for chi2 in chars:
-            prod = chi * chi2
-            if not prod.is_odd:
-                continue
-            total += (lambda_table[chi2] * lambda_table[chi]
-                      / gauss_sum(prod))
+    for chi in lambda_table:
+        for chi2 in lambda_table:
+            k = (exponent[chi] + exponent[chi2]) % (n - 1)
+            if k % 2:
+                total += (lambda_table[chi2] * lambda_table[chi]
+                          / gauss_sum(chars[k]))
     value = total * 2j * math.pi / ((n + 1) * (n - 1) ** 2)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise RuntimeError("residue came out non-real: %r" % value)

@@ -167,7 +167,7 @@ def _lower_gamma_series(s, x):
 def _exp_integral_e1(x):
     # E_1(x) for 0 < x <= 1 via the convergent alternating series.
     total = -0.5772156649015328606 - math.log(x)
-    term = -1.0
+    term = 1.0
     for k in range(1, 60):
         term *= -x / k
         total -= term / k

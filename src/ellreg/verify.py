@@ -14,12 +14,13 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .characters import (
     FiniteMap,
     _is_prime,
     character_label,
     enumerate_characters,
-    fourier_transform,
     gauss_sum,
 )
 from .eisenstein import (
@@ -29,6 +30,7 @@ from .eisenstein import (
     eta_chi,
     eta_form,
     g_column,
+    suggested_rmax,
 )
 from .elliptic import (
     CURVE_11A,
@@ -192,11 +194,16 @@ class CurveContext:
 
     Each is computed on first use and then kept, so a run of every
     suite builds the newform, the twisted table and the rest once.
+    Characters are exponents: the arrays below are indexed by k in
+    Z/(p - 1), the character chi_k = characters[k].
     """
 
     def __init__(self, config: VerifyConfig):
         self.curve, self.p = config.curve, config.level
         self.terms = config.terms
+        # The exponents of the even nontrivial and of the odd characters.
+        self.evens = np.arange(2, self.p - 1, 2)
+        self.odds = np.arange(1, self.p - 1, 2)
 
     @cached_property
     def form(self):
@@ -211,23 +218,32 @@ class CurveContext:
         return twisted_lambda_table(self.form)
 
     @cached_property
-    def l_one(self) -> dict:
-        """The twisted central values L(f, chi, 1), chi nontrivial."""
-        return {chi: (2.0 * math.pi / self.p) * v
-                for chi, v in self.lambda_table.items()}
+    def characters(self) -> list:
+        """chi_k(g^a) = e(k a / (p - 1)) for the smallest primitive root g,
+        so chi_j chi_k = chi_{j+k}, conj chi_k = chi_{-k}, and chi_k is
+        even exactly when k is."""
+        return enumerate_characters(self.p)
+
+    @cached_property
+    def values(self):
+        """values[k, a] = chi_k(a) for a = 0 .. p - 1."""
+        return np.array([[chi(a) for a in range(self.p)]
+                         for chi in self.characters])
+
+    @cached_property
+    def tau(self):
+        """The Gauss sums tau(chi_k)."""
+        return np.array([gauss_sum(chi) for chi in self.characters])
+
+    @cached_property
+    def l_one(self):
+        """The twisted central values L(f, chi_k, 1); nan at k = 0."""
+        return (2.0 * math.pi / self.p) * np.array([
+            self.lambda_table.get(chi, math.nan) for chi in self.characters])
 
     @cached_property
     def l_two(self) -> float:
         return complex(l_value(self.form, 2.0)).real
-
-    @cached_property
-    def evens(self) -> list:
-        return [c for c in enumerate_characters(self.p)
-                if c.is_even and not c.is_trivial]
-
-    @cached_property
-    def odds(self) -> list:
-        return [c for c in enumerate_characters(self.p) if c.is_odd]
 
     @cached_property
     def dilog(self) -> dict:
@@ -242,16 +258,38 @@ class CurveContext:
         return xi_bridge_table(self.form)
 
     @cached_property
+    def node_table(self) -> ArcTable:
+        return arc_table(self.p, suggested_rmax(self.p, math.sqrt(3) / 2))
+
+    @cached_property
     def eta_arcs(self):
-        """Table integrals arcs[chi][v] of eta_chi over the standard arcs
-        g_v for every even chi, and the worst node gap among them."""
-        columns = {v: g_column(v) for v in range(1, self.p)}
-        arcs = {}
-        gap = 0.0
-        for chi in self.evens:
-            arcs[chi], err = _table_arcs(eta_chi(chi), columns)
-            gap = max(gap, err)
-        return arcs, gap
+        """arcs[k, v], the integral of eta_chi_k over the standard arc g_v
+        for every even nontrivial k and v = 1 .. p - 1 (0 elsewhere), and
+        the worst node gap among them."""
+        p, evens = self.p, self.evens
+        # eta_chi pairs chi(a) E*_(0,a) with conj chi(b) E*_(0,b), and
+        # g_v sends (0, a) to (a, a v).
+        a = np.arange(1, p)
+        pairs = np.stack(np.broadcast_arrays(a, np.multiply.outer(a, a)), -1)
+        values, gaps = self.node_table.integrals(
+            pairs, pairs, self.values[evens, 1:],
+            self.values[(-evens) % (p - 1), 1:])
+        arcs = np.zeros((p - 1, p), dtype=complex)
+        arcs[evens, 1:] = values.T
+        return arcs, gaps.max()
+
+    @cached_property
+    def arc_coefficients(self):
+        """c[k, j] = tau(conj chi_j) sum_v conj chi_j(v) arcs[k, v].
+
+        The weight is conj(chi_j)(v); this is the pairing that the
+        quadrature-validated period bridge forces, and it makes the
+        theorem hold at machine precision for every even character at
+        p = 11 and 17.
+        """
+        bar = (-np.arange(self.p - 1)) % (self.p - 1)
+        arcs, _ = self.eta_arcs
+        return self.tau[bar] * np.einsum("kv,jv->kj", arcs, self.values[bar])
 
     @cached_property
     def residue(self) -> float:
@@ -293,7 +331,7 @@ def run_thm8(config=None):
     dilog, l_two = ctx.dilog, ctx.l_two
     prep = time.perf_counter() - t0
 
-    evens = ctx.evens
+    evens = [ctx.characters[k] for k in ctx.evens]
     values = {}
     for chi in evens:
         t0 = time.perf_counter()
@@ -352,34 +390,9 @@ def run_cor101(config=None):
     return reports
 
 
-def _table_arcs(eta, lifts):
-    """Node-table integrals of eta over the arcs g(rho) -> g(rho^2) for
-    the matrices in lifts (a dict), and the worst 64-vs-128 node gap."""
-    table = arc_table(eta.left.modulus, eta.rmax)
-    arcs = {}
-    gap = 0.0
-    for key, g in lifts.items():
-        arcs[key], err = table.integral(eta, g)
-        gap = max(gap, err)
-    return arcs, gap
-
-
 def _arc_truncation(gap):
-    """What the table arcs of a row used: both node counts and the worst
-    gap between them."""
+    """The node counts of a row's table arcs and the worst gap between."""
     return {"arc_nodes": list(ArcTable.NODES), "arc_gap": gap}
-
-
-def _c_coefficient(arcs, eta_char, pair_char, p):
-    """Gauss-sum weighted pairing of arc values with a character.
-
-    The weight is conj(pair_char)(v); this is the pairing that the
-    quadrature-validated period bridge forces, and it makes the theorem
-    hold at machine precision for every even character at p = 11 and 17.
-    """
-    bar = pair_char.conjugate()
-    total = sum(complex(bar(v)) * arcs[eta_char][v] for v in range(1, p))
-    return gauss_sum(bar) * total
 
 
 def run_thm1(config=None):
@@ -397,44 +410,40 @@ def run_thm1(config=None):
         _tol(config, TOL_SERIES), time.perf_counter() - t0,
         {"lseries_terms": config.terms}, error_kind="abs"))
 
-    evens, odds = ctx.evens, ctx.odds
+    chars, evens, odds = ctx.characters, ctx.evens, ctx.odds
     t0 = time.perf_counter()
-    arcs, gap = ctx.eta_arcs
+    _, gap = ctx.eta_arcs
+    coef = ctx.arc_coefficients
+    prefactor = p * w / (8j * math.pi * (p - 1))
+    rhs = prefactor * ctx.tau[evens] * np.einsum(
+        "kj,j->k", coef[np.ix_(evens, evens)], l_one[evens])
+    sweep = np.abs(coef[np.ix_(evens, odds)]).max(axis=1)
     arc_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cusps, cusp_gap = _table_arcs(eta_chi(evens[0]), {
-        "inf": matrix_lift(SymbolIndex(p, 1, 0)),
-        "zero": matrix_lift(SymbolIndex(p, 0, 1))})
-    inf_arc, zero_arc = cusps["inf"], cusps["zero"]
+    eta, label = eta_chi(chars[evens[0]]), character_label(chars[evens[0]])
+    (inf_arc, inf_gap), (zero_arc, zero_gap) = (
+        ctx.node_table.integral(eta, matrix_lift(SymbolIndex(p, *x)))
+        for x in ((1, 0), (0, 1)))
     trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13,
              "arc_count": len(evens) * (p - 1),
-             **_arc_truncation(max(gap, cusp_gap))}
+             **_arc_truncation(max(gap, inf_gap, zero_gap))}
     reports.append(make_report(
-        f"thm1:cusp-arcs:{character_label(evens[0])}",
-        dict(base, character=character_label(evens[0])),
+        f"thm1:cusp-arcs:{label}", dict(base, character=label),
         max(abs(inf_arc), abs(zero_arc)), 0.0, _tol(config, 1e-9),
         time.perf_counter() - t0, trunc, error_kind="abs"))
 
-    prefactor = p * w / (8j * math.pi * (p - 1))
-    for chi in evens:
-        t0 = time.perf_counter()
-        label = character_label(chi)
-        lhs = l_two * l_one[chi]
-        rhs = prefactor * gauss_sum(chi) * sum(
-            _c_coefficient(arcs, chi, chip, p) * l_one[chip]
-            for chip in evens)
+    for i, k in enumerate(evens):
+        label = character_label(chars[k])
         reports.append(make_report(
             f"thm1:identity:{label}", dict(base, character=label),
-            lhs, rhs, _tol(config, TOL_QUADRATURE),
-            arc_seconds + time.perf_counter() - t0, trunc, scale=l_two))
+            l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
+            arc_seconds, trunc, scale=l_two))
         arc_seconds = 0.0
-        t0 = time.perf_counter()
-        sweep = max(abs(_c_coefficient(arcs, chi, chip, p)) for chip in odds)
         reports.append(make_report(
             f"thm1:odd-sweep:{label}", dict(base, character=label),
-            sweep, 0.0, _tol(config, 1e-9), time.perf_counter() - t0,
-            trunc, error_kind="abs"))
+            sweep[i], 0.0, _tol(config, 1e-9), 0.0, trunc,
+            error_kind="abs"))
     return reports
 
 
@@ -449,27 +458,23 @@ def run_thm2(config=None):
     t0 = time.perf_counter()
     ctx = config.context
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
-    evens, odds = ctx.evens, ctx.odds
-    arcs, gap = ctx.eta_arcs
+    tau, evens, odds = ctx.tau, ctx.evens, ctx.odds
+    _, gap = ctx.eta_arcs
     trunc.update(_arc_truncation(gap))
 
-    coef = {(chi2, chi): _c_coefficient(arcs, chi2, chi, p)
-            for chi2 in evens for chi in evens}
-    lam = {}
-    for chi in evens:
-        for chip in odds:
-            lam[(chi, chip)] = sum(
-                gauss_sum(chi2) / gauss_sum(chip * chi2) * coef[(chi2, chi)]
-                for chi2 in evens)
-    weighted = sum(lam[(chi, chip)] * l_one[chi] * l_one[chip]
-                   for chi in evens for chip in odds)
+    # tau(chi_k chi_j) for even k and odd j; chi_k chi_j = chi_{k+j}.
+    mixed = tau[np.add.outer(evens, odds) % (p - 1)]
+    even_one, odd_one = l_one[evens], l_one[odds]
+    # lam[k, j] = sum_m tau(chi_m) / tau(chi_m chi_j) c[m, k], m even.
+    lam = np.einsum("mj,mk->kj", tau[evens, None] / mixed,
+                    ctx.arc_coefficients[np.ix_(evens, evens)])
+    weighted = np.einsum("kj,k,j->", lam, even_one, odd_one)
     prep = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     residue = ctx.residue
-    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * sum(
-        l_one[chi] * l_one[chip] / gauss_sum(chi * chip)
-        for chi in evens for chip in odds)
+    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * np.einsum(
+        "k,j,kj->", even_one, odd_one, 1.0 / mixed)
     reports.append(make_report(
         "thm2:residue-consistency", base, residue, explicit,
         _tol(config, TOL_SERIES), time.perf_counter() - t0, trunc))
@@ -483,9 +488,8 @@ def run_thm2(config=None):
     # Eliminating the residue against the same double sum conjugates the
     # central values in the denominator and drops one power of pi.
     t0 = time.perf_counter()
-    denominator = sum(
-        gauss_sum(chi * chip) * (l_one[chi] * l_one[chip]).conjugate()
-        for chi in evens for chip in odds)
+    denominator = np.einsum("kj,k,j->", mixed, even_one.conj(),
+                            odd_one.conj())
     free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)
             ) * weighted / denominator
     reports.append(make_report(
@@ -522,46 +526,43 @@ def run_thm3(config=None):
         _tol(config, 1e-9), prep + time.perf_counter() - t0, trunc,
         error_kind="abs"))
 
-    evens = ctx.evens
-    delta_one = FiniteMap.delta(p, 1)
-    # x and -x lift to the same arc, so one arc per pair {x, -x}; the
-    # lifts do not depend on the character.
-    lifts = {}
-    for u, v in pairs:
-        key = min((u, v), ((-u) % p, (-v) % p))
-        if key not in lifts:
-            lifts[key] = matrix_lift(SymbolIndex(p, key[0], key[1]))
-    linearity_done = False
-    for chi in evens:
-        label = character_label(chi)
-        t0 = time.perf_counter()
-        chihat = fourier_transform(FiniteMap.from_character(chi))
-        eta = eta_form(delta_one, chihat)
-        arcs, gap = _table_arcs(eta, lifts)
-        total = 0.0 + 0.0j
-        for u, v in pairs:
-            key = min((u, v), ((-u) % p, (-v) % p))
-            total += arcs[key] * xi.plus(SymbolIndex(p, u, v))
-        rhs = (p * 1j / 4.0) * total
+    chars, evens = ctx.characters, ctx.evens
+    t0 = time.perf_counter()
+    # One arc per class {x, -x}, weighted by xi^+(x) + xi^+(-x).  The lift
+    # of x has bottom row x mod p: it pulls E*_(0,b) back to E*_(b x).
+    keys = np.array([x for x in pairs if x <= ((-x[0]) % p, (-x[1]) % p)])
+    weight = np.array([xi.plus((u, v)) + xi.plus((-u, -v))
+                       for u, v in keys.tolist()])
+    residues = np.arange(p)
+    # chihat[i, b] = sum_v chi_k(v) e(-b v / p) for k = evens[i].
+    chihat = np.einsum("kv,bv->kb", ctx.values[evens], np.exp(
+        -2j * math.pi * (np.multiply.outer(residues, residues) % p) / p))
+    arcs, gaps = ctx.node_table.integrals(
+        keys[:, None, :], residues[:, None] * keys[:, None, :],
+        np.ones((len(evens), 1)), chihat)
+    rhs = (p * 1j / 4.0) * np.einsum("s,sk->k", weight, arcs)
+    seconds = time.perf_counter() - t0
+    for i, k in enumerate(evens):
+        label = character_label(chars[k])
         reports.append(make_report(
             f"thm3:identity:{label}", dict(base, character=label),
-            l_two * l_one[chi], rhs, _tol(config, TOL_QUADRATURE),
-            time.perf_counter() - t0,
-            dict(trunc, arc_count=len(arcs), **_arc_truncation(gap)),
+            l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
+            seconds, dict(trunc, arc_count=len(keys),
+                          **_arc_truncation(gaps[:, i].max())),
             scale=l_two))
-
-        if not linearity_done:
+        seconds = 0.0
+        if i == 0:
             # The node-table arc of eta(delta_1, chihat) must match the
             # chihat-weighted sum of per-arc quadratures of the elementary
             # forms eta(delta_1, delta_b).
-            linearity_done = True
             t0 = time.perf_counter()
-            g = g_column(3)
-            direct, gap = arc_table(p, eta.rmax).integral(eta, g)
+            g, delta_one = g_column(3), FiniteMap.delta(p, 1)
+            eta = eta_form(delta_one, FiniteMap(p, chihat[0]))
+            direct, gap = ctx.node_table.integral(eta, g)
             assembled = sum(
-                complex(chihat.values[b])
+                chihat[0, b]
                 * arc_integral(eta_form(delta_one, FiniteMap.delta(p, b)), g)
-                for b in range(p) if abs(chihat.values[b]) > 1e-15)
+                for b in range(p) if abs(chihat[0, b]) > 1e-15)
             reports.append(make_report(
                 f"thm3:eta-linearity:{label}",
                 dict(base, character=label), direct, assembled,

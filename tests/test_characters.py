@@ -226,3 +226,17 @@ def test_number_theory_helpers_match_sympy():
             # The smallest root, or None when (Z/n)* is not cyclic; the
             # character labels are built on it.
             assert _primitive_root(n) == sympy.primitive_root(n), n
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
+def test_enumeration_index_is_the_exponent_at_the_primitive_root(p):
+    # The verify layer indexes characters by k: chi_k(g) = e(k / (p - 1))
+    # for the smallest primitive root g, so chi_j chi_k = chi_{j+k}.
+    chars = enumerate_characters(p)
+    g = _primitive_root(p)
+    for k, chi in enumerate(chars):
+        assert chi.exponent_at(g) * (p - 1) == k * chi.order
+        assert chi.is_even == (k % 2 == 0)
+    for j, k in [(1, 2), (3, p - 4), (p - 2, p - 2), (5, 0)]:
+        assert chars[j] * chars[k] == chars[(j + k) % (p - 1)]
+        assert chars[k].conjugate() == chars[-k % (p - 1)]

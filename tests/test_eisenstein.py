@@ -1,6 +1,7 @@
 """Tests for Eisenstein series routes and the eta one-form."""
 
 import cmath
+import copy
 import math
 import sys
 import threading
@@ -12,6 +13,8 @@ from ellreg.characters import FiniteMap, enumerate_characters, fourier_transform
 from ellreg.eisenstein import (
     RHO,
     RHO2,
+    ArcTable,
+    EisensteinStream,
     EtaForm,
     PairDivisor,
     UnimodularMatrix,
@@ -31,6 +34,7 @@ from ellreg.eisenstein import (
     zeta_star,
     zeta_star_qexp,
 )
+from ellreg.characters import _divisors
 from ellreg.eisenstein import _restricted_zeta2
 from ellreg.modsym import SymbolIndex, matrix_lift
 
@@ -371,3 +375,132 @@ def test_arc_table_is_built_once_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(tables) == workers
     assert all(t is tables[0] for t in tables)
+
+
+def _column_arcs(p):
+    """The arcs g_v of every even eta_chi as integrals arguments: the
+    pairs (a, a v) for v, a = 1 .. p - 1 and the values chi(a) and
+    conj chi(a)."""
+    evens = [chi for chi in enumerate_characters(p) if chi.is_even]
+    a = np.arange(1, p)
+    pairs = np.stack(np.broadcast_arrays(a, np.multiply.outer(a, a)), -1)
+    left = np.array([[chi(b) for b in a] for chi in evens])
+    right = np.array([[chi.conjugate()(b) for b in a] for chi in evens])
+    return evens, pairs, left, right
+
+
+@pytest.mark.parametrize("p", [11, 17])
+def test_arc_contraction_matches_integral_on_every_column(p):
+    evens, pairs, left, right = _column_arcs(p)
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    values, gaps = table.integrals(pairs, pairs, left, right)
+    assert values.shape == gaps.shape == (p - 1, len(evens))
+    for k, chi in enumerate(evens):
+        eta = eta_chi(chi)
+        for v in range(1, p):
+            value, gap = table.integral(eta, g_column(v))
+            assert abs(values[v - 1, k] - value) <= 1e-13
+            assert abs(gaps[v - 1, k] - gap) <= 1e-13
+
+
+def test_arc_contraction_matches_integral_at_37():
+    p = 37
+    evens, pairs, left, right = _column_arcs(p)
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    columns = [1, 5, 18, 36]
+    values, _ = table.integrals(pairs[[v - 1 for v in columns]],
+                                pairs[[v - 1 for v in columns]],
+                                left[::6], right[::6])
+    for k, chi in enumerate(evens[::6]):
+        for s, v in enumerate(columns):
+            value, _ = table.integral(eta_chi(chi), g_column(v))
+            assert abs(values[s, k] - value) <= 1e-13
+
+
+def test_arc_contraction_matches_integral_on_symbol_lifts():
+    # thm3's arcs: delta_1 pulls back to the bottom row (c, d) of each
+    # lift and delta_b to (b c, b d); the rows reach past N.
+    p = 37
+    evens = [c for c in enumerate_characters(p)
+             if c.is_even and not c.is_trivial][::4]
+    chihats = [fourier_transform(FiniteMap.from_character(chi))
+               for chi in evens]
+    lifts = [matrix_lift(SymbolIndex(p, u, v)) for u, v in
+             [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
+    bottom = np.array([(g.c, g.d) for g in lifts])[:, None, :]
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    values, gaps = table.integrals(
+        bottom, np.arange(p)[:, None] * bottom, np.ones((len(evens), 1)),
+        np.array([chihat.values for chihat in chihats]))
+    for k, chihat in enumerate(chihats):
+        eta = eta_form(FiniteMap.delta(p, 1), chihat)
+        for s, g in enumerate(lifts):
+            value, gap = table.integral(eta, g)
+            assert abs(values[s, k] - value) <= 1e-13
+            assert abs(gaps[s, k] - gap) <= 1e-13
+
+
+def test_arc_contraction_raises_when_node_counts_disagree():
+    evens, pairs, left, right = _column_arcs(N)
+    table = arc_table(N, suggested_rmax(N, math.sqrt(3) / 2))
+    with pytest.raises(RuntimeError):
+        table.integrals(pairs, pairs, left, right, tol=0.0)
+    # With the 64-node columns zeroed, both routes must still take the
+    # values from the 128 nodes, and the gaps become those values.
+    coarse = copy.copy(table)
+    coarse._V, coarse._D, coarse._X = (
+        rows.copy() for rows in (table._V, table._D, table._X))
+    for rows in (coarse._V, coarse._D, coarse._X):
+        rows[:, :ArcTable.NODES[0]] = 0.0
+    values, gaps = coarse.integrals(pairs, pairs, left, right, tol=np.inf)
+    assert np.array_equal(gaps, np.abs(values)) and np.abs(values).max() > 0
+    for k, chi in enumerate(evens):
+        value, _ = coarse.integral(eta_chi(chi), g_column(4), tol=np.inf)
+        assert abs(values[3, k] - value) <= 1e-13
+
+
+def test_arc_contraction_does_not_depend_on_the_block_size(monkeypatch):
+    p = 17
+    _, pairs, left, right = _column_arcs(p)
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    whole = table.integrals(pairs, pairs, left, right)
+    # One arc per block, then blocks of 3 with a shorter last one.
+    for block in (1, 3 * table.nodes.size * (p - 1)):
+        monkeypatch.setattr(ArcTable, "BLOCK", block)
+        parts = table.integrals(pairs, pairs, left, right)
+        for got, want in zip(parts, whole):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def _stream_series_by_loops(divisor, rmax):
+    """A_r and B_r of the stream expansion, summed term by term over
+    r, the divisors k of r and the divisor's pairs."""
+    n = divisor.modulus
+    A = np.zeros(rmax + 1, dtype=complex)
+    B = np.zeros(rmax + 1, dtype=complex)
+    for r in range(1, rmax + 1):
+        for k in _divisors(r):
+            e_phase = cmath.exp(2j * math.pi * (r // k) / n)
+            for (u, v), c in divisor.items():
+                base = 0.0
+                if k % n == u % n:
+                    base += e_phase**v / k
+                if k % n == (-u) % n:
+                    base += e_phase ** (-v) / k
+                A[r] += c * (math.pi / n) * base
+                B[r] += c * (math.pi / n) * complex(base).conjugate()
+    return A, B
+
+
+@pytest.mark.parametrize("modulus, coeffs", [
+    (11, {(0, 3): 1.0, (2, 5): 2.0 - 1.0j, (9, 0): 0.5}),
+    (12, {(6, 1): 1.0, (0, 0): 2.0, (3, 4): 1.0j}),
+    (37, {(0, b): cmath.exp(1j * b) for b in range(37)}),
+])
+def test_stream_series_match_the_term_by_term_loops(modulus, coeffs):
+    divisor = PairDivisor(modulus, coeffs)
+    stream = EisensteinStream(divisor, 150)
+    A, B = _stream_series_by_loops(divisor, 150)
+    # The loops raise e(m / N) to the v-th power, a few ulps per factor.
+    assert np.abs(stream.A - A).max() <= 1e-13
+    assert np.abs(stream.B - B).max() <= 1e-13

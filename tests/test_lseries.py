@@ -231,3 +231,17 @@ def test_residue_against_central_value_form(form11, chars11):
     assert abs(res_l.imag) < 1e-12
     res = residue_tensor_square(form11)
     assert abs(res_l.real - res) / res < 1e-10
+
+
+def test_residue_exponent_sum_matches_the_character_product_loop(form11):
+    # The same ordered pairs in the same order, with chi chi2 formed as a
+    # product instead of by adding exponents.
+    table = twisted_lambda_table(form11)
+    total = 0.0 + 0.0j
+    for chi in table:
+        for chi2 in table:
+            prod = chi * chi2
+            if prod.is_odd:
+                total += table[chi2] * table[chi] / gauss_sum(prod)
+    want = (total * 2j * math.pi / (12 * 10 ** 2)).real
+    assert residue_tensor_square(form11, lambda_table=table) == want

@@ -20,6 +20,7 @@ from ellreg.special import (
     periodic_bernoulli2,
     siegel_theta,
 )
+from ellreg.special import _exp_integral_e1
 
 CATALAN = 0.9159655941772190
 
@@ -319,7 +320,7 @@ def test_incomplete_gamma_shared_helpers_keep_real_values_bitwise():
         (1.5, 0.3): "0x1.96c12b0c87c67p-1",
         (2.0, 0.7): "0x1.b03a544628878p-1",
         (0.25, 1.0): "0x1.f854d1a2c3150p-3",
-        (-2.0, 0.5): "0x1.c5327ad9ce83ep-2",
+        (-2.0, 0.5): "0x1.c5d88249b3bcap-1",
         (-1.5, 0.4): "0x1.3af3e76f06293p+0",
     }
     for (s, x), value in before.items():
@@ -345,3 +346,17 @@ def test_incomplete_gamma_complex_small_x_limit():
                - incomplete_gamma_upper_complex(s, 0.7).conjugate()) < 1e-12
     with pytest.raises(ValueError):
         incomplete_gamma_upper_complex(s, 0.0)
+
+
+def test_exp_integral_and_negative_orders_against_mpmath():
+    # The E_1 power series serves Gamma(-k, x) for x <= 1, the branch
+    # L(E, 2) takes at every conductor above 4 pi^2.
+    mpmath = pytest.importorskip("mpmath")
+    for x in [1e-6, 1e-3] + list(np.linspace(0.01, 1.0, 100)):
+        want = float(mpmath.e1(x))
+        assert abs(_exp_integral_e1(x) - want) <= 1e-15 * want
+        for k in range(5):
+            want = float(mpmath.gammainc(-k, x))
+            assert abs(incomplete_gamma_upper(-k, x) - want) <= 1e-14 * want
+            got = incomplete_gamma_upper_complex(complex(-k), x)
+            assert abs(got - want) <= 1e-14 * want

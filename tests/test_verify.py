@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
+from ellreg.characters import DirichletCharacter, character_label, gauss_sum
+from ellreg.eisenstein import ArcTable
 from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
 from ellreg.verify import (
     SUITES,
@@ -209,3 +212,73 @@ def test_shared_context_gives_the_rows_of_fresh_ones():
     shared = resolve_config(level=17)
     for name in reversed(names):
         assert rows(SUITES[name](shared)) == fresh[name], name
+
+
+def test_thm1_and_thm2_pass_every_row_above_conductor_40():
+    # 43a: L(E, 2) takes the E_1 branch of Gamma(0, x) here.
+    config = resolve_config(curve=CurveModel(0, 1, 1, 0, 0, 43))
+    rows = run_thm1(config) + run_thm2(config)
+    assert len(rows) == 42 + 3
+    assert all(r.passed for r in rows), [r.check for r in rows
+                                          if not r.passed]
+
+
+def test_odd_sweep_stays_at_rounding_level():
+    rows = run_thm1(resolve_config(curve=CurveModel(0, 0, 1, -1, 0, 37)))
+    sweep = [r for r in rows if r.check.startswith("thm1:odd-sweep")]
+    assert len(sweep) == 17
+    assert max(r.error for r in sweep) <= 1e-14
+
+
+def test_odd_sweep_reads_every_odd_coefficient():
+    config = resolve_config(level=17)
+    ctx = config.context
+    coef = ctx.arc_coefficients.copy()
+    coef[ctx.evens[2], ctx.odds[-1]] = 1e-3
+    ctx.arc_coefficients = coef
+    failed = [r.check for r in run_thm1(config) if not r.passed]
+    label = character_label(ctx.characters[ctx.evens[2]])
+    assert failed == [f"thm1:odd-sweep:{label}"]
+
+
+def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
+    counts = {"__mul__": 0, "integral": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(DirichletCharacter, "__mul__")
+    counting(ArcTable, "integral")
+    config = resolve_config(level=17)
+    calls = {}
+    # thm2 first, so that it builds the shared context, residue included.
+    for name in ("thm2", "thm1", "thm3"):
+        before = dict(counts)
+        SUITES[name](config)
+        calls[name] = {k: counts[k] - before[k] for k in counts}
+    # thm1's two cusp arcs and thm3's linearity row are per-arc oracles.
+    assert calls == {"thm2": {"__mul__": 0, "integral": 0},
+                     "thm1": {"__mul__": 0, "integral": 2},
+                     "thm3": {"__mul__": 0, "integral": 1}}
+
+
+def test_context_arrays_are_indexed_by_exponent():
+    ctx = resolve_config(level=17).context
+    chars = ctx.characters
+    assert list(ctx.evens) == [k for k, c in enumerate(chars)
+                               if c.is_even and not c.is_trivial]
+    assert list(ctx.odds) == [k for k, c in enumerate(chars) if c.is_odd]
+    for k, chi in enumerate(chars):
+        assert list(ctx.values[k]) == [chi(a) for a in range(17)]
+        assert ctx.tau[k] == gauss_sum(chi)
+        if k:
+            assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[chi]
+    assert math.isnan(ctx.l_one[0].real)
+    arcs, gap = ctx.eta_arcs
+    assert arcs.shape == (16, 17) and 0.0 <= gap < 1e-10
+    assert not arcs[ctx.odds].any() and not arcs[:, 0].any()
