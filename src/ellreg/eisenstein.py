@@ -407,9 +407,10 @@ class EtaForm:
             self.rmax,
         )
 
-    def coefficients(self, z) -> OneFormValue:
+    def coefficients(self, z, ez=None) -> OneFormValue:
         L, M = self._streams
-        ez = L._exps(np.asarray(z, dtype=complex))  # same level and rmax
+        if ez is None:
+            ez = L._exps(np.asarray(z, dtype=complex))  # same level and rmax
         vl, dl, dbl = L.jet(z, ez)
         vm, dm, dbm = M.jet(z, ez)
         return OneFormValue(vl * dm - vm * dl, -(vl * dbm - vm * dbl))
@@ -463,17 +464,22 @@ def _straight_path(z0: complex, z1: complex):
 
 
 def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 64,
-                       tol: float = 1e-10, max_doublings: int = 6):
+                       tol: float = 1e-10, max_doublings: int = 6,
+                       exps: dict | None = None):
     """Gauss-Legendre quadrature of P dz + Q dzbar with node doubling.
 
     Returns (value, error_estimate); raises if doubling stalls above tol.
+    exps caches the stream exponentials by node count: forms of one
+    level and rmax on one path can share it.
     """
     def quad(n):
         x, w = gauss_legendre_nodes(n)
         t = 0.5 * (x + 1.0)
         z = path(t)
         v = velocity(t)
-        P, Q = form.coefficients(z)
+        if exps is not None and n not in exps:
+            exps[n] = form._streams[0]._exps(z)
+        P, Q = form.coefficients(z, None if exps is None else exps[n])
         return 0.5 * complex(np.sum(w * (P * v + Q * np.conj(v))))
 
     prev = quad(nodes)

@@ -90,16 +90,14 @@ def a_p(curve: CurveModel, p: int) -> int:
                 if lhs == curve.rhs(x) % 2:
                     count += 1
         return 2 + 1 - count
-    # Complete the square in y: the y-count at x is 1 + legendre(dq),
-    # with legendre read off a quadratic-residue table.
-    is_sq = np.zeros(p, dtype=bool)
-    half = np.arange((p + 1) // 2, dtype=np.int64)
-    is_sq[(half * half) % p] = True
+    # Complete the square in y: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2
+    # + 2 b4 x + b6, so the y-count at x is 1 + legendre of the right side.
     x = np.arange(p, dtype=np.int64)
-    rhs = (x * x * x % p + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
-    dq = ((curve.a1 * x + curve.a3) ** 2 + 4 * rhs) % p
-    count = 1 + int(np.sum(np.where(dq == 0, 1, np.where(is_sq[dq], 2, 0))))
-    return p + 1 - count
+    legendre = np.full(p, -1)
+    legendre[x * x % p] = 1
+    legendre[0] = 0
+    b2, b4, b6 = (b % p for b in curve.b_invariants[:3])
+    return -int(np.sum(legendre[(((4 * x + b2) * x + 2 * b4) * x + b6) % p]))
 
 
 def _smallest_prime_factors(n):

@@ -17,7 +17,6 @@ s = 2 expressed through the twisted central values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ from .special import (
     SeriesControl,
     TruncationError,
     complex_gamma,
-    incomplete_gamma_upper,
     incomplete_gamma_upper_complex,
 )
 
@@ -88,7 +86,8 @@ def newform_from_curve(curve: CurveModel, nmax: int = 4000) -> ModularFormData:
                            label="%da" % curve.conductor)
 
 
-def _term_count(level: int, nmax: int, tol: float) -> int:
+def _term_count(level: int, nmax: int,
+                tol: float = DEFAULT_CONTROL.abs_tol) -> int:
     # Smallest k with 4 k^{3/2} |q|^k / (1 - |q|) below tol, where the
     # 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style bound controls the tail.
     c = TWO_PI / math.sqrt(level) if level > 2 else TWO_PI / math.sqrt(3)
@@ -164,12 +163,11 @@ def root_number(form: ModularFormData, tol: float = 1e-8) -> complex:
     return w
 
 
-def _gamma_factor(s, x: float) -> complex:
-    # G_s(x) = x^{-s} Gamma(s, x)
-    s = complex(s)
-    if s.imag == 0.0:
-        return incomplete_gamma_upper(s.real, x) * x ** (-s.real)
-    return incomplete_gamma_upper_complex(s, x) * cmath.exp(-s * math.log(x))
+def _weights(s, level: int, k: int) -> np.ndarray:
+    # G_s(x) = x^{-s} Gamma(s, x) at x = cn, n = 1 .. k, c = 2 pi / sqrt(M).
+    x = (TWO_PI / math.sqrt(level)) * np.arange(1, k + 1)
+    return x ** -complex(s) * np.array(
+        [incomplete_gamma_upper_complex(s, t) for t in x])
 
 
 def lambda_value(form: ModularFormData, s,
@@ -179,15 +177,12 @@ def lambda_value(form: ModularFormData, s,
     if w is None:
         w = root_number(form)
     m = form.level
-    c = TWO_PI / math.sqrt(m)
     k = _term_count(m, form.nmax, ctl.abs_tol)
-    total = 0.0 + 0.0j
-    two_minus_s = 2.0 - complex(s)
-    for n in range(1, k + 1):
-        x = c * n
-        total += form.coefficients[n] * _gamma_factor(s, x)
-        total -= w * form.conjugates[n] * _gamma_factor(two_minus_s, x)
-    return total
+    g_s = _weights(s, m, k)
+    # At s = 1 the two halves share their weights.
+    g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s), m, k)
+    return complex(np.dot(form.coefficients[1:k + 1], g_s)
+                   - w * np.dot(form.conjugates[1:k + 1], g_dual))
 
 
 def l_value(form: ModularFormData, s,
@@ -339,14 +334,22 @@ def rankin_convolution_check(form: ModularFormData,
 
 def twisted_lambda_table(form: ModularFormData,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> dict:
-    """Lambda(f (x) chi, 1) for every nontrivial character mod the level."""
-    table = {}
-    for chi in enumerate_characters(form.level):
-        if chi.is_trivial:
-            continue
-        tw = twist_by_character(form, chi)
-        table[chi] = lambda_value(tw, 1.0, ctl)
-    return table
+    """Lambda(f (x) chi, 1) for every nontrivial character mod the level.
+
+    Every twist has level p^2 and so the same weights G_1(cn); with
+    V[k, n] = chi_k(n), the sums over n are two matrix products.
+    """
+    p = form.level
+    chars = enumerate_characters(p)
+    k = _term_count(p * p, form.nmax, ctl.abs_tol)
+    g = _weights(1.0, p * p, k)
+    V = np.array([[chi(a) for a in range(p)] for chi in chars])
+    V = V[:, np.arange(1, k + 1) % p]
+    own = V @ (form.coefficients[1:k + 1] * g)
+    dual = V.conj() @ (form.conjugates[1:k + 1] * g)
+    return {chi: complex(own[i] - root_number(twist_by_character(form, chi))
+                         * dual[i])
+            for i, chi in enumerate(chars) if not chi.is_trivial}
 
 
 def residue_tensor_square(form: ModularFormData,

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import _xgcd, enumerate_characters, gauss_sum
+from .characters import _xgcd, gauss_sum
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
@@ -26,7 +26,7 @@ from .lseries import (
     eval_form,
     l_value,
     root_number,
-    twist_by_character,
+    twisted_lambda_table,
 )
 from .special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
 
@@ -366,22 +366,22 @@ class XiTable:
 
 
 def xi_bridge_table(form: ModularFormData,
-                    ctl: SeriesControl = DEFAULT_CONTROL) -> XiTable:
+                    ctl: SeriesControl = DEFAULT_CONTROL,
+                    lambda_table: dict | None = None) -> XiTable:
     """Period pairing from twisted central values.
 
     xi(x) = (w / (2 pi (p-1))) sum_chi tau(chibar) chibar(x) L(f, chi, 1)
     over nontrivial characters mod p, xi(infinity) = (w / 2 pi) L(f, 1),
     and xi(0) = -xi(infinity).  The chibar(x) weight is the one that
     agrees with the quadrature route and satisfies the Hecke recursion.
+    L(f, chi, 1) = (2 pi / p) Lambda(f (x) chi, 1), from lambda_table.
     """
     p = form.level
     w = root_number(form)
-    central = {}
-    for chi in enumerate_characters(p):
-        if chi.is_trivial:
-            continue
-        central[chi] = (gauss_sum(chi.conjugate()),
-                        l_value(twist_by_character(form, chi), 1.0, ctl))
+    if lambda_table is None:
+        lambda_table = twisted_lambda_table(form, ctl)
+    central = {chi: (gauss_sum(chi.conjugate()), (TWO_PI / p) * lam)
+               for chi, lam in lambda_table.items()}
     units = {}
     for x in range(1, p):
         acc = 0j

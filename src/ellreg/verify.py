@@ -42,6 +42,7 @@ from .elliptic import (
     torsion_coordinate,
 )
 from .lseries import (
+    _term_count,
     l_value,
     newform_from_curve,
     residue_tensor_square,
@@ -217,6 +218,10 @@ class CurveContext:
     def lambda_table(self) -> dict:
         return twisted_lambda_table(self.form)
 
+    def lambda_terms(self, *levels) -> dict:
+        """The terms lambda_value sums at each level, keyed by its string."""
+        return {str(m): _term_count(m, self.form.nmax) for m in levels}
+
     @cached_property
     def characters(self) -> list:
         """chi_k(g^a) = e(k a / (p - 1)) for the smallest primitive root g,
@@ -255,7 +260,7 @@ class CurveContext:
 
     @cached_property
     def xi(self):
-        return xi_bridge_table(self.form)
+        return xi_bridge_table(self.form, lambda_table=self.lambda_table)
 
     @cached_property
     def node_table(self) -> ArcTable:
@@ -344,7 +349,8 @@ def run_thm8(config=None):
         reports.append(make_report(
             f"thm8:identity:{character_label(chi)}",
             dict(base, character=character_label(chi)),
-            l_two, rhs, tol, prep + time.perf_counter() - t0, trunc))
+            l_two, rhs, tol, prep + time.perf_counter() - t0,
+            dict(trunc, lambda_terms=ctx.lambda_terms(config.level))))
         prep = 0.0
     for chi in evens:
         bar = chi.conjugate()
@@ -370,7 +376,7 @@ def run_cor101(config=None):
     seconds = time.perf_counter() - t0
 
     first = (10.0 * math.pi / 11.0) * dilog[1]
-    diag = dict(trunc)
+    diag = dict(trunc, lambda_terms=config.context.lambda_terms(config.level))
     if abs(l_two / first + 1.0) < 1e-3:
         # A mismatch by exactly -1 means the period lattice orientation
         # (the sign of D_E) is reversed, not a convergence failure.
@@ -438,7 +444,8 @@ def run_thm1(config=None):
         reports.append(make_report(
             f"thm1:identity:{label}", dict(base, character=label),
             l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
-            arc_seconds, trunc, scale=l_two))
+            arc_seconds, dict(trunc, lambda_terms=ctx.lambda_terms(p, p * p)),
+            scale=l_two))
         arc_seconds = 0.0
         reports.append(make_report(
             f"thm1:odd-sweep:{label}", dict(base, character=label),
@@ -461,6 +468,7 @@ def run_thm2(config=None):
     tau, evens, odds = ctx.tau, ctx.evens, ctx.odds
     _, gap = ctx.eta_arcs
     trunc.update(_arc_truncation(gap))
+    trunc["lambda_terms"] = ctx.lambda_terms(p, p * p)
 
     # tau(chi_k chi_j) for even k and odd j; chi_k chi_j = chi_{k+j}.
     mixed = tau[np.add.outer(evens, odds) % (p - 1)]
@@ -477,7 +485,8 @@ def run_thm2(config=None):
         "k,j,kj->", even_one, odd_one, 1.0 / mixed)
     reports.append(make_report(
         "thm2:residue-consistency", base, residue, explicit,
-        _tol(config, TOL_SERIES), time.perf_counter() - t0, trunc))
+        _tol(config, TOL_SERIES), time.perf_counter() - t0,
+        dict(trunc, lambda_terms=ctx.lambda_terms(p * p))))
 
     rhs = (p ** 3 * w / (8.0 * (p + 1) * (p - 1) ** 3 * math.pi ** 2)
            ) * weighted / residue
@@ -510,6 +519,7 @@ def run_thm3(config=None):
     ctx = config.context
     xi, l_one, l_two = ctx.xi, ctx.l_one, ctx.l_two
     prep = time.perf_counter() - t0
+    terms = ctx.lambda_terms(p, p * p)
 
     pairs = [(u, v) for u in range(p) for v in range(p)
              if (u, v) != (0, 0) and math.gcd(math.gcd(u, v), p) == 1]
@@ -523,8 +533,8 @@ def run_thm3(config=None):
             xi.plus(x) + xi.plus(xt) + xi.plus(xt.act(TAU_MAT))))
     reports.append(make_report(
         "thm3:closedness", base, max(worst2, worst3), 0.0,
-        _tol(config, 1e-9), prep + time.perf_counter() - t0, trunc,
-        error_kind="abs"))
+        _tol(config, 1e-9), prep + time.perf_counter() - t0,
+        dict(trunc, lambda_terms=terms), error_kind="abs"))
 
     chars, evens = ctx.characters, ctx.evens
     t0 = time.perf_counter()
@@ -547,7 +557,7 @@ def run_thm3(config=None):
         reports.append(make_report(
             f"thm3:identity:{label}", dict(base, character=label),
             l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
-            seconds, dict(trunc, arc_count=len(keys),
+            seconds, dict(trunc, arc_count=len(keys), lambda_terms=terms,
                           **_arc_truncation(gaps[:, i].max())),
             scale=l_two))
         seconds = 0.0
@@ -559,9 +569,10 @@ def run_thm3(config=None):
             g, delta_one = g_column(3), FiniteMap.delta(p, 1)
             eta = eta_form(delta_one, FiniteMap(p, chihat[0]))
             direct, gap = ctx.node_table.integral(eta, g)
+            exps = {}  # every elementary form shares level, rmax and path
             assembled = sum(
-                chihat[0, b]
-                * arc_integral(eta_form(delta_one, FiniteMap.delta(p, b)), g)
+                chihat[0, b] * arc_integral(
+                    eta_form(delta_one, FiniteMap.delta(p, b)), g, exps=exps)
                 for b in range(p) if abs(chihat[0, b]) > 1e-15)
             reports.append(make_report(
                 f"thm3:eta-linearity:{label}",
@@ -575,7 +586,8 @@ def run_appendix(config=None):
     """Petersson square norm against the tensor-square residue."""
     config = config or VerifyConfig()
     base = _base_inputs(config)
-    trunc = {"lseries_terms": config.terms}
+    trunc = {"lseries_terms": config.terms, "lambda_terms":
+             config.context.lambda_terms(config.level, config.level ** 2)}
     reports = []
 
     t0 = time.perf_counter()
@@ -619,15 +631,16 @@ def run_mahler(config=None):
     l_two = config.context.l_two
     data = mahler_identity_checks(lval=l_two)
     tol = _tol(config, TOL_QUADRATURE)
+    terms = {"lambda_terms": config.context.lambda_terms(config.level)}
     return [
         make_report(
             "mahler:first", dict(base, ratio="77/4pi^2"),
             data["m_first"], (77.0 / (4.0 * math.pi ** 2)) * l_two, tol,
-            data["seconds_first"], data["quadrature_first"]),
+            data["seconds_first"], dict(data["quadrature_first"], **terms)),
         make_report(
             "mahler:second", dict(base, ratio="55/4pi^2"),
             data["m_second"], (55.0 / (4.0 * math.pi ** 2)) * l_two, tol,
-            data["seconds_second"], data["quadrature_second"]),
+            data["seconds_second"], dict(data["quadrature_second"], **terms)),
         make_report(
             "mahler:reciprocal", base, data["reciprocal_err"], 0.0,
             _tol(config, TOL_SERIES), data["seconds_reciprocal"],

@@ -504,3 +504,25 @@ def test_stream_series_match_the_term_by_term_loops(modulus, coeffs):
     # The loops raise e(m / N) to the v-th power, a few ulps per factor.
     assert np.abs(stream.A - A).max() <= 1e-13
     assert np.abs(stream.B - B).max() <= 1e-13
+
+
+def test_elementary_forms_share_the_exponentials_bitwise(monkeypatch):
+    p, g = 17, g_column(3)
+    forms = [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
+             for b in range(p)]
+    alone = [arc_integral(form, g) for form in forms]
+    built = []
+    real = EisensteinStream._exps
+
+    def counting(self, z):
+        built.append(np.size(z))
+        return real(self, z)
+    monkeypatch.setattr(EisensteinStream, "_exps", counting)
+    exps = {}
+    shared = [arc_integral(form, g, exps=exps) for form in forms]
+    assert shared == alone
+    # One table per node count, not one per form and node count.
+    assert sorted(built) == sorted(exps) and len(built) >= 2
+    # Each form still runs its own doubling check.
+    with pytest.raises(RuntimeError):
+        arc_integral(forms[2], g, exps=exps, tol=0.0, max_doublings=1)

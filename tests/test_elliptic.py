@@ -57,6 +57,45 @@ def test_ap_against_brute_force():
             assert a_p(curve, p) == brute_force_ap(curve, p), (curve, p)
 
 
+# Cremona's 11a, 17a and the prime-conductor models 19a .. 101a, as
+# a1, a2, a3, a4, a6, N; each discriminant is +-N^k.
+SWEEP_MODELS = [
+    (0, -1, 1, 0, 0, 11), (1, -1, 1, -1, -14, 17), (0, 1, 1, -9, -15, 19),
+    (0, 0, 1, -1, 0, 37), (0, 1, 1, 0, 0, 43), (1, -1, 1, 0, 0, 53),
+    (1, 0, 0, -2, 1, 61), (0, 1, 1, -12, -21, 67), (1, -1, 0, 4, -3, 73),
+    (1, 1, 1, -2, 0, 79), (1, 1, 1, 1, 0, 83), (1, 1, 1, -1, 0, 89),
+    (0, 1, 1, -1, -1, 101),
+]
+
+
+def point_count_ap(curve, p):
+    """p + 1 - #X(F_p) by counting y-solutions of the completed square
+    (2y + a1 x + a3)^2 = 4 rhs(x) at each x, from a square table."""
+    if p == 2:
+        return brute_force_ap(curve, 2)
+    is_sq = np.zeros(p, dtype=bool)
+    half = np.arange((p + 1) // 2, dtype=np.int64)
+    is_sq[(half * half) % p] = True
+    x = np.arange(p, dtype=np.int64)
+    rhs = (x * x * x % p + curve.a2 * x * x + curve.a4 * x + curve.a6) % p
+    dq = ((curve.a1 * x + curve.a3) ** 2 + 4 * rhs) % p
+    count = 1 + int(np.sum(np.where(dq == 0, 1, np.where(is_sq[dq], 2, 0))))
+    return p + 1 - count
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: "%da" % m[-1])
+def test_ap_legendre_sum_matches_point_count(model):
+    curve = CurveModel(*model)
+    sieve = np.ones(4001, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 64):
+        sieve[d * d::d] = False
+    primes = np.flatnonzero(sieve).tolist()
+    assert len(primes) == 550 and curve.conductor in primes
+    for p in primes:
+        assert a_p(curve, p) == point_count_ap(curve, p), p
+
+
 def test_ap_known_row_11a():
     assert [a_p(CURVE_11A, p) for p in (2, 3, 5, 7, 11, 13)] == [-2, -1, 1, -2, 1, 4]
 

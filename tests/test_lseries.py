@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from ellreg.characters import enumerate_characters, gauss_sum
-from ellreg.elliptic import CURVE_11A, CURVE_17A, a_p
+from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel, a_p
 from ellreg.lseries import (
     ModularFormData,
+    _term_count,
     dirichlet_series_direct,
     eval_form,
     l_value,
@@ -23,7 +24,11 @@ from ellreg.lseries import (
     twist_by_character,
     twisted_lambda_table,
 )
-from ellreg.special import SeriesControl, TruncationError
+from ellreg.special import (
+    SeriesControl,
+    TruncationError,
+    incomplete_gamma_upper_complex,
+)
 
 # Elliptic dilogarithm of the five-torsion point on the conductor-11
 # curve, frozen in test_elliptic from two independent evaluation routes
@@ -245,3 +250,47 @@ def test_residue_exponent_sum_matches_the_character_product_loop(form11):
                 total += table[chi2] * table[chi] / gauss_sum(prod)
     want = (total * 2j * math.pi / (12 * 10 ** 2)).real
     assert residue_tensor_square(form11, lambda_table=table) == want
+
+
+def _term_by_term_lambda(form, s, w):
+    # The scalar loop the batched sums replace: two weights per term,
+    # G_s(x) = x^{-s} Gamma(s, x).
+    def weight(s, x):
+        return incomplete_gamma_upper_complex(s, x) * x ** (-complex(s))
+    c = 2.0 * math.pi / math.sqrt(form.level)
+    total = 0.0 + 0.0j
+    for n in range(1, _term_count(form.level, form.nmax, 1e-13) + 1):
+        total += form.coefficients[n] * weight(s, c * n)
+        total -= w * form.conjugates[n] * weight(2.0 - complex(s), c * n)
+    return total
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 1.3, 1.0 + 0.7j, 0.4 - 2.0j])
+def test_lambda_value_matches_the_term_by_term_loop(form11, chars11, s):
+    tw = twist_by_character(form11, chars11[3])
+    for form in (form11, tw):
+        w = root_number(form)
+        want = _term_by_term_lambda(form, s, w)
+        got = lambda_value(form, s)
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), form.level
+
+
+@pytest.fixture(scope="module", params=[11, 17, 37, 101])
+def prime_form(request):
+    curves = {11: CURVE_11A, 17: CURVE_17A,
+              37: CurveModel(0, 0, 1, -1, 0, 37),
+              101: CurveModel(0, 1, 1, -1, -1, 101)}
+    return newform_from_curve(curves[request.param], 4000)
+
+
+def test_batched_twisted_table_matches_per_twist_values(prime_form):
+    table = twisted_lambda_table(prime_form)
+    chars = enumerate_characters(prime_form.level)
+    assert list(table) == [chi for chi in chars if not chi.is_trivial]
+    want = {chi: lambda_value(twist_by_character(prime_form, chi), 1.0)
+            for chi in table}
+    scale = max(abs(v) for v in want.values())
+    for chi, value in table.items():
+        assert isinstance(value, complex)
+        assert abs(value - want[chi]) <= 1e-14 * scale, chi

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from sympy import Matrix, Rational
 
+from ellreg.characters import enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
 from ellreg.eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from ellreg.lseries import (
@@ -17,6 +18,8 @@ from ellreg.lseries import (
     newform_from_curve,
     residue_tensor_square,
     root_number,
+    twist_by_character,
+    twisted_lambda_table,
 )
 from ellreg.modsym import (
     CuspClass,
@@ -406,3 +409,22 @@ def test_reduction_raises_like_the_scalar_loop(form11):
             reduce(form11, 0.1 + 1j, w, threshold=10.0)
     with pytest.raises(RuntimeError, match="exceeded"):
         _reduce_points(11, [0.2 + 2j, z], w, 0.7 / 11, max_steps=steps)
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A, CurveModel(0, 0, 1, -1, 0, 37)],
+                         ids=["11a", "37a"])
+def test_xi_from_the_twisted_table_matches_per_twist_central_values(curve):
+    form = newform_from_curve(curve, nmax=4000)
+    p = curve.conductor
+    table = twisted_lambda_table(form)
+    xi = xi_bridge_table(form, lambda_table=table)
+    assert xi.units == xi_bridge_table(form).units
+    # The central values summed one twist at a time.
+    w = root_number(form)
+    central = {chi: l_value(twist_by_character(form, chi), 1.0)
+               for chi in enumerate_characters(p) if not chi.is_trivial}
+    want = {x: w * sum(gauss_sum(chi.conjugate()) * complex(chi(x)).conjugate()
+                       * value for chi, value in central.items())
+            / (2 * math.pi * (p - 1)) for x in range(1, p)}
+    scale = max(abs(v) for v in want.values())
+    assert max(abs(xi.units[x] - want[x]) for x in want) <= 1e-14 * scale

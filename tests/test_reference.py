@@ -1,0 +1,110 @@
+"""L-values against a 30-digit reference built with mpmath.
+
+The reference repeats the smoothed sum Lambda(g, s) = sum a_n G_s(cn)
+- w sum b_n G_{2-s}(cn), G_s(x) = x^{-s} Gamma(s, x), with mpmath's
+incomplete gamma at 30 digits, summed until the tail is below 1e-32,
+and measures each root number w from the q-expansions at 30 digits.
+Only the Hecke eigenvalues and the character exponents come from the
+package.  mpmath is a test-only dependency.
+"""
+
+import functools
+import math
+
+import pytest
+
+from ellreg.characters import enumerate_characters
+from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
+from ellreg.lseries import l_value, newform_from_curve, twisted_lambda_table
+
+mpmath = pytest.importorskip("mpmath")
+
+CURVES = {
+    "11a": CURVE_11A,
+    "17a": CURVE_17A,
+    "43a": CurveModel(0, 1, 1, 0, 0, 43),
+    "101a": CurveModel(0, 1, 1, -1, -1, 101),
+}
+
+
+def _terms(rate):
+    # e^{-rate n} below 1e-32 beyond n: the series tails at 30 digits.
+    return int(math.ceil(75.0 / rate)) + 1
+
+
+def _root_number(a, b, level):
+    """w from g(-1/(M z)) = w M z^2 gbar(z) at z = 1.13 i / sqrt(M)."""
+    y = mpmath.mpf("1.13") / mpmath.sqrt(level)
+
+    def series(coeffs, height):
+        q = mpmath.exp(-2 * mpmath.pi * height)
+        total, qn = mpmath.mpc(0), mpmath.mpf(1)
+        for n in range(1, _terms(2 * math.pi * height)):
+            qn *= q
+            total += coeffs[n] * qn
+        return total
+    return -series(a, 1 / (level * y)) / (level * y * y * series(b, y))
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(level, s):
+    """G_s(cn) and G_{2-s}(cn), c = 2 pi / sqrt(level), up to the tail."""
+    c = 2 * mpmath.pi / mpmath.sqrt(level)
+    return [(mpmath.gammainc(s, c * n) * (c * n) ** (-s),
+             mpmath.gammainc(2 - s, c * n) * (c * n) ** (s - 2))
+            for n in range(1, _terms(float(c)))]
+
+
+def _completed(a, b, level, s):
+    """Lambda(g, s) for coefficient lists a (the form) and b (partner)."""
+    w = _root_number(a, b, level)
+    return mpmath.fsum(a[n] * g_s - w * b[n] * g_dual
+                       for n, (g_s, g_dual) in enumerate(_weights(level, s),
+                                                         start=1))
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_l_two_against_the_30_digit_reference(name):
+    curve = CURVES[name]
+    form = newform_from_curve(curve, 4000)
+    a = [mpmath.mpf(int(v.real)) for v in form.coefficients]
+    n = curve.conductor
+    with mpmath.workdps(30):
+        want = _completed(a, a, n, 2) * 4 * mpmath.pi ** 2 / n
+        assert abs(mpmath.im(want)) < mpmath.mpf("1e-28")
+        want = float(mpmath.re(want))
+    got = l_value(form, 2.0)
+    assert abs(got.imag) < 1e-15
+    assert abs(got.real - want) <= 1e-13 * abs(want), (got, want)
+
+
+def test_twisted_table_against_the_30_digit_reference():
+    p = 37
+    form = newform_from_curve(CurveModel(0, 0, 1, -1, 0, p), 4000)
+    table = twisted_lambda_table(form)
+    # The slowest series is the root number's, at height 1 / (1.13 p).
+    a = [int(v.real) for v in form.coefficients[:_terms(2 * math.pi
+                                                        / (1.13 * p))]]
+    want = {}
+    with mpmath.workdps(30):
+        for chi in enumerate_characters(p):
+            if chi.is_trivial:
+                continue
+            roots = [mpmath.expjpi(mpmath.mpf(2 * e) / chi.order)
+                     for e in range(chi.order)]
+            values = [0 if chi.exponent_at(n) is None
+                      else roots[chi.exponent_at(n)] for n in range(p)]
+            own = [a[n] * values[n % p] for n in range(len(a))]
+            dual = [mpmath.conj(v) for v in own]
+            want[chi] = complex(_completed(own, dual, p * p, 1))
+    assert list(table) == list(want)
+    scale = max(abs(v) for v in want.values())
+    vanishing = 0
+    for chi, value in want.items():
+        err = abs(table[chi] - value)
+        if abs(value) < 1e-10 * scale:
+            vanishing += 1
+            assert err <= 1e-13, chi
+        else:
+            assert err <= 1e-13 * abs(value), chi
+    assert vanishing < len(want)

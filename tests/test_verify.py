@@ -282,3 +282,87 @@ def test_context_arrays_are_indexed_by_exponent():
     arcs, gap = ctx.eta_arcs
     assert arcs.shape == (16, 17) and 0.0 <= gap < 1e-10
     assert not arcs[ctx.odds].any() and not arcs[:, 0].any()
+
+
+CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
+
+
+@pytest.fixture(scope="module")
+def c37_run():
+    """thm1, thm2 and appendix on one 37a config, as the scaling case
+    runs them, with every incomplete-gamma call counted and the length
+    of every weight vector the L-values sum recorded by level."""
+    import ellreg.lseries as lseries
+    import ellreg.special as special
+
+    calls = [0]
+    summed = set()
+    with pytest.MonkeyPatch.context() as mp:
+        real_gamma = special.incomplete_gamma_upper
+
+        def counting(*args):
+            calls[0] += 1
+            return real_gamma(*args)
+        mp.setattr(special, "incomplete_gamma_upper", counting)
+        real_weights = lseries._weights
+
+        def recording(s, level, k):
+            summed.add((level, k))
+            return real_weights(s, level, k)
+        mp.setattr(lseries, "_weights", recording)
+        config = resolve_config(curve=CURVE_37A)
+        rows = [r for name in ("thm1", "thm2", "appendix")
+                for r in SUITES[name](config)]
+    return rows, calls[0], summed
+
+
+def test_c37_context_makes_few_incomplete_gamma_calls(c37_run):
+    rows, calls, _ = c37_run
+    assert all(r.passed for r in rows)
+    # One weight vector per level and exponent; 35,012 calls when every
+    # twist and every term had its own.
+    assert 0 < calls < 1000
+
+
+def test_rows_record_the_lambda_terms_actually_summed(c37_run):
+    rows, _, summed = c37_run
+    both = {"37": 38, "1369": 249}
+    assert summed == {(37, 38), (1369, 249)}
+    want = {"thm1:identity": both, "thm2:residue-consistency":
+            {"1369": 249}, "thm2:via-residue": both,
+            "thm2:residue-free": both, "appendix": both}
+    for r in rows:
+        key = next((k for k in want if r.check.startswith(k)), None)
+        assert r.truncation.get("lambda_terms") == want.get(key), r.check
+        assert r.truncation["lseries_terms"] == 4000
+
+
+def test_l_two_rows_record_the_level_p_terms(thm8_reports):
+    for r in thm8_reports:
+        if r.check.startswith("thm8:identity"):
+            assert r.truncation["lambda_terms"] == {"11": 19}
+        else:
+            assert "lambda_terms" not in r.truncation
+
+
+def test_xi_after_the_twisted_table_sums_no_twist_again(monkeypatch):
+    import ellreg.lseries as lseries
+    import ellreg.modsym as modsym
+
+    calls = []
+
+    def recording(module, name, tag):
+        real = getattr(module, name)
+
+        def wrapped(form, *args, **kwargs):
+            calls.append((tag, form.level))
+            return real(form, *args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    recording(lseries, "lambda_value", "lambda_value")
+    recording(modsym, "twisted_lambda_table", "table")
+    ctx = resolve_config(curve=CURVE_37A).context
+    ctx.lambda_table
+    del calls[:]
+    ctx.xi
+    # Only xi(infinity) = (w / 2 pi) L(f, 1) is summed, at level 37.
+    assert calls == [("lambda_value", 37)]
