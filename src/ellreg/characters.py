@@ -10,6 +10,9 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .special import periodic_bernoulli2
 
@@ -341,13 +344,39 @@ class FiniteMap:
         )
 
 
-@lru_cache(maxsize=None)
 def gauss_sum(chi) -> complex:
-    """tau(chi) = sum_a chi(a) e^{2 pi i a / N}, memoized per character."""
+    """tau(chi) = sum_a chi(a) e^{2 pi i a / N}."""
     n = chi.modulus
     return sum(
         chi(a) * cmath.exp(2j * math.pi * a / n) for a in range(1, n)
     )
+
+
+class CharacterTable(NamedTuple):
+    """The characters mod a prime p, indexed by their exponent k.
+
+    chi_k(g^a) = e(k a / (p - 1)) for the smallest primitive root g, so
+    chi_j chi_k = chi_{j+k}, conj chi_k = chi_{-k}, chi_0 is trivial and
+    chi_k is even exactly when k is.  values[k, a] = chi_k(a) for
+    a = 0 .. p - 1 and tau[k] = tau(chi_k); both arrays are read-only.
+    """
+
+    characters: tuple
+    values: np.ndarray
+    tau: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def character_table(p: int) -> CharacterTable:
+    """The exponent-indexed characters mod the prime p, built once."""
+    if not _is_prime(p):
+        raise ValueError(f"character tables need a prime modulus, not {p}")
+    # enumerate_characters runs one exponent over the one generator.
+    chars = tuple(enumerate_characters(p))
+    values = np.array([[chi(a) for a in range(p)] for chi in chars])
+    tau = np.array([gauss_sum(chi) for chi in chars])
+    values.flags.writeable = tau.flags.writeable = False
+    return CharacterTable(chars, values, tau)
 
 
 def fourier_transform(f: FiniteMap) -> FiniteMap:

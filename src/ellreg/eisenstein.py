@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -676,16 +675,3 @@ def _divisor_sums(u, N, qpow):
         t += (phase * m) @ q
     return s, t
 
-
-_ARC_TABLES = {}
-_ARC_TABLES_LOCK = threading.Lock()
-
-
-def arc_table(modulus: int, rmax: int) -> ArcTable:
-    """The process-wide ArcTable of a level and truncation, built once on
-    first use; concurrent callers wait for the one build."""
-    with _ARC_TABLES_LOCK:
-        table = _ARC_TABLES.get((modulus, rmax))
-        if table is None:
-            table = _ARC_TABLES[(modulus, rmax)] = ArcTable(modulus, rmax)
-    return table

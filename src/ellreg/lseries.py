@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import DirichletCharacter, enumerate_characters, gauss_sum
+from .characters import DirichletCharacter, character_table
 from .elliptic import CurveModel, an_coefficients
 from .special import (
     DEFAULT_CONTROL,
@@ -333,48 +333,46 @@ def rankin_convolution_check(form: ModularFormData,
 
 
 def twisted_lambda_table(form: ModularFormData,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> dict:
-    """Lambda(f (x) chi, 1) for every nontrivial character mod the level.
+                         ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+    """Lambda[k] = Lambda(f (x) chi_k, 1) by character exponent, nan at k = 0.
 
     Every twist has level p^2 and so the same weights G_1(cn); with
-    V[k, n] = chi_k(n), the sums over n are two matrix products.
+    the character values chi_k(n), the sums over n are two matrix
+    products.  Only the root numbers are measured per twist.
     """
     p = form.level
-    chars = enumerate_characters(p)
+    chars, values, _ = character_table(p)
     k = _term_count(p * p, form.nmax, ctl.abs_tol)
     g = _weights(1.0, p * p, k)
-    V = np.array([[chi(a) for a in range(p)] for chi in chars])
-    V = V[:, np.arange(1, k + 1) % p]
+    V = values[:, np.arange(1, k + 1) % p]
     own = V @ (form.coefficients[1:k + 1] * g)
     dual = V.conj() @ (form.conjugates[1:k + 1] * g)
-    return {chi: complex(own[i] - root_number(twist_by_character(form, chi))
-                         * dual[i])
-            for i, chi in enumerate(chars) if not chi.is_trivial}
+    return np.array([math.nan] + [
+        own[i] - root_number(twist_by_character(form, chars[i])) * dual[i]
+        for i in range(1, p - 1)])
 
 
 def residue_tensor_square(form: ModularFormData,
                           ctl: SeriesControl = DEFAULT_CONTROL,
-                          lambda_table: dict | None = None) -> float:
+                          lambda_table: np.ndarray | None = None) -> float:
     """Residue of L(f (x) f, s) at s = 2 for prime-level trivial-character f.
 
     (2 pi i / ((N+1)(N-1)^2)) sum Lambda(f x chi',1) Lambda(f x chi,1)
     / tau(chi chi') over ordered pairs of primitive characters mod N
-    with chi chi' odd.
+    with chi chi' odd.  With chi = chi_j and chi' = chi_k that is
+    chi_{j+k}, odd exactly when j + k is.
     """
     n = form.level
     if lambda_table is None:
         lambda_table = twisted_lambda_table(form, ctl)
-    # enumerate_characters(n)[k] is chi_k(g^a) = e(k a / (n - 1)), so
-    # chi_j chi_k = chi_{j+k}, and chi_k is odd exactly when k is.
-    chars = enumerate_characters(n)
-    exponent = {chi: k for k, chi in enumerate(chars)}
-    total = 0.0 + 0.0j
-    for chi in lambda_table:
-        for chi2 in lambda_table:
-            k = (exponent[chi] + exponent[chi2]) % (n - 1)
-            if k % 2:
-                total += (lambda_table[chi2] * lambda_table[chi]
-                          / gauss_sum(chars[k]))
+    lam = lambda_table[1:]
+    j = np.arange(1, n - 1)
+    pair = np.add.outer(j, j) % (n - 1)
+    # einsum rounds each product as scalar complex arithmetic does, and
+    # the running sum adds the terms in pair order, as a loop over the
+    # pairs would.
+    terms = np.einsum("j,k->jk", lam, lam) / character_table(n).tau[pair]
+    total = np.cumsum(terms[pair % 2 == 1])[-1]
     value = total * 2j * math.pi / ((n + 1) * (n - 1) ** 2)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise RuntimeError("residue came out non-real: %r" % value)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import _xgcd, gauss_sum
+from .characters import _xgcd, character_table
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
@@ -70,14 +70,16 @@ def enumerate_symbols(level: int) -> list:
     return out
 
 
-def matrix_lift(x: SymbolIndex) -> UnimodularMatrix:
+def matrix_lift(x, level: int | None = None) -> UnimodularMatrix:
     """Canonical unimodular matrix with bottom row (u, v) mod N.
 
-    The bottom row is the smallest congruent coprime pair with
+    x is a SymbolIndex, or a pair (u, v) of order N = level.  The bottom
+    row is the smallest congruent coprime pair with
     0 <= c <= N and d >= min allowed, and the top row is reduced so that
     0 <= a < c whenever c > 0.  Deterministic, so paths are reproducible.
     """
-    n, u, v = x.level, x.u, x.v
+    n, u, v = ((x.level, x.u, x.v) if level is None
+               else (level, x[0] % level, x[1] % level))
     for c in (u, u + n):
         if c == 0:
             if v == 1 % n:
@@ -334,27 +336,27 @@ class XiTable:
     """Values of the period pairing of a prime-level rational newform.
 
     The pairing is homogeneous, so it lives on the projective classes
-    u/v; pairs of smaller order evaluate to zero.
+    u/v: units[x] is its value at u/v = x, at_infinity its value at
+    v = 0 and -at_infinity at u = 0.  values[u, v] holds it on every
+    pair, 0 at the pair (0, 0) of smaller order, and plus_values[u, v]
+    the even part xi^+(u, v) = (xi(u, v) + xi(-u, v)) / 2.
     """
 
     def __init__(self, level: int, at_infinity: complex, units: dict):
-        self.level = level
+        self.level = p = level
         self.at_infinity = at_infinity
         self.units = dict(units)
+        by_class = np.array([-at_infinity] + [units[x] for x in range(1, p)])
+        inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+        u, v = np.indices((p, p))
+        self.values = by_class[u * inverse[v] % p]
+        self.values[1:, 0] = at_infinity
+        self.values[0, 0] = 0.0
+        self.plus_values = 0.5 * (self.values + self.values[-u % p, v])
 
     def __call__(self, pair) -> complex:
-        if isinstance(pair, SymbolIndex):
-            u, v = pair.pair
-        else:
-            u, v = pair[0] % self.level, pair[1] % self.level
-        if u == 0 and v == 0:
-            return 0.0
-        if v % self.level == 0:
-            return self.at_infinity
-        x = (u * pow(v, -1, self.level)) % self.level
-        if x == 0:
-            return -self.at_infinity
-        return self.units[x]
+        u, v = pair.pair if isinstance(pair, SymbolIndex) else pair
+        return complex(self.values[u % self.level, v % self.level])
 
     def plus(self, pair) -> complex:
         u, v = pair if not isinstance(pair, SymbolIndex) else pair.pair
@@ -364,32 +366,41 @@ class XiTable:
         u, v = pair if not isinstance(pair, SymbolIndex) else pair.pair
         return 0.5 * (self((u, v)) - self((-u, v)))
 
+    def closedness(self):
+        """The largest defects of Manin's relations on xi^+ over all pairs:
+        |xi^+(x) + xi^+(x sigma)| with sigma: (u, v) -> (v, -u), and
+        |xi^+(x) + xi^+(x tau) + xi^+(x tau^2)| with tau: (u, v) ->
+        (v, -u - v).  The pair (0, 0) reads 0 in both."""
+        p, plus = self.level, self.plus_values
+        u, v = np.indices((p, p))
+        two = plus + plus[v, -u % p]
+        three = plus + plus[v, (-u - v) % p] + plus[(-u - v) % p, u]
+        # np.hypot rounds as abs() of a Python complex does; np.abs may not.
+        return tuple(np.hypot(d.real, d.imag).max() for d in (two, three))
+
 
 def xi_bridge_table(form: ModularFormData,
                     ctl: SeriesControl = DEFAULT_CONTROL,
-                    lambda_table: dict | None = None) -> XiTable:
+                    lambda_table: np.ndarray | None = None) -> XiTable:
     """Period pairing from twisted central values.
 
-    xi(x) = (w / (2 pi (p-1))) sum_chi tau(chibar) chibar(x) L(f, chi, 1)
-    over nontrivial characters mod p, xi(infinity) = (w / 2 pi) L(f, 1),
+    xi(x) = (w / (2 pi (p-1))) sum_k tau(chi_-k) conj(chi_k(x)) L(f, chi_k, 1)
+    over the nontrivial exponents k, xi(infinity) = (w / 2 pi) L(f, 1),
     and xi(0) = -xi(infinity).  The chibar(x) weight is the one that
     agrees with the quadrature route and satisfies the Hecke recursion.
-    L(f, chi, 1) = (2 pi / p) Lambda(f (x) chi, 1), from lambda_table.
+    L(f, chi_k, 1) = (2 pi / p) Lambda[k], from lambda_table.
     """
     p = form.level
     w = root_number(form)
     if lambda_table is None:
         lambda_table = twisted_lambda_table(form, ctl)
-    central = {chi: (gauss_sum(chi.conjugate()), (TWO_PI / p) * lam)
-               for chi, lam in lambda_table.items()}
-    units = {}
-    for x in range(1, p):
-        acc = 0j
-        for chi, (tau_bar, lval) in central.items():
-            acc += tau_bar * complex(chi(x)).conjugate() * lval
-        units[x] = w * acc / (TWO_PI * (p - 1))
+    _, values, tau = character_table(p)
+    k = np.arange(1, p - 1)
+    central = tau[-k] * (TWO_PI / p) * lambda_table[k]
+    units = w * np.einsum("kx,k->x", values[k, 1:].conj(), central
+                          ) / (TWO_PI * (p - 1))
     at_inf = w * l_value(form, 1.0, ctl) / TWO_PI
-    return XiTable(p, at_inf, units)
+    return XiTable(p, at_inf, dict(enumerate(units.tolist(), start=1)))
 
 
 def _reduce_points(p: int, z, w: complex, threshold: float,
@@ -473,7 +484,9 @@ def _eval_points(form: ModularFormData, z: np.ndarray, conj: np.ndarray,
     out = np.empty(z.shape, dtype=complex)
     for flag, coefficients in ((False, form.coefficients),
                                (True, form.conjugates)):
-        for k in np.unique(counts[conj == flag]):
+        # The distinct counts, found without np.unique: its 1-d form
+        # imports numpy.ma.
+        for k in np.flatnonzero(np.bincount(counts[conj == flag])):
             idx = np.flatnonzero((counts == k) & (conj == flag))
             n = np.arange(1, k + 1)
             # ceil(size k / 2^16) blocks, so at most 1 MB of exponentials
@@ -483,7 +496,7 @@ def _eval_points(form: ModularFormData, z: np.ndarray, conj: np.ndarray,
     return out
 
 
-def period_integral_oracle(form: ModularFormData, x: SymbolIndex,
+def period_integral_oracle(form: ModularFormData, x,
                            ctl: SeriesControl = DEFAULT_CONTROL,
                            nodes: int = 32, panel: float = 3.0,
                            quadrature: dict | None = None) -> complex:
@@ -493,13 +506,14 @@ def period_integral_oracle(form: ModularFormData, x: SymbolIndex,
     ends are cusps, reached through the substitution t -> 1/t and
     reduced evaluation of every node of the path at once.  A given
     quadrature dict is filled with the node and panel counts, the
-    cut-off tmax and the most reduction moves any node took.
+    cut-off tmax and the most reduction moves any node took.  x is a
+    SymbolIndex or a pair (u, v) of order the level.
     """
-    if form.level != x.level:
-        raise ValueError("level mismatch between form and symbol")
     p = form.level
+    if getattr(x, "level", p) != p:
+        raise ValueError("level mismatch between form and symbol")
     w = root_number(form)
-    g = matrix_lift(x)
+    g = matrix_lift(getattr(x, "pair", x), p)
     tmax = p * math.log(1.0 / ctl.abs_tol) / TWO_PI + 4.0
     cuts = [1.0]
     while cuts[-1] < tmax:
@@ -529,10 +543,8 @@ def petersson(xi1: XiTable, xi2: XiTable) -> complex:
     if xi1.level != xi2.level:
         raise ValueError("level mismatch")
     n = xi1.level
-    acc = 0j
-    for u in range(n):
-        for v in range(n):
-            left = xi1((u, v)) * np.conj(xi2((v, -u - v)))
-            right = xi1((v, -u - v)) * np.conj(xi2((u, v)))
-            acc += left - right
-    return acc * 1j / (12.0 * (n * n - 1))
+    u, v = np.indices((n, n))
+    turned = (v, (-u - v) % n)  # (u, v) -> (v, -u - v) on every pair
+    acc = np.sum(xi1.values * np.conj(xi2.values[turned])
+                 - xi1.values[turned] * np.conj(xi2.values))
+    return complex(acc * 1j / (12.0 * (n * n - 1)))

@@ -20,13 +20,11 @@ from .characters import (
     FiniteMap,
     _is_prime,
     character_label,
-    enumerate_characters,
-    gauss_sum,
+    character_table,
 )
 from .eisenstein import (
     ArcTable,
     arc_integral,
-    arc_table,
     eta_chi,
     eta_form,
     g_column,
@@ -51,9 +49,6 @@ from .lseries import (
 )
 from .mahler import mahler_identity_checks
 from .modsym import (
-    SIGMA,
-    TAU_MAT,
-    SymbolIndex,
     matrix_lift,
     period_integral_oracle,
     petersson,
@@ -196,7 +191,7 @@ class CurveContext:
     Each is computed on first use and then kept, so a run of every
     suite builds the newform, the twisted table and the rest once.
     Characters are exponents: the arrays below are indexed by k in
-    Z/(p - 1), the character chi_k = characters[k].
+    Z/(p - 1), the character chi_k of characters.character_table(p).
     """
 
     def __init__(self, config: VerifyConfig):
@@ -215,7 +210,8 @@ class CurveContext:
         return root_number(self.form)
 
     @cached_property
-    def lambda_table(self) -> dict:
+    def lambda_table(self) -> np.ndarray:
+        """Lambda(f (x) chi_k, 1) by exponent k; nan at k = 0."""
         return twisted_lambda_table(self.form)
 
     def lambda_terms(self, *levels) -> dict:
@@ -223,28 +219,9 @@ class CurveContext:
         return {str(m): _term_count(m, self.form.nmax) for m in levels}
 
     @cached_property
-    def characters(self) -> list:
-        """chi_k(g^a) = e(k a / (p - 1)) for the smallest primitive root g,
-        so chi_j chi_k = chi_{j+k}, conj chi_k = chi_{-k}, and chi_k is
-        even exactly when k is."""
-        return enumerate_characters(self.p)
-
-    @cached_property
-    def values(self):
-        """values[k, a] = chi_k(a) for a = 0 .. p - 1."""
-        return np.array([[chi(a) for a in range(self.p)]
-                         for chi in self.characters])
-
-    @cached_property
-    def tau(self):
-        """The Gauss sums tau(chi_k)."""
-        return np.array([gauss_sum(chi) for chi in self.characters])
-
-    @cached_property
     def l_one(self):
         """The twisted central values L(f, chi_k, 1); nan at k = 0."""
-        return (2.0 * math.pi / self.p) * np.array([
-            self.lambda_table.get(chi, math.nan) for chi in self.characters])
+        return (2.0 * math.pi / self.p) * self.lambda_table
 
     @cached_property
     def l_two(self) -> float:
@@ -264,7 +241,7 @@ class CurveContext:
 
     @cached_property
     def node_table(self) -> ArcTable:
-        return arc_table(self.p, suggested_rmax(self.p, math.sqrt(3) / 2))
+        return ArcTable(self.p, suggested_rmax(self.p, math.sqrt(3) / 2))
 
     @cached_property
     def eta_arcs(self):
@@ -272,13 +249,13 @@ class CurveContext:
         for every even nontrivial k and v = 1 .. p - 1 (0 elsewhere), and
         the worst node gap among them."""
         p, evens = self.p, self.evens
+        chi = character_table(p).values
         # eta_chi pairs chi(a) E*_(0,a) with conj chi(b) E*_(0,b), and
         # g_v sends (0, a) to (a, a v).
         a = np.arange(1, p)
         pairs = np.stack(np.broadcast_arrays(a, np.multiply.outer(a, a)), -1)
         values, gaps = self.node_table.integrals(
-            pairs, pairs, self.values[evens, 1:],
-            self.values[(-evens) % (p - 1), 1:])
+            pairs, pairs, chi[evens, 1:], chi[-evens, 1:])
         arcs = np.zeros((p - 1, p), dtype=complex)
         arcs[evens, 1:] = values.T
         return arcs, gaps.max()
@@ -292,9 +269,10 @@ class CurveContext:
         theorem hold at machine precision for every even character at
         p = 11 and 17.
         """
+        _, values, tau = character_table(self.p)
         bar = (-np.arange(self.p - 1)) % (self.p - 1)
         arcs, _ = self.eta_arcs
-        return self.tau[bar] * np.einsum("kv,jv->kj", arcs, self.values[bar])
+        return tau[bar] * np.einsum("kv,jv->kj", arcs, values[bar])
 
     @cached_property
     def residue(self) -> float:
@@ -336,30 +314,31 @@ def run_thm8(config=None):
     dilog, l_two = ctx.dilog, ctx.l_two
     prep = time.perf_counter() - t0
 
-    evens = [ctx.characters[k] for k in ctx.evens]
+    p = config.level
+    chars = character_table(p).characters
     values = {}
-    for chi in evens:
+    for k in ctx.evens:
+        chi = chars[k]
         t0 = time.perf_counter()
         zeta = complex(chi(3))
         ratio = (1.0 + 3.0 * (zeta + zeta.conjugate())) / (zeta - zeta.conjugate())
         # The a = 0 term drops out: D_E vanishes at the origin.
         rhs = (20.0 * math.pi / 121.0) * ratio * sum(
             zeta ** a * dilog[a] for a in range(1, 5))
-        values[chi] = rhs
+        values[k] = rhs
         reports.append(make_report(
             f"thm8:identity:{character_label(chi)}",
             dict(base, character=character_label(chi)),
             l_two, rhs, tol, prep + time.perf_counter() - t0,
             dict(trunc, lambda_terms=ctx.lambda_terms(config.level))))
         prep = 0.0
-    for chi in evens:
-        bar = chi.conjugate()
-        if bar in values and character_label(chi) < character_label(bar):
-            reports.append(make_report(
-                f"thm8:conjugation:{character_label(chi)}",
-                dict(base, character=character_label(chi)),
-                values[chi], values[bar], _tol(config, 1e-10), 0.0,
-                trunc, error_kind="abs"))
+    # One row per conjugate pair {chi_k, chi_-k}, at the smaller exponent.
+    for k in ctx.evens[ctx.evens < (-ctx.evens) % (p - 1)]:
+        label = character_label(chars[k])
+        reports.append(make_report(
+            f"thm8:conjugation:{label}", dict(base, character=label),
+            values[k], values[(-k) % (p - 1)], _tol(config, 1e-10), 0.0,
+            trunc, error_kind="abs"))
     return reports
 
 
@@ -416,12 +395,13 @@ def run_thm1(config=None):
         _tol(config, TOL_SERIES), time.perf_counter() - t0,
         {"lseries_terms": config.terms}, error_kind="abs"))
 
-    chars, evens, odds = ctx.characters, ctx.evens, ctx.odds
+    chars, _, tau = character_table(p)
+    evens, odds = ctx.evens, ctx.odds
     t0 = time.perf_counter()
     _, gap = ctx.eta_arcs
     coef = ctx.arc_coefficients
     prefactor = p * w / (8j * math.pi * (p - 1))
-    rhs = prefactor * ctx.tau[evens] * np.einsum(
+    rhs = prefactor * tau[evens] * np.einsum(
         "kj,j->k", coef[np.ix_(evens, evens)], l_one[evens])
     sweep = np.abs(coef[np.ix_(evens, odds)]).max(axis=1)
     arc_seconds = time.perf_counter() - t0
@@ -429,7 +409,7 @@ def run_thm1(config=None):
     t0 = time.perf_counter()
     eta, label = eta_chi(chars[evens[0]]), character_label(chars[evens[0]])
     (inf_arc, inf_gap), (zero_arc, zero_gap) = (
-        ctx.node_table.integral(eta, matrix_lift(SymbolIndex(p, *x)))
+        ctx.node_table.integral(eta, matrix_lift(x, p))
         for x in ((1, 0), (0, 1)))
     trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13,
              "arc_count": len(evens) * (p - 1),
@@ -465,7 +445,7 @@ def run_thm2(config=None):
     t0 = time.perf_counter()
     ctx = config.context
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
-    tau, evens, odds = ctx.tau, ctx.evens, ctx.odds
+    tau, evens, odds = character_table(p).tau, ctx.evens, ctx.odds
     _, gap = ctx.eta_arcs
     trunc.update(_arc_truncation(gap))
     trunc["lambda_terms"] = ctx.lambda_terms(p, p * p)
@@ -521,31 +501,26 @@ def run_thm3(config=None):
     prep = time.perf_counter() - t0
     terms = ctx.lambda_terms(p, p * p)
 
-    pairs = [(u, v) for u in range(p) for v in range(p)
-             if (u, v) != (0, 0) and math.gcd(math.gcd(u, v), p) == 1]
     t0 = time.perf_counter()
-    worst2 = worst3 = 0.0
-    for u, v in pairs:
-        x = SymbolIndex(p, u, v)
-        xt = x.act(TAU_MAT)
-        worst2 = max(worst2, abs(xi.plus(x) + xi.plus(x.act(SIGMA))))
-        worst3 = max(worst3, abs(
-            xi.plus(x) + xi.plus(xt) + xi.plus(xt.act(TAU_MAT))))
     reports.append(make_report(
-        "thm3:closedness", base, max(worst2, worst3), 0.0,
+        "thm3:closedness", base, max(xi.closedness()), 0.0,
         _tol(config, 1e-9), prep + time.perf_counter() - t0,
         dict(trunc, lambda_terms=terms), error_kind="abs"))
 
-    chars, evens = ctx.characters, ctx.evens
+    chars, values, _ = character_table(p)
+    evens = ctx.evens
     t0 = time.perf_counter()
-    # One arc per class {x, -x}, weighted by xi^+(x) + xi^+(-x).  The lift
-    # of x has bottom row x mod p: it pulls E*_(0,b) back to E*_(b x).
-    keys = np.array([x for x in pairs if x <= ((-x[0]) % p, (-x[1]) % p)])
-    weight = np.array([xi.plus((u, v)) + xi.plus((-u, -v))
-                       for u, v in keys.tolist()])
+    # One arc per class {x, -x}, weighted by xi^+(x) + xi^+(-x), x the
+    # pairs but (0, 0) in order with x before -x.  The lift of x has
+    # bottom row x mod p: it pulls E*_(0,b) back to E*_(b x).
+    u, v = np.divmod(np.arange(1, p * p), p)
+    first = (u < -u % p) | ((u == -u % p) & (v <= -v % p))
+    u, v = u[first], v[first]
+    keys = np.stack([u, v], -1)
+    weight = xi.plus_values[u, v] + xi.plus_values[-u % p, -v % p]
     residues = np.arange(p)
     # chihat[i, b] = sum_v chi_k(v) e(-b v / p) for k = evens[i].
-    chihat = np.einsum("kv,bv->kb", ctx.values[evens], np.exp(
+    chihat = np.einsum("kv,bv->kb", values[evens], np.exp(
         -2j * math.pi * (np.multiply.outer(residues, residues) % p) / p))
     arcs, gaps = ctx.node_table.integrals(
         keys[:, None, :], residues[:, None] * keys[:, None, :],
@@ -612,12 +587,11 @@ def run_appendix(config=None):
     picks = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
     for u, v in picks:
         t0 = time.perf_counter()
-        x = SymbolIndex(p, u % p, v % p)
         quad = {}
-        direct = period_integral_oracle(form, x, quadrature=quad)
+        direct = period_integral_oracle(form, (u, v), quadrature=quad)
         reports.append(make_report(
             f"appendix:xi-oracle:{u},{v}", dict(base, symbol=[u, v]),
-            xi(x), direct, _tol(config, 1e-7),
+            xi.values[u % p, v % p], direct, _tol(config, 1e-7),
             time.perf_counter() - t0,
             dict(trunc, quadrature_nodes=32, **quad), error_kind="abs"))
     return reports

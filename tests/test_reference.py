@@ -97,11 +97,11 @@ def test_twisted_table_against_the_30_digit_reference():
             own = [a[n] * values[n % p] for n in range(len(a))]
             dual = [mpmath.conj(v) for v in own]
             want[chi] = complex(_completed(own, dual, p * p, 1))
-    assert list(table) == list(want)
+    assert len(table) == len(want) + 1
     scale = max(abs(v) for v in want.values())
     vanishing = 0
-    for chi, value in want.items():
-        err = abs(table[chi] - value)
+    for k, (chi, value) in enumerate(want.items(), start=1):
+        err = abs(table[k] - value)
         if abs(value) < 1e-10 * scale:
             vanishing += 1
             assert err <= 1e-13, chi

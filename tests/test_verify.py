@@ -4,7 +4,12 @@ import math
 
 import pytest
 
-from ellreg.characters import DirichletCharacter, character_label, gauss_sum
+from ellreg.characters import (
+    DirichletCharacter,
+    character_label,
+    character_table,
+    gauss_sum,
+)
 from ellreg.eisenstein import ArcTable
 from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
 from ellreg.verify import (
@@ -237,7 +242,7 @@ def test_odd_sweep_reads_every_odd_coefficient():
     coef[ctx.evens[2], ctx.odds[-1]] = 1e-3
     ctx.arc_coefficients = coef
     failed = [r.check for r in run_thm1(config) if not r.passed]
-    label = character_label(ctx.characters[ctx.evens[2]])
+    label = character_label(character_table(17).characters[ctx.evens[2]])
     assert failed == [f"thm1:odd-sweep:{label}"]
 
 
@@ -269,15 +274,15 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
 
 def test_context_arrays_are_indexed_by_exponent():
     ctx = resolve_config(level=17).context
-    chars = ctx.characters
+    chars, values, tau = character_table(17)
     assert list(ctx.evens) == [k for k, c in enumerate(chars)
                                if c.is_even and not c.is_trivial]
     assert list(ctx.odds) == [k for k, c in enumerate(chars) if c.is_odd]
     for k, chi in enumerate(chars):
-        assert list(ctx.values[k]) == [chi(a) for a in range(17)]
-        assert ctx.tau[k] == gauss_sum(chi)
+        assert list(values[k]) == [chi(a) for a in range(17)]
+        assert tau[k] == gauss_sum(chi)
         if k:
-            assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[chi]
+            assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[k]
     assert math.isnan(ctx.l_one[0].real)
     arcs, gap = ctx.eta_arcs
     assert arcs.shape == (16, 17) and 0.0 <= gap < 1e-10
@@ -366,3 +371,33 @@ def test_xi_after_the_twisted_table_sums_no_twist_again(monkeypatch):
     ctx.xi
     # Only xi(infinity) = (w / 2 pi) L(f, 1) is summed, at level 37.
     assert calls == [("lambda_value", 37)]
+
+
+def test_level_generic_suites_read_arrays_not_objects(monkeypatch):
+    import ellreg.characters as characters
+    import ellreg.modsym as modsym
+
+    config = resolve_config(level=17)
+    config.context
+    # A cold character table, so that its build is counted too.
+    characters.character_table.cache_clear()
+    counts = {}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            counts[owner.__name__, name] = counts.get(
+                (owner.__name__, name), 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for name in ("__eq__", "__hash__", "__mul__"):
+        counting(DirichletCharacter, name)
+    for name in ("__call__", "plus"):
+        counting(modsym.XiTable, name)
+    counting(modsym.SymbolIndex, "__init__")
+    rows = [r for name in ("thm1", "thm2", "thm3", "appendix")
+            for r in SUITES[name](config)]
+    assert len(rows) == 36 and all(r.passed for r in rows)
+    assert counts == {}
