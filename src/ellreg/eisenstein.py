@@ -13,7 +13,8 @@ The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams and integrated along geodesics with
 Gauss-Legendre panels and node doubling.  Along the arc rho -> rho^2,
 which every suite integrates over, a per-level node table of the single
-pairs E*_(u,v) turns each pulled-back arc into sparse dot products.
+pairs E*_(u,v) turns the pulled-back arcs of a suite into one bilinear
+contraction of its rows.
 """
 
 from __future__ import annotations
@@ -519,12 +520,12 @@ class ArcTable:
     nodes of the arc rho -> rho^2, at 64 and at 128 nodes.
 
     E*_x is real, so d_zbar E*_x = conj(d_z E*_x) is not stored, and
-    E*_{-x} = E*_x, so one row serves the pair {x, -x}.  E*_F is linear
-    in F and pulling eta back by g only moves divisor entries, so any
-    pulled-back eta(l, m) integrates as a sparse combination of rows
-    (integral) or, for many arcs at once, as a bilinear pairing of rows
-    (integrals).  The rows follow the EisensteinStream expansion
-    truncated at rmax, summed from the divisor pairs (k, m), k m <= rmax.
+    E*_{-x} = E*_x, so one row serves the pair {x, -x}; keys[i] is the
+    pair of row i.  E*_F is linear in F and pulling eta back by g only
+    moves divisor entries, so many pulled-back eta(l, m) integrate at
+    once as a bilinear pairing of rows (integrals).  The rows follow the
+    EisensteinStream expansion truncated at rmax, summed from the divisor
+    pairs (k, m), k m <= rmax.
     """
 
     NODES = (64, 128)
@@ -557,7 +558,7 @@ class ArcTable:
         index[own] = np.arange(np.count_nonzero(own))
         index[~own] = index[neg[~own]]
         self._index = index.reshape(N, N)
-        keys = np.stack([u[own], v[own]], axis=1)
+        self.keys = keys = np.stack([u[own], v[own]], axis=1)
 
         c_log = -math.pi / N**2
         V = np.empty((len(keys), z.size))
@@ -589,53 +590,33 @@ class ArcTable:
         i = self._index[x[0] % self.modulus, x[1] % self.modulus]
         return self._V[i], self._D[i]
 
-    def _combine(self, divisor: PairDivisor, g: UnimodularMatrix):
-        """E*_F, d_z E*_F and d_zbar E*_F at the nodes, F = divisor g."""
-        N = self.modulus
-        pairs = np.array(list(divisor.coeffs), dtype=np.int64).reshape(-1, 2)
-        c = np.array(list(divisor.coeffs.values()), dtype=complex)
-        u, v = pairs[:, 0], pairs[:, 1]
-        rows = self._index[(u * g.a + v * g.c) % N, (u * g.b + v * g.d) % N]
-        V, D = self._V[rows], self._D[rows]
-        return [np.einsum("i,in->n", c, a) for a in (V, D, D.conj())]
-
-    def integral(self, form: EtaForm, g: UnimodularMatrix = IDENTITY,
-                 tol: float = 1e-10):
-        """(value, gap) of the integral of form along g(rho) -> g(rho^2).
-
-        The value uses 128 nodes and gap is its distance to the 64-node
-        value; like integrate_one_form, raises if the gap is not below
-        tol * max(1, |value|).
-        """
-        if (form.left.modulus, form.rmax) != (self.modulus, self.rmax):
-            raise ValueError("form does not match the table's level and rmax")
-        vl, dl, dbl = self._combine(form.left, g)
-        vm, dm, dbm = self._combine(form.right, g)
-        f = ((vl * dm - vm * dl) * self._wdz
-             - (vl * dbm - vm * dbl) * self._wdz.conj())
-        n = self.NODES[0]
-        value = complex(f[n:].sum())
-        gap = abs(value - complex(f[:n].sum()))
-        if gap >= tol * max(1.0, abs(value)):
-            raise RuntimeError("quadrature failed to settle below tolerance")
-        return value, gap
-
     # Doubles per gathered array of a block: its four arrays take 1 MB.
     BLOCK = 2**15
 
-    def integrals(self, left, right, left_weights, right_weights,
+    def integrals(self, bottom, left_weights, right_weights,
                   tol: float = 1e-10):
-        """(values, gaps)[s, k] of arc s of eta(l, m) pulled back to
-        l = sum_i left_weights[k, i] E*_left[s, i] and m likewise on the
-        right; left and right hold pairs (u, v) in their last axis.
+        """(values, gaps)[s, k] of eta(l_k, m_k) along g_s(rho) -> g_s(rho^2)
+        for the lifts g_s of bottom rows bottom[s] = (c, d), where
+        l_k = sum_a left_weights[k, a] E*_(0,a) over a in Z/N and m_k
+        likewise on the right.
 
-        The weights contract the pairing J[x, y] = i (V_x . X_y - V_y . X_x)
-        of gathered rows at each node count; values, gaps and the
-        RuntimeError follow integral entry by entry."""
+        g_s pulls E*_(0,a) back to E*_(a c, a d), so arc s pairs the rows
+        of a (c, d); a multiplier a whose weight is exactly 0 for every k
+        is skipped.  The weights contract the pairing
+        J[x, y] = i (V_x . X_y - V_y . X_x) of gathered rows at each node
+        count.  The values use 128 nodes and the gaps are their distances
+        to the 64-node values; like integrate_one_form, raises if a gap is
+        not below tol * max(1, |value|)."""
         N = self.modulus
-        left, right = np.asarray(left) % N, np.asarray(right) % N
-        lrows = self._index[left[..., 0], left[..., 1]]
-        rrows = self._index[right[..., 0], right[..., 1]]
+        bottom = np.asarray(bottom)
+
+        def gather(weights):
+            a = np.flatnonzero(np.any(weights != 0, axis=0))
+            pairs = np.multiply.outer(bottom, a) % N
+            return self._index[pairs[:, 0], pairs[:, 1]], weights[:, a]
+
+        lrows, left_weights = gather(np.asarray(left_weights))
+        rrows, right_weights = gather(np.asarray(right_weights))
         n = self.NODES[0]
         step = max(1, self.BLOCK // (self._V.shape[1] * max(
             lrows.shape[1], rrows.shape[1])))

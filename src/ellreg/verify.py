@@ -25,7 +25,6 @@ from .characters import (
 from .eisenstein import (
     ArcTable,
     arc_integral,
-    eta_chi,
     eta_form,
     g_column,
     suggested_rmax,
@@ -48,12 +47,7 @@ from .lseries import (
     twisted_lambda_table,
 )
 from .mahler import mahler_identity_checks
-from .modsym import (
-    matrix_lift,
-    period_integral_oracle,
-    petersson,
-    xi_bridge_table,
-)
+from .modsym import period_integral_oracle, petersson, xi_bridge_table
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
 TOL_QUADRATURE = 1e-6  # checks that integrate along geodesics or tori
@@ -177,10 +171,17 @@ def resolve_config(level=None, curve=None, tolerance=None,
     if rest != 1:
         raise ValueError(f"discriminant {disc} is not +-{n}^k: the model "
                          f"has bad reduction at a prime other than {n}")
+    # With the discriminant +-N^k, N not dividing c4 makes the reduction
+    # at N multiplicative, so that the conductor is exactly N.
+    c4 = curve.c_invariants[0]
+    if c4 % n == 0:
+        raise ValueError(f"{n} divides c4 = {c4}: the model has additive "
+                         f"reduction at {n} or is not minimal there")
     if terms < 100:
         raise ValueError("need at least 100 series terms")
-    if tolerance is not None and tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if tolerance is not None and not (math.isfinite(tolerance)
+                                      and tolerance > 0):
+        raise ValueError("tolerance must be positive and finite")
     return VerifyConfig(curve=curve, level=n, tolerance=tolerance,
                         terms=terms)
 
@@ -245,19 +246,18 @@ class CurveContext:
 
     @cached_property
     def eta_arcs(self):
-        """arcs[k, v], the integral of eta_chi_k over the standard arc g_v
-        for every even nontrivial k and v = 1 .. p - 1 (0 elsewhere), and
-        the worst node gap among them."""
+        """arcs[k, v], the integral of eta_chi_k over the standard arc
+        g_v = g_column(v) for v = 0 .. p - 1 (g_0 is sigma) and over the
+        identity's arc at v = p, for every even nontrivial k (0 at the
+        other k), and the worst node gap among them."""
         p, evens = self.p, self.evens
         chi = character_table(p).values
-        # eta_chi pairs chi(a) E*_(0,a) with conj chi(b) E*_(0,b), and
-        # g_v sends (0, a) to (a, a v).
-        a = np.arange(1, p)
-        pairs = np.stack(np.broadcast_arrays(a, np.multiply.outer(a, a)), -1)
+        # eta_chi pairs chi(a) E*_(0,a) with conj chi(b) E*_(0,b).
+        bottom = [(1, v) for v in range(p)] + [(0, 1)]
         values, gaps = self.node_table.integrals(
-            pairs, pairs, chi[evens, 1:], chi[-evens, 1:])
-        arcs = np.zeros((p - 1, p), dtype=complex)
-        arcs[evens, 1:] = values.T
+            bottom, chi[evens], chi[-evens])
+        arcs = np.zeros((p - 1, p + 1), dtype=complex)
+        arcs[evens] = values.T
         return arcs, gaps.max()
 
     @cached_property
@@ -272,7 +272,7 @@ class CurveContext:
         _, values, tau = character_table(self.p)
         bar = (-np.arange(self.p - 1)) % (self.p - 1)
         arcs, _ = self.eta_arcs
-        return tau[bar] * np.einsum("kv,jv->kj", arcs, values[bar])
+        return tau[bar] * np.einsum("kv,jv->kj", arcs[:, :-1], values[bar])
 
     @cached_property
     def residue(self) -> float:
@@ -398,7 +398,7 @@ def run_thm1(config=None):
     chars, _, tau = character_table(p)
     evens, odds = ctx.evens, ctx.odds
     t0 = time.perf_counter()
-    _, gap = ctx.eta_arcs
+    arcs, gap = ctx.eta_arcs
     coef = ctx.arc_coefficients
     prefactor = p * w / (8j * math.pi * (p - 1))
     rhs = prefactor * tau[evens] * np.einsum(
@@ -406,18 +406,15 @@ def run_thm1(config=None):
     sweep = np.abs(coef[np.ix_(evens, odds)]).max(axis=1)
     arc_seconds = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    eta, label = eta_chi(chars[evens[0]]), character_label(chars[evens[0]])
-    (inf_arc, inf_gap), (zero_arc, zero_gap) = (
-        ctx.node_table.integral(eta, matrix_lift(x, p))
-        for x in ((1, 0), (0, 1)))
+    # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
+    # and the identity.
+    label = character_label(chars[evens[0]])
     trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13,
-             "arc_count": len(evens) * (p - 1),
-             **_arc_truncation(max(gap, inf_gap, zero_gap))}
+             "arc_count": len(evens) * (p - 1), **_arc_truncation(gap)}
     reports.append(make_report(
         f"thm1:cusp-arcs:{label}", dict(base, character=label),
-        max(abs(inf_arc), abs(zero_arc)), 0.0, _tol(config, 1e-9),
-        time.perf_counter() - t0, trunc, error_kind="abs"))
+        np.abs(arcs[evens[0], [0, p]]).max(), 0.0, _tol(config, 1e-9),
+        0.0, trunc, error_kind="abs"))
 
     for i, k in enumerate(evens):
         label = character_label(chars[k])
@@ -510,21 +507,18 @@ def run_thm3(config=None):
     chars, values, _ = character_table(p)
     evens = ctx.evens
     t0 = time.perf_counter()
-    # One arc per class {x, -x}, weighted by xi^+(x) + xi^+(-x), x the
-    # pairs but (0, 0) in order with x before -x.  The lift of x has
-    # bottom row x mod p: it pulls E*_(0,b) back to E*_(b x).
-    u, v = np.divmod(np.arange(1, p * p), p)
-    first = (u < -u % p) | ((u == -u % p) & (v <= -v % p))
-    u, v = u[first], v[first]
-    keys = np.stack([u, v], -1)
+    # One arc per class {x, -x} but that of (0, 0), over the lift with
+    # bottom row x, weighted by xi^+(x) + xi^+(-x).
+    keys = ctx.node_table.keys[1:]
+    u, v = keys.T
     weight = xi.plus_values[u, v] + xi.plus_values[-u % p, -v % p]
     residues = np.arange(p)
     # chihat[i, b] = sum_v chi_k(v) e(-b v / p) for k = evens[i].
     chihat = np.einsum("kv,bv->kb", values[evens], np.exp(
         -2j * math.pi * (np.multiply.outer(residues, residues) % p) / p))
-    arcs, gaps = ctx.node_table.integrals(
-        keys[:, None, :], residues[:, None] * keys[:, None, :],
-        np.ones((len(evens), 1)), chihat)
+    delta_one = np.zeros((len(evens), p))
+    delta_one[:, 1] = 1.0
+    arcs, gaps = ctx.node_table.integrals(keys, delta_one, chihat)
     rhs = (p * 1j / 4.0) * np.einsum("s,sk->k", weight, arcs)
     seconds = time.perf_counter() - t0
     for i, k in enumerate(evens):
@@ -537,23 +531,23 @@ def run_thm3(config=None):
             scale=l_two))
         seconds = 0.0
         if i == 0:
-            # The node-table arc of eta(delta_1, chihat) must match the
-            # chihat-weighted sum of per-arc quadratures of the elementary
-            # forms eta(delta_1, delta_b).
+            # The contraction's arc of eta(delta_1, chihat) over g_column(3)
+            # must match the chihat-weighted sum of stream quadratures of
+            # the elementary forms eta(delta_1, delta_b).
             t0 = time.perf_counter()
-            g, delta_one = g_column(3), FiniteMap.delta(p, 1)
-            eta = eta_form(delta_one, FiniteMap(p, chihat[0]))
-            direct, gap = ctx.node_table.integral(eta, g)
+            s = np.flatnonzero((keys == (1, 3)).all(axis=1))[0]
             exps = {}  # every elementary form shares level, rmax and path
             assembled = sum(
                 chihat[0, b] * arc_integral(
-                    eta_form(delta_one, FiniteMap.delta(p, b)), g, exps=exps)
+                    eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),
+                    g_column(3), exps=exps)
                 for b in range(p) if abs(chihat[0, b]) > 1e-15)
             reports.append(make_report(
                 f"thm3:eta-linearity:{label}",
-                dict(base, character=label), direct, assembled,
+                dict(base, character=label), arcs[s, 0], assembled,
                 _tol(config, 1e-9), time.perf_counter() - t0,
-                dict(trunc, **_arc_truncation(gap)), error_kind="abs"))
+                dict(trunc, **_arc_truncation(gaps[s, 0])),
+                error_kind="abs"))
     return reports
 
 

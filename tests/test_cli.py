@@ -76,6 +76,11 @@ def test_verify_all_skips_suites_that_need_conductor_11(capsys):
     (["--curve", "0,0,0,0,0,11"], 2, "singular"),
     (["--curve", "0,-1,1,0,0,13"], 2, "does not divide the discriminant"),
     (["--terms", "100"], 3, "need more coefficients"),
+    (["--tolerance", "nan"], 2, "positive and finite"),
+    (["--tolerance", "inf"], 2, "positive and finite"),
+    # Conductors 32 and 27, with discriminants 2^6 and -3^3.
+    (["--curve", "0,0,0,-1,0,2"], 2, "additive reduction at 2"),
+    (["--curve", "0,0,1,0,0,3"], 2, "additive reduction at 3"),
 ])
 def test_bad_inputs_give_one_line(argv, code, words, capsys):
     assert main(["verify", "thm1"] + argv) == code
@@ -84,6 +89,14 @@ def test_bad_inputs_give_one_line(argv, code, words, capsys):
     assert len(lines) == 1 and lines[0].startswith("ellreg: ")
     assert words in lines[0]
     assert captured.out == ""
+
+
+def test_unwritable_out_file_gives_one_line(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "r.json"
+    assert main(["verify", "cor101", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellreg: ")
+    assert "No such file or directory" in lines[0]
 
 
 def test_wrong_conductor_is_rejected_up_front(capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from ellreg.characters import FiniteMap, enumerate_characters, fourier_transform
 from ellreg.eisenstein import (
+    IDENTITY,
     RHO,
     RHO2,
     ArcTable,
@@ -292,37 +293,81 @@ def test_pair_divisor_algebra():
     assert scaled.coeffs == {(1, 2): 1.0}
 
 
-def _worst_oracle_diff(form, lifts):
-    """Largest |table arc - arc_integral| over the lifts."""
-    table = arc_table(form.left.modulus, form.rmax)
-    worst = 0.0
-    for g in lifts:
-        value, _ = table.integral(form, g)
-        worst = max(worst, abs(value - arc_integral(form, g)))
-    return worst
+def _character_weights(chars):
+    """The divisors of each eta_chi as integrals weights over Z/p:
+    left[k, a] = chi_k(a) and right[k, a] = conj chi_k(a)."""
+    p = chars[0].modulus
+    left = np.array([[chi(a) for a in range(p)] for chi in chars])
+    right = np.array([[chi.conjugate()(a) for a in range(p)] for chi in chars])
+    return left, right
+
+
+def _contract(table, lifts, left, right):
+    values, gaps = table.integrals([(g.c, g.d) for g in lifts], left, right)
+    assert values.shape == gaps.shape == (len(lifts), len(left))
+    return values, gaps
+
+
+def _assert_values_match_arc_integral(table, forms, lifts, left, right):
+    """The contraction of the lifts' bottom rows under the weights gives,
+    arc by arc, the value of arc_integral."""
+    values, _ = _contract(table, lifts, left, right)
+    exps = {}  # every form shares the table's level, rmax and path
+    for k, form in enumerate(forms):
+        for s, g in enumerate(lifts):
+            assert abs(values[s, k] - arc_integral(form, g, exps=exps)) <= 1e-13
+
+
+def _assert_gaps_match_the_stream_rule(table, forms, lifts, left, right):
+    """The contraction's 128-node values and 64-vs-128-node gaps are those
+    of stream quadrature at 64 nodes with one doubling."""
+    values, gaps = _contract(table, lifts, left, right)
+    exps = {}
+    for k, form in enumerate(forms):
+        for s, g in enumerate(lifts):
+            value, gap = integrate_eta_geodesic(
+                form.pullback(g), RHO, RHO2, nodes=64, max_doublings=1,
+                exps=exps)
+            assert abs(values[s, k] - value) <= 1e-13
+            assert abs(gaps[s, k] - gap) <= 1e-13
+
+
+def _column_arcs(p):
+    """thm1's arcs at level p: eta_chi of every even character over every
+    column g_v, g_0 = sigma included, and the identity."""
+    evens = [chi for chi in enumerate_characters(p) if chi.is_even]
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    lifts = [g_column(v) for v in range(p)] + [IDENTITY]
+    return (table, [eta_chi(chi) for chi in evens], lifts,
+            *_character_weights(evens))
 
 
 @pytest.mark.parametrize("p", [11, 17])
 def test_arc_table_matches_arc_integral_on_every_column(p):
-    columns = [g_column(v) for v in range(1, p)]
-    for chi in enumerate_characters(p):
-        if chi.is_even:
-            assert _worst_oracle_diff(eta_chi(chi), columns) <= 1e-13
+    _assert_values_match_arc_integral(*_column_arcs(p))
+
+
+@pytest.mark.parametrize("p", [11, 17])
+def test_arc_contraction_matches_integral_on_every_column(p):
+    _assert_gaps_match_the_stream_rule(*_column_arcs(p))
+
+
+def _sample_arcs_at_37():
+    p = 37
+    evens = [c for c in enumerate_characters(p)
+             if c.is_even and not c.is_trivial][::6]
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    lifts = [g_column(v) for v in (0, 1, 5, 18, 36)] + [IDENTITY]
+    return (table, [eta_chi(chi) for chi in evens], lifts,
+            *_character_weights(evens))
 
 
 def test_arc_table_matches_arc_integral_at_37():
-    p = 37
-    evens = [c for c in enumerate_characters(p)
-             if c.is_even and not c.is_trivial]
-    columns = [g_column(v) for v in (1, 5, 18, 36)]
-    for chi in evens[::6]:
-        assert _worst_oracle_diff(eta_chi(chi), columns) <= 1e-13
-    # The thm3 form on the symbol lifts, whose matrices reach past N.
-    chihat = fourier_transform(FiniteMap.from_character(evens[0]))
-    form = eta_form(FiniteMap.delta(p, 1), chihat)
-    lifts = [matrix_lift(SymbolIndex(p, u, v))
-             for u, v in [(1, 0), (0, 1), (3, 7), (20, 11), (36, 2)]]
-    assert _worst_oracle_diff(form, lifts) <= 1e-13
+    _assert_values_match_arc_integral(*_sample_arcs_at_37())
+
+
+def test_arc_contraction_matches_integral_at_37():
+    _assert_gaps_match_the_stream_rule(*_sample_arcs_at_37())
 
 
 def test_arc_table_rows_match_closed_forms():
@@ -340,63 +385,9 @@ def test_arc_table_rows_match_closed_forms():
             assert abs(d_z[j] - (dx - 1j * dy) / (4 * h)) < 1e-7
 
 
-def test_arc_table_raises_when_node_counts_disagree():
-    chi = [c for c in enumerate_characters(N) if c.order == 5][0]
-    form = eta_chi(chi)
-    table = arc_table(N, form.rmax)
-    value, gap = table.integral(form, g_column(2))
-    assert gap < 1e-10 * max(1.0, abs(value))
-    # The table route never builds the form's Eisenstein streams.
-    assert "_streams" not in vars(form)
-    with pytest.raises(RuntimeError):
-        table.integral(form, g_column(2), tol=0.0)
-    with pytest.raises(ValueError):
-        table.integral(eta_chi(chi, y_min=0.5), g_column(2))
-
-
-def _column_arcs(p):
-    """The arcs g_v of every even eta_chi as integrals arguments: the
-    pairs (a, a v) for v, a = 1 .. p - 1 and the values chi(a) and
-    conj chi(a)."""
-    evens = [chi for chi in enumerate_characters(p) if chi.is_even]
-    a = np.arange(1, p)
-    pairs = np.stack(np.broadcast_arrays(a, np.multiply.outer(a, a)), -1)
-    left = np.array([[chi(b) for b in a] for chi in evens])
-    right = np.array([[chi.conjugate()(b) for b in a] for chi in evens])
-    return evens, pairs, left, right
-
-
-@pytest.mark.parametrize("p", [11, 17])
-def test_arc_contraction_matches_integral_on_every_column(p):
-    evens, pairs, left, right = _column_arcs(p)
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    values, gaps = table.integrals(pairs, pairs, left, right)
-    assert values.shape == gaps.shape == (p - 1, len(evens))
-    for k, chi in enumerate(evens):
-        eta = eta_chi(chi)
-        for v in range(1, p):
-            value, gap = table.integral(eta, g_column(v))
-            assert abs(values[v - 1, k] - value) <= 1e-13
-            assert abs(gaps[v - 1, k] - gap) <= 1e-13
-
-
-def test_arc_contraction_matches_integral_at_37():
-    p = 37
-    evens, pairs, left, right = _column_arcs(p)
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    columns = [1, 5, 18, 36]
-    values, _ = table.integrals(pairs[[v - 1 for v in columns]],
-                                pairs[[v - 1 for v in columns]],
-                                left[::6], right[::6])
-    for k, chi in enumerate(evens[::6]):
-        for s, v in enumerate(columns):
-            value, _ = table.integral(eta_chi(chi), g_column(v))
-            assert abs(values[s, k] - value) <= 1e-13
-
-
 def test_arc_contraction_matches_integral_on_symbol_lifts():
-    # thm3's arcs: delta_1 pulls back to the bottom row (c, d) of each
-    # lift and delta_b to (b c, b d); the rows reach past N.
+    # thm3's arcs: eta(delta_1, chihat) on symbol lifts whose bottom rows
+    # reach past N.
     p = 37
     evens = [c for c in enumerate_characters(p)
              if c.is_even and not c.is_trivial][::4]
@@ -404,47 +395,63 @@ def test_arc_contraction_matches_integral_on_symbol_lifts():
                for chi in evens]
     lifts = [matrix_lift(SymbolIndex(p, u, v)) for u, v in
              [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
-    bottom = np.array([(g.c, g.d) for g in lifts])[:, None, :]
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    values, gaps = table.integrals(
-        bottom, np.arange(p)[:, None] * bottom, np.ones((len(evens), 1)),
-        np.array([chihat.values for chihat in chihats]))
-    for k, chihat in enumerate(chihats):
-        eta = eta_form(FiniteMap.delta(p, 1), chihat)
-        for s, g in enumerate(lifts):
-            value, gap = table.integral(eta, g)
-            assert abs(values[s, k] - value) <= 1e-13
-            assert abs(gaps[s, k] - gap) <= 1e-13
+    delta_one = FiniteMap.delta(p, 1)
+    arcs = (arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)),
+            [eta_form(delta_one, chihat) for chihat in chihats], lifts,
+            np.array([delta_one.values] * len(evens)),
+            np.array([chihat.values for chihat in chihats]))
+    _assert_values_match_arc_integral(*arcs)
+    _assert_gaps_match_the_stream_rule(*arcs)
+
+
+def test_arc_contraction_never_reads_a_zero_weight_multiplier():
+    # chi(0) = 0 for every character, so the multiplier 0, whose pair is
+    # (0, 0) on every arc, has an all-zero weight column: poisoning its
+    # row must change nothing, bitwise.
+    table, _, lifts, left, right = _column_arcs(N)
+    poisoned = copy.copy(table)
+    poisoned._V, poisoned._X = table._V.copy(), table._X.copy()
+    assert list(table.keys[0]) == [0, 0]
+    poisoned._V[0] = poisoned._X[0] = np.nan
+    whole = _contract(table, lifts, left, right)
+    for got, want in zip(_contract(poisoned, lifts, left, right), whole):
+        assert np.array_equal(got, want)
+    # A column that is 0 for one weighting only is still read for the
+    # others.
+    left = left.copy()
+    left[0, 2] = 0.0
+    values, _ = _contract(table, lifts, left, right)
+    assert np.allclose(values[:, 1:], whole[0][:, 1:], rtol=0.0, atol=1e-15)
 
 
 def test_arc_contraction_raises_when_node_counts_disagree():
-    evens, pairs, left, right = _column_arcs(N)
-    table = arc_table(N, suggested_rmax(N, math.sqrt(3) / 2))
+    table, _, lifts, left, right = _column_arcs(N)
+    bottom = [(g.c, g.d) for g in lifts]
+    fine, _ = table.integrals(bottom, left, right)
     with pytest.raises(RuntimeError):
-        table.integrals(pairs, pairs, left, right, tol=0.0)
-    # With the 64-node columns zeroed, both routes must still take the
-    # values from the 128 nodes, and the gaps become those values.
+        table.integrals(bottom, left, right, tol=0.0)
+    # With the 64-node columns zeroed the values must still come from the
+    # 128 nodes, and the gaps become those values.
     coarse = copy.copy(table)
     coarse._V, coarse._D, coarse._X = (
         rows.copy() for rows in (table._V, table._D, table._X))
     for rows in (coarse._V, coarse._D, coarse._X):
         rows[:, :ArcTable.NODES[0]] = 0.0
-    values, gaps = coarse.integrals(pairs, pairs, left, right, tol=np.inf)
+    with pytest.raises(RuntimeError):
+        coarse.integrals(bottom, left, right)
+    values, gaps = coarse.integrals(bottom, left, right, tol=np.inf)
+    assert np.array_equal(values, fine)
     assert np.array_equal(gaps, np.abs(values)) and np.abs(values).max() > 0
-    for k, chi in enumerate(evens):
-        value, _ = coarse.integral(eta_chi(chi), g_column(4), tol=np.inf)
-        assert abs(values[3, k] - value) <= 1e-13
 
 
 def test_arc_contraction_does_not_depend_on_the_block_size(monkeypatch):
     p = 17
-    _, pairs, left, right = _column_arcs(p)
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    whole = table.integrals(pairs, pairs, left, right)
+    table, _, lifts, left, right = _column_arcs(p)
+    whole = _contract(table, lifts, left, right)
     # One arc per block, then blocks of 3 with a shorter last one.
     for block in (1, 3 * table.nodes.size * (p - 1)):
         monkeypatch.setattr(ArcTable, "BLOCK", block)
-        parts = table.integrals(pairs, pairs, left, right)
+        parts = _contract(table, lifts, left, right)
         for got, want in zip(parts, whole):
             assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 

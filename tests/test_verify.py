@@ -89,6 +89,22 @@ def test_resolve_config():
         resolve_config(tolerance=-1.0)
 
 
+# The registered curves and Cremona's models 19a to 101a: prime
+# conductor N, discriminant +-N^k.
+PRIME_CONDUCTOR_MODELS = [
+    (0, -1, 1, 0, 0, 11), (1, -1, 1, -1, -14, 17), (0, 1, 1, -9, -15, 19),
+    (0, 0, 1, -1, 0, 37), (0, 1, 1, 0, 0, 43), (1, -1, 1, 0, 0, 53),
+    (1, 0, 0, -2, 1, 61), (0, 1, 1, -12, -21, 67), (1, -1, 0, 4, -3, 73),
+    (1, 1, 1, -2, 0, 79), (1, 1, 1, 1, 0, 83), (1, 1, 1, -1, 0, 89),
+    (0, 1, 1, -1, -1, 101),
+]
+
+
+@pytest.mark.parametrize("coeffs", PRIME_CONDUCTOR_MODELS)
+def test_prime_conductor_models_resolve(coeffs):
+    assert resolve_config(curve=CurveModel(*coeffs)).level == coeffs[-1]
+
+
 def test_tolerance_override_applies_everywhere():
     reports = run_cor101(resolve_config(tolerance=1e-16))
     assert all(r.tolerance == 1e-16 for r in reports)
@@ -247,18 +263,24 @@ def test_odd_sweep_reads_every_odd_coefficient():
 
 
 def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
-    counts = {"__mul__": 0, "integral": 0}
+    import ellreg.verify as verify
+
+    counts = {"__mul__": 0, "integrals": 0, "arc_integral": 0}
+    bottoms = []
 
     def counting(owner, name):
         real = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
             counts[name] += 1
+            if name == "integrals":
+                bottoms.append([tuple(b) for b in args[1]])
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
     counting(DirichletCharacter, "__mul__")
-    counting(ArcTable, "integral")
+    counting(ArcTable, "integrals")
+    counting(verify, "arc_integral")
     config = resolve_config(level=17)
     calls = {}
     # thm2 first, so that it builds the shared context, residue included.
@@ -266,10 +288,18 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
         before = dict(counts)
         SUITES[name](config)
         calls[name] = {k: counts[k] - before[k] for k in counts}
-    # thm1's two cusp arcs and thm3's linearity row are per-arc oracles.
-    assert calls == {"thm2": {"__mul__": 0, "integral": 0},
-                     "thm1": {"__mul__": 0, "integral": 2},
-                     "thm3": {"__mul__": 0, "integral": 1}}
+    # One contraction for the context's eta_chi arcs, cusp arcs included,
+    # and one for thm3; only thm3's linearity oracle integrates arc by
+    # arc, one stream quadrature per elementary form eta(delta_1, delta_b),
+    # b = 1 .. 16.
+    assert calls == {"thm2": {"__mul__": 0, "integrals": 1, "arc_integral": 0},
+                     "thm1": {"__mul__": 0, "integrals": 0, "arc_integral": 0},
+                     "thm3": {"__mul__": 0, "integrals": 1,
+                              "arc_integral": 16}}
+    # The bottom rows of g_column(v), v = 0 .. 16, and of the identity;
+    # then every table key but (0, 0), (1, 3) among them.
+    assert bottoms[0] == [(1, v) for v in range(17)] + [(0, 1)]
+    assert bottoms[1] == [tuple(x) for x in config.context.node_table.keys[1:]]
 
 
 def test_context_arrays_are_indexed_by_exponent():
@@ -285,8 +315,8 @@ def test_context_arrays_are_indexed_by_exponent():
             assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[k]
     assert math.isnan(ctx.l_one[0].real)
     arcs, gap = ctx.eta_arcs
-    assert arcs.shape == (16, 17) and 0.0 <= gap < 1e-10
-    assert not arcs[ctx.odds].any() and not arcs[:, 0].any()
+    assert arcs.shape == (16, 18) and 0.0 <= gap < 1e-10
+    assert not arcs[ctx.odds].any() and not arcs[0].any()
 
 
 CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
