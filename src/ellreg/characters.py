@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +115,12 @@ def _unit_group(n):
     return tuple(gens)
 
 
+def _exponent_tuples(orders):
+    """Every tuple (k_1, ..., k_r) with 0 <= k_i < orders[i], the first
+    entry running fastest."""
+    return [t[::-1] for t in product(*map(range, reversed(orders)))]
+
+
 @lru_cache(maxsize=None)
 def _dlog_tables(n):
     """Discrete logs of every unit mod n on the generator tuple.
@@ -123,27 +130,13 @@ def _dlog_tables(n):
     CRT component.  Moduli here are tiny, brute force is fine.
     """
     gens = _unit_group(n)
-    units = [a for a in range(n) if math.gcd(a, n) == 1]
-    # Enumerate the full product group once, recording exponent tuples.
     logs = {}
-    orders = [m for _, m in gens]
-    total = 1
-    for m in orders:
-        total *= m
-    choices = [0] * len(gens)
-    for _ in range(total):
+    for choices in _exponent_tuples([m for _, m in gens]):
         val = 1
         for (g, _), k in zip(gens, choices):
             val = val * pow(g, k, n) % n
-        logs[val] = tuple(choices)
-        i = 0
-        while i < len(choices):
-            choices[i] += 1
-            if choices[i] < orders[i]:
-                break
-            choices[i] = 0
-            i += 1
-    assert len(logs) == len(units), "generators do not span the unit group"
+        logs[val] = choices
+    assert len(logs) == _totient(n), "generators do not span the unit group"
     return logs
 
 
@@ -164,17 +157,10 @@ class DirichletCharacter:
         self.order = order
         assert len(self._exp) == modulus
         self._cache = None
-        # Exponents as fractions of a full turn, in lowest terms: the
-        # identity behind __eq__ and __hash__, fixed since chi is immutable.
-        key = []
-        for e in self._exp:
-            if e is None:
-                key.append(None)
-            else:
-                g = math.gcd(e, order)
-                key.append((e // g, order // g))
-        self._reduced_key = tuple(key)
-        self._hash = hash((modulus, self._reduced_key))
+        # order is the true order, so (modulus, order, exponents) is the
+        # identity behind __eq__ and __hash__.
+        self._key = (modulus, order, self._exp)
+        self._hash = hash(self._key)
 
     @property
     def exponents(self):
@@ -233,7 +219,7 @@ class DirichletCharacter:
     def __mul__(self, other):
         if self.modulus != other.modulus:
             raise ValueError("character moduli differ")
-        m = _lcm(self.order, other.order)
+        m = math.lcm(self.order, other.order)
         exps = []
         for e1, e2 in zip(self._exp, other._exp):
             if e1 is None or e2 is None:
@@ -245,10 +231,7 @@ class DirichletCharacter:
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self._reduced_key == other._reduced_key
-        )
+        return self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -257,46 +240,20 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus}, order {self.order})"
 
 
-def _lcm(a, b):
-    return a // math.gcd(a, b) * b
-
-
 def enumerate_characters(modulus):
     """All phi(N) Dirichlet characters mod N, closed under products."""
     if modulus == 1:
         return [DirichletCharacter(1, 1, [0])]
-    gens = _unit_group(modulus)
     logs = _dlog_tables(modulus)
-    orders = [m for _, m in gens]
-    total_order = 1
-    for m in orders:
-        total_order = _lcm(total_order, m)
+    orders = [m for _, m in _unit_group(modulus)]
+    total = math.lcm(*orders)
     chars = []
-    choices = [0] * len(orders)
-    while True:
-        exps = []
-        for a in range(modulus):
-            if math.gcd(a, modulus) != 1:
-                exps.append(None)
-                continue
-            vec = logs[a]
-            e = 0
-            for k, c, m in zip(vec, choices, orders):
-                e += k * c * (total_order // m)
-            exps.append(e % total_order)
-        chars.append(DirichletCharacter(modulus, total_order, exps))
-        # Odometer increment over the exponent choices.
-        i = 0
-        while i < len(choices):
-            choices[i] += 1
-            if choices[i] < orders[i]:
-                break
-            choices[i] = 0
-            i += 1
-        else:
-            break
-        if i == len(choices):
-            break
+    for choices in _exponent_tuples(orders):
+        exps = [None] * modulus
+        for a, vec in logs.items():
+            exps[a] = sum(k * c * (total // m)
+                          for k, c, m in zip(vec, choices, orders)) % total
+        chars.append(DirichletCharacter(modulus, total, exps))
     return chars
 
 

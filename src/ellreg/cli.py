@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .characters import character_from_label
 from .elliptic import CurveModel
@@ -63,10 +64,12 @@ def _cmd_verify(args) -> int:
     config = resolve_config(level=args.level, curve=curve,
                             tolerance=args.tolerance, terms=args.terms)
     runner = run_all if args.suite == "all" else SUITES[args.suite]
-    reports = runner(config)
-    print(summarize(reports))
-    if args.out:
-        with open(args.out, "w") as handle:
+    # Open the report file first: one that cannot be written fails
+    # before any suite runs.
+    with open(args.out, "w") if args.out else nullcontext() as handle:
+        reports = runner(config)
+        print(summarize(reports))
+        if handle:
             handle.write(reports_to_json(reports))
     return 0 if all(r.passed for r in reports) else 1
 

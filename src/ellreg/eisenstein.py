@@ -388,7 +388,6 @@ class EtaForm:
 
     @cached_property
     def _streams(self):
-        # Built on first evaluation: the arc tables never need them.
         return (EisensteinStream(self.left, self.rmax),
                 EisensteinStream(self.right, self.rmax))
 

@@ -1,18 +1,20 @@
 """Completed L-values of weight-2 forms by incomplete-gamma smoothing.
 
-A weight-2 newform is carried as a coefficient stream plus its level.
-The completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s)
-is computed from the split integral representation
+A weight-2 newform is carried as one coefficient stream plus its level;
+its functional-equation partner is the complex-conjugate stream.  The
+completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s) is
+computed from the split integral representation
 
-    Lambda(g, s) = sum_n a_n G_s(cn) - w sum_n b_n G_{2-s}(cn),
+    Lambda(g, s) = sum_n a_n G_s(cn) - w sum_n conj(a_n) G_{2-s}(cn),
 
-with c = 2pi/sqrt(M), G_s(x) = x^{-s} Gamma(s, x), b_n the coefficients
-of the functional-equation partner (complex conjugates here), and w the
+with c = 2pi/sqrt(M), G_s(x) = x^{-s} Gamma(s, x), and w the
 Atkin-Lehner pseudo-eigenvalue, always measured numerically from the
-transformation g(-1/(Mz)) = w M z^2 gbar(z).  The same machinery covers
-twists f (x) chi of prime-level forms, the Rankin convolution identity
-at the Dirichlet-coefficient level, and the residue of L(f (x) f, s) at
-s = 2 expressed through the twisted central values.
+transformation g(-1/(Mz)) = w M z^2 gbar(z).  Summation, root numbers
+and Lambda each work on a stack of streams of one level, so the twists
+f (x) chi_k of a prime-level form are the rows of one matrix.  The
+module also covers the Rankin convolution identity at the
+Dirichlet-coefficient level and the residue of L(f (x) f, s) at s = 2
+expressed through the twisted central values.
 """
 
 from __future__ import annotations
@@ -37,31 +39,26 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True, eq=False)
 class ModularFormData:
-    """Level and coefficient streams of a weight-2 form.
+    """Level and coefficient stream of a weight-2 form.
 
-    coefficients[n] is a_n (index 0 unused), conjugates[n] the n-th
-    coefficient of the functional-equation partner; for every form in
-    scope that partner is the complex-conjugate stream.
+    coefficients[n] is a_n (index 0 unused).  For every form in scope
+    the functional-equation partner is the complex-conjugate stream.
     """
 
     level: int
     coefficients: np.ndarray
-    conjugates: np.ndarray
     label: str = ""
-    character: DirichletCharacter | None = None
     _root_cache: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be a positive integer")
         a = np.asarray(self.coefficients, dtype=complex)
-        b = np.asarray(self.conjugates, dtype=complex)
-        if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-            raise ValueError("coefficient streams must be matching 1-d arrays")
+        if a.ndim != 1 or len(a) < 2:
+            raise ValueError("the coefficient stream must be a 1-d array")
         if abs(a[1] - 1.0) > 1e-12:
             raise ValueError("expected a normalized eigenform with a_1 = 1")
         object.__setattr__(self, "coefficients", a)
-        object.__setattr__(self, "conjugates", b)
 
     @property
     def nmax(self) -> int:
@@ -69,54 +66,73 @@ class ModularFormData:
 
     def conjugate_partner(self) -> "ModularFormData":
         """The form whose coefficients are the conjugate stream."""
-        return ModularFormData(
-            self.level,
-            self.conjugates,
-            self.coefficients,
-            label=self.label + "~",
-            character=None if self.character is None
-            else self.character.conjugate(),
-        )
+        return ModularFormData(self.level, self.coefficients.conj(),
+                               label=self.label + "~")
 
 
 def newform_from_curve(curve: CurveModel, nmax: int = 4000) -> ModularFormData:
     """Rational newform attached to an integral Weierstrass model."""
     a = np.array(an_coefficients(curve, nmax), dtype=complex)
-    return ModularFormData(curve.conductor, a, a.copy(),
-                           label="%da" % curve.conductor)
+    return ModularFormData(curve.conductor, a, label="%da" % curve.conductor)
 
 
 def _term_count(level: int, nmax: int,
                 tol: float = DEFAULT_CONTROL.abs_tol) -> int:
-    # Smallest k with 4 k^{3/2} |q|^k / (1 - |q|) below tol, where the
-    # 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style bound controls the tail.
+    # The terms of a q-expansion at the height 1 / sqrt(level) (1 / sqrt 3
+    # for level <= 2), where the smoothed sums' weights decay as fast.
     c = TWO_PI / math.sqrt(level) if level > 2 else TWO_PI / math.sqrt(3)
     return _terms_for_rate(c, nmax, tol)
 
 
 def _terms_for_rate(rate: float, nmax: int, tol: float) -> int:
-    k = 8
-    while k <= nmax:
-        if 4.0 * k ** 1.5 * math.exp(-rate * k) / (1.0 - math.exp(-rate)) < tol:
-            return k
-        k += 1 + k // 8
-    raise TruncationError(
-        "need more coefficients: decay rate %.3g reaches only %.3g after "
-        "%d terms" % (rate, 4.0 * nmax ** 1.5 * math.exp(-rate * nmax), nmax)
-    )
+    return int(_terms_for_rates(np.array([rate]), nmax, tol)[0])
 
 
 def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
-    """_terms_for_rate at each of an array of decay rates."""
+    """At each decay rate, the first k of 8, 10, 12, 14, 16, 19, ...
+    (steps of 1 + k // 8) with 4 k^{3/2} |q|^k / (1 - |q|) below tol,
+    |q| = e^{-rate}, where the 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style
+    bound controls the tail."""
     counts = np.zeros(rates.shape, dtype=int)
     k = 8
     while k <= nmax and not counts.all():
         tail = 4.0 * k ** 1.5 * np.exp(-rates * k) / (1.0 - np.exp(-rates))
         counts[(counts == 0) & (tail < tol)] = k
         k += 1 + k // 8
-    for i in np.flatnonzero(counts == 0):  # the scalar rule raises here
-        counts[i] = _terms_for_rate(float(rates[i]), nmax, tol)
+    if not counts.all():
+        rate = float(rates[counts == 0][0])
+        raise TruncationError(
+            "need more coefficients: decay rate %.3g reaches only %.3g "
+            "after %d terms" % (rate, 4.0 * nmax ** 1.5
+                                * math.exp(-rate * nmax), nmax))
     return counts
+
+
+def q_expansions(streams: np.ndarray, z,
+                 tol: float = DEFAULT_CONTROL.abs_tol) -> np.ndarray:
+    """sum_n streams[..., n] e(n z) at every point of z.
+
+    streams is one coefficient stream or a stack of them (index 0
+    unused); the result has shape streams.shape[:-1] + z.shape.  Each
+    point sums the terms its height needs (_terms_for_rates), and the
+    points that share a count are summed together, in blocks of at most
+    2^16 products (1 MB).
+    """
+    z = np.asarray(z, dtype=complex)
+    stack = np.atleast_2d(streams)
+    points = z.ravel()
+    counts = _terms_for_rates(TWO_PI * points.imag, stack.shape[1] - 1, tol)
+    out = np.empty((len(stack), points.size), dtype=complex)
+    # The distinct counts, found without np.unique: its 1-d form imports
+    # numpy.ma.
+    for k in np.flatnonzero(np.bincount(counts)):
+        idx = np.flatnonzero(counts == k)
+        n = np.arange(1, k + 1)
+        a = stack[:, None, 1:k + 1]
+        for block in np.array_split(idx, -(-idx.size * k * len(stack) >> 16)):
+            q = np.exp((2j * math.pi * points[block])[:, None] * n)
+            out[:, block] = (q * a).sum(axis=-1)
+    return out.reshape(np.shape(streams)[:-1] + z.shape)
 
 
 def eval_form(form: ModularFormData, z: complex,
@@ -125,42 +141,51 @@ def eval_form(form: ModularFormData, z: complex,
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("eval_form needs Im z > 0")
-    k = _terms_for_rate(TWO_PI * z.imag, form.nmax, ctl.abs_tol)
-    n = np.arange(1, k + 1)
-    return complex(np.sum(form.coefficients[1:k + 1]
-                          * np.exp(2j * math.pi * z * n)))
+    return complex(q_expansions(form.coefficients, z, ctl.abs_tol))
+
+
+def _root_numbers(streams: np.ndarray, level: int,
+                  tol: float = 1e-8) -> np.ndarray:
+    """Atkin-Lehner pseudo-eigenvalues of a stack of forms of one level.
+
+    Each row is sampled at the first two of four heights y where its
+    partner, the conjugate stream, does not vanish at iy; the two
+    samples must agree and have modulus 1.  The partner at iy is
+    conj(g(iy)), so each height sums every row at two points.
+    """
+    m = level
+    samples = [[] for _ in streams]
+    for c in (1.13, 1.41, 0.97, 1.67):
+        if all(len(s) == 2 for s in samples):
+            break
+        y = c / math.sqrt(m)
+        at_y, at_dual = q_expansions(streams, [1j * y, 1j / (m * y)]).T
+        for s, num, den in zip(samples, at_dual.tolist(),
+                               at_y.conj().tolist()):
+            if len(s) < 2 and abs(den) >= 1e-12 * math.exp(-TWO_PI * y):
+                s.append(-num / (m * y * y * den))
+    roots = []
+    for s in samples:
+        if len(s) < 2:
+            raise RuntimeError("root number: q-expansion vanished at every "
+                               "sample height")
+        w1, w2 = s
+        if abs(w1 - w2) > tol or abs(abs(w1) - 1.0) > tol:
+            raise RuntimeError(
+                "root number inconsistent: samples %r, %r" % (w1, w2))
+        w = 0.5 * (w1 + w2)
+        roots.append(w / abs(w))
+    return np.array(roots)
 
 
 def root_number(form: ModularFormData, tol: float = 1e-8) -> complex:
-    """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z).
-
-    Sampled at two heights; the samples must agree and have modulus 1.
-    """
-    if form._root_cache:
-        return form._root_cache[0]
-    m = form.level
-    partner = form.conjugate_partner()
-    samples = []
-    for c in (1.13, 1.41, 0.97, 1.67):
-        y = c / math.sqrt(m)
-        den = eval_form(partner, 1j * y)
-        if abs(den) < 1e-12 * math.exp(-TWO_PI * y):
-            continue
-        num = eval_form(form, 1j / (m * y))
-        samples.append(-num / (m * y * y * den))
-        if len(samples) == 2:
-            break
-    if len(samples) < 2:
-        raise RuntimeError("root number: q-expansion vanished at every "
-                           "sample height")
-    w1, w2 = samples
-    if abs(w1 - w2) > tol or abs(abs(w1) - 1.0) > tol:
-        raise RuntimeError(
-            "root number inconsistent: samples %r, %r" % (w1, w2))
-    w = 0.5 * (w1 + w2)
-    w /= abs(w)
-    form._root_cache.append(w)
-    return w
+    """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z),
+    by the rule of _root_numbers on the one stream."""
+    if not form._root_cache:
+        form._root_cache.append(
+            complex(_root_numbers(form.coefficients[None], form.level,
+                                  tol)[0]))
+    return form._root_cache[0]
 
 
 def _weights(s, level: int, k: int) -> np.ndarray:
@@ -170,19 +195,25 @@ def _weights(s, level: int, k: int) -> np.ndarray:
         [incomplete_gamma_upper_complex(s, t) for t in x])
 
 
+def _lambda_values(streams: np.ndarray, level: int, s, w,
+                   ctl: SeriesControl = DEFAULT_CONTROL):
+    """Lambda(g, s) of one stream or of each row of a stack of streams
+    of one level, given their root numbers w."""
+    k = _term_count(level, np.shape(streams)[-1] - 1, ctl.abs_tol)
+    g_s = _weights(s, level, k)
+    # At s = 1 the two halves share their weights.
+    g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s), level, k)
+    a = streams[..., 1:k + 1]
+    return a @ g_s - w * (a.conj() @ g_dual)
+
+
 def lambda_value(form: ModularFormData, s,
                  ctl: SeriesControl = DEFAULT_CONTROL,
                  w: complex | None = None) -> complex:
     """Completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s)."""
     if w is None:
         w = root_number(form)
-    m = form.level
-    k = _term_count(m, form.nmax, ctl.abs_tol)
-    g_s = _weights(s, m, k)
-    # At s = 1 the two halves share their weights.
-    g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s), m, k)
-    return complex(np.dot(form.coefficients[1:k + 1], g_s)
-                   - w * np.dot(form.conjugates[1:k + 1], g_dual))
+    return complex(_lambda_values(form.coefficients, form.level, s, w, ctl))
 
 
 def l_value(form: ModularFormData, s,
@@ -209,8 +240,8 @@ def twist_by_character(form: ModularFormData,
                        chi: DirichletCharacter) -> ModularFormData:
     """The primitive twist f (x) chi, for chi primitive mod the prime level.
 
-    Coefficients a_n chi(n), partner a_n chibar(n), level p^2.  The
-    trivial character leaves the form untouched.
+    Coefficients a_n chi(n), level p^2, so a twist cannot be twisted
+    again.  The trivial character leaves the form untouched.
     """
     if chi.is_trivial:
         return form
@@ -220,18 +251,10 @@ def twist_by_character(form: ModularFormData,
                          % (chi.modulus, p))
     if not chi.is_primitive:
         raise ValueError("twisting needs a primitive character")
-    if form.character is not None:
-        raise ValueError("twisting is only set up for trivial-character "
-                         "forms")
     vals = np.array([chi(n) for n in range(p)], dtype=complex)
     mult = vals[np.arange(len(form.coefficients)) % p]
-    return ModularFormData(
-        p * p,
-        form.coefficients * mult,
-        form.conjugates * np.conj(mult),
-        label=form.label + "*chi",
-        character=chi,
-    )
+    return ModularFormData(p * p, form.coefficients * mult,
+                           label=form.label + "*chi")
 
 
 _WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
@@ -332,24 +355,26 @@ def rankin_convolution_check(form: ModularFormData,
     return float(np.max(np.abs(lhs[1:] - rhs[1:])))
 
 
+def _twist_streams(form: ModularFormData) -> np.ndarray:
+    """Row k - 1 is the stream chi_k(n) a_n of f (x) chi_k, k = 1 .. p - 2."""
+    p = form.level
+    values = character_table(p).values[1:]
+    return values[:, np.arange(form.nmax + 1) % p] * form.coefficients
+
+
 def twisted_lambda_table(form: ModularFormData,
                          ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
     """Lambda[k] = Lambda(f (x) chi_k, 1) by character exponent, nan at k = 0.
 
-    Every twist has level p^2 and so the same weights G_1(cn); with
-    the character values chi_k(n), the sums over n are two matrix
-    products.  Only the root numbers are measured per twist.
+    The twist streams chi_k(n) a_n, k = 1 .. p - 2, are the rows of one
+    matrix of level p^2, whose root numbers and Lambda values are each
+    one stacked call.
     """
     p = form.level
-    chars, values, _ = character_table(p)
-    k = _term_count(p * p, form.nmax, ctl.abs_tol)
-    g = _weights(1.0, p * p, k)
-    V = values[:, np.arange(1, k + 1) % p]
-    own = V @ (form.coefficients[1:k + 1] * g)
-    dual = V.conj() @ (form.conjugates[1:k + 1] * g)
-    return np.array([math.nan] + [
-        own[i] - root_number(twist_by_character(form, chars[i])) * dual[i]
-        for i in range(1, p - 1)])
+    streams = _twist_streams(form)
+    w = _root_numbers(streams, p * p)
+    return np.concatenate([[math.nan],
+                           _lambda_values(streams, p * p, 1.0, w, ctl)])
 
 
 def residue_tensor_square(form: ModularFormData,

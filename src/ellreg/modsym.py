@@ -22,9 +22,8 @@ from .characters import _xgcd, character_table
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
-    _terms_for_rates,
-    eval_form,
     l_value,
+    q_expansions,
     root_number,
     twisted_lambda_table,
 )
@@ -470,30 +469,19 @@ def _reduced_eval(form: ModularFormData, z: complex, w: complex,
         threshold = 0.7 / form.level
     zr, mult, conj, _ = _reduce_points(form.level, [complex(z)], w,
                                        threshold, max_steps)
-    g = form.conjugate_partner() if conj[0] else form
-    return complex(mult[0]) * eval_form(g, complex(zr[0]), ctl)
+    return complex(mult[0]) * complex(
+        _eval_points(form, zr, conj, ctl.abs_tol)[0])
 
 
 def _eval_points(form: ModularFormData, z: np.ndarray, conj: np.ndarray,
                  tol: float) -> np.ndarray:
-    """eval_form at each point, of the conjugate partner where conj is set.
+    """f at each point, or its conjugate partner where conj is set.
 
-    The points are summed in groups that share a stream and term count.
+    The partner, the conjugate stream, is conj(f(-conj z)) at z.
     """
-    counts = _terms_for_rates(TWO_PI * z.imag, form.nmax, tol)
-    out = np.empty(z.shape, dtype=complex)
-    for flag, coefficients in ((False, form.coefficients),
-                               (True, form.conjugates)):
-        # The distinct counts, found without np.unique: its 1-d form
-        # imports numpy.ma.
-        for k in np.flatnonzero(np.bincount(counts[conj == flag])):
-            idx = np.flatnonzero((counts == k) & (conj == flag))
-            n = np.arange(1, k + 1)
-            # ceil(size k / 2^16) blocks, so at most 1 MB of exponentials
-            for block in np.array_split(idx, -(-idx.size * k >> 16)):
-                q = np.exp((2j * math.pi * z[block])[:, None] * n)
-                out[block] = (q * coefficients[1:k + 1]).sum(axis=1)
-    return out
+    values = q_expansions(form.coefficients, np.where(conj, -z.conj(), z),
+                          tol)
+    return np.where(conj, values.conj(), values)
 
 
 def period_integral_oracle(form: ModularFormData, x,

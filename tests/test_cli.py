@@ -99,6 +99,19 @@ def test_unwritable_out_file_gives_one_line(tmp_path, capsys):
     assert "No such file or directory" in lines[0]
 
 
+def test_unwritable_out_file_fails_before_any_suite_runs(tmp_path, capsys,
+                                                        monkeypatch):
+    import ellreg.cli as cli
+
+    ran = []
+    monkeypatch.setitem(cli.SUITES, "cor101", lambda config: ran.append(1))
+    out = tmp_path / "missing-dir" / "r.json"
+    assert main(["verify", "cor101", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_wrong_conductor_is_rejected_up_front(capsys):
     # Curve 14a given conductor 7: 7 divides its discriminant -21952 =
     # -2^6 7^3, but so does 2.

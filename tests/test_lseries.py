@@ -7,11 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from ellreg.characters import enumerate_characters, gauss_sum
+from ellreg.characters import character_table, enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel, a_p
 from ellreg.lseries import (
     ModularFormData,
+    _root_numbers,
     _term_count,
+    _twist_streams,
     dirichlet_series_direct,
     eval_form,
     l_value,
@@ -65,16 +67,14 @@ def test_eval_form_leading_term(form11):
 
 
 def test_eval_form_truncation_stability(form11):
-    short = ModularFormData(11, form11.coefficients[:2001],
-                            form11.conjugates[:2001])
+    short = ModularFormData(11, form11.coefficients[:2001])
     assert abs(eval_form(short, 1j) - eval_form(form11, 1j)) < 1e-14
 
 
 def test_eval_form_domain_errors(form11):
     with pytest.raises(ValueError):
         eval_form(form11, 0.5 - 0.1j)
-    tiny = ModularFormData(11, form11.coefficients[:101],
-                           form11.conjugates[:101])
+    tiny = ModularFormData(11, form11.coefficients[:101])
     with pytest.raises(TruncationError):
         eval_form(tiny, 1e-4j)
 
@@ -138,6 +138,9 @@ def test_twist_structure(form11, chars11):
     wrong = enumerate_characters(13)[1]
     with pytest.raises(ValueError):
         twist_by_character(form11, wrong)
+    # A twist has level 121, so no character mod 11 matches it.
+    with pytest.raises(ValueError, match="does not match level 121"):
+        twist_by_character(tw, chi)
 
 
 def test_twisted_values_conjugate_symmetry(form11, chars11):
@@ -162,8 +165,7 @@ def test_completion_factor_at_one(form11, chars11):
 def test_lambda_truncation_cap(form11, chars11):
     chi = next(c for c in chars11 if not c.is_trivial)
     tw = twist_by_character(form11, chi)
-    starved = ModularFormData(tw.level, tw.coefficients[:61],
-                              tw.conjugates[:61])
+    starved = ModularFormData(tw.level, tw.coefficients[:61])
     with pytest.raises(TruncationError):
         lambda_value(starved, 1.0, w=1.0)
 
@@ -275,7 +277,8 @@ def _term_by_term_lambda(form, s, w):
     total = 0.0 + 0.0j
     for n in range(1, _term_count(form.level, form.nmax, 1e-13) + 1):
         total += form.coefficients[n] * weight(s, c * n)
-        total -= w * form.conjugates[n] * weight(2.0 - complex(s), c * n)
+        total -= (w * form.coefficients[n].conjugate()
+                  * weight(2.0 - complex(s), c * n))
     return total
 
 
@@ -308,3 +311,13 @@ def test_batched_twisted_table_matches_per_twist_values(prime_form):
     for k, value in enumerate(table[1:], start=1):
         assert isinstance(value, complex)
         assert abs(value - want[k]) <= 1e-14 * scale, k
+
+
+def test_stacked_twist_root_numbers_match_the_per_twist_route(prime_form):
+    p = prime_form.level
+    chars = character_table(p).characters[1:]
+    stacked = _root_numbers(_twist_streams(prime_form), p * p)
+    assert stacked.shape == (p - 2,)
+    for k, (w, chi) in enumerate(zip(stacked, chars), start=1):
+        want = root_number(twist_by_character(prime_form, chi))
+        assert abs(w - want) <= 2e-15, k

@@ -12,7 +12,6 @@ from ellreg.characters import enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
 from ellreg.eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from ellreg.lseries import (
-    _terms_for_rate,
     _terms_for_rates,
     eval_form,
     l_value,
@@ -44,7 +43,12 @@ from ellreg.modsym import (
     relation_quotient_dims,
     xi_bridge_table,
 )
-from ellreg.special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
+from ellreg.special import (
+    DEFAULT_CONTROL,
+    SeriesControl,
+    TruncationError,
+    gauss_legendre_nodes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +308,17 @@ def _scalar_reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
     raise RuntimeError("point reduction exceeded %d steps" % max_steps)
 
 
+# The term-count rule one rate at a time, as lseries wrote it before the
+# vector rule became the only one.  Kept here as that rule's reference.
+def _scalar_terms_for_rate(rate, nmax, tol):
+    k = 8
+    while k <= nmax:
+        if 4.0 * k ** 1.5 * math.exp(-rate * k) / (1.0 - math.exp(-rate)) < tol:
+            return k
+        k += 1 + k // 8
+    raise TruncationError("need more coefficients")
+
+
 APPENDIX_SYMBOLS = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
 CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
 
@@ -363,7 +378,7 @@ def test_batched_reduction_matches_scalar_on_every_node(oracle_paths):
         # 1e-14, that moves the value by up to 6e-13 relative.)
         rates = 2 * math.pi * ref_z.imag
         assert list(_terms_for_rates(rates, form.nmax, tol)) == [
-            _terms_for_rate(r, form.nmax, tol) for r in rates]
+            _scalar_terms_for_rate(r, form.nmax, tol) for r in rates]
         values = _eval_points(form, ref_z, ref_conj, tol)
         err = np.abs(ref_mult * values - ref_value)
         big = ref_value != 0  # 0 where q^n underflows, high on the path

@@ -1,11 +1,18 @@
-"""L-values against a 30-digit reference built with mpmath.
+"""Headline numbers against 30-digit references built with mpmath.
 
-The reference repeats the smoothed sum Lambda(g, s) = sum a_n G_s(cn)
-- w sum b_n G_{2-s}(cn), G_s(x) = x^{-s} Gamma(s, x), with mpmath's
-incomplete gamma at 30 digits, summed until the tail is below 1e-32,
-and measures each root number w from the q-expansions at 30 digits.
-Only the Hecke eigenvalues and the character exponents come from the
-package.  mpmath is a test-only dependency.
+L-values: the reference repeats the smoothed sum Lambda(g, s) =
+sum a_n G_s(cn) - w sum b_n G_{2-s}(cn), G_s(x) = x^{-s} Gamma(s, x),
+with mpmath's incomplete gamma at 30 digits, summed until the tail is
+below 1e-32, and measures each root number w from the q-expansions at
+30 digits.  Only the Hecke eigenvalues and the character exponents come
+from the package.
+
+Periods and elliptic dilogarithms: the roots of 4x^3 - g2 x - g3 come
+from mpmath.polyroots, the periods from mpmath.agm (the real one
+checked against a quadrature, tau against the curve's j-invariant),
+and D_E(P) = sum_k D(x q^k) from mpmath.polylog(2, .).  Only the
+Weierstrass coefficients and the torsion class come from the package.
+mpmath is a test-only dependency.
 """
 
 import functools
@@ -14,7 +21,15 @@ import math
 import pytest
 
 from ellreg.characters import enumerate_characters
-from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
+from ellreg.elliptic import (
+    CURVE_11A,
+    CURVE_17A,
+    CurveModel,
+    TorsionCoordinate,
+    elliptic_dilog,
+    periods,
+    torsion_coordinate,
+)
 from ellreg.lseries import l_value, newform_from_curve, twisted_lambda_table
 
 mpmath = pytest.importorskip("mpmath")
@@ -108,3 +123,80 @@ def test_twisted_table_against_the_30_digit_reference():
         else:
             assert err <= 1e-13 * abs(value), chi
     assert vanishing < len(want)
+
+
+def _lattice(curve):
+    """(omega1, tau) at 30 digits, normalized as elliptic.periods does."""
+    c4, c6 = curve.c_invariants
+    g2, g3 = mpmath.mpf(c4) / 12, mpmath.mpf(c6) / 216
+    roots = mpmath.polyroots([4, 0, -g2, -g3], extraprec=100)
+    if curve.discriminant > 0:
+        e3, e2, e1 = sorted(mpmath.re(r) for r in roots)
+    else:
+        e1 = mpmath.re(min(roots, key=lambda r: abs(mpmath.im(r))))
+        e2, e3 = sorted((r for r in roots if abs(mpmath.im(r)) > 1e-20),
+                        key=mpmath.im)
+    omega1 = mpmath.pi / mpmath.agm(mpmath.sqrt(e1 - e3),
+                                    mpmath.sqrt(e1 - e2))
+    omega2 = 1j * mpmath.pi / mpmath.agm(mpmath.sqrt(e1 - e3),
+                                         mpmath.sqrt(e2 - e3))
+    # The real period is 2 int_{e1}^inf dx / y; with x = e1 + t^2 the
+    # integrand is 1 / sqrt((x - e2)(x - e3)).
+    real_period = 2 * mpmath.quad(
+        lambda t: 1 / mpmath.sqrt((e1 - e2 + t * t) * (e1 - e3 + t * t)),
+        [0, 1, mpmath.inf])
+    assert abs(omega1 - real_period) < mpmath.mpf("1e-27") * abs(omega1)
+    tau = omega2 / omega1
+    if mpmath.im(tau) < 0:
+        tau = -tau
+    tau -= mpmath.floor(mpmath.re(tau) + mpmath.mpf("0.25"))  # Re in [-1/4, 3/4)
+    j = curve.j_invariant
+    j = mpmath.mpf(j.numerator) / j.denominator
+    assert abs(1728 * mpmath.kleinj(tau) - j) < mpmath.mpf("1e-24") * abs(j)
+    return mpmath.re(omega1), tau
+
+
+def _bloch_wigner(z):
+    if abs(z) > 1:
+        return -_bloch_wigner(1 / z)
+    return (mpmath.im(mpmath.polylog(2, z))
+            + mpmath.arg(1 - z) * mpmath.log(abs(z)))
+
+
+def _dilog(tau, alpha, beta):
+    """D_E at exp(2 pi i (alpha + beta tau)), summed until a term pair
+    is below 1e-32."""
+    q = mpmath.expjpi(2 * tau)
+    x = mpmath.expjpi(2 * (alpha + beta * tau))
+    total, k, step = _bloch_wigner(x), 0, 1
+    while abs(step) > mpmath.mpf("1e-32"):
+        k += 1
+        up, down = _bloch_wigner(x * q ** k), _bloch_wigner(x / q ** k)
+        total += up + down
+        step = abs(up) + abs(down)
+    return total
+
+
+# The five-torsion class of P = (0, 0) on 11a, the point of thm8 and
+# cor101, and fixed (alpha, beta) classes on 17a and 43a.
+DILOG_CLASSES = {"11a": TorsionCoordinate(5, 3, 0), "17a": (0.2, 0.3),
+                 "43a": (0.35, 0.15)}
+
+
+@pytest.mark.parametrize("name", sorted(DILOG_CLASSES))
+def test_periods_and_dilog_against_the_30_digit_reference(name):
+    curve = CURVES[name]
+    lattice = periods(curve)
+    point = DILOG_CLASSES[name]
+    if isinstance(point, TorsionCoordinate):
+        assert torsion_coordinate(curve, (0, 0), 5) == point
+        alpha, beta = point.a / point.n, point.b / point.n
+    else:
+        alpha, beta = point
+    with mpmath.workdps(30):
+        omega1, tau = _lattice(curve)
+        want = _dilog(tau, mpmath.mpf(alpha), mpmath.mpf(beta))
+        omega1, tau, want = float(omega1), complex(tau), float(want)
+    assert abs(lattice.omega1 - omega1) <= 1e-14 * omega1
+    assert abs(lattice.tau - tau) <= 1e-14
+    assert abs(elliptic_dilog(lattice, point) - want) <= 1e-13, (name, want)

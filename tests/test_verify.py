@@ -431,3 +431,29 @@ def test_level_generic_suites_read_arrays_not_objects(monkeypatch):
             for r in SUITES[name](config)]
     assert len(rows) == 36 and all(r.passed for r in rows)
     assert counts == {}
+
+
+def test_suites_build_one_form_and_no_twist(monkeypatch):
+    import ellreg.lseries as lseries
+
+    counts = {}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(lseries, "twist_by_character")
+    counting(lseries.ModularFormData, "conjugate_partner")
+    counting(lseries.ModularFormData, "__post_init__")
+    assert all(r.passed for r in run_all())
+    assert counts == {"__post_init__": 1}
+    counts.clear()
+    config = resolve_config(curve=CURVE_37A)
+    rows = [r for name in ("thm1", "thm2", "appendix")
+            for r in SUITES[name](config)]
+    assert all(r.passed for r in rows)
+    assert counts == {"__post_init__": 1}
