@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from contextlib import nullcontext
 
 from .characters import character_from_label
@@ -60,6 +61,7 @@ def _parse_curve(text: str) -> CurveModel:
 
 
 def _cmd_verify(args) -> int:
+    wall, cpu = time.perf_counter(), time.process_time()
     curve = _parse_curve(args.curve) if args.curve else None
     config = resolve_config(level=args.level, curve=curve,
                             tolerance=args.tolerance, terms=args.terms)
@@ -68,7 +70,8 @@ def _cmd_verify(args) -> int:
     # before any suite runs.
     with open(args.out, "w") if args.out else nullcontext() as handle:
         reports = runner(config)
-        print(summarize(reports))
+        print(summarize(reports, time.perf_counter() - wall,
+                        time.process_time() - cpu))
         if handle:
             handle.write(reports_to_json(reports))
     return 0 if all(r.passed for r in reports) else 1

@@ -387,9 +387,12 @@ class EtaForm:
         self.rmax = rmax
 
     @cached_property
-    def _streams(self):
-        return (EisensteinStream(self.left, self.rmax),
-                EisensteinStream(self.right, self.rmax))
+    def left_stream(self):
+        return EisensteinStream(self.left, self.rmax)
+
+    @cached_property
+    def right_stream(self):
+        return EisensteinStream(self.right, self.rmax)
 
     @classmethod
     def from_residue_maps(cls, l: FiniteMap, m: FiniteMap, rmax: int):
@@ -406,11 +409,11 @@ class EtaForm:
             self.rmax,
         )
 
-    def coefficients(self, z, ez=None) -> OneFormValue:
-        L, M = self._streams
+    def coefficients(self, z, ez=None, left_jet=None) -> OneFormValue:
+        M = self.right_stream
         if ez is None:
-            ez = L._exps(np.asarray(z, dtype=complex))  # same level and rmax
-        vl, dl, dbl = L.jet(z, ez)
+            ez = M._exps(np.asarray(z, dtype=complex))  # same level and rmax
+        vl, dl, dbl = left_jet or self.left_stream.jet(z, ez)
         vm, dm, dbm = M.jet(z, ez)
         return OneFormValue(vl * dm - vm * dl, -(vl * dbm - vm * dbl))
 
@@ -468,17 +471,25 @@ def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 64,
     """Gauss-Legendre quadrature of P dz + Q dzbar with node doubling.
 
     Returns (value, error_estimate); raises if doubling stalls above tol.
-    exps caches the stream exponentials by node count: forms of one
-    level and rmax on one path can share it.
+    exps caches, by node count, the stream exponentials and, by left
+    divisor, the left streams' jets: forms of one level and rmax on one
+    path can share it, and of the forms with one left divisor only the
+    first to reach a node count builds that stream.
     """
+    exps = {} if exps is None else exps
+    left = tuple(form.left.items())
+
     def quad(n):
         x, w = gauss_legendre_nodes(n)
         t = 0.5 * (x + 1.0)
         z = path(t)
         v = velocity(t)
-        if exps is not None and n not in exps:
-            exps[n] = form._streams[0]._exps(z)
-        P, Q = form.coefficients(z, None if exps is None else exps[n])
+        if n not in exps:
+            exps[n] = form.left_stream._exps(z), {}
+        ez, jets = exps[n]
+        if left not in jets:
+            jets[left] = form.left_stream.jet(z, ez)
+        P, Q = form.coefficients(z, ez, jets[left])
         return 0.5 * complex(np.sum(w * (P * v + Q * np.conj(v))))
 
     prev = quad(nodes)

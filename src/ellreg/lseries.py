@@ -35,6 +35,7 @@ from .special import (
 )
 
 TWO_PI = 2.0 * math.pi
+_ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # _root_numbers' y * sqrt(level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +156,7 @@ def _root_numbers(streams: np.ndarray, level: int,
     """
     m = level
     samples = [[] for _ in streams]
-    for c in (1.13, 1.41, 0.97, 1.67):
+    for c in _ROOT_HEIGHTS:
         if all(len(s) == 2 for s in samples):
             break
         y = c / math.sqrt(m)
@@ -355,11 +356,22 @@ def rankin_convolution_check(form: ModularFormData,
     return float(np.max(np.abs(lhs[1:] - rhs[1:])))
 
 
-def _twist_streams(form: ModularFormData) -> np.ndarray:
-    """Row k - 1 is the stream chi_k(n) a_n of f (x) chi_k, k = 1 .. p - 2."""
-    p = form.level
+def _twist_streams(form: ModularFormData,
+                   ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+    """Row k - 1 is the stream chi_k(n) a_n of f (x) chi_k, k = 1 .. p - 2,
+    as far as _root_numbers (at any height) and _lambda_values read it at
+    level p^2; if a count is beyond the form's nmax, the whole stream, so
+    that the sums raise as on it."""
+    p, m = form.level, form.level ** 2
+    y = np.array(_ROOT_HEIGHTS) / math.sqrt(m)
+    try:
+        k = max(_terms_for_rates(TWO_PI * np.concatenate([y, 1.0 / (m * y)]),
+                                 form.nmax, DEFAULT_CONTROL.abs_tol).max(),
+                _term_count(m, form.nmax, ctl.abs_tol))
+    except TruncationError:
+        k = form.nmax
     values = character_table(p).values[1:]
-    return values[:, np.arange(form.nmax + 1) % p] * form.coefficients
+    return values[:, np.arange(k + 1) % p] * form.coefficients[:k + 1]
 
 
 def twisted_lambda_table(form: ModularFormData,
@@ -371,7 +383,7 @@ def twisted_lambda_table(form: ModularFormData,
     one stacked call.
     """
     p = form.level
-    streams = _twist_streams(form)
+    streams = _twist_streams(form, ctl)
     w = _root_numbers(streams, p * p)
     return np.concatenate([[math.nan],
                            _lambda_values(streams, p * p, 1.0, w, ctl)])

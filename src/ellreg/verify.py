@@ -118,14 +118,17 @@ def reports_from_json(text: str):
     return [CheckReport.from_dict(d) for d in payload]
 
 
-def summarize(reports) -> str:
+def summarize(reports, wall_s=None, cpu_s=None) -> str:
+    """A line per row, then the count that passed and, if given, the
+    run's wall and CPU seconds (the CPU of every thread)."""
     lines = ["%s  %-42s %s %.3e <= %.1e  (%.2fs)" % (
         "PASS" if r.passed else "FAIL", r.check, r.error_kind, r.error,
         r.tolerance, r.seconds) for r in reports]
-    good = sum(r.passed for r in reports)
-    lines.append("%d/%d checks passed in %.1fs" % (
-        good, len(reports), sum(r.seconds for r in reports)))
-    return "\n".join(lines)
+    total = "%d/%d checks passed" % (sum(r.passed for r in reports),
+                                     len(reports))
+    if wall_s is not None:
+        total += " in %.2f s wall, %.2f s CPU" % (wall_s, cpu_s)
+    return "\n".join(lines + [total])
 
 
 @dataclass
@@ -536,7 +539,9 @@ def run_thm3(config=None):
             # the elementary forms eta(delta_1, delta_b).
             t0 = time.perf_counter()
             s = np.flatnonzero((keys == (1, 3)).all(axis=1))[0]
-            exps = {}  # every elementary form shares level, rmax and path
+            # All forms share level, rmax, path and delta_1's stream and
+            # jets; each keeps its own right stream and doubling check.
+            exps = {}
             assembled = sum(
                 chihat[0, b] * arc_integral(
                     eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -144,3 +145,10 @@ def test_verify_leaves_numpy_ma_unloaded(argv):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False 0"
+
+
+def test_summary_reports_the_runs_wall_and_cpu_time(capsys):
+    assert main(["verify", "thm8"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(
+        r"6/6 checks passed in \d+\.\d\d s wall, \d+\.\d\d s CPU", last), last

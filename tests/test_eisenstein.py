@@ -510,3 +510,24 @@ def test_elementary_forms_share_the_exponentials_bitwise(monkeypatch):
     # Each form still runs its own doubling check.
     with pytest.raises(RuntimeError):
         arc_integral(forms[2], g, exps=exps, tol=0.0, max_doublings=1)
+
+
+def test_elementary_forms_build_their_common_left_stream_once(monkeypatch):
+    p, g = 17, g_column(3)
+    forms = [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
+             for b in range(p)]
+    alone = [arc_integral(form, g) for form in forms]
+    built = []
+    real = EisensteinStream.__init__
+
+    def counting(self, divisor, rmax):
+        built.append(divisor.coeffs)
+        real(self, divisor, rmax)
+    monkeypatch.setattr(EisensteinStream, "__init__", counting)
+    exps = {}
+    shared = [arc_integral(form, g, exps=exps) for form in forms]
+    assert shared == alone
+    # One stream for delta_1 | g, then one right stream per form; b = 1
+    # pairs delta_1 with itself.
+    left = PairDivisor.delta(p, 0, 1).right_translate(g).coeffs
+    assert len(built) == p + 1 and built[0] == built[2] == left

@@ -11,6 +11,7 @@ from ellreg.characters import character_table, enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel, a_p
 from ellreg.lseries import (
     ModularFormData,
+    _lambda_values,
     _root_numbers,
     _term_count,
     _twist_streams,
@@ -321,3 +322,42 @@ def test_stacked_twist_root_numbers_match_the_per_twist_route(prime_form):
     for k, (w, chi) in enumerate(zip(stacked, chars), start=1):
         want = root_number(twist_by_character(prime_form, chi))
         assert abs(w - want) <= 2e-15, k
+
+
+def _full_twist_streams(form):
+    # All nmax + 1 columns of every twist stream.
+    p = form.level
+    return (character_table(p).values[1:][:, np.arange(form.nmax + 1) % p]
+            * form.coefficients)
+
+
+def _full_twist_table(form):
+    streams, m = _full_twist_streams(form), form.level ** 2
+    return _lambda_values(streams, m, 1.0, _root_numbers(streams, m))
+
+
+def test_twist_streams_stop_at_the_last_term_read(prime_form):
+    streams = _twist_streams(prime_form)
+    # 454 of 4,001 columns at 37 and 1,314 at 101.
+    assert streams.shape[1] < prime_form.nmax // 2
+    assert np.array_equal(
+        streams, _full_twist_streams(prime_form)[:, :streams.shape[1]])
+    assert np.array_equal(twisted_lambda_table(prime_form)[1:],
+                          _full_twist_table(prime_form))
+
+
+@pytest.mark.parametrize("nmax", [280, 356, 358, 400, 452, 453, 460])
+def test_short_twist_streams_raise_where_the_full_ones_do(nmax):
+    # At 37 the sums need 249 terms for Lambda, 357 for the first two
+    # root-number heights and 453 for all four: below 357 both routes
+    # raise, and in between the whole stream is built.
+    long = newform_from_curve(CurveModel(0, 0, 1, -1, 0, 37), 4000)
+    form = ModularFormData(37, long.coefficients[:nmax + 1])
+
+    def outcome(table):
+        try:
+            return table(form).tobytes()
+        except TruncationError as exc:
+            return str(exc)
+    assert (outcome(lambda f: twisted_lambda_table(f)[1:])
+            == outcome(_full_twist_table))
