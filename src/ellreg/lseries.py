@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,16 +78,13 @@ def newform_from_curve(curve: CurveModel, nmax: int = 4000) -> ModularFormData:
     return ModularFormData(curve.conductor, a, label="%da" % curve.conductor)
 
 
+@lru_cache(maxsize=None)
 def _term_count(level: int, nmax: int,
                 tol: float = DEFAULT_CONTROL.abs_tol) -> int:
     # The terms of a q-expansion at the height 1 / sqrt(level) (1 / sqrt 3
     # for level <= 2), where the smoothed sums' weights decay as fast.
     c = TWO_PI / math.sqrt(level) if level > 2 else TWO_PI / math.sqrt(3)
-    return _terms_for_rate(c, nmax, tol)
-
-
-def _terms_for_rate(rate: float, nmax: int, tol: float) -> int:
-    return int(_terms_for_rates(np.array([rate]), nmax, tol)[0])
+    return int(_terms_for_rates(np.array([c]), nmax, tol)[0])
 
 
 def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
@@ -95,13 +93,16 @@ def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
     |q| = e^{-rate}, where the 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style
     bound controls the tail."""
     counts = np.zeros(rates.shape, dtype=int)
+    rates = rates.ravel()
+    left, denom = np.arange(rates.size), 1.0 - np.exp(-rates)  # unsettled
     k = 8
-    while k <= nmax and not counts.all():
-        tail = 4.0 * k ** 1.5 * np.exp(-rates * k) / (1.0 - np.exp(-rates))
-        counts[(counts == 0) & (tail < tol)] = k
+    while k <= nmax and left.size:
+        tail = 4.0 * k ** 1.5 * np.exp(-rates[left] * k) / denom[left]
+        counts.flat[left[tail < tol]] = k
+        left = left[~(tail < tol)]
         k += 1 + k // 8
-    if not counts.all():
-        rate = float(rates[counts == 0][0])
+    if left.size:
+        rate = float(rates[left[0]])
         raise TruncationError(
             "need more coefficients: decay rate %.3g reaches only %.3g "
             "after %d terms" % (rate, 4.0 * nmax ** 1.5

@@ -416,7 +416,12 @@ def _reduce_points(p: int, z, w: complex, threshold: float,
     mult = np.ones_like(z)
     conj = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
-    offsets = np.arange(-2, 3)
+    # Rows (kp, d) for k = 8 .. 1, d = round(-kpx) + 2 .. -2: the first with
+    # the largest gain over 1.0001 wins.  (-kp, -d) is the same move.
+    ks = np.repeat(np.arange(8, 0, -1), 5)
+    cs, offsets = p * ks, np.tile(np.arange(2, -3, -1), 8)
+    # p prime: gcd(kp, d) = 1 iff p does not divide d and gcd(k, d mod 840) = 1
+    coprime = np.gcd(np.arange(9)[:, None], np.arange(840)) == 1
     for moves in range(max_steps):
         zl = z[live] - np.round(z[live].real)
         z[live] = zl
@@ -424,37 +429,40 @@ def _reduce_points(p: int, z, w: complex, threshold: float,
         live, zl = live[keep], zl[keep]
         if not live.size:
             return z, mult, conj, moves
-        x, y = zl.real[:, None], zl.imag[:, None]
-        rows = np.arange(live.size)
-        best = np.zeros((3, live.size))  # gain, c, d
-        # Scan k, then d, and keep the first largest gain above 1.0001.
-        for k in (*range(-8, 0), *range(1, 9)):
-            c = k * p
-            d = np.round(-c * x) + offsets
-            gain = 1.0 / np.hypot(c * x + d, c * y) ** 2
-            gain[(gain <= 1.0001) | (np.gcd(c, d.astype(int)) != 1)] = 0.0
-            j = gain.argmax(axis=1)
-            pick = np.stack([gain[rows, j], np.full(rows.size, c), d[rows, j]])
-            better = pick[0] > best[0]
-            best[:, better] = pick[:, better]
+        # No row gains more than 1 / (p Im z)^2, as |cz + d| >= p Im z.
         fricke_gain = 1.0 / (p * np.abs(zl) ** 2)
-        fricke = (fricke_gain > 1.0001) & (fricke_gain > best[0])
-        stalled = ~fricke & (best[0] == 0.0)
+        fricke = fricke_gain > np.maximum(1.0001, 1.0 / (p * zl.imag) ** 2)
+        s = np.flatnonzero(~fricke)
+        picks = []
+        for zb in np.array_split(zl[s], 8):  # 5 entries a point per temporary
+            cx = cs * zb.real[:, None]
+            d = np.round(-cx) + offsets
+            gain = 1.0 / np.hypot(cx + d, cs * zb.imag[:, None]) ** 2
+            d = d.astype(int)
+            gain[(gain <= 1.0001) | (d % p == 0) | ~coprime[ks, d % 840]] = 0.0
+            at = np.arange(zb.size), gain.argmax(axis=1)
+            picks.append((gain[at], cs[at[1]], d[at]))
+        best, c, d = map(np.concatenate, zip(*picks))
+        fricke[s] = fricke_gain[s] > np.maximum(1.0001, best)
+        stalled = ~fricke[s] & (best == 0.0)
         if stalled.any():
             raise RuntimeError("point reduction stalled at %r"
-                               % (complex(zl[stalled][0]),))
+                               % (complex(zl[s[stalled][0]]),))
         # f(z) = (w / (p z^2)) fbar(-1/(pz)); fbar uses wbar
         i, zf = live[fricke], zl[fricke]
         mult[i] *= np.where(conj[i], w.conjugate(), w) / (p * zf * zf)
         z[i] = -1.0 / (p * zf)
         conj[i] = ~conj[i]
         # bottom row (c, d) = (kp, d), so the map is level-stable and
-        # f((az+b)/(cz+d)) = (cz+d)^2 f(z); (-c, -d) is the same map
-        i, zm = live[~fricke], zl[~fricke]
-        c, d = (best[1:, ~fricke] * np.sign(best[1, ~fricke])).astype(int)
-        pairs, where = np.unique(np.stack([c, d]), axis=1, return_inverse=True)
-        a, b = np.array([_complete_row(*cd) for cd in pairs.T.tolist()]
-                        ).reshape(-1, 2)[where.ravel()].T
+        # f((az+b)/(cz+d)) = (cz+d)^2 f(z)
+        row = ~fricke[s]
+        i, zm, c, d = live[~fricke], zl[~fricke], c[row], d[row]
+        # Each distinct row completed once, keyed by (d, c) without a sort.
+        low = int(d.min(initial=0))
+        seen = np.bincount(key := (d - low) * 9 + c // p) > 0
+        a, b = np.array([_complete_row(p * (u % 9), u // 9 + low)
+                         for u in np.flatnonzero(seen).tolist()]
+                        ).reshape(-1, 2)[np.cumsum(seen)[key] - 1].T
         mult[i] /= (c * zm + d) ** 2
         z[i] = (a * zm + b) / (c * zm + d)
     raise RuntimeError("point reduction exceeded %d steps" % max_steps)

@@ -308,6 +308,56 @@ def _scalar_reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
     raise RuntimeError("point reduction exceeded %d steps" % max_steps)
 
 
+# The batched reducer's candidate scan as it was before it scanned only
+# k > 0: every row (kp, d) for k = -8 .. -1, 1 .. 8 and the five d
+# nearest -kpx, with np.gcd, a per-k pick, a sign normalisation and
+# np.unique.  Kept here as the reference _reduce_points must match bit
+# for bit.
+def _reduce_points_reference(p, z, w, threshold, max_steps=40):
+    z = np.array(z, dtype=complex)
+    mult = np.ones_like(z)
+    conj = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    offsets = np.arange(-2, 3)
+    for moves in range(max_steps):
+        zl = z[live] - np.round(z[live].real)
+        z[live] = zl
+        keep = zl.imag < threshold
+        live, zl = live[keep], zl[keep]
+        if not live.size:
+            return z, mult, conj, moves
+        x, y = zl.real[:, None], zl.imag[:, None]
+        rows = np.arange(live.size)
+        best = np.zeros((3, live.size))  # gain, c, d
+        for k in (*range(-8, 0), *range(1, 9)):
+            c = k * p
+            d = np.round(-c * x) + offsets
+            gain = 1.0 / np.hypot(c * x + d, c * y) ** 2
+            gain[(gain <= 1.0001) | (np.gcd(c, d.astype(int)) != 1)] = 0.0
+            j = gain.argmax(axis=1)
+            pick = np.stack([gain[rows, j], np.full(rows.size, c), d[rows, j]])
+            better = pick[0] > best[0]
+            best[:, better] = pick[:, better]
+        fricke_gain = 1.0 / (p * np.abs(zl) ** 2)
+        fricke = (fricke_gain > 1.0001) & (fricke_gain > best[0])
+        stalled = ~fricke & (best[0] == 0.0)
+        if stalled.any():
+            raise RuntimeError("point reduction stalled at %r"
+                               % (complex(zl[stalled][0]),))
+        i, zf = live[fricke], zl[fricke]
+        mult[i] *= np.where(conj[i], w.conjugate(), w) / (p * zf * zf)
+        z[i] = -1.0 / (p * zf)
+        conj[i] = ~conj[i]
+        i, zm = live[~fricke], zl[~fricke]
+        c, d = (best[1:, ~fricke] * np.sign(best[1, ~fricke])).astype(int)
+        pairs, where = np.unique(np.stack([c, d]), axis=1, return_inverse=True)
+        a, b = np.array([_complete_row(*cd) for cd in pairs.T.tolist()]
+                        ).reshape(-1, 2)[where.ravel()].T
+        mult[i] /= (c * zm + d) ** 2
+        z[i] = (a * zm + b) / (c * zm + d)
+    raise RuntimeError("point reduction exceeded %d steps" % max_steps)
+
+
 # The term-count rule one rate at a time, as lseries wrote it before the
 # vector rule became the only one.  Kept here as that rule's reference.
 def _scalar_terms_for_rate(rate, nmax, tol):
@@ -317,6 +367,20 @@ def _scalar_terms_for_rate(rate, nmax, tol):
             return k
         k += 1 + k // 8
     raise TruncationError("need more coefficients")
+
+
+def test_term_counts_match_the_scalar_rule_at_every_rate():
+    rng = np.random.default_rng(3)
+    heights = np.exp(rng.uniform(math.log(0.01), math.log(10.0), 2000))
+    rates = 2 * math.pi * heights
+    tol = DEFAULT_CONTROL.abs_tol
+    counts = _terms_for_rates(rates.reshape(40, 50), 4000, tol)
+    assert counts.shape == (40, 50)
+    assert counts.ravel().tolist() == [
+        _scalar_terms_for_rate(r, 4000, tol) for r in rates]
+    # Rates too slow for nmax terms: the message names the first of them.
+    with pytest.raises(TruncationError, match="decay rate 0.01 reaches"):
+        _terms_for_rates(np.array([1.0, 0.01, 0.02, 5.0]), 500, tol)
 
 
 APPENDIX_SYMBOLS = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
@@ -425,6 +489,60 @@ def test_reduction_raises_like_the_scalar_loop(form11):
             reduce(form11, 0.1 + 1j, w, threshold=10.0)
     with pytest.raises(RuntimeError, match="exceeded"):
         _reduce_points(11, [0.2 + 2j, z], w, 0.7 / 11, max_steps=steps)
+
+
+def _same_bits(got, want):
+    return (got[3] == want[3] and all(
+        g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        for g, r in zip(got[:3], want[:3])))
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
+def test_reduction_scan_matches_the_reference_bitwise(p):
+    rng = np.random.default_rng(p)
+    n = 20000
+    random = rng.uniform(-1.0, 1.0, n) + 1j * np.exp(
+        rng.uniform(math.log(1e-6), 0.0, n))
+    # Exact ties between two offsets of one row (x = +-1/2, +-1/4), and
+    # points near 0, where the involution wins without a scan.
+    ties = [x + 1j * y for x in (0.5, -0.5, 0.25, -0.25)
+            for y in (0.3 / p, 0.05 / p, 0.01 / p, 1e-4 / p)]
+    near_zero = rng.uniform(-1e-3, 1e-3, 200) + 1j * np.exp(
+        rng.uniform(math.log(1e-6), math.log(0.7 / p), 200))
+    z = np.concatenate([random, ties, near_zero])
+    for w in (1.0 + 0.0j, -1.0 + 0.0j, np.exp(0.3j)):
+        want = _reduce_points_reference(p, z, w, 0.7 / p)
+        assert _same_bits(_reduce_points(p, z, w, 0.7 / p), want)
+        for point in ties:
+            assert _same_bits(_reduce_points(p, [point], w, 0.7 / p),
+                              _reduce_points_reference(p, [point], w, 0.7 / p))
+
+
+def test_reduction_keeps_the_row_on_a_tie_with_the_involution():
+    # At level 17, z = +-1/17 + i/68 has 17 |z|^2 = (17 Im z)^2 exactly, so
+    # the row (17, -+1) gains exactly as much as the involution, and the
+    # row must win, the involution needing a strictly larger gain.
+    for x in (1 / 17, -1 / 17):
+        z = np.array([complex(x, abs(x) / 4)])
+        assert 1.0 / (17 * np.abs(z) ** 2) == 1.0 / (17 * z.imag) ** 2
+        want = _reduce_points_reference(17, z, 1.0 + 0.0j, 0.7 / 17)
+        assert _same_bits(_reduce_points(17, z, 1.0 + 0.0j, 0.7 / 17), want)
+
+
+def test_reduction_raises_like_the_reference():
+    w = 1.0 + 0.0j
+    cases = [(11, [0.1 + 1j, 0.15 + 2j], 10.0, 40),  # nothing gains 1.0001
+             (11, [0.2 + 2j, 0.2 + 0.0001j], 0.7 / 11, 2),
+             (37, [0.3 + 1e-6j], 0.7 / 37, 1)]
+    kinds = []
+    for p, z, threshold, steps in cases:
+        with pytest.raises(RuntimeError) as want:
+            _reduce_points_reference(p, z, w, threshold, steps)
+        with pytest.raises(RuntimeError) as got:
+            _reduce_points(p, z, w, threshold, steps)
+        assert str(got.value) == str(want.value)
+        kinds.append(str(got.value).split()[2])
+    assert kinds == ["stalled", "exceeded", "exceeded"]
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CurveModel(0, 0, 1, -1, 0, 37)],

@@ -130,6 +130,11 @@ def test_run_all_order_and_verdict():
     assert suites == ["thm8", "cor101", "thm1", "thm2", "thm3", "mahler",
                       "appendix"]
     assert set(SUITES) == set(suites)
+    # The JSON is byte for byte what dataclasses.asdict gave.
+    assert reports_to_json(reports) == json.dumps(
+        [dict(dataclasses.asdict(r), left=[r.left.real, r.left.imag],
+              right=[r.right.real, r.right.imag]) for r in reports],
+        indent=2, sort_keys=True)
 
 
 def test_thm1_cross_prime_handles_vanishing_twist():
@@ -370,6 +375,19 @@ def test_rows_record_the_lambda_terms_actually_summed(c37_run):
         key = next((k for k in want if r.check.startswith(k)), None)
         assert r.truncation.get("lambda_terms") == want.get(key), r.check
         assert r.truncation["lseries_terms"] == 4000
+
+
+def test_lambda_terms_counts_each_level_once():
+    from ellreg.lseries import _term_count
+
+    ctx = resolve_config(level=11).context
+    _term_count.cache_clear()
+    both = ctx.lambda_terms(11, 121)
+    assert ctx.lambda_terms(121) == {"121": both["121"]}
+    assert ctx.lambda_terms(11, 121) == both == {
+        "11": _term_count.__wrapped__(11, 4000),
+        "121": _term_count.__wrapped__(121, 4000)}
+    assert _term_count.cache_info().misses == 2
 
 
 def test_l_two_rows_record_the_level_p_terms(thm8_reports):
