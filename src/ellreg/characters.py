@@ -396,6 +396,9 @@ def character_from_label(label):
         power = int(expo)
     except (ValueError, IndexError):
         raise ValueError(f"cannot parse character label {label!r}") from None
+    if modulus < 1 or root_order < 1:
+        raise ValueError(f"character label {label!r} needs a modulus and "
+                         f"a root order of at least 1")
     if math.gcd(gen, modulus) != 1:
         raise ValueError("generator must be a unit")
     matches = []

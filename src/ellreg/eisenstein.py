@@ -13,8 +13,8 @@ The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams and integrated along geodesics with
 Gauss-Legendre panels and node doubling.  Along the arc rho -> rho^2,
 which every suite integrates over, a per-level node table of the single
-pairs E*_(u,v) turns the pulled-back arcs of a suite into one bilinear
-contraction of its rows.
+pairs E*_(u,v) turns the pulled-back arcs of a suite into character
+transforms of its rows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import FiniteMap, _divisors, fourier_transform
+from .characters import (
+    FiniteMap,
+    _divisors,
+    _is_prime,
+    _primitive_root,
+    fourier_transform,
+)
 from .special import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -526,14 +532,16 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY, **kw):
 
 
 class ArcTable:
-    """E*_x and d_z E*_x for every pair x in (Z/N)^2 at the Gauss-Legendre
-    nodes of the arc rho -> rho^2, at 64 and at 128 nodes.
+    """E*_x and the pairing data of d_z E*_x for every x != 0 in (Z/p)^2,
+    p prime, at the 64 and 128 Gauss-Legendre nodes of the arc rho -> rho^2.
 
-    E*_x is real, so d_zbar E*_x = conj(d_z E*_x) is not stored, and
-    E*_{-x} = E*_x, so one row serves the pair {x, -x}; keys[i] is the
-    pair of row i.  E*_F is linear in F and pulling eta back by g only
-    moves divisor entries, so many pulled-back eta(l, m) integrate at
-    once as a bilinear pairing of rows (integrals).  The rows follow the
+    Rows are in (line, log) order: line l runs over (1, v), v = 0 .. p - 1,
+    then (0, 1), and row i < (p - 1) / 2 of a line holds pairs[l, i] =
+    g^i l, g the smallest primitive root.  E*_{-x} = E*_x and
+    g^((p - 1) / 2) = -1, so the row also holds -g^i l, and the rows hold
+    every x != 0 once.  E*_F is linear in F and pulling eta back by g only
+    moves divisor entries, so the arcs of a line under character
+    weightings are DFTs of its rows (pairings).  The rows follow the
     EisensteinStream expansion truncated at rmax, summed from the divisor
     pairs (k, m), k m <= rmax.
     """
@@ -541,8 +549,10 @@ class ArcTable:
     NODES = (64, 128)
 
     def __init__(self, modulus: int, rmax: int):
-        N = modulus
-        self.modulus = N
+        p = modulus
+        if not _is_prime(p):
+            raise ValueError(f"arc tables need a prime modulus, not {p}")
+        self.modulus = p
         self.rmax = rmax
         path, velocity = _geodesic_path(RHO, RHO2)
         ts, weights = [], []
@@ -557,92 +567,79 @@ class ArcTable:
         # The quadrature of P dz + Q dzbar is sum(wdz P + conj(wdz) Q).
         self._wdz = np.concatenate(weights)
         qpow = np.exp(
-            2j * math.pi * np.multiply.outer(np.arange(rmax + 1), z) / N)
+            2j * math.pi * np.multiply.outer(np.arange(rmax + 1), z) / p)
 
-        # Row keys are the pairs x = (u, v) with x <= -x, in the order of
-        # the flat index u N + v; -x shares the row of x.
-        u, v = np.divmod(np.arange(N * N), N)
-        neg = (-u) % N * N + (-v) % N
-        own = np.arange(N * N) <= neg
-        index = np.empty(N * N, dtype=np.intp)
-        index[own] = np.arange(np.count_nonzero(own))
-        index[~own] = index[neg[~own]]
-        self._index = index.reshape(N, N)
-        self.keys = keys = np.stack([u[own], v[own]], axis=1)
+        g = _primitive_root(p)
+        lines = np.array([(1, v) for v in range(p)] + [(0, 1)])
+        powers = np.array([pow(g, i, p) for i in range((p - 1) // 2)])
+        self.pairs = lines[:, None] * powers[:, None] % p
+        # Row x is built, u block by u block, as the one of x, -x whose u
+        # is at most -u.
+        x = self.pairs.reshape(-1, 2)
+        us, vs = np.where(x[:, :1] > p - x[:, :1], -x % p, x).T
 
-        c_log = -math.pi / N**2
-        V = np.empty((len(keys), z.size))
-        D = np.empty((len(keys), z.size), dtype=complex)
-        for u in range(N):
-            w = (-u) % N
-            if w < u:
-                continue  # the pairs (u, v) fold into rows keyed (w, -v)
-            block = np.flatnonzero(keys[:, 0] == u)
-            vs = keys[block, 1]
-            s_u, t_u = _divisor_sums(u, N, qpow)
-            s_w, t_w = (s_u, t_u) if w == u else _divisor_sums(w, N, qpow)
-            hol = (math.pi / N) * (s_u[vs] + s_w[(-vs) % N])
-            dhol = (2j * math.pi**2 / N**2) * (t_u[vs] + t_w[(-vs) % N])
-            c_0 = _constant_term(u, N)
-            c_y = np.zeros((vs.size, 1))
+        c_log = -math.pi / p**2
+        V = np.empty((us.size, z.size))
+        X = np.empty((us.size, z.size))
+        for u in range((p + 1) // 2):
+            block = np.flatnonzero(us == u)
+            v = vs[block]
+            s_u, t_u = _divisor_sums(u, p, qpow)
+            s_w, t_w = (s_u, t_u) if u == 0 else _divisor_sums(p - u, p, qpow)
+            hol = (math.pi / p) * (s_u[v] + s_w[(-v) % p])
+            dhol = (2j * math.pi**2 / p**2) * (t_u[v] + t_w[(-v) % p])
+            c_0 = _constant_term(u, p)
+            c_y = np.zeros((v.size, 1))
             if u == 0:
-                c_y[:, 0] = [(2.0 * math.pi**2 / N) * _beta2(v, N) for v in vs]
+                c_y[:, 0] = [(2.0 * math.pi**2 / p) * _beta2(b, p) for b in v]
             V[block] = c_y * y + c_log * np.log(y) + c_0 + 2.0 * hol.real
-            D[block] = c_y / 2j + c_log / (2j * y) + dhol
-        self._V = V
-        self._D = D
-        # The integrand of eta(l, m) is bilinear in the divisors; with
-        # X = 2 Im(d_z E* wdz), rows x and y pair to i (V_x X_y - V_y X_x).
-        self._X = 2.0 * (D * self._wdz).imag
+            # eta(l, m) is bilinear in the divisors; with X = 2 Im(d_z E*
+            # wdz), rows x and y pair to i (V_x X_y - V_y X_x).
+            d_z = c_y / 2j + c_log / (2j * y) + dhol
+            X[block] = 2.0 * (d_z * self._wdz).imag
+        self._V = V.reshape(self.pairs.shape[:2] + (z.size,))
+        self._X = X.reshape(self._V.shape)
 
-    def row(self, x):
-        """E*_x and d_z E*_x at the nodes."""
-        i = self._index[x[0] % self.modulus, x[1] % self.modulus]
-        return self._V[i], self._D[i]
+    def pairings(self, ks, weights=None, tol: float = 1e-10):
+        """(values, gaps)[l, j] of sum_{a, c units} w(a l) chi_k(a)
+        conj chi_k(c) J[a l, c l] for k = ks[j] over every line l, where
+        J[x, y] = i (V_x . X_y - V_y . X_x) is the arc integral of eta
+        for the pair divisors delta_x, delta_y and w(x) is weights[l, i]
+        for the row (l, i) that holds x (1 without weights).
 
-    # Doubles per gathered array of a block: its four arrays take 1 MB.
-    BLOCK = 2**15
-
-    def integrals(self, bottom, left_weights, right_weights,
-                  tol: float = 1e-10):
-        """(values, gaps)[s, k] of eta(l_k, m_k) along g_s(rho) -> g_s(rho^2)
-        for the lifts g_s of bottom rows bottom[s] = (c, d), where
-        l_k = sum_a left_weights[k, a] E*_(0,a) over a in Z/N and m_k
-        likewise on the right.
-
-        g_s pulls E*_(0,a) back to E*_(a c, a d), so arc s pairs the rows
-        of a (c, d); a multiplier a whose weight is exactly 0 for every k
-        is skipped.  The weights contract the pairing
-        J[x, y] = i (V_x . X_y - V_y . X_x) of gathered rows at each node
-        count.  The values use 128 nodes and the gaps are their distances
-        to the 64-node values; like integrate_one_form, raises if a gap is
-        not below tol * max(1, |value|)."""
-        N = self.modulus
-        bottom = np.asarray(bottom)
-
-        def gather(weights):
-            a = np.flatnonzero(np.any(weights != 0, axis=0))
-            pairs = np.multiply.outer(bottom, a) % N
-            return self._index[pairs[:, 0], pairs[:, 1]], weights[:, a]
-
-        lrows, left_weights = gather(np.asarray(left_weights))
-        rrows, right_weights = gather(np.asarray(right_weights))
+        With a = g^s and h = (p - 1) / 2, a character sum over the units
+        runs over a line's rows twice, as s and s + h: sum_s chi_k(g^s)
+        f[s mod h] is twice bin -k/2 of the length-h DFT of f for even k,
+        and 0 for odd k.  The values use 128 nodes and the gaps are their
+        distances to the 64-node values; like integrate_one_form, raises
+        if a gap is not below tol * max(1, |value|)."""
+        ks = np.asarray(ks)
+        bins = ks // 2
+        # Bin -m of the DFT of w f is the conjugate of bin m of that of
+        # conj(w) f, so that without weights the two terms below are
+        # exact conjugates and the values come out exactly real.
+        w = np.conj(np.ones(self._V.shape[:2]) if weights is None
+                    else weights)
         n = self.NODES[0]
-        step = max(1, self.BLOCK // (self._V.shape[1] * max(
-            lrows.shape[1], rrows.shape[1])))
-        fine = np.empty((len(lrows), len(left_weights)), dtype=complex)
+        fine = np.empty((len(w), len(ks)), dtype=complex)
         coarse = np.empty_like(fine)
-        for s in range(0, len(lrows), step):
-            block = slice(s, s + step)
-            vl, xl = self._V[lrows[block]], self._X[lrows[block]]
-            vr, xr = self._V[rrows[block]], self._X[rrows[block]]
+        # Lines go through in blocks of at most 2^16 table entries, so
+        # that no transform takes more than 1 MB.
+        for block in np.array_split(np.arange(len(w)),
+                                    -(-self._V.size >> 16)):
+            V, X, cw = self._V[block], self._X[block], w[block, :, None]
+            # np.fft is loaded on first use, not by importing ellreg.
+            v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (V, X))
+            wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
+                      for f in (V, X))
             for out, nodes in ((fine, slice(n, None)), (coarse, slice(n))):
-                pairing = (
-                    np.einsum("sin,sjn->sij", vl[..., nodes], xr[..., nodes])
-                    - np.einsum("sjn,sin->sij", vr[..., nodes],
-                                xl[..., nodes]))
-                out[block] = 1j * np.einsum(
-                    "ki,sij,kj->sk", left_weights, pairing, right_weights)
+                out[block] = (
+                    np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
+                    - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes]))
+        # sum_s chi_k(g^s) f[s mod h] is twice a bin for even k, 0 for odd.
+        scale = 4j * (ks % 2 == 0)
+        fine *= scale
+        coarse *= scale
         gaps = np.abs(fine - coarse)
         if np.any(gaps >= tol * np.maximum(1.0, np.abs(fine))):
             raise RuntimeError("quadrature failed to settle below tolerance")

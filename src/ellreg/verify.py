@@ -21,6 +21,7 @@ from .characters import (
     _is_prime,
     character_label,
     character_table,
+    fourier_transform,
 )
 from .eisenstein import (
     ArcTable,
@@ -255,11 +256,7 @@ class CurveContext:
         identity's arc at v = p, for every even nontrivial k (0 at the
         other k), and the worst node gap among them."""
         p, evens = self.p, self.evens
-        chi = character_table(p).values
-        # eta_chi pairs chi(a) E*_(0,a) with conj chi(b) E*_(0,b).
-        bottom = [(1, v) for v in range(p)] + [(0, 1)]
-        values, gaps = self.node_table.integrals(
-            bottom, chi[evens], chi[-evens])
+        values, gaps = self.node_table.pairings(evens)
         arcs = np.zeros((p - 1, p + 1), dtype=complex)
         arcs[evens] = values.T
         return arcs, gaps.max()
@@ -508,52 +505,54 @@ def run_thm3(config=None):
         _tol(config, 1e-9), prep + time.perf_counter() - t0,
         dict(trunc, lambda_terms=terms), error_kind="abs"))
 
-    chars, values, _ = character_table(p)
-    evens = ctx.evens
+    chars, _, tau = character_table(p)
+    evens, table = ctx.evens, ctx.node_table
+    u, v = np.moveaxis(table.pairs, -1, 0)
+
+    def arcs(f, ks):
+        """sum_x f(x) times the arc of eta(delta_1, chihat_k) over the lift
+        with bottom row x != 0, as chihat_k(b) = tau_k conj chi_k(b) at
+        b != 0 (0 at b = 0).  The row of x also holds -x, so it weighs
+        f(x) + f(-x), and the pairing counts each x twice."""
+        values, gaps = table.pairings(ks, f[u, v] + f[-u % p, -v % p])
+        scale = tau[ks] / 2.0
+        return scale * values.sum(axis=0), abs(scale) * gaps.max(axis=0)
+
     t0 = time.perf_counter()
-    # One arc per class {x, -x} but that of (0, 0), over the lift with
-    # bottom row x, weighted by xi^+(x) + xi^+(-x).
-    keys = ctx.node_table.keys[1:]
-    u, v = keys.T
-    weight = xi.plus_values[u, v] + xi.plus_values[-u % p, -v % p]
-    residues = np.arange(p)
-    # chihat[i, b] = sum_v chi_k(v) e(-b v / p) for k = evens[i].
-    chihat = np.einsum("kv,bv->kb", values[evens], np.exp(
-        -2j * math.pi * (np.multiply.outer(residues, residues) % p) / p))
-    delta_one = np.zeros((len(evens), p))
-    delta_one[:, 1] = 1.0
-    arcs, gaps = ctx.node_table.integrals(keys, delta_one, chihat)
-    rhs = (p * 1j / 4.0) * np.einsum("s,sk->k", weight, arcs)
+    weighted, gaps = arcs(xi.plus_values, evens)
+    rhs = (p * 1j / 4.0) * weighted
     seconds = time.perf_counter() - t0
     for i, k in enumerate(evens):
         label = character_label(chars[k])
         reports.append(make_report(
             f"thm3:identity:{label}", dict(base, character=label),
             l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
-            seconds, dict(trunc, arc_count=len(keys), lambda_terms=terms,
-                          **_arc_truncation(gaps[:, i].max())),
+            seconds, dict(trunc, arc_count=u.size, lambda_terms=terms,
+                          **_arc_truncation(gaps[i])),
             scale=l_two))
         seconds = 0.0
         if i == 0:
-            # The contraction's arc of eta(delta_1, chihat) over g_column(3)
-            # must match the chihat-weighted sum of stream quadratures of
-            # the elementary forms eta(delta_1, delta_b).
+            # The table's arc of eta(delta_1, chihat) over g_column(3),
+            # bottom row (1, 3), must match the chihat-weighted sum of the
+            # stream quadratures of eta(delta_1, delta_b).
             t0 = time.perf_counter()
-            s = np.flatnonzero((keys == (1, 3)).all(axis=1))[0]
+            delta = np.zeros((p, p))
+            delta[1, 3] = 1.0
+            arc, gap = arcs(delta, evens[:1])
+            chihat = fourier_transform(FiniteMap.from_character(chars[k]))
             # All forms share level, rmax, path and delta_1's stream and
             # jets; each keeps its own right stream and doubling check.
             exps = {}
             assembled = sum(
-                chihat[0, b] * arc_integral(
+                chihat(b) * arc_integral(
                     eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),
                     g_column(3), exps=exps)
-                for b in range(p) if abs(chihat[0, b]) > 1e-15)
+                for b in range(p) if abs(chihat(b)) > 1e-15)
             reports.append(make_report(
                 f"thm3:eta-linearity:{label}",
-                dict(base, character=label), arcs[s, 0], assembled,
+                dict(base, character=label), arc[0], assembled,
                 _tol(config, 1e-9), time.perf_counter() - t0,
-                dict(trunc, **_arc_truncation(gaps[s, 0])),
-                error_kind="abs"))
+                dict(trunc, **_arc_truncation(gap[0])), error_kind="abs"))
     return reports
 
 

@@ -51,6 +51,20 @@ def test_units_rejects_bad_requests(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["--level", "11", "--char", "11:g=2,zeta0^1"], "root order"),
+    (["--level", "0", "--char", "0:g=1,zeta1^0"], "modulus"),
+    (["--level=-7", "--char=-7:g=3,zeta6^1"], "modulus"),
+])
+def test_units_bad_labels_give_one_line(argv, words, capsys):
+    assert main(["units"] + argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellreg: ")
+    assert words in lines[0]
+    assert captured.out == ""
+
+
 def test_mahler_subcommand(capsys):
     assert main(["mahler", "--poly", "1: 1, X: 1, Y: 1"]) == 0
     data = json.loads(capsys.readouterr().out)

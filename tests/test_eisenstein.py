@@ -8,7 +8,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ellreg.characters import FiniteMap, enumerate_characters, fourier_transform
+from ellreg.characters import (
+    FiniteMap,
+    character_table,
+    enumerate_characters,
+    fourier_transform,
+)
 from ellreg.eisenstein import (
     IDENTITY,
     RHO,
@@ -293,35 +298,115 @@ def test_pair_divisor_algebra():
     assert scaled.coeffs == {(1, 2): 1.0}
 
 
-def _character_weights(chars):
-    """The divisors of each eta_chi as integrals weights over Z/p:
-    left[k, a] = chi_k(a) and right[k, a] = conj chi_k(a)."""
-    p = chars[0].modulus
-    left = np.array([[chi(a) for a in range(p)] for chi in chars])
-    right = np.array([[chi.conjugate()(a) for a in range(p)] for chi in chars])
-    return left, right
+def _pairing_reference(table, bottom, left_weights, right_weights,
+                       tol=1e-10):
+    """The pair-gather route that pairings replaced: (values, gaps)[s, k]
+    of eta(l_k, m_k) along g_s(rho) -> g_s(rho^2) for the lifts g_s of
+    bottom rows bottom[s] = (c, d), where l_k = sum_a left_weights[k, a]
+    E*_(0,a) over a in Z/p and m_k likewise on the right.
+
+    g_s pulls E*_(0,a) back to E*_(a c, a d), so arc s pairs the rows of
+    a (c, d); a multiplier whose weight is 0 for every k is skipped (the
+    table has no row for (0, 0)).  The weights contract the pairing
+    J[x, y] = i (V_x . X_y - V_y . X_x) of gathered rows at each node
+    count, and a gap raises as in pairings."""
+    p = table.modulus
+    index = np.full((p, p), -1)
+    for r, (u, v) in enumerate(table.pairs.reshape(-1, 2)):
+        index[u, v] = index[-u % p, -v % p] = r
+    V = table._V.reshape(-1, table.nodes.size)
+    X = table._X.reshape(V.shape)
+    bottom = np.asarray(bottom)
+
+    def gather(weights):
+        a = np.flatnonzero(np.any(weights != 0, axis=0))
+        pairs = np.multiply.outer(bottom, a) % p
+        rows = index[pairs[:, 0], pairs[:, 1]]
+        assert (rows >= 0).all()
+        return rows, weights[:, a]
+
+    lrows, left_weights = gather(np.asarray(left_weights))
+    rrows, right_weights = gather(np.asarray(right_weights))
+    n = ArcTable.NODES[0]
+    out = []
+    for nodes in (slice(n, None), slice(n)):
+        vl, xl = V[lrows][..., nodes], X[lrows][..., nodes]
+        vr, xr = V[rrows][..., nodes], X[rrows][..., nodes]
+        pairing = (np.einsum("sin,sjn->sij", vl, xr)
+                   - np.einsum("sjn,sin->sij", vr, xl))
+        out.append(1j * np.einsum(
+            "ki,sij,kj->sk", left_weights, pairing, right_weights))
+    fine, coarse = out
+    gaps = np.abs(fine - coarse)
+    if np.any(gaps >= tol * np.maximum(1.0, np.abs(fine))):
+        raise RuntimeError("quadrature failed to settle below tolerance")
+    return fine, gaps
 
 
-def _contract(table, lifts, left, right):
-    values, gaps = table.integrals([(g.c, g.d) for g in lifts], left, right)
-    assert values.shape == gaps.shape == (len(lifts), len(left))
-    return values, gaps
+def _lines(p):
+    """The bottom rows of the table's lines: (1, v), then (0, 1)."""
+    return [(1, v) for v in range(p)] + [(0, 1)]
 
 
-def _assert_values_match_arc_integral(table, forms, lifts, left, right):
-    """The contraction of the lifts' bottom rows under the weights gives,
-    arc by arc, the value of arc_integral."""
-    values, _ = _contract(table, lifts, left, right)
+def _row_weight(table, x):
+    """The fold of the delta at x: 1 on the row that holds x and -x."""
+    p = table.modulus
+    x = np.array(x) % p
+    return ((table.pairs == x).all(axis=-1)
+            | (table.pairs == -x % p).all(axis=-1)).astype(float)
+
+
+def _assert_pairings_match_the_reference(p, lines, ks, weights=None):
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    values, gaps = table.pairings(ks, weights)
+    assert values.shape == gaps.shape == (p + 1, len(ks))
+    chi = character_table(p).values
+    bottom = np.array(_lines(p))
+    for l in lines:
+        left = chi[ks]
+        if weights is not None:
+            # The weight of the row that holds a l, for every multiplier a.
+            at = np.multiply.outer(np.arange(p), bottom[l]) % p
+            left = left * [weights[_row_weight(table, x) == 1][0]
+                           if x.any() else 0.0 for x in at]
+        want = _pairing_reference(table, bottom[[l]], left, chi[-ks])
+        assert np.abs(values[l] - want[0][0]).max() <= 1e-14
+        assert np.abs(gaps[l] - want[1][0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("p", [11, 17])
+def test_pairings_match_the_pair_gather_reference(p):
+    # Every line and every k; the odd k come out as exactly 0.
+    ks = np.arange(p - 1)
+    _assert_pairings_match_the_reference(p, range(p + 1), ks)
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    assert not table.pairings(ks[1::2])[0].any()
+    re, im = np.random.default_rng(p).normal(size=(2, p + 1, (p - 1) // 2))
+    _assert_pairings_match_the_reference(
+        p, range(p + 1), ks[::2], re + 1j * im)
+
+
+def test_pairings_match_the_pair_gather_reference_at_37():
+    p = 37
+    lines = [0, 1, 5, 18, 36, 37]
+    _assert_pairings_match_the_reference(p, lines, np.arange(2, p - 1, 6))
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    weights = np.random.default_rng(p).normal(size=table.pairs.shape[:2])
+    _assert_pairings_match_the_reference(
+        p, lines, np.arange(0, p - 1, 10), weights)
+
+
+def _assert_values_match_arc_integral(values, forms, lifts):
+    """The table's values give, arc by arc, the value of arc_integral."""
     exps = {}  # every form shares the table's level, rmax and path
     for k, form in enumerate(forms):
         for s, g in enumerate(lifts):
             assert abs(values[s, k] - arc_integral(form, g, exps=exps)) <= 1e-13
 
 
-def _assert_gaps_match_the_stream_rule(table, forms, lifts, left, right):
-    """The contraction's 128-node values and 64-vs-128-node gaps are those
-    of stream quadrature at 64 nodes with one doubling."""
-    values, gaps = _contract(table, lifts, left, right)
+def _assert_gaps_match_the_stream_rule(values, gaps, forms, lifts):
+    """The table's 128-node values and 64-vs-128-node gaps are those of
+    stream quadrature at 64 nodes with one doubling."""
     exps = {}
     for k, form in enumerate(forms):
         for s, g in enumerate(lifts):
@@ -332,19 +417,24 @@ def _assert_gaps_match_the_stream_rule(table, forms, lifts, left, right):
             assert abs(gaps[s, k] - gap) <= 1e-13
 
 
-def _column_arcs(p):
-    """thm1's arcs at level p: eta_chi of every even character over every
-    column g_v, g_0 = sigma included, and the identity."""
-    evens = [chi for chi in enumerate_characters(p) if chi.is_even]
+def _column_arcs(p, lines=None, ks=None):
+    """thm1's arcs at level p: eta_chi of the even characters ks over the
+    lines' lifts, g_column(v) for line v < p (g_0 is sigma) and the
+    identity for line p, as pairings gives them."""
+    lines = range(p + 1) if lines is None else lines
+    ks = np.arange(2, p - 1, 2) if ks is None else ks
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    lifts = [g_column(v) for v in range(p)] + [IDENTITY]
-    return (table, [eta_chi(chi) for chi in evens], lifts,
-            *_character_weights(evens))
+    values, gaps = table.pairings(ks)
+    chars = character_table(p).characters
+    lifts = [g_column(v) if v < p else IDENTITY for v in lines]
+    return (values[lines], gaps[lines], [eta_chi(chars[k]) for k in ks],
+            lifts)
 
 
 @pytest.mark.parametrize("p", [11, 17])
 def test_arc_table_matches_arc_integral_on_every_column(p):
-    _assert_values_match_arc_integral(*_column_arcs(p))
+    values, _, forms, lifts = _column_arcs(p)
+    _assert_values_match_arc_integral(values, forms, lifts)
 
 
 @pytest.mark.parametrize("p", [11, 17])
@@ -353,17 +443,12 @@ def test_arc_contraction_matches_integral_on_every_column(p):
 
 
 def _sample_arcs_at_37():
-    p = 37
-    evens = [c for c in enumerate_characters(p)
-             if c.is_even and not c.is_trivial][::6]
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    lifts = [g_column(v) for v in (0, 1, 5, 18, 36)] + [IDENTITY]
-    return (table, [eta_chi(chi) for chi in evens], lifts,
-            *_character_weights(evens))
+    return _column_arcs(37, [0, 1, 5, 18, 36, 37], np.arange(2, 36, 12))
 
 
 def test_arc_table_matches_arc_integral_at_37():
-    _assert_values_match_arc_integral(*_sample_arcs_at_37())
+    values, _, forms, lifts = _sample_arcs_at_37()
+    _assert_values_match_arc_integral(values, forms, lifts)
 
 
 def test_arc_contraction_matches_integral_at_37():
@@ -372,88 +457,72 @@ def test_arc_contraction_matches_integral_at_37():
 
 def test_arc_table_rows_match_closed_forms():
     table = arc_table(N, suggested_rmax(N, math.sqrt(3) / 2))
+    # The rows hold every pair x != 0 once, up to sign.
+    classes = {min((u, v), ((-u) % N, (-v) % N))
+               for u, v in table.pairs.reshape(-1, 2)}
+    assert len(classes) == table.pairs.shape[0] * table.pairs.shape[1]
+    assert len(classes) == (N * N - 1) // 2 and (0, 0) not in classes
     h = 1e-4
-    for x in [(0, 0), (0, 4), (3, 5), (7, 10)]:
-        values, d_z = table.row(x)
-        assert np.array_equal(values, table.row((-x[0], -x[1]))[0])
+    for x in [(0, 4), (3, 5), (7, 10), (10, 7)]:
+        row = _row_weight(table, x) == 1
+        values, pairing = table._V[row][0], table._X[row][0]
         for j in (0, 40, 64, 150):
             z = table.nodes[j]
             assert abs(values[j] - e_star_point(x, z, N)) < 1e-11
-            # d_z = (d_x - i d_y) / 2 by central differences.
+            # d_z = (d_x - i d_y) / 2 by central differences, and the row
+            # stores 2 Im(d_z E* wdz).
             dx = e_star_point(x, z + h, N) - e_star_point(x, z - h, N)
             dy = e_star_point(x, z + 1j * h, N) - e_star_point(x, z - 1j * h, N)
-            assert abs(d_z[j] - (dx - 1j * dy) / (4 * h)) < 1e-7
+            wdz = table._wdz[j]
+            d_z = (dx - 1j * dy) / (4 * h)
+            assert abs(pairing[j] - 2 * (d_z * wdz).imag) < 2e-7 * abs(wdz)
+
+
+def test_arc_table_needs_a_prime_modulus():
+    with pytest.raises(ValueError, match="prime"):
+        ArcTable(15, 40)
 
 
 def test_arc_contraction_matches_integral_on_symbol_lifts():
     # thm3's arcs: eta(delta_1, chihat) on symbol lifts whose bottom rows
-    # reach past N.
+    # reach past N.  chihat_k(b) = tau_k conj chi_k(b) at b != 0, and the
+    # row of the bottom row x also holds -x, hence the half.
     p = 37
-    evens = [c for c in enumerate_characters(p)
-             if c.is_even and not c.is_trivial][::4]
-    chihats = [fourier_transform(FiniteMap.from_character(chi))
-               for chi in evens]
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    chars, _, tau = character_table(p)
+    ks = np.arange(2, p - 1, 8)
+    forms = [eta_form(FiniteMap.delta(p, 1),
+                      fourier_transform(FiniteMap.from_character(chars[k])))
+             for k in ks]
     lifts = [matrix_lift(SymbolIndex(p, u, v)) for u, v in
              [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
-    delta_one = FiniteMap.delta(p, 1)
-    arcs = (arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)),
-            [eta_form(delta_one, chihat) for chihat in chihats], lifts,
-            np.array([delta_one.values] * len(evens)),
-            np.array([chihat.values for chihat in chihats]))
-    _assert_values_match_arc_integral(*arcs)
-    _assert_gaps_match_the_stream_rule(*arcs)
-
-
-def test_arc_contraction_never_reads_a_zero_weight_multiplier():
-    # chi(0) = 0 for every character, so the multiplier 0, whose pair is
-    # (0, 0) on every arc, has an all-zero weight column: poisoning its
-    # row must change nothing, bitwise.
-    table, _, lifts, left, right = _column_arcs(N)
-    poisoned = copy.copy(table)
-    poisoned._V, poisoned._X = table._V.copy(), table._X.copy()
-    assert list(table.keys[0]) == [0, 0]
-    poisoned._V[0] = poisoned._X[0] = np.nan
-    whole = _contract(table, lifts, left, right)
-    for got, want in zip(_contract(poisoned, lifts, left, right), whole):
-        assert np.array_equal(got, want)
-    # A column that is 0 for one weighting only is still read for the
-    # others.
-    left = left.copy()
-    left[0, 2] = 0.0
-    values, _ = _contract(table, lifts, left, right)
-    assert np.allclose(values[:, 1:], whole[0][:, 1:], rtol=0.0, atol=1e-15)
+    values, gaps = [], []
+    for g in lifts:
+        value, gap = table.pairings(ks, _row_weight(table, (g.c, g.d)))
+        values.append(tau[ks] / 2 * value.sum(axis=0))
+        gaps.append(np.abs(tau[ks]) / 2 * gap.max(axis=0))
+    values, gaps = np.array(values), np.array(gaps)
+    _assert_values_match_arc_integral(values, forms, lifts)
+    _assert_gaps_match_the_stream_rule(values, gaps, forms, lifts)
 
 
 def test_arc_contraction_raises_when_node_counts_disagree():
-    table, _, lifts, left, right = _column_arcs(N)
-    bottom = [(g.c, g.d) for g in lifts]
-    fine, _ = table.integrals(bottom, left, right)
+    table = arc_table(N, suggested_rmax(N, math.sqrt(3) / 2))
+    ks = np.arange(2, N - 1, 2)
+    fine, _ = table.pairings(ks)
     with pytest.raises(RuntimeError):
-        table.integrals(bottom, left, right, tol=0.0)
+        table.pairings(ks, tol=0.0)
     # With the 64-node columns zeroed the values must still come from the
     # 128 nodes, and the gaps become those values.
     coarse = copy.copy(table)
-    coarse._V, coarse._D, coarse._X = (
-        rows.copy() for rows in (table._V, table._D, table._X))
-    for rows in (coarse._V, coarse._D, coarse._X):
-        rows[:, :ArcTable.NODES[0]] = 0.0
+    coarse._V, coarse._X = table._V.copy(), table._X.copy()
+    for rows in (coarse._V, coarse._X):
+        rows[..., :ArcTable.NODES[0]] = 0.0
     with pytest.raises(RuntimeError):
-        coarse.integrals(bottom, left, right)
-    values, gaps = coarse.integrals(bottom, left, right, tol=np.inf)
+        coarse.pairings(ks)
+    values, gaps = coarse.pairings(ks, tol=np.inf)
     assert np.array_equal(values, fine)
     assert np.array_equal(gaps, np.abs(values)) and np.abs(values).max() > 0
-
-
-def test_arc_contraction_does_not_depend_on_the_block_size(monkeypatch):
-    p = 17
-    table, _, lifts, left, right = _column_arcs(p)
-    whole = _contract(table, lifts, left, right)
-    # One arc per block, then blocks of 3 with a shorter last one.
-    for block in (1, 3 * table.nodes.size * (p - 1)):
-        monkeypatch.setattr(ArcTable, "BLOCK", block)
-        parts = _contract(table, lifts, left, right)
-        for got, want in zip(parts, whole):
-            assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def _stream_series_by_loops(divisor, rmax):

@@ -270,21 +270,21 @@ def test_odd_sweep_reads_every_odd_coefficient():
 def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
     import ellreg.verify as verify
 
-    counts = {"__mul__": 0, "integrals": 0, "arc_integral": 0}
-    bottoms = []
+    counts = {"__mul__": 0, "pairings": 0, "arc_integral": 0}
+    weighted = []
 
     def counting(owner, name):
         real = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
             counts[name] += 1
-            if name == "integrals":
-                bottoms.append([tuple(b) for b in args[1]])
+            if name == "pairings":
+                weighted.append(len(args) > 2 and args[2] is not None)
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
     counting(DirichletCharacter, "__mul__")
-    counting(ArcTable, "integrals")
+    counting(ArcTable, "pairings")
     counting(verify, "arc_integral")
     config = resolve_config(level=17)
     calls = {}
@@ -293,18 +293,41 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
         before = dict(counts)
         SUITES[name](config)
         calls[name] = {k: counts[k] - before[k] for k in counts}
-    # One contraction for the context's eta_chi arcs, cusp arcs included,
-    # and one for thm3; only thm3's linearity oracle integrates arc by
-    # arc, one stream quadrature per elementary form eta(delta_1, delta_b),
+    # One transform for the context's eta_chi arcs, cusp arcs included,
+    # and two for thm3: its xi-weighted sum and the single arc of its
+    # linearity row.  Only that row's oracle integrates arc by arc, one
+    # stream quadrature per elementary form eta(delta_1, delta_b),
     # b = 1 .. 16.
-    assert calls == {"thm2": {"__mul__": 0, "integrals": 1, "arc_integral": 0},
-                     "thm1": {"__mul__": 0, "integrals": 0, "arc_integral": 0},
-                     "thm3": {"__mul__": 0, "integrals": 1,
+    assert calls == {"thm2": {"__mul__": 0, "pairings": 1, "arc_integral": 0},
+                     "thm1": {"__mul__": 0, "pairings": 0, "arc_integral": 0},
+                     "thm3": {"__mul__": 0, "pairings": 2,
                               "arc_integral": 16}}
-    # The bottom rows of g_column(v), v = 0 .. 16, and of the identity;
-    # then every table key but (0, 0), (1, 3) among them.
-    assert bottoms[0] == [(1, v) for v in range(17)] + [(0, 1)]
-    assert bottoms[1] == [tuple(x) for x in config.context.node_table.keys[1:]]
+    assert weighted == [False, True, True]
+
+
+@pytest.mark.parametrize("k, shifts", [
+    (6, {5: 1e-8}),
+    # The quadratic character's sweep reads exactly 0 at 17.  Its
+    # identity row is degenerate (the twist's central value vanishes) and
+    # turns relative once its right side moves, so the shift is odd in v:
+    # it moves no even coefficient.
+    (8, {5: 1e-8, 12: -1e-8}),
+])
+def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
+    # A shift of 1e-8 is far above the sweep's 1e-9 and far below what
+    # the identity rows notice.
+    config = resolve_config(level=17)
+    ctx = config.context
+    assert all(r.passed for r in run_thm1(config))
+    arcs, gap = ctx.eta_arcs
+    arcs = arcs.copy()
+    for v, shift in shifts.items():
+        arcs[k, v] += shift
+    ctx.eta_arcs = arcs, gap
+    del ctx.arc_coefficients
+    failed = [r.check for r in run_thm1(config) if not r.passed]
+    label = character_label(character_table(17).characters[k])
+    assert failed == [f"thm1:odd-sweep:{label}"]
 
 
 def test_context_arrays_are_indexed_by_exponent():
