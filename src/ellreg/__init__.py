@@ -63,7 +63,6 @@ from .lseries import (  # noqa: E402
 from .mahler import (  # noqa: E402
     BivariatePolynomial,
     curve_identity_polynomials,
-    mahler_identity_checks,
     mahler_measure,
 )
 from .modsym import (  # noqa: E402
@@ -142,7 +141,6 @@ __all__ = [
     "l_chi_2",
     "l_value",
     "lambda_value",
-    "mahler_identity_checks",
     "mahler_measure",
     "newform_from_curve",
     "period_integral_oracle",

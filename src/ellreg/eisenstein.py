@@ -605,7 +605,8 @@ class ArcTable:
         conj chi_k(c) J[a l, c l] for k = ks[j] over every line l, where
         J[x, y] = i (V_x . X_y - V_y . X_x) is the arc integral of eta
         for the pair divisors delta_x, delta_y and w(x) is weights[l, i]
-        for the row (l, i) that holds x (1 without weights).
+        for the row (l, i) that holds x (1 without weights); a line whose
+        weights are all 0 reads exactly 0 and is not transformed.
 
         With a = g^s and h = (p - 1) / 2, a character sum over the units
         runs over a line's rows twice, as s and s + h: sum_s chi_k(g^s)
@@ -615,23 +616,28 @@ class ArcTable:
         if a gap is not below tol * max(1, |value|)."""
         ks = np.asarray(ks)
         bins = ks // 2
-        # Bin -m of the DFT of w f is the conjugate of bin m of that of
-        # conj(w) f, so that without weights the two terms below are
-        # exact conjugates and the values come out exactly real.
-        w = np.conj(np.ones(self._V.shape[:2]) if weights is None
-                    else weights)
         n = self.NODES[0]
-        fine = np.empty((len(w), len(ks)), dtype=complex)
-        coarse = np.empty_like(fine)
+        fine = np.zeros((len(self._V), len(ks)), dtype=complex)
+        coarse = np.zeros_like(fine)
+        lines = (np.arange(len(fine)) if weights is None
+                 else np.flatnonzero(np.any(weights, axis=1)))
         # Lines go through in blocks of at most 2^16 table entries, so
         # that no transform takes more than 1 MB.
-        for block in np.array_split(np.arange(len(w)),
-                                    -(-self._V.size >> 16)):
-            V, X, cw = self._V[block], self._X[block], w[block, :, None]
+        for block in np.array_split(
+                lines, max(1, -(-lines.size * self._V[0].size >> 16))):
+            V, X = self._V[block], self._X[block]
             # np.fft is loaded on first use, not by importing ellreg.
             v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (V, X))
-            wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
-                      for f in (V, X))
+            if weights is None:
+                # The two terms below are exact conjugates, so the
+                # values come out exactly real.
+                wv, wx = v.conj(), x.conj()
+            else:
+                # Bin -m of the DFT of w f is the conjugate of bin m of
+                # that of conj(w) f.
+                cw = np.conj(weights[block])[..., None]
+                wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
+                          for f in (V, X))
             for out, nodes in ((fine, slice(n, None)), (coarse, slice(n))):
                 out[block] = (
                     np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])

@@ -13,12 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import time
 
 import numpy as np
 
-from .elliptic import CURVE_11A
-from .lseries import l_value, newform_from_curve
 from .special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -363,44 +360,3 @@ def curve_identity_polynomials():
     first = (x + y + one) * (x + one) * (y + one) + x * y
     second = BivariatePolynomial([[0, -1, 1], [0, 2, 0], [0, 1, 0], [1, 0, 0]])
     return first, second
-
-
-def mahler_identity_checks(ctl: SeriesControl = DEFAULT_CONTROL,
-                           lval: float | None = None) -> dict:
-    """Measure both level-11 polynomials against 77/(4 pi^2) and 55/(4 pi^2) times L(E, 2).
-
-    lval is L(E, 2); when it is not given it is computed for curve 11a.
-    Each measure reports its time and the quadrature it ran.
-    """
-    first, second = curve_identity_polynomials()
-    if lval is None:
-        lval = l_value(newform_from_curve(CURVE_11A), 2.0, ctl).real
-
-    def timed(poly):
-        quadrature = {}
-        t0 = time.perf_counter()
-        value = mahler_measure(poly, ctl, quadrature=quadrature)
-        return value, quadrature, time.perf_counter() - t0
-
-    m_first, quad_first, t_first = timed(first)
-    m_second, quad_second, t_second = timed(second)
-    m_recip, quad_recip, t_recip = timed(first.reciprocal_x())
-
-    want_first = 77.0 / (4.0 * math.pi**2)
-    want_second = 55.0 / (4.0 * math.pi**2)
-    return {
-        "l_value": lval,
-        "m_first": m_first,
-        "m_second": m_second,
-        "ratio_first": m_first / lval,
-        "ratio_second": m_second / lval,
-        "ratio_first_err": abs(m_first / lval - want_first) / want_first,
-        "ratio_second_err": abs(m_second / lval - want_second) / want_second,
-        "reciprocal_err": abs(m_recip - m_first),
-        "seconds_first": t_first,
-        "seconds_second": t_second,
-        "seconds_reciprocal": t_recip,
-        "quadrature_first": quad_first,
-        "quadrature_second": quad_second,
-        "quadrature_reciprocal": quad_recip,
-    }

@@ -47,7 +47,7 @@ from .lseries import (
     root_number,
     twisted_lambda_table,
 )
-from .mahler import mahler_identity_checks
+from .mahler import curve_identity_polynomials, mahler_measure
 from .modsym import period_integral_oracle, petersson, xi_bridge_table
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
@@ -56,7 +56,11 @@ TOL_QUADRATURE = 1e-6  # checks that integrate along geodesics or tori
 
 @dataclass
 class CheckReport:
-    """One verified identity: two evaluations, an error, a verdict."""
+    """One verified identity: two evaluations, an error, a verdict.
+
+    seconds is the wall time since the suite's previous row (its first
+    row: since the suite started), so a suite's rows add up to its run.
+    """
 
     check: str
     inputs: dict
@@ -282,14 +286,35 @@ class CurveContext:
                                      lambda_table=self.lambda_table)
 
 
-def _tol(config, default):
-    return default if config.tolerance is None else config.tolerance
+class _Rows:
+    """The rows of one suite, made as its first statement.
 
+    Every row is stamped with the wall time since the suite's previous
+    row, or since the builder was made, so a suite's row seconds add up
+    to its run.  Its inputs are the config's level, curve and terms plus
+    the keywords given with the row, its truncation the suite's shared
+    keys (self.truncation) plus the row's own, and --tolerance, when
+    given, replaces the row's tolerance.
+    """
 
-def _base_inputs(config):
-    c = config.curve
-    return {"level": config.level, "curve": [c.a1, c.a2, c.a3, c.a4, c.a6],
-            "terms": config.terms}
+    def __init__(self, config, **truncation):
+        c = config.curve
+        self.inputs = {"level": config.level, "terms": config.terms,
+                       "curve": [c.a1, c.a2, c.a3, c.a4, c.a6]}
+        self.truncation = truncation
+        self.tolerance = config.tolerance
+        self.reports = []
+        self.clock = time.perf_counter()
+
+    def add(self, check, left, right, tolerance, truncation=None,
+            error_kind="rel", scale=None, **inputs):
+        now = time.perf_counter()
+        self.reports.append(make_report(
+            check, dict(self.inputs, **inputs), left, right,
+            tolerance if self.tolerance is None else self.tolerance,
+            now - self.clock, dict(self.truncation, **(truncation or {})),
+            error_kind, scale))
+        self.clock = now
 
 
 class NotApplicable(ValueError):
@@ -304,76 +329,49 @@ def _require_conductor_11(config, what):
 def run_thm8(config=None):
     """Quintic-character dilogarithm expansions of L(E, 2) at level 11."""
     config = config or VerifyConfig()
+    rows = _Rows(config, lseries_terms=config.terms)
     _require_conductor_11(config, "the quintic dilogarithm identity")
-    tol = _tol(config, TOL_SERIES)
-    base = _base_inputs(config)
-    trunc = {"lseries_terms": config.terms}
-    reports = []
-
-    t0 = time.perf_counter()
     ctx = config.context
     dilog, l_two = ctx.dilog, ctx.l_two
-    prep = time.perf_counter() - t0
-
     p = config.level
     chars = character_table(p).characters
+    terms = {"lambda_terms": ctx.lambda_terms(p)}
     values = {}
     for k in ctx.evens:
-        chi = chars[k]
-        t0 = time.perf_counter()
-        zeta = complex(chi(3))
+        zeta = complex(chars[k](3))
         ratio = (1.0 + 3.0 * (zeta + zeta.conjugate())) / (zeta - zeta.conjugate())
         # The a = 0 term drops out: D_E vanishes at the origin.
-        rhs = (20.0 * math.pi / 121.0) * ratio * sum(
+        values[k] = (20.0 * math.pi / 121.0) * ratio * sum(
             zeta ** a * dilog[a] for a in range(1, 5))
-        values[k] = rhs
-        reports.append(make_report(
-            f"thm8:identity:{character_label(chi)}",
-            dict(base, character=character_label(chi)),
-            l_two, rhs, tol, prep + time.perf_counter() - t0,
-            dict(trunc, lambda_terms=ctx.lambda_terms(config.level))))
-        prep = 0.0
+        label = character_label(chars[k])
+        rows.add(f"thm8:identity:{label}", l_two, values[k], TOL_SERIES,
+                 terms, character=label)
     # One row per conjugate pair {chi_k, chi_-k}, at the smaller exponent.
     for k in ctx.evens[ctx.evens < (-ctx.evens) % (p - 1)]:
         label = character_label(chars[k])
-        reports.append(make_report(
-            f"thm8:conjugation:{label}", dict(base, character=label),
-            values[k], values[(-k) % (p - 1)], _tol(config, 1e-10), 0.0,
-            trunc, error_kind="abs"))
-    return reports
+        rows.add(f"thm8:conjugation:{label}", values[k],
+                 values[(-k) % (p - 1)], 1e-10, error_kind="abs",
+                 character=label)
+    return rows.reports
 
 
 def run_cor101(config=None):
     """L(E, 2) = (10 pi / 11) D_E(P) and the torsion-point relations."""
     config = config or VerifyConfig()
+    rows = _Rows(config, lseries_terms=config.terms)
     _require_conductor_11(config, "the five-torsion dilogarithm identity")
-    base = _base_inputs(config)
-    trunc = {"lseries_terms": config.terms}
-    reports = []
-
-    t0 = time.perf_counter()
     dilog, l_two = config.context.dilog, config.context.l_two
-    seconds = time.perf_counter() - t0
-
     first = (10.0 * math.pi / 11.0) * dilog[1]
-    diag = dict(trunc, lambda_terms=config.context.lambda_terms(config.level))
+    diag = {"lambda_terms": config.context.lambda_terms(config.level)}
     if abs(l_two / first + 1.0) < 1e-3:
         # A mismatch by exactly -1 means the period lattice orientation
         # (the sign of D_E) is reversed, not a convergence failure.
         diag["orientation_hint"] = "ratio is -1: elliptic dilogarithm sign reversed"
-    reports.append(make_report(
-        "cor101:first", base, l_two, first, _tol(config, TOL_SERIES),
-        seconds, diag))
-    reports.append(make_report(
-        "cor101:exotic", base, dilog[2], 1.5 * dilog[1],
-        _tol(config, 1e-10), 0.0, trunc))
-    reports.append(make_report(
-        "cor101:negation:4P", base, dilog[4], -dilog[1],
-        _tol(config, 1e-10), 0.0, trunc))
-    reports.append(make_report(
-        "cor101:negation:3P", base, dilog[3], -dilog[2],
-        _tol(config, 1e-10), 0.0, trunc))
-    return reports
+    rows.add("cor101:first", l_two, first, TOL_SERIES, diag)
+    rows.add("cor101:exotic", dilog[2], 1.5 * dilog[1], 1e-10)
+    rows.add("cor101:negation:4P", dilog[4], -dilog[1], 1e-10)
+    rows.add("cor101:negation:3P", dilog[3], -dilog[2], 1e-10)
+    return rows.reports
 
 
 def _arc_truncation(gap):
@@ -384,69 +382,50 @@ def _arc_truncation(gap):
 def run_thm1(config=None):
     """L(E,2) L(E,chi,1) as a Gauss-sum combination of twisted L-values."""
     config = config or VerifyConfig()
+    rows = _Rows(config, lseries_terms=config.terms)
     p = config.level
-    base = _base_inputs(config)
-    reports = []
-
-    t0 = time.perf_counter()
     ctx = config.context
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
-    reports.append(make_report(
-        "thm1:fricke-sign", base, w, -a_p(config.curve, p),
-        _tol(config, TOL_SERIES), time.perf_counter() - t0,
-        {"lseries_terms": config.terms}, error_kind="abs"))
+    rows.add("thm1:fricke-sign", w, -a_p(config.curve, p), TOL_SERIES,
+             error_kind="abs")
 
     chars, _, tau = character_table(p)
     evens, odds = ctx.evens, ctx.odds
-    t0 = time.perf_counter()
     arcs, gap = ctx.eta_arcs
     coef = ctx.arc_coefficients
     prefactor = p * w / (8j * math.pi * (p - 1))
     rhs = prefactor * tau[evens] * np.einsum(
         "kj,j->k", coef[np.ix_(evens, evens)], l_one[evens])
     sweep = np.abs(coef[np.ix_(evens, odds)]).max(axis=1)
-    arc_seconds = time.perf_counter() - t0
 
     # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
     # and the identity.
+    rows.truncation.update(eta_tol=1e-13, arc_count=len(evens) * (p - 1),
+                           **_arc_truncation(gap))
     label = character_label(chars[evens[0]])
-    trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13,
-             "arc_count": len(evens) * (p - 1), **_arc_truncation(gap)}
-    reports.append(make_report(
-        f"thm1:cusp-arcs:{label}", dict(base, character=label),
-        np.abs(arcs[evens[0], [0, p]]).max(), 0.0, _tol(config, 1e-9),
-        0.0, trunc, error_kind="abs"))
-
+    rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[evens[0], [0, p]]).max(),
+             0.0, 1e-9, error_kind="abs", character=label)
+    terms = {"lambda_terms": ctx.lambda_terms(p, p * p)}
     for i, k in enumerate(evens):
         label = character_label(chars[k])
-        reports.append(make_report(
-            f"thm1:identity:{label}", dict(base, character=label),
-            l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
-            arc_seconds, dict(trunc, lambda_terms=ctx.lambda_terms(p, p * p)),
-            scale=l_two))
-        arc_seconds = 0.0
-        reports.append(make_report(
-            f"thm1:odd-sweep:{label}", dict(base, character=label),
-            sweep[i], 0.0, _tol(config, 1e-9), 0.0, trunc,
-            error_kind="abs"))
-    return reports
+        rows.add(f"thm1:identity:{label}", l_two * l_one[k], rhs[i],
+                 TOL_QUADRATURE, terms, scale=l_two, character=label)
+        rows.add(f"thm1:odd-sweep:{label}", sweep[i], 0.0, 1e-9,
+                 error_kind="abs", character=label)
+    return rows.reports
 
 
 def run_thm2(config=None):
     """Residue-normalized and residue-free expansions of L(E, 2)."""
     config = config or VerifyConfig()
+    rows = _Rows(config, lseries_terms=config.terms, eta_tol=1e-13)
     p = config.level
-    base = _base_inputs(config)
-    trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13}
-    reports = []
-
-    t0 = time.perf_counter()
     ctx = config.context
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
     tau, evens, odds = character_table(p).tau, ctx.evens, ctx.odds
     _, gap = ctx.eta_arcs
-    trunc.update(_arc_truncation(gap))
-    trunc["lambda_terms"] = ctx.lambda_terms(p, p * p)
+    rows.truncation.update(_arc_truncation(gap),
+                           lambda_terms=ctx.lambda_terms(p, p * p))
 
     # tau(chi_k chi_j) for even k and odd j; chi_k chi_j = chi_{k+j}.
     mixed = tau[np.add.outer(evens, odds) % (p - 1)]
@@ -455,55 +434,37 @@ def run_thm2(config=None):
     lam = np.einsum("mj,mk->kj", tau[evens, None] / mixed,
                     ctx.arc_coefficients[np.ix_(evens, evens)])
     weighted = np.einsum("kj,k,j->", lam, even_one, odd_one)
-    prep = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     residue = ctx.residue
     explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * np.einsum(
         "k,j,kj->", even_one, odd_one, 1.0 / mixed)
-    reports.append(make_report(
-        "thm2:residue-consistency", base, residue, explicit,
-        _tol(config, TOL_SERIES), time.perf_counter() - t0,
-        dict(trunc, lambda_terms=ctx.lambda_terms(p * p))))
+    rows.add("thm2:residue-consistency", residue, explicit, TOL_SERIES,
+             {"lambda_terms": ctx.lambda_terms(p * p)})
 
     rhs = (p ** 3 * w / (8.0 * (p + 1) * (p - 1) ** 3 * math.pi ** 2)
            ) * weighted / residue
-    reports.append(make_report(
-        "thm2:via-residue", base, l_two, rhs,
-        _tol(config, TOL_QUADRATURE), prep, trunc))
+    rows.add("thm2:via-residue", l_two, rhs, TOL_QUADRATURE)
 
     # Eliminating the residue against the same double sum conjugates the
     # central values in the denominator and drops one power of pi.
-    t0 = time.perf_counter()
     denominator = np.einsum("kj,k,j->", mixed, even_one.conj(),
                             odd_one.conj())
     free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)
             ) * weighted / denominator
-    reports.append(make_report(
-        "thm2:residue-free", base, l_two, free,
-        _tol(config, TOL_QUADRATURE), time.perf_counter() - t0, trunc))
-    return reports
+    rows.add("thm2:residue-free", l_two, free, TOL_QUADRATURE)
+    return rows.reports
 
 
 def run_thm3(config=None):
     """L(f,2) L(f,chi,1) through eta(1, chihat) paired with the symbols."""
     config = config or VerifyConfig()
+    rows = _Rows(config, lseries_terms=config.terms, eta_tol=1e-13)
     p = config.level
-    base = _base_inputs(config)
-    trunc = {"lseries_terms": config.terms, "eta_tol": 1e-13}
-    reports = []
-
-    t0 = time.perf_counter()
     ctx = config.context
     xi, l_one, l_two = ctx.xi, ctx.l_one, ctx.l_two
-    prep = time.perf_counter() - t0
     terms = ctx.lambda_terms(p, p * p)
-
-    t0 = time.perf_counter()
-    reports.append(make_report(
-        "thm3:closedness", base, max(xi.closedness()), 0.0,
-        _tol(config, 1e-9), prep + time.perf_counter() - t0,
-        dict(trunc, lambda_terms=terms), error_kind="abs"))
+    rows.add("thm3:closedness", max(xi.closedness()), 0.0, 1e-9,
+             {"lambda_terms": terms}, error_kind="abs")
 
     chars, _, tau = character_table(p)
     evens, table = ctx.evens, ctx.node_table
@@ -518,24 +479,18 @@ def run_thm3(config=None):
         scale = tau[ks] / 2.0
         return scale * values.sum(axis=0), abs(scale) * gaps.max(axis=0)
 
-    t0 = time.perf_counter()
     weighted, gaps = arcs(xi.plus_values, evens)
     rhs = (p * 1j / 4.0) * weighted
-    seconds = time.perf_counter() - t0
     for i, k in enumerate(evens):
         label = character_label(chars[k])
-        reports.append(make_report(
-            f"thm3:identity:{label}", dict(base, character=label),
-            l_two * l_one[k], rhs[i], _tol(config, TOL_QUADRATURE),
-            seconds, dict(trunc, arc_count=u.size, lambda_terms=terms,
-                          **_arc_truncation(gaps[i])),
-            scale=l_two))
-        seconds = 0.0
+        rows.add(f"thm3:identity:{label}", l_two * l_one[k], rhs[i],
+                 TOL_QUADRATURE, dict(arc_count=u.size, lambda_terms=terms,
+                                      **_arc_truncation(gaps[i])),
+                 scale=l_two, character=label)
         if i == 0:
             # The table's arc of eta(delta_1, chihat) over g_column(3),
             # bottom row (1, 3), must match the chihat-weighted sum of the
             # stream quadratures of eta(delta_1, delta_b).
-            t0 = time.perf_counter()
             delta = np.zeros((p, p))
             delta[1, 3] = 1.0
             arc, gap = arcs(delta, evens[:1])
@@ -548,77 +503,60 @@ def run_thm3(config=None):
                     eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),
                     g_column(3), exps=exps)
                 for b in range(p) if abs(chihat(b)) > 1e-15)
-            reports.append(make_report(
-                f"thm3:eta-linearity:{label}",
-                dict(base, character=label), arc[0], assembled,
-                _tol(config, 1e-9), time.perf_counter() - t0,
-                dict(trunc, **_arc_truncation(gap[0])), error_kind="abs"))
-    return reports
+            rows.add(f"thm3:eta-linearity:{label}", arc[0], assembled, 1e-9,
+                     _arc_truncation(gap[0]), error_kind="abs",
+                     character=label)
+    return rows.reports
 
 
 def run_appendix(config=None):
     """Petersson square norm against the tensor-square residue."""
     config = config or VerifyConfig()
-    base = _base_inputs(config)
-    trunc = {"lseries_terms": config.terms, "lambda_terms":
-             config.context.lambda_terms(config.level, config.level ** 2)}
-    reports = []
-
-    t0 = time.perf_counter()
-    form, xi = config.context.form, config.context.xi
-    pairing = petersson(xi, xi)
-    residue = config.context.residue
-    seconds = time.perf_counter() - t0
-
-    reports.append(make_report(
-        "appendix:petersson-residue", base,
-        12.0 * math.pi * pairing.real, residue,
-        _tol(config, TOL_QUADRATURE), seconds, trunc))
-    reports.append(make_report(
-        "appendix:imag-part", base, pairing.imag, 0.0,
-        _tol(config, TOL_SERIES), 0.0, trunc, error_kind="abs"))
-    reports.append(make_report(
-        "appendix:positivity", base,
-        float(pairing.real > 0.0 and residue > 0.0), 1.0,
-        0.5, 0.0, trunc, error_kind="abs"))
-
+    rows = _Rows(config, lseries_terms=config.terms)
     p = config.level
-    picks = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
-    for u, v in picks:
-        t0 = time.perf_counter()
+    ctx = config.context
+    rows.truncation["lambda_terms"] = ctx.lambda_terms(p, p * p)
+    form, xi = ctx.form, ctx.xi
+    pairing = petersson(xi, xi)
+    residue = ctx.residue
+    rows.add("appendix:petersson-residue", 12.0 * math.pi * pairing.real,
+             residue, TOL_QUADRATURE)
+    rows.add("appendix:imag-part", pairing.imag, 0.0, TOL_SERIES,
+             error_kind="abs")
+    rows.add("appendix:positivity",
+             float(pairing.real > 0.0 and residue > 0.0), 1.0, 0.5,
+             error_kind="abs")
+
+    for u, v in [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]:
         quad = {}
         direct = period_integral_oracle(form, (u, v), quadrature=quad)
-        reports.append(make_report(
-            f"appendix:xi-oracle:{u},{v}", dict(base, symbol=[u, v]),
-            xi.values[u % p, v % p], direct, _tol(config, 1e-7),
-            time.perf_counter() - t0,
-            dict(trunc, quadrature_nodes=32, **quad), error_kind="abs"))
-    return reports
+        rows.add(f"appendix:xi-oracle:{u},{v}", xi.values[u % p, v % p],
+                 direct, 1e-7, dict(quad, quadrature_nodes=32),
+                 error_kind="abs", symbol=[u, v])
+    return rows.reports
 
 
 def run_mahler(config=None):
-    """Mahler measures of the two conductor-11 polynomials."""
+    """Mahler measures of the two conductor-11 polynomials, and of the
+    first one's reversal in X, which has the same measure."""
     config = config or VerifyConfig()
+    rows = _Rows(config)
     _require_conductor_11(config, "each Mahler measure identity")
-    base = _base_inputs(config)
     l_two = config.context.l_two
-    data = mahler_identity_checks(lval=l_two)
-    tol = _tol(config, TOL_QUADRATURE)
     terms = {"lambda_terms": config.context.lambda_terms(config.level)}
-    return [
-        make_report(
-            "mahler:first", dict(base, ratio="77/4pi^2"),
-            data["m_first"], (77.0 / (4.0 * math.pi ** 2)) * l_two, tol,
-            data["seconds_first"], dict(data["quadrature_first"], **terms)),
-        make_report(
-            "mahler:second", dict(base, ratio="55/4pi^2"),
-            data["m_second"], (55.0 / (4.0 * math.pi ** 2)) * l_two, tol,
-            data["seconds_second"], dict(data["quadrature_second"], **terms)),
-        make_report(
-            "mahler:reciprocal", base, data["reciprocal_err"], 0.0,
-            _tol(config, TOL_SERIES), data["seconds_reciprocal"],
-            data["quadrature_reciprocal"], error_kind="abs"),
-    ]
+    first, second = curve_identity_polynomials()
+    measured = {}
+    for name, poly, ratio in (("first", first, 77), ("second", second, 55)):
+        quad = {}
+        measured[name] = mahler_measure(poly, quadrature=quad)
+        rows.add(f"mahler:{name}", measured[name],
+                 (ratio / (4.0 * math.pi ** 2)) * l_two, TOL_QUADRATURE,
+                 dict(quad, **terms), ratio=f"{ratio}/4pi^2")
+    quad = {}
+    reciprocal = mahler_measure(first.reciprocal_x(), quadrature=quad)
+    rows.add("mahler:reciprocal", abs(reciprocal - measured["first"]), 0.0,
+             TOL_SERIES, quad, error_kind="abs")
+    return rows.reports
 
 
 SUITES = {

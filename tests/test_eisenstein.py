@@ -396,6 +396,83 @@ def test_pairings_match_the_pair_gather_reference_at_37():
         p, lines, np.arange(0, p - 1, 10), weights)
 
 
+def _pairings_on_every_line(table, ks, weights=None):
+    """The transform route with no work skipped: four transforms of every
+    line, with weight 1 on every row when no weights are given."""
+    bins = np.asarray(ks) // 2
+    cw = np.conj(np.ones(table.pairs.shape[:2]) if weights is None
+                 else weights)[..., None]
+    n = ArcTable.NODES[0]
+    v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (table._V, table._X))
+    wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
+              for f in (table._V, table._X))
+    fine, coarse = (np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
+                    - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes])
+                    for nodes in (slice(n, None), slice(n)))
+    scale = 4j * (np.asarray(ks) % 2 == 0)
+    fine *= scale
+    coarse *= scale
+    return fine, np.abs(fine - coarse)
+
+
+@pytest.fixture
+def fft_shapes(monkeypatch):
+    """The shape of every array handed to np.fft.fft from here on."""
+    shapes = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return shapes
+
+
+def _assert_bitwise_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", [11, 17, 37])
+def test_unweighted_pairings_equal_the_four_transform_route(p):
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    ks = np.arange(p - 1)
+    _assert_bitwise_equal(table.pairings(ks),
+                          _pairings_on_every_line(table, ks))
+
+
+@pytest.mark.parametrize("p", [11, 37])
+def test_unweighted_pairings_transform_each_line_twice(p, fft_shapes):
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    table.pairings(np.arange(p - 1))
+    # V and X once each, in blocks of lines.
+    assert sum(s[0] for s in fft_shapes) == 2 * (p + 1)
+
+
+@pytest.mark.parametrize("p", [17, 37])
+def test_weighted_pairings_transform_only_lines_with_weight(p, fft_shapes):
+    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
+    ks = np.arange(2, p - 1, 2)
+    delta = _row_weight(table, (1, 3))
+    rng = np.random.default_rng(p)
+    sparse = np.zeros(table.pairs.shape[:2], dtype=complex)
+    lines = rng.choice(p + 1, size=3, replace=False)
+    re, im = rng.normal(size=(2, 3, (p - 1) // 2))
+    sparse[lines] = re + 1j * im
+    sparse[lines[0], 1:] = 0.0
+    for weights in (delta, sparse):
+        values, gaps = table.pairings(ks, weights)
+        _assert_bitwise_equal((values, gaps),
+                              _pairings_on_every_line(table, ks, weights))
+        idle = ~np.any(weights, axis=1)
+        assert not values[idle].any() and not gaps[idle].any()
+    del fft_shapes[:]
+    table.pairings(ks[:1], delta)
+    # The one line with a nonzero weight: V, X, w V and w X.
+    assert [s[0] for s in fft_shapes] == [1, 1, 1, 1]
+
+
 def _assert_values_match_arc_integral(values, forms, lifts):
     """The table's values give, arc by arc, the value of arc_integral."""
     exps = {}  # every form shares the table's level, rmax and path

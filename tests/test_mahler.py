@@ -16,10 +16,10 @@ from ellreg.mahler import (
     _one_variable_measure,
     _unit_circle_crossings,
     curve_identity_polynomials,
-    mahler_identity_checks,
     mahler_measure,
 )
 from ellreg.special import gauss_legendre_nodes
+from ellreg.verify import VerifyConfig, run_mahler
 
 X = BivariatePolynomial([[0], [1]])
 Y = BivariatePolynomial([[0, 1]])
@@ -28,7 +28,10 @@ ONE = BivariatePolynomial([[1]])
 
 @pytest.fixture(scope="module")
 def identity_report():
-    return mahler_identity_checks()
+    """The verify rows of the three measures, by name, and L(E, 2)."""
+    config = VerifyConfig()
+    rows = {r.check: r for r in run_mahler(config)}
+    return rows, config.context.l_two
 
 
 def test_trivial_measures():
@@ -144,15 +147,16 @@ def test_doubling_outer_nodes_is_stable():
 
 
 def test_curve_identities(identity_report):
-    rep = identity_report
-    assert rep["ratio_first_err"] < 1e-6
-    assert rep["ratio_second_err"] < 1e-6
-    assert rep["reciprocal_err"] < 1e-8
-    assert rep["seconds_first"] + rep["seconds_second"] < 60.0
-    assert rep["ratio_first"] == pytest.approx(77.0 / (4 * math.pi**2),
-                                               rel=1e-10)
-    assert rep["ratio_second"] == pytest.approx(55.0 / (4 * math.pi**2),
-                                                rel=1e-10)
+    rows, l_two = identity_report
+    first, second = rows["mahler:first"], rows["mahler:second"]
+    assert first.passed and first.error < 1e-6
+    assert second.passed and second.error < 1e-6
+    assert rows["mahler:reciprocal"].error < 1e-8
+    assert first.seconds + second.seconds < 60.0
+    assert first.left.real / l_two == pytest.approx(77.0 / (4 * math.pi**2),
+                                                    rel=1e-10)
+    assert second.left.real / l_two == pytest.approx(55.0 / (4 * math.pi**2),
+                                                     rel=1e-10)
 
 
 def _scalar_inner_measure(poly, u):
@@ -255,23 +259,27 @@ def test_quadrature_stays_batched(monkeypatch):
 
 
 def test_identity_rows_report_the_quadrature_that_ran(identity_report):
-    rep = identity_report
+    rows, _ = identity_report
     for key in ("first", "second", "reciprocal"):
-        quad = rep["quadrature_" + key]
-        assert quad["abs_tol"] == 1e-13
-        assert quad["outer_nodes"] == 24
-        assert quad["cut_points"] >= 0 and quad["outer_panels"] >= 1
-        assert rep["seconds_" + key] > 0.0
+        row = rows["mahler:" + key]
+        assert row.truncation["abs_tol"] == 1e-13
+        assert row.truncation["outer_nodes"] == 24
+        assert row.truncation["cut_points"] >= 0
+        assert row.truncation["outer_panels"] >= 1
+        assert row.seconds > 0.0
     # The first polynomial loses its Y^2 term at X = -1 and its
     # reciprocal does too; the second keeps its degree on the circle.
-    assert rep["quadrature_first"]["cut_points"] == 1
-    assert rep["quadrature_reciprocal"]["cut_points"] == 1
-    assert rep["quadrature_second"]["cut_points"] == 0
+    assert rows["mahler:first"].truncation["cut_points"] == 1
+    assert rows["mahler:reciprocal"].truncation["cut_points"] == 1
+    assert rows["mahler:second"].truncation["cut_points"] == 0
 
 
 def test_identity_checks_use_the_given_l_value(monkeypatch):
+    import ellreg.lseries as lseries
+    import ellreg.verify as verify
+
     def refuse(*args, **kwargs):
-        raise AssertionError("the L-value was given")
+        raise AssertionError("the context holds the newform")
 
     # The three measures go through the public mahler_measure, where a
     # profiler or tracer that wraps it sees them.
@@ -281,11 +289,15 @@ def test_identity_checks_use_the_given_l_value(monkeypatch):
         measured.append(args[0])
         return mahler_measure(*args, **kwargs)
 
-    monkeypatch.setattr(mahler, "newform_from_curve", refuse)
-    monkeypatch.setattr(mahler, "mahler_measure", counted)
-    rep = mahler_identity_checks(lval=2.0)
-    assert rep["l_value"] == 2.0
-    assert rep["ratio_first"] == rep["m_first"] / 2.0
+    config = VerifyConfig()
+    config.context.form  # the one newform, built before the guard
+    config.context.l_two = 2.0
+    for module in (verify, lseries):
+        monkeypatch.setattr(module, "newform_from_curve", refuse)
+    monkeypatch.setattr(verify, "mahler_measure", counted)
+    rows = {r.check: r for r in run_mahler(config)}
+    assert rows["mahler:first"].right == (77.0 / (4.0 * math.pi ** 2)) * 2.0
+    assert rows["mahler:second"].right == (55.0 / (4.0 * math.pi ** 2)) * 2.0
     first, second = curve_identity_polynomials()
     assert measured == [first, second, first.reciprocal_x()]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from ellreg.characters import (
 )
 from ellreg.eisenstein import ArcTable
 from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
+from ellreg.mahler import curve_identity_polynomials
 from ellreg.verify import (
     SUITES,
     VerifyConfig,
@@ -109,6 +111,66 @@ def test_tolerance_override_applies_everywhere():
     reports = run_cor101(resolve_config(tolerance=1e-16))
     assert all(r.tolerance == 1e-16 for r in reports)
     assert not any(r.passed for r in reports)
+
+
+@pytest.fixture(scope="module")
+def builder_runs():
+    """run_all at 11, then thm1, thm2, thm3 and appendix at 17, each on a
+    fresh config with --tolerance 1e-16: every suite's rows and its own
+    wall time by (level, suite), and the polynomials mahler_measure got."""
+    import ellreg.verify as verify
+
+    suites, measured = {}, []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, suite in SUITES.items():
+            def timed(config, name=name, suite=suite):
+                t0 = time.perf_counter()
+                rows = suite(config)
+                suites[config.level, name] = rows, time.perf_counter() - t0
+                return rows
+            mp.setitem(SUITES, name, timed)
+        real_measure = verify.mahler_measure
+
+        def counted(poly, *args, **kwargs):
+            measured.append(poly)
+            return real_measure(poly, *args, **kwargs)
+        mp.setattr(verify, "mahler_measure", counted)
+        run_all(resolve_config(tolerance=1e-16))
+        for name in ("thm1", "thm2", "thm3", "appendix"):
+            SUITES[name](resolve_config(level=17, tolerance=1e-16))
+    assert len(suites) == len(SUITES) + 4
+    return suites, measured
+
+
+def test_tolerance_override_reaches_every_row(builder_runs):
+    suites, _ = builder_runs
+    for key, (rows, _) in suites.items():
+        assert rows and all(r.tolerance == 1e-16 for r in rows), key
+
+
+def test_every_row_carries_the_config_inputs(builder_runs):
+    suites, _ = builder_runs
+    curves = {11: [0, -1, 1, 0, 0], 17: [1, -1, 1, -1, -14]}
+    for (level, _), (rows, _) in suites.items():
+        for r in rows:
+            assert r.inputs["level"] == level, r.check
+            assert r.inputs["curve"] == curves[level], r.check
+            assert r.inputs["terms"] == 4000, r.check
+
+
+def test_row_seconds_add_up_to_the_suite_wall_time(builder_runs):
+    # The clock starts before the suite's first context read, so no
+    # suite does work that none of its rows is charged for.
+    suites, _ = builder_runs
+    for key, (rows, wall) in suites.items():
+        assert all(r.seconds >= 0.0 for r in rows), key
+        assert abs(sum(r.seconds for r in rows) - wall) <= 5e-3, key
+
+
+def test_run_all_measures_each_polynomial_once(builder_runs):
+    _, measured = builder_runs
+    first, second = curve_identity_polynomials()
+    assert measured == [first, second, first.reciprocal_x()]
 
 
 def test_conductor_guard():
