@@ -6,8 +6,8 @@ module provides the two- and three-term relation quotient with exact
 rational linear algebra, cusp classes and the boundary map, diamond and
 T_2 actions, and two independent ways to pair symbols with a weight-2
 rational newform of prime level: a bridge through twisted central
-L-values and a direct path-integral oracle that reduces evaluation
-points with the level-p involution.
+L-values and a direct path-integral oracle that takes each half of a
+path to height t or t/p in one coset step.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .characters import _xgcd, character_table
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
+    _terms_for_rates,
     l_value,
     q_expansions,
     root_number,
@@ -402,130 +403,62 @@ def xi_bridge_table(form: ModularFormData,
     return XiTable(p, at_inf, dict(enumerate(units.tolist(), start=1)))
 
 
-def _reduce_points(p: int, z, w: complex, threshold: float,
-                   max_steps: int = 40):
-    """Push an array of points z upward until each has Im z >= threshold.
-
-    The moves are translations, bottom rows (kp, d), and the level
-    involution z -> -1/(pz), which trades f for w times the conjugate
-    stream.  Returns the reduced points, the factors with f(z) = mult *
-    g(z_reduced), the flags for g = conjugate partner, and the most
-    moves any point took.
-    """
-    z = np.array(z, dtype=complex)
-    mult = np.ones_like(z)
-    conj = np.zeros(z.shape, dtype=bool)
-    live = np.arange(z.size)
-    # Rows (kp, d) for k = 8 .. 1, d = round(-kpx) + 2 .. -2: the first with
-    # the largest gain over 1.0001 wins.  (-kp, -d) is the same move.
-    ks = np.repeat(np.arange(8, 0, -1), 5)
-    cs, offsets = p * ks, np.tile(np.arange(2, -3, -1), 8)
-    # p prime: gcd(kp, d) = 1 iff p does not divide d and gcd(k, d mod 840) = 1
-    coprime = np.gcd(np.arange(9)[:, None], np.arange(840)) == 1
-    for moves in range(max_steps):
-        zl = z[live] - np.round(z[live].real)
-        z[live] = zl
-        keep = zl.imag < threshold
-        live, zl = live[keep], zl[keep]
-        if not live.size:
-            return z, mult, conj, moves
-        # No row gains more than 1 / (p Im z)^2, as |cz + d| >= p Im z.
-        fricke_gain = 1.0 / (p * np.abs(zl) ** 2)
-        fricke = fricke_gain > np.maximum(1.0001, 1.0 / (p * zl.imag) ** 2)
-        s = np.flatnonzero(~fricke)
-        picks = []
-        for zb in np.array_split(zl[s], 8):  # 5 entries a point per temporary
-            cx = cs * zb.real[:, None]
-            d = np.round(-cx) + offsets
-            gain = 1.0 / np.hypot(cx + d, cs * zb.imag[:, None]) ** 2
-            d = d.astype(int)
-            gain[(gain <= 1.0001) | (d % p == 0) | ~coprime[ks, d % 840]] = 0.0
-            at = np.arange(zb.size), gain.argmax(axis=1)
-            picks.append((gain[at], cs[at[1]], d[at]))
-        best, c, d = map(np.concatenate, zip(*picks))
-        fricke[s] = fricke_gain[s] > np.maximum(1.0001, best)
-        stalled = ~fricke[s] & (best == 0.0)
-        if stalled.any():
-            raise RuntimeError("point reduction stalled at %r"
-                               % (complex(zl[s[stalled][0]]),))
-        # f(z) = (w / (p z^2)) fbar(-1/(pz)); fbar uses wbar
-        i, zf = live[fricke], zl[fricke]
-        mult[i] *= np.where(conj[i], w.conjugate(), w) / (p * zf * zf)
-        z[i] = -1.0 / (p * zf)
-        conj[i] = ~conj[i]
-        # bottom row (c, d) = (kp, d), so the map is level-stable and
-        # f((az+b)/(cz+d)) = (cz+d)^2 f(z)
-        row = ~fricke[s]
-        i, zm, c, d = live[~fricke], zl[~fricke], c[row], d[row]
-        # Each distinct row completed once, keyed by (d, c) without a sort.
-        low = int(d.min(initial=0))
-        seen = np.bincount(key := (d - low) * 9 + c // p) > 0
-        a, b = np.array([_complete_row(p * (u % 9), u // 9 + low)
-                         for u in np.flatnonzero(seen).tolist()]
-                        ).reshape(-1, 2)[np.cumsum(seen)[key] - 1].T
-        mult[i] /= (c * zm + d) ** 2
-        z[i] = (a * zm + b) / (c * zm + d)
-    raise RuntimeError("point reduction exceeded %d steps" % max_steps)
-
-
-def _reduced_eval(form: ModularFormData, z: complex, w: complex,
-                  ctl: SeriesControl = DEFAULT_CONTROL,
-                  threshold: float | None = None,
-                  max_steps: int = 40) -> complex:
-    """f(z) anywhere in the upper half plane, through _reduce_points."""
-    if threshold is None:
-        threshold = 0.7 / form.level
-    zr, mult, conj, _ = _reduce_points(form.level, [complex(z)], w,
-                                       threshold, max_steps)
-    return complex(mult[0]) * complex(
-        _eval_points(form, zr, conj, ctl.abs_tol)[0])
-
-
-def _eval_points(form: ModularFormData, z: np.ndarray, conj: np.ndarray,
-                 tol: float) -> np.ndarray:
-    """f at each point, or its conjugate partner where conj is set.
-
-    The partner, the conjugate stream, is conj(f(-conj z)) at z.
-    """
-    values = q_expansions(form.coefficients, np.where(conj, -z.conj(), z),
-                          tol)
-    return np.where(conj, values.conj(), values)
-
-
-def period_integral_oracle(form: ModularFormData, x,
+def period_integral_oracle(form: ModularFormData, symbols,
                            ctl: SeriesControl = DEFAULT_CONTROL,
                            nodes: int = 32, panel: float = 3.0,
-                           quadrature: dict | None = None) -> complex:
-    """-i times the integral of f along the lift of x, by quadrature.
+                           quadrature: dict | None = None) -> np.ndarray:
+    """-i times the integral of f along the lift of each symbol, by quadrature.
 
-    Loose-tolerance independent route to the period pairing: both path
-    ends are cusps, reached through the substitution t -> 1/t and
-    reduced evaluation of every node of the path at once.  A given
-    quadrature dict is filled with the node and panel counts, the
-    cut-off tmax and the most reduction moves any node took.  x is a
-    SymbolIndex or a pair (u, v) of order the level.
+    Loose-tolerance independent route to the period pairing.  For a lift
+    g of x = (u, v) the path g(is), s > 0, splits at s = 1 into
+    int_1^tmax F_g dt - int_1^tmax F_gS dt, with F_h(t) = f(h(it)) h'(it)
+    and gS of bottom row (v, -u).  Gamma_0(p) has two cusp classes, so
+    one coset step h = gamma S T^j (gamma in Gamma_0(p), j = d / c mod p
+    for bottom row (c, d)) and f(z) = (w / (p z^2)) fbar(-1/(pz)) give
+    F_h(t) = f(it) if p | c, else (w / p) fbar((it + j) / p): the sum of
+    the additive twist conj(a_n) e(nj/p) at it/p.  The halves at infinity
+    are one q-series call at it, the others one call over a stack of
+    twists, one row per distinct j, at it/p; every stream is cut at the
+    terms height 1/p needs.  A given quadrature dict is filled with the
+    node count per symbol, the panel count, the cut-off tmax, the one
+    coset step and the Gauss-Legendre nodes per panel.  symbols holds
+    SymbolIndex objects or pairs (u, v) of order the level.
     """
     p = form.level
-    if getattr(x, "level", p) != p:
-        raise ValueError("level mismatch between form and symbol")
-    w = root_number(form)
-    g = matrix_lift(getattr(x, "pair", x), p)
+    pairs = []
+    for x in symbols:
+        if getattr(x, "level", p) != p:
+            raise ValueError("level mismatch between form and symbol")
+        u, v = getattr(x, "pair", x)
+        if math.gcd(math.gcd(u, v), p) != 1:
+            raise ValueError("pair (%d, %d) does not have order %d"
+                             % (u, v, p))
+        pairs.append((u % p, v % p))
     tmax = p * math.log(1.0 / ctl.abs_tol) / TWO_PI + 4.0
     cuts = [1.0]
     while cuts[-1] < tmax:
         cuts.append(min(cuts[-1] + panel, tmax))
     ts, ws = map(np.concatenate, zip(*(gauss_legendre_nodes(nodes, t0, t1)
                                        for t0, t1 in zip(cuts, cuts[1:]))))
-    # Both halves of the path: g(it), and g(i/t) with dt/t^2.
-    it = np.concatenate([1j * ts, 1j / ts])
-    jac = g.derivative(it) * np.concatenate([ws, ws / (ts * ts)])
-    z, mult, conj, moves = _reduce_points(p, g.act(it), w, 0.7 / p)
-    values = _eval_points(form, z, conj, ctl.abs_tol)
     if quadrature is not None:
-        quadrature.update(nodes=int(z.size), panels=len(cuts) - 1,
-                          tmax=tmax, max_reduction_steps=moves)
-    # d(g(it)) = g'(it) i dt, and the overall -i of the pairing
-    return complex(np.sum(jac * mult * values))
+        quadrature.update(nodes=2 * ts.size, panels=len(cuts) - 1,
+                          tmax=tmax, max_reduction_steps=1,
+                          quadrature_nodes=nodes)
+    # The bottom rows (c, d) of g and gS, mod p; None marks p | c.
+    js = [None if c == 0 else d * pow(c, -1, p) % p
+          for u, v in pairs for c, d in ((u, v), (v, -u))]
+    k = int(_terms_for_rates(np.array([TWO_PI / p]), form.nmax,
+                             ctl.abs_tol)[0])
+    a = form.coefficients[:k + 1]
+    halves = {None: q_expansions(a, 1j * ts, ctl.abs_tol)}
+    twists = sorted({j for j in js if j is not None})
+    if twists:
+        unit = np.exp(TWO_PI * 1j * np.arange(p) / p)  # e(m / p)
+        stack = a.conj() * unit[np.outer(twists, np.arange(k + 1)) % p]
+        sums = q_expansions(stack, 1j * ts / p, ctl.abs_tol)
+        halves.update(zip(twists, (root_number(form) / p) * sums))
+    f = np.array([halves[j] for j in js]).reshape(len(pairs), 2, ts.size)
+    return np.sum(ws * (f[:, 0] - f[:, 1]), axis=-1)
 
 
 def petersson(xi1: XiTable, xi2: XiTable) -> complex:

@@ -527,12 +527,12 @@ def run_appendix(config=None):
              float(pairing.real > 0.0 and residue > 0.0), 1.0, 0.5,
              error_kind="abs")
 
-    for u, v in [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]:
-        quad = {}
-        direct = period_integral_oracle(form, (u, v), quadrature=quad)
+    symbols = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
+    quad = {}
+    direct = period_integral_oracle(form, symbols, quadrature=quad)
+    for (u, v), value in zip(symbols, direct.tolist()):
         rows.add(f"appendix:xi-oracle:{u},{v}", xi.values[u % p, v % p],
-                 direct, 1e-7, dict(quad, quadrature_nodes=32),
-                 error_kind="abs", symbol=[u, v])
+                 value, 1e-7, quad, error_kind="abs", symbol=[u, v])
     return rows.reports
 
 
@@ -543,7 +543,8 @@ def run_mahler(config=None):
     rows = _Rows(config)
     _require_conductor_11(config, "each Mahler measure identity")
     l_two = config.context.l_two
-    terms = {"lambda_terms": config.context.lambda_terms(config.level)}
+    terms = {"lambda_terms": config.context.lambda_terms(config.level),
+             "lseries_terms": config.terms}
     first, second = curve_identity_polynomials()
     measured = {}
     for name, poly, ratio in (("first", first, 77), ("second", second, 55)):

@@ -12,10 +12,12 @@ from ellreg.characters import enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
 from ellreg.eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from ellreg.lseries import (
+    ModularFormData,
     _terms_for_rates,
     eval_form,
     l_value,
     newform_from_curve,
+    q_expansions,
     residue_tensor_square,
     root_number,
     twist_by_character,
@@ -27,9 +29,6 @@ from ellreg.modsym import (
     SymbolVector,
     XiTable,
     _complete_row,
-    _eval_points,
-    _reduce_points,
-    _reduced_eval,
     boundary,
     cusp_class_of,
     cusp_classes,
@@ -228,7 +227,7 @@ def test_period_oracle_matches_bridge(form11, table11):
     sample = rng.sample(enumerate_symbols(11), 4)
     sample.append(SymbolIndex(11, 1, 0))
     for x in sample:
-        oracle = period_integral_oracle(form11, x, ctl)
+        (oracle,) = period_integral_oracle(form11, [x], ctl)
         ref = table11(x)
         scale = max(1.0, abs(ref))
         assert abs(oracle - ref) < 1e-7 * scale, (x, oracle, ref)
@@ -237,10 +236,10 @@ def test_period_oracle_matches_bridge(form11, table11):
 def test_period_oracle_path_reversal(form11):
     ctl = SeriesControl(abs_tol=1e-11, max_terms=200000)
     x = SymbolIndex(11, 2, 5)
-    forward = period_integral_oracle(form11, x, ctl)
-    backward = period_integral_oracle(form11, x.act(SIGMA), ctl)
+    (forward,) = period_integral_oracle(form11, [x], ctl)
+    (backward,) = period_integral_oracle(form11, [x.act(SIGMA)], ctl)
     assert abs(forward + backward) < 1e-8
-    negated = period_integral_oracle(form11, x.negated(), ctl)
+    (negated,) = period_integral_oracle(form11, [x.negated()], ctl)
     assert abs(forward - negated) < 1e-8
 
 
@@ -261,6 +260,123 @@ def test_petersson_sesquilinear(table11):
     assert abs(petersson(scaled, table11) - s * pet) < 1e-12 * abs(s * pet)
     assert abs(petersson(table11, scaled)
                - np.conj(s) * pet) < 1e-12 * abs(s * pet)
+
+
+# The point reducer, as period_integral_oracle used it before the closed
+# form: translations, bottom rows (kp, d) and the level involution push
+# every node of a path up to Im z >= 0.7 / p, where the q-series is
+# summed.  Kept here as the reference route for the closed form.
+def _reduce_points(p, z, w, threshold, max_steps=40):
+    """Push an array of points z upward until each has Im z >= threshold.
+
+    The moves are translations, bottom rows (kp, d), and the level
+    involution z -> -1/(pz), which trades f for w times the conjugate
+    stream.  Returns the reduced points, the factors with f(z) = mult *
+    g(z_reduced), the flags for g = conjugate partner, and the most
+    moves any point took.
+    """
+    z = np.array(z, dtype=complex)
+    mult = np.ones_like(z)
+    conj = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    # Rows (kp, d) for k = 8 .. 1, d = round(-kpx) + 2 .. -2: the first with
+    # the largest gain over 1.0001 wins.  (-kp, -d) is the same move.
+    ks = np.repeat(np.arange(8, 0, -1), 5)
+    cs, offsets = p * ks, np.tile(np.arange(2, -3, -1), 8)
+    # p prime: gcd(kp, d) = 1 iff p does not divide d and gcd(k, d mod 840) = 1
+    coprime = np.gcd(np.arange(9)[:, None], np.arange(840)) == 1
+    for moves in range(max_steps):
+        zl = z[live] - np.round(z[live].real)
+        z[live] = zl
+        keep = zl.imag < threshold
+        live, zl = live[keep], zl[keep]
+        if not live.size:
+            return z, mult, conj, moves
+        # No row gains more than 1 / (p Im z)^2, as |cz + d| >= p Im z.
+        fricke_gain = 1.0 / (p * np.abs(zl) ** 2)
+        fricke = fricke_gain > np.maximum(1.0001, 1.0 / (p * zl.imag) ** 2)
+        s = np.flatnonzero(~fricke)
+        picks = []
+        for zb in np.array_split(zl[s], 8):  # 5 entries a point per temporary
+            cx = cs * zb.real[:, None]
+            d = np.round(-cx) + offsets
+            gain = 1.0 / np.hypot(cx + d, cs * zb.imag[:, None]) ** 2
+            d = d.astype(int)
+            gain[(gain <= 1.0001) | (d % p == 0) | ~coprime[ks, d % 840]] = 0.0
+            at = np.arange(zb.size), gain.argmax(axis=1)
+            picks.append((gain[at], cs[at[1]], d[at]))
+        best, c, d = map(np.concatenate, zip(*picks))
+        fricke[s] = fricke_gain[s] > np.maximum(1.0001, best)
+        stalled = ~fricke[s] & (best == 0.0)
+        if stalled.any():
+            raise RuntimeError("point reduction stalled at %r"
+                               % (complex(zl[s[stalled][0]]),))
+        # f(z) = (w / (p z^2)) fbar(-1/(pz)); fbar uses wbar
+        i, zf = live[fricke], zl[fricke]
+        mult[i] *= np.where(conj[i], w.conjugate(), w) / (p * zf * zf)
+        z[i] = -1.0 / (p * zf)
+        conj[i] = ~conj[i]
+        # bottom row (c, d) = (kp, d), so the map is level-stable and
+        # f((az+b)/(cz+d)) = (cz+d)^2 f(z)
+        row = ~fricke[s]
+        i, zm, c, d = live[~fricke], zl[~fricke], c[row], d[row]
+        # Each distinct row completed once, keyed by (d, c) without a sort.
+        low = int(d.min(initial=0))
+        seen = np.bincount(key := (d - low) * 9 + c // p) > 0
+        a, b = np.array([_complete_row(p * (u % 9), u // 9 + low)
+                         for u in np.flatnonzero(seen).tolist()]
+                        ).reshape(-1, 2)[np.cumsum(seen)[key] - 1].T
+        mult[i] /= (c * zm + d) ** 2
+        z[i] = (a * zm + b) / (c * zm + d)
+    raise RuntimeError("point reduction exceeded %d steps" % max_steps)
+
+
+def _reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
+                  max_steps=40):
+    """f(z) anywhere in the upper half plane, through _reduce_points."""
+    if threshold is None:
+        threshold = 0.7 / form.level
+    zr, mult, conj, _ = _reduce_points(form.level, [complex(z)], w,
+                                       threshold, max_steps)
+    return complex(mult[0]) * complex(
+        _eval_points(form, zr, conj, ctl.abs_tol)[0])
+
+
+def _eval_points(form, z, conj, tol):
+    """f at each point, or its conjugate partner where conj is set.
+
+    The partner, the conjugate stream, is conj(f(-conj z)) at z.
+    """
+    values = q_expansions(form.coefficients, np.where(conj, -z.conj(), z),
+                          tol)
+    return np.where(conj, values.conj(), values)
+
+
+def _reducer_oracle(form, x, ctl=DEFAULT_CONTROL, nodes=32, panel=3.0,
+                    quadrature=None):
+    """period_integral_oracle for one symbol x through the reducer: both
+    halves of the path, g(it) and g(i/t), reduced node by node."""
+    p = form.level
+    if getattr(x, "level", p) != p:
+        raise ValueError("level mismatch between form and symbol")
+    w = root_number(form)
+    g = matrix_lift(getattr(x, "pair", x), p)
+    tmax = p * math.log(1.0 / ctl.abs_tol) / (2 * math.pi) + 4.0
+    cuts = [1.0]
+    while cuts[-1] < tmax:
+        cuts.append(min(cuts[-1] + panel, tmax))
+    ts, ws = map(np.concatenate, zip(*(gauss_legendre_nodes(nodes, t0, t1)
+                                       for t0, t1 in zip(cuts, cuts[1:]))))
+    # Both halves of the path: g(it), and g(i/t) with dt/t^2.
+    it = np.concatenate([1j * ts, 1j / ts])
+    jac = g.derivative(it) * np.concatenate([ws, ws / (ts * ts)])
+    z, mult, conj, moves = _reduce_points(p, g.act(it), w, 0.7 / p)
+    values = _eval_points(form, z, conj, ctl.abs_tol)
+    if quadrature is not None:
+        quadrature.update(nodes=int(z.size), panels=len(cuts) - 1,
+                          tmax=tmax, max_reduction_steps=moves)
+    # d(g(it)) = g'(it) i dt, and the overall -i of the pairing
+    return complex(np.sum(jac * mult * values))
 
 
 # Point reduction one point at a time, as period_integral_oracle did it
@@ -454,7 +570,7 @@ def test_period_oracle_matches_scalar_total(oracle_paths):
     form, _, paths = oracle_paths
     for x, points, _, total in paths:
         quad = {}
-        value = period_integral_oracle(form, x, quadrature=quad)
+        (value,) = period_integral_oracle(form, [x], quadrature=quad)
         assert abs(value - total) < 1e-13, (x, value, total)
         assert quad["nodes"] == len(points)
         assert quad["nodes"] == 2 * 32 * quad["panels"]
@@ -543,6 +659,108 @@ def test_reduction_raises_like_the_reference():
         assert str(got.value) == str(want.value)
         kinds.append(str(got.value).split()[2])
     assert kinds == ["stalled", "exceeded", "exceeded"]
+
+
+ORACLE_CURVES = {11: CURVE_11A, 17: CURVE_17A, 37: CURVE_37A,
+                 43: CurveModel(0, 1, 1, 0, 0, 43),
+                 101: CurveModel(0, 1, 1, -1, -1, 101)}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CURVES))
+def oracle_routes(request):
+    """The five appendix symbols and 20 seeded random ones, with the
+    closed-form oracle over all of them in one call, the reducer oracle
+    symbol by symbol, and the bridge table's values."""
+    p = request.param
+    form = newform_from_curve(ORACLE_CURVES[p], nmax=4000)
+    symbols = [SymbolIndex(p, *pair) for pair in APPENDIX_SYMBOLS]
+    symbols += random.Random(p).sample(enumerate_symbols(p), 20)
+    closed = period_integral_oracle(form, symbols)
+    reducer = np.array([_reducer_oracle(form, x) for x in symbols])
+    xi = xi_bridge_table(form)
+    return form, symbols, closed, reducer, np.array([xi(x) for x in symbols])
+
+
+def test_closed_form_oracle_matches_the_reducer_and_the_bridge(
+        oracle_routes):
+    form, symbols, closed, reducer, bridge = oracle_routes
+    assert closed.shape == (25,) and closed.dtype == complex
+    # (0, 1) lies in Gamma_0(p), so its g half is f(it) itself; (1, 0)
+    # has bottom row (1, 0) and takes the coset step S in its g half.
+    assert symbols[0].pair == (0, 1) and symbols[1].pair == (1, 0)
+    assert np.all(np.abs(closed[:5] - reducer[:5]) < 1e-13)
+    assert np.all(np.abs(closed - bridge) < 1e-13)
+    # On the random symbols the reducer itself drifts from 37 on, by up
+    # to 2.7e-12 at 101, as its distance from the bridge table shows.
+    # Wherever the two routes differ by 1e-13 or more, the reducer is
+    # the one away from the bridge.
+    apart = np.abs(closed - reducer) >= 1e-13
+    assert form.level > 17 or not apart.any()
+    assert np.all(np.abs(reducer - bridge)[apart]
+                  > 2.0 * np.abs(closed - bridge)[apart])
+    assert np.all(np.abs(closed - reducer) < 5e-12)
+
+
+def test_one_symbol_alone_gives_the_bits_it_gets_in_a_batch(oracle_routes):
+    form, symbols, closed, _, _ = oracle_routes
+    for i in (0, 1, 2, 12):
+        alone = period_integral_oracle(form, [symbols[i]])
+        assert alone.tobytes() == closed[i:i + 1].tobytes()
+        # A pair is read as its SymbolIndex.
+        pair = period_integral_oracle(form, [symbols[i].pair])
+        assert pair.tobytes() == alone.tobytes()
+    assert period_integral_oracle(form, []).shape == (0,)
+
+
+def test_oracle_sums_every_symbol_in_two_q_series_calls(form11, monkeypatch):
+    import ellreg.modsym as modsym
+
+    calls = []
+
+    def counting(streams, z, tol):
+        calls.append((np.shape(streams), np.shape(z)))
+        return q_expansions(streams, z, tol)
+    monkeypatch.setattr(modsym, "q_expansions", counting)
+    quad = {}
+    values = period_integral_oracle(form11, APPENDIX_SYMBOLS, quadrature=quad)
+    assert len(values) == 5 and len(calls) == 2
+    # The halves at infinity: one stream at the nodes it.  The others:
+    # one twist row per distinct j among the ten halves, at it/11.
+    halves = [(c, d) for u, v in APPENDIX_SYMBOLS
+              for c, d in ((u, v), (v, -u))]
+    js = {d * pow(c, -1, 11) % 11 for c, d in halves if c % 11}
+    (inf_stream, inf_nodes), (twists, twist_nodes) = calls
+    assert len(inf_stream) == 1 and twists[0] == len(js) == 7
+    # Both cut at the count of height 1/11.
+    assert inf_stream[0] == twists[1] == 1 + _terms_for_rates(
+        np.array([2 * math.pi / 11]), 4000, DEFAULT_CONTROL.abs_tol)[0]
+    assert inf_nodes == twist_nodes == (quad["nodes"] // 2,)
+    assert quad["max_reduction_steps"] == 1
+    assert quad["quadrature_nodes"] == 32
+    assert quad["nodes"] == 2 * 32 * quad["panels"]
+
+
+def test_oracle_stream_is_cut_at_the_height_one_over_p_count():
+    form = newform_from_curve(CURVE_37A, nmax=4000)
+    tol = DEFAULT_CONTROL.abs_tol
+    k = _scalar_terms_for_rate(2 * math.pi / 37, form.nmax, tol)
+    enough = ModularFormData(37, form.coefficients[:k + 1])
+    short = ModularFormData(37, form.coefficients[:k])
+    full = period_integral_oracle(form, APPENDIX_SYMBOLS)
+    cut = period_integral_oracle(enough, APPENDIX_SYMBOLS)
+    assert cut.tobytes() == full.tobytes()
+    with pytest.raises(TruncationError) as got:
+        period_integral_oracle(short, APPENDIX_SYMBOLS)
+    with pytest.raises(TruncationError) as want:
+        q_expansions(short.coefficients, 1j / 37, tol)
+    assert str(got.value) == str(want.value)
+
+
+def test_oracle_rejects_a_symbol_of_another_level(form11):
+    with pytest.raises(ValueError, match="level mismatch"):
+        period_integral_oracle(form11, [SymbolIndex(17, 1, 2)])
+    with pytest.raises(ValueError, match="order 11"):
+        period_integral_oracle(form11, [(0, 0)])
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CurveModel(0, 0, 1, -1, 0, 37)],

@@ -223,6 +223,40 @@ def test_arc_rows_record_nodes_and_gap():
         assert 0.0 <= r.truncation["arc_gap"] < 1e-10
 
 
+def test_mahler_rows_record_the_lseries_terms_beside_the_lambda_terms(
+        builder_runs):
+    suites, _ = builder_runs
+    rows = {r.check: r for r in suites[11, "mahler"][0]}
+    for name in ("mahler:first", "mahler:second"):
+        assert rows[name].truncation["lseries_terms"] == 4000
+        assert set(rows[name].truncation["lambda_terms"]) == {"11"}
+    assert "lseries_terms" not in rows["mahler:reciprocal"].truncation
+    assert "lambda_terms" not in rows["mahler:reciprocal"].truncation
+
+
+def test_appendix_calls_the_period_oracle_once(monkeypatch):
+    import ellreg.verify as verify
+
+    calls = []
+    real_oracle = verify.period_integral_oracle
+
+    def counted(form, symbols, *args, **kwargs):
+        calls.append(list(symbols))
+        return real_oracle(form, symbols, *args, **kwargs)
+    monkeypatch.setattr(verify, "period_integral_oracle", counted)
+    rows = [r for r in verify.run_appendix(resolve_config(level=17))
+            if r.check.startswith("appendix:xi-oracle:")]
+    assert calls == [[(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]]
+    assert [r.check.rsplit(":", 1)[1] for r in rows] == [
+        "0,1", "1,0", "2,5", "1,3", "4,7"]
+    for r in rows:
+        assert r.passed, r.check
+        # The one coset step, and the nodes per panel the oracle used.
+        assert r.truncation["max_reduction_steps"] == 1
+        assert r.truncation["quadrature_nodes"] == 32
+        assert r.truncation["nodes"] == 2 * 32 * r.truncation["panels"]
+
+
 def test_mahler_rows_report_what_ran(monkeypatch):
     import ellreg.verify as verify
 
