@@ -257,13 +257,6 @@ def enumerate_characters(modulus):
     return chars
 
 
-def trivial_character(modulus):
-    exps = [
-        0 if math.gcd(a, modulus) == 1 else None for a in range(modulus)
-    ]
-    return DirichletCharacter(modulus, 1, exps)
-
-
 class FiniteMap:
     """A function Z/NZ -> C given by its value table."""
 

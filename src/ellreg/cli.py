@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tolerance", type=float, default=None,
                         help="override every per-check tolerance")
     verify.add_argument("--terms", type=int, default=4000,
-                        help="q-expansion length for the newform")
+                        help="the most q-expansion terms to build for the "
+                        "newform, which is built only as far as its sums read")
     verify.add_argument("--out", default=None,
                         help="write the JSON report array here")
 

@@ -1,11 +1,9 @@
 """Real-analytic Eisenstein series at s = 1 and the eta one-form.
 
-Three independent evaluation routes are kept side by side:
+Two independent evaluation routes are kept side by side:
 
 * closed forms through the Kronecker limit formulas (Dedekind eta and
   Siegel theta products),
-* literal non-holomorphic Fourier expansions of the Epstein zeta
-  functions zeta*_{a,b},
 * a combined divisor-sum expansion ("stream") for arbitrary weighted
   sums of E*_{(u,v)}, which the general quadrature evaluates.
 
@@ -29,7 +27,6 @@ import numpy as np
 
 from .characters import (
     FiniteMap,
-    _divisors,
     _is_prime,
     _primitive_root,
     fourier_transform,
@@ -119,46 +116,6 @@ def zeta_star(a: int, b: int, z: complex, modulus: int,
     w = (a - b * z) / N
     theta = siegel_theta(w, z, ctl)
     return 2.0 * math.pi**2 * b * b * y / N**2 - TWO_PI * math.log(abs(theta))
-
-
-def zeta_star_qexp(a: int, b: int, z: complex, modulus: int, rmax: int) -> float:
-    """zeta*_{a,b}(z) via its literal non-holomorphic Fourier expansion."""
-    N = modulus
-    a %= N
-    b %= N
-    y = z.imag
-    q_pow = lambda r: cmath.exp(2j * math.pi * r * z)  # q^r
-    if b == 0:
-        if a == 0:
-            total = math.pi**2 * y / 3.0 - math.pi * math.log(y)
-            osc = 0.0
-            for r in range(1, rmax + 1):
-                sigma = sum(_divisors(r))
-                osc += (sigma / r) * 2.0 * q_pow(r).real
-            return total + TWO_PI * (EULER_GAMMA - math.log(2.0) + osc)
-        zeta_N = cmath.exp(2j * math.pi / N)
-        total = math.pi**2 * y / 3.0 - TWO_PI * math.log(abs(1.0 - zeta_N**a))
-        osc = 0.0
-        for r in range(1, rmax + 1):
-            coeff = sum(
-                ((zeta_N ** (k * a) + zeta_N ** (-k * a)) / k).real
-                for k in _divisors(r)
-            )
-            osc += coeff * 2.0 * q_pow(r).real
-        return total + math.pi * osc
-    total = 2.0 * math.pi**2 * periodic_bernoulli2(b / N) * y
-    zeta_N = cmath.exp(2j * math.pi / N)
-    osc = 0.0
-    for r in range(1, rmax + 1):
-        alpha = 0.0 + 0.0j
-        for k in _divisors(r):
-            if (r // k) % N == b:
-                alpha += zeta_N ** (-k * a) / k
-            if (r // k) % N == (N - b) % N:
-                alpha += zeta_N ** (k * a) / k
-        if alpha != 0.0:
-            osc += 2.0 * (alpha * cmath.exp(2j * math.pi * r * z / N)).real
-    return total + math.pi * osc
 
 
 class PairDivisor:
@@ -317,64 +274,11 @@ def e_star_map(f: FiniteMap, z, ctl: SeriesControl = DEFAULT_CONTROL):
     return total / N**2
 
 
-def e_star_stream(f: FiniteMap, y_min: float, tol: float = 1e-13):
-    """Stream evaluator for E*_f, valid for Im z >= y_min."""
-    rmax = suggested_rmax(f.modulus, y_min, tol)
-    return EisensteinStream(PairDivisor.from_residue_map(f), rmax)
-
-
-def _restricted_zeta2(v: int, N: int, cutoff: int = 2000) -> float:
-    """sum over n >= 1, n = v mod N of 1/n^2, Euler-Maclaurin tail."""
-    head = sum(1.0 / n**2 for n in range(1, cutoff + 1) if n % N == v % N)
-    a = cutoff + 1
-    while a % N != v % N:
-        a += 1
-    # sum_{k>=0} (a + kN)^{-2} expanded around k integration
-    tail = (
-        1.0 / (N * a)
-        + 0.5 / a**2
-        + N / (6.0 * a**3)
-        - N**3 / (30.0 * a**5)
-    )
-    return head + tail
-
-
-def e_star_sum_zero_expansion(f: FiniteMap, z, rmax: int):
-    """Expansion specific to sum-zero f:
-
-    E*_f(z) = (sum'_{n} f(n)/n^2) y
-              + (pi/N^2) sum_r (1/r) (sum_{k|r} k (fhat(k)+fhat(-k))) (q^r+qbar^r)
-    """
-    N = f.modulus
-    if abs(f.total()) > 1e-12:
-        raise ValueError("expansion requires a sum-zero weight function")
-    y_coeff = sum(
-        (f(v) + f(-v)) * _restricted_zeta2(v, N) for v in range(1, N + 1)
-    )
-    fhat = fourier_transform(f).values
-    q = cmath.exp(2j * math.pi * z)
-    osc = 0.0 + 0.0j
-    for r in range(1, rmax + 1):
-        inner = sum(k * (fhat[k % N] + fhat[(-k) % N]) for k in _divisors(r))
-        osc += (inner / r) * 2.0 * (q**r).real
-    return complex(z.imag * y_coeff + math.pi / N**2 * osc)
-
-
 class OneFormValue(NamedTuple):
     """Pointwise data of a one-form P dz + Q dzbar."""
 
     dz: complex
     dzbar: complex
-
-
-def divisor_bracket(l: FiniteMap, m: FiniteMap) -> FiniteMap:
-    """(deg m) l - (deg l) m, the obstruction divisor to closedness."""
-    deg_l = l.total()
-    deg_m = m.total()
-    return FiniteMap(
-        l.modulus,
-        [deg_m * l(v) - deg_l * m(v) for v in range(l.modulus)],
-    )
 
 
 class EtaForm:
@@ -514,11 +418,6 @@ def integrate_eta_geodesic(form: EtaForm, z0, z1, **kw):
     return integrate_one_form(form, path, velocity, **kw)
 
 
-def integrate_eta_segment(form: EtaForm, z0, z1, **kw):
-    path, velocity = _straight_path(z0, z1)
-    return integrate_one_form(form, path, velocity, **kw)
-
-
 RHO = cmath.exp(1j * math.pi / 3.0)
 RHO2 = cmath.exp(2j * math.pi / 3.0)
 
@@ -529,6 +428,54 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY, **kw):
     pulled = form.pullback(g) if g != IDENTITY else form
     value, _ = integrate_eta_geodesic(pulled, RHO, RHO2, **kw)
     return value
+
+
+def arc_integrals(forms, g: UnimodularMatrix = IDENTITY, nodes: int = 64,
+                  tol: float = 1e-10, max_doublings: int = 6) -> np.ndarray:
+    """arc_integral of each of forms, which share their left divisor and
+    rmax, by the node doubling of integrate_one_form.
+
+    The right streams' Fourier data are stacked, so each node count is
+    one jet of the stack against the one left jet.  Each form doubles
+    until its own value settles below tol * max(1, |value|), and raises
+    if it does not.
+    """
+    if g != IDENTITY:
+        forms = [f.pullback(g) for f in forms]
+    left = forms[0].left_stream
+    rights = [f.right_stream for f in forms]
+    A, B = np.array([s.A for s in rights]), np.array([s.B for s in rights])
+    c_y, c_log, c_0 = (np.array([[getattr(s, c)] for s in rights])
+                       for c in ("c_y", "c_log", "c_0"))
+    d = 2j * math.pi * np.arange(left.rmax + 1) / left.modulus
+    path, velocity = _geodesic_path(RHO, RHO2)
+
+    def quad(n, rows):
+        x, w = gauss_legendre_nodes(n)
+        t = 0.5 * (x + 1.0)
+        z, v = path(t), velocity(t)
+        y, ez = z.imag, left._exps(z)
+        vl, dl, dbl = left.jet(z, ez)
+        # EisensteinStream.jet of every row at once.
+        a, b, cy, clog = A[rows], B[rows], c_y[rows], c_log[rows]
+        vm = cy * y + clog * np.log(y) + c_0[rows] + a @ ez + b @ ez.conj()
+        dm = cy / 2j + clog / (2j * y) + (a * d) @ ez
+        dbm = -cy / 2j - clog / (2j * y) + (b * -d) @ ez.conj()
+        P, Q = vl * dm - vm * dl, -(vl * dbm - vm * dbl)
+        return 0.5 * np.sum(w * (P * v + Q * np.conj(v)), axis=-1)
+
+    out = np.empty(len(forms), dtype=complex)
+    rows = np.arange(len(forms))
+    prev = quad(nodes, rows)
+    for _ in range(max_doublings):
+        nodes *= 2
+        cur = quad(nodes, rows)
+        settled = np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))
+        out[rows[settled]] = cur[settled]
+        rows, prev = rows[~settled], cur[~settled]
+        if not rows.size:
+            return out
+    raise RuntimeError("quadrature failed to settle below tolerance")
 
 
 class ArcTable:

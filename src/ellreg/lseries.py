@@ -20,6 +20,7 @@ expressed through the twisted central values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -78,6 +79,12 @@ def newform_from_curve(curve: CurveModel, nmax: int = 4000) -> ModularFormData:
     return ModularFormData(curve.conductor, a, label="%da" % curve.conductor)
 
 
+def _root_rates(level: int) -> np.ndarray:
+    # The decay rates of _root_numbers' sums: every height and its dual.
+    y = np.array(_ROOT_HEIGHTS) / math.sqrt(level)
+    return TWO_PI * np.concatenate([y, 1.0 / (level * y)])
+
+
 @lru_cache(maxsize=None)
 def _term_count(level: int, nmax: int,
                 tol: float = DEFAULT_CONTROL.abs_tol) -> int:
@@ -85,6 +92,30 @@ def _term_count(level: int, nmax: int,
     # for level <= 2), where the smoothed sums' weights decay as fast.
     c = TWO_PI / math.sqrt(level) if level > 2 else TWO_PI / math.sqrt(3)
     return int(_terms_for_rates(np.array([c]), nmax, tol)[0])
+
+
+def _twist_terms(p: int, nmax: int, tol: float) -> int:
+    """The terms of the twists f (x) chi_k, of level p^2, that
+    _root_numbers (at any height) and _lambda_values read."""
+    return max(int(_terms_for_rates(_root_rates(p * p), nmax,
+                                    DEFAULT_CONTROL.abs_tol).max()),
+               _term_count(p * p, nmax, tol))
+
+
+def _oracle_terms(p: int, nmax: int, tol: float) -> int:
+    """The terms the period oracle sums, at height 1 / p."""
+    return int(_terms_for_rates(np.array([TWO_PI / p]), nmax, tol)[0])
+
+
+def newform_terms(level: int, tol: float = DEFAULT_CONTROL.abs_tol) -> int:
+    """The most terms of a prime-level newform's stream that any sum
+    reads: Lambda and the root number at the level, the twists at its
+    square (_twist_terms) and the period oracle (_oracle_terms)."""
+    n = sys.maxsize
+    return max(_term_count(level, n, tol), _twist_terms(level, n, tol),
+               _oracle_terms(level, n, tol),
+               int(_terms_for_rates(_root_rates(level), n,
+                                    DEFAULT_CONTROL.abs_tol).max()))
 
 
 def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
@@ -231,13 +262,6 @@ def l_value(form: ModularFormData, s,
     return lam * (TWO_PI ** s) * form.level ** (-s / 2.0) / gamma_s
 
 
-def dirichlet_series_direct(form: ModularFormData, s, nmax: int | None = None):
-    """Plain partial sum of sum a_n / n^s; only sensible for Re s > 2."""
-    k = form.nmax if nmax is None else min(nmax, form.nmax)
-    n = np.arange(1, k + 1, dtype=float)
-    return complex(np.sum(form.coefficients[1:k + 1] * n ** (-complex(s))))
-
-
 def twist_by_character(form: ModularFormData,
                        chi: DirichletCharacter) -> ModularFormData:
     """The primitive twist f (x) chi, for chi primitive mod the prime level.
@@ -363,12 +387,9 @@ def _twist_streams(form: ModularFormData,
     as far as _root_numbers (at any height) and _lambda_values read it at
     level p^2; if a count is beyond the form's nmax, the whole stream, so
     that the sums raise as on it."""
-    p, m = form.level, form.level ** 2
-    y = np.array(_ROOT_HEIGHTS) / math.sqrt(m)
+    p = form.level
     try:
-        k = max(_terms_for_rates(TWO_PI * np.concatenate([y, 1.0 / (m * y)]),
-                                 form.nmax, DEFAULT_CONTROL.abs_tol).max(),
-                _term_count(m, form.nmax, ctl.abs_tol))
+        k = _twist_terms(p, form.nmax, ctl.abs_tol)
     except TruncationError:
         k = form.nmax
     values = character_table(p).values[1:]

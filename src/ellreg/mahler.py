@@ -286,30 +286,52 @@ def _unit_circle_crossings(poly: BivariatePolynomial, grid: int = 1024) -> list:
     return found
 
 
-def _adaptive_panel(f, a: float, b: float, nodes: int, tol: float,
-                    depth: int = 0):
-    """Integral of the vectorized f over [a, b], and the panels it took.
+def _adaptive_panels(f, intervals, nodes: int, tols):
+    """Integral of the vectorized f over each interval (a, b) at its
+    tolerance, and the number of panels they took.
 
-    f takes the coarse and the fine nodes of a panel in one call.
+    A panel is accepted when its coarse (nodes) and fine (2 nodes)
+    Gauss-Legendre values differ by at most its tolerance; otherwise its
+    halves, each at half the tolerance, are the next level's panels.  f
+    takes the nodes of every open panel of a level, over all intervals,
+    in one call, and a split panel's value is the sum of its halves',
+    left + right, as a depth-first recursion adds them.
     """
-    xc, wc = gauss_legendre_nodes(nodes, a, b)
-    xf, wf = gauss_legendre_nodes(2 * nodes, a, b)
-    values = f(np.concatenate([xc, xf]))
-    coarse = float(wc @ values[:nodes])
-    fine = float(wf @ values[nodes:])
-    # Width floor: near a repeated root on the unit circle the root finder
-    # carries sqrt(machine-eps) noise, so refinement below 1e-9 only chases
-    # noise while the remaining kink error is already far below tolerance.
-    if abs(fine - coarse) <= tol or (b - a) < 1e-9:
-        return fine, 1
-    if depth >= 48:
-        raise RuntimeError("outer quadrature failed to converge on [%g, %g]"
-                           % (a, b))
-    mid = 0.5 * (a + b)
-    half = 0.5 * tol
-    left, left_panels = _adaptive_panel(f, a, mid, nodes, half, depth + 1)
-    right, right_panels = _adaptive_panel(f, mid, b, nodes, half, depth + 1)
-    return left + right, left_panels + right_panels
+    level = [((i,), a, b, tol)
+             for i, ((a, b), tol) in enumerate(zip(intervals, tols))]
+    values, splits, panels, depth = {}, [], 0, 0
+    while level:
+        rules = [gauss_legendre_nodes(nodes, a, b)
+                 + gauss_legendre_nodes(2 * nodes, a, b)
+                 for _, a, b, _ in level]
+        rows = f(np.concatenate([np.concatenate([xc, xf])
+                                 for xc, _, xf, _ in rules]))
+        rows = rows.reshape(len(level), 3 * nodes)
+        opened = []
+        for (key, a, b, tol), (_, wc, _, wf), row in zip(level, rules, rows):
+            coarse = float(wc @ row[:nodes])
+            fine = float(wf @ row[nodes:])
+            # Width floor: near a repeated root on the unit circle the root
+            # finder carries sqrt(machine-eps) noise, so refinement below
+            # 1e-9 only chases noise while the remaining kink error is
+            # already far below tolerance.
+            if abs(fine - coarse) <= tol or (b - a) < 1e-9:
+                values[key] = fine
+                panels += 1
+                continue
+            if depth >= 48:
+                raise RuntimeError("outer quadrature failed to converge on "
+                                   "[%g, %g]" % (a, b))
+            mid = 0.5 * (a + b)
+            splits.append(key)
+            opened += [(key + (0,), a, mid, 0.5 * tol),
+                       (key + (1,), mid, b, 0.5 * tol)]
+        level, depth = opened, depth + 1
+    # Deepest splits first, so that both halves are summed before their
+    # parent is.
+    for key in reversed(splits):
+        values[key] = values[key + (0,)] + values[key + (1,)]
+    return [values[(i,)] for i in range(len(intervals))], panels
 
 
 def mahler_measure(poly: BivariatePolynomial,
@@ -333,19 +355,13 @@ def mahler_measure(poly: BivariatePolynomial,
         cuts.update(_column_circle_arguments(poly.coeffs[:, j]))
     cuts.update(_unit_circle_crossings(poly))
     pts = sorted(cuts)
-
-    def f(us):
-        return _inner_measures(poly, us)
-
+    intervals = [(a, b) for a, b in zip(pts, pts[1:]) if not b - a < 1e-12]
+    values, panels = _adaptive_panels(
+        lambda us: _inner_measures(poly, us), intervals, base_nodes,
+        [max(ctl.abs_tol * (b - a), ctl.abs_tol / 64.0) for a, b in intervals])
     total = 0.0
-    panels = 0
-    for a, b in zip(pts, pts[1:]):
-        if b - a < 1e-12:
-            continue
-        tol = max(ctl.abs_tol * (b - a), ctl.abs_tol / 64.0)
-        value, used = _adaptive_panel(f, a, b, base_nodes, tol)
+    for value in values:
         total += value
-        panels += used
     if quadrature is not None:
         quadrature.update(outer_nodes=base_nodes, abs_tol=ctl.abs_tol,
                           cut_points=len(pts) - 2, outer_panels=panels)

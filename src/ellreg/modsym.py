@@ -18,11 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import _xgcd, character_table
+from .characters import character_table
 from .eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
 from .lseries import (
     ModularFormData,
-    _terms_for_rates,
+    _oracle_terms,
     l_value,
     q_expansions,
     root_number,
@@ -68,40 +68,6 @@ def enumerate_symbols(level: int) -> list:
             if math.gcd(math.gcd(u, v), level) == 1:
                 out.append(SymbolIndex(level, u, v))
     return out
-
-
-def matrix_lift(x, level: int | None = None) -> UnimodularMatrix:
-    """Canonical unimodular matrix with bottom row (u, v) mod N.
-
-    x is a SymbolIndex, or a pair (u, v) of order N = level.  The bottom
-    row is the smallest congruent coprime pair with
-    0 <= c <= N and d >= min allowed, and the top row is reduced so that
-    0 <= a < c whenever c > 0.  Deterministic, so paths are reproducible.
-    """
-    n, u, v = ((x.level, x.u, x.v) if level is None
-               else (level, x[0] % level, x[1] % level))
-    for c in (u, u + n):
-        if c == 0:
-            if v == 1 % n:
-                return UnimodularMatrix(1, 0, 0, 1)
-            if v == (-1) % n:
-                return UnimodularMatrix(-1, 0, 0, -1)
-            continue
-        for t in range(c + 2):
-            d = v + t * n
-            if math.gcd(c, d) == 1:
-                a, b = _complete_row(c, d)
-                return UnimodularMatrix(a, b, c, d)
-    raise RuntimeError("no coprime lift found for %r" % (x,))
-
-
-def _complete_row(c: int, d: int):
-    # a d - b c = 1 with 0 <= a < c for c > 0.
-    g, s, t = _xgcd(c, d)
-    assert g == 1
-    a, b = t, -s
-    shift = a // c
-    return a - shift * c, b - shift * d
 
 
 class SymbolVector:
@@ -447,8 +413,7 @@ def period_integral_oracle(form: ModularFormData, symbols,
     # The bottom rows (c, d) of g and gS, mod p; None marks p | c.
     js = [None if c == 0 else d * pow(c, -1, p) % p
           for u, v in pairs for c, d in ((u, v), (v, -u))]
-    k = int(_terms_for_rates(np.array([TWO_PI / p]), form.nmax,
-                             ctl.abs_tol)[0])
+    k = _oracle_terms(p, form.nmax, ctl.abs_tol)
     a = form.coefficients[:k + 1]
     halves = {None: q_expansions(a, 1j * ts, ctl.abs_tol)}
     twists = sorted({j for j in js if j is not None})

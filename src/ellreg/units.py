@@ -5,8 +5,8 @@ the Eisenstein series of f divided by pi, normalized to leading Fourier
 coefficient 1 at the infinite cusp.  This module computes exact cusp
 divisors of such units: the general double-sum order formula, closed
 forms when f is an even Dirichlet character or the Fourier transform of
-one, and the reconstruction of the coordinate functions on the genus-2
-modular curve of level 13 from character units.
+one, and the divisors of the coordinate functions on the genus-2
+modular curve of level 13, which character units reconstruct.
 """
 
 from __future__ import annotations
@@ -89,21 +89,6 @@ def _order_from_hat(fhat: FiniteMap, u: int, v: int) -> complex:
         for b in range(n):
             acc += fhat.values[(au + b * v) % n] * b2[b]
     return -acc / (n * math.gcd(u, n))
-
-
-def order_at_cusp(f: FiniteMap, u: int, v: int) -> complex:
-    """Vanishing order of the unit of f at the cusp with label (u, v).
-
-    The value depends only on the cusp class of (u, v); this evaluates
-    the raw double sum at the pair as given, so representative
-    independence is a checkable property rather than a construction.
-    """
-    n = f.modulus
-    if abs(f.total()) > 1e-9:
-        raise ValueError("unit divisors need a sum-zero map")
-    if math.gcd(math.gcd(u, v), n) != 1:
-        raise ValueError("(%d, %d) is not an order-%d label" % (u, v, n))
-    return _order_from_hat(fourier_transform(f), u, v)
 
 
 def unit_divisor(f: FiniteMap) -> CuspDivisor:
@@ -205,47 +190,3 @@ def x1_13_epsilon() -> DirichletCharacter:
         if chi.is_even and chi.order == 6 and chi.exponent_at(2) == 1:
             return chi
     raise RuntimeError("sextic character mod 13 not found")
-
-
-def reconstruct_x1_13_units() -> dict:
-    """Rebuild the level-13 coordinate divisors from character units.
-
-    Verifies that the quadratic-character unit reproduces div y up to
-    the scalar -4 sqrt(13) / 13^2, and that the combination
-    (13/12) ((1+zeta6) div u_{hat eps^2} + (2-zeta6) div u_{hat epsbar^2})
-    reproduces div x exactly; the report also carries the error of the
-    swapped coefficient pairing, which does not reproduce div x.
-    """
-    eps = x1_13_epsilon()
-    zeta6 = complex(eps(2))
-    eps2 = eps * eps
-    eps3 = eps2 * eps
-    p_classes = [CuspClass(13, 0, v) for v in range(1, 7)]
-
-    div_y = CuspDivisor(13, {c: float(k)
-                             for c, k in zip(p_classes, DIV_Y_LEVEL13)})
-    div_x = CuspDivisor(13, {c: float(k)
-                             for c, k in zip(p_classes, DIV_X_LEVEL13)})
-    ratio = -4.0 * math.sqrt(13.0) / 13**2
-
-    d_quad = unit_divisor_chi(eps3)
-    y_err = d_quad.distance(div_y.scaled(ratio))
-    l_err = abs(l_chi_2(eps3) - 4.0 * math.sqrt(13.0) * math.pi**2 / 169)
-
-    d_hat = unit_divisor_chihat(eps2)
-    d_hat_bar = unit_divisor_chihat(eps2.conjugate())
-    combo = (d_hat.scaled(1 + zeta6)
-             + d_hat_bar.scaled(2 - zeta6)).scaled(13 / 12)
-    swapped = (d_hat.scaled(2 - zeta6)
-               + d_hat_bar.scaled(1 + zeta6)).scaled(13 / 12)
-    return {
-        "level": 13,
-        "cusp_count": len(cusp_classes(13)),
-        "div_y_scalar": ratio,
-        "div_y_err": y_err,
-        "quadratic_l_value_err": l_err,
-        "div_x_err": combo.distance(div_x),
-        "div_x_swapped_err": swapped.distance(div_x),
-        "degree_bound": max(abs(d.degree) for d in
-                            (d_quad, d_hat, d_hat_bar, combo)),
-    }

@@ -25,7 +25,7 @@ from .characters import (
 )
 from .eisenstein import (
     ArcTable,
-    arc_integral,
+    arc_integrals,
     eta_form,
     g_column,
     suggested_rmax,
@@ -43,6 +43,7 @@ from .lseries import (
     _term_count,
     l_value,
     newform_from_curve,
+    newform_terms,
     residue_tensor_square,
     root_number,
     twisted_lambda_table,
@@ -206,14 +207,15 @@ class CurveContext:
 
     def __init__(self, config: VerifyConfig):
         self.curve, self.p = config.curve, config.level
-        self.terms = config.terms
+        # The newform's length: --terms, or fewer when no sum reads as far.
+        self.nmax = min(config.terms, newform_terms(self.p))
         # The exponents of the even nontrivial and of the odd characters.
         self.evens = np.arange(2, self.p - 1, 2)
         self.odds = np.arange(1, self.p - 1, 2)
 
     @cached_property
     def form(self):
-        return newform_from_curve(self.curve, nmax=self.terms)
+        return newform_from_curve(self.curve, nmax=self.nmax)
 
     @cached_property
     def w(self) -> complex:
@@ -316,6 +318,13 @@ class _Rows:
             error_kind, scale))
         self.clock = now
 
+    def holds(self, check, condition):
+        """A predicate row: 1 if condition holds, else 0, against 1.  It
+        passes exactly when condition holds, whatever tolerance it
+        carries."""
+        self.add(check, float(condition), 1.0, 0.5, error_kind="abs")
+        self.reports[-1].passed = bool(condition)
+
 
 class NotApplicable(ValueError):
     """A suite that does not apply to the configured curve."""
@@ -329,7 +338,7 @@ def _require_conductor_11(config, what):
 def run_thm8(config=None):
     """Quintic-character dilogarithm expansions of L(E, 2) at level 11."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.terms)
+    rows = _Rows(config, lseries_terms=config.context.nmax)
     _require_conductor_11(config, "the quintic dilogarithm identity")
     ctx = config.context
     dilog, l_two = ctx.dilog, ctx.l_two
@@ -358,7 +367,7 @@ def run_thm8(config=None):
 def run_cor101(config=None):
     """L(E, 2) = (10 pi / 11) D_E(P) and the torsion-point relations."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.terms)
+    rows = _Rows(config, lseries_terms=config.context.nmax)
     _require_conductor_11(config, "the five-torsion dilogarithm identity")
     dilog, l_two = config.context.dilog, config.context.l_two
     first = (10.0 * math.pi / 11.0) * dilog[1]
@@ -382,7 +391,7 @@ def _arc_truncation(gap):
 def run_thm1(config=None):
     """L(E,2) L(E,chi,1) as a Gauss-sum combination of twisted L-values."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.terms)
+    rows = _Rows(config, lseries_terms=config.context.nmax)
     p = config.level
     ctx = config.context
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
@@ -418,7 +427,7 @@ def run_thm1(config=None):
 def run_thm2(config=None):
     """Residue-normalized and residue-free expansions of L(E, 2)."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.terms, eta_tol=1e-13)
+    rows = _Rows(config, lseries_terms=config.context.nmax, eta_tol=1e-13)
     p = config.level
     ctx = config.context
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
@@ -458,7 +467,7 @@ def run_thm2(config=None):
 def run_thm3(config=None):
     """L(f,2) L(f,chi,1) through eta(1, chihat) paired with the symbols."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.terms, eta_tol=1e-13)
+    rows = _Rows(config, lseries_terms=config.context.nmax, eta_tol=1e-13)
     p = config.level
     ctx = config.context
     xi, l_one, l_two = ctx.xi, ctx.l_one, ctx.l_two
@@ -495,14 +504,14 @@ def run_thm3(config=None):
             delta[1, 3] = 1.0
             arc, gap = arcs(delta, evens[:1])
             chihat = fourier_transform(FiniteMap.from_character(chars[k]))
+            bs = [b for b in range(p) if abs(chihat(b)) > 1e-15]
             # All forms share level, rmax, path and delta_1's stream and
             # jets; each keeps its own right stream and doubling check.
-            exps = {}
-            assembled = sum(
-                chihat(b) * arc_integral(
-                    eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),
-                    g_column(3), exps=exps)
-                for b in range(p) if abs(chihat(b)) > 1e-15)
+            values = arc_integrals(
+                [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
+                 for b in bs], g_column(3))
+            assembled = sum(chihat(b) * value
+                            for b, value in zip(bs, values.tolist()))
             rows.add(f"thm3:eta-linearity:{label}", arc[0], assembled, 1e-9,
                      _arc_truncation(gap[0]), error_kind="abs",
                      character=label)
@@ -512,7 +521,7 @@ def run_thm3(config=None):
 def run_appendix(config=None):
     """Petersson square norm against the tensor-square residue."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.terms)
+    rows = _Rows(config, lseries_terms=config.context.nmax)
     p = config.level
     ctx = config.context
     rows.truncation["lambda_terms"] = ctx.lambda_terms(p, p * p)
@@ -523,9 +532,7 @@ def run_appendix(config=None):
              residue, TOL_QUADRATURE)
     rows.add("appendix:imag-part", pairing.imag, 0.0, TOL_SERIES,
              error_kind="abs")
-    rows.add("appendix:positivity",
-             float(pairing.real > 0.0 and residue > 0.0), 1.0, 0.5,
-             error_kind="abs")
+    rows.holds("appendix:positivity", pairing.real > 0.0 and residue > 0.0)
 
     symbols = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
     quad = {}
@@ -544,7 +551,7 @@ def run_mahler(config=None):
     _require_conductor_11(config, "each Mahler measure identity")
     l_two = config.context.l_two
     terms = {"lambda_terms": config.context.lambda_terms(config.level),
-             "lseries_terms": config.terms}
+             "lseries_terms": config.context.nmax}
     first, second = curve_identity_polynomials()
     measured = {}
     for name, poly, ratio in (("first", first, 77), ("second", second, 55)):

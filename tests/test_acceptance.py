@@ -11,7 +11,6 @@ from ellreg.eisenstein import (
     UnimodularMatrix,
     e_star_point,
     zeta_star,
-    zeta_star_qexp,
 )
 from ellreg.elliptic import (
     CURVE_11A,
@@ -43,6 +42,8 @@ from ellreg.verify import (
     run_thm3,
     run_thm8,
 )
+
+from reference_routes import zeta_star_qexp
 
 
 @pytest.fixture(scope="module")

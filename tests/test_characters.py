@@ -17,9 +17,10 @@ from ellreg.characters import (
     fourier_transform,
     gauss_sum,
     l_chi_2,
-    trivial_character,
     twisted_bernoulli2,
 )
+
+from reference_routes import trivial_character
 
 
 def phi(n):

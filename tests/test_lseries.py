@@ -11,15 +11,17 @@ from ellreg.characters import character_table, enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel, a_p
 from ellreg.lseries import (
     ModularFormData,
+    _ROOT_HEIGHTS,
     _lambda_values,
     _root_numbers,
     _term_count,
+    _terms_for_rates,
     _twist_streams,
-    dirichlet_series_direct,
     eval_form,
     l_value,
     lambda_value,
     newform_from_curve,
+    newform_terms,
     rankin_convolution_check,
     rankin_sigma,
     residue_tensor_square,
@@ -32,6 +34,8 @@ from ellreg.special import (
     TruncationError,
     incomplete_gamma_upper_complex,
 )
+
+from reference_routes import dirichlet_series_direct
 
 # Elliptic dilogarithm of the five-torsion point on the conductor-11
 # curve, frozen in test_elliptic from two independent evaluation routes
@@ -294,12 +298,14 @@ def test_lambda_value_matches_the_term_by_term_loop(form11, chars11, s):
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), form.level
 
 
+PRIME_CURVES = {11: CURVE_11A, 17: CURVE_17A,
+                37: CurveModel(0, 0, 1, -1, 0, 37),
+                101: CurveModel(0, 1, 1, -1, -1, 101)}
+
+
 @pytest.fixture(scope="module", params=[11, 17, 37, 101])
 def prime_form(request):
-    curves = {11: CURVE_11A, 17: CURVE_17A,
-              37: CurveModel(0, 0, 1, -1, 0, 37),
-              101: CurveModel(0, 1, 1, -1, -1, 101)}
-    return newform_from_curve(curves[request.param], 4000)
+    return newform_from_curve(PRIME_CURVES[request.param], 4000)
 
 
 def test_batched_twisted_table_matches_per_twist_values(prime_form):
@@ -361,3 +367,36 @@ def test_short_twist_streams_raise_where_the_full_ones_do(nmax):
             return str(exc)
     assert (outcome(lambda f: twisted_lambda_table(f)[1:])
             == outcome(_full_twist_table))
+
+
+def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
+    import ellreg.modsym as modsym
+    from ellreg.verify import resolve_config
+
+    p, nmax = prime_form.level, prime_form.nmax
+
+    def root_terms(m):
+        # q_expansions' count at every root-number height and its dual.
+        y = np.array(_ROOT_HEIGHTS) / math.sqrt(m)
+        imag = np.concatenate([y, 1.0 / (m * y)])
+        return int(_terms_for_rates(2 * math.pi * imag, nmax, 1e-13).max())
+
+    widths = []
+    real = modsym.q_expansions
+
+    def recording(streams, *args, **kwargs):
+        widths.append(np.shape(streams)[-1] - 1)
+        return real(streams, *args, **kwargs)
+    monkeypatch.setattr(modsym, "q_expansions", recording)
+    modsym.period_integral_oracle(prime_form, [(1, 0), (2, 5)])
+    own = {"lambda p": _term_count(p, nmax),
+           "lambda p^2": _term_count(p * p, nmax),
+           "roots p": root_terms(p), "roots p^2": root_terms(p * p),
+           "twist prefix": _twist_streams(prime_form).shape[1] - 1,
+           "oracle": max(widths)}
+    count = newform_terms(p)
+    assert all(count >= k for k in own.values()), own
+    assert count == max(own.values())
+    for terms in (4000, 300, 100):
+        config = resolve_config(curve=PRIME_CURVES[p], terms=terms)
+        assert config.context.form.nmax == min(terms, count)

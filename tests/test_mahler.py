@@ -317,3 +317,60 @@ def test_power_of_y_is_divided_out(monkeypatch):
     assert len(calls) <= 1000
     assert abs(divisible - mahler_measure(ONE + X + Y)) <= 1e-15
     assert mahler_measure(Y * Y * (X + Y + ONE)) == divisible
+
+
+def _adaptive_panel(f, a, b, nodes, tol, depth=0):
+    """The depth-first reference: integral of the vectorized f over
+    [a, b], and the panels it took, one call of f per panel."""
+    xc, wc = gauss_legendre_nodes(nodes, a, b)
+    xf, wf = gauss_legendre_nodes(2 * nodes, a, b)
+    values = f(np.concatenate([xc, xf]))
+    coarse = float(wc @ values[:nodes])
+    fine = float(wf @ values[nodes:])
+    if abs(fine - coarse) <= tol or (b - a) < 1e-9:
+        return fine, 1
+    if depth >= 48:
+        raise RuntimeError("outer quadrature failed to converge on [%g, %g]"
+                           % (a, b))
+    mid = 0.5 * (a + b)
+    half = 0.5 * tol
+    left, left_panels = _adaptive_panel(f, a, mid, nodes, half, depth + 1)
+    right, right_panels = _adaptive_panel(f, mid, b, nodes, half, depth + 1)
+    return left + right, left_panels + right_panels
+
+
+def _depth_first_panels(f, intervals, nodes, tols):
+    done = [_adaptive_panel(f, a, b, nodes, tol)
+            for (a, b), tol in zip(intervals, tols)]
+    return [value for value, _ in done], sum(used for _, used in done)
+
+
+def test_level_batched_panels_match_the_depth_first_recursion(monkeypatch):
+    first, second = curve_identity_polynomials()
+    polys = [first, second, first.reciprocal_x(), second.reciprocal_x(),
+             BivariatePolynomial([[1, 1], [1, 0]]),
+             BivariatePolynomial([[1, -1], [0, 1]]),
+             BivariatePolynomial([[2, 1, 1], [-1, 3, 0], [1, 0, -2]])]
+    calls = []
+    real_inner = mahler._inner_measures
+
+    def counted(poly, us):
+        calls.append(len(us))
+        return real_inner(poly, us)
+    monkeypatch.setattr(mahler, "_inner_measures", counted)
+
+    def measured():
+        out = []
+        for poly in polys:
+            quad = {}
+            out.append((mahler_measure(poly, quadrature=quad),
+                        quad["outer_panels"]))
+        return out
+    batched = measured()
+    calls.clear()
+    mahler_measure(second)
+    # One call per refinement level: 31, against 119 for one per panel.
+    assert len(calls) < 40
+    monkeypatch.setattr(mahler, "_adaptive_panels", _depth_first_panels)
+    assert measured() == batched
+    assert [panels for _, panels in batched][:3] == [4, 60, 4]

@@ -28,7 +28,6 @@ from ellreg.modsym import (
     SymbolIndex,
     SymbolVector,
     XiTable,
-    _complete_row,
     boundary,
     cusp_class_of,
     cusp_classes,
@@ -36,7 +35,6 @@ from ellreg.modsym import (
     diamond,
     enumerate_symbols,
     hecke_t2,
-    matrix_lift,
     period_integral_oracle,
     petersson,
     relation_quotient_dims,
@@ -48,6 +46,8 @@ from ellreg.special import (
     TruncationError,
     gauss_legendre_nodes,
 )
+
+from reference_routes import _complete_row, matrix_lift
 
 
 @pytest.fixture(scope="module")

@@ -17,13 +17,13 @@ from ellreg.units import (
     DIV_X_LEVEL13,
     DIV_Y_LEVEL13,
     CuspDivisor,
-    order_at_cusp,
-    reconstruct_x1_13_units,
     unit_divisor,
     unit_divisor_chi,
     unit_divisor_chihat,
     x1_13_epsilon,
 )
+
+from reference_routes import order_at_cusp, reconstruct_x1_13_units
 
 
 def even_nontrivial(n):

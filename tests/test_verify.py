@@ -228,7 +228,8 @@ def test_mahler_rows_record_the_lseries_terms_beside_the_lambda_terms(
     suites, _ = builder_runs
     rows = {r.check: r for r in suites[11, "mahler"][0]}
     for name in ("mahler:first", "mahler:second"):
-        assert rows[name].truncation["lseries_terms"] == 4000
+        # The length built at 11, the most terms any sum there reads.
+        assert rows[name].truncation["lseries_terms"] == 120
         assert set(rows[name].truncation["lambda_terms"]) == {"11"}
     assert "lseries_terms" not in rows["mahler:reciprocal"].truncation
     assert "lambda_terms" not in rows["mahler:reciprocal"].truncation
@@ -269,8 +270,9 @@ def test_mahler_rows_report_what_ran(monkeypatch):
     real_newform = verify.newform_from_curve
     monkeypatch.setattr(verify, "newform_from_curve", newform)
     rows = {r.check: r for r in run_mahler(resolve_config(terms=300))}
-    # L(E, 2) comes from the configured curve and --terms, once.
-    assert built == [300]
+    # L(E, 2) comes from the configured curve, once, built to the 120
+    # terms that the sums at 11 read, below --terms.
+    assert built == [120]
     assert set(rows) == {"mahler:first", "mahler:second", "mahler:reciprocal"}
     for r in rows.values():
         assert r.passed
@@ -364,7 +366,7 @@ def test_odd_sweep_reads_every_odd_coefficient():
 
 
 def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
-    import ellreg.verify as verify
+    import ellreg.eisenstein as eisenstein
 
     counts = {"__mul__": 0, "pairings": 0, "arc_integral": 0}
     weighted = []
@@ -381,7 +383,8 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
 
     counting(DirichletCharacter, "__mul__")
     counting(ArcTable, "pairings")
-    counting(verify, "arc_integral")
+    # verify no longer imports arc_integral: count it where it lives.
+    counting(eisenstein, "arc_integral")
     config = resolve_config(level=17)
     calls = {}
     # thm2 first, so that it builds the shared context, residue included.
@@ -391,13 +394,12 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
         calls[name] = {k: counts[k] - before[k] for k in counts}
     # One transform for the context's eta_chi arcs, cusp arcs included,
     # and two for thm3: its xi-weighted sum and the single arc of its
-    # linearity row.  Only that row's oracle integrates arc by arc, one
-    # stream quadrature per elementary form eta(delta_1, delta_b),
-    # b = 1 .. 16.
+    # linearity row.  That row's oracle stacks its elementary forms
+    # eta(delta_1, delta_b), b = 1 .. 16, in one arc_integrals call.
     assert calls == {"thm2": {"__mul__": 0, "pairings": 1, "arc_integral": 0},
                      "thm1": {"__mul__": 0, "pairings": 0, "arc_integral": 0},
                      "thm3": {"__mul__": 0, "pairings": 2,
-                              "arc_integral": 16}}
+                              "arc_integral": 0}}
     assert weighted == [False, True, True]
 
 
@@ -493,7 +495,7 @@ def test_rows_record_the_lambda_terms_actually_summed(c37_run):
     for r in rows:
         key = next((k for k in want if r.check.startswith(k)), None)
         assert r.truncation.get("lambda_terms") == want.get(key), r.check
-        assert r.truncation["lseries_terms"] == 4000
+        assert r.truncation["lseries_terms"] == 453
 
 
 def test_lambda_terms_counts_each_level_once():
@@ -594,3 +596,72 @@ def test_suites_build_one_form_and_no_twist(monkeypatch):
             for r in SUITES[name](config)]
     assert all(r.passed for r in rows)
     assert counts == {"__post_init__": 1}
+
+
+def _rows_but_length(reports):
+    # Every field but the wall time and the built length.
+    rows = []
+    for r in reports:
+        row = dict(r.to_dict(), seconds=None)
+        row["truncation"] = {k: v for k, v in row["truncation"].items()
+                             if k != "lseries_terms"}
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("curve, names", [
+    (CURVE_11A, None), (CURVE_37A, ["thm1", "thm2", "thm3", "appendix"])])
+def test_rows_match_a_newform_built_to_the_terms_limit(curve, names):
+    from ellreg.lseries import newform_from_curve
+
+    def run(config):
+        if names is None:
+            return run_all(config)
+        return [r for name in names for r in SUITES[name](config)]
+
+    built = resolve_config(curve=curve)
+    full = resolve_config(curve=curve)
+    full.context.form = newform_from_curve(curve, 4000)
+    rows = run(built)
+    assert built.context.form.nmax == {11: 120, 37: 453}[curve.conductor]
+    assert _rows_but_length(rows) == _rows_but_length(run(full))
+    assert {r.truncation.get("lseries_terms") for r in rows} <= {
+        built.context.form.nmax, None}
+
+
+def test_each_run_sums_the_coefficients_once_to_the_built_length(
+        monkeypatch):
+    import ellreg.lseries as lseries
+
+    calls = []
+    real = lseries.an_coefficients
+
+    def recording(curve, nmax):
+        calls.append(nmax)
+        return real(curve, nmax)
+    monkeypatch.setattr(lseries, "an_coefficients", recording)
+    config = resolve_config()
+    assert all(r.passed for r in run_all(config))
+    assert calls == [config.context.form.nmax] == [120]
+    calls.clear()
+    config = resolve_config(curve=CURVE_37A)
+    for name in ("thm1", "thm2", "appendix"):
+        SUITES[name](config)
+    assert calls == [453]
+
+
+def test_positivity_is_a_predicate_no_tolerance_can_pass(monkeypatch):
+    import ellreg.verify as verify
+
+    def positivity(tolerance):
+        rows = verify.run_appendix(resolve_config(tolerance=tolerance))
+        return next(r for r in rows if r.check == "appendix:positivity")
+
+    for tolerance, shown in ((None, 0.5), (2.0, 2.0), (1e-16, 1e-16)):
+        row = positivity(tolerance)
+        assert row.passed and row.error == 0.0 and row.tolerance == shown
+    real = verify.petersson
+    monkeypatch.setattr(verify, "petersson", lambda a, b: -real(a, b))
+    for tolerance in (None, 2.0):
+        row = positivity(tolerance)
+        assert not row.passed and row.error == 1.0 and row.tolerance > 0.0
