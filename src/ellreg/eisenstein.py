@@ -430,54 +430,6 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY, **kw):
     return value
 
 
-def arc_integrals(forms, g: UnimodularMatrix = IDENTITY, nodes: int = 64,
-                  tol: float = 1e-10, max_doublings: int = 6) -> np.ndarray:
-    """arc_integral of each of forms, which share their left divisor and
-    rmax, by the node doubling of integrate_one_form.
-
-    The right streams' Fourier data are stacked, so each node count is
-    one jet of the stack against the one left jet.  Each form doubles
-    until its own value settles below tol * max(1, |value|), and raises
-    if it does not.
-    """
-    if g != IDENTITY:
-        forms = [f.pullback(g) for f in forms]
-    left = forms[0].left_stream
-    rights = [f.right_stream for f in forms]
-    A, B = np.array([s.A for s in rights]), np.array([s.B for s in rights])
-    c_y, c_log, c_0 = (np.array([[getattr(s, c)] for s in rights])
-                       for c in ("c_y", "c_log", "c_0"))
-    d = 2j * math.pi * np.arange(left.rmax + 1) / left.modulus
-    path, velocity = _geodesic_path(RHO, RHO2)
-
-    def quad(n, rows):
-        x, w = gauss_legendre_nodes(n)
-        t = 0.5 * (x + 1.0)
-        z, v = path(t), velocity(t)
-        y, ez = z.imag, left._exps(z)
-        vl, dl, dbl = left.jet(z, ez)
-        # EisensteinStream.jet of every row at once.
-        a, b, cy, clog = A[rows], B[rows], c_y[rows], c_log[rows]
-        vm = cy * y + clog * np.log(y) + c_0[rows] + a @ ez + b @ ez.conj()
-        dm = cy / 2j + clog / (2j * y) + (a * d) @ ez
-        dbm = -cy / 2j - clog / (2j * y) + (b * -d) @ ez.conj()
-        P, Q = vl * dm - vm * dl, -(vl * dbm - vm * dbl)
-        return 0.5 * np.sum(w * (P * v + Q * np.conj(v)), axis=-1)
-
-    out = np.empty(len(forms), dtype=complex)
-    rows = np.arange(len(forms))
-    prev = quad(nodes, rows)
-    for _ in range(max_doublings):
-        nodes *= 2
-        cur = quad(nodes, rows)
-        settled = np.abs(cur - prev) < tol * np.maximum(1.0, np.abs(cur))
-        out[rows[settled]] = cur[settled]
-        rows, prev = rows[~settled], cur[~settled]
-        if not rows.size:
-            return out
-    raise RuntimeError("quadrature failed to settle below tolerance")
-
-
 class ArcTable:
     """E*_x and the pairing data of d_z E*_x for every x != 0 in (Z/p)^2,
     p prime, at the 64 and 128 Gauss-Legendre nodes of the arc rho -> rho^2.

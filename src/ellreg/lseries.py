@@ -107,15 +107,14 @@ def _oracle_terms(p: int, nmax: int, tol: float) -> int:
     return int(_terms_for_rates(np.array([TWO_PI / p]), nmax, tol)[0])
 
 
-def newform_terms(level: int, tol: float = DEFAULT_CONTROL.abs_tol) -> int:
+def newform_terms(level: int) -> int:
     """The most terms of a prime-level newform's stream that any sum
     reads: Lambda and the root number at the level, the twists at its
     square (_twist_terms) and the period oracle (_oracle_terms)."""
-    n = sys.maxsize
-    return max(_term_count(level, n, tol), _twist_terms(level, n, tol),
+    n, tol = sys.maxsize, DEFAULT_CONTROL.abs_tol
+    return max(_term_count(level, n), _twist_terms(level, n, tol),
                _oracle_terms(level, n, tol),
-               int(_terms_for_rates(_root_rates(level), n,
-                                    DEFAULT_CONTROL.abs_tol).max()))
+               int(_terms_for_rates(_root_rates(level), n, tol).max()))
 
 
 def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:

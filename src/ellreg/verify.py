@@ -25,7 +25,7 @@ from .characters import (
 )
 from .eisenstein import (
     ArcTable,
-    arc_integrals,
+    arc_integral,
     eta_form,
     g_column,
     suggested_rmax,
@@ -207,15 +207,15 @@ class CurveContext:
 
     def __init__(self, config: VerifyConfig):
         self.curve, self.p = config.curve, config.level
-        # The newform's length: --terms, or fewer when no sum reads as far.
-        self.nmax = min(config.terms, newform_terms(self.p))
+        # The newform's length: --terms, or fewer where no sum reads as far.
+        self.terms = min(config.terms, newform_terms(self.p))
         # The exponents of the even nontrivial and of the odd characters.
         self.evens = np.arange(2, self.p - 1, 2)
         self.odds = np.arange(1, self.p - 1, 2)
 
     @cached_property
     def form(self):
-        return newform_from_curve(self.curve, nmax=self.nmax)
+        return newform_from_curve(self.curve, nmax=self.terms)
 
     @cached_property
     def w(self) -> complex:
@@ -319,11 +319,13 @@ class _Rows:
         self.clock = now
 
     def holds(self, check, condition):
-        """A predicate row: 1 if condition holds, else 0, against 1.  It
-        passes exactly when condition holds, whatever tolerance it
-        carries."""
-        self.add(check, float(condition), 1.0, 0.5, error_kind="abs")
-        self.reports[-1].passed = bool(condition)
+        """A predicate row at the tolerance t, 0.5 or --tolerance: 2 t
+        against 2 t if condition holds, else 0 against 2 t.  So it passes,
+        error <= t, exactly when condition holds, and a failure reads
+        error = 2 t whatever t is."""
+        t = 0.5 if self.tolerance is None else self.tolerance
+        self.add(check, 2.0 * t * float(condition), 2.0 * t, t,
+                 error_kind="abs")
 
 
 class NotApplicable(ValueError):
@@ -338,9 +340,10 @@ def _require_conductor_11(config, what):
 def run_thm8(config=None):
     """Quintic-character dilogarithm expansions of L(E, 2) at level 11."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.context.nmax)
+    rows = _Rows(config)
     _require_conductor_11(config, "the quintic dilogarithm identity")
     ctx = config.context
+    rows.truncation["lseries_terms"] = ctx.form.nmax
     dilog, l_two = ctx.dilog, ctx.l_two
     p = config.level
     chars = character_table(p).characters
@@ -367,11 +370,13 @@ def run_thm8(config=None):
 def run_cor101(config=None):
     """L(E, 2) = (10 pi / 11) D_E(P) and the torsion-point relations."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.context.nmax)
+    rows = _Rows(config)
     _require_conductor_11(config, "the five-torsion dilogarithm identity")
-    dilog, l_two = config.context.dilog, config.context.l_two
+    ctx = config.context
+    rows.truncation["lseries_terms"] = ctx.form.nmax
+    dilog, l_two = ctx.dilog, ctx.l_two
     first = (10.0 * math.pi / 11.0) * dilog[1]
-    diag = {"lambda_terms": config.context.lambda_terms(config.level)}
+    diag = {"lambda_terms": ctx.lambda_terms(config.level)}
     if abs(l_two / first + 1.0) < 1e-3:
         # A mismatch by exactly -1 means the period lattice orientation
         # (the sign of D_E) is reversed, not a convergence failure.
@@ -391,9 +396,10 @@ def _arc_truncation(gap):
 def run_thm1(config=None):
     """L(E,2) L(E,chi,1) as a Gauss-sum combination of twisted L-values."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.context.nmax)
+    rows = _Rows(config)
     p = config.level
     ctx = config.context
+    rows.truncation["lseries_terms"] = ctx.form.nmax
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
     rows.add("thm1:fricke-sign", w, -a_p(config.curve, p), TOL_SERIES,
              error_kind="abs")
@@ -427,9 +433,10 @@ def run_thm1(config=None):
 def run_thm2(config=None):
     """Residue-normalized and residue-free expansions of L(E, 2)."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.context.nmax, eta_tol=1e-13)
+    rows = _Rows(config, eta_tol=1e-13)
     p = config.level
     ctx = config.context
+    rows.truncation["lseries_terms"] = ctx.form.nmax
     l_one, l_two, w = ctx.l_one, ctx.l_two, ctx.w
     tau, evens, odds = character_table(p).tau, ctx.evens, ctx.odds
     _, gap = ctx.eta_arcs
@@ -467,9 +474,10 @@ def run_thm2(config=None):
 def run_thm3(config=None):
     """L(f,2) L(f,chi,1) through eta(1, chihat) paired with the symbols."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.context.nmax, eta_tol=1e-13)
+    rows = _Rows(config, eta_tol=1e-13)
     p = config.level
     ctx = config.context
+    rows.truncation["lseries_terms"] = ctx.form.nmax
     xi, l_one, l_two = ctx.xi, ctx.l_one, ctx.l_two
     terms = ctx.lambda_terms(p, p * p)
     rows.add("thm3:closedness", max(xi.closedness()), 0.0, 1e-9,
@@ -504,14 +512,14 @@ def run_thm3(config=None):
             delta[1, 3] = 1.0
             arc, gap = arcs(delta, evens[:1])
             chihat = fourier_transform(FiniteMap.from_character(chars[k]))
-            bs = [b for b in range(p) if abs(chihat(b)) > 1e-15]
             # All forms share level, rmax, path and delta_1's stream and
             # jets; each keeps its own right stream and doubling check.
-            values = arc_integrals(
-                [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
-                 for b in bs], g_column(3))
-            assembled = sum(chihat(b) * value
-                            for b, value in zip(bs, values.tolist()))
+            exps = {}
+            assembled = sum(
+                chihat(b) * arc_integral(
+                    eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),
+                    g_column(3), exps=exps)
+                for b in range(p) if abs(chihat(b)) > 1e-15)
             rows.add(f"thm3:eta-linearity:{label}", arc[0], assembled, 1e-9,
                      _arc_truncation(gap[0]), error_kind="abs",
                      character=label)
@@ -521,9 +529,10 @@ def run_thm3(config=None):
 def run_appendix(config=None):
     """Petersson square norm against the tensor-square residue."""
     config = config or VerifyConfig()
-    rows = _Rows(config, lseries_terms=config.context.nmax)
+    rows = _Rows(config)
     p = config.level
     ctx = config.context
+    rows.truncation["lseries_terms"] = ctx.form.nmax
     rows.truncation["lambda_terms"] = ctx.lambda_terms(p, p * p)
     form, xi = ctx.form, ctx.xi
     pairing = petersson(xi, xi)
@@ -551,7 +560,7 @@ def run_mahler(config=None):
     _require_conductor_11(config, "each Mahler measure identity")
     l_two = config.context.l_two
     terms = {"lambda_terms": config.context.lambda_terms(config.level),
-             "lseries_terms": config.context.nmax}
+             "lseries_terms": config.context.form.nmax}
     first, second = curve_identity_polynomials()
     measured = {}
     for name, poly, ratio in (("first", first, 77), ("second", second, 55)):

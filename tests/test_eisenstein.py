@@ -24,7 +24,6 @@ from ellreg.eisenstein import (
     PairDivisor,
     UnimodularMatrix,
     arc_integral,
-    arc_integrals,
     e_star_map,
     e_star_point,
     eta_chi,
@@ -682,30 +681,3 @@ def test_elementary_forms_build_their_common_left_stream_once(monkeypatch):
     # pairs delta_1 with itself.
     left = PairDivisor.delta(p, 0, 1).right_translate(g).coeffs
     assert len(built) == p + 1 and built[0] == built[2] == left
-
-
-@pytest.mark.parametrize("p", [11, 17])
-def test_stacked_arc_integrals_match_one_form_at_a_time(p):
-    # thm3's linearity oracle: eta(delta_1, delta_b) over g_column(3).
-    # Below 1e-16 the forms settle at 128, 256 or 512 nodes, or (two at
-    # each level at 5e-18) not within three doublings, and the stack must
-    # raise exactly when one form raises alone.
-    forms = [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
-             for b in range(1, p)]
-    g = g_column(3)
-    for tol in (1e-10, 1e-17, 5e-18):
-        alone = []
-        for form in forms:
-            try:
-                alone.append(arc_integral(form, g, tol=tol, max_doublings=3))
-            except RuntimeError:
-                alone.append(None)
-        if None in alone:
-            with pytest.raises(RuntimeError):
-                arc_integrals(forms, g, tol=tol, max_doublings=3)
-            continue
-        stacked = arc_integrals(forms, g, tol=tol, max_doublings=3)
-        assert stacked.shape == (p - 1,)
-        assert np.max(np.abs(stacked - alone)) <= 1e-17
-    with pytest.raises(RuntimeError):
-        arc_integrals(forms, g, max_doublings=0)

@@ -367,8 +367,10 @@ def test_odd_sweep_reads_every_odd_coefficient():
 
 def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
     import ellreg.eisenstein as eisenstein
+    import ellreg.verify as verify
 
-    counts = {"__mul__": 0, "pairings": 0, "arc_integral": 0}
+    counts = {"__mul__": 0, "pairings": 0, "arc_integral": 0,
+              "integrate_one_form": 0}
     weighted = []
 
     def counting(owner, name):
@@ -383,8 +385,8 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
 
     counting(DirichletCharacter, "__mul__")
     counting(ArcTable, "pairings")
-    # verify no longer imports arc_integral: count it where it lives.
-    counting(eisenstein, "arc_integral")
+    counting(verify, "arc_integral")
+    counting(eisenstein, "integrate_one_form")
     config = resolve_config(level=17)
     calls = {}
     # thm2 first, so that it builds the shared context, residue included.
@@ -394,12 +396,15 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
         calls[name] = {k: counts[k] - before[k] for k in counts}
     # One transform for the context's eta_chi arcs, cusp arcs included,
     # and two for thm3: its xi-weighted sum and the single arc of its
-    # linearity row.  That row's oracle stacks its elementary forms
-    # eta(delta_1, delta_b), b = 1 .. 16, in one arc_integrals call.
-    assert calls == {"thm2": {"__mul__": 0, "pairings": 1, "arc_integral": 0},
-                     "thm1": {"__mul__": 0, "pairings": 0, "arc_integral": 0},
+    # linearity row.  Only that row's oracle integrates arc by arc, one
+    # stream quadrature per elementary form eta(delta_1, delta_b),
+    # b = 1 .. 16, and each goes through integrate_one_form, so the
+    # quadrature's cost is charged to the functions that do it.
+    none = {"arc_integral": 0, "integrate_one_form": 0}
+    assert calls == {"thm2": {"__mul__": 0, "pairings": 1, **none},
+                     "thm1": {"__mul__": 0, "pairings": 0, **none},
                      "thm3": {"__mul__": 0, "pairings": 2,
-                              "arc_integral": 0}}
+                              "arc_integral": 16, "integrate_one_form": 16}}
     assert weighted == [False, True, True]
 
 
@@ -657,11 +662,14 @@ def test_positivity_is_a_predicate_no_tolerance_can_pass(monkeypatch):
         rows = verify.run_appendix(resolve_config(tolerance=tolerance))
         return next(r for r in rows if r.check == "appendix:positivity")
 
+    # The row's tolerance is --tolerance, and a failure reads error =
+    # 2 tolerance, so the verdict is error <= tolerance at every value.
     for tolerance, shown in ((None, 0.5), (2.0, 2.0), (1e-16, 1e-16)):
         row = positivity(tolerance)
         assert row.passed and row.error == 0.0 and row.tolerance == shown
     real = verify.petersson
     monkeypatch.setattr(verify, "petersson", lambda a, b: -real(a, b))
-    for tolerance in (None, 2.0):
+    for tolerance, shown in ((None, 0.5), (2.0, 2.0), (1e-16, 1e-16)):
         row = positivity(tolerance)
-        assert not row.passed and row.error == 1.0 and row.tolerance > 0.0
+        assert not row.passed and row.tolerance == shown
+        assert row.error == 2.0 * shown
