@@ -319,11 +319,10 @@ class EtaForm:
             self.rmax,
         )
 
-    def coefficients(self, z, ez=None, left_jet=None) -> OneFormValue:
+    def coefficients(self, z) -> OneFormValue:
         M = self.right_stream
-        if ez is None:
-            ez = M._exps(np.asarray(z, dtype=complex))  # same level and rmax
-        vl, dl, dbl = left_jet or self.left_stream.jet(z, ez)
+        ez = M._exps(np.asarray(z, dtype=complex))  # same level and rmax
+        vl, dl, dbl = self.left_stream.jet(z, ez)
         vm, dm, dbm = M.jet(z, ez)
         return OneFormValue(vl * dm - vm * dl, -(vl * dbm - vm * dbl))
 
@@ -376,30 +375,18 @@ def _straight_path(z0: complex, z1: complex):
 
 
 def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 64,
-                       tol: float = 1e-10, max_doublings: int = 6,
-                       exps: dict | None = None):
+                       tol: float = 1e-10, max_doublings: int = 6):
     """Gauss-Legendre quadrature of P dz + Q dzbar with node doubling.
 
     Returns (value, error_estimate); raises if doubling stalls above tol.
-    exps caches, by node count, the stream exponentials and, by left
-    divisor, the left streams' jets: forms of one level and rmax on one
-    path can share it, and of the forms with one left divisor only the
-    first to reach a node count builds that stream.
     """
-    exps = {} if exps is None else exps
-    left = tuple(form.left.items())
 
     def quad(n):
         x, w = gauss_legendre_nodes(n)
         t = 0.5 * (x + 1.0)
         z = path(t)
         v = velocity(t)
-        if n not in exps:
-            exps[n] = form.left_stream._exps(z), {}
-        ez, jets = exps[n]
-        if left not in jets:
-            jets[left] = form.left_stream.jet(z, ez)
-        P, Q = form.coefficients(z, ez, jets[left])
+        P, Q = form.coefficients(z)
         return 0.5 * complex(np.sum(w * (P * v + Q * np.conj(v))))
 
     prev = quad(nodes)
@@ -499,13 +486,11 @@ class ArcTable:
         self._V = V.reshape(self.pairs.shape[:2] + (z.size,))
         self._X = X.reshape(self._V.shape)
 
-    def pairings(self, ks, weights=None, tol: float = 1e-10):
-        """(values, gaps)[l, j] of sum_{a, c units} w(a l) chi_k(a)
-        conj chi_k(c) J[a l, c l] for k = ks[j] over every line l, where
+    def pairings(self, ks, tol: float = 1e-10):
+        """(values, gaps)[l, j] of sum_{a, c units} chi_k(a) conj chi_k(c)
+        J[a l, c l] for k = ks[j] over every line l, where
         J[x, y] = i (V_x . X_y - V_y . X_x) is the arc integral of eta
-        for the pair divisors delta_x, delta_y and w(x) is weights[l, i]
-        for the row (l, i) that holds x (1 without weights); a line whose
-        weights are all 0 reads exactly 0 and is not transformed.
+        for the pair divisors delta_x, delta_y.
 
         With a = g^s and h = (p - 1) / 2, a character sum over the units
         runs over a line's rows twice, as s and s + h: sum_s chi_k(g^s)
@@ -518,25 +503,17 @@ class ArcTable:
         n = self.NODES[0]
         fine = np.zeros((len(self._V), len(ks)), dtype=complex)
         coarse = np.zeros_like(fine)
-        lines = (np.arange(len(fine)) if weights is None
-                 else np.flatnonzero(np.any(weights, axis=1)))
         # Lines go through in blocks of at most 2^16 table entries, so
         # that no transform takes more than 1 MB.
-        for block in np.array_split(
-                lines, max(1, -(-lines.size * self._V[0].size >> 16))):
-            V, X = self._V[block], self._X[block]
+        for block in np.array_split(np.arange(len(fine)),
+                                    max(1, -(-self._V.size >> 16))):
             # np.fft is loaded on first use, not by importing ellreg.
-            v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (V, X))
-            if weights is None:
-                # The two terms below are exact conjugates, so the
-                # values come out exactly real.
-                wv, wx = v.conj(), x.conj()
-            else:
-                # Bin -m of the DFT of w f is the conjugate of bin m of
-                # that of conj(w) f.
-                cw = np.conj(weights[block])[..., None]
-                wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
-                          for f in (V, X))
+            v, x = (np.fft.fft(f[block], axis=1)[:, bins]
+                    for f in (self._V, self._X))
+            # The rows are real, so bin -m of a transform is the conjugate
+            # of bin m: the two terms below are exact conjugates, and the
+            # values come out exactly real.
+            wv, wx = v.conj(), x.conj()
             for out, nodes in ((fine, slice(n, None)), (coarse, slice(n))):
                 out[block] = (
                     np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])

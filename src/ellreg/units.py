@@ -3,10 +3,9 @@
 A sum-zero map f on Z/NZ determines a modular unit whose logarithm is
 the Eisenstein series of f divided by pi, normalized to leading Fourier
 coefficient 1 at the infinite cusp.  This module computes exact cusp
-divisors of such units: the general double-sum order formula, closed
+divisors of such units: the general double-sum order formula and closed
 forms when f is an even Dirichlet character or the Fourier transform of
-one, and the divisors of the coordinate functions on the genus-2
-modular curve of level 13, which character units reconstruct.
+one.
 """
 
 from __future__ import annotations
@@ -19,17 +18,11 @@ from .characters import (
     FiniteMap,
     _prime_factors,
     _totient,
-    enumerate_characters,
     fourier_transform,
     l_chi_2,
 )
 from .modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
 from .special import periodic_bernoulli2
-
-# cusp divisors of the plane-model coordinates x, y on the level-13
-# modular curve, listed on the classes [0, v] for v = 1..6
-DIV_X_LEVEL13 = (0, 1, 1, -1, 0, -1)
-DIV_Y_LEVEL13 = (1, -1, 1, 1, -1, -1)
 
 
 @dataclass
@@ -182,11 +175,3 @@ def unit_divisor_chihat(chi: DirichletCharacter) -> CuspDivisor:
                 for beta in range(d) if math.gcd(beta, d) == 1)
         coeffs[cls] = -front * _induced_value(chi, d, cls.v) * s
     return CuspDivisor(n, coeffs)
-
-
-def x1_13_epsilon() -> DirichletCharacter:
-    """The even sextic character mod 13 sending 2 to exp(2 pi i / 6)."""
-    for chi in enumerate_characters(13):
-        if chi.is_even and chi.order == 6 and chi.exponent_at(2) == 1:
-            return chi
-    raise RuntimeError("sextic character mod 13 not found")

@@ -16,17 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import (
-    FiniteMap,
-    _is_prime,
-    character_label,
-    character_table,
-    fourier_transform,
-)
+from .characters import _is_prime, character_label, character_table
 from .eisenstein import (
     ArcTable,
     arc_integral,
-    eta_form,
+    eta_chi,
     g_column,
     suggested_rmax,
 )
@@ -53,6 +47,9 @@ from .modsym import period_integral_oracle, petersson, xi_bridge_table
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
 TOL_QUADRATURE = 1e-6  # checks that integrate along geodesics or tori
+# The default limit on the newform's length, above newform_terms(389) =
+# 5,411; a smaller level builds only the newform_terms(p) its sums read.
+DEFAULT_TERMS = 5500
 
 
 @dataclass
@@ -146,7 +143,7 @@ class VerifyConfig:
     curve: CurveModel = CURVE_11A
     level: int = 11
     tolerance: float | None = None
-    terms: int = 4000
+    terms: int = DEFAULT_TERMS
 
     @cached_property
     def context(self) -> "CurveContext":
@@ -154,7 +151,7 @@ class VerifyConfig:
 
 
 def resolve_config(level=None, curve=None, tolerance=None,
-                   terms=4000) -> VerifyConfig:
+                   terms=DEFAULT_TERMS) -> VerifyConfig:
     """Resolve CLI-style arguments into a consistent VerifyConfig."""
     if curve is None:
         wanted = 11 if level is None else level
@@ -472,7 +469,17 @@ def run_thm2(config=None):
 
 
 def run_thm3(config=None):
-    """L(f,2) L(f,chi,1) through eta(1, chihat) paired with the symbols."""
+    """L(f,2) L(f,chi,1) through eta(1, chihat) paired with the symbols.
+
+    The right side is (p i / 4) sum_{x != 0} xi(x) A_k(x), A_k(x) the arc
+    of eta(delta_1, chihat_k) over a lift with bottom row x.  chihat_k(b)
+    is tau_k conj chi_k(b) at b != 0, so A_k(a x) = tau_k chi_k(a) sum_c
+    conj chi_k(c) J[a x, c x] for a unit a (J as in ArcTable.pairings),
+    and the A_k on a line l add up to tau_k arcs[k, l], the shared arc of
+    eta_chi_k.  xi is a function on P^1(F_p), as the form has trivial
+    character: one value xi_l on line l, read at its bottom row.  So the
+    right side is (p i / 4) tau_k sum_l xi_l arcs[k, l].
+    """
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=1e-13)
     p = config.level
@@ -484,44 +491,24 @@ def run_thm3(config=None):
              {"lambda_terms": terms}, error_kind="abs")
 
     chars, _, tau = character_table(p)
-    evens, table = ctx.evens, ctx.node_table
-    u, v = np.moveaxis(table.pairs, -1, 0)
-
-    def arcs(f, ks):
-        """sum_x f(x) times the arc of eta(delta_1, chihat_k) over the lift
-        with bottom row x != 0, as chihat_k(b) = tau_k conj chi_k(b) at
-        b != 0 (0 at b = 0).  The row of x also holds -x, so it weighs
-        f(x) + f(-x), and the pairing counts each x twice."""
-        values, gaps = table.pairings(ks, f[u, v] + f[-u % p, -v % p])
-        scale = tau[ks] / 2.0
-        return scale * values.sum(axis=0), abs(scale) * gaps.max(axis=0)
-
-    weighted, gaps = arcs(xi.plus_values, evens)
-    rhs = (p * 1j / 4.0) * weighted
+    evens = ctx.evens
+    arcs, gap = ctx.eta_arcs
+    u, v = ctx.node_table.pairs[:, 0].T  # each line's bottom row
+    rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi.plus_values[u, v])
+    # The table's rows: every x != 0, up to sign.
+    truncation = dict(arc_count=(p * p - 1) // 2, lambda_terms=terms,
+                      **_arc_truncation(gap))
     for i, k in enumerate(evens):
         label = character_label(chars[k])
         rows.add(f"thm3:identity:{label}", l_two * l_one[k], rhs[i],
-                 TOL_QUADRATURE, dict(arc_count=u.size, lambda_terms=terms,
-                                      **_arc_truncation(gaps[i])),
-                 scale=l_two, character=label)
+                 TOL_QUADRATURE, truncation, scale=l_two, character=label)
         if i == 0:
-            # The table's arc of eta(delta_1, chihat) over g_column(3),
-            # bottom row (1, 3), must match the chihat-weighted sum of the
-            # stream quadratures of eta(delta_1, delta_b).
-            delta = np.zeros((p, p))
-            delta[1, 3] = 1.0
-            arc, gap = arcs(delta, evens[:1])
-            chihat = fourier_transform(FiniteMap.from_character(chars[k]))
-            # All forms share level, rmax, path and delta_1's stream and
-            # jets; each keeps its own right stream and doubling check.
-            exps = {}
-            assembled = sum(
-                chihat(b) * arc_integral(
-                    eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b)),
-                    g_column(3), exps=exps)
-                for b in range(p) if abs(chihat(b)) > 1e-15)
-            rows.add(f"thm3:eta-linearity:{label}", arc[0], assembled, 1e-9,
-                     _arc_truncation(gap[0]), error_kind="abs",
+            # The table's arc of eta_chi over g_column(3), assembled from
+            # single-pair rows by character transforms, against one
+            # stream quadrature of the form summed from its divisors.
+            rows.add(f"thm3:eta-linearity:{label}", arcs[k, 3],
+                     arc_integral(eta_chi(chars[k]), g_column(3)), 1e-9,
+                     _arc_truncation(gap), error_kind="abs",
                      character=label)
     return rows.reports
 

@@ -3,7 +3,8 @@
 Each is a second, plainer way to compute something the package computes
 another way: literal Fourier expansions of the Epstein zeta functions
 and of sum-zero Eisenstein series, eta integrals along straight
-segments, plain Dirichlet partial sums, canonical symbol lifts, the
+segments, weighted pairings of the arc table by four transforms of
+every line, plain Dirichlet partial sums, canonical symbol lifts, the
 raw cusp-order double sum and the rebuild of the level-13 coordinate
 divisors from character units.
 """
@@ -18,12 +19,14 @@ from ellreg.characters import (
     FiniteMap,
     _divisors,
     _xgcd,
+    enumerate_characters,
     fourier_transform,
     l_chi_2,
 )
 from ellreg.eisenstein import (
     EULER_GAMMA,
     TWO_PI,
+    ArcTable,
     EisensteinStream,
     EtaForm,
     PairDivisor,
@@ -36,13 +39,10 @@ from ellreg.lseries import ModularFormData
 from ellreg.modsym import CuspClass, cusp_classes
 from ellreg.special import periodic_bernoulli2
 from ellreg.units import (
-    DIV_X_LEVEL13,
-    DIV_Y_LEVEL13,
     CuspDivisor,
     _order_from_hat,
     unit_divisor_chi,
     unit_divisor_chihat,
-    x1_13_epsilon,
 )
 
 
@@ -183,6 +183,29 @@ def matrix_lift(x, level: int | None = None) -> UnimodularMatrix:
     raise RuntimeError("no coprime lift found for %r" % (x,))
 
 
+def _pairings_on_every_line(table: ArcTable, ks, weights=None):
+    """ArcTable.pairings with a weight w(x) = weights[l, i] on the row
+    (l, i) that holds x (1 on every row when no weights are given):
+    (values, gaps)[l, j] of sum_{a, c units} w(a l) chi_k(a) conj chi_k(c)
+    J[a l, c l] for k = ks[j], by four transforms of every line and no
+    work skipped.  Bin -m of the DFT of w f is the conjugate of bin m of
+    that of conj(w) f."""
+    bins = np.asarray(ks) // 2
+    cw = np.conj(np.ones(table.pairs.shape[:2]) if weights is None
+                 else weights)[..., None]
+    n = ArcTable.NODES[0]
+    v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (table._V, table._X))
+    wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
+              for f in (table._V, table._X))
+    fine, coarse = (np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
+                    - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes])
+                    for nodes in (slice(n, None), slice(n)))
+    scale = 4j * (np.asarray(ks) % 2 == 0)
+    fine *= scale
+    coarse *= scale
+    return fine, np.abs(fine - coarse)
+
+
 def _complete_row(c: int, d: int):
     # a d - b c = 1 with 0 <= a < c for c > 0.
     g, s, t = _xgcd(c, d)
@@ -205,6 +228,20 @@ def order_at_cusp(f: FiniteMap, u: int, v: int) -> complex:
     if math.gcd(math.gcd(u, v), n) != 1:
         raise ValueError("(%d, %d) is not an order-%d label" % (u, v, n))
     return _order_from_hat(fourier_transform(f), u, v)
+
+
+# cusp divisors of the plane-model coordinates x, y on the level-13
+# modular curve, listed on the classes [0, v] for v = 1..6
+DIV_X_LEVEL13 = (0, 1, 1, -1, 0, -1)
+DIV_Y_LEVEL13 = (1, -1, 1, 1, -1, -1)
+
+
+def x1_13_epsilon() -> DirichletCharacter:
+    """The even sextic character mod 13 sending 2 to exp(2 pi i / 6)."""
+    for chi in enumerate_characters(13):
+        if chi.is_even and chi.order == 6 and chi.exponent_at(2) == 1:
+            return chi
+    raise RuntimeError("sextic character mod 13 not found")
 
 
 def reconstruct_x1_13_units() -> dict:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from ellreg.cli import main
+from ellreg.cli import _build_parser, main
+from ellreg.lseries import newform_terms
+from ellreg.verify import DEFAULT_TERMS, VerifyConfig, resolve_config
 
 
 def test_verify_writes_json_report(tmp_path, capsys):
@@ -166,3 +168,12 @@ def test_summary_reports_the_runs_wall_and_cpu_time(capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert re.fullmatch(
         r"6/6 checks passed in \d+\.\d\d s wall, \d+\.\d\d s CPU", last), last
+
+
+def test_default_terms_reach_the_389_newform():
+    # One limit for the CLI, VerifyConfig and resolve_config, long
+    # enough that 389a runs at default flags.
+    args = _build_parser().parse_args(["verify", "thm1"])
+    assert args.terms == DEFAULT_TERMS
+    assert VerifyConfig().terms == resolve_config().terms == DEFAULT_TERMS
+    assert DEFAULT_TERMS >= newform_terms(389)

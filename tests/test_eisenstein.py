@@ -37,6 +37,7 @@ from ellreg.characters import _divisors
 from ellreg.modsym import SymbolIndex
 
 from reference_routes import (
+    _pairings_on_every_line,
     _restricted_zeta2,
     divisor_bracket,
     e_star_stream,
@@ -360,20 +361,14 @@ def _row_weight(table, x):
             | (table.pairs == -x % p).all(axis=-1)).astype(float)
 
 
-def _assert_pairings_match_the_reference(p, lines, ks, weights=None):
+def _assert_pairings_match_the_reference(p, lines, ks):
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    values, gaps = table.pairings(ks, weights)
+    values, gaps = table.pairings(ks)
     assert values.shape == gaps.shape == (p + 1, len(ks))
     chi = character_table(p).values
     bottom = np.array(_lines(p))
     for l in lines:
-        left = chi[ks]
-        if weights is not None:
-            # The weight of the row that holds a l, for every multiplier a.
-            at = np.multiply.outer(np.arange(p), bottom[l]) % p
-            left = left * [weights[_row_weight(table, x) == 1][0]
-                           if x.any() else 0.0 for x in at]
-        want = _pairing_reference(table, bottom[[l]], left, chi[-ks])
+        want = _pairing_reference(table, bottom[[l]], chi[ks], chi[-ks])
         assert np.abs(values[l] - want[0][0]).max() <= 1e-14
         assert np.abs(gaps[l] - want[1][0]).max() <= 1e-14
 
@@ -385,38 +380,12 @@ def test_pairings_match_the_pair_gather_reference(p):
     _assert_pairings_match_the_reference(p, range(p + 1), ks)
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
     assert not table.pairings(ks[1::2])[0].any()
-    re, im = np.random.default_rng(p).normal(size=(2, p + 1, (p - 1) // 2))
-    _assert_pairings_match_the_reference(
-        p, range(p + 1), ks[::2], re + 1j * im)
 
 
 def test_pairings_match_the_pair_gather_reference_at_37():
     p = 37
     lines = [0, 1, 5, 18, 36, 37]
     _assert_pairings_match_the_reference(p, lines, np.arange(2, p - 1, 6))
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    weights = np.random.default_rng(p).normal(size=table.pairs.shape[:2])
-    _assert_pairings_match_the_reference(
-        p, lines, np.arange(0, p - 1, 10), weights)
-
-
-def _pairings_on_every_line(table, ks, weights=None):
-    """The transform route with no work skipped: four transforms of every
-    line, with weight 1 on every row when no weights are given."""
-    bins = np.asarray(ks) // 2
-    cw = np.conj(np.ones(table.pairs.shape[:2]) if weights is None
-                 else weights)[..., None]
-    n = ArcTable.NODES[0]
-    v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (table._V, table._X))
-    wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
-              for f in (table._V, table._X))
-    fine, coarse = (np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
-                    - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes])
-                    for nodes in (slice(n, None), slice(n)))
-    scale = 4j * (np.asarray(ks) % 2 == 0)
-    fine *= scale
-    coarse *= scale
-    return fine, np.abs(fine - coarse)
 
 
 @pytest.fixture
@@ -454,46 +423,20 @@ def test_unweighted_pairings_transform_each_line_twice(p, fft_shapes):
     assert sum(s[0] for s in fft_shapes) == 2 * (p + 1)
 
 
-@pytest.mark.parametrize("p", [17, 37])
-def test_weighted_pairings_transform_only_lines_with_weight(p, fft_shapes):
-    table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    ks = np.arange(2, p - 1, 2)
-    delta = _row_weight(table, (1, 3))
-    rng = np.random.default_rng(p)
-    sparse = np.zeros(table.pairs.shape[:2], dtype=complex)
-    lines = rng.choice(p + 1, size=3, replace=False)
-    re, im = rng.normal(size=(2, 3, (p - 1) // 2))
-    sparse[lines] = re + 1j * im
-    sparse[lines[0], 1:] = 0.0
-    for weights in (delta, sparse):
-        values, gaps = table.pairings(ks, weights)
-        _assert_bitwise_equal((values, gaps),
-                              _pairings_on_every_line(table, ks, weights))
-        idle = ~np.any(weights, axis=1)
-        assert not values[idle].any() and not gaps[idle].any()
-    del fft_shapes[:]
-    table.pairings(ks[:1], delta)
-    # The one line with a nonzero weight: V, X, w V and w X.
-    assert [s[0] for s in fft_shapes] == [1, 1, 1, 1]
-
-
 def _assert_values_match_arc_integral(values, forms, lifts):
     """The table's values give, arc by arc, the value of arc_integral."""
-    exps = {}  # every form shares the table's level, rmax and path
     for k, form in enumerate(forms):
         for s, g in enumerate(lifts):
-            assert abs(values[s, k] - arc_integral(form, g, exps=exps)) <= 1e-13
+            assert abs(values[s, k] - arc_integral(form, g)) <= 1e-13
 
 
 def _assert_gaps_match_the_stream_rule(values, gaps, forms, lifts):
     """The table's 128-node values and 64-vs-128-node gaps are those of
     stream quadrature at 64 nodes with one doubling."""
-    exps = {}
     for k, form in enumerate(forms):
         for s, g in enumerate(lifts):
             value, gap = integrate_eta_geodesic(
-                form.pullback(g), RHO, RHO2, nodes=64, max_doublings=1,
-                exps=exps)
+                form.pullback(g), RHO, RHO2, nodes=64, max_doublings=1)
             assert abs(values[s, k] - value) <= 1e-13
             assert abs(gaps[s, k] - gap) <= 1e-13
 
@@ -565,26 +508,21 @@ def test_arc_table_needs_a_prime_modulus():
 
 
 def test_arc_contraction_matches_integral_on_symbol_lifts():
-    # thm3's arcs: eta(delta_1, chihat) on symbol lifts whose bottom rows
-    # reach past N.  chihat_k(b) = tau_k conj chi_k(b) at b != 0, and the
-    # row of the bottom row x also holds -x, hence the half.
+    # eta_chi on symbol lifts whose bottom rows reach past N.  eta_chi is
+    # invariant under the diamond action x -> a x, so the lift with
+    # bottom row (c, d) reads line d / c mod p, or line p when p | c.
     p = 37
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    chars, _, tau = character_table(p)
+    chars = character_table(p).characters
     ks = np.arange(2, p - 1, 8)
-    forms = [eta_form(FiniteMap.delta(p, 1),
-                      fourier_transform(FiniteMap.from_character(chars[k])))
-             for k in ks]
+    forms = [eta_chi(chars[k]) for k in ks]
     lifts = [matrix_lift(SymbolIndex(p, u, v)) for u, v in
              [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
-    values, gaps = [], []
-    for g in lifts:
-        value, gap = table.pairings(ks, _row_weight(table, (g.c, g.d)))
-        values.append(tau[ks] / 2 * value.sum(axis=0))
-        gaps.append(np.abs(tau[ks]) / 2 * gap.max(axis=0))
-    values, gaps = np.array(values), np.array(gaps)
-    _assert_values_match_arc_integral(values, forms, lifts)
-    _assert_gaps_match_the_stream_rule(values, gaps, forms, lifts)
+    lines = [g.d * pow(g.c, -1, p) % p if g.c % p else p for g in lifts]
+    values, gaps = table.pairings(ks)
+    _assert_values_match_arc_integral(values[lines], forms, lifts)
+    _assert_gaps_match_the_stream_rule(values[lines], gaps[lines], forms,
+                                       lifts)
 
 
 def test_arc_contraction_raises_when_node_counts_disagree():
@@ -638,46 +576,3 @@ def test_stream_series_match_the_term_by_term_loops(modulus, coeffs):
     # The loops raise e(m / N) to the v-th power, a few ulps per factor.
     assert np.abs(stream.A - A).max() <= 1e-13
     assert np.abs(stream.B - B).max() <= 1e-13
-
-
-def test_elementary_forms_share_the_exponentials_bitwise(monkeypatch):
-    p, g = 17, g_column(3)
-    forms = [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
-             for b in range(p)]
-    alone = [arc_integral(form, g) for form in forms]
-    built = []
-    real = EisensteinStream._exps
-
-    def counting(self, z):
-        built.append(np.size(z))
-        return real(self, z)
-    monkeypatch.setattr(EisensteinStream, "_exps", counting)
-    exps = {}
-    shared = [arc_integral(form, g, exps=exps) for form in forms]
-    assert shared == alone
-    # One table per node count, not one per form and node count.
-    assert sorted(built) == sorted(exps) and len(built) >= 2
-    # Each form still runs its own doubling check.
-    with pytest.raises(RuntimeError):
-        arc_integral(forms[2], g, exps=exps, tol=0.0, max_doublings=1)
-
-
-def test_elementary_forms_build_their_common_left_stream_once(monkeypatch):
-    p, g = 17, g_column(3)
-    forms = [eta_form(FiniteMap.delta(p, 1), FiniteMap.delta(p, b))
-             for b in range(p)]
-    alone = [arc_integral(form, g) for form in forms]
-    built = []
-    real = EisensteinStream.__init__
-
-    def counting(self, divisor, rmax):
-        built.append(divisor.coeffs)
-        real(self, divisor, rmax)
-    monkeypatch.setattr(EisensteinStream, "__init__", counting)
-    exps = {}
-    shared = [arc_integral(form, g, exps=exps) for form in forms]
-    assert shared == alone
-    # One stream for delta_1 | g, then one right stream per form; b = 1
-    # pairs delta_1 with itself.
-    left = PairDivisor.delta(p, 0, 1).right_translate(g).coeffs
-    assert len(built) == p + 1 and built[0] == built[2] == left

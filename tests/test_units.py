@@ -14,16 +14,19 @@ from ellreg.characters import (
 )
 from ellreg.modsym import CuspClass, cusp_classes
 from ellreg.units import (
-    DIV_X_LEVEL13,
-    DIV_Y_LEVEL13,
     CuspDivisor,
     unit_divisor,
     unit_divisor_chi,
     unit_divisor_chihat,
-    x1_13_epsilon,
 )
 
-from reference_routes import order_at_cusp, reconstruct_x1_13_units
+from reference_routes import (
+    DIV_X_LEVEL13,
+    DIV_Y_LEVEL13,
+    order_at_cusp,
+    reconstruct_x1_13_units,
+    x1_13_epsilon,
+)
 
 
 def even_nontrivial(n):

@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from ellreg.characters import (
@@ -15,6 +16,7 @@ from ellreg.eisenstein import ArcTable
 from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
 from ellreg.mahler import curve_identity_polynomials
 from ellreg.verify import (
+    DEFAULT_TERMS,
     SUITES,
     VerifyConfig,
     make_report,
@@ -30,6 +32,8 @@ from ellreg.verify import (
     run_thm8,
     summarize,
 )
+
+from reference_routes import _pairings_on_every_line
 
 REPORT_KEYS = {
     "check", "inputs", "left", "right", "abs_err", "rel_err", "error_kind",
@@ -155,7 +159,7 @@ def test_every_row_carries_the_config_inputs(builder_runs):
         for r in rows:
             assert r.inputs["level"] == level, r.check
             assert r.inputs["curve"] == curves[level], r.check
-            assert r.inputs["terms"] == 4000, r.check
+            assert r.inputs["terms"] == DEFAULT_TERMS, r.check
 
 
 def test_row_seconds_add_up_to_the_suite_wall_time(builder_runs):
@@ -395,17 +399,16 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
         SUITES[name](config)
         calls[name] = {k: counts[k] - before[k] for k in counts}
     # One transform for the context's eta_chi arcs, cusp arcs included,
-    # and two for thm3: its xi-weighted sum and the single arc of its
-    # linearity row.  Only that row's oracle integrates arc by arc, one
-    # stream quadrature per elementary form eta(delta_1, delta_b),
-    # b = 1 .. 16, and each goes through integrate_one_form, so the
-    # quadrature's cost is charged to the functions that do it.
+    # which thm3 reads as well.  Only thm3's linearity row integrates an
+    # arc on its own, one stream quadrature of eta_chi, and it goes
+    # through integrate_one_form, so the quadrature's cost is charged to
+    # the functions that do it.
     none = {"arc_integral": 0, "integrate_one_form": 0}
     assert calls == {"thm2": {"__mul__": 0, "pairings": 1, **none},
                      "thm1": {"__mul__": 0, "pairings": 0, **none},
-                     "thm3": {"__mul__": 0, "pairings": 2,
-                              "arc_integral": 16, "integrate_one_form": 16}}
-    assert weighted == [False, True, True]
+                     "thm3": {"__mul__": 0, "pairings": 0,
+                              "arc_integral": 1, "integrate_one_form": 1}}
+    assert weighted == [False]
 
 
 @pytest.mark.parametrize("k, shifts", [
@@ -451,6 +454,39 @@ def test_context_arrays_are_indexed_by_exponent():
 
 
 CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
+CURVE_101A = CurveModel(0, 1, 1, -1, -1, 101)
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
+                                   CURVE_37A, CURVE_101A],
+                         ids=lambda c: "%da" % c.conductor)
+def test_xi_is_constant_on_every_line_of_the_node_table(curve):
+    # thm3 reads xi at each line's bottom row, pairs[l, 0], for every
+    # point of the line: xi is a function on P^1(F_p).
+    ctx = resolve_config(curve=curve).context
+    pairs = ctx.node_table.pairs
+    xi = ctx.xi.plus_values[pairs[..., 0], pairs[..., 1]]
+    assert xi.tobytes() == np.repeat(xi[:, :1], xi.shape[1], 1).tobytes()
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
+                                   CURVE_37A],
+                         ids=lambda c: "%da" % c.conductor)
+def test_thm3_right_side_matches_the_xi_weighted_pairings(curve):
+    config = resolve_config(curve=curve)
+    ctx, p = config.context, config.level
+    rhs = np.array([r.right for r in run_thm3(config)
+                    if r.check.startswith("thm3:identity")])
+    # sum_x xi(x) times the arc of eta(delta_1, chihat_k) over the lift
+    # with bottom row x: the row of x also holds -x, so it weighs
+    # xi(x) + xi(-x), and the pairing counts each x twice.
+    u, v = np.moveaxis(ctx.node_table.pairs, -1, 0)
+    f = ctx.xi.plus_values
+    values, _ = _pairings_on_every_line(ctx.node_table, ctx.evens,
+                                        f[u, v] + f[-u % p, -v % p])
+    tau = character_table(p).tau[ctx.evens]
+    weighted = (p * 1j / 4.0) * tau / 2.0 * values.sum(axis=0)
+    assert np.abs(rhs - weighted).max() <= 2e-15 * np.abs(rhs).max()
 
 
 @pytest.fixture(scope="module")
