@@ -36,7 +36,6 @@ from .special import (
     SeriesControl,
     dedekind_eta,
     gauss_legendre_nodes,
-    periodic_bernoulli2,
     siegel_theta,
 )
 
@@ -171,20 +170,25 @@ class PairDivisor:
         return self.coeffs.items()
 
 
-def _beta2(v: int, N: int) -> float:
-    """sum_b cos(2 pi b v / N) B2bar(b / N)."""
-    return sum(
-        math.cos(TWO_PI * b * v / N) * periodic_bernoulli2(b / N)
-        for b in range(N)
-    )
+def _beta2(v, N: int):
+    """sum_b cos(2 pi b v / N) B2bar(b / N), for an integer v or array of v."""
+    t = np.arange(N) / N
+    return _cosines(v, np.arange(N), N) @ (t * t - t + 1.0 / 6.0)
 
 
-def _constant_term(u: int, N: int) -> float:
-    """The constant term of E*_(u,v), the same for every v."""
-    return (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0) - sum(
-        math.cos(TWO_PI * a * u / N)
-        * math.log(abs(1.0 - cmath.exp(2j * math.pi * a / N)))
-        for a in range(1, N)))
+def _constant_term(u, N: int):
+    """The constant term of E*_(u,v), the same for every v, for an
+    integer u or array of u."""
+    a = np.arange(1, N)
+    logs = np.log(np.abs(1.0 - np.exp(2j * math.pi * a / N)))
+    return (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0)
+                              - _cosines(u, a, N) @ logs)
+
+
+def _cosines(x, a, N: int):
+    """cos(2 pi x a / N) for every x and a, with x a reduced mod N in
+    integers first."""
+    return np.cos(TWO_PI * (np.multiply.outer(x, a) % N) / N)
 
 
 class EisensteinStream:
@@ -374,11 +378,13 @@ def _straight_path(z0: complex, z1: complex):
     return path, velocity
 
 
-def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 64,
+def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 32,
                        tol: float = 1e-10, max_doublings: int = 6):
     """Gauss-Legendre quadrature of P dz + Q dzbar with node doubling.
 
-    Returns (value, error_estimate); raises if doubling stalls above tol.
+    Returns (value, error_estimate).  Raises if doubling stalls above
+    tol: after max_doublings, or as soon as a doubling fails to halve the
+    previous error, which then sits at its rounding floor.
     """
 
     def quad(n):
@@ -389,14 +395,16 @@ def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 64,
         P, Q = form.coefficients(z)
         return 0.5 * complex(np.sum(w * (P * v + Q * np.conj(v))))
 
-    prev = quad(nodes)
+    prev, last = quad(nodes), math.inf
     for _ in range(max_doublings):
         nodes *= 2
         cur = quad(nodes)
         err = abs(cur - prev)
         if err < tol * max(1.0, abs(cur)):
             return cur, err
-        prev = cur
+        if not err < 0.5 * last:
+            break
+        prev, last = cur, err
     raise RuntimeError("quadrature failed to settle below tolerance")
 
 
@@ -419,7 +427,7 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY, **kw):
 
 class ArcTable:
     """E*_x and the pairing data of d_z E*_x for every x != 0 in (Z/p)^2,
-    p prime, at the 64 and 128 Gauss-Legendre nodes of the arc rho -> rho^2.
+    p prime, at the 32 and 64 Gauss-Legendre nodes of the arc rho -> rho^2.
 
     Rows are in (line, log) order: line l runs over (1, v), v = 0 .. p - 1,
     then (0, 1), and row i < (p - 1) / 2 of a line holds pairs[l, i] =
@@ -429,10 +437,11 @@ class ArcTable:
     moves divisor entries, so the arcs of a line under character
     weightings are DFTs of its rows (pairings).  The rows follow the
     EisensteinStream expansion truncated at rmax, summed from the divisor
-    pairs (k, m), k m <= rmax.
+    pairs (k, m), k m <= rmax.  The highest frequency the rows carry,
+    about rmax / p, does not grow with p, and neither do the node counts.
     """
 
-    NODES = (64, 128)
+    NODES = (32, 64)
 
     def __init__(self, modulus: int, rmax: int):
         p = modulus
@@ -448,7 +457,7 @@ class ArcTable:
             ts.append(t)
             weights.append(0.5 * w * velocity(t))
         z = path(np.concatenate(ts))
-        self.nodes = z  # the 64 nodes, then the 128
+        self.nodes = z  # the coarse rule's nodes, then the fine rule's
         y = z.imag
         # The quadrature of P dz + Q dzbar is sum(wdz P + conj(wdz) Q).
         self._wdz = np.concatenate(weights)
@@ -465,6 +474,7 @@ class ArcTable:
         us, vs = np.where(x[:, :1] > p - x[:, :1], -x % p, x).T
 
         c_log = -math.pi / p**2
+        c_0 = _constant_term(np.arange((p + 1) // 2), p)
         V = np.empty((us.size, z.size))
         X = np.empty((us.size, z.size))
         for u in range((p + 1) // 2):
@@ -474,11 +484,10 @@ class ArcTable:
             s_w, t_w = (s_u, t_u) if u == 0 else _divisor_sums(p - u, p, qpow)
             hol = (math.pi / p) * (s_u[v] + s_w[(-v) % p])
             dhol = (2j * math.pi**2 / p**2) * (t_u[v] + t_w[(-v) % p])
-            c_0 = _constant_term(u, p)
             c_y = np.zeros((v.size, 1))
             if u == 0:
-                c_y[:, 0] = [(2.0 * math.pi**2 / p) * _beta2(b, p) for b in v]
-            V[block] = c_y * y + c_log * np.log(y) + c_0 + 2.0 * hol.real
+                c_y[:, 0] = (2.0 * math.pi**2 / p) * _beta2(v, p)
+            V[block] = c_y * y + c_log * np.log(y) + c_0[u] + 2.0 * hol.real
             # eta(l, m) is bilinear in the divisors; with X = 2 Im(d_z E*
             # wdz), rows x and y pair to i (V_x X_y - V_y X_x).
             d_z = c_y / 2j + c_log / (2j * y) + dhol
@@ -495,9 +504,10 @@ class ArcTable:
         With a = g^s and h = (p - 1) / 2, a character sum over the units
         runs over a line's rows twice, as s and s + h: sum_s chi_k(g^s)
         f[s mod h] is twice bin -k/2 of the length-h DFT of f for even k,
-        and 0 for odd k.  The values use 128 nodes and the gaps are their
-        distances to the 64-node values; like integrate_one_form, raises
-        if a gap is not below tol * max(1, |value|)."""
+        and 0 for odd k.  The values use the fine rule of NODES and the
+        gaps are their distances to the coarse rule's values; like
+        integrate_one_form, raises if a gap is not below
+        tol * max(1, |value|)."""
         ks = np.asarray(ks)
         bins = ks // 2
         n = self.NODES[0]

@@ -5,7 +5,8 @@ over Y is a one-variable Mahler measure evaluated by Jensen's formula
 from the roots of P(x, Y); the outer average over x on the unit circle
 uses Gauss-Legendre panels split wherever a root of P(x, .) crosses the
 unit circle or the Y-degree drops, because the integrand has kinks
-exactly at those points.
+exactly at those points.  Each cut interval is graded toward both ends,
+which makes a square-root kink there analytic.
 """
 
 from __future__ import annotations
@@ -266,12 +267,11 @@ def _crossing_indicators(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarra
 def _unit_circle_crossings(poly: BivariatePolynomial, grid: int = 1024) -> list:
     us = np.linspace(0.0, 1.0, grid + 1)
     vals = _crossing_indicators(poly, us)
+    a, b = vals[:-1], vals[1:]
+    skip = (np.minimum(np.abs(a), np.abs(b)) < 1e-13) | (a * b >= 0)
     found = []
-    for m in range(grid):
-        a, b = vals[m], vals[m + 1]
-        if min(abs(a), abs(b)) < 1e-13 or a * b >= 0:
-            continue
-        lo, hi, flo = us[m], us[m + 1], a
+    for m in np.flatnonzero(~skip):
+        lo, hi, flo = us[m], us[m + 1], a[m]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             fm = _crossing_indicator(poly, mid)
@@ -288,7 +288,8 @@ def _unit_circle_crossings(poly: BivariatePolynomial, grid: int = 1024) -> list:
 
 def _adaptive_panels(f, intervals, nodes: int, tols):
     """Integral of the vectorized f over each interval (a, b) at its
-    tolerance, and the number of panels they took.
+    tolerance, the number of panels they took, and the sum of the
+    accepted panels' |fine - coarse|.
 
     A panel is accepted when its coarse (nodes) and fine (2 nodes)
     Gauss-Legendre values differ by at most its tolerance; otherwise its
@@ -299,7 +300,7 @@ def _adaptive_panels(f, intervals, nodes: int, tols):
     """
     level = [((i,), a, b, tol)
              for i, ((a, b), tol) in enumerate(zip(intervals, tols))]
-    values, splits, panels, depth = {}, [], 0, 0
+    values, splits, panels, gap, depth = {}, [], 0, 0.0, 0
     while level:
         rules = [gauss_legendre_nodes(nodes, a, b)
                  + gauss_legendre_nodes(2 * nodes, a, b)
@@ -318,6 +319,7 @@ def _adaptive_panels(f, intervals, nodes: int, tols):
             if abs(fine - coarse) <= tol or (b - a) < 1e-9:
                 values[key] = fine
                 panels += 1
+                gap += abs(fine - coarse)
                 continue
             if depth >= 48:
                 raise RuntimeError("outer quadrature failed to converge on "
@@ -331,7 +333,28 @@ def _adaptive_panels(f, intervals, nodes: int, tols):
     # parent is.
     for key in reversed(splits):
         values[key] = values[key + (0,)] + values[key + (1,)]
-    return [values[(i,)] for i in range(len(intervals))], panels
+    return [values[(i,)] for i in range(len(intervals))], panels, gap
+
+
+def _graded(f, intervals):
+    """f(u) du pulled back, on each interval (a, b), through
+    u = a + (b - a) h(t) with t = (s - a) / (b - a) and h(t) = 3t^2 - 2t^3.
+
+    h' = 6t(1 - t) vanishes at both ends, so a square-root kink of f at
+    an interval end becomes analytic in s (Davis and Rabinowitz, Methods
+    of Numerical Integration, section 2.9), and the integral over s of
+    the result over (a, b) is the integral of f over (a, b).
+    """
+    starts = np.array([a for a, _ in intervals])
+    widths = np.array([b - a for a, b in intervals])
+
+    def pulled(s):
+        i = np.searchsorted(starts, s, side="right") - 1
+        a, w = starts[i], widths[i]
+        t = (s - a) / w
+        return f(a + w * (t * t * (3.0 - 2.0 * t))) * (6.0 * t * (1.0 - t))
+
+    return pulled
 
 
 def mahler_measure(poly: BivariatePolynomial,
@@ -342,8 +365,9 @@ def mahler_measure(poly: BivariatePolynomial,
 
     A dict passed as quadrature receives what the outer quadrature ran:
     outer_nodes and abs_tol, cut_points (the kinks inside (0, 1) that
-    split the integral) and outer_panels (the Gauss-Legendre panels the
-    adaptive rule accepted).
+    split the integral), outer_panels (the Gauss-Legendre panels the
+    adaptive rule accepted) and outer_gap (the sum of their
+    |fine - coarse|, the error the rule achieved).
     """
     # m(Y^k P) = m(P).  Without the factor Y^k no node row has a zero
     # constant Y-coefficient, so every row stays on the batched solve.
@@ -356,15 +380,17 @@ def mahler_measure(poly: BivariatePolynomial,
     cuts.update(_unit_circle_crossings(poly))
     pts = sorted(cuts)
     intervals = [(a, b) for a, b in zip(pts, pts[1:]) if not b - a < 1e-12]
-    values, panels = _adaptive_panels(
-        lambda us: _inner_measures(poly, us), intervals, base_nodes,
+    values, panels, gap = _adaptive_panels(
+        _graded(lambda us: _inner_measures(poly, us), intervals), intervals,
+        base_nodes,
         [max(ctl.abs_tol * (b - a), ctl.abs_tol / 64.0) for a, b in intervals])
     total = 0.0
     for value in values:
         total += value
     if quadrature is not None:
         quadrature.update(outer_nodes=base_nodes, abs_tol=ctl.abs_tol,
-                          cut_points=len(pts) - 2, outer_panels=panels)
+                          cut_points=len(pts) - 2, outer_panels=panels,
+                          outer_gap=gap)
     return total
 
 

@@ -3,6 +3,7 @@
 import cmath
 import copy
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -293,6 +294,30 @@ def test_quadrature_failure_is_loud():
         )
 
 
+def test_an_unreachable_tolerance_raises_at_the_rounding_floor(monkeypatch):
+    # eta(delta_1, delta_3) settles to about 1e-16 by 64 nodes, so 3e-18
+    # cannot be met; the doubling that fails to halve the error raises,
+    # before the rule grows to thousands of nodes.
+    import ellreg.eisenstein as eisenstein
+
+    built = []
+    real_nodes = eisenstein.gauss_legendre_nodes
+
+    def counted(n, *args):
+        built.append(n)
+        return real_nodes(n, *args)
+
+    monkeypatch.setattr(eisenstein, "gauss_legendre_nodes", counted)
+    form = eta_form(FiniteMap(N, [float(v == 1) for v in range(N)]),
+                    FiniteMap(N, [float(v == 3) for v in range(N)]))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="settle"):
+        arc_integral(form, tol=3e-18)
+    assert time.perf_counter() - start < 1.0
+    assert max(built) <= 256
+    assert abs(arc_integral(form)) > 0.0
+
+
 def test_pair_divisor_algebra():
     d = PairDivisor.delta(N, 1, 2, 3.0) + PairDivisor.delta(N, 1, 2, -1.0)
     assert d.coeffs == {(1, 2): 2.0}
@@ -388,6 +413,22 @@ def test_pairings_match_the_pair_gather_reference_at_37():
     _assert_pairings_match_the_reference(p, lines, np.arange(2, p - 1, 6))
 
 
+class _FinerArcTable(ArcTable):
+    """The node table at twice NODES, 64 and 128 nodes: the reference
+    that the table's node counts have converged."""
+
+    NODES = tuple(2 * n for n in ArcTable.NODES)
+
+
+@pytest.mark.parametrize("p", [11, 17, 37])
+def test_pairings_match_a_table_at_twice_the_nodes(p):
+    rmax = suggested_rmax(p, math.sqrt(3) / 2)
+    ks = np.arange(2, p - 1, 2)
+    values, _ = arc_table(p, rmax).pairings(ks)
+    finer, _ = _FinerArcTable(p, rmax).pairings(ks)
+    assert np.abs(values - finer).max() <= 1e-15
+
+
 @pytest.fixture
 def fft_shapes(monkeypatch):
     """The shape of every array handed to np.fft.fft from here on."""
@@ -431,12 +472,13 @@ def _assert_values_match_arc_integral(values, forms, lifts):
 
 
 def _assert_gaps_match_the_stream_rule(values, gaps, forms, lifts):
-    """The table's 128-node values and 64-vs-128-node gaps are those of
-    stream quadrature at 64 nodes with one doubling."""
+    """The table's fine-rule values and coarse-vs-fine gaps are those of
+    stream quadrature at the coarse node count with one doubling."""
     for k, form in enumerate(forms):
         for s, g in enumerate(lifts):
             value, gap = integrate_eta_geodesic(
-                form.pullback(g), RHO, RHO2, nodes=64, max_doublings=1)
+                form.pullback(g), RHO, RHO2, nodes=ArcTable.NODES[0],
+                max_doublings=1)
             assert abs(values[s, k] - value) <= 1e-13
             assert abs(gaps[s, k] - gap) <= 1e-13
 
@@ -490,7 +532,7 @@ def test_arc_table_rows_match_closed_forms():
     for x in [(0, 4), (3, 5), (7, 10), (10, 7)]:
         row = _row_weight(table, x) == 1
         values, pairing = table._V[row][0], table._X[row][0]
-        for j in (0, 40, 64, 150):
+        for j in (0, 40, 64, 90):
             z = table.nodes[j]
             assert abs(values[j] - e_star_point(x, z, N)) < 1e-11
             # d_z = (d_x - i d_y) / 2 by central differences, and the row

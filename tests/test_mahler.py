@@ -159,6 +159,44 @@ def test_curve_identities(identity_report):
                                                      rel=1e-10)
 
 
+def _mahler_reference(poly, kinks):
+    """m(poly) by mpmath.quad at 30 digits over Jensen's formula, with
+    mpmath.polyroots at each node, split at the kinks.
+
+    The coefficients are real, so the inner measure at u and 1 - u is the
+    same, and twice the integral over [0, 1/2] is m.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        def inner(u):
+            x = mpmath.expjpi(2 * u)
+            c = [sum(int(poly.coeffs[i, j]) * x ** i
+                     for i in range(poly.deg_x + 1))
+                 for j in range(poly.deg_y + 1)]
+            roots = mpmath.polyroots(c[::-1], maxsteps=200, extraprec=60)
+            return mpmath.log(abs(c[-1])) + sum(
+                mpmath.log(max(1, abs(r))) for r in roots)
+
+        half = mpmath.mpf(1) / 2
+        cuts = sorted(mpmath.mpf(k) for k in kinks if 0 < k < 0.5)
+        return 2 * mpmath.quad(inner, [0] + cuts + [half])
+
+
+def test_identity_measures_match_a_30_digit_reference():
+    # The second polynomial has the double root Y = -1 at X = 1, a
+    # square-root kink at both ends of its one interval.
+    for poly in curve_identity_polynomials():
+        kinks = set()
+        for j in range(poly.deg_y + 1):
+            kinks.update(_column_circle_arguments(poly.coeffs[:, j]))
+        kinks.update(_unit_circle_crossings(poly))
+        quad = {}
+        got = mahler_measure(poly, quadrature=quad)
+        assert quad["cut_points"] == len(kinks - {0.0, 1.0})
+        want = _mahler_reference(poly, kinks)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def _scalar_inner_measure(poly, u):
     return _one_variable_measure(poly.y_coefficients(cmath.exp(2j * math.pi * u)))
 
@@ -321,28 +359,32 @@ def test_power_of_y_is_divided_out(monkeypatch):
 
 def _adaptive_panel(f, a, b, nodes, tol, depth=0):
     """The depth-first reference: integral of the vectorized f over
-    [a, b], and the panels it took, one call of f per panel."""
+    [a, b], the panels it took, one call of f per panel, and the sum of
+    their |fine - coarse|."""
     xc, wc = gauss_legendre_nodes(nodes, a, b)
     xf, wf = gauss_legendre_nodes(2 * nodes, a, b)
     values = f(np.concatenate([xc, xf]))
     coarse = float(wc @ values[:nodes])
     fine = float(wf @ values[nodes:])
     if abs(fine - coarse) <= tol or (b - a) < 1e-9:
-        return fine, 1
+        return fine, 1, abs(fine - coarse)
     if depth >= 48:
         raise RuntimeError("outer quadrature failed to converge on [%g, %g]"
                            % (a, b))
     mid = 0.5 * (a + b)
     half = 0.5 * tol
-    left, left_panels = _adaptive_panel(f, a, mid, nodes, half, depth + 1)
-    right, right_panels = _adaptive_panel(f, mid, b, nodes, half, depth + 1)
-    return left + right, left_panels + right_panels
+    left, left_panels, left_gap = _adaptive_panel(f, a, mid, nodes, half,
+                                                  depth + 1)
+    right, right_panels, right_gap = _adaptive_panel(f, mid, b, nodes, half,
+                                                     depth + 1)
+    return left + right, left_panels + right_panels, left_gap + right_gap
 
 
 def _depth_first_panels(f, intervals, nodes, tols):
     done = [_adaptive_panel(f, a, b, nodes, tol)
             for (a, b), tol in zip(intervals, tols)]
-    return [value for value, _ in done], sum(used for _, used in done)
+    return ([value for value, _, _ in done], sum(used for _, used, _ in done),
+            sum(gap for _, _, gap in done))
 
 
 def test_level_batched_panels_match_the_depth_first_recursion(monkeypatch):
@@ -359,18 +401,24 @@ def test_level_batched_panels_match_the_depth_first_recursion(monkeypatch):
         return real_inner(poly, us)
     monkeypatch.setattr(mahler, "_inner_measures", counted)
 
+    gaps = []
+
     def measured():
         out = []
         for poly in polys:
             quad = {}
             out.append((mahler_measure(poly, quadrature=quad),
                         quad["outer_panels"]))
+            gaps.append(quad["outer_gap"])
         return out
     batched = measured()
     calls.clear()
     mahler_measure(second)
-    # One call per refinement level: 31, against 119 for one per panel.
+    # One call per refinement level: 3, against 7 for one per panel.
     assert len(calls) < 40
     monkeypatch.setattr(mahler, "_adaptive_panels", _depth_first_panels)
     assert measured() == batched
-    assert [panels for _, panels in batched][:3] == [4, 60, 4]
+    # The two orders add the same panel gaps.
+    n = len(polys)
+    assert gaps[n:] == pytest.approx(gaps[:n], rel=1e-12, abs=0.0)
+    assert [panels for _, panels in batched][:3] == [4, 4, 4]
