@@ -10,9 +10,9 @@ Two independent evaluation routes are kept side by side:
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams and integrated along geodesics with
 Gauss-Legendre panels and node doubling.  Along the arc rho -> rho^2,
-which every suite integrates over, a per-level node table of the single
-pairs E*_(u,v) turns the pulled-back arcs of a suite into character
-transforms of its rows.
+which every suite integrates over, the arcs of eta_chi pulled back along
+the lines of P^1(F_p) are character transforms of E*, whose q-expansions
+have twisted divisor sums as coefficients (line_arcs).
 """
 
 from __future__ import annotations
@@ -25,12 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import (
-    FiniteMap,
-    _is_prime,
-    _primitive_root,
-    fourier_transform,
-)
+from .characters import FiniteMap, character_table, fourier_transform
 from .special import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -337,11 +332,12 @@ def eta_form(l: FiniteMap, m: FiniteMap, y_min: float = math.sqrt(3) / 2,
     return EtaForm.from_residue_maps(l, m, rmax)
 
 
-def eta_chi(chi, y_min: float = math.sqrt(3) / 2, tol: float = 1e-13) -> EtaForm:
-    """eta_chi = sum_{a,b units} chi(a) conj(chi)(b) eta(delta_a, delta_b)."""
+def eta_chi(chi) -> EtaForm:
+    """eta_chi = sum_{a,b units} chi(a) conj(chi)(b) eta(delta_a, delta_b),
+    truncated for Im z >= sqrt(3) / 2."""
     left = FiniteMap.from_character(chi)
     right = FiniteMap.from_character(chi.conjugate())
-    return eta_form(left, right, y_min, tol)
+    return eta_form(left, right)
 
 
 def _geodesic_path(z0: complex, z1: complex):
@@ -379,12 +375,16 @@ def _straight_path(z0: complex, z1: complex):
 
 
 def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 32,
-                       tol: float = 1e-10, max_doublings: int = 6):
+                       tol: float = 1e-10, max_doublings: int = 6,
+                       quadrature: dict | None = None):
     """Gauss-Legendre quadrature of P dz + Q dzbar with node doubling.
 
     Returns (value, error_estimate).  Raises if doubling stalls above
     tol: after max_doublings, or as soon as a doubling fails to halve the
-    previous error, which then sits at its rounding floor.
+    previous error, which then sits at its rounding floor.  A given
+    quadrature dict receives stream_nodes, the node count of the value,
+    and stream_gap, the error estimate: its distance to the value at half
+    the nodes.
     """
 
     def quad(n):
@@ -401,6 +401,8 @@ def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 32,
         cur = quad(nodes)
         err = abs(cur - prev)
         if err < tol * max(1.0, abs(cur)):
+            if quadrature is not None:
+                quadrature.update(stream_nodes=nodes, stream_gap=err)
             return cur, err
         if not err < 0.5 * last:
             break
@@ -417,141 +419,91 @@ RHO = cmath.exp(1j * math.pi / 3.0)
 RHO2 = cmath.exp(2j * math.pi / 3.0)
 
 
-def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY, **kw):
+def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY,
+                 quadrature: dict | None = None, **kw):
     """Integral of the form along the geodesic g(rho) -> g(rho^2),
-    computed by pulling back to the unit-circle arc."""
+    computed by pulling back to the unit-circle arc; a given quadrature
+    dict receives the node count and error of integrate_one_form."""
     pulled = form.pullback(g) if g != IDENTITY else form
-    value, _ = integrate_eta_geodesic(pulled, RHO, RHO2, **kw)
+    value, _ = integrate_eta_geodesic(pulled, RHO, RHO2,
+                                      quadrature=quadrature, **kw)
     return value
 
 
-class ArcTable:
-    """E*_x and the pairing data of d_z E*_x for every x != 0 in (Z/p)^2,
-    p prime, at the 32 and 64 Gauss-Legendre nodes of the arc rho -> rho^2.
-
-    Rows are in (line, log) order: line l runs over (1, v), v = 0 .. p - 1,
-    then (0, 1), and row i < (p - 1) / 2 of a line holds pairs[l, i] =
-    g^i l, g the smallest primitive root.  E*_{-x} = E*_x and
-    g^((p - 1) / 2) = -1, so the row also holds -g^i l, and the rows hold
-    every x != 0 once.  E*_F is linear in F and pulling eta back by g only
-    moves divisor entries, so the arcs of a line under character
-    weightings are DFTs of its rows (pairings).  The rows follow the
-    EisensteinStream expansion truncated at rmax, summed from the divisor
-    pairs (k, m), k m <= rmax.  The highest frequency the rows carry,
-    about rmax / p, does not grow with p, and neither do the node counts.
-    """
-
-    NODES = (32, 64)
-
-    def __init__(self, modulus: int, rmax: int):
-        p = modulus
-        if not _is_prime(p):
-            raise ValueError(f"arc tables need a prime modulus, not {p}")
-        self.modulus = p
-        self.rmax = rmax
-        path, velocity = _geodesic_path(RHO, RHO2)
-        ts, weights = [], []
-        for n in self.NODES:
-            x, w = gauss_legendre_nodes(n)
-            t = 0.5 * (x + 1.0)
-            ts.append(t)
-            weights.append(0.5 * w * velocity(t))
-        z = path(np.concatenate(ts))
-        self.nodes = z  # the coarse rule's nodes, then the fine rule's
-        y = z.imag
-        # The quadrature of P dz + Q dzbar is sum(wdz P + conj(wdz) Q).
-        self._wdz = np.concatenate(weights)
-        qpow = np.exp(
-            2j * math.pi * np.multiply.outer(np.arange(rmax + 1), z) / p)
-
-        g = _primitive_root(p)
-        lines = np.array([(1, v) for v in range(p)] + [(0, 1)])
-        powers = np.array([pow(g, i, p) for i in range((p - 1) // 2)])
-        self.pairs = lines[:, None] * powers[:, None] % p
-        # Row x is built, u block by u block, as the one of x, -x whose u
-        # is at most -u.
-        x = self.pairs.reshape(-1, 2)
-        us, vs = np.where(x[:, :1] > p - x[:, :1], -x % p, x).T
-
-        c_log = -math.pi / p**2
-        c_0 = _constant_term(np.arange((p + 1) // 2), p)
-        V = np.empty((us.size, z.size))
-        X = np.empty((us.size, z.size))
-        for u in range((p + 1) // 2):
-            block = np.flatnonzero(us == u)
-            v = vs[block]
-            s_u, t_u = _divisor_sums(u, p, qpow)
-            s_w, t_w = (s_u, t_u) if u == 0 else _divisor_sums(p - u, p, qpow)
-            hol = (math.pi / p) * (s_u[v] + s_w[(-v) % p])
-            dhol = (2j * math.pi**2 / p**2) * (t_u[v] + t_w[(-v) % p])
-            c_y = np.zeros((v.size, 1))
-            if u == 0:
-                c_y[:, 0] = (2.0 * math.pi**2 / p) * _beta2(v, p)
-            V[block] = c_y * y + c_log * np.log(y) + c_0[u] + 2.0 * hol.real
-            # eta(l, m) is bilinear in the divisors; with X = 2 Im(d_z E*
-            # wdz), rows x and y pair to i (V_x X_y - V_y X_x).
-            d_z = c_y / 2j + c_log / (2j * y) + dhol
-            X[block] = 2.0 * (d_z * self._wdz).imag
-        self._V = V.reshape(self.pairs.shape[:2] + (z.size,))
-        self._X = X.reshape(self._V.shape)
-
-    def pairings(self, ks, tol: float = 1e-10):
-        """(values, gaps)[l, j] of sum_{a, c units} chi_k(a) conj chi_k(c)
-        J[a l, c l] for k = ks[j] over every line l, where
-        J[x, y] = i (V_x . X_y - V_y . X_x) is the arc integral of eta
-        for the pair divisors delta_x, delta_y.
-
-        With a = g^s and h = (p - 1) / 2, a character sum over the units
-        runs over a line's rows twice, as s and s + h: sum_s chi_k(g^s)
-        f[s mod h] is twice bin -k/2 of the length-h DFT of f for even k,
-        and 0 for odd k.  The values use the fine rule of NODES and the
-        gaps are their distances to the coarse rule's values; like
-        integrate_one_form, raises if a gap is not below
-        tol * max(1, |value|)."""
-        ks = np.asarray(ks)
-        bins = ks // 2
-        n = self.NODES[0]
-        fine = np.zeros((len(self._V), len(ks)), dtype=complex)
-        coarse = np.zeros_like(fine)
-        # Lines go through in blocks of at most 2^16 table entries, so
-        # that no transform takes more than 1 MB.
-        for block in np.array_split(np.arange(len(fine)),
-                                    max(1, -(-self._V.size >> 16))):
-            # np.fft is loaded on first use, not by importing ellreg.
-            v, x = (np.fft.fft(f[block], axis=1)[:, bins]
-                    for f in (self._V, self._X))
-            # The rows are real, so bin -m of a transform is the conjugate
-            # of bin m: the two terms below are exact conjugates, and the
-            # values come out exactly real.
-            wv, wx = v.conj(), x.conj()
-            for out, nodes in ((fine, slice(n, None)), (coarse, slice(n))):
-                out[block] = (
-                    np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
-                    - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes]))
-        # sum_s chi_k(g^s) f[s mod h] is twice a bin for even k, 0 for odd.
-        scale = 4j * (ks % 2 == 0)
-        fine *= scale
-        coarse *= scale
-        gaps = np.abs(fine - coarse)
-        if np.any(gaps >= tol * np.maximum(1.0, np.abs(fine))):
-            raise RuntimeError("quadrature failed to settle below tolerance")
-        return fine, gaps
+# The Gauss-Legendre rules of line_arcs: values at the second, gaps
+# against the first.  The arcs' q-frequencies reach about rmax / p,
+# which does not grow with p, so neither do these.
+ARC_NODES = (32, 64)
 
 
-def _divisor_sums(u, N, qpow):
-    """For every v mod N, the sums over k = u (mod N) and m >= 1 with
-    k m <= rmax of q^{km} e^{2 pi i m v / N} / k, and of the same terms
-    with weight m instead of 1/k; qpow[r] holds q^r at the nodes."""
-    rmax = len(qpow) - 1
-    roots = np.exp(2j * math.pi * np.arange(N) / N)
-    s = np.zeros((N, qpow.shape[1]), dtype=complex)
-    t = np.zeros_like(s)
-    for k in range(u if u else N, rmax + 1, N):
-        q = qpow[k::k]  # q^{km} for m = 1 .. rmax // k, a view
-        m = np.arange(1, len(q) + 1)
-        # m v is reduced mod N in integers before it picks a root of unity.
-        phase = roots[np.multiply.outer(np.arange(N), m) % N]
-        s += (phase / k) @ q
-        t += (phase * m) @ q
-    return s, t
+def line_arcs(p: int, ks):
+    """(values, gaps)[l, j]: the arc of eta_chi_k, k = ks[j] even, on
+    rho -> rho^2 pulled back along line l of P^1(F_p), p prime: (1, v),
+    v = 0 .. p - 1 (g_column(v)), then (0, 1) (the identity).
 
+    The arc is i sum (V conj X - conj V X) over the nodes, with V =
+    sum_a chi(a) E*_(a l), D = d_z V and X = -i (D wdz - conj(D' wdz)),
+    ' marking conj chi.  Along (1, v), V = C + H(v) + conj H'(v), with
+    H(v) = (2 pi / p) sum_r sigma(r) e(r v / p) q^r, q = e(z / p) and
+    sigma(r) = sum_{d m = r} chi(d) / d; along (0, 1), V = c_y y + H0 +
+    conj H0', H0 = (2 pi / p) tau(chi) sum_r q^r sum_{d m = r, p | d}
+    conj chi(m) / d.  Grouped by r mod p, the v-dependence is one DFT.
+    z -> -conj z takes node x to -x, q to conj q and wdz to conj wdz, so
+    conj H'(v) is H(-v) at node -x.  conj chi negates the arcs, so each
+    pair {chi, conj chi} is computed once.  Raises unless every gap is
+    below 1e-10 max(1, |value|), as integrate_one_form does."""
+    ks = np.asarray(ks)
+    _, values, tau = character_table(p)
+    reps, where = np.unique(np.minimum(ks, -ks % (p - 1)),
+                            return_inverse=True)
+    sign = np.sign(-ks % (p - 1) - ks)  # 0 for a real character
+    chi = values[reps]
+    rmax = suggested_rmax(p, math.sqrt(3) / 2)
+    J = rmax // p + 1
+    r = np.arange(J * p)
+    # W[c, r] sums 1/d over d m = r, d = c mod p; W0[c, r / p] over p | d
+    # and m = c mod p.
+    W, W0 = np.zeros((p, J * p)), np.zeros((p, J))
+    for d in range(1, rmax + 1):
+        W[d % p, d:rmax + 1:d] += 1.0 / d
+        if d % p == 0:
+            m = np.arange(1, rmax // d + 1)
+            np.add.at(W0, (m % p, d // p * m), 1.0 / d)
+    lines = (TWO_PI / p) * chi @ W
+    # r = 0 holds C / 2, and the mirror adds the other half.
+    lines[:, 0] = chi @ _constant_term(np.arange(p), p) / 2
+    cusp = (TWO_PI / p) * tau[reps, None] * (chi.conj() @ W0)
+    c_y = (2.0 * math.pi**2 / p) * chi @ _beta2(np.arange(p), p)
+    deriv = 2j * math.pi * r / p
+    bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
+    step = max(1, 1024 // p)  # characters per block, 2 MB per array
+    out = []
+    for nodes in ARC_NODES:
+        x, w = gauss_legendre_nodes(nodes)
+        z = 1j * np.exp(1j * (math.pi / 6) * x)  # -x mirrors exactly
+        wdz = (math.pi / 6) * w * 1j * z
+        qpow = np.exp(2j * math.pi * np.multiply.outer(r, z) / p)
+        by_residue = qpow.reshape(J, p, nodes).transpose(1, 0, 2)
+        arcs = np.empty((p + 1, len(reps)))
+        for b in range(0, len(reps), step):
+            blk = slice(b, b + step)
+            a, a0 = lines[blk], cusp[blk]
+            # H and D = d_z H summed by residue c: S[c, H|D, node].
+            S = (np.concatenate([a, a * deriv]).reshape(-1, J, p)
+                 .transpose(2, 0, 1) @ by_residue)
+            H, D = np.split(np.concatenate([
+                np.fft.fft(S, axis=0)[bar[:p]],  # bin -v: e(r v / p)
+                (np.concatenate([a0, a0 * deriv[::p]]) @ qpow[::p])[None]]),
+                2, axis=1)
+            D[p] += c_y[blk, None] / 2j
+            V = H + H[bar, :, ::-1]
+            V[p] += c_y[blk, None] * z.imag
+            E = D * wdz
+            X = -1j * (E + E[bar, :, ::-1])
+            arcs[:, blk] = -2.0 * (V * X.conj()).imag.sum(axis=-1)
+        out.append(arcs[:, where] * sign)
+    coarse, fine = out
+    gaps = np.abs(fine - coarse)
+    if np.any(gaps >= 1e-10 * np.maximum(1.0, np.abs(fine))):
+        raise RuntimeError("quadrature failed to settle below tolerance")
+    return fine, gaps

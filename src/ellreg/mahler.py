@@ -20,6 +20,7 @@ import numpy as np
 from .special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
 
 TWO_PI = 2.0 * math.pi
+CROSSING_GRID = 1024  # steps on [0, 1] of the crossing scan's sign test
 
 _TERM = re.compile(
     r"^\s*(?:(1)|(X(?:\^(\d+))?)?\s*\*?\s*(Y(?:\^(\d+))?)?)\s*:\s*([+-]?\d+)\s*$")
@@ -264,8 +265,8 @@ def _crossing_indicators(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarra
     return out
 
 
-def _unit_circle_crossings(poly: BivariatePolynomial, grid: int = 1024) -> list:
-    us = np.linspace(0.0, 1.0, grid + 1)
+def _unit_circle_crossings(poly: BivariatePolynomial) -> list:
+    us = np.linspace(0.0, 1.0, CROSSING_GRID + 1)
     vals = _crossing_indicators(poly, us)
     a, b = vals[:-1], vals[1:]
     skip = (np.minimum(np.abs(a), np.abs(b)) < 1e-13) | (a * b >= 0)

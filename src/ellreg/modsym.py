@@ -369,9 +369,12 @@ def xi_bridge_table(form: ModularFormData,
     return XiTable(p, at_inf, dict(enumerate(units.tolist(), start=1)))
 
 
+ORACLE_NODES = 32  # Gauss-Legendre nodes per panel of the period oracle
+ORACLE_PANEL = 3.0  # the width of its panels along the imaginary axis
+
+
 def period_integral_oracle(form: ModularFormData, symbols,
                            ctl: SeriesControl = DEFAULT_CONTROL,
-                           nodes: int = 32, panel: float = 3.0,
                            quadrature: dict | None = None) -> np.ndarray:
     """-i times the integral of f along the lift of each symbol, by quadrature.
 
@@ -403,13 +406,14 @@ def period_integral_oracle(form: ModularFormData, symbols,
     tmax = p * math.log(1.0 / ctl.abs_tol) / TWO_PI + 4.0
     cuts = [1.0]
     while cuts[-1] < tmax:
-        cuts.append(min(cuts[-1] + panel, tmax))
-    ts, ws = map(np.concatenate, zip(*(gauss_legendre_nodes(nodes, t0, t1)
-                                       for t0, t1 in zip(cuts, cuts[1:]))))
+        cuts.append(min(cuts[-1] + ORACLE_PANEL, tmax))
+    ts, ws = map(np.concatenate, zip(*(
+        gauss_legendre_nodes(ORACLE_NODES, t0, t1)
+        for t0, t1 in zip(cuts, cuts[1:]))))
     if quadrature is not None:
         quadrature.update(nodes=2 * ts.size, panels=len(cuts) - 1,
                           tmax=tmax, max_reduction_steps=1,
-                          quadrature_nodes=nodes)
+                          quadrature_nodes=ORACLE_NODES)
     # The bottom rows (c, d) of g and gS, mod p; None marks p | c.
     js = [None if c == 0 else d * pow(c, -1, p) % p
           for u, v in pairs for c, d in ((u, v), (v, -u))]

@@ -17,13 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .characters import _is_prime, character_label, character_table
-from .eisenstein import (
-    ArcTable,
-    arc_integral,
-    eta_chi,
-    g_column,
-    suggested_rmax,
-)
+from .eisenstein import ARC_NODES, arc_integral, eta_chi, g_column, line_arcs
 from .elliptic import (
     CURVE_11A,
     CURVE_REGISTRY,
@@ -249,17 +243,14 @@ class CurveContext:
         return xi_bridge_table(self.form, lambda_table=self.lambda_table)
 
     @cached_property
-    def node_table(self) -> ArcTable:
-        return ArcTable(self.p, suggested_rmax(self.p, math.sqrt(3) / 2))
-
-    @cached_property
     def eta_arcs(self):
         """arcs[k, v], the integral of eta_chi_k over the standard arc
         g_v = g_column(v) for v = 0 .. p - 1 (g_0 is sigma) and over the
         identity's arc at v = p, for every even nontrivial k (0 at the
-        other k), and the worst node gap among them."""
+        other k), and the worst node gap among them: line_arcs on the
+        lines (1, v) and (0, 1) of P^1(F_p)."""
         p, evens = self.p, self.evens
-        values, gaps = self.node_table.pairings(evens)
+        values, gaps = line_arcs(p, evens)
         arcs = np.zeros((p - 1, p + 1), dtype=complex)
         arcs[evens] = values.T
         return arcs, gaps.max()
@@ -386,8 +377,8 @@ def run_cor101(config=None):
 
 
 def _arc_truncation(gap):
-    """The node counts of a row's table arcs and the worst gap between."""
-    return {"arc_nodes": list(ArcTable.NODES), "arc_gap": gap}
+    """The node counts of a row's shared arcs and the worst gap between."""
+    return {"arc_nodes": list(ARC_NODES), "arc_gap": gap}
 
 
 def run_thm1(config=None):
@@ -474,11 +465,12 @@ def run_thm3(config=None):
     The right side is (p i / 4) sum_{x != 0} xi(x) A_k(x), A_k(x) the arc
     of eta(delta_1, chihat_k) over a lift with bottom row x.  chihat_k(b)
     is tau_k conj chi_k(b) at b != 0, so A_k(a x) = tau_k chi_k(a) sum_c
-    conj chi_k(c) J[a x, c x] for a unit a (J as in ArcTable.pairings),
-    and the A_k on a line l add up to tau_k arcs[k, l], the shared arc of
-    eta_chi_k.  xi is a function on P^1(F_p), as the form has trivial
-    character: one value xi_l on line l, read at its bottom row.  So the
-    right side is (p i / 4) tau_k sum_l xi_l arcs[k, l].
+    conj chi_k(c) J[a x, c x] for a unit a, J[x, y] the arc of
+    eta(delta_x, delta_y), and the A_k on a line l add up to tau_k
+    arcs[k, l], the shared arc of eta_chi_k.  xi is a function on
+    P^1(F_p), as the form has trivial character: one value xi_l on line
+    l, read at its bottom row (1, v) or (0, 1).  So the right side is
+    (p i / 4) tau_k sum_l xi_l arcs[k, l].
     """
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=1e-13)
@@ -493,9 +485,9 @@ def run_thm3(config=None):
     chars, _, tau = character_table(p)
     evens = ctx.evens
     arcs, gap = ctx.eta_arcs
-    u, v = ctx.node_table.pairs[:, 0].T  # each line's bottom row
-    rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi.plus_values[u, v])
-    # The table's rows: every x != 0, up to sign.
+    xi_lines = np.append(xi.plus_values[1], xi.plus_values[0, 1])
+    rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi_lines)
+    # The right side's single-pair arcs: every x != 0, up to sign.
     truncation = dict(arc_count=(p * p - 1) // 2, lambda_terms=terms,
                       **_arc_truncation(gap))
     for i, k in enumerate(evens):
@@ -503,13 +495,13 @@ def run_thm3(config=None):
         rows.add(f"thm3:identity:{label}", l_two * l_one[k], rhs[i],
                  TOL_QUADRATURE, truncation, scale=l_two, character=label)
         if i == 0:
-            # The table's arc of eta_chi over g_column(3), assembled from
-            # single-pair rows by character transforms, against one
-            # stream quadrature of the form summed from its divisors.
-            rows.add(f"thm3:eta-linearity:{label}", arcs[k, 3],
-                     arc_integral(eta_chi(chars[k]), g_column(3)), 1e-9,
-                     _arc_truncation(gap), error_kind="abs",
-                     character=label)
+            # The shared arc of eta_chi over g_column(3), from the
+            # closed-form transforms, against one stream quadrature of
+            # the form summed from its divisors.
+            quad = _arc_truncation(gap)
+            stream = arc_integral(eta_chi(chars[k]), g_column(3), quad)
+            rows.add(f"thm3:eta-linearity:{label}", arcs[k, 3], stream,
+                     1e-9, quad, error_kind="abs", character=label)
     return rows.reports
 
 

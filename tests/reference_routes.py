@@ -3,9 +3,11 @@
 Each is a second, plainer way to compute something the package computes
 another way: literal Fourier expansions of the Epstein zeta functions
 and of sum-zero Eisenstein series, eta integrals along straight
-segments, weighted pairings of the arc table by four transforms of
-every line, plain Dirichlet partial sums, canonical symbol lifts, the
-raw cusp-order double sum and the rebuild of the level-13 coordinate
+segments, the node table of every single pair E*_x along the arc
+rho -> rho^2 and its pairings (the arcs that line_arcs gives in closed
+form), weighted pairings of that table by four transforms of every
+line, plain Dirichlet partial sums, canonical symbol lifts, the raw
+cusp-order double sum and the rebuild of the level-13 coordinate
 divisors from character units.
 """
 
@@ -18,6 +20,8 @@ from ellreg.characters import (
     DirichletCharacter,
     FiniteMap,
     _divisors,
+    _is_prime,
+    _primitive_root,
     _xgcd,
     enumerate_characters,
     fourier_transform,
@@ -25,19 +29,23 @@ from ellreg.characters import (
 )
 from ellreg.eisenstein import (
     EULER_GAMMA,
+    RHO,
+    RHO2,
     TWO_PI,
-    ArcTable,
     EisensteinStream,
     EtaForm,
     PairDivisor,
     UnimodularMatrix,
+    _beta2,
+    _constant_term,
+    _geodesic_path,
     _straight_path,
     integrate_one_form,
     suggested_rmax,
 )
 from ellreg.lseries import ModularFormData
 from ellreg.modsym import CuspClass, cusp_classes
-from ellreg.special import periodic_bernoulli2
+from ellreg.special import gauss_legendre_nodes, periodic_bernoulli2
 from ellreg.units import (
     CuspDivisor,
     _order_from_hat,
@@ -181,6 +189,137 @@ def matrix_lift(x, level: int | None = None) -> UnimodularMatrix:
                 a, b = _complete_row(c, d)
                 return UnimodularMatrix(a, b, c, d)
     raise RuntimeError("no coprime lift found for %r" % (x,))
+
+
+class ArcTable:
+    """E*_x and the pairing data of d_z E*_x for every x != 0 in (Z/p)^2,
+    p prime, at the 32 and 64 Gauss-Legendre nodes of the arc rho -> rho^2.
+
+    Rows are in (line, log) order: line l runs over (1, v), v = 0 .. p - 1,
+    then (0, 1), and row i < (p - 1) / 2 of a line holds pairs[l, i] =
+    g^i l, g the smallest primitive root.  E*_{-x} = E*_x and
+    g^((p - 1) / 2) = -1, so the row also holds -g^i l, and the rows hold
+    every x != 0 once.  E*_F is linear in F and pulling eta back by g only
+    moves divisor entries, so the arcs of a line under character
+    weightings are DFTs of its rows (pairings).  The rows follow the
+    EisensteinStream expansion truncated at rmax, summed from the divisor
+    pairs (k, m), k m <= rmax.  The highest frequency the rows carry,
+    about rmax / p, does not grow with p, and neither do the node counts.
+    """
+
+    NODES = (32, 64)
+
+    def __init__(self, modulus: int, rmax: int):
+        p = modulus
+        if not _is_prime(p):
+            raise ValueError(f"arc tables need a prime modulus, not {p}")
+        self.modulus = p
+        self.rmax = rmax
+        path, velocity = _geodesic_path(RHO, RHO2)
+        ts, weights = [], []
+        for n in self.NODES:
+            x, w = gauss_legendre_nodes(n)
+            t = 0.5 * (x + 1.0)
+            ts.append(t)
+            weights.append(0.5 * w * velocity(t))
+        z = path(np.concatenate(ts))
+        self.nodes = z  # the coarse rule's nodes, then the fine rule's
+        y = z.imag
+        # The quadrature of P dz + Q dzbar is sum(wdz P + conj(wdz) Q).
+        self._wdz = np.concatenate(weights)
+        qpow = np.exp(
+            2j * math.pi * np.multiply.outer(np.arange(rmax + 1), z) / p)
+
+        g = _primitive_root(p)
+        lines = np.array([(1, v) for v in range(p)] + [(0, 1)])
+        powers = np.array([pow(g, i, p) for i in range((p - 1) // 2)])
+        self.pairs = lines[:, None] * powers[:, None] % p
+        # Row x is built, u block by u block, as the one of x, -x whose u
+        # is at most -u.
+        x = self.pairs.reshape(-1, 2)
+        us, vs = np.where(x[:, :1] > p - x[:, :1], -x % p, x).T
+
+        c_log = -math.pi / p**2
+        c_0 = _constant_term(np.arange((p + 1) // 2), p)
+        V = np.empty((us.size, z.size))
+        X = np.empty((us.size, z.size))
+        for u in range((p + 1) // 2):
+            block = np.flatnonzero(us == u)
+            v = vs[block]
+            s_u, t_u = _divisor_sums(u, p, qpow)
+            s_w, t_w = (s_u, t_u) if u == 0 else _divisor_sums(p - u, p, qpow)
+            hol = (math.pi / p) * (s_u[v] + s_w[(-v) % p])
+            dhol = (2j * math.pi**2 / p**2) * (t_u[v] + t_w[(-v) % p])
+            c_y = np.zeros((v.size, 1))
+            if u == 0:
+                c_y[:, 0] = (2.0 * math.pi**2 / p) * _beta2(v, p)
+            V[block] = c_y * y + c_log * np.log(y) + c_0[u] + 2.0 * hol.real
+            # eta(l, m) is bilinear in the divisors; with X = 2 Im(d_z E*
+            # wdz), rows x and y pair to i (V_x X_y - V_y X_x).
+            d_z = c_y / 2j + c_log / (2j * y) + dhol
+            X[block] = 2.0 * (d_z * self._wdz).imag
+        self._V = V.reshape(self.pairs.shape[:2] + (z.size,))
+        self._X = X.reshape(self._V.shape)
+
+    def pairings(self, ks, tol: float = 1e-10):
+        """(values, gaps)[l, j] of sum_{a, c units} chi_k(a) conj chi_k(c)
+        J[a l, c l] for k = ks[j] over every line l, where
+        J[x, y] = i (V_x . X_y - V_y . X_x) is the arc integral of eta
+        for the pair divisors delta_x, delta_y.
+
+        With a = g^s and h = (p - 1) / 2, a character sum over the units
+        runs over a line's rows twice, as s and s + h: sum_s chi_k(g^s)
+        f[s mod h] is twice bin -k/2 of the length-h DFT of f for even k,
+        and 0 for odd k.  The values use the fine rule of NODES and the
+        gaps are their distances to the coarse rule's values; like
+        integrate_one_form, raises if a gap is not below
+        tol * max(1, |value|)."""
+        ks = np.asarray(ks)
+        bins = ks // 2
+        n = self.NODES[0]
+        fine = np.zeros((len(self._V), len(ks)), dtype=complex)
+        coarse = np.zeros_like(fine)
+        # Lines go through in blocks of at most 2^16 table entries, so
+        # that no transform takes more than 1 MB.
+        for block in np.array_split(np.arange(len(fine)),
+                                    max(1, -(-self._V.size >> 16))):
+            # np.fft is loaded on first use, not by importing ellreg.
+            v, x = (np.fft.fft(f[block], axis=1)[:, bins]
+                    for f in (self._V, self._X))
+            # The rows are real, so bin -m of a transform is the conjugate
+            # of bin m: the two terms below are exact conjugates, and the
+            # values come out exactly real.
+            wv, wx = v.conj(), x.conj()
+            for out, nodes in ((fine, slice(n, None)), (coarse, slice(n))):
+                out[block] = (
+                    np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
+                    - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes]))
+        # sum_s chi_k(g^s) f[s mod h] is twice a bin for even k, 0 for odd.
+        scale = 4j * (ks % 2 == 0)
+        fine *= scale
+        coarse *= scale
+        gaps = np.abs(fine - coarse)
+        if np.any(gaps >= tol * np.maximum(1.0, np.abs(fine))):
+            raise RuntimeError("quadrature failed to settle below tolerance")
+        return fine, gaps
+
+
+def _divisor_sums(u, N, qpow):
+    """For every v mod N, the sums over k = u (mod N) and m >= 1 with
+    k m <= rmax of q^{km} e^{2 pi i m v / N} / k, and of the same terms
+    with weight m instead of 1/k; qpow[r] holds q^r at the nodes."""
+    rmax = len(qpow) - 1
+    roots = np.exp(2j * math.pi * np.arange(N) / N)
+    s = np.zeros((N, qpow.shape[1]), dtype=complex)
+    t = np.zeros_like(s)
+    for k in range(u if u else N, rmax + 1, N):
+        q = qpow[k::k]  # q^{km} for m = 1 .. rmax // k, a view
+        m = np.arange(1, len(q) + 1)
+        # m v is reduced mod N in integers before it picks a root of unity.
+        phase = roots[np.multiply.outer(np.arange(N), m) % N]
+        s += (phase / k) @ q
+        t += (phase * m) @ q
+    return s, t
 
 
 def _pairings_on_every_line(table: ArcTable, ks, weights=None):

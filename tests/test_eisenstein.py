@@ -16,10 +16,10 @@ from ellreg.characters import (
     fourier_transform,
 )
 from ellreg.eisenstein import (
+    ARC_NODES,
     IDENTITY,
     RHO,
     RHO2,
-    ArcTable,
     EisensteinStream,
     EtaForm,
     PairDivisor,
@@ -31,6 +31,7 @@ from ellreg.eisenstein import (
     eta_form,
     g_column,
     integrate_eta_geodesic,
+    line_arcs,
     suggested_rmax,
     zeta_star,
 )
@@ -38,6 +39,7 @@ from ellreg.characters import _divisors
 from ellreg.modsym import SymbolIndex
 
 from reference_routes import (
+    ArcTable,
     _pairings_on_every_line,
     _restricted_zeta2,
     divisor_bracket,
@@ -584,6 +586,59 @@ def test_arc_contraction_raises_when_node_counts_disagree():
     values, gaps = coarse.pairings(ks, tol=np.inf)
     assert np.array_equal(values, fine)
     assert np.array_equal(gaps, np.abs(values)) and np.abs(values).max() > 0
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
+def test_line_arcs_match_the_node_table(p):
+    # Every line and every even character, the quadratic one and each
+    # conjugate pair included.  Both routes round differently: by 1.3e-15
+    # at most at 101, where the arcs reach 6.6e-3.
+    ks = np.arange(2, p - 1, 2)
+    values, gaps = line_arcs(p, ks)
+    want, want_gaps = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)
+                                ).pairings(ks)
+    assert values.shape == gaps.shape == (p + 1, len(ks))
+    assert np.abs(values - want).max() <= 3e-15
+    assert np.abs(gaps - want_gaps).max() <= 3e-15
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
+def test_line_arcs_vanish_on_the_cusp_columns(p):
+    # The arcs over sigma and the identity, lines (1, 0) and (0, 1), are
+    # 0 for every character: here below 2e-16 p, as in the node table.
+    values, _ = line_arcs(p, np.arange(2, p - 1, 2))
+    assert np.abs(values[[0, p]]).max() <= 2e-16 * p
+
+
+@pytest.mark.parametrize("p", [11, 17])
+def test_line_arcs_match_arc_integral_on_every_column(p):
+    # arc_integral settles at the fine rule of ARC_NODES, so its value and
+    # its gap to the coarse rule are those of line_arcs.
+    ks = np.arange(2, p - 1, 2)
+    values, gaps = line_arcs(p, ks)
+    chars = character_table(p).characters
+    lifts = [g_column(v) for v in range(p)] + [IDENTITY]
+    for j, k in enumerate(ks):
+        form = eta_chi(chars[k])
+        for l, g in enumerate(lifts):
+            quad = {}
+            value = arc_integral(form, g, quad)
+            assert quad["stream_nodes"] == ARC_NODES[1]
+            assert abs(values[l, j] - value) <= 1e-15
+            assert abs(gaps[l, j] - quad["stream_gap"]) <= 1e-15
+
+
+def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
+    import ellreg.eisenstein as eisenstein
+
+    ks = np.arange(2, N - 1, 2)
+    line_arcs(N, ks)
+    # Four nodes leave the coarse values far from the fine ones.
+    monkeypatch.setattr(eisenstein, "ARC_NODES", (4, ARC_NODES[1]))
+    with pytest.raises(RuntimeError, match="settle"):
+        line_arcs(N, ks)
+    with pytest.raises(ValueError, match="prime"):
+        line_arcs(15, [2])
 
 
 def _stream_series_by_loops(divisor, rmax):

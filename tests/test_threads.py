@@ -22,7 +22,7 @@ import ellreg
 from ellreg.elliptic import CurveModel
 from ellreg.verify import resolve_config
 ctx = resolve_config(curve=CurveModel(0, 0, 1, -1, 0, 37)).context
-ctx.node_table, ctx.lambda_table
+ctx.eta_arcs, ctx.lambda_table
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
                   len(os.listdir("/proc/self/task"))]))
 """

@@ -12,7 +12,7 @@ from ellreg.characters import (
     character_table,
     gauss_sum,
 )
-from ellreg.eisenstein import ArcTable
+from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
 from ellreg.mahler import curve_identity_polynomials
 from ellreg.verify import (
@@ -33,7 +33,7 @@ from ellreg.verify import (
     summarize,
 )
 
-from reference_routes import _pairings_on_every_line
+from reference_routes import ArcTable, _pairings_on_every_line
 
 REPORT_KEYS = {
     "check", "inputs", "left", "right", "abs_err", "rel_err", "error_kind",
@@ -220,11 +220,16 @@ def test_arc_rows_record_nodes_and_gap():
     rows = run_thm1() + run_thm2() + run_thm3()
     arc_rows = [r for r in rows if "arc_nodes" in r.truncation]
     # Every row but thm1's Fricke sign and thm3's closedness shares its
-    # suite's node-table arcs.
+    # suite's closed-form arcs.
     assert len(arc_rows) == len(rows) - 2
     for r in arc_rows:
-        assert r.truncation["arc_nodes"] == list(ArcTable.NODES)
+        assert r.truncation["arc_nodes"] == list(ARC_NODES)
         assert 0.0 <= r.truncation["arc_gap"] < 1e-10
+    # The linearity row's stream quadrature records the rule it settled
+    # at and the error it achieved.
+    (linearity,) = [r for r in rows if "eta-linearity" in r.check]
+    assert linearity.truncation["stream_nodes"] == ARC_NODES[1]
+    assert 0.0 <= linearity.truncation["stream_gap"] < 1e-10
 
 
 def test_mahler_rows_record_the_lseries_terms_beside_the_lambda_terms(
@@ -376,22 +381,19 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
     import ellreg.eisenstein as eisenstein
     import ellreg.verify as verify
 
-    counts = {"__mul__": 0, "pairings": 0, "arc_integral": 0,
+    counts = {"__mul__": 0, "line_arcs": 0, "arc_integral": 0,
               "integrate_one_form": 0}
-    weighted = []
 
     def counting(owner, name):
         real = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
             counts[name] += 1
-            if name == "pairings":
-                weighted.append(len(args) > 2 and args[2] is not None)
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
     counting(DirichletCharacter, "__mul__")
-    counting(ArcTable, "pairings")
+    counting(verify, "line_arcs")
     counting(verify, "arc_integral")
     counting(eisenstein, "integrate_one_form")
     config = resolve_config(level=17)
@@ -401,17 +403,16 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
         before = dict(counts)
         SUITES[name](config)
         calls[name] = {k: counts[k] - before[k] for k in counts}
-    # One transform for the context's eta_chi arcs, cusp arcs included,
+    # One closed form for the context's eta_chi arcs, cusp arcs included,
     # which thm3 reads as well.  Only thm3's linearity row integrates an
     # arc on its own, one stream quadrature of eta_chi, and it goes
     # through integrate_one_form, so the quadrature's cost is charged to
     # the functions that do it.
     none = {"arc_integral": 0, "integrate_one_form": 0}
-    assert calls == {"thm2": {"__mul__": 0, "pairings": 1, **none},
-                     "thm1": {"__mul__": 0, "pairings": 0, **none},
-                     "thm3": {"__mul__": 0, "pairings": 0,
+    assert calls == {"thm2": {"__mul__": 0, "line_arcs": 1, **none},
+                     "thm1": {"__mul__": 0, "line_arcs": 0, **none},
+                     "thm3": {"__mul__": 0, "line_arcs": 0,
                               "arc_integral": 1, "integrate_one_form": 1}}
-    assert weighted == [False]
 
 
 @pytest.mark.parametrize("k, shifts", [
@@ -464,10 +465,11 @@ CURVE_101A = CurveModel(0, 1, 1, -1, -1, 101)
                                    CURVE_37A, CURVE_101A],
                          ids=lambda c: "%da" % c.conductor)
 def test_xi_is_constant_on_every_line_of_the_node_table(curve):
-    # thm3 reads xi at each line's bottom row, pairs[l, 0], for every
-    # point of the line: xi is a function on P^1(F_p).
-    ctx = resolve_config(curve=curve).context
-    pairs = ctx.node_table.pairs
+    # thm3 reads xi at each line's bottom row, (1, v) or (0, 1), for every
+    # point a (1, v) or a (0, 1) of the line: xi is a function on P^1(F_p).
+    ctx, p = resolve_config(curve=curve).context, curve.conductor
+    lines = np.array([(1, v) for v in range(p)] + [(0, 1)])
+    pairs = np.multiply.outer(lines, np.arange(1, p)).transpose(0, 2, 1) % p
     xi = ctx.xi.plus_values[pairs[..., 0], pairs[..., 1]]
     assert xi.tobytes() == np.repeat(xi[:, :1], xi.shape[1], 1).tobytes()
 
@@ -483,9 +485,10 @@ def test_thm3_right_side_matches_the_xi_weighted_pairings(curve):
     # sum_x xi(x) times the arc of eta(delta_1, chihat_k) over the lift
     # with bottom row x: the row of x also holds -x, so it weighs
     # xi(x) + xi(-x), and the pairing counts each x twice.
-    u, v = np.moveaxis(ctx.node_table.pairs, -1, 0)
+    table = ArcTable(p, suggested_rmax(p, math.sqrt(3) / 2))
+    u, v = np.moveaxis(table.pairs, -1, 0)
     f = ctx.xi.plus_values
-    values, _ = _pairings_on_every_line(ctx.node_table, ctx.evens,
+    values, _ = _pairings_on_every_line(table, ctx.evens,
                                         f[u, v] + f[-u % p, -v % p])
     tau = character_table(p).tau[ctx.evens]
     weighted = (p * 1j / 4.0) * tau / 2.0 * values.sum(axis=0)
