@@ -74,7 +74,6 @@ from .modsym import (  # noqa: E402
     xi_bridge_table,
 )
 from .special import (  # noqa: E402
-    SeriesControl,
     TruncationError,
     bloch_wigner,
     dedekind_eta,
@@ -110,7 +109,6 @@ __all__ = [
     "EtaForm",
     "FiniteMap",
     "PeriodLattice",
-    "SeriesControl",
     "SymbolIndex",
     "TorsionCoordinate",
     "TruncationError",

@@ -26,13 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .characters import FiniteMap, character_table, fourier_transform
-from .special import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    dedekind_eta,
-    gauss_legendre_nodes,
-    siegel_theta,
-)
+from .special import ABS_TOL, dedekind_eta, gauss_legendre_nodes, siegel_theta
 
 EULER_GAMMA = 0.5772156649015329
 TWO_PI = 2.0 * math.pi
@@ -87,8 +81,7 @@ def g_column(v: int) -> UnimodularMatrix:
     return UnimodularMatrix(0, -1, 1, v)
 
 
-def zeta_star(a: int, b: int, z: complex, modulus: int,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def zeta_star(a: int, b: int, z: complex, modulus: int) -> float:
     """zeta*_{a,b}(z) via the Kronecker limit formulas.
 
     The trivial pair uses the Dedekind eta closed form, every other pair
@@ -102,13 +95,13 @@ def zeta_star(a: int, b: int, z: complex, modulus: int,
     if y <= 0:
         raise ValueError("need Im z > 0")
     if a == 0 and b == 0:
-        eta = dedekind_eta(z, ctl)
+        eta = dedekind_eta(z)
         return TWO_PI * (
             EULER_GAMMA - math.log(2.0) - 0.5 * math.log(y)
             - 2.0 * math.log(abs(eta))
         )
     w = (a - b * z) / N
-    theta = siegel_theta(w, z, ctl)
+    theta = siegel_theta(w, z)
     return 2.0 * math.pi**2 * b * b * y / N**2 - TWO_PI * math.log(abs(theta))
 
 
@@ -241,14 +234,14 @@ class EisensteinStream:
                 -self.c_y / 2j - self.c_log / (2j * y) + anti)
 
 
-def suggested_rmax(modulus: int, y_min: float, tol: float = 1e-13) -> int:
-    """Truncation index so the discarded stream tail is below tol."""
+def suggested_rmax(modulus: int, y_min: float) -> int:
+    """Truncation index so the discarded stream tail is below ABS_TOL."""
     if y_min <= 0:
         raise ValueError("need y_min > 0")
-    return int(math.ceil(modulus * math.log(1.0 / tol) / (TWO_PI * y_min))) + 16
+    return int(math.ceil(modulus * math.log(1.0 / ABS_TOL) / (TWO_PI * y_min))) + 16
 
 
-def e_star_point(x, z, modulus, ctl: SeriesControl = DEFAULT_CONTROL):
+def e_star_point(x, z, modulus):
     """E*_x(z) by the exact double sum over zeta*_{a,b} closed forms."""
     N = modulus
     u, v = x[0] % N, x[1] % N
@@ -256,11 +249,11 @@ def e_star_point(x, z, modulus, ctl: SeriesControl = DEFAULT_CONTROL):
     for a in range(N):
         for b in range(N):
             phase = cmath.exp(-2j * math.pi * (a * u + b * v) / N)
-            total += phase * zeta_star(a, b, z, N, ctl)
+            total += phase * zeta_star(a, b, z, N)
     return (total / N**2).real
 
 
-def e_star_map(f: FiniteMap, z, ctl: SeriesControl = DEFAULT_CONTROL):
+def e_star_map(f: FiniteMap, z):
     """E*_f(z) = sum_v f(v) E*_{(0,v)}(z) by the closed-form route."""
     N = f.modulus
     fhat = fourier_transform(f).values
@@ -268,7 +261,7 @@ def e_star_map(f: FiniteMap, z, ctl: SeriesControl = DEFAULT_CONTROL):
     for b in range(N):
         if fhat[b] == 0:
             continue
-        row = sum(zeta_star(a, b, z, N, ctl) for a in range(N))
+        row = sum(zeta_star(a, b, z, N) for a in range(N))
         total += fhat[b] * row
     return total / N**2
 
@@ -326,9 +319,9 @@ class EtaForm:
         return OneFormValue(vl * dm - vm * dl, -(vl * dbm - vm * dbl))
 
 
-def eta_form(l: FiniteMap, m: FiniteMap, y_min: float = math.sqrt(3) / 2,
-             tol: float = 1e-13) -> EtaForm:
-    rmax = suggested_rmax(l.modulus, y_min, tol)
+def eta_form(l: FiniteMap, m: FiniteMap,
+             y_min: float = math.sqrt(3) / 2) -> EtaForm:
+    rmax = suggested_rmax(l.modulus, y_min)
     return EtaForm.from_residue_maps(l, m, rmax)
 
 

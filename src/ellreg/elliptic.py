@@ -13,11 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .special import DEFAULT_CONTROL, SeriesControl, TruncationError, bloch_wigner
+from .special import ABS_TOL, MAX_TERMS, TruncationError, bloch_wigner
 
 TWO_PI_I = 2j * math.pi
 
@@ -62,6 +61,8 @@ class CurveModel:
 
     @property
     def j_invariant(self):
+        from fractions import Fraction  # on use: it loads decimal too
+
         c4, _ = self.c_invariants
         return Fraction(c4**3, self.discriminant)
 
@@ -323,9 +324,7 @@ def _class_parameters(lattice: PeriodLattice, point):
     raise TypeError("point must be a TorsionCoordinate or an (alpha, beta) pair")
 
 
-def elliptic_dilog(
-    lattice: PeriodLattice, point, ctl: SeriesControl = DEFAULT_CONTROL
-) -> float:
+def elliptic_dilog(lattice: PeriodLattice, point) -> float:
     """Elliptic dilogarithm D_E(P) = sum_{k in Z} D(x q^k) on C*/q^Z.
 
     The Bloch-Wigner values decay geometrically in both directions since
@@ -338,15 +337,11 @@ def elliptic_dilog(
     if aq >= 1.0:
         raise ValueError("need |q| < 1")
     # |x q^k| <= max(|x|, 1/|x|) |q|^{|k|} once |k| is past log|x|/log|q|;
-    # require the geometric envelope below tol with a generous margin.
+    # require the geometric envelope below ABS_TOL with a generous margin.
     spread = max(abs(x), 1.0 / abs(x))
-    kmax = int(
-        math.ceil(
-            (math.log(spread) + math.log(40.0 / ctl.abs_tol))
-            / -math.log(aq)
-        )
-    ) + 2
-    if 2 * kmax + 1 > ctl.max_terms:
+    kmax = int(math.ceil((math.log(spread) + math.log(40.0 / ABS_TOL))
+                         / -math.log(aq))) + 2
+    if 2 * kmax + 1 > MAX_TERMS:
         raise TruncationError("elliptic_dilog truncation exceeds term cap")
     qc = complex(lattice.q)
     total = 0.0

@@ -29,8 +29,7 @@ import numpy as np
 from .characters import DirichletCharacter, character_table
 from .elliptic import CurveModel, an_coefficients
 from .special import (
-    DEFAULT_CONTROL,
-    SeriesControl,
+    ABS_TOL,
     TruncationError,
     complex_gamma,
     incomplete_gamma_upper_complex,
@@ -38,6 +37,7 @@ from .special import (
 
 TWO_PI = 2.0 * math.pi
 _ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # _root_numbers' y * sqrt(level)
+_ROOT_TOL = 1e-8  # how far its two samples may differ, and |w| from 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +73,7 @@ class ModularFormData:
                                label=self.label + "~")
 
 
-def newform_from_curve(curve: CurveModel, nmax: int = 4000) -> ModularFormData:
+def newform_from_curve(curve: CurveModel, nmax: int) -> ModularFormData:
     """Rational newform attached to an integral Weierstrass model."""
     a = np.array(an_coefficients(curve, nmax), dtype=complex)
     return ModularFormData(curve.conductor, a, label="%da" % curve.conductor)
@@ -86,40 +86,38 @@ def _root_rates(level: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _term_count(level: int, nmax: int,
-                tol: float = DEFAULT_CONTROL.abs_tol) -> int:
+def _term_count(level: int, nmax: int) -> int:
     # The terms of a q-expansion at the height 1 / sqrt(level) (1 / sqrt 3
     # for level <= 2), where the smoothed sums' weights decay as fast.
     c = TWO_PI / math.sqrt(level) if level > 2 else TWO_PI / math.sqrt(3)
-    return int(_terms_for_rates(np.array([c]), nmax, tol)[0])
+    return int(_terms_for_rates(np.array([c]), nmax)[0])
 
 
-def _twist_terms(p: int, nmax: int, tol: float) -> int:
+def _twist_terms(p: int, nmax: int) -> int:
     """The terms of the twists f (x) chi_k, of level p^2, that
     _root_numbers (at any height) and _lambda_values read."""
-    return max(int(_terms_for_rates(_root_rates(p * p), nmax,
-                                    DEFAULT_CONTROL.abs_tol).max()),
-               _term_count(p * p, nmax, tol))
+    return max(int(_terms_for_rates(_root_rates(p * p), nmax).max()),
+               _term_count(p * p, nmax))
 
 
-def _oracle_terms(p: int, nmax: int, tol: float) -> int:
+def _oracle_terms(p: int, nmax: int) -> int:
     """The terms the period oracle sums, at height 1 / p."""
-    return int(_terms_for_rates(np.array([TWO_PI / p]), nmax, tol)[0])
+    return int(_terms_for_rates(np.array([TWO_PI / p]), nmax)[0])
 
 
 def newform_terms(level: int) -> int:
     """The most terms of a prime-level newform's stream that any sum
     reads: Lambda and the root number at the level, the twists at its
     square (_twist_terms) and the period oracle (_oracle_terms)."""
-    n, tol = sys.maxsize, DEFAULT_CONTROL.abs_tol
-    return max(_term_count(level, n), _twist_terms(level, n, tol),
-               _oracle_terms(level, n, tol),
-               int(_terms_for_rates(_root_rates(level), n, tol).max()))
+    n = sys.maxsize
+    return max(_term_count(level, n), _twist_terms(level, n),
+               _oracle_terms(level, n),
+               int(_terms_for_rates(_root_rates(level), n).max()))
 
 
-def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
+def _terms_for_rates(rates: np.ndarray, nmax: int) -> np.ndarray:
     """At each decay rate, the first k of 8, 10, 12, 14, 16, 19, ...
-    (steps of 1 + k // 8) with 4 k^{3/2} |q|^k / (1 - |q|) below tol,
+    (steps of 1 + k // 8) with 4 k^{3/2} |q|^k / (1 - |q|) below ABS_TOL,
     |q| = e^{-rate}, where the 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style
     bound controls the tail."""
     counts = np.zeros(rates.shape, dtype=int)
@@ -128,8 +126,8 @@ def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
     k = 8
     while k <= nmax and left.size:
         tail = 4.0 * k ** 1.5 * np.exp(-rates[left] * k) / denom[left]
-        counts.flat[left[tail < tol]] = k
-        left = left[~(tail < tol)]
+        counts.flat[left[tail < ABS_TOL]] = k
+        left = left[~(tail < ABS_TOL)]
         k += 1 + k // 8
     if left.size:
         rate = float(rates[left[0]])
@@ -140,8 +138,7 @@ def _terms_for_rates(rates: np.ndarray, nmax: int, tol: float) -> np.ndarray:
     return counts
 
 
-def q_expansions(streams: np.ndarray, z,
-                 tol: float = DEFAULT_CONTROL.abs_tol) -> np.ndarray:
+def q_expansions(streams: np.ndarray, z) -> np.ndarray:
     """sum_n streams[..., n] e(n z) at every point of z.
 
     streams is one coefficient stream or a stack of them (index 0
@@ -153,7 +150,7 @@ def q_expansions(streams: np.ndarray, z,
     z = np.asarray(z, dtype=complex)
     stack = np.atleast_2d(streams)
     points = z.ravel()
-    counts = _terms_for_rates(TWO_PI * points.imag, stack.shape[1] - 1, tol)
+    counts = _terms_for_rates(TWO_PI * points.imag, stack.shape[1] - 1)
     out = np.empty((len(stack), points.size), dtype=complex)
     # The distinct counts, found without np.unique: its 1-d form imports
     # numpy.ma.
@@ -167,17 +164,15 @@ def q_expansions(streams: np.ndarray, z,
     return out.reshape(np.shape(streams)[:-1] + z.shape)
 
 
-def eval_form(form: ModularFormData, z: complex,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def eval_form(form: ModularFormData, z: complex) -> complex:
     """Sum of the q-expansion at z in the upper half plane."""
     z = complex(z)
     if not z.imag > 0:
         raise ValueError("eval_form needs Im z > 0")
-    return complex(q_expansions(form.coefficients, z, ctl.abs_tol))
+    return complex(q_expansions(form.coefficients, z))
 
 
-def _root_numbers(streams: np.ndarray, level: int,
-                  tol: float = 1e-8) -> np.ndarray:
+def _root_numbers(streams: np.ndarray, level: int) -> np.ndarray:
     """Atkin-Lehner pseudo-eigenvalues of a stack of forms of one level.
 
     Each row is sampled at the first two of four heights y where its
@@ -202,7 +197,7 @@ def _root_numbers(streams: np.ndarray, level: int,
             raise RuntimeError("root number: q-expansion vanished at every "
                                "sample height")
         w1, w2 = s
-        if abs(w1 - w2) > tol or abs(abs(w1) - 1.0) > tol:
+        if abs(w1 - w2) > _ROOT_TOL or abs(abs(w1) - 1.0) > _ROOT_TOL:
             raise RuntimeError(
                 "root number inconsistent: samples %r, %r" % (w1, w2))
         w = 0.5 * (w1 + w2)
@@ -210,13 +205,12 @@ def _root_numbers(streams: np.ndarray, level: int,
     return np.array(roots)
 
 
-def root_number(form: ModularFormData, tol: float = 1e-8) -> complex:
+def root_number(form: ModularFormData) -> complex:
     """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z),
     by the rule of _root_numbers on the one stream."""
     if not form._root_cache:
         form._root_cache.append(
-            complex(_root_numbers(form.coefficients[None], form.level,
-                                  tol)[0]))
+            complex(_root_numbers(form.coefficients[None], form.level)[0]))
     return form._root_cache[0]
 
 
@@ -227,11 +221,10 @@ def _weights(s, level: int, k: int) -> np.ndarray:
         [incomplete_gamma_upper_complex(s, t) for t in x])
 
 
-def _lambda_values(streams: np.ndarray, level: int, s, w,
-                   ctl: SeriesControl = DEFAULT_CONTROL):
+def _lambda_values(streams: np.ndarray, level: int, s, w):
     """Lambda(g, s) of one stream or of each row of a stack of streams
     of one level, given their root numbers w."""
-    k = _term_count(level, np.shape(streams)[-1] - 1, ctl.abs_tol)
+    k = _term_count(level, np.shape(streams)[-1] - 1)
     g_s = _weights(s, level, k)
     # At s = 1 the two halves share their weights.
     g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s), level, k)
@@ -240,20 +233,17 @@ def _lambda_values(streams: np.ndarray, level: int, s, w,
 
 
 def lambda_value(form: ModularFormData, s,
-                 ctl: SeriesControl = DEFAULT_CONTROL,
                  w: complex | None = None) -> complex:
     """Completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s)."""
     if w is None:
         w = root_number(form)
-    return complex(_lambda_values(form.coefficients, form.level, s, w, ctl))
+    return complex(_lambda_values(form.coefficients, form.level, s, w))
 
 
-def l_value(form: ModularFormData, s,
-            ctl: SeriesControl = DEFAULT_CONTROL,
-            w: complex | None = None) -> complex:
+def l_value(form: ModularFormData, s, w: complex | None = None) -> complex:
     """Uncompleted L(g, s), from lambda_value and the Gamma factor."""
     s = complex(s)
-    lam = lambda_value(form, s, ctl, w)
+    lam = lambda_value(form, s, w)
     if s.imag == 0.0:
         gamma_s = math.gamma(s.real)
     else:
@@ -380,23 +370,21 @@ def rankin_convolution_check(form: ModularFormData,
     return float(np.max(np.abs(lhs[1:] - rhs[1:])))
 
 
-def _twist_streams(form: ModularFormData,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def _twist_streams(form: ModularFormData) -> np.ndarray:
     """Row k - 1 is the stream chi_k(n) a_n of f (x) chi_k, k = 1 .. p - 2,
     as far as _root_numbers (at any height) and _lambda_values read it at
     level p^2; if a count is beyond the form's nmax, the whole stream, so
     that the sums raise as on it."""
     p = form.level
     try:
-        k = _twist_terms(p, form.nmax, ctl.abs_tol)
+        k = _twist_terms(p, form.nmax)
     except TruncationError:
         k = form.nmax
     values = character_table(p).values[1:]
     return values[:, np.arange(k + 1) % p] * form.coefficients[:k + 1]
 
 
-def twisted_lambda_table(form: ModularFormData,
-                         ctl: SeriesControl = DEFAULT_CONTROL) -> np.ndarray:
+def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
     """Lambda[k] = Lambda(f (x) chi_k, 1) by character exponent, nan at k = 0.
 
     The twist streams chi_k(n) a_n, k = 1 .. p - 2, are the rows of one
@@ -404,14 +392,12 @@ def twisted_lambda_table(form: ModularFormData,
     one stacked call.
     """
     p = form.level
-    streams = _twist_streams(form, ctl)
+    streams = _twist_streams(form)
     w = _root_numbers(streams, p * p)
-    return np.concatenate([[math.nan],
-                           _lambda_values(streams, p * p, 1.0, w, ctl)])
+    return np.concatenate([[math.nan], _lambda_values(streams, p * p, 1.0, w)])
 
 
 def residue_tensor_square(form: ModularFormData,
-                          ctl: SeriesControl = DEFAULT_CONTROL,
                           lambda_table: np.ndarray | None = None) -> float:
     """Residue of L(f (x) f, s) at s = 2 for prime-level trivial-character f.
 
@@ -422,7 +408,7 @@ def residue_tensor_square(form: ModularFormData,
     """
     n = form.level
     if lambda_table is None:
-        lambda_table = twisted_lambda_table(form, ctl)
+        lambda_table = twisted_lambda_table(form)
     lam = lambda_table[1:]
     j = np.arange(1, n - 1)
     pair = np.add.outer(j, j) % (n - 1)

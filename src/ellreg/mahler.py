@@ -17,10 +17,11 @@ import re
 
 import numpy as np
 
-from .special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
+from .special import ABS_TOL, gauss_legendre_nodes
 
 TWO_PI = 2.0 * math.pi
 CROSSING_GRID = 1024  # steps on [0, 1] of the crossing scan's sign test
+BASE_NODES = 24  # nodes of each outer panel's coarse rule, half the fine's
 
 _TERM = re.compile(
     r"^\s*(?:(1)|(X(?:\^(\d+))?)?\s*\*?\s*(Y(?:\^(\d+))?)?)\s*:\s*([+-]?\d+)\s*$")
@@ -359,8 +360,6 @@ def _graded(f, intervals):
 
 
 def mahler_measure(poly: BivariatePolynomial,
-                   ctl: SeriesControl = DEFAULT_CONTROL,
-                   base_nodes: int = 24,
                    quadrature: dict | None = None) -> float:
     """Logarithmic Mahler measure of an integer polynomial in X and Y.
 
@@ -383,13 +382,13 @@ def mahler_measure(poly: BivariatePolynomial,
     intervals = [(a, b) for a, b in zip(pts, pts[1:]) if not b - a < 1e-12]
     values, panels, gap = _adaptive_panels(
         _graded(lambda us: _inner_measures(poly, us), intervals), intervals,
-        base_nodes,
-        [max(ctl.abs_tol * (b - a), ctl.abs_tol / 64.0) for a, b in intervals])
+        BASE_NODES,
+        [max(ABS_TOL * (b - a), ABS_TOL / 64.0) for a, b in intervals])
     total = 0.0
     for value in values:
         total += value
     if quadrature is not None:
-        quadrature.update(outer_nodes=base_nodes, abs_tol=ctl.abs_tol,
+        quadrature.update(outer_nodes=BASE_NODES, abs_tol=ABS_TOL,
                           cut_points=len(pts) - 2, outer_panels=panels,
                           outer_gap=gap)
     return total

@@ -28,7 +28,7 @@ from .lseries import (
     root_number,
     twisted_lambda_table,
 )
-from .special import DEFAULT_CONTROL, SeriesControl, gauss_legendre_nodes
+from .special import ABS_TOL, gauss_legendre_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -346,7 +346,6 @@ class XiTable:
 
 
 def xi_bridge_table(form: ModularFormData,
-                    ctl: SeriesControl = DEFAULT_CONTROL,
                     lambda_table: np.ndarray | None = None) -> XiTable:
     """Period pairing from twisted central values.
 
@@ -359,13 +358,13 @@ def xi_bridge_table(form: ModularFormData,
     p = form.level
     w = root_number(form)
     if lambda_table is None:
-        lambda_table = twisted_lambda_table(form, ctl)
+        lambda_table = twisted_lambda_table(form)
     _, values, tau = character_table(p)
     k = np.arange(1, p - 1)
     central = tau[-k] * (TWO_PI / p) * lambda_table[k]
     units = w * np.einsum("kx,k->x", values[k, 1:].conj(), central
                           ) / (TWO_PI * (p - 1))
-    at_inf = w * l_value(form, 1.0, ctl) / TWO_PI
+    at_inf = w * l_value(form, 1.0) / TWO_PI
     return XiTable(p, at_inf, dict(enumerate(units.tolist(), start=1)))
 
 
@@ -374,7 +373,6 @@ ORACLE_PANEL = 3.0  # the width of its panels along the imaginary axis
 
 
 def period_integral_oracle(form: ModularFormData, symbols,
-                           ctl: SeriesControl = DEFAULT_CONTROL,
                            quadrature: dict | None = None) -> np.ndarray:
     """-i times the integral of f along the lift of each symbol, by quadrature.
 
@@ -403,7 +401,7 @@ def period_integral_oracle(form: ModularFormData, symbols,
             raise ValueError("pair (%d, %d) does not have order %d"
                              % (u, v, p))
         pairs.append((u % p, v % p))
-    tmax = p * math.log(1.0 / ctl.abs_tol) / TWO_PI + 4.0
+    tmax = p * math.log(1.0 / ABS_TOL) / TWO_PI + 4.0
     cuts = [1.0]
     while cuts[-1] < tmax:
         cuts.append(min(cuts[-1] + ORACLE_PANEL, tmax))
@@ -417,14 +415,14 @@ def period_integral_oracle(form: ModularFormData, symbols,
     # The bottom rows (c, d) of g and gS, mod p; None marks p | c.
     js = [None if c == 0 else d * pow(c, -1, p) % p
           for u, v in pairs for c, d in ((u, v), (v, -u))]
-    k = _oracle_terms(p, form.nmax, ctl.abs_tol)
+    k = _oracle_terms(p, form.nmax)
     a = form.coefficients[:k + 1]
-    halves = {None: q_expansions(a, 1j * ts, ctl.abs_tol)}
+    halves = {None: q_expansions(a, 1j * ts)}
     twists = sorted({j for j in js if j is not None})
     if twists:
         unit = np.exp(TWO_PI * 1j * np.arange(p) / p)  # e(m / p)
         stack = a.conj() * unit[np.outer(twists, np.arange(k + 1)) % p]
-        sums = q_expansions(stack, 1j * ts / p, ctl.abs_tol)
+        sums = q_expansions(stack, 1j * ts / p)
         halves.update(zip(twists, (root_number(form) / p) * sums))
     f = np.array([halves[j] for j in js]).reshape(len(pairs), 2, ts.size)
     return np.sum(ws * (f[:, 0] - f[:, 1]), axis=-1)

@@ -3,20 +3,24 @@
 Everything here is plain floating point: dilogarithms, the upper
 incomplete gamma function, the periodic second Bernoulli polynomial,
 Dedekind eta and Siegel theta products, and Gauss-Legendre quadrature.
-Series are truncated against an explicit SeriesControl; hitting the
-term cap raises instead of returning a silently wrong value.
+The package's point-dependent series (these eta and theta products,
+q-expansions, Eisenstein streams, the elliptic dilogarithm) stop once
+their tail is below ABS_TOL.  The products and the elliptic dilogarithm
+take at most MAX_TERMS terms; hitting that cap raises instead of
+returning a silently wrong value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+ABS_TOL = 1e-13  # the largest tail a truncated series may drop
+MAX_TERMS = 200_000  # the most terms a series may take before it raises
 
 # Even-index Bernoulli numbers B_2..B_30, used by the log-series branch
 # of dilog.  B_1 = -1/2 is handled explicitly.
@@ -26,23 +30,6 @@ _BERNOULLI_EVEN = [
     -236364091.0 / 2730, 8553103.0 / 6, -23749461029.0 / 870,
     8615841276005.0 / 14322,
 ]
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for infinite series and products."""
-
-    abs_tol: float = 1e-13
-    max_terms: int = 200_000
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 class TruncationError(RuntimeError):
@@ -256,7 +243,7 @@ def periodic_bernoulli2(x: float) -> float:
     return t * t - t + 1.0 / 6.0
 
 
-def dedekind_eta(z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def dedekind_eta(z) -> complex:
     """Dedekind eta(z) = q^{1/24} prod (1 - q^n) with q = e^{2 pi i z}."""
     z = complex(z)
     if not z.imag > 0:
@@ -265,16 +252,16 @@ def dedekind_eta(z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
     aq = abs(q)
     prod = cmath.exp(1j * math.pi * z / 12.0)
     qn = 1.0 + 0.0j
-    for n in range(1, ctl.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         qn *= q
         prod *= 1.0 - qn
         # Remaining factors differ from 1 by at most ~ sum |q|^m.
-        if abs(qn) * aq / (1.0 - aq) < ctl.abs_tol:
+        if abs(qn) * aq / (1.0 - aq) < ABS_TOL:
             return prod
     raise TruncationError("dedekind_eta hit the term cap")
 
 
-def siegel_theta(w, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def siegel_theta(w, z) -> complex:
     """Siegel theta function used in the second Kronecker limit formula.
 
     theta(w, z) = e^{pi i z / 6} (e^{pi i w} - e^{-pi i w})
@@ -291,11 +278,11 @@ def siegel_theta(w, z, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
         cmath.exp(1j * math.pi * w) - cmath.exp(-1j * math.pi * w)
     )
     qn = 1.0 + 0.0j
-    for n in range(1, ctl.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         qn *= q
         prod *= (1.0 - qn * ew) * (1.0 - qn / ew)
         bound = abs(qn) * aq * (abs(ew) + 1.0 / abs(ew)) / (1.0 - aq)
-        if bound < ctl.abs_tol:
+        if bound < ABS_TOL:
             return prod
     raise TruncationError("siegel_theta hit the term cap")
 

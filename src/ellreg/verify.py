@@ -38,6 +38,7 @@ from .lseries import (
 )
 from .mahler import curve_identity_polynomials, mahler_measure
 from .modsym import period_integral_oracle, petersson, xi_bridge_table
+from .special import ABS_TOL
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
 TOL_QUADRATURE = 1e-6  # checks that integrate along geodesics or tori
@@ -403,7 +404,7 @@ def run_thm1(config=None):
 
     # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
     # and the identity.
-    rows.truncation.update(eta_tol=1e-13, arc_count=len(evens) * (p - 1),
+    rows.truncation.update(eta_tol=ABS_TOL, arc_count=len(evens) * (p - 1),
                            **_arc_truncation(gap))
     label = character_label(chars[evens[0]])
     rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[evens[0], [0, p]]).max(),
@@ -421,7 +422,7 @@ def run_thm1(config=None):
 def run_thm2(config=None):
     """Residue-normalized and residue-free expansions of L(E, 2)."""
     config = config or VerifyConfig()
-    rows = _Rows(config, eta_tol=1e-13)
+    rows = _Rows(config, eta_tol=ABS_TOL)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -473,7 +474,7 @@ def run_thm3(config=None):
     (p i / 4) tau_k sum_l xi_l arcs[k, l].
     """
     config = config or VerifyConfig()
-    rows = _Rows(config, eta_tol=1e-13)
+    rows = _Rows(config, eta_tol=ABS_TOL)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax

@@ -108,9 +108,9 @@ def zeta_star_qexp(a: int, b: int, z: complex, modulus: int, rmax: int) -> float
     return total + math.pi * osc
 
 
-def e_star_stream(f: FiniteMap, y_min: float, tol: float = 1e-13):
+def e_star_stream(f: FiniteMap, y_min: float):
     """Stream evaluator for E*_f, valid for Im z >= y_min."""
-    rmax = suggested_rmax(f.modulus, y_min, tol)
+    rmax = suggested_rmax(f.modulus, y_min)
     return EisensteinStream(PairDivisor.from_residue_map(f), rmax)
 
 

@@ -48,7 +48,7 @@ from reference_routes import zeta_star_qexp
 
 @pytest.fixture(scope="module")
 def form11():
-    return newform_from_curve(CURVE_11A)
+    return newform_from_curve(CURVE_11A, 4000)
 
 
 def _rows(reports, prefix):

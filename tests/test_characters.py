@@ -119,6 +119,18 @@ def test_fourier_round_trip():
             assert abs(g(v) - n * f(-v)) < 1e-10
 
 
+def test_fourier_transform_matches_the_direct_sum():
+    # The O(N^2) loop that fourier_transform was before np.fft.fft.
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 12, 37):
+        f = FiniteMap(n, rng.normal(size=n) + 1j * rng.normal(size=n))
+        hat = fourier_transform(f)
+        for b in range(n):
+            direct = sum(f(v) * cmath.exp(-2j * math.pi * b * v / n)
+                         for v in range(n))
+            assert abs(hat(b) - direct) < 1e-12
+
+
 def test_fourier_of_primitive_character():
     # For primitive chi: chihat(b) = chi(-1) tau(chi) chibar(b).
     for n in (11, 13):

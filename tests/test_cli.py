@@ -163,6 +163,17 @@ def test_verify_leaves_numpy_ma_unloaded(argv):
     assert done.stdout.splitlines()[-1] == "False 0"
 
 
+def test_import_leaves_fractions_unloaded():
+    # fractions, and decimal with it, cost about 3 ms to import; only
+    # CurveModel.j_invariant needs it.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, ellreg.cli; print('fractions' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_summary_reports_the_runs_wall_and_cpu_time(capsys):
     assert main(["verify", "thm8"]) == 0
     last = capsys.readouterr().out.splitlines()[-1]

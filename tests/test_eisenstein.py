@@ -466,57 +466,79 @@ def test_unweighted_pairings_transform_each_line_twice(p, fft_shapes):
     assert sum(s[0] for s in fft_shapes) == 2 * (p + 1)
 
 
-def _assert_values_match_arc_integral(values, forms, lifts):
+def _stream_arcs(forms, lifts):
+    """arc_integral of each form over each lift, with the error and the
+    node count it settled at: (values, gaps, nodes)[s, k]."""
+    values = np.empty((len(lifts), len(forms)), dtype=complex)
+    gaps = np.empty(values.shape)
+    nodes = np.empty(values.shape, dtype=int)
+    for k, form in enumerate(forms):
+        for s, g in enumerate(lifts):
+            quad = {}
+            values[s, k] = arc_integral(form, g, quad)
+            gaps[s, k], nodes[s, k] = quad["stream_gap"], quad["stream_nodes"]
+    return values, gaps, nodes
+
+
+def _assert_values_match_arc_integral(values, arcs):
     """The table's values give, arc by arc, the value of arc_integral."""
-    for k, form in enumerate(forms):
-        for s, g in enumerate(lifts):
-            assert abs(values[s, k] - arc_integral(form, g)) <= 1e-13
+    for (s, k), arc in np.ndenumerate(arcs[0]):
+        assert abs(values[s, k] - arc) <= 1e-13
 
 
-def _assert_gaps_match_the_stream_rule(values, gaps, forms, lifts):
+def _assert_gaps_match_the_stream_rule(values, gaps, arcs):
     """The table's fine-rule values and coarse-vs-fine gaps are those of
-    stream quadrature at the coarse node count with one doubling."""
-    for k, form in enumerate(forms):
-        for s, g in enumerate(lifts):
-            value, gap = integrate_eta_geodesic(
-                form.pullback(g), RHO, RHO2, nodes=ArcTable.NODES[0],
-                max_doublings=1)
-            assert abs(values[s, k] - value) <= 1e-13
-            assert abs(gaps[s, k] - gap) <= 1e-13
+    stream quadrature at the coarse node count with one doubling: of
+    arc_integral, which starts at that count, where it settles at the
+    first doubling."""
+    arc_values, arc_gaps, nodes = arcs
+    assert (nodes == 2 * ArcTable.NODES[0]).all()
+    for (s, k), value in np.ndenumerate(arc_values):
+        assert abs(values[s, k] - value) <= 1e-13
+        assert abs(gaps[s, k] - arc_gaps[s, k]) <= 1e-13
 
 
 def _column_arcs(p, lines=None, ks=None):
     """thm1's arcs at level p: eta_chi of the even characters ks over the
     lines' lifts, g_column(v) for line v < p (g_0 is sigma) and the
-    identity for line p, as pairings gives them."""
+    identity for line p, as pairings gives them (values, gaps) and as
+    _stream_arcs does."""
     lines = range(p + 1) if lines is None else lines
     ks = np.arange(2, p - 1, 2) if ks is None else ks
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
     values, gaps = table.pairings(ks)
     chars = character_table(p).characters
     lifts = [g_column(v) if v < p else IDENTITY for v in lines]
-    return (values[lines], gaps[lines], [eta_chi(chars[k]) for k in ks],
-            lifts)
+    return (values[lines], gaps[lines],
+            _stream_arcs([eta_chi(chars[k]) for k in ks], lifts))
+
+
+@lru_cache(maxsize=None)
+def _every_column(p):
+    """_column_arcs on every line and even character: the stream
+    quadrature runs over every column once per level."""
+    return _column_arcs(p)
 
 
 @pytest.mark.parametrize("p", [11, 17])
 def test_arc_table_matches_arc_integral_on_every_column(p):
-    values, _, forms, lifts = _column_arcs(p)
-    _assert_values_match_arc_integral(values, forms, lifts)
+    values, _, arcs = _every_column(p)
+    _assert_values_match_arc_integral(values, arcs)
 
 
 @pytest.mark.parametrize("p", [11, 17])
 def test_arc_contraction_matches_integral_on_every_column(p):
-    _assert_gaps_match_the_stream_rule(*_column_arcs(p))
+    _assert_gaps_match_the_stream_rule(*_every_column(p))
 
 
+@lru_cache(maxsize=None)
 def _sample_arcs_at_37():
     return _column_arcs(37, [0, 1, 5, 18, 36, 37], np.arange(2, 36, 12))
 
 
 def test_arc_table_matches_arc_integral_at_37():
-    values, _, forms, lifts = _sample_arcs_at_37()
-    _assert_values_match_arc_integral(values, forms, lifts)
+    values, _, arcs = _sample_arcs_at_37()
+    _assert_values_match_arc_integral(values, arcs)
 
 
 def test_arc_contraction_matches_integral_at_37():
@@ -564,9 +586,9 @@ def test_arc_contraction_matches_integral_on_symbol_lifts():
              [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
     lines = [g.d * pow(g.c, -1, p) % p if g.c % p else p for g in lifts]
     values, gaps = table.pairings(ks)
-    _assert_values_match_arc_integral(values[lines], forms, lifts)
-    _assert_gaps_match_the_stream_rule(values[lines], gaps[lines], forms,
-                                       lifts)
+    arcs = _stream_arcs(forms, lifts)
+    _assert_values_match_arc_integral(values[lines], arcs)
+    _assert_gaps_match_the_stream_rule(values[lines], gaps[lines], arcs)
 
 
 def test_arc_contraction_raises_when_node_counts_disagree():
@@ -616,16 +638,11 @@ def test_line_arcs_match_arc_integral_on_every_column(p):
     # its gap to the coarse rule are those of line_arcs.
     ks = np.arange(2, p - 1, 2)
     values, gaps = line_arcs(p, ks)
-    chars = character_table(p).characters
-    lifts = [g_column(v) for v in range(p)] + [IDENTITY]
-    for j, k in enumerate(ks):
-        form = eta_chi(chars[k])
-        for l, g in enumerate(lifts):
-            quad = {}
-            value = arc_integral(form, g, quad)
-            assert quad["stream_nodes"] == ARC_NODES[1]
-            assert abs(values[l, j] - value) <= 1e-15
-            assert abs(gaps[l, j] - quad["stream_gap"]) <= 1e-15
+    _, _, (arcs, arc_gaps, nodes) = _every_column(p)
+    for (l, j), value in np.ndenumerate(arcs):
+        assert nodes[l, j] == ARC_NODES[1]
+        assert abs(values[l, j] - value) <= 1e-15
+        assert abs(gaps[l, j] - arc_gaps[l, j]) <= 1e-15
 
 
 def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):

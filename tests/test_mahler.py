@@ -139,11 +139,12 @@ def test_nonnegative_with_leading_coefficient_bound():
         assert m > math.log(abs(top)) - 1e-8
 
 
-def test_doubling_outer_nodes_is_stable():
-    first, second = curve_identity_polynomials()
-    for p in (first, second):
-        assert abs(mahler_measure(p, base_nodes=24)
-                   - mahler_measure(p, base_nodes=48)) < 1e-9
+def test_doubling_outer_nodes_is_stable(monkeypatch):
+    polys = curve_identity_polynomials()
+    at_base = [mahler_measure(p) for p in polys]
+    monkeypatch.setattr(mahler, "BASE_NODES", 2 * mahler.BASE_NODES)
+    for p, m in zip(polys, at_base):
+        assert abs(m - mahler_measure(p)) < 1e-9
 
 
 def test_curve_identities(identity_report):

@@ -40,12 +40,7 @@ from ellreg.modsym import (
     relation_quotient_dims,
     xi_bridge_table,
 )
-from ellreg.special import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    TruncationError,
-    gauss_legendre_nodes,
-)
+from ellreg.special import ABS_TOL, TruncationError, gauss_legendre_nodes
 
 from reference_routes import _complete_row, matrix_lift
 
@@ -222,24 +217,22 @@ def test_xi_infinity_against_central_value(form11, table11):
 
 
 def test_period_oracle_matches_bridge(form11, table11):
-    ctl = SeriesControl(abs_tol=1e-11, max_terms=200000)
     rng = random.Random(11)
     sample = rng.sample(enumerate_symbols(11), 4)
     sample.append(SymbolIndex(11, 1, 0))
     for x in sample:
-        (oracle,) = period_integral_oracle(form11, [x], ctl)
+        (oracle,) = period_integral_oracle(form11, [x])
         ref = table11(x)
         scale = max(1.0, abs(ref))
         assert abs(oracle - ref) < 1e-7 * scale, (x, oracle, ref)
 
 
 def test_period_oracle_path_reversal(form11):
-    ctl = SeriesControl(abs_tol=1e-11, max_terms=200000)
     x = SymbolIndex(11, 2, 5)
-    (forward,) = period_integral_oracle(form11, [x], ctl)
-    (backward,) = period_integral_oracle(form11, [x.act(SIGMA)], ctl)
+    (forward,) = period_integral_oracle(form11, [x])
+    (backward,) = period_integral_oracle(form11, [x.act(SIGMA)])
     assert abs(forward + backward) < 1e-8
-    (negated,) = period_integral_oracle(form11, [x.negated()], ctl)
+    (negated,) = period_integral_oracle(form11, [x.negated()])
     assert abs(forward - negated) < 1e-8
 
 
@@ -331,29 +324,25 @@ def _reduce_points(p, z, w, threshold, max_steps=40):
     raise RuntimeError("point reduction exceeded %d steps" % max_steps)
 
 
-def _reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
-                  max_steps=40):
+def _reduced_eval(form, z, w, threshold=None, max_steps=40):
     """f(z) anywhere in the upper half plane, through _reduce_points."""
     if threshold is None:
         threshold = 0.7 / form.level
     zr, mult, conj, _ = _reduce_points(form.level, [complex(z)], w,
                                        threshold, max_steps)
-    return complex(mult[0]) * complex(
-        _eval_points(form, zr, conj, ctl.abs_tol)[0])
+    return complex(mult[0]) * complex(_eval_points(form, zr, conj)[0])
 
 
-def _eval_points(form, z, conj, tol):
+def _eval_points(form, z, conj):
     """f at each point, or its conjugate partner where conj is set.
 
     The partner, the conjugate stream, is conj(f(-conj z)) at z.
     """
-    values = q_expansions(form.coefficients, np.where(conj, -z.conj(), z),
-                          tol)
+    values = q_expansions(form.coefficients, np.where(conj, -z.conj(), z))
     return np.where(conj, values.conj(), values)
 
 
-def _reducer_oracle(form, x, ctl=DEFAULT_CONTROL, nodes=32, panel=3.0,
-                    quadrature=None):
+def _reducer_oracle(form, x, nodes=32, panel=3.0, quadrature=None):
     """period_integral_oracle for one symbol x through the reducer: both
     halves of the path, g(it) and g(i/t), reduced node by node."""
     p = form.level
@@ -361,7 +350,7 @@ def _reducer_oracle(form, x, ctl=DEFAULT_CONTROL, nodes=32, panel=3.0,
         raise ValueError("level mismatch between form and symbol")
     w = root_number(form)
     g = matrix_lift(getattr(x, "pair", x), p)
-    tmax = p * math.log(1.0 / ctl.abs_tol) / (2 * math.pi) + 4.0
+    tmax = p * math.log(1.0 / ABS_TOL) / (2 * math.pi) + 4.0
     cuts = [1.0]
     while cuts[-1] < tmax:
         cuts.append(min(cuts[-1] + panel, tmax))
@@ -371,7 +360,7 @@ def _reducer_oracle(form, x, ctl=DEFAULT_CONTROL, nodes=32, panel=3.0,
     it = np.concatenate([1j * ts, 1j / ts])
     jac = g.derivative(it) * np.concatenate([ws, ws / (ts * ts)])
     z, mult, conj, moves = _reduce_points(p, g.act(it), w, 0.7 / p)
-    values = _eval_points(form, z, conj, ctl.abs_tol)
+    values = _eval_points(form, z, conj)
     if quadrature is not None:
         quadrature.update(nodes=int(z.size), panels=len(cuts) - 1,
                           tmax=tmax, max_reduction_steps=moves)
@@ -383,8 +372,7 @@ def _reducer_oracle(form, x, ctl=DEFAULT_CONTROL, nodes=32, panel=3.0,
 # before it reduced every node of a path at once.  Kept here as the
 # reference for the batched reducer: returns the value, the reduced point,
 # the multiplier and whether the conjugate stream was used.
-def _scalar_reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
-                         max_steps=40):
+def _scalar_reduced_eval(form, z, w, threshold=None, max_steps=40):
     p = form.level
     if threshold is None:
         threshold = 0.7 / p
@@ -395,7 +383,7 @@ def _scalar_reduced_eval(form, z, w, ctl=DEFAULT_CONTROL, threshold=None,
         z -= shift
         if z.imag >= threshold:
             g = form.conjugate_partner() if conjugated else form
-            return mult * eval_form(g, z, ctl), z, mult, conjugated
+            return mult * eval_form(g, z), z, mult, conjugated
         best = None
         for k in range(-8, 9):
             if k == 0:
@@ -489,14 +477,13 @@ def test_term_counts_match_the_scalar_rule_at_every_rate():
     rng = np.random.default_rng(3)
     heights = np.exp(rng.uniform(math.log(0.01), math.log(10.0), 2000))
     rates = 2 * math.pi * heights
-    tol = DEFAULT_CONTROL.abs_tol
-    counts = _terms_for_rates(rates.reshape(40, 50), 4000, tol)
+    counts = _terms_for_rates(rates.reshape(40, 50), 4000)
     assert counts.shape == (40, 50)
     assert counts.ravel().tolist() == [
-        _scalar_terms_for_rate(r, 4000, tol) for r in rates]
+        _scalar_terms_for_rate(r, 4000, ABS_TOL) for r in rates]
     # Rates too slow for nmax terms: the message names the first of them.
     with pytest.raises(TruncationError, match="decay rate 0.01 reaches"):
-        _terms_for_rates(np.array([1.0, 0.01, 0.02, 5.0]), 500, tol)
+        _terms_for_rates(np.array([1.0, 0.01, 0.02, 5.0]), 500)
 
 
 APPENDIX_SYMBOLS = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
@@ -515,7 +502,7 @@ def oracle_paths(request):
     curve = {11: CURVE_11A, 17: CURVE_17A, 37: CURVE_37A}[p]
     form = newform_from_curve(curve, nmax=4000)
     w = root_number(form)
-    tmax = p * math.log(1.0 / DEFAULT_CONTROL.abs_tol) / (2 * math.pi) + 4.0
+    tmax = p * math.log(1.0 / ABS_TOL) / (2 * math.pi) + 4.0
     paths = []
     for u, v in APPENDIX_SYMBOLS:
         x = SymbolIndex(p, u, v)
@@ -543,7 +530,6 @@ def oracle_paths(request):
 def test_batched_reduction_matches_scalar_on_every_node(oracle_paths):
     form, w, paths = oracle_paths
     p = form.level
-    tol = DEFAULT_CONTROL.abs_tol
     for x, points, refs, _ in paths:
         ref_value, ref_z, ref_mult, ref_conj = map(np.array, zip(*refs))
         z, mult, conj, moves = _reduce_points(p, points, w, 0.7 / p)
@@ -557,9 +543,9 @@ def test_batched_reduction_matches_scalar_on_every_node(oracle_paths):
         # 1e-13, and near a cusp, where |mult| reaches 1e4 and the value
         # 1e-14, that moves the value by up to 6e-13 relative.)
         rates = 2 * math.pi * ref_z.imag
-        assert list(_terms_for_rates(rates, form.nmax, tol)) == [
-            _scalar_terms_for_rate(r, form.nmax, tol) for r in rates]
-        values = _eval_points(form, ref_z, ref_conj, tol)
+        assert list(_terms_for_rates(rates, form.nmax)) == [
+            _scalar_terms_for_rate(r, form.nmax, ABS_TOL) for r in rates]
+        values = _eval_points(form, ref_z, ref_conj)
         err = np.abs(ref_mult * values - ref_value)
         big = ref_value != 0  # 0 where q^n underflows, high on the path
         assert np.all(err[big] <= 1e-13 * np.abs(ref_value[big])), x
@@ -717,9 +703,9 @@ def test_oracle_sums_every_symbol_in_two_q_series_calls(form11, monkeypatch):
 
     calls = []
 
-    def counting(streams, z, tol):
+    def counting(streams, z):
         calls.append((np.shape(streams), np.shape(z)))
-        return q_expansions(streams, z, tol)
+        return q_expansions(streams, z)
     monkeypatch.setattr(modsym, "q_expansions", counting)
     quad = {}
     values = period_integral_oracle(form11, APPENDIX_SYMBOLS, quadrature=quad)
@@ -733,7 +719,7 @@ def test_oracle_sums_every_symbol_in_two_q_series_calls(form11, monkeypatch):
     assert len(inf_stream) == 1 and twists[0] == len(js) == 7
     # Both cut at the count of height 1/11.
     assert inf_stream[0] == twists[1] == 1 + _terms_for_rates(
-        np.array([2 * math.pi / 11]), 4000, DEFAULT_CONTROL.abs_tol)[0]
+        np.array([2 * math.pi / 11]), 4000)[0]
     assert inf_nodes == twist_nodes == (quad["nodes"] // 2,)
     assert quad["max_reduction_steps"] == 1
     assert quad["quadrature_nodes"] == 32
@@ -742,8 +728,7 @@ def test_oracle_sums_every_symbol_in_two_q_series_calls(form11, monkeypatch):
 
 def test_oracle_stream_is_cut_at_the_height_one_over_p_count():
     form = newform_from_curve(CURVE_37A, nmax=4000)
-    tol = DEFAULT_CONTROL.abs_tol
-    k = _scalar_terms_for_rate(2 * math.pi / 37, form.nmax, tol)
+    k = _scalar_terms_for_rate(2 * math.pi / 37, form.nmax, ABS_TOL)
     enough = ModularFormData(37, form.coefficients[:k + 1])
     short = ModularFormData(37, form.coefficients[:k])
     full = period_integral_oracle(form, APPENDIX_SYMBOLS)
@@ -752,7 +737,7 @@ def test_oracle_stream_is_cut_at_the_height_one_over_p_count():
     with pytest.raises(TruncationError) as got:
         period_integral_oracle(short, APPENDIX_SYMBOLS)
     with pytest.raises(TruncationError) as want:
-        q_expansions(short.coefficients, 1j / 37, tol)
+        q_expansions(short.coefficients, 1j / 37)
     assert str(got.value) == str(want.value)
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellreg.special as special
 from ellreg.special import (
-    SeriesControl,
     TruncationError,
     bloch_wigner,
     complex_gamma,
@@ -199,11 +199,12 @@ def test_dedekind_eta_modular_transformations():
         assert abs(flip - cmath.sqrt(z / 1j) * dedekind_eta(z)) < 1e-12
 
 
-def test_dedekind_eta_domain_and_cap():
+def test_dedekind_eta_domain_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         dedekind_eta(1.0 - 0.2j)
+    monkeypatch.setattr(special, "MAX_TERMS", 3)
     with pytest.raises(TruncationError):
-        dedekind_eta(0.001j, SeriesControl(abs_tol=1e-15, max_terms=3))
+        dedekind_eta(0.001j)
 
 
 def test_siegel_theta_quasi_periodicity():
@@ -226,11 +227,12 @@ def test_siegel_theta_vanishes_at_lattice_points():
     assert abs(siegel_theta(z, z)) < 1e-12
 
 
-def test_siegel_theta_domain_and_cap():
+def test_siegel_theta_domain_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         siegel_theta(0.3, -1j)
+    monkeypatch.setattr(special, "MAX_TERMS", 2)
     with pytest.raises(TruncationError):
-        siegel_theta(0.3, 0.001j, SeriesControl(abs_tol=1e-15, max_terms=2))
+        siegel_theta(0.3, 0.001j)
 
 
 def test_gauss_legendre_low_degree():
@@ -247,13 +249,6 @@ def test_gauss_legendre_exact_for_degree_2n_minus_1():
     exact = sum(c * (2.0 ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
     approx = gauss_legendre(poly, -1.0, 2.0, 8)
     assert abs(approx - exact) < 1e-11 * max(1.0, abs(exact))
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
 
 
 def test_complex_gamma_matches_real_gamma():

@@ -15,6 +15,7 @@ from ellreg.characters import (
 from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
 from ellreg.mahler import curve_identity_polynomials
+from ellreg.special import ABS_TOL
 from ellreg.verify import (
     DEFAULT_TERMS,
     SUITES,
@@ -169,6 +170,20 @@ def test_row_seconds_add_up_to_the_suite_wall_time(builder_runs):
     for key, (rows, wall) in suites.items():
         assert all(r.seconds >= 0.0 for r in rows), key
         assert abs(sum(r.seconds for r in rows) - wall) <= 5e-3, key
+
+
+def test_rows_record_the_series_tolerance_that_ran(builder_runs):
+    # eta_tol is the tail at which suggested_rmax cuts the Eisenstein
+    # streams, abs_tol the Mahler panels' tolerance: both ABS_TOL.  Every
+    # thm1-thm3 row but the Fricke sign reads the streams.
+    suites, _ = builder_runs
+    for (_, name), (rows, _) in suites.items():
+        for r in rows:
+            if name == "mahler":
+                assert r.truncation["abs_tol"] == ABS_TOL, r.check
+            elif name in ("thm1", "thm2", "thm3"):
+                if r.check != "thm1:fricke-sign":
+                    assert r.truncation["eta_tol"] == ABS_TOL, r.check
 
 
 def test_run_all_measures_each_polynomial_once(builder_runs):
