@@ -247,14 +247,16 @@ def enumerate_characters(modulus):
     logs = _dlog_tables(modulus)
     orders = [m for _, m in _unit_group(modulus)]
     total = math.lcm(*orders)
-    chars = []
-    for choices in _exponent_tuples(orders):
-        exps = [None] * modulus
-        for a, vec in logs.items():
-            exps[a] = sum(k * c * (total // m)
-                          for k, c, m in zip(vec, choices, orders)) % total
-        chars.append(DirichletCharacter(modulus, total, exps))
-    return chars
+    # exps[j, a] = sum_i log_i(a) c_i (total / m_i) for the j-th choice
+    # c of exponents, and -1 off the units.
+    steps = (np.array(_exponent_tuples(orders), dtype=int)
+             * (total // np.array(orders, dtype=int)))
+    exps = np.full((len(steps), modulus), -1)
+    exps[:, list(logs)] = (
+        steps @ np.array(list(logs.values()), dtype=int).T % total)
+    return [DirichletCharacter(modulus, total,
+                               [None if e < 0 else e for e in row])
+            for row in exps.tolist()]
 
 
 class FiniteMap:
@@ -323,8 +325,24 @@ def character_table(p: int) -> CharacterTable:
         raise ValueError(f"character tables need a prime modulus, not {p}")
     # enumerate_characters runs one exponent over the one generator.
     chars = tuple(enumerate_characters(p))
-    values = np.array([[chi(a) for a in range(p)] for chi in chars])
-    tau = np.array([gauss_sum(chi) for chi in chars])
+    # chi_k(a) = e(k log(a) / (p - 1)), read from the roots of chi_k's
+    # reduced order (p - 1) / d as DirichletCharacter reads them.
+    logs = np.array([_dlog_tables(p)[a][0] for a in range(1, p)])
+    ks = np.arange(p - 1)
+    g = np.gcd(ks, p - 1)
+    values = np.zeros((p - 1, p), dtype=complex)
+    for d in _divisors(p - 1):
+        m = (p - 1) // d
+        roots = np.array([cmath.exp(2j * math.pi * e / m) for e in range(m)])
+        values[g == d, 1:] = roots[np.outer(ks[g == d], logs) % (p - 1) // d]
+    # tau[k] = sum_a chi_k(a) e(a / p), added in gauss_sum's order with
+    # its scalar complex products spelled out in real arithmetic, which
+    # numpy's vectorized complex product may fuse.
+    tau = np.zeros(p - 1, dtype=complex)
+    for a in range(1, p):
+        e, column = cmath.exp(2j * math.pi * a / p), values[:, a]
+        tau.real += column.real * e.real - column.imag * e.imag
+        tau.imag += column.real * e.imag + column.imag * e.real
     values.flags.writeable = tau.flags.writeable = False
     return CharacterTable(chars, values, tau)
 

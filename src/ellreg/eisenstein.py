@@ -427,6 +427,9 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY,
 # against the first.  The arcs' q-frequencies reach about rmax / p,
 # which does not grow with p, so neither do these.
 ARC_NODES = (32, 64)
+# The bytes of line_arcs' one buffer per block of characters, which
+# sets how many characters go through at once (at least one).
+ARC_BLOCK_BYTES = 1 << 18
 
 
 def line_arcs(p: int, ks):
@@ -450,50 +453,70 @@ def line_arcs(p: int, ks):
     reps, where = np.unique(np.minimum(ks, -ks % (p - 1)),
                             return_inverse=True)
     sign = np.sign(-ks % (p - 1) - ks)  # 0 for a real character
-    chi = values[reps]
+    # Blocks of step characters, the last padded with repeats, keep the
+    # one buffer of H and D = d_z H on every line and node within
+    # ARC_BLOCK_BYTES.
+    step = max(1, min(len(reps), ARC_BLOCK_BYTES
+                      // (32 * (p + 1) * max(ARC_NODES))))
+    rows = np.resize(reps, -(-len(reps) // step) * step)
+    chi = values[rows]
     rmax = suggested_rmax(p, math.sqrt(3) / 2)
     J = rmax // p + 1
     r = np.arange(J * p)
-    # W[c, r] sums 1/d over d m = r, d = c mod p; W0[c, r / p] over p | d
-    # and m = c mod p.
-    W, W0 = np.zeros((p, J * p)), np.zeros((p, J))
+    # lines[k, r] = (2 pi / p) sigma_k(r), one slice per d; W0[c, r / p]
+    # sums 1/d over p | d and m = c mod p.
+    lines = np.zeros((len(rows), J * p), dtype=complex)
+    W0 = np.zeros((p, J))
     for d in range(1, rmax + 1):
-        W[d % p, d:rmax + 1:d] += 1.0 / d
+        lines[:, d:rmax + 1:d] += chi[:, d % p, None] * (1.0 / d)
         if d % p == 0:
             m = np.arange(1, rmax // d + 1)
             np.add.at(W0, (m % p, d // p * m), 1.0 / d)
-    lines = (TWO_PI / p) * chi @ W
+    lines *= TWO_PI / p
     # r = 0 holds C / 2, and the mirror adds the other half.
     lines[:, 0] = chi @ _constant_term(np.arange(p), p) / 2
-    cusp = (TWO_PI / p) * tau[reps, None] * (chi.conj() @ W0)
+    cusp = (TWO_PI / p) * tau[rows, None] * (chi.conj() @ W0)
     c_y = (2.0 * math.pi**2 / p) * chi @ _beta2(np.arange(p), p)
     deriv = 2j * math.pi * r / p
     bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
-    step = max(1, 1024 // p)  # characters per block, 2 MB per array
     out = []
     for nodes in ARC_NODES:
         x, w = gauss_legendre_nodes(nodes)
         z = 1j * np.exp(1j * (math.pi / 6) * x)  # -x mirrors exactly
         wdz = (math.pi / 6) * w * 1j * z
-        qpow = np.exp(2j * math.pi * np.multiply.outer(r, z) / p)
+        qpow = np.multiply.outer(r, z)
+        qpow *= 2j * math.pi
+        qpow /= p
+        np.exp(qpow, out=qpow)
         by_residue = qpow.reshape(J, p, nodes).transpose(1, 0, 2)
-        arcs = np.empty((p + 1, len(reps)))
-        for b in range(0, len(reps), step):
+        buf = np.empty((p + 1, 2 * step, nodes), dtype=complex)
+        mirror = np.empty((p + 1, step, nodes), dtype=complex)
+        coef = np.empty((2 * step, J * p), dtype=complex)
+        arcs = np.empty((p + 1, len(rows)))
+        for b in range(0, len(rows), step):
             blk = slice(b, b + step)
-            a, a0 = lines[blk], cusp[blk]
-            # H and D = d_z H summed by residue c: S[c, H|D, node].
-            S = (np.concatenate([a, a * deriv]).reshape(-1, J, p)
-                 .transpose(2, 0, 1) @ by_residue)
-            H, D = np.split(np.concatenate([
-                np.fft.fft(S, axis=0)[bar[:p]],  # bin -v: e(r v / p)
-                (np.concatenate([a0, a0 * deriv[::p]]) @ qpow[::p])[None]]),
-                2, axis=1)
+            coef[:step] = lines[blk]
+            np.multiply(lines[blk], deriv, out=coef[step:])
+            # Summed by residue c, then bin v of the inverse DFT is the
+            # e(r v / p) sum; row p is the cusp line.
+            np.matmul(coef.reshape(-1, J, p).transpose(2, 0, 1), by_residue,
+                      out=buf[:p])
+            np.fft.ifft(buf[:p], axis=0, norm="forward", out=buf[:p])
+            a0 = cusp[blk]
+            np.matmul(np.concatenate([a0, a0 * deriv[::p]]), qpow[::p],
+                      out=buf[p])
+            H, D = buf[:, :step], buf[:, step:]
             D[p] += c_y[blk, None] / 2j
-            V = H + H[bar, :, ::-1]
-            V[p] += c_y[blk, None] * z.imag
-            E = D * wdz
-            X = -1j * (E + E[bar, :, ::-1])
-            arcs[:, blk] = -2.0 * (V * X.conj()).imag.sum(axis=-1)
+            np.take(H[:, :, ::-1], bar, axis=0, out=mirror, mode="clip")
+            H += mirror  # V
+            H[p] += c_y[blk, None] * z.imag
+            D *= wdz
+            np.take(D[:, :, ::-1], bar, axis=0, out=mirror, mode="clip")
+            mirror += D
+            # -2 Im sum V conj(-i M) is -2 Re sum V conj(M).
+            np.conjugate(mirror, out=mirror)
+            mirror *= H
+            arcs[:, blk] = -2.0 * mirror.real.sum(axis=-1)
         out.append(arcs[:, where] * sign)
     coarse, fine = out
     gaps = np.abs(fine - coarse)

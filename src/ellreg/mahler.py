@@ -22,6 +22,9 @@ from .special import ABS_TOL, gauss_legendre_nodes
 TWO_PI = 2.0 * math.pi
 CROSSING_GRID = 1024  # steps on [0, 1] of the crossing scan's sign test
 BASE_NODES = 24  # nodes of each outer panel's coarse rule, half the fine's
+# The most inner measures one outer quadrature evaluates: about 8 times
+# what a double root on the unit circle inside a cut interval takes.
+MAX_OUTER_NODES = 100_000
 
 _TERM = re.compile(
     r"^\s*(?:(1)|(X(?:\^(\d+))?)?\s*\*?\s*(Y(?:\^(\d+))?)?)\s*:\s*([+-]?\d+)\s*$")
@@ -298,12 +301,18 @@ def _adaptive_panels(f, intervals, nodes: int, tols):
     halves, each at half the tolerance, are the next level's panels.  f
     takes the nodes of every open panel of a level, over all intervals,
     in one call, and a split panel's value is the sum of its halves',
-    left + right, as a depth-first recursion adds them.
+    left + right, as a depth-first recursion adds them.  Raises before a
+    level would take the nodes evaluated past MAX_OUTER_NODES.
     """
     level = [((i,), a, b, tol)
              for i, ((a, b), tol) in enumerate(zip(intervals, tols))]
-    values, splits, panels, gap, depth = {}, [], 0, 0.0, 0
+    values, splits, panels, gap, depth, evaluated = {}, [], 0, 0.0, 0, 0
     while level:
+        evaluated += 3 * nodes * len(level)
+        if evaluated > MAX_OUTER_NODES:
+            raise RuntimeError(
+                "outer quadrature passed its budget of %d nodes with %d "
+                "panels open" % (MAX_OUTER_NODES, len(level)))
         rules = [gauss_legendre_nodes(nodes, a, b)
                  + gauss_legendre_nodes(2 * nodes, a, b)
                  for _, a, b, _ in level]

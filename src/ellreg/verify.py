@@ -38,7 +38,7 @@ from .lseries import (
 )
 from .mahler import curve_identity_polynomials, mahler_measure
 from .modsym import period_integral_oracle, petersson, xi_bridge_table
-from .special import ABS_TOL
+from .special import ABS_TOL, TruncationError
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
 TOL_QUADRATURE = 1e-6  # checks that integrate along geodesics or tori
@@ -199,8 +199,10 @@ class CurveContext:
 
     def __init__(self, config: VerifyConfig):
         self.curve, self.p = config.curve, config.level
-        # The newform's length: --terms, or fewer where no sum reads as far.
-        self.terms = min(config.terms, newform_terms(self.p))
+        # The most terms of the newform that any sum reads, and its
+        # length: that many, or --terms where it is fewer.
+        self.terms_read = newform_terms(self.p)
+        self.terms = min(config.terms, self.terms_read)
         # The exponents of the even nontrivial and of the odd characters.
         self.evens = np.arange(2, self.p - 1, 2)
         self.odds = np.arange(1, self.p - 1, 2)
@@ -317,6 +319,16 @@ class _Rows:
                  error_kind="abs")
 
 
+def _require_terms(config):
+    """Raise before any work when --terms is below what the sums of the
+    twisted table, the oracle and the root numbers read at the level."""
+    need = config.context.terms_read
+    if config.terms < need:
+        raise TruncationError(
+            f"need more coefficients: the sums at level {config.level} read "
+            f"{need} newform terms, more than --terms {config.terms}")
+
+
 class NotApplicable(ValueError):
     """A suite that does not apply to the configured curve."""
 
@@ -386,6 +398,7 @@ def run_thm1(config=None):
     """L(E,2) L(E,chi,1) as a Gauss-sum combination of twisted L-values."""
     config = config or VerifyConfig()
     rows = _Rows(config)
+    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -423,6 +436,7 @@ def run_thm2(config=None):
     """Residue-normalized and residue-free expansions of L(E, 2)."""
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=ABS_TOL)
+    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -475,6 +489,7 @@ def run_thm3(config=None):
     """
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=ABS_TOL)
+    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -510,6 +525,7 @@ def run_appendix(config=None):
     """Petersson square norm against the tensor-square residue."""
     config = config or VerifyConfig()
     rows = _Rows(config)
+    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -574,6 +590,7 @@ def run_all(config=None):
     on stdout that names it and gives the reason.
     """
     config = config or VerifyConfig()
+    _require_terms(config)
     reports = []
     for name, suite in SUITES.items():
         try:

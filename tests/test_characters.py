@@ -6,12 +6,16 @@ import pytest
 
 from ellreg.characters import (
     DirichletCharacter,
+    _dlog_tables,
+    _exponent_tuples,
     _is_prime,
     _prime_factors,
     _primitive_root,
     _totient,
+    _unit_group,
     FiniteMap,
     character_from_label,
+    character_table,
     character_label,
     enumerate_characters,
     fourier_transform,
@@ -253,3 +257,29 @@ def test_enumeration_index_is_the_exponent_at_the_primitive_root(p):
     for j, k in [(1, 2), (3, p - 4), (p - 2, p - 2), (5, 0)]:
         assert chars[j] * chars[k] == chars[(j + k) % (p - 1)]
         assert chars[k].conjugate() == chars[-k % (p - 1)]
+
+
+@pytest.mark.parametrize("n", [8, 15, 16, 24, 40, 63, 101])
+def test_enumeration_matches_the_exponent_loop(n):
+    # One exponent sum per unit and choice, as the array product sums it.
+    logs = _dlog_tables(n)
+    orders = [m for _, m in _unit_group(n)]
+    total = math.lcm(*orders)
+    chars = enumerate_characters(n)
+    assert len(chars) == len(_exponent_tuples(orders))
+    for choices, chi in zip(_exponent_tuples(orders), chars):
+        exps = [None] * n
+        for a, vec in logs.items():
+            exps[a] = sum(k * c * (total // m)
+                          for k, c, m in zip(vec, choices, orders)) % total
+        assert chi == DirichletCharacter(n, total, exps)
+
+
+@pytest.mark.parametrize("p", [11, 37, 101, 389])
+def test_character_table_reads_the_characters(p):
+    # Both arrays are the characters' own values and Gauss sums, bit for
+    # bit, though character_table calls no character.
+    chars, values, tau = character_table(p)
+    assert np.array_equal(values,
+                          [[chi(a) for a in range(p)] for chi in chars])
+    assert np.array_equal(tau, [gauss_sum(chi) for chi in chars])

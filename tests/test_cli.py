@@ -188,3 +188,23 @@ def test_default_terms_reach_the_389_newform():
     assert args.terms == DEFAULT_TERMS
     assert VerifyConfig().terms == resolve_config().terms == DEFAULT_TERMS
     assert DEFAULT_TERMS >= newform_terms(389)
+
+
+def test_a_short_terms_limit_fails_before_any_work(monkeypatch, capsys):
+    import ellreg.verify as verify
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a suite started work")
+    monkeypatch.setattr(verify, "newform_from_curve", unreachable)
+    monkeypatch.setattr(verify, "character_table", unreachable)
+    # A model of conductor 997, whose sums read 13,891 terms.
+    need = newform_terms(997)
+    for suite in ("all", "thm1", "thm2", "thm3", "appendix"):
+        argv = ["verify", suite, "--curve", "0,-1,1,-5,-3,997"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert "need more coefficients" in lines[0] and str(need) in lines[0]
+        assert main(argv + ["--terms", str(need - 1)]) == 3
+        assert str(need - 1) in capsys.readouterr().err

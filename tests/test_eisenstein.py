@@ -4,6 +4,7 @@ import cmath
 import copy
 import math
 import time
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -656,6 +657,33 @@ def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
         line_arcs(N, ks)
     with pytest.raises(ValueError, match="prime"):
         line_arcs(15, [2])
+
+
+@pytest.mark.parametrize("p", [37, 101])
+def test_line_arcs_do_not_depend_on_the_block_size(p, monkeypatch):
+    import ellreg.eisenstein as eisenstein
+
+    ks = np.arange(2, p - 1, 2)
+    want = line_arcs(p, ks)
+    # One character per block, then every character in one block.
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(eisenstein, "ARC_BLOCK_BYTES", budget)
+        got = line_arcs(p, ks)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_line_arcs_hold_one_buffer_per_block():
+    # At 101 the buffer is 209 KB per character.  A dense p x rmax
+    # divisor table and its complex copy alone would take 1.5 MB.
+    ks = np.arange(2, 100, 2)
+    character_table(101)
+    tracemalloc.start()
+    try:
+        line_arcs(101, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def _stream_series_by_loops(divisor, rmax):

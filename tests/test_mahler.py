@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -423,3 +424,34 @@ def test_level_batched_panels_match_the_depth_first_recursion(monkeypatch):
     n = len(polys)
     assert gaps[n:] == pytest.approx(gaps[:n], rel=1e-12, abs=0.0)
     assert [panels for _, panels in batched][:3] == [4, 4, 4]
+
+
+def test_outer_work_is_bounded(monkeypatch):
+    evaluated = []
+    real_inner = mahler._inner_measures
+
+    def counted(poly, us):
+        evaluated.append(len(us))
+        return real_inner(poly, us)
+    monkeypatch.setattr(mahler, "_inner_measures", counted)
+    # A double root on the unit circle inside a cut interval refines 31
+    # levels deep, yet returns inside the budget, at the torus average.
+    double = BivariatePolynomial.from_string(
+        "Y: 1, X: 1, X Y: -3, X Y^2: 1, X^2 Y: 1")
+    got = mahler_measure(double)
+    assert sum(evaluated) <= mahler.MAX_OUTER_NODES
+    m = 2000
+    angles = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
+    vx = np.vander(angles, double.deg_x + 1, increasing=True)
+    vy = np.vander(angles, double.deg_y + 1, increasing=True)
+    brute = np.mean(np.log(np.abs(vx @ double.coeffs.astype(complex) @ vy.T)))
+    assert got == pytest.approx(brute, abs=1e-5)
+    # (X+Y+1)(X+1)(Y+1): its factor Y + 1 vanishes on the torus at every
+    # X, which the crossing scan cannot cut, so it refines until it
+    # stops at the budget, without a value.
+    evaluated.clear()
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="budget"):
+        mahler_measure((X + Y + ONE) * (X + ONE) * (Y + ONE))
+    assert sum(evaluated) <= mahler.MAX_OUTER_NODES
+    assert time.perf_counter() - start < 30.0
