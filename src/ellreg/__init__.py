@@ -21,7 +21,6 @@ from .characters import (  # noqa: E402
     character_from_label,
     character_label,
     enumerate_characters,
-    fourier_transform,
     gauss_sum,
     l_chi_2,
     twisted_bernoulli2,
@@ -30,12 +29,9 @@ from .eisenstein import (  # noqa: E402
     EtaForm,
     UnimodularMatrix,
     arc_integral,
-    e_star_map,
-    e_star_point,
     eta_chi,
     eta_form,
     g_column,
-    zeta_star,
 )
 from .elliptic import (  # noqa: E402
     CURVE_11A,
@@ -45,7 +41,6 @@ from .elliptic import (  # noqa: E402
     PeriodLattice,
     TorsionCoordinate,
     an_coefficients,
-    dilog_kronecker_oracle,
     elliptic_dilog,
     periods,
     torsion_coordinate,
@@ -54,10 +49,8 @@ from .lseries import (  # noqa: E402
     l_value,
     lambda_value,
     newform_from_curve,
-    rankin_convolution_check,
     residue_tensor_square,
     root_number,
-    twist_by_character,
     twisted_lambda_table,
 )
 from .mahler import (  # noqa: E402
@@ -68,7 +61,6 @@ from .mahler import (  # noqa: E402
 from .modsym import (  # noqa: E402
     SymbolIndex,
     cusp_classes,
-    cuspidal_hecke_t2_matrix,
     period_integral_oracle,
     petersson,
     xi_bridge_table,
@@ -76,19 +68,11 @@ from .modsym import (  # noqa: E402
 from .special import (  # noqa: E402
     TruncationError,
     bloch_wigner,
-    dedekind_eta,
     dilog,
-    gauss_legendre,
     incomplete_gamma_upper,
     periodic_bernoulli2,
-    siegel_theta,
 )
-from .units import (  # noqa: E402
-    CuspDivisor,
-    unit_divisor,
-    unit_divisor_chi,
-    unit_divisor_chihat,
-)
+from .units import CuspDivisor, unit_divisor_chi  # noqa: E402
 from .verify import (  # noqa: E402
     CheckReport,
     VerifyConfig,
@@ -121,19 +105,12 @@ __all__ = [
     "character_label",
     "curve_identity_polynomials",
     "cusp_classes",
-    "cuspidal_hecke_t2_matrix",
-    "dedekind_eta",
     "dilog",
-    "dilog_kronecker_oracle",
-    "e_star_map",
-    "e_star_point",
     "elliptic_dilog",
     "enumerate_characters",
     "eta_chi",
     "eta_form",
-    "fourier_transform",
     "g_column",
-    "gauss_legendre",
     "gauss_sum",
     "incomplete_gamma_upper",
     "l_chi_2",
@@ -145,22 +122,16 @@ __all__ = [
     "periodic_bernoulli2",
     "periods",
     "petersson",
-    "rankin_convolution_check",
     "residue_tensor_square",
     "resolve_config",
     "root_number",
     "run_all",
-    "siegel_theta",
     "summarize",
     "torsion_coordinate",
-    "twist_by_character",
     "twisted_bernoulli2",
     "twisted_lambda_table",
-    "unit_divisor",
     "unit_divisor_chi",
-    "unit_divisor_chihat",
     "xi_bridge_table",
-    "zeta_star",
 ]
 
 __version__ = "0.1.0"

@@ -347,11 +347,6 @@ def character_table(p: int) -> CharacterTable:
     return CharacterTable(chars, values, tau)
 
 
-def fourier_transform(f: FiniteMap) -> FiniteMap:
-    """fhat(b) = sum_v f(v) e^{-2 pi i b v / N}, numpy's DFT convention."""
-    return FiniteMap(f.modulus, np.fft.fft(f.values))
-
-
 def twisted_bernoulli2(chi) -> complex:
     """B_{2,chi} = N sum_a chi(a) B2bar(a/N), a finite exact-style sum."""
     n = chi.modulus

@@ -1,11 +1,10 @@
 """Real-analytic Eisenstein series at s = 1 and the eta one-form.
 
-Two independent evaluation routes are kept side by side:
-
-* closed forms through the Kronecker limit formulas (Dedekind eta and
-  Siegel theta products),
-* a combined divisor-sum expansion ("stream") for arbitrary weighted
-  sums of E*_{(u,v)}, which the general quadrature evaluates.
+E* is evaluated by one route: a combined divisor-sum expansion
+("stream") for arbitrary weighted sums of E*_{(u,v)}, which the general
+quadrature evaluates.  The closed forms through the Kronecker limit
+formulas (Dedekind eta and Siegel theta products) are the tests'
+reference route.
 
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams and integrated along geodesics with
@@ -25,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import FiniteMap, character_table, fourier_transform
-from .special import ABS_TOL, dedekind_eta, gauss_legendre_nodes, siegel_theta
+from .characters import FiniteMap, character_table
+from .special import ABS_TOL, gauss_legendre_nodes
 
 EULER_GAMMA = 0.5772156649015329
 TWO_PI = 2.0 * math.pi
@@ -79,30 +78,6 @@ TAU_MAT = UnimodularMatrix(0, -1, 1, -1)
 def g_column(v: int) -> UnimodularMatrix:
     """The standard lift (0, -1; 1, v) sending 0 -> -1/v-ish geodesics."""
     return UnimodularMatrix(0, -1, 1, v)
-
-
-def zeta_star(a: int, b: int, z: complex, modulus: int) -> float:
-    """zeta*_{a,b}(z) via the Kronecker limit formulas.
-
-    The trivial pair uses the Dedekind eta closed form, every other pair
-    the Siegel theta closed form; both are exact products, so this is
-    the reference route.
-    """
-    N = modulus
-    a %= N
-    b %= N
-    y = z.imag
-    if y <= 0:
-        raise ValueError("need Im z > 0")
-    if a == 0 and b == 0:
-        eta = dedekind_eta(z)
-        return TWO_PI * (
-            EULER_GAMMA - math.log(2.0) - 0.5 * math.log(y)
-            - 2.0 * math.log(abs(eta))
-        )
-    w = (a - b * z) / N
-    theta = siegel_theta(w, z)
-    return 2.0 * math.pi**2 * b * b * y / N**2 - TWO_PI * math.log(abs(theta))
 
 
 class PairDivisor:
@@ -239,31 +214,6 @@ def suggested_rmax(modulus: int, y_min: float) -> int:
     if y_min <= 0:
         raise ValueError("need y_min > 0")
     return int(math.ceil(modulus * math.log(1.0 / ABS_TOL) / (TWO_PI * y_min))) + 16
-
-
-def e_star_point(x, z, modulus):
-    """E*_x(z) by the exact double sum over zeta*_{a,b} closed forms."""
-    N = modulus
-    u, v = x[0] % N, x[1] % N
-    total = 0.0 + 0.0j
-    for a in range(N):
-        for b in range(N):
-            phase = cmath.exp(-2j * math.pi * (a * u + b * v) / N)
-            total += phase * zeta_star(a, b, z, N)
-    return (total / N**2).real
-
-
-def e_star_map(f: FiniteMap, z):
-    """E*_f(z) = sum_v f(v) E*_{(0,v)}(z) by the closed-form route."""
-    N = f.modulus
-    fhat = fourier_transform(f).values
-    total = 0.0 + 0.0j
-    for b in range(N):
-        if fhat[b] == 0:
-            continue
-        row = sum(zeta_star(a, b, z, N) for a in range(N))
-        total += fhat[b] * row
-    return total / N**2
 
 
 class OneFormValue(NamedTuple):

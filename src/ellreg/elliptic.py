@@ -4,8 +4,8 @@ Curves are given by integral Weierstrass coefficients.  The period
 lattice is computed with the arithmetic-geometric mean and normalized to
 Z + Z tau with q = exp(2 pi i tau) real, the shape every curve over R
 admits.  The elliptic dilogarithm is summed over the Tate parametrization
-C*/q^Z, with an Eisenstein-Kronecker lattice sum as an independent
-cross-check.
+C*/q^Z; the tests cross-check it against an Eisenstein-Kronecker
+lattice sum.
 """
 
 from __future__ import annotations
@@ -354,23 +354,3 @@ def elliptic_dilog(lattice: PeriodLattice, point) -> float:
         zm /= qc
         total += bloch_wigner(zp) + bloch_wigner(zm)
     return total
-
-
-def dilog_kronecker_oracle(lattice: PeriodLattice, point, radius: int = 500) -> float:
-    """Eisenstein-Kronecker lattice sum for D_E, O(1/radius) accurate.
-
-    D_E(P) = -(Im tau)^2/pi * Re sum'_{m,n} chi(P) / (lam^2 conj(lam)),
-    lam = m + n tau, chi(P) = exp(2 pi i (m beta - n alpha)).
-    """
-    if radius < 50:
-        raise ValueError("radius below 50 is too coarse to be useful")
-    alpha, beta = _class_parameters(lattice, point)
-    tau = complex(lattice.tau)
-    m = np.arange(-radius, radius + 1)
-    mm, nn = np.meshgrid(m, m, indexing="ij")
-    lam = mm + nn * tau
-    mask = (mm != 0) | (nn != 0)
-    lam = lam[mask]
-    phase = np.exp(TWO_PI_I * (mm[mask] * beta - nn[mask] * alpha))
-    terms = phase / (lam * lam * np.conj(lam))
-    return float(-(tau.imag**2) / math.pi * np.real(np.sum(terms)))

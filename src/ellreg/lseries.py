@@ -12,9 +12,8 @@ Atkin-Lehner pseudo-eigenvalue, always measured numerically from the
 transformation g(-1/(Mz)) = w M z^2 gbar(z).  Summation, root numbers
 and Lambda each work on a stack of streams of one level, so the twists
 f (x) chi_k of a prime-level form are the rows of one matrix.  The
-module also covers the Rankin convolution identity at the
-Dirichlet-coefficient level and the residue of L(f (x) f, s) at s = 2
-expressed through the twisted central values.
+module also covers the residue of L(f (x) f, s) at s = 2 expressed
+through the twisted central values.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, character_table
+from .characters import character_table
 from .elliptic import CurveModel, an_coefficients
 from .special import (
     ABS_TOL,
@@ -164,14 +163,6 @@ def q_expansions(streams: np.ndarray, z) -> np.ndarray:
     return out.reshape(np.shape(streams)[:-1] + z.shape)
 
 
-def eval_form(form: ModularFormData, z: complex) -> complex:
-    """Sum of the q-expansion at z in the upper half plane."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("eval_form needs Im z > 0")
-    return complex(q_expansions(form.coefficients, z))
-
-
 def _root_numbers(streams: np.ndarray, level: int) -> np.ndarray:
     """Atkin-Lehner pseudo-eigenvalues of a stack of forms of one level.
 
@@ -249,125 +240,6 @@ def l_value(form: ModularFormData, s, w: complex | None = None) -> complex:
     else:
         gamma_s = complex_gamma(s)
     return lam * (TWO_PI ** s) * form.level ** (-s / 2.0) / gamma_s
-
-
-def twist_by_character(form: ModularFormData,
-                       chi: DirichletCharacter) -> ModularFormData:
-    """The primitive twist f (x) chi, for chi primitive mod the prime level.
-
-    Coefficients a_n chi(n), level p^2, so a twist cannot be twisted
-    again.  The trivial character leaves the form untouched.
-    """
-    if chi.is_trivial:
-        return form
-    p = form.level
-    if chi.modulus != p:
-        raise ValueError("character modulus %d does not match level %d"
-                         % (chi.modulus, p))
-    if not chi.is_primitive:
-        raise ValueError("twisting needs a primitive character")
-    vals = np.array([chi(n) for n in range(p)], dtype=complex)
-    mult = vals[np.arange(len(form.coefficients)) % p]
-    return ModularFormData(p * p, form.coefficients * mult,
-                           label=form.label + "*chi")
-
-
-_WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
-_WIDE_PI = np.longdouble(
-    "3.141592653589793238462643383279502884"
-) if hasattr(np, "complex256") else np.pi
-
-
-def _character_values_wide(chi: DirichletCharacter, nmax: int) -> np.ndarray:
-    # chi(0..nmax) at extended precision, from the exact root exponents.
-    order = chi.order
-    roots = np.exp(2j * _WIDE_PI * np.arange(order, dtype=np.longdouble)
-                   / np.longdouble(order)).astype(_WIDE)
-    out = np.zeros(nmax + 1, dtype=_WIDE)
-    for n in range(nmax + 1):
-        e = chi.exponent_at(n)
-        if e is not None:
-            out[n] = roots[e]
-    return out
-
-
-def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    nmax = len(a) - 1
-    out = np.zeros(nmax + 1, dtype=a.dtype)
-    for d in range(1, nmax + 1):
-        ad = a[d]
-        if ad == 0:
-            continue
-        out[d::d] += ad * b[1:nmax // d + 1]
-    return out
-
-
-def rankin_sigma(chi1: DirichletCharacter, chi2: DirichletCharacter,
-                 nmax: int) -> np.ndarray:
-    """sigma_{chi1,chi2}(n) = sum_{d | n} d chi1(d) chi2(n/d), n <= nmax."""
-    return _dirichlet_convolve(
-        np.arange(nmax + 1) * _character_values_wide(chi1, nmax),
-        _character_values_wide(chi2, nmax))
-
-
-def _dirichlet_inverse(a: np.ndarray) -> np.ndarray:
-    nmax = len(a) - 1
-    if a[1] == 0:
-        raise ValueError("series with vanishing first coefficient has no "
-                         "convolution inverse")
-    support = [d for d in range(2, nmax + 1) if a[d] != 0]
-    inv = np.zeros(nmax + 1, dtype=a.dtype)
-    inv[1] = 1.0 / a[1]
-    for n in range(2, nmax + 1):
-        acc = 0.0 + 0.0j
-        for d in support:
-            if d > n:
-                break
-            if n % d == 0:
-                acc += a[d] * inv[n // d]
-        inv[n] = -acc / a[1]
-    return inv
-
-
-def rankin_convolution_check(form: ModularFormData,
-                             chi1: DirichletCharacter,
-                             chi2: DirichletCharacter,
-                             nmax: int) -> float:
-    """Coefficient identity behind the Rankin convolution.
-
-    Compares a_n sigma_{chi1,chi2}(n) against the Dirichlet coefficients
-    of L(f,chi2,s) L(f,chi1,s-1) / L(psi chi1 chi2, 2s-2) and returns the
-    largest absolute mismatch for n <= nmax.  psi is the nebentypus,
-    trivial mod the level here.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    if nmax > form.nmax:
-        raise ValueError("form carries only %d coefficients" % form.nmax)
-    a = form.coefficients[:nmax + 1].real.astype(np.longdouble).astype(_WIDE)
-    if np.max(np.abs(form.coefficients[:nmax + 1].imag)) > 0:
-        raise ValueError("the coefficient identity is set up for rational "
-                         "eigenforms")
-    n = np.arange(nmax + 1, dtype=np.longdouble)
-    lhs = a * rankin_sigma(chi1, chi2, nmax)
-
-    chi1v = _character_values_wide(chi1, nmax)
-    chi2v = _character_values_wide(chi2, nmax)
-    series_a = a * chi2v
-    series_b = a * chi1v * n
-    # The nebentypus is trivial mod the level, so the denominator series
-    # L(psi chi1 chi2, 2s-2) contributes (chi1 chi2)(m) m^2 at n = m^2
-    # for m prime to the level, zero elsewhere.
-    prod_wide = _character_values_wide(chi1 * chi2, int(math.isqrt(nmax)))
-    den = np.zeros(nmax + 1, dtype=_WIDE)
-    m = 1
-    while m * m <= nmax:
-        if math.gcd(m, form.level) == 1:
-            den[m * m] = prod_wide[m] * (m * m)
-        m += 1
-    rhs = _dirichlet_convolve(_dirichlet_convolve(series_a, series_b),
-                              _dirichlet_inverse(den))
-    return float(np.max(np.abs(lhs[1:] - rhs[1:])))
 
 
 def _twist_streams(form: ModularFormData) -> np.ndarray:

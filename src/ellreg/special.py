@@ -1,13 +1,12 @@
 """Scalar special functions shared by the rest of the package.
 
 Everything here is plain floating point: dilogarithms, the upper
-incomplete gamma function, the periodic second Bernoulli polynomial,
-Dedekind eta and Siegel theta products, and Gauss-Legendre quadrature.
-The package's point-dependent series (these eta and theta products,
-q-expansions, Eisenstein streams, the elliptic dilogarithm) stop once
-their tail is below ABS_TOL.  The products and the elliptic dilogarithm
-take at most MAX_TERMS terms; hitting that cap raises instead of
-returning a silently wrong value.
+incomplete gamma function, the periodic second Bernoulli polynomial
+and Gauss-Legendre nodes.  The package's point-dependent series
+(q-expansions, Eisenstein streams, the elliptic dilogarithm) stop once
+their tail is below ABS_TOL.  The elliptic dilogarithm takes at most
+MAX_TERMS terms; hitting that cap raises instead of returning a
+silently wrong value.
 """
 
 from __future__ import annotations
@@ -243,50 +242,6 @@ def periodic_bernoulli2(x: float) -> float:
     return t * t - t + 1.0 / 6.0
 
 
-def dedekind_eta(z) -> complex:
-    """Dedekind eta(z) = q^{1/24} prod (1 - q^n) with q = e^{2 pi i z}."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("dedekind_eta requires Im z > 0")
-    q = cmath.exp(2j * math.pi * z)
-    aq = abs(q)
-    prod = cmath.exp(1j * math.pi * z / 12.0)
-    qn = 1.0 + 0.0j
-    for n in range(1, MAX_TERMS + 1):
-        qn *= q
-        prod *= 1.0 - qn
-        # Remaining factors differ from 1 by at most ~ sum |q|^m.
-        if abs(qn) * aq / (1.0 - aq) < ABS_TOL:
-            return prod
-    raise TruncationError("dedekind_eta hit the term cap")
-
-
-def siegel_theta(w, z) -> complex:
-    """Siegel theta function used in the second Kronecker limit formula.
-
-    theta(w, z) = e^{pi i z / 6} (e^{pi i w} - e^{-pi i w})
-                  prod_{n>=1} (1 - q^n e^{2 pi i w})(1 - q^n e^{-2 pi i w}).
-    """
-    z = complex(z)
-    w = complex(w)
-    if not z.imag > 0:
-        raise ValueError("siegel_theta requires Im z > 0")
-    q = cmath.exp(2j * math.pi * z)
-    aq = abs(q)
-    ew = cmath.exp(2j * math.pi * w)
-    prod = cmath.exp(1j * math.pi * z / 6.0) * (
-        cmath.exp(1j * math.pi * w) - cmath.exp(-1j * math.pi * w)
-    )
-    qn = 1.0 + 0.0j
-    for n in range(1, MAX_TERMS + 1):
-        qn *= q
-        prod *= (1.0 - qn * ew) * (1.0 - qn / ew)
-        bound = abs(qn) * aq * (abs(ew) + 1.0 / abs(ew)) / (1.0 - aq)
-        if bound < ABS_TOL:
-            return prod
-    raise TruncationError("siegel_theta hit the term cap")
-
-
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -311,12 +266,3 @@ def gauss_legendre_nodes(n: int, a: float = -1.0, b: float = 1.0):
     xs.flags.writeable = False
     ws.flags.writeable = False
     return xs, ws
-
-
-def gauss_legendre(integrand, a: float, b: float, n: int):
-    """n-point Gauss-Legendre integral of integrand over [a, b].
-
-    Exact for polynomials of degree <= 2n - 1.
-    """
-    xs, ws = gauss_legendre_nodes(n, a, b)
-    return sum(wi * integrand(xi) for xi, wi in zip(xs, ws))

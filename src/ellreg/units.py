@@ -2,10 +2,11 @@
 
 A sum-zero map f on Z/NZ determines a modular unit whose logarithm is
 the Eisenstein series of f divided by pi, normalized to leading Fourier
-coefficient 1 at the infinite cusp.  This module computes exact cusp
-divisors of such units: the general double-sum order formula and closed
-forms when f is an even Dirichlet character or the Fourier transform of
-one.
+coefficient 1 at the infinite cusp.  This module computes the exact
+cusp divisor of such a unit in closed form when f is an even Dirichlet
+character.  The general double-sum order formula and the closed form
+for the Fourier transform of a character are the tests' reference
+routes.
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .characters import (
-    DirichletCharacter,
-    FiniteMap,
-    _prime_factors,
-    _totient,
-    fourier_transform,
-    l_chi_2,
-)
+from .characters import DirichletCharacter, _prime_factors, l_chi_2
 from .modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
-from .special import periodic_bernoulli2
 
 
 @dataclass
@@ -73,28 +66,6 @@ class CuspDivisor:
         return max(abs(self.get(c) - other.get(c)) for c in keys)
 
 
-def _order_from_hat(fhat: FiniteMap, u: int, v: int) -> complex:
-    n = fhat.modulus
-    b2 = [periodic_bernoulli2(b / n) for b in range(n)]
-    acc = 0.0 + 0.0j
-    for a in range(n):
-        au = a * u
-        for b in range(n):
-            acc += fhat.values[(au + b * v) % n] * b2[b]
-    return -acc / (n * math.gcd(u, n))
-
-
-def unit_divisor(f: FiniteMap) -> CuspDivisor:
-    """Cusp divisor of the modular unit attached to a sum-zero map."""
-    n = f.modulus
-    if abs(f.total()) > 1e-9:
-        raise ValueError("unit divisors need a sum-zero map")
-    fhat = fourier_transform(f)
-    coeffs = {cls: _order_from_hat(fhat, cls.u, cls.v)
-              for cls in cusp_classes(n)}
-    return CuspDivisor(n, coeffs)
-
-
 def _primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     cond = chi.conductor
     if cond == chi.modulus:
@@ -113,10 +84,6 @@ def _unit_lift(n: int, d: int, beta: int) -> int:
         if math.gcd(w, n) == 1:
             return w
     raise ValueError("no unit lift of %d mod %d to mod %d" % (beta, d, n))
-
-
-def _induced_value(chi: DirichletCharacter, d: int, beta: int) -> complex:
-    return complex(chi(_unit_lift(chi.modulus, d, beta)))
 
 
 def _l2_even(chi: DirichletCharacter) -> complex:
@@ -145,33 +112,4 @@ def unit_divisor_chi(chi: DirichletCharacter) -> CuspDivisor:
             coeffs[cls] = scale * complex(chi(cls.v)).conjugate()
         else:
             coeffs[cls] = 0.0
-    return CuspDivisor(n, coeffs)
-
-
-def unit_divisor_chihat(chi: DirichletCharacter) -> CuspDivisor:
-    """Divisor of the unit of the Fourier transform of an even character.
-
-    At a cusp [u, v] with d = gcd(u, N) the order is zero unless the
-    conductor of chi divides d, in which case it is
-    -((phi(N)/N) / (phi(d)/d)) chi_d(v) sum over beta in (Z/d)* of
-    B2bar(beta/d) chi_d(beta), with chi_d induced from chi.
-    """
-    n = chi.modulus
-    if n <= 1:
-        raise ValueError("the transform unit needs modulus > 1")
-    if not chi.is_even:
-        raise ValueError("the transform unit needs an even character")
-    cond = chi.conductor
-    phi_n = _totient(n)
-    coeffs = {}
-    for cls in cusp_classes(n):
-        d = math.gcd(cls.u, n)
-        if d % cond != 0:
-            coeffs[cls] = 0.0
-            continue
-        phi_d = _totient(d)
-        front = (phi_n / n) / (phi_d / d)
-        s = sum(periodic_bernoulli2(beta / d) * _induced_value(chi, d, beta)
-                for beta in range(d) if math.gcd(beta, d) == 1)
-        coeffs[cls] = -front * _induced_value(chi, d, cls.v) * s
     return CuspDivisor(n, coeffs)

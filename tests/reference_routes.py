@@ -8,7 +8,14 @@ rho -> rho^2 and its pairings (the arcs that line_arcs gives in closed
 form), weighted pairings of that table by four transforms of every
 line, plain Dirichlet partial sums, canonical symbol lifts, the raw
 cusp-order double sum and the rebuild of the level-13 coordinate
-divisors from character units.
+divisors from character units.  Then the routes that left the package
+because no command runs them: the Kronecker-limit closed forms of E*
+(Dedekind eta and Siegel theta products, and the discrete Fourier
+transform of a weight map), the Eisenstein-Kronecker lattice sum for
+the elliptic dilogarithm, a single twist f (x) chi as its own form, the
+Rankin convolution identity at the coefficient level, and unit divisors
+by the general double-sum order formula and in closed form for the
+transform of an even character.
 """
 
 import cmath
@@ -22,9 +29,9 @@ from ellreg.characters import (
     _divisors,
     _is_prime,
     _primitive_root,
+    _totient,
     _xgcd,
     enumerate_characters,
-    fourier_transform,
     l_chi_2,
 )
 from ellreg.eisenstein import (
@@ -43,15 +50,17 @@ from ellreg.eisenstein import (
     integrate_one_form,
     suggested_rmax,
 )
+from ellreg.elliptic import TWO_PI_I, PeriodLattice, _class_parameters
 from ellreg.lseries import ModularFormData
 from ellreg.modsym import CuspClass, cusp_classes
-from ellreg.special import gauss_legendre_nodes, periodic_bernoulli2
-from ellreg.units import (
-    CuspDivisor,
-    _order_from_hat,
-    unit_divisor_chi,
-    unit_divisor_chihat,
+from ellreg.special import (
+    ABS_TOL,
+    MAX_TERMS,
+    TruncationError,
+    gauss_legendre_nodes,
+    periodic_bernoulli2,
 )
+from ellreg.units import CuspDivisor, _unit_lift, unit_divisor_chi
 
 
 def trivial_character(modulus):
@@ -425,3 +434,303 @@ def reconstruct_x1_13_units() -> dict:
         "degree_bound": max(abs(d.degree) for d in
                             (d_quad, d_hat, d_hat_bar, combo)),
     }
+
+
+# The Kronecker-limit route to E*: closed forms of zeta*_{a,b} from
+# Dedekind eta and Siegel theta products, summed into E*_x and E*_f.
+def fourier_transform(f: FiniteMap) -> FiniteMap:
+    """fhat(b) = sum_v f(v) e^{-2 pi i b v / N}, numpy's DFT convention."""
+    return FiniteMap(f.modulus, np.fft.fft(f.values))
+
+
+def dedekind_eta(z) -> complex:
+    """Dedekind eta(z) = q^{1/24} prod (1 - q^n) with q = e^{2 pi i z}."""
+    z = complex(z)
+    if not z.imag > 0:
+        raise ValueError("dedekind_eta requires Im z > 0")
+    q = cmath.exp(2j * math.pi * z)
+    aq = abs(q)
+    prod = cmath.exp(1j * math.pi * z / 12.0)
+    qn = 1.0 + 0.0j
+    for n in range(1, MAX_TERMS + 1):
+        qn *= q
+        prod *= 1.0 - qn
+        # Remaining factors differ from 1 by at most ~ sum |q|^m.
+        if abs(qn) * aq / (1.0 - aq) < ABS_TOL:
+            return prod
+    raise TruncationError("dedekind_eta hit the term cap")
+
+
+def siegel_theta(w, z) -> complex:
+    """Siegel theta function used in the second Kronecker limit formula.
+
+    theta(w, z) = e^{pi i z / 6} (e^{pi i w} - e^{-pi i w})
+                  prod_{n>=1} (1 - q^n e^{2 pi i w})(1 - q^n e^{-2 pi i w}).
+    """
+    z = complex(z)
+    w = complex(w)
+    if not z.imag > 0:
+        raise ValueError("siegel_theta requires Im z > 0")
+    q = cmath.exp(2j * math.pi * z)
+    aq = abs(q)
+    ew = cmath.exp(2j * math.pi * w)
+    prod = cmath.exp(1j * math.pi * z / 6.0) * (
+        cmath.exp(1j * math.pi * w) - cmath.exp(-1j * math.pi * w)
+    )
+    qn = 1.0 + 0.0j
+    for n in range(1, MAX_TERMS + 1):
+        qn *= q
+        prod *= (1.0 - qn * ew) * (1.0 - qn / ew)
+        bound = abs(qn) * aq * (abs(ew) + 1.0 / abs(ew)) / (1.0 - aq)
+        if bound < ABS_TOL:
+            return prod
+    raise TruncationError("siegel_theta hit the term cap")
+
+
+def zeta_star(a: int, b: int, z: complex, modulus: int) -> float:
+    """zeta*_{a,b}(z) via the Kronecker limit formulas.
+
+    The trivial pair uses the Dedekind eta closed form, every other pair
+    the Siegel theta closed form; both are exact products, so this is
+    the reference route.
+    """
+    N = modulus
+    a %= N
+    b %= N
+    y = z.imag
+    if y <= 0:
+        raise ValueError("need Im z > 0")
+    if a == 0 and b == 0:
+        eta = dedekind_eta(z)
+        return TWO_PI * (
+            EULER_GAMMA - math.log(2.0) - 0.5 * math.log(y)
+            - 2.0 * math.log(abs(eta))
+        )
+    w = (a - b * z) / N
+    theta = siegel_theta(w, z)
+    return 2.0 * math.pi**2 * b * b * y / N**2 - TWO_PI * math.log(abs(theta))
+
+
+def e_star_point(x, z, modulus):
+    """E*_x(z) by the exact double sum over zeta*_{a,b} closed forms."""
+    N = modulus
+    u, v = x[0] % N, x[1] % N
+    total = 0.0 + 0.0j
+    for a in range(N):
+        for b in range(N):
+            phase = cmath.exp(-2j * math.pi * (a * u + b * v) / N)
+            total += phase * zeta_star(a, b, z, N)
+    return (total / N**2).real
+
+
+def e_star_map(f: FiniteMap, z):
+    """E*_f(z) = sum_v f(v) E*_{(0,v)}(z) by the closed-form route."""
+    N = f.modulus
+    fhat = fourier_transform(f).values
+    total = 0.0 + 0.0j
+    for b in range(N):
+        if fhat[b] == 0:
+            continue
+        row = sum(zeta_star(a, b, z, N) for a in range(N))
+        total += fhat[b] * row
+    return total / N**2
+
+
+# The Eisenstein-Kronecker lattice sum for the elliptic dilogarithm.
+def dilog_kronecker_oracle(lattice: PeriodLattice, point, radius: int = 500) -> float:
+    """Eisenstein-Kronecker lattice sum for D_E, O(1/radius) accurate.
+
+    D_E(P) = -(Im tau)^2/pi * Re sum'_{m,n} chi(P) / (lam^2 conj(lam)),
+    lam = m + n tau, chi(P) = exp(2 pi i (m beta - n alpha)).
+    """
+    if radius < 50:
+        raise ValueError("radius below 50 is too coarse to be useful")
+    alpha, beta = _class_parameters(lattice, point)
+    tau = complex(lattice.tau)
+    m = np.arange(-radius, radius + 1)
+    mm, nn = np.meshgrid(m, m, indexing="ij")
+    lam = mm + nn * tau
+    mask = (mm != 0) | (nn != 0)
+    lam = lam[mask]
+    phase = np.exp(TWO_PI_I * (mm[mask] * beta - nn[mask] * alpha))
+    terms = phase / (lam * lam * np.conj(lam))
+    return float(-(tau.imag**2) / math.pi * np.real(np.sum(terms)))
+
+
+# One twist f (x) chi as a form of its own.
+def twist_by_character(form: ModularFormData,
+                       chi: DirichletCharacter) -> ModularFormData:
+    """The primitive twist f (x) chi, for chi primitive mod the prime level.
+
+    Coefficients a_n chi(n), level p^2, so a twist cannot be twisted
+    again.  The trivial character leaves the form untouched.
+    """
+    if chi.is_trivial:
+        return form
+    p = form.level
+    if chi.modulus != p:
+        raise ValueError("character modulus %d does not match level %d"
+                         % (chi.modulus, p))
+    if not chi.is_primitive:
+        raise ValueError("twisting needs a primitive character")
+    vals = np.array([chi(n) for n in range(p)], dtype=complex)
+    mult = vals[np.arange(len(form.coefficients)) % p]
+    return ModularFormData(p * p, form.coefficients * mult,
+                           label=form.label + "*chi")
+
+
+# The Rankin convolution identity at the Dirichlet-coefficient level,
+# in extended precision.
+_WIDE = np.complex256 if hasattr(np, "complex256") else np.complex128
+_WIDE_PI = np.longdouble(
+    "3.141592653589793238462643383279502884"
+) if hasattr(np, "complex256") else np.pi
+
+
+def _character_values_wide(chi: DirichletCharacter, nmax: int) -> np.ndarray:
+    # chi(0..nmax) at extended precision, from the exact root exponents.
+    order = chi.order
+    roots = np.exp(2j * _WIDE_PI * np.arange(order, dtype=np.longdouble)
+                   / np.longdouble(order)).astype(_WIDE)
+    out = np.zeros(nmax + 1, dtype=_WIDE)
+    for n in range(nmax + 1):
+        e = chi.exponent_at(n)
+        if e is not None:
+            out[n] = roots[e]
+    return out
+
+
+def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    nmax = len(a) - 1
+    out = np.zeros(nmax + 1, dtype=a.dtype)
+    for d in range(1, nmax + 1):
+        ad = a[d]
+        if ad == 0:
+            continue
+        out[d::d] += ad * b[1:nmax // d + 1]
+    return out
+
+
+def rankin_sigma(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                 nmax: int) -> np.ndarray:
+    """sigma_{chi1,chi2}(n) = sum_{d | n} d chi1(d) chi2(n/d), n <= nmax."""
+    return _dirichlet_convolve(
+        np.arange(nmax + 1) * _character_values_wide(chi1, nmax),
+        _character_values_wide(chi2, nmax))
+
+
+def _dirichlet_inverse(a: np.ndarray) -> np.ndarray:
+    nmax = len(a) - 1
+    if a[1] == 0:
+        raise ValueError("series with vanishing first coefficient has no "
+                         "convolution inverse")
+    support = [d for d in range(2, nmax + 1) if a[d] != 0]
+    inv = np.zeros(nmax + 1, dtype=a.dtype)
+    inv[1] = 1.0 / a[1]
+    for n in range(2, nmax + 1):
+        acc = 0.0 + 0.0j
+        for d in support:
+            if d > n:
+                break
+            if n % d == 0:
+                acc += a[d] * inv[n // d]
+        inv[n] = -acc / a[1]
+    return inv
+
+
+def rankin_convolution_check(form: ModularFormData,
+                             chi1: DirichletCharacter,
+                             chi2: DirichletCharacter,
+                             nmax: int) -> float:
+    """Coefficient identity behind the Rankin convolution.
+
+    Compares a_n sigma_{chi1,chi2}(n) against the Dirichlet coefficients
+    of L(f,chi2,s) L(f,chi1,s-1) / L(psi chi1 chi2, 2s-2) and returns the
+    largest absolute mismatch for n <= nmax.  psi is the nebentypus,
+    trivial mod the level here.
+    """
+    if nmax < 1:
+        raise ValueError("nmax must be at least 1")
+    if nmax > form.nmax:
+        raise ValueError("form carries only %d coefficients" % form.nmax)
+    a = form.coefficients[:nmax + 1].real.astype(np.longdouble).astype(_WIDE)
+    if np.max(np.abs(form.coefficients[:nmax + 1].imag)) > 0:
+        raise ValueError("the coefficient identity is set up for rational "
+                         "eigenforms")
+    n = np.arange(nmax + 1, dtype=np.longdouble)
+    lhs = a * rankin_sigma(chi1, chi2, nmax)
+
+    chi1v = _character_values_wide(chi1, nmax)
+    chi2v = _character_values_wide(chi2, nmax)
+    series_a = a * chi2v
+    series_b = a * chi1v * n
+    # The nebentypus is trivial mod the level, so the denominator series
+    # L(psi chi1 chi2, 2s-2) contributes (chi1 chi2)(m) m^2 at n = m^2
+    # for m prime to the level, zero elsewhere.
+    prod_wide = _character_values_wide(chi1 * chi2, int(math.isqrt(nmax)))
+    den = np.zeros(nmax + 1, dtype=_WIDE)
+    m = 1
+    while m * m <= nmax:
+        if math.gcd(m, form.level) == 1:
+            den[m * m] = prod_wide[m] * (m * m)
+        m += 1
+    rhs = _dirichlet_convolve(_dirichlet_convolve(series_a, series_b),
+                              _dirichlet_inverse(den))
+    return float(np.max(np.abs(lhs[1:] - rhs[1:])))
+
+
+# Unit divisors by the general double-sum order formula, and the
+# closed form for the unit of the Fourier transform of a character.
+def _order_from_hat(fhat: FiniteMap, u: int, v: int) -> complex:
+    n = fhat.modulus
+    b2 = [periodic_bernoulli2(b / n) for b in range(n)]
+    acc = 0.0 + 0.0j
+    for a in range(n):
+        au = a * u
+        for b in range(n):
+            acc += fhat.values[(au + b * v) % n] * b2[b]
+    return -acc / (n * math.gcd(u, n))
+
+
+def unit_divisor(f: FiniteMap) -> CuspDivisor:
+    """Cusp divisor of the modular unit attached to a sum-zero map."""
+    n = f.modulus
+    if abs(f.total()) > 1e-9:
+        raise ValueError("unit divisors need a sum-zero map")
+    fhat = fourier_transform(f)
+    coeffs = {cls: _order_from_hat(fhat, cls.u, cls.v)
+              for cls in cusp_classes(n)}
+    return CuspDivisor(n, coeffs)
+
+
+def _induced_value(chi: DirichletCharacter, d: int, beta: int) -> complex:
+    return complex(chi(_unit_lift(chi.modulus, d, beta)))
+
+
+def unit_divisor_chihat(chi: DirichletCharacter) -> CuspDivisor:
+    """Divisor of the unit of the Fourier transform of an even character.
+
+    At a cusp [u, v] with d = gcd(u, N) the order is zero unless the
+    conductor of chi divides d, in which case it is
+    -((phi(N)/N) / (phi(d)/d)) chi_d(v) sum over beta in (Z/d)* of
+    B2bar(beta/d) chi_d(beta), with chi_d induced from chi.
+    """
+    n = chi.modulus
+    if n <= 1:
+        raise ValueError("the transform unit needs modulus > 1")
+    if not chi.is_even:
+        raise ValueError("the transform unit needs an even character")
+    cond = chi.conductor
+    phi_n = _totient(n)
+    coeffs = {}
+    for cls in cusp_classes(n):
+        d = math.gcd(cls.u, n)
+        if d % cond != 0:
+            coeffs[cls] = 0.0
+            continue
+        phi_d = _totient(d)
+        front = (phi_n / n) / (phi_d / d)
+        s = sum(periodic_bernoulli2(beta / d) * _induced_value(chi, d, beta)
+                for beta in range(d) if math.gcd(beta, d) == 1)
+        coeffs[cls] = -front * _induced_value(chi, d, cls.v) * s
+    return CuspDivisor(n, coeffs)

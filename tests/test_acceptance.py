@@ -7,11 +7,7 @@ import time
 import pytest
 
 from ellreg.characters import FiniteMap, enumerate_characters
-from ellreg.eisenstein import (
-    UnimodularMatrix,
-    e_star_point,
-    zeta_star,
-)
+from ellreg.eisenstein import UnimodularMatrix
 from ellreg.elliptic import (
     CURVE_11A,
     TorsionCoordinate,
@@ -22,17 +18,14 @@ from ellreg.elliptic import (
 from ellreg.lseries import (
     lambda_value,
     newform_from_curve,
-    rankin_convolution_check,
     root_number,
 )
 from ellreg.modsym import (
     SymbolIndex,
-    cuspidal_hecke_t2_matrix,
     period_integral_oracle,
     xi_bridge_table,
 )
 from ellreg.special import periodic_bernoulli2
-from ellreg.units import unit_divisor
 from ellreg.verify import (
     run_appendix,
     run_cor101,
@@ -43,7 +36,14 @@ from ellreg.verify import (
     run_thm8,
 )
 
-from reference_routes import zeta_star_qexp
+from gamma1_symbols import cuspidal_hecke_t2_matrix
+from reference_routes import (
+    e_star_point,
+    rankin_convolution_check,
+    unit_divisor,
+    zeta_star,
+    zeta_star_qexp,
+)
 
 
 @pytest.fixture(scope="module")

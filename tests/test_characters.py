@@ -18,13 +18,12 @@ from ellreg.characters import (
     character_table,
     character_label,
     enumerate_characters,
-    fourier_transform,
     gauss_sum,
     l_chi_2,
     twisted_bernoulli2,
 )
 
-from reference_routes import trivial_character
+from reference_routes import fourier_transform, trivial_character
 
 
 def phi(n):

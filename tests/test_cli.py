@@ -150,6 +150,22 @@ def test_cli_import_loads_no_sympy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_runs_without_sympy():
+    # A None entry in sys.modules makes every import of sympy fail, as on
+    # an install without the test extra.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argvs = [["verify", "all"],
+             ["units", "--level", "11", "--char", "11:g=2,zeta5^1"],
+             ["mahler", "--poly", "X^2 Y: 1, X: -3, 1: 1"]]
+    code = ("import sys; sys.modules['sympy'] = None; "
+            "from ellreg.cli import main; print([main(a) for a in %r])"
+            % (argvs,))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0]"
+
+
 @pytest.mark.parametrize("argv", [["verify", "all"],
                                   ["verify", "appendix", "--level", "17"]])
 def test_verify_leaves_numpy_ma_unloaded(argv):

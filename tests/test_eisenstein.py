@@ -14,7 +14,6 @@ from ellreg.characters import (
     FiniteMap,
     character_table,
     enumerate_characters,
-    fourier_transform,
 )
 from ellreg.eisenstein import (
     ARC_NODES,
@@ -26,15 +25,12 @@ from ellreg.eisenstein import (
     PairDivisor,
     UnimodularMatrix,
     arc_integral,
-    e_star_map,
-    e_star_point,
     eta_chi,
     eta_form,
     g_column,
     integrate_eta_geodesic,
     line_arcs,
     suggested_rmax,
-    zeta_star,
 )
 from ellreg.characters import _divisors
 from ellreg.modsym import SymbolIndex
@@ -44,10 +40,14 @@ from reference_routes import (
     _pairings_on_every_line,
     _restricted_zeta2,
     divisor_bracket,
+    e_star_map,
+    e_star_point,
     e_star_stream,
     e_star_sum_zero_expansion,
+    fourier_transform,
     integrate_eta_segment,
     matrix_lift,
+    zeta_star,
     zeta_star_qexp,
 )
 

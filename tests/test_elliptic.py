@@ -14,7 +14,6 @@ from ellreg.elliptic import (
     TorsionCoordinate,
     a_p,
     an_coefficients,
-    dilog_kronecker_oracle,
     elliptic_dilog,
     periods,
     torsion_coordinate,
@@ -22,6 +21,8 @@ from ellreg.elliptic import (
 import ellreg.elliptic as elliptic
 from ellreg.elliptic import _weierstrass_pair
 from ellreg.special import TruncationError
+
+from reference_routes import dilog_kronecker_oracle
 
 CURVE_X3_MINUS_X = CurveModel(0, 0, 0, -1, 0, 32)
 CURVE_X3_PLUS_1 = CurveModel(0, 0, 0, 0, 1, 36)

@@ -7,24 +7,21 @@ import pytest
 from ellreg.characters import (
     FiniteMap,
     enumerate_characters,
-    fourier_transform,
     gauss_sum,
     l_chi_2,
     twisted_bernoulli2,
 )
 from ellreg.modsym import CuspClass, cusp_classes
-from ellreg.units import (
-    CuspDivisor,
-    unit_divisor,
-    unit_divisor_chi,
-    unit_divisor_chihat,
-)
+from ellreg.units import CuspDivisor, unit_divisor_chi
 
 from reference_routes import (
     DIV_X_LEVEL13,
     DIV_Y_LEVEL13,
+    fourier_transform,
     order_at_cusp,
     reconstruct_x1_13_units,
+    unit_divisor,
+    unit_divisor_chihat,
     x1_13_epsilon,
 )
 

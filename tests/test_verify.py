@@ -647,7 +647,6 @@ def test_suites_build_one_form_and_no_twist(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
-    counting(lseries, "twist_by_character")
     counting(lseries.ModularFormData, "conjugate_partner")
     counting(lseries.ModularFormData, "__post_init__")
     assert all(r.passed for r in run_all())
