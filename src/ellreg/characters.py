@@ -162,10 +162,6 @@ class DirichletCharacter:
         self._key = (modulus, order, self._exp)
         self._hash = hash(self._key)
 
-    @property
-    def exponents(self):
-        return self._exp
-
     def _values(self):
         if self._cache is None:
             m = self.order

@@ -12,8 +12,8 @@ from .characters import character_from_label
 from .elliptic import CurveModel
 from .mahler import BivariatePolynomial, mahler_measure
 from .units import unit_divisor_chi
-from .verify import (DEFAULT_TERMS, SUITES, reports_to_json, resolve_config,
-                     run_all, summarize)
+from .verify import (SUITES, reports_to_json, resolve_config, run_all,
+                     summarize)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="a1,a2,a3,a4,a6,N Weierstrass coefficients")
     verify.add_argument("--tolerance", type=float, default=None,
                         help="override every per-check tolerance")
-    verify.add_argument("--terms", type=int, default=DEFAULT_TERMS,
-                        help="the most q-expansion terms to build for the "
-                        "newform, which is built only as far as its sums read")
     verify.add_argument("--out", default=None,
                         help="write the JSON report array here")
 
@@ -66,7 +63,7 @@ def _cmd_verify(args) -> int:
     wall, cpu = time.perf_counter(), time.process_time()
     curve = _parse_curve(args.curve) if args.curve else None
     config = resolve_config(level=args.level, curve=curve,
-                            tolerance=args.tolerance, terms=args.terms)
+                            tolerance=args.tolerance)
     runner = run_all if args.suite == "all" else SUITES[args.suite]
     # Open the report file first: one that cannot be written fails
     # before any suite runs.

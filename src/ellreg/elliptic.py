@@ -69,9 +69,6 @@ class CurveModel:
     def rhs(self, x):
         return x**3 + self.a2 * x**2 + self.a4 * x + self.a6
 
-    def is_on_curve(self, x, y):
-        return y * y + self.a1 * x * y + self.a3 * y == self.rhs(x)
-
 
 CURVE_11A = CurveModel(0, -1, 1, 0, 0, 11)
 CURVE_17A = CurveModel(1, -1, 1, -1, -14, 17)
@@ -178,10 +175,6 @@ class PeriodLattice:
     g3: float
     b2: int
 
-    @property
-    def disc_positive(self):
-        return self.q > 0
-
 
 def periods(curve: CurveModel) -> PeriodLattice:
     """Period lattice of the curve, normalized so q = e^{2 pi i tau} is real.
@@ -268,9 +261,6 @@ class TorsionCoordinate:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-
-    def normalized(self):
-        return TorsionCoordinate(self.n, self.a % self.n, self.b % self.n)
 
     def __add__(self, other):
         if self.n != other.n:

@@ -38,13 +38,10 @@ from .lseries import (
 )
 from .mahler import curve_identity_polynomials, mahler_measure
 from .modsym import period_integral_oracle, petersson, xi_bridge_table
-from .special import ABS_TOL, TruncationError
+from .special import ABS_TOL
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
 TOL_QUADRATURE = 1e-6  # checks that integrate along geodesics or tori
-# The default limit on the newform's length, above newform_terms(389) =
-# 5,411; a smaller level builds only the newform_terms(p) its sums read.
-DEFAULT_TERMS = 5500
 
 
 @dataclass
@@ -132,21 +129,23 @@ def summarize(reports, wall_s=None, cpu_s=None) -> str:
 
 @dataclass
 class VerifyConfig:
-    """Shared knobs for the verification suites; all suites run on one
-    config object share its context."""
+    """What a run is asked for: the curve, whose conductor is the level,
+    and a tolerance that, when given, replaces every row's.  All suites
+    run on one config object share its context."""
 
     curve: CurveModel = CURVE_11A
-    level: int = 11
     tolerance: float | None = None
-    terms: int = DEFAULT_TERMS
+
+    @property
+    def level(self) -> int:
+        return self.curve.conductor
 
     @cached_property
     def context(self) -> "CurveContext":
         return CurveContext(self)
 
 
-def resolve_config(level=None, curve=None, tolerance=None,
-                   terms=DEFAULT_TERMS) -> VerifyConfig:
+def resolve_config(level=None, curve=None, tolerance=None) -> VerifyConfig:
     """Resolve CLI-style arguments into a consistent VerifyConfig."""
     if curve is None:
         wanted = 11 if level is None else level
@@ -179,13 +178,10 @@ def resolve_config(level=None, curve=None, tolerance=None,
     if c4 % n == 0:
         raise ValueError(f"{n} divides c4 = {c4}: the model has additive "
                          f"reduction at {n} or is not minimal there")
-    if terms < 100:
-        raise ValueError("need at least 100 series terms")
     if tolerance is not None and not (math.isfinite(tolerance)
                                       and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
-    return VerifyConfig(curve=curve, level=n, tolerance=tolerance,
-                        terms=terms)
+    return VerifyConfig(curve=curve, tolerance=tolerance)
 
 
 class CurveContext:
@@ -199,10 +195,8 @@ class CurveContext:
 
     def __init__(self, config: VerifyConfig):
         self.curve, self.p = config.curve, config.level
-        # The most terms of the newform that any sum reads, and its
-        # length: that many, or --terms where it is fewer.
-        self.terms_read = newform_terms(self.p)
-        self.terms = min(config.terms, self.terms_read)
+        # The newform's length: the most terms that any of its sums reads.
+        self.terms = newform_terms(self.p)
         # The exponents of the even nontrivial and of the odd characters.
         self.evens = np.arange(2, self.p - 1, 2)
         self.odds = np.arange(1, self.p - 1, 2)
@@ -284,7 +278,7 @@ class _Rows:
 
     Every row is stamped with the wall time since the suite's previous
     row, or since the builder was made, so a suite's row seconds add up
-    to its run.  Its inputs are the config's level, curve and terms plus
+    to its run.  Its inputs are the config's level and curve plus
     the keywords given with the row, its truncation the suite's shared
     keys (self.truncation) plus the row's own, and --tolerance, when
     given, replaces the row's tolerance.
@@ -292,7 +286,7 @@ class _Rows:
 
     def __init__(self, config, **truncation):
         c = config.curve
-        self.inputs = {"level": config.level, "terms": config.terms,
+        self.inputs = {"level": config.level,
                        "curve": [c.a1, c.a2, c.a3, c.a4, c.a6]}
         self.truncation = truncation
         self.tolerance = config.tolerance
@@ -319,22 +313,12 @@ class _Rows:
                  error_kind="abs")
 
 
-def _require_terms(config):
-    """Raise before any work when --terms is below what the sums of the
-    twisted table, the oracle and the root numbers read at the level."""
-    need = config.context.terms_read
-    if config.terms < need:
-        raise TruncationError(
-            f"need more coefficients: the sums at level {config.level} read "
-            f"{need} newform terms, more than --terms {config.terms}")
-
-
 class NotApplicable(ValueError):
     """A suite that does not apply to the configured curve."""
 
 
 def _require_conductor_11(config, what):
-    if config.level != 11 or config.curve != CURVE_11A:
+    if config.curve != CURVE_11A:
         raise NotApplicable(f"{what} is specific to the conductor-11 curve")
 
 
@@ -398,7 +382,6 @@ def run_thm1(config=None):
     """L(E,2) L(E,chi,1) as a Gauss-sum combination of twisted L-values."""
     config = config or VerifyConfig()
     rows = _Rows(config)
-    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -436,7 +419,6 @@ def run_thm2(config=None):
     """Residue-normalized and residue-free expansions of L(E, 2)."""
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=ABS_TOL)
-    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -489,7 +471,6 @@ def run_thm3(config=None):
     """
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=ABS_TOL)
-    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -525,7 +506,6 @@ def run_appendix(config=None):
     """Petersson square norm against the tensor-square residue."""
     config = config or VerifyConfig()
     rows = _Rows(config)
-    _require_terms(config)
     p = config.level
     ctx = config.context
     rows.truncation["lseries_terms"] = ctx.form.nmax
@@ -590,7 +570,6 @@ def run_all(config=None):
     on stdout that names it and gives the reason.
     """
     config = config or VerifyConfig()
-    _require_terms(config)
     reports = []
     for name, suite in SUITES.items():
         try:

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from ellreg.cli import _build_parser, main
+from ellreg.cli import main
+from ellreg.elliptic import CurveModel
 from ellreg.lseries import newform_terms
-from ellreg.verify import DEFAULT_TERMS, VerifyConfig, resolve_config
+from ellreg.verify import resolve_config
 
 
 def test_verify_writes_json_report(tmp_path, capsys):
@@ -92,7 +93,9 @@ def test_verify_all_skips_suites_that_need_conductor_11(capsys):
 @pytest.mark.parametrize("argv, code, words", [
     (["--curve", "0,0,0,0,0,11"], 2, "singular"),
     (["--curve", "0,-1,1,0,0,13"], 2, "does not divide the discriminant"),
-    (["--terms", "100"], 3, "need more coefficients"),
+    # The level is the curve's conductor; a --level beside it must agree.
+    (["--level", "17", "--curve", "0,-1,1,0,0,11"], 2,
+     "conductor 11 does not match level 17"),
     (["--tolerance", "nan"], 2, "positive and finite"),
     (["--tolerance", "inf"], 2, "positive and finite"),
     # Conductors 32 and 27, with discriminants 2^6 and -3^3.
@@ -197,30 +200,39 @@ def test_summary_reports_the_runs_wall_and_cpu_time(capsys):
         r"6/6 checks passed in \d+\.\d\d s wall, \d+\.\d\d s CPU", last), last
 
 
-def test_default_terms_reach_the_389_newform():
-    # One limit for the CLI, VerifyConfig and resolve_config, long
-    # enough that 389a runs at default flags.
-    args = _build_parser().parse_args(["verify", "thm1"])
-    assert args.terms == DEFAULT_TERMS
-    assert VerifyConfig().terms == resolve_config().terms == DEFAULT_TERMS
-    assert DEFAULT_TERMS >= newform_terms(389)
+def test_default_flags_reach_the_389_newform():
+    # The curve alone sizes the newform: 389a builds the 5,411 terms its
+    # sums read.
+    config = resolve_config(curve=CurveModel(0, 1, 1, -2, 0, 389))
+    assert config.context.form.nmax == newform_terms(389) == 5411
 
 
-def test_a_short_terms_limit_fails_before_any_work(monkeypatch, capsys):
+def test_terms_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm1", "--terms", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --terms 100" in capsys.readouterr().err
+
+
+def test_the_997_model_builds_the_newform_its_sums_read(monkeypatch,
+                                                         capsys):
     import ellreg.verify as verify
+
+    built = []
+
+    def stop(curve, nmax):
+        built.append(nmax)
+        raise RuntimeError("stopped at the newform build")
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a suite started work")
-    monkeypatch.setattr(verify, "newform_from_curve", unreachable)
+    monkeypatch.setattr(verify, "newform_from_curve", stop)
     monkeypatch.setattr(verify, "character_table", unreachable)
-    # A model of conductor 997, whose sums read 13,891 terms.
-    need = newform_terms(997)
+    # At default flags a model of conductor 997 builds the 13,891 terms
+    # that its sums read.
     for suite in ("all", "thm1", "thm2", "thm3", "appendix"):
         argv = ["verify", suite, "--curve", "0,-1,1,-5,-3,997"]
         assert main(argv) == 3
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert captured.out == "" and len(lines) == 1
-        assert "need more coefficients" in lines[0] and str(need) in lines[0]
-        assert main(argv + ["--terms", str(need - 1)]) == 3
-        assert str(need - 1) in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "ellreg: stopped at the newform build\n")
+    assert built == [newform_terms(997)] * 5 == [13891] * 5

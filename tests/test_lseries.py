@@ -408,6 +408,5 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
     count = newform_terms(p)
     assert all(count >= k for k in own.values()), own
     assert count == max(own.values())
-    for terms in (4000, 300, 100):
-        config = resolve_config(curve=PRIME_CURVES[p], terms=terms)
-        assert config.context.form.nmax == min(terms, count)
+    config = resolve_config(curve=PRIME_CURVES[p])
+    assert config.context.form.nmax == count

@@ -13,11 +13,10 @@ from ellreg.characters import (
     gauss_sum,
 )
 from ellreg.eisenstein import ARC_NODES, suggested_rmax
-from ellreg.elliptic import CURVE_11A, CURVE_REGISTRY, CurveModel
+from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
 from ellreg.mahler import curve_identity_polynomials
 from ellreg.special import ABS_TOL
 from ellreg.verify import (
-    DEFAULT_TERMS,
     SUITES,
     VerifyConfig,
     make_report,
@@ -90,8 +89,11 @@ def test_resolve_config():
         resolve_config(level=12)
     with pytest.raises(ValueError):
         resolve_config(curve=custom, level=17)
-    with pytest.raises(ValueError):
-        resolve_config(terms=10)
+    # The level is the curve's conductor, so the two cannot disagree.
+    with pytest.raises(TypeError):
+        VerifyConfig(level=17)
+    with pytest.raises(AttributeError):
+        cfg.level = 17
     with pytest.raises(ValueError):
         resolve_config(tolerance=-1.0)
 
@@ -110,6 +112,14 @@ PRIME_CONDUCTOR_MODELS = [
 @pytest.mark.parametrize("coeffs", PRIME_CONDUCTOR_MODELS)
 def test_prime_conductor_models_resolve(coeffs):
     assert resolve_config(curve=CurveModel(*coeffs)).level == coeffs[-1]
+
+
+def test_the_level_is_the_curves_conductor():
+    config = VerifyConfig(curve=CURVE_17A)
+    assert config.level == 17
+    reports = run_thm1(config)
+    assert reports and all(r.passed for r in reports)
+    assert {r.inputs["level"] for r in reports} == {17}
 
 
 def test_tolerance_override_applies_everywhere():
@@ -160,7 +170,8 @@ def test_every_row_carries_the_config_inputs(builder_runs):
         for r in rows:
             assert r.inputs["level"] == level, r.check
             assert r.inputs["curve"] == curves[level], r.check
-            assert r.inputs["terms"] == DEFAULT_TERMS, r.check
+            # The newform's length is the lseries_terms truncation key.
+            assert "terms" not in r.inputs, r.check
 
 
 def test_row_seconds_add_up_to_the_suite_wall_time(builder_runs):
@@ -293,9 +304,9 @@ def test_mahler_rows_report_what_ran(monkeypatch):
 
     real_newform = verify.newform_from_curve
     monkeypatch.setattr(verify, "newform_from_curve", newform)
-    rows = {r.check: r for r in run_mahler(resolve_config(terms=300))}
+    rows = {r.check: r for r in run_mahler(resolve_config())}
     # L(E, 2) comes from the configured curve, once, built to the 120
-    # terms that the sums at 11 read, below --terms.
+    # terms that the sums at 11 read.
     assert built == [120]
     assert set(rows) == {"mahler:first", "mahler:second", "mahler:reciprocal"}
     for r in rows.values():
@@ -350,7 +361,8 @@ def test_context_belongs_to_its_config():
     cfg = VerifyConfig()
     assert cfg.context is cfg.context
     assert VerifyConfig().context is not cfg.context
-    assert len(dataclasses.fields(VerifyConfig)) == 4
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+        "curve", "tolerance"]
 
 
 def test_shared_context_gives_the_rows_of_fresh_ones():
