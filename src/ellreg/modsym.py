@@ -3,12 +3,12 @@
 The symbol xi(u, v) is the geodesic path {g0, ginfinity} on the modular
 curve, for any integral unimodular g with bottom row (u, v) mod N.  This
 module provides the symbols, their cusp classes, and two independent
-ways to pair symbols with a weight-2 rational newform of prime level: a
-bridge through twisted central L-values and a direct path-integral
-oracle that takes each half of a path to height t or t/p in one coset
-step.  The two- and three-term relation quotient and the Hecke action
-on it, in exact rational linear algebra, are the tests' reference
-(tests/gamma1_symbols.py).
+ways to pair symbols with a weight-2 rational newform of prime level p:
+a bridge through twisted central L-values, into a table of one value per
+line of P^1(F_p), and a direct path-integral oracle that takes each half
+of a path to height t or t/p in one coset step.  The two- and three-term
+relation quotient and the Hecke action on it, in exact rational linear
+algebra, are the tests' reference (tests/gamma1_symbols.py).
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ class SymbolIndex:
         return SymbolIndex(self.level, -self.u, -self.v)
 
 
-def enumerate_symbols(level: int) -> list:
-    out = []
-    for u in range(level):
-        for v in range(level):
-            if math.gcd(math.gcd(u, v), level) == 1:
-                out.append(SymbolIndex(level, u, v))
-    return out
-
-
 @dataclass(frozen=True)
 class CuspClass:
     """Orbit of an order-N pair under sign and upper-triangular shifts."""
@@ -96,67 +87,66 @@ class CuspClass:
 
 
 def cusp_class_of(x: SymbolIndex) -> CuspClass:
-    n = x.level
-    best = None
-    for s in (1, -1):
-        for t in range(n):
-            cand = ((s * x.u) % n, (s * (x.v + t * x.u)) % n)
-            if best is None or cand < best:
-                best = cand
-    return CuspClass(n, *best)
+    """The least of (s u mod N, s v mod gcd(u, N)) over s = +-1: the
+    shifts v -> v + t u reach every v' = v mod gcd(u, N)."""
+    n, g = x.level, math.gcd(x.u, x.level)
+    return CuspClass(n, *min((s * x.u % n, s * x.v % g) for s in (1, -1)))
 
 
 def cusp_classes(level: int) -> list:
-    seen = {}
-    for x in enumerate_symbols(level):
-        cls = cusp_class_of(x)
-        seen.setdefault(cls.pair, cls)
-    return [seen[key] for key in sorted(seen)]
+    """Every class, sorted by pair: each holds a pair (u, v) with v <
+    gcd(u, N), and those of order N are the v prime to gcd(u, N)."""
+    classes = {cusp_class_of(SymbolIndex(level, u, v))
+               for u in range(level) for g in [math.gcd(u, level)]
+               for v in range(g) if math.gcd(g, v) == 1}
+    return sorted(classes, key=lambda c: c.pair)
+
+
+def line_index(u, v, p: int):
+    """The line of P^1(F_p) through (u, v), p prime, in line_arcs' order:
+    v / u mod p for u != 0, else p.  Elementwise on arrays."""
+    u, v = np.asarray(u) % p, np.asarray(v) % p
+    at_zero, e = u == 0, p - 2
+    while e:  # v u^(p - 2) = v / u, by square and multiply
+        if e & 1:
+            v = v * u % p
+        u, e = u * u % p, e >> 1
+    return np.where(at_zero, p, v)
+
+
+def _line_rows(p: int):
+    """The bottom rows (u, v) of the lines, (1, v) then (0, 1)."""
+    return np.append(np.ones(p, int), 0), np.append(np.arange(p), 1)
 
 
 class XiTable:
     """Values of the period pairing of a prime-level rational newform.
 
-    The pairing is homogeneous, so it lives on the projective classes
-    u/v: units[x] is its value at u/v = x, at_infinity its value at
-    v = 0 and -at_infinity at u = 0.  values[u, v] holds it on every
-    pair, 0 at the pair (0, 0) of smaller order, and plus_values[u, v]
-    the even part xi^+(u, v) = (xi(u, v) + xi(-u, v)) / 2.
+    The pairing is homogeneous, so it lives on P^1(F_p): lines[l] is its
+    value on line l, (1, v) at l = v < p and (0, 1) at l = p, and on every
+    nonzero pair of that line (see line_index).
     """
 
-    def __init__(self, level: int, at_infinity: complex, units: dict):
-        self.level = p = level
-        self.at_infinity = at_infinity
-        self.units = dict(units)
-        by_class = np.array([-at_infinity] + [units[x] for x in range(1, p)])
-        inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
-        u, v = np.indices((p, p))
-        self.values = by_class[u * inverse[v] % p]
-        self.values[1:, 0] = at_infinity
-        self.values[0, 0] = 0.0
-        self.plus_values = 0.5 * (self.values + self.values[-u % p, v])
+    def __init__(self, level: int, lines):
+        self.level = level
+        self.lines = np.asarray(lines, dtype=complex)
 
-    def __call__(self, pair) -> complex:
-        u, v = pair.pair if isinstance(pair, SymbolIndex) else pair
-        return complex(self.values[u % self.level, v % self.level])
-
-    def plus(self, pair) -> complex:
-        u, v = pair if not isinstance(pair, SymbolIndex) else pair.pair
-        return 0.5 * (self((u, v)) + self((-u, v)))
-
-    def minus(self, pair) -> complex:
-        u, v = pair if not isinstance(pair, SymbolIndex) else pair.pair
-        return 0.5 * (self((u, v)) - self((-u, v)))
+    def plus(self) -> np.ndarray:
+        """The even part xi^+(u, v) = (xi(u, v) + xi(-u, v)) / 2 on the
+        lines: (-1, v) lies on the line of (1, -v)."""
+        u, v = _line_rows(self.level)
+        return 0.5 * (self.lines + self.lines[line_index(-u, v, self.level)])
 
     def closedness(self):
-        """The largest defects of Manin's relations on xi^+ over all pairs:
-        |xi^+(x) + xi^+(x sigma)| with sigma: (u, v) -> (v, -u), and
-        |xi^+(x) + xi^+(x tau) + xi^+(x tau^2)| with tau: (u, v) ->
-        (v, -u - v).  The pair (0, 0) reads 0 in both."""
-        p, plus = self.level, self.plus_values
-        u, v = np.indices((p, p))
-        two = plus + plus[v, -u % p]
-        three = plus + plus[v, (-u - v) % p] + plus[(-u - v) % p, u]
+        """The largest defects of Manin's relations on xi^+ over all lines,
+        hence over all pairs: |xi^+(x) + xi^+(x sigma)| with sigma: (u, v)
+        -> (v, -u), and |xi^+(x) + xi^+(x tau) + xi^+(x tau^2)| with tau:
+        (u, v) -> (v, -u - v)."""
+        p, plus = self.level, self.plus()
+        u, v = _line_rows(p)
+        two = plus + plus[line_index(v, -u, p)]
+        three = (plus + plus[line_index(v, -u - v, p)]
+                 + plus[line_index(-u - v, u, p)])
         # np.hypot rounds as abs() of a Python complex does; np.abs may not.
         return tuple(np.hypot(d.real, d.imag).max() for d in (two, three))
 
@@ -166,10 +156,11 @@ def xi_bridge_table(form: ModularFormData,
     """Period pairing from twisted central values.
 
     xi(x) = (w / (2 pi (p-1))) sum_k tau(chi_-k) conj(chi_k(x)) L(f, chi_k, 1)
-    over the nontrivial exponents k, xi(infinity) = (w / 2 pi) L(f, 1),
-    and xi(0) = -xi(infinity).  The chibar(x) weight is the one that
-    agrees with the quadrature route and satisfies the Hecke recursion.
-    L(f, chi_k, 1) = (2 pi / p) Lambda[k], from lambda_table.
+    at u / v = x != 0, over the nontrivial exponents k, xi(infinity) =
+    (w / 2 pi) L(f, 1) at v = 0, and xi(0) = -xi(infinity) at u = 0.  The
+    chibar(x) weight is the one that agrees with the quadrature route and
+    satisfies the Hecke recursion.  L(f, chi_k, 1) = (2 pi / p) Lambda[k],
+    from lambda_table.
     """
     p = form.level
     w = root_number(form)
@@ -181,7 +172,10 @@ def xi_bridge_table(form: ModularFormData,
     units = w * np.einsum("kx,k->x", values[k, 1:].conj(), central
                           ) / (TWO_PI * (p - 1))
     at_inf = w * l_value(form, 1.0) / TWO_PI
-    return XiTable(p, at_inf, dict(enumerate(units.tolist(), start=1)))
+    # Line (1, v) is the class x = 1 / v, the line index of (v, 1).
+    v = np.arange(1, p)
+    return XiTable(p, np.concatenate(
+        [[at_inf], units[line_index(v, 1, p) - 1], [-at_inf]]))
 
 
 ORACLE_NODES = 32  # Gauss-Legendre nodes per panel of the period oracle
@@ -248,15 +242,16 @@ def petersson(xi1: XiTable, xi2: XiTable) -> complex:
     """Pairing of two forms through their period tables.
 
     (i / (12 (N^2-1))) sum over (u, v) of
-    xi1(u, v) conj(xi2(v, -u-v)) - xi1(v, -u-v) conj(xi2(u, v)),
-    the sign being fixed so the pairing of a form with itself is
+    xi1(u, v) conj(xi2(v, -u-v)) - xi1(v, -u-v) conj(xi2(u, v)): as each
+    line holds N - 1 pairs and (0, 0) adds 0, (i / (12 (N+1))) times the
+    sum over the lines.  The sign makes the pairing of a form with itself
     positive for the path orientation used by the period tables.
     """
     if xi1.level != xi2.level:
         raise ValueError("level mismatch")
     n = xi1.level
-    u, v = np.indices((n, n))
-    turned = (v, (-u - v) % n)  # (u, v) -> (v, -u - v) on every pair
-    acc = np.sum(xi1.values * np.conj(xi2.values[turned])
-                 - xi1.values[turned] * np.conj(xi2.values))
-    return complex(acc * 1j / (12.0 * (n * n - 1)))
+    u, v = _line_rows(n)
+    turned = line_index(v, -u - v, n)
+    a, b = xi1.lines, xi2.lines
+    acc = np.sum(a * np.conj(b[turned]) - a[turned] * np.conj(b))
+    return complex(acc * 1j / (12.0 * (n + 1)))

@@ -37,7 +37,8 @@ from .lseries import (
     twisted_lambda_table,
 )
 from .mahler import curve_identity_polynomials, mahler_measure
-from .modsym import period_integral_oracle, petersson, xi_bridge_table
+from .modsym import (line_index, period_integral_oracle, petersson,
+                     xi_bridge_table)
 from .special import ABS_TOL
 
 TOL_SERIES = 1e-8     # checks that only consume rapidly convergent series
@@ -466,8 +467,8 @@ def run_thm3(config=None):
     eta(delta_x, delta_y), and the A_k on a line l add up to tau_k
     arcs[k, l], the shared arc of eta_chi_k.  xi is a function on
     P^1(F_p), as the form has trivial character: one value xi_l on line
-    l, read at its bottom row (1, v) or (0, 1).  So the right side is
-    (p i / 4) tau_k sum_l xi_l arcs[k, l].
+    l, and xi.plus() holds xi^+ on the lines in the arcs' order.  So the
+    right side is (p i / 4) tau_k sum_l xi_l arcs[k, l].
     """
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=ABS_TOL)
@@ -482,8 +483,7 @@ def run_thm3(config=None):
     chars, _, tau = character_table(p)
     evens = ctx.evens
     arcs, gap = ctx.eta_arcs
-    xi_lines = np.append(xi.plus_values[1], xi.plus_values[0, 1])
-    rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi_lines)
+    rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi.plus())
     # The right side's single-pair arcs: every x != 0, up to sign.
     truncation = dict(arc_count=(p * p - 1) // 2, lambda_terms=terms,
                       **_arc_truncation(gap))
@@ -522,9 +522,10 @@ def run_appendix(config=None):
     symbols = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
     quad = {}
     direct = period_integral_oracle(form, symbols, quadrature=quad)
-    for (u, v), value in zip(symbols, direct.tolist()):
-        rows.add(f"appendix:xi-oracle:{u},{v}", xi.values[u % p, v % p],
-                 value, 1e-7, quad, error_kind="abs", symbol=[u, v])
+    bridge = xi.lines[line_index(*zip(*symbols), p)]
+    for (u, v), left, right in zip(symbols, bridge, direct.tolist()):
+        rows.add(f"appendix:xi-oracle:{u},{v}", left, right, 1e-7, quad,
+                 error_kind="abs", symbol=[u, v])
     return rows.reports
 
 

@@ -13,12 +13,9 @@ import math
 from functools import lru_cache
 
 from ellreg.eisenstein import SIGMA, TAU_MAT
-from ellreg.modsym import (
-    SymbolIndex,
-    cusp_class_of,
-    cusp_classes,
-    enumerate_symbols,
-)
+from ellreg.modsym import SymbolIndex, cusp_class_of, cusp_classes
+
+from reference_routes import enumerate_symbols
 
 
 class SymbolVector:

@@ -6,7 +6,8 @@ and of sum-zero Eisenstein series, eta integrals along straight
 segments, the node table of every single pair E*_x along the arc
 rho -> rho^2 and its pairings (the arcs that line_arcs gives in closed
 form), weighted pairings of that table by four transforms of every
-line, plain Dirichlet partial sums, canonical symbol lifts, the raw
+line, plain Dirichlet partial sums, the order-N symbols with their
+cusp classes by the shift loop, canonical symbol lifts, the raw
 cusp-order double sum and the rebuild of the level-13 coordinate
 divisors from character units.  Then the routes that left the package
 because no command runs them: the Kronecker-limit closed forms of E*
@@ -52,7 +53,7 @@ from ellreg.eisenstein import (
 )
 from ellreg.elliptic import TWO_PI_I, PeriodLattice, _class_parameters
 from ellreg.lseries import ModularFormData
-from ellreg.modsym import CuspClass, cusp_classes
+from ellreg.modsym import CuspClass, SymbolIndex, cusp_classes
 from ellreg.special import (
     ABS_TOL,
     MAX_TERMS,
@@ -173,6 +174,29 @@ def divisor_bracket(l: FiniteMap, m: FiniteMap) -> FiniteMap:
 def integrate_eta_segment(form: EtaForm, z0, z1, **kw):
     path, velocity = _straight_path(z0, z1)
     return integrate_one_form(form, path, velocity, **kw)
+
+
+def enumerate_symbols(level: int) -> list:
+    """Every pair (u, v) of order N = level in (Z/NZ)^2, as SymbolIndex."""
+    out = []
+    for u in range(level):
+        for v in range(level):
+            if math.gcd(math.gcd(u, v), level) == 1:
+                out.append(SymbolIndex(level, u, v))
+    return out
+
+
+def shifted_cusp_class(x: SymbolIndex) -> CuspClass:
+    """The cusp class of x as the least pair over the signs s = +-1 and
+    every shift t: (s u, s (v + t u)) mod N, O(N) per pair."""
+    n = x.level
+    best = None
+    for s in (1, -1):
+        for t in range(n):
+            cand = ((s * x.u) % n, (s * (x.v + t * x.u)) % n)
+            if best is None or cand < best:
+                best = cand
+    return CuspClass(n, *best)
 
 
 def matrix_lift(x, level: int | None = None) -> UnimodularMatrix:

@@ -27,7 +27,7 @@ from ellreg.modsym import (
     XiTable,
     cusp_class_of,
     cusp_classes,
-    enumerate_symbols,
+    line_index,
     period_integral_oracle,
     petersson,
     xi_bridge_table,
@@ -42,7 +42,13 @@ from gamma1_symbols import (
     hecke_t2,
     relation_quotient_dims,
 )
-from reference_routes import _complete_row, matrix_lift, twist_by_character
+from reference_routes import (
+    _complete_row,
+    enumerate_symbols,
+    matrix_lift,
+    shifted_cusp_class,
+    twist_by_character,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,20 @@ def form11():
 @pytest.fixture(scope="module")
 def table11(form11):
     return xi_bridge_table(form11)
+
+
+def _pair_lookup(table):
+    """xi at a pair (u, v) or SymbolIndex, read from the line that
+    line_index gives it; 0 at the pair (0, 0) of smaller order."""
+    p = table.level
+    u, v = np.indices((p, p))
+    values = table.lines[line_index(u, v, p)].tolist()
+    values[0][0] = 0j
+
+    def xi(pair):
+        u, v = getattr(pair, "pair", pair)
+        return values[u % p][v % p]
+    return xi
 
 
 def test_symbol_index_normalization():
@@ -128,6 +148,17 @@ def test_cusp_classes_level_11():
         assert len(cusp_classes(n)) == n - 1
 
 
+def test_cusp_classes_in_closed_form_match_the_shift_loop():
+    # Composite levels too: at N = 60 a class can hold pairs with
+    # gcd(u, N) = 1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30 or 60.
+    for n in range(1, 61):
+        symbols = enumerate_symbols(n)
+        loop = [shifted_cusp_class(x) for x in symbols]
+        assert [cusp_class_of(x) for x in symbols] == loop, n
+        assert cusp_classes(n) == sorted(set(loop), key=lambda c: c.pair), n
+    assert len(cusp_classes(997)) == 996
+
+
 def test_boundary_of_closed_combination():
     x = SymbolIndex(11, 1, 5)
     b = boundary(SymbolVector.delta(11, x.pair))
@@ -177,45 +208,50 @@ def test_reduced_eval_modular_invariance(form11):
 
 
 def test_xi_bridge_unit_relations(table11):
-    p = table11.level
-    assert abs(table11((1, 1))) < 1e-9
-    assert abs(table11((p - 1, 1))) < 1e-9
+    p, xi = table11.level, _pair_lookup(table11)
+    assert abs(xi((1, 1))) < 1e-9
+    assert abs(xi((p - 1, 1))) < 1e-9
     for pair in ((1, 3), (2, 7), (0, 1), (1, 0), (4, 9)):
         x = SymbolIndex(p, *pair)
-        two = table11(x) + table11(x.act(SIGMA))
+        two = xi(x) + xi(x.act(SIGMA))
         assert abs(two) < 1e-9
-        three = (table11(x) + table11(x.act(TAU_MAT))
-                 + table11(x.act(TAU_MAT).act(TAU_MAT)))
+        three = (xi(x) + xi(x.act(TAU_MAT))
+                 + xi(x.act(TAU_MAT).act(TAU_MAT)))
         assert abs(three) < 1e-9
 
 
 def test_xi_bridge_structure(table11):
-    assert table11((0, 0)) == 0.0
-    assert table11((3, 0)) == table11.at_infinity
-    assert table11((0, 4)) == -table11.at_infinity
-    assert table11((2, 6)) == table11((1, 3))
-    assert table11(SymbolIndex(11, 5, 2)) == table11((5, 2))
+    xi, lines = _pair_lookup(table11), table11.lines
+    assert lines.shape == (12,)
+    assert xi((0, 0)) == 0.0
+    assert xi((3, 0)) == lines[0]
+    assert xi((0, 4)) == lines[11] == -lines[0]
+    assert xi((2, 6)) == xi((1, 3))
+    assert xi(SymbolIndex(11, 5, 2)) == xi((5, 2))
     # negation leaves the projective class unchanged
-    assert table11((9, 5)) == table11((-9, -5))
-    pair = (2, 9)
-    assert abs(table11.plus(pair) + table11.minus(pair)
-               - table11(pair)) < 1e-15
-    assert table11.plus((-2, 9)) == table11.plus(pair)
-    assert table11.minus((1, 0)) == 0.0
+    assert xi((9, 5)) == xi((-9, -5))
+    # plus() is the even part on every line: xi = xi^+ + xi^-.
+    plus = table11.plus()
+    for pair in ((2, 9), (-2, 9), (1, 0), (0, 1)):
+        minus = 0.5 * (xi(pair) - xi((-pair[0], pair[1])))
+        assert abs(plus[line_index(*pair, 11)] + minus - xi(pair)) < 1e-15
+    assert plus[line_index(-2, 9, 11)] == plus[line_index(2, 9, 11)]
+    assert xi((1, 0)) - xi((-1, 0)) == 0.0
 
 
 def test_xi_bridge_hecke_recursion(form11, table11):
     # the pairing diagonalizes T_2 with the curve eigenvalue a_2 = -2
+    xi = _pair_lookup(table11)
     for pair in ((1, 0), (1, 4), (3, 8), (0, 1)):
         image = hecke_t2(SymbolVector.delta(11, pair))
-        acc = sum(c * table11(x) for x, c in image.items())
-        assert abs(acc - (-2) * table11(pair)) < 1e-9
+        acc = sum(c * xi(x) for x, c in image.items())
+        assert abs(acc - (-2) * xi(pair)) < 1e-9
 
 
 def test_xi_infinity_against_central_value(form11, table11):
     w = root_number(form11)
     anchor = w * l_value(form11, 1.0) / (2 * math.pi)
-    assert abs(table11((1, 0)) - anchor) < 1e-13
+    assert abs(_pair_lookup(table11)((1, 0)) - anchor) < 1e-13
     assert abs(anchor) > 1e-3
 
 
@@ -223,9 +259,10 @@ def test_period_oracle_matches_bridge(form11, table11):
     rng = random.Random(11)
     sample = rng.sample(enumerate_symbols(11), 4)
     sample.append(SymbolIndex(11, 1, 0))
+    xi = _pair_lookup(table11)
     for x in sample:
         (oracle,) = period_integral_oracle(form11, [x])
-        ref = table11(x)
+        ref = xi(x)
         scale = max(1.0, abs(ref))
         assert abs(oracle - ref) < 1e-7 * scale, (x, oracle, ref)
 
@@ -249,9 +286,7 @@ def test_petersson_positive_and_matches_residue(form11, table11):
 
 def test_petersson_sesquilinear(table11):
     s = 2.0 + 3.0j
-    scaled = XiTable(
-        table11.level, s * table11.at_infinity,
-        {k: s * v for k, v in table11.units.items()})
+    scaled = XiTable(table11.level, s * table11.lines)
     pet = petersson(table11, table11)
     assert abs(petersson(scaled, table11) - s * pet) < 1e-12 * abs(s * pet)
     assert abs(petersson(table11, scaled)
@@ -668,7 +703,8 @@ def oracle_routes(request):
     closed = period_integral_oracle(form, symbols)
     reducer = np.array([_reducer_oracle(form, x) for x in symbols])
     xi = xi_bridge_table(form)
-    return form, symbols, closed, reducer, np.array([xi(x) for x in symbols])
+    bridge = np.array(list(map(_pair_lookup(xi), symbols)))
+    return form, symbols, closed, reducer, bridge
 
 
 def test_closed_form_oracle_matches_the_reducer_and_the_bridge(
@@ -759,7 +795,7 @@ def test_xi_from_the_twisted_table_matches_per_twist_central_values(curve):
     p = curve.conductor
     table = twisted_lambda_table(form)
     xi = xi_bridge_table(form, lambda_table=table)
-    assert xi.units == xi_bridge_table(form).units
+    assert xi.lines.tobytes() == xi_bridge_table(form).lines.tobytes()
     # The central values summed one twist at a time.
     w = root_number(form)
     central = {chi: l_value(twist_by_character(form, chi), 1.0)
@@ -768,52 +804,61 @@ def test_xi_from_the_twisted_table_matches_per_twist_central_values(curve):
                        * value for chi, value in central.items())
             / (2 * math.pi * (p - 1)) for x in range(1, p)}
     scale = max(abs(v) for v in want.values())
-    assert max(abs(xi.units[x] - want[x]) for x in want) <= 1e-14 * scale
+    at = _pair_lookup(xi)  # the class x = u / v is read at (x, 1)
+    assert max(abs(at((x, 1)) - want[x]) for x in want) <= 1e-14 * scale
 
 
 # The period table as the scalar code looked it up one pair at a time,
-# and the pair loops it served.  Kept here as the reference for the
-# array-backed table, its closedness defects and the Petersson pairing.
-def _scalar_xi(table, pair):
+# from the class u / v, and the pair loops it served.  Kept here as the
+# reference for the line table, its closedness defects and the Petersson
+# pairing, which now run over the p + 1 lines.
+def _scalar_class_lookup(table, pair):
+    """xi at (u, v) by its class, found with pow: v = 0 reads the line
+    (1, 0), u / v = 0 the line (0, 1), and u / v = x the line (x, 1) =
+    (1, 1 / x)."""
     p = table.level
     u, v = pair[0] % p, pair[1] % p
     if u == 0 and v == 0:
-        return 0.0
+        return 0j
     if v == 0:
-        return table.at_infinity
+        return complex(table.lines[0])
     x = (u * pow(v, -1, p)) % p
-    if x == 0:
-        return -table.at_infinity
-    return table.units[x]
+    return complex(table.lines[p if x == 0 else pow(x, -1, p)])
 
 
-def _scalar_plus(table, pair):
+def _scalar_plus(xi, pair):
     u, v = pair
-    return 0.5 * (_scalar_xi(table, (u, v)) + _scalar_xi(table, (-u, v)))
+    return 0.5 * (xi((u, v)) + xi((-u, v)))
 
 
-def _loop_closedness(table):
-    p = table.level
+def _loop_closedness(table, symbols=None):
+    """The defects pair by pair, over every order-p pair or the given
+    symbols."""
+    xi = _pair_lookup(table)
     worst2 = worst3 = 0.0
-    for x in enumerate_symbols(p):
+    for x in symbols or enumerate_symbols(table.level):
         xt = x.act(TAU_MAT)
-        worst2 = max(worst2, abs(_scalar_plus(table, x.pair)
-                                 + _scalar_plus(table, x.act(SIGMA).pair)))
+        worst2 = max(worst2, abs(_scalar_plus(xi, x.pair)
+                                 + _scalar_plus(xi, x.act(SIGMA).pair)))
         worst3 = max(worst3, abs(
-            _scalar_plus(table, x.pair) + _scalar_plus(table, xt.pair)
-            + _scalar_plus(table, xt.act(TAU_MAT).pair)))
+            _scalar_plus(xi, x.pair) + _scalar_plus(xi, xt.pair)
+            + _scalar_plus(xi, xt.act(TAU_MAT).pair)))
     return worst2, worst3
 
 
-def _pairing_terms(xi1, xi2):
-    """The terms (left, right) of the Petersson sum, pair by pair."""
+def _line_rows(n):
+    """The bottom rows of the lines: (1, v), then (0, 1)."""
+    return [(1, v) for v in range(n)] + [(0, 1)]
+
+
+def _pairing_terms(xi1, xi2, pairs=None):
+    """The terms (left, right) of the Petersson sum, pair by pair, over
+    every pair (u, v) or the given ones."""
     n = xi1.level
-    for u in range(n):
-        for v in range(n):
-            yield (_scalar_xi(xi1, (u, v))
-                   * np.conj(_scalar_xi(xi2, (v, -u - v))),
-                   _scalar_xi(xi1, (v, -u - v))
-                   * np.conj(_scalar_xi(xi2, (u, v))))
+    a, b = _pair_lookup(xi1), _pair_lookup(xi2)
+    for u, v in pairs or [(u, v) for u in range(n) for v in range(n)]:
+        yield (a((u, v)) * np.conj(b((v, -u - v))),
+               a((v, -u - v)) * np.conj(b((u, v))))
 
 
 def _loop_petersson(xi1, xi2):
@@ -824,25 +869,27 @@ def _loop_petersson(xi1, xi2):
     return acc * 1j / (12.0 * (n * n - 1)), n
 
 
-def _exact_petersson(xi1, xi2):
-    """The Petersson sum of the same table entries in exact arithmetic."""
+def _exact_petersson(xi1, xi2, on_lines=False):
+    """The Petersson sum of the same table entries in exact arithmetic,
+    over every pair, or over the lines' bottom rows, each standing for
+    the n - 1 pairs of its line, which read the same entries."""
     n = xi1.level
+    a, b = _pair_lookup(xi1), _pair_lookup(xi2)
 
-    def exact(table):
-        return {(u, v): tuple(map(Fraction, (z.real, z.imag)))
-                for u in range(n) for v in range(n)
-                for z in [complex(_scalar_xi(table, (u, v)))]}
-    x1, x2 = exact(xi1), exact(xi2)
+    def exact(xi, pair):
+        z = xi(pair)
+        return Fraction(z.real), Fraction(z.imag)
+    pairs = (_line_rows(n) if on_lines
+             else [(u, v) for u in range(n) for v in range(n)])
     re = im = Fraction(0)
-    for u in range(n):
-        for v in range(n):
-            turned = (v, (-u - v) % n)
-            (ar, ai), (br, bi) = x1[u, v], x1[turned]
-            (cr, ci), (dr, di) = x2[turned], x2[u, v]
-            # a conj(c) - b conj(d)
-            re += ar * cr + ai * ci - br * dr - bi * di
-            im += ai * cr - ar * ci - bi * dr + br * di
-    scale = 12 * (n * n - 1)
+    for u, v in pairs:
+        turned = (v, -u - v)
+        (ar, ai), (br, bi) = exact(a, (u, v)), exact(a, turned)
+        (cr, ci), (dr, di) = exact(b, turned), exact(b, (u, v))
+        # a conj(c) - b conj(d)
+        re += ar * cr + ai * ci - br * dr - bi * di
+        im += ai * cr - ar * ci - bi * dr + br * di
+    scale = Fraction(12 * (n * n - 1), n - 1 if on_lines else 1)
     return complex(float(-im / scale), float(re / scale))
 
 
@@ -858,18 +905,20 @@ def bridge(request):
 def test_xi_table_array_matches_the_scalar_lookup_on_every_pair(bridge):
     _, xi = bridge
     p = xi.level
-    assert xi.values.shape == xi.plus_values.shape == (p, p)
+    assert xi.lines.shape == xi.plus().shape == (p + 1,)
+    at = _pair_lookup(xi)
     for u in range(p):
         for v in range(p):
-            want = _scalar_xi(xi, (u, v))
-            assert xi((u, v)) == xi.values[u, v] == want, (u, v)
-            assert xi((u - p, v + 2 * p)) == want
-            want_plus = _scalar_plus(xi, (u, v))
-            assert xi.plus((u, v)) == xi.plus_values[u, v] == want_plus
-            assert xi.minus((u, v)) == 0.5 * (
-                want - _scalar_xi(xi, (-u, v)))
-    assert xi((0, 0)) == 0 and xi((5, 0)) == xi.at_infinity
-    assert xi((0, 3)) == -xi.at_infinity
+            want = _scalar_class_lookup(xi, (u, v))
+            assert at((u, v)) == want, (u, v)
+            assert at((u - p, v + 2 * p)) == want
+    # plus() on the line of every pair but (0, 0) is that pair's even part.
+    u, v = np.indices((p, p))
+    got = xi.plus()[line_index(u, v, p)].ravel()[1:]
+    want = [_scalar_plus(at, (a, b)) for a in range(p) for b in range(p)]
+    assert got.tolist() == want[1:]
+    assert at((0, 0)) == 0 and at((5, 0)) == xi.lines[0]
+    assert at((0, 3)) == xi.lines[p] == -xi.lines[0]
 
 
 def test_closedness_defects_match_the_pair_loop_bitwise(bridge):
@@ -893,7 +942,8 @@ def test_bridge_units_match_the_character_loop(bridge):
             acc += tau_bar * complex(chi(x)).conjugate() * lval
         want[x] = w * acc / (2 * math.pi * (p - 1))
     scale = max(abs(v) for v in want.values())
-    assert max(abs(xi.units[x] - want[x]) for x in want) <= 1e-15 * scale
+    at = _pair_lookup(xi)  # the class x = u / v is read at (x, 1)
+    assert max(abs(at((x, 1)) - want[x]) for x in want) <= 1e-15 * scale
 
 
 def test_petersson_array_route_matches_the_pair_loop(bridge):
@@ -901,7 +951,7 @@ def test_petersson_array_route_matches_the_pair_loop(bridge):
     p = xi.level
     rng = np.random.default_rng(p)
     draw = lambda: complex(*rng.normal(size=2))  # noqa: E731
-    other = XiTable(p, draw(), {x: draw() for x in range(1, p)})
+    other = XiTable(p, [draw() for _ in range(p + 1)])
     for a, b in ((xi, xi), (xi, other)):
         got = petersson(a, b)
         loop, n = _loop_petersson(a, b)
@@ -916,3 +966,23 @@ def test_petersson_array_route_matches_the_pair_loop(bridge):
         if a is b:
             # The square norm, the value the appendix reads.
             assert abs(got - exact) <= 1e-15 * abs(exact)
+
+
+def test_closedness_and_petersson_on_random_tables_at_389():
+    # The pair loops would take O(p^2); a line's pairs all read its
+    # entries, so the loops over the lines' bottom rows give the same
+    # defects and the same exact sum.
+    p = 389
+    rng = np.random.default_rng(p)
+    a, b = (XiTable(p, rng.normal(size=p + 1) + 1j * rng.normal(size=p + 1))
+            for _ in range(2))
+    rows = [SymbolIndex(p, *pair) for pair in _line_rows(p)]
+    assert a.closedness() == _loop_closedness(a, rows)
+    assert min(a.closedness()) > 0.1
+    for x, y in ((a, a), (a, b)):
+        got = petersson(x, y)
+        exact = _exact_petersson(x, y, on_lines=True)
+        size = sum(abs(left) + abs(right)
+                   for left, right in _pairing_terms(x, y, _line_rows(p)))
+        size /= 12.0 * (p + 1)
+        assert abs(got - exact) <= 1e-15 * size

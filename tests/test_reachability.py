@@ -22,6 +22,9 @@ COMMANDS = [
     ["units", "--level", "37", "--char", "37:g=2,zeta3^1"],
     # A character of conductor 5 mod 25: _primitive_part lifts its units.
     ["units", "--level", "25", "--char", "25:g=2,zeta2^1"],
+    # The closed-form cusp classes at a size where the O(N^3) shift loop
+    # over all N^2 pairs took about 25 s.
+    ["units", "--level", "389", "--char", "389:g=2,zeta2^1"],
     ["mahler", "--poly", "X^2 Y: 1, X: -3, 1: 1"],
     # Y-degree 0: every node row takes the scalar _one_variable_measure.
     ["mahler", "--poly", "X: 1, 1: -3"],

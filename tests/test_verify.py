@@ -15,6 +15,7 @@ from ellreg.characters import (
 from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
 from ellreg.mahler import curve_identity_polynomials
+from ellreg.modsym import line_index
 from ellreg.special import ABS_TOL
 from ellreg.verify import (
     SUITES,
@@ -492,12 +493,15 @@ CURVE_101A = CurveModel(0, 1, 1, -1, -1, 101)
                                    CURVE_37A, CURVE_101A],
                          ids=lambda c: "%da" % c.conductor)
 def test_xi_is_constant_on_every_line_of_the_node_table(curve):
-    # thm3 reads xi at each line's bottom row, (1, v) or (0, 1), for every
-    # point a (1, v) or a (0, 1) of the line: xi is a function on P^1(F_p).
+    # thm3 reads xi^+ once per line, in the arcs' order: (1, v) at l = v,
+    # then (0, 1) at l = p.  line_index sends every point a (1, v) and
+    # a (0, 1) of line l to l, so xi is a function on P^1(F_p).
     ctx, p = resolve_config(curve=curve).context, curve.conductor
     lines = np.array([(1, v) for v in range(p)] + [(0, 1)])
     pairs = np.multiply.outer(lines, np.arange(1, p)).transpose(0, 2, 1) % p
-    xi = ctx.xi.plus_values[pairs[..., 0], pairs[..., 1]]
+    index = line_index(pairs[..., 0], pairs[..., 1], p)
+    assert index.tolist() == [[l] * (p - 1) for l in range(p + 1)]
+    xi = ctx.xi.plus()[index]
     assert xi.tobytes() == np.repeat(xi[:, :1], xi.shape[1], 1).tobytes()
 
 
@@ -514,9 +518,10 @@ def test_thm3_right_side_matches_the_xi_weighted_pairings(curve):
     # xi(x) + xi(-x), and the pairing counts each x twice.
     table = ArcTable(p, suggested_rmax(p, math.sqrt(3) / 2))
     u, v = np.moveaxis(table.pairs, -1, 0)
-    f = ctx.xi.plus_values
-    values, _ = _pairings_on_every_line(table, ctx.evens,
-                                        f[u, v] + f[-u % p, -v % p])
+    plus = ctx.xi.plus()
+    values, _ = _pairings_on_every_line(
+        table, ctx.evens,
+        plus[line_index(u, v, p)] + plus[line_index(-u, -v, p)])
     tau = character_table(p).tau[ctx.evens]
     weighted = (p * 1j / 4.0) * tau / 2.0 * values.sum(axis=0)
     assert np.abs(rhs - weighted).max() <= 2e-15 * np.abs(rhs).max()
@@ -637,13 +642,14 @@ def test_level_generic_suites_read_arrays_not_objects(monkeypatch):
 
     for name in ("__eq__", "__hash__", "__mul__"):
         counting(DirichletCharacter, name)
-    for name in ("__call__", "plus"):
-        counting(modsym.XiTable, name)
+    counting(modsym.XiTable, "plus")
     counting(modsym.SymbolIndex, "__init__")
     rows = [r for name in ("thm1", "thm2", "thm3", "appendix")
             for r in SUITES[name](config)]
     assert len(rows) == 36 and all(r.passed for r in rows)
-    assert counts == {}
+    # xi^+ on the whole line table, once for thm3's closedness row and
+    # once for its right side.
+    assert counts == {("XiTable", "plus"): 2}
 
 
 def test_suites_build_one_form_and_no_twist(monkeypatch):
