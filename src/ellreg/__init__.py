@@ -6,6 +6,7 @@ series, cusp divisors of modular units, and Mahler measures, and checks
 the identities tying them together at prime levels.
 """
 
+import importlib
 import os
 
 # One thread: OpenBLAS's pool saves no wall time on these small matrices
@@ -15,123 +16,42 @@ import os
 # that imported numpy first keeps its pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .characters import (  # noqa: E402
-    DirichletCharacter,
-    FiniteMap,
-    character_from_label,
-    character_label,
-    enumerate_characters,
-    gauss_sum,
-    l_chi_2,
-    twisted_bernoulli2,
-)
-from .eisenstein import (  # noqa: E402
-    EtaForm,
-    UnimodularMatrix,
-    arc_integral,
-    eta_chi,
-    eta_form,
-    g_column,
-)
-from .elliptic import (  # noqa: E402
-    CURVE_11A,
-    CURVE_17A,
-    CURVE_REGISTRY,
-    CurveModel,
-    PeriodLattice,
-    TorsionCoordinate,
-    an_coefficients,
-    elliptic_dilog,
-    periods,
-    torsion_coordinate,
-)
-from .lseries import (  # noqa: E402
-    l_value,
-    lambda_value,
-    newform_from_curve,
-    residue_tensor_square,
-    root_number,
-    twisted_lambda_table,
-)
-from .mahler import (  # noqa: E402
-    BivariatePolynomial,
-    curve_identity_polynomials,
-    mahler_measure,
-)
-from .modsym import (  # noqa: E402
-    SymbolIndex,
-    cusp_classes,
-    period_integral_oracle,
-    petersson,
-    xi_bridge_table,
-)
-from .special import (  # noqa: E402
-    TruncationError,
-    bloch_wigner,
-    dilog,
-    incomplete_gamma_upper,
-    periodic_bernoulli2,
-)
-from .units import CuspDivisor, unit_divisor_chi  # noqa: E402
-from .verify import (  # noqa: E402
-    CheckReport,
-    VerifyConfig,
-    resolve_config,
-    run_all,
-    summarize,
-)
+# Each public name and the module it lives in.  A name's module is
+# imported when the name is first read (PEP 562), so a run loads only
+# the modules it uses.
+_HOME = {name: module for module, names in [
+    ("characters", "DirichletCharacter FiniteMap character_from_label "
+     "character_label enumerate_characters gauss_sum l_chi_2 "
+     "twisted_bernoulli2"),
+    ("eisenstein", "EtaForm UnimodularMatrix arc_integral eta_chi eta_form "
+     "g_column"),
+    ("elliptic", "CURVE_11A CURVE_17A CURVE_REGISTRY CurveModel PeriodLattice "
+     "TorsionCoordinate an_coefficients elliptic_dilog periods "
+     "torsion_coordinate"),
+    ("lseries", "l_value lambda_value newform_from_curve "
+     "residue_tensor_square root_number twisted_lambda_table"),
+    ("mahler", "BivariatePolynomial curve_identity_polynomials "
+     "mahler_measure"),
+    ("modsym", "SymbolIndex cusp_classes period_integral_oracle petersson "
+     "xi_bridge_table"),
+    ("special", "TruncationError bloch_wigner dilog incomplete_gamma_upper "
+     "periodic_bernoulli2"),
+    ("units", "CuspDivisor unit_divisor_chi"),
+    ("verify", "CheckReport VerifyConfig resolve_config run_all summarize"),
+] for name in names.split()}
 
-__all__ = [
-    "BivariatePolynomial",
-    "CURVE_11A",
-    "CURVE_17A",
-    "CURVE_REGISTRY",
-    "CheckReport",
-    "CurveModel",
-    "CuspDivisor",
-    "DirichletCharacter",
-    "EtaForm",
-    "FiniteMap",
-    "PeriodLattice",
-    "SymbolIndex",
-    "TorsionCoordinate",
-    "TruncationError",
-    "UnimodularMatrix",
-    "VerifyConfig",
-    "an_coefficients",
-    "arc_integral",
-    "bloch_wigner",
-    "character_from_label",
-    "character_label",
-    "curve_identity_polynomials",
-    "cusp_classes",
-    "dilog",
-    "elliptic_dilog",
-    "enumerate_characters",
-    "eta_chi",
-    "eta_form",
-    "g_column",
-    "gauss_sum",
-    "incomplete_gamma_upper",
-    "l_chi_2",
-    "l_value",
-    "lambda_value",
-    "mahler_measure",
-    "newform_from_curve",
-    "period_integral_oracle",
-    "periodic_bernoulli2",
-    "periods",
-    "petersson",
-    "residue_tensor_square",
-    "resolve_config",
-    "root_number",
-    "run_all",
-    "summarize",
-    "torsion_coordinate",
-    "twisted_bernoulli2",
-    "twisted_lambda_table",
-    "unit_divisor_chi",
-    "xi_bridge_table",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

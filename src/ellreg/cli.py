@@ -10,8 +10,6 @@ from contextlib import nullcontext
 
 from .characters import character_from_label
 from .elliptic import CurveModel
-from .mahler import BivariatePolynomial, mahler_measure
-from .units import unit_divisor_chi
 from .verify import (SUITES, reports_to_json, resolve_config, run_all,
                      summarize)
 
@@ -77,6 +75,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_units(args) -> int:
+    from .units import unit_divisor_chi
+
     chi = character_from_label(args.char)
     if chi.modulus != args.level:
         raise ValueError(
@@ -93,6 +93,8 @@ def _cmd_units(args) -> int:
 
 
 def _cmd_mahler(args) -> int:
+    from .mahler import BivariatePolynomial, mahler_measure
+
     poly = BivariatePolynomial.from_string(args.poly)
     value = mahler_measure(poly)
     print(json.dumps({"poly": str(poly), "mahler_measure": value}, indent=2))

@@ -169,17 +169,32 @@ class EisensteinStream:
         self.c_log = -math.pi / N**2 * divisor.degree
         self.A = np.zeros(rmax + 1, dtype=complex)
         self.B = np.zeros(rmax + 1, dtype=complex)
+        # Every term of A and B in the order of a loop over pairs, signs,
+        # k and m, added in one pass each: np.add.at adds in index order,
+        # so each A_r and B_r rounds as that loop would.
+        at, to_a, to_b = [], [], []
+        constant = {}  # the constant term, the same for every pair with this u
         for (u, v), c in divisor.items():
             if u == 0:
                 self.c_y += c * (2.0 * math.pi**2 / N) * _beta2(v, N)
-            self.c_0 += c * _constant_term(u, N)
+            if u not in constant:
+                constant[u] = _constant_term(u, N)
+            self.c_0 += c * constant[u]
             for sign in (1, -1):
                 # r = k m with k = sign u mod N gains e(sign m v / N) / k.
-                for k in range((sign * u) % N or N, rmax + 1, N):
-                    m = np.arange(1, rmax // k + 1)
-                    base = np.exp(sign * 2j * math.pi * (m * v % N) / N) / k
-                    self.A[k * m] += c * (math.pi / N) * base
-                    self.B[k * m] += c * (math.pi / N) * base.conj()
+                ks = np.arange((sign * u) % N or N, rmax + 1, N)
+                counts = rmax // ks
+                k = np.repeat(ks, counts)
+                m = np.arange(1, len(k) + 1) - np.repeat(
+                    np.cumsum(counts) - counts, counts)
+                base = np.exp(sign * 2j * math.pi * (m * v % N) / N) / k
+                at.append(k * m)
+                to_a.append(c * (math.pi / N) * base)
+                to_b.append(c * (math.pi / N) * base.conj())
+        if at:
+            at = np.concatenate(at)
+            np.add.at(self.A, at, np.concatenate(to_a))
+            np.add.at(self.B, at, np.concatenate(to_b))
 
     def _exps(self, z):
         """The table of e^{2 pi i r z / N} for r = 0 .. rmax."""
@@ -400,8 +415,12 @@ def line_arcs(p: int, ks):
     below 1e-10 max(1, |value|), as integrate_one_form does."""
     ks = np.asarray(ks)
     _, values, tau = character_table(p)
-    reps, where = np.unique(np.minimum(ks, -ks % (p - 1)),
-                            return_inverse=True)
+    # Each pair {chi, conj chi} by its lesser exponent; where[j] is ks[j]'s
+    # place among the distinct ones, read off the running count.
+    half = np.minimum(ks, -ks % (p - 1))
+    seen = np.bincount(half) > 0
+    reps = np.flatnonzero(seen)
+    where = (np.cumsum(seen) - 1)[half]
     sign = np.sign(-ks % (p - 1) - ks)  # 0 for a real character
     # Blocks of step characters, the last padded with repeats, keep the
     # one buffer of H and D = d_z H on every line and node within

@@ -242,9 +242,35 @@ def periodic_bernoulli2(x: float) -> float:
     return t * t - t + 1.0 / 6.0
 
 
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
+NEWTON_STEPS = 10  # the most Newton steps a rule may take before it raises
+
+
 @lru_cache(maxsize=None)
 def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    # Newton's method on P_n from the Tricomi-style first guesses, in
+    # O(n^2) work and with no eigensolve (Hale and Townsend, SIAM J. Sci.
+    # Comput. 35, 2013).  The symmetrizations make the nodes exactly odd
+    # and the weights exactly even.
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(NEWTON_STEPS):
+        value, slope = _legendre(n, x)
+        step = value / slope
+        x -= step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    else:
+        raise RuntimeError(f"{n}-point Gauss-Legendre nodes did not converge")
+    x = (x - x[::-1]) / 2
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
+    w = (w + w[::-1]) / 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -36,7 +36,6 @@ from .lseries import (
     root_number,
     twisted_lambda_table,
 )
-from .mahler import curve_identity_polynomials, mahler_measure
 from .modsym import (line_index, period_integral_oracle, petersson,
                      xi_bridge_table)
 from .special import ABS_TOL
@@ -535,6 +534,8 @@ def run_mahler(config=None):
     config = config or VerifyConfig()
     rows = _Rows(config)
     _require_conductor_11(config, "each Mahler measure identity")
+    from .mahler import curve_identity_polynomials, mahler_measure
+
     l_two = config.context.l_two
     terms = {"lambda_terms": config.context.lambda_terms(config.level),
              "lseries_terms": config.context.form.nmax}

@@ -173,24 +173,55 @@ def test_cli_runs_without_sympy():
                                   ["verify", "appendix", "--level", "17"]])
 def test_verify_leaves_numpy_ma_unloaded(argv):
     # numpy.ma costs about 17 ms to import; a 1-d np.unique loads it.
+    # Away from level 11 no Mahler measure runs: mahler, units and
+    # numpy.polynomial stay unloaded, and no np.linalg routine is called.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = ("import sys; from ellreg.cli import main; code = main(%r); "
-            "print('numpy.ma' in sys.modules, code)" % (argv,))
+    unloaded = ["numpy.ma"]
+    code = "import sys; from ellreg.cli import main; "
+    if "--level" in argv:
+        unloaded += ["numpy.polynomial", "ellreg.mahler", "ellreg.units"]
+        code += ("import numpy.linalg as la\n"
+                 "def refuse(*args, **kwargs):\n"
+                 "    raise AssertionError('np.linalg was called')\n"
+                 "for name in la.__all__: setattr(la, name, refuse)\n")
+    code += ("code = main(%r); print([m for m in %r if m in sys.modules], "
+             "code)" % (argv, unloaded))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False 0"
+    assert done.stdout.splitlines()[-1] == "[] 0"
 
 
 def test_import_leaves_fractions_unloaded():
     # fractions, and decimal with it, cost about 3 ms to import; only
-    # CurveModel.j_invariant needs it.
+    # CurveModel.j_invariant needs it.  The mahler and units commands
+    # import their modules, and no command imports numpy.polynomial.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    code = "import sys, ellreg.cli; print('fractions' in sys.modules)"
+    modules = ["fractions", "ellreg.mahler", "ellreg.units",
+               "numpy.polynomial"]
+    code = ("import sys, ellreg.cli; print([m for m in %r if m in "
+            "sys.modules])" % (modules,))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_to_their_home_modules():
+    import importlib
+
+    import ellreg
+
+    for name in ellreg.__all__:
+        home = importlib.import_module("ellreg." + ellreg._HOME[name])
+        assert getattr(ellreg, name) is getattr(home, name), name
+    namespace = {}
+    exec("from ellreg import *", namespace)
+    assert all(namespace[name] is getattr(ellreg, name)
+               for name in ellreg.__all__)
+    assert set(ellreg.__all__) <= set(dir(ellreg))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ellreg.no_such_name
 
 
 def test_summary_reports_the_runs_wall_and_cpu_time(capsys):

@@ -33,6 +33,7 @@ from ellreg.eisenstein import (
     suggested_rmax,
 )
 from ellreg.characters import _divisors
+from ellreg.eisenstein import _beta2, _constant_term
 from ellreg.modsym import SymbolIndex
 
 from reference_routes import (
@@ -718,3 +719,39 @@ def test_stream_series_match_the_term_by_term_loops(modulus, coeffs):
     # The loops raise e(m / N) to the v-th power, a few ulps per factor.
     assert np.abs(stream.A - A).max() <= 1e-13
     assert np.abs(stream.B - B).max() <= 1e-13
+
+
+def _stream_by_k_loop(divisor, rmax):
+    """c_0, c_y, A and B built as one loop over pairs, signs and k."""
+    n = divisor.modulus
+    c_y = c_0 = 0.0 + 0.0j
+    A = np.zeros(rmax + 1, dtype=complex)
+    B = np.zeros(rmax + 1, dtype=complex)
+    for (u, v), c in divisor.items():
+        if u == 0:
+            c_y += c * (2.0 * math.pi**2 / n) * _beta2(v, n)
+        c_0 += c * _constant_term(u, n)
+        for sign in (1, -1):
+            for k in range((sign * u) % n or n, rmax + 1, n):
+                m = np.arange(1, rmax // k + 1)
+                base = np.exp(sign * 2j * math.pi * (m * v % n) / n) / k
+                A[k * m] += c * (math.pi / n) * base
+                B[k * m] += c * (math.pi / n) * base.conj()
+    return c_0, c_y, A, B
+
+
+@pytest.mark.parametrize("p", [11, 17, 37])
+def test_stream_builds_round_as_the_k_loop_does(p):
+    # Both halves of an eta_chi form and a divisor off the row u = 0,
+    # with one pair at u = p - u' so that both signs land on one k.
+    rng = np.random.default_rng(p)
+    form = eta_chi(enumerate_characters(p)[2])
+    other = PairDivisor(p, {(1, 2): 0.5, (p - 1, 3): 1.0 - 2.0j,
+                            (3, 0): rng.normal(), (0, 5): 1j})
+    for divisor in (form.left, form.right, other):
+        stream = EisensteinStream(divisor, form.rmax)
+        c_0, c_y, A, B = _stream_by_k_loop(divisor, form.rmax)
+        assert stream.c_0 == c_0 and stream.c_y == c_y
+        assert np.array_equal(stream.A, A) and np.array_equal(stream.B, B)
+    empty = EisensteinStream(PairDivisor(p), 40)
+    assert not empty.A.any() and not empty.B.any()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ellreg.special import (
     TruncationError,
+    _leggauss,
     bloch_wigner,
     complex_gamma,
     dilog,
@@ -251,6 +252,67 @@ def test_gauss_legendre_exact_for_degree_2n_minus_1():
     xs, ws = gauss_legendre_nodes(8, -1.0, 2.0)
     approx = ws @ poly(xs)
     assert abs(approx - exact) < 1e-11 * max(1.0, abs(exact))
+
+
+def _mpmath_leggauss(n, digits=30):
+    """Nodes and weights at the given precision, from mpmath's own
+    Legendre function: Newton from the cosine guesses on P_n, with P_n' =
+    n (x P_n - P_{n-1}) / (x^2 - 1), and w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits + 10):
+        def value_and_slope(x):
+            value = mpmath.legendre(n, x)
+            return value, n * (x * value - mpmath.legendre(n - 1, x)) / (
+                x * x - 1)
+
+        nodes, weights = [], []
+        for k in range(1, n + 1):
+            x = -mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + 0.5))
+            for _ in range(100):
+                value, slope = value_and_slope(x)
+                x -= value / slope
+                if abs(value / slope) < mpmath.mpf(10) ** -digits:
+                    break
+            else:
+                raise AssertionError("the reference did not converge")
+            slope = value_and_slope(x)[1]
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope ** 2))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n, tol", [(32, 2e-16), (64, 5e-16)])
+def test_gauss_legendre_matches_a_30_digit_reference(n, tol):
+    x, w = gauss_legendre_nodes(n)
+    ref_x, ref_w = _mpmath_leggauss(n)
+    assert list(x) == sorted(x) and len(set(x)) == n
+    assert max(abs(float(a - b)) for a, b in zip(ref_x, x)) <= tol
+    assert max(abs(float(a - b)) for a, b in zip(ref_w, w)) <= tol
+
+
+def test_gauss_legendre_makes_no_linalg_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg was called")
+
+    for name in np.linalg.__all__:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    _leggauss.cache_clear()
+    x, w = _leggauss(48)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert _leggauss(48)[0] is x
+
+
+def test_gauss_legendre_raises_past_its_newton_cap(monkeypatch):
+    import ellreg.special as special
+
+    monkeypatch.setattr(special, "NEWTON_STEPS", 1)
+    _leggauss.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _leggauss(20)
+    finally:
+        _leggauss.cache_clear()
 
 
 def test_complex_gamma_matches_real_gamma():

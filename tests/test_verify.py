@@ -134,7 +134,7 @@ def builder_runs():
     """run_all at 11, then thm1, thm2, thm3 and appendix at 17, each on a
     fresh config with --tolerance 1e-16: every suite's rows and its own
     wall time by (level, suite), and the polynomials mahler_measure got."""
-    import ellreg.verify as verify
+    import ellreg.mahler as mahler
 
     suites, measured = {}, []
     with pytest.MonkeyPatch.context() as mp:
@@ -145,12 +145,12 @@ def builder_runs():
                 suites[config.level, name] = rows, time.perf_counter() - t0
                 return rows
             mp.setitem(SUITES, name, timed)
-        real_measure = verify.mahler_measure
+        real_measure = mahler.mahler_measure
 
         def counted(poly, *args, **kwargs):
             measured.append(poly)
             return real_measure(poly, *args, **kwargs)
-        mp.setattr(verify, "mahler_measure", counted)
+        mp.setattr(mahler, "mahler_measure", counted)
         run_all(resolve_config(tolerance=1e-16))
         for name in ("thm1", "thm2", "thm3", "appendix"):
             SUITES[name](resolve_config(level=17, tolerance=1e-16))
