@@ -1,8 +1,8 @@
 """Dirichlet characters with exact root-of-unity arithmetic.
 
 Characters are stored as exponent tables: chi(a) = exp(2 pi i e(a) / M)
-with integer e(a) modulo a common order M, so products, conjugates and
-equality are exact.  Complex values are cached on first use.
+with integer e(a) modulo a common order M, so conjugates and equality
+are exact.  Complex values are cached on first use.
 """
 
 from __future__ import annotations
@@ -187,10 +187,6 @@ class DirichletCharacter:
         return self._exp[(-1) % self.modulus] == 0
 
     @property
-    def is_odd(self):
-        return not self.is_even
-
-    @property
     def conductor(self):
         """Smallest d | N such that chi factors through (Z/dZ)*."""
         n = self.modulus
@@ -211,18 +207,6 @@ class DirichletCharacter:
     def conjugate(self):
         exps = [None if e is None else (-e) % self.order for e in self._exp]
         return DirichletCharacter(self.modulus, self.order, exps)
-
-    def __mul__(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("character moduli differ")
-        m = math.lcm(self.order, other.order)
-        exps = []
-        for e1, e2 in zip(self._exp, other._exp):
-            if e1 is None or e2 is None:
-                exps.append(None)
-            else:
-                exps.append((e1 * (m // self.order) + e2 * (m // other.order)) % m)
-        return DirichletCharacter(self.modulus, m, exps)
 
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
@@ -269,27 +253,8 @@ class FiniteMap:
     def from_character(cls, chi):
         return cls(chi.modulus, [chi(a) for a in range(chi.modulus)])
 
-    @classmethod
-    def delta(cls, modulus, support):
-        vals = [0.0] * modulus
-        vals[support % modulus] = 1.0
-        return cls(modulus, vals)
-
     def __call__(self, n):
         return self.values[n % self.modulus]
-
-    def conjugate(self):
-        return FiniteMap(self.modulus, [v.conjugate() for v in self.values])
-
-    def total(self):
-        return sum(self.values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteMap)
-            and self.modulus == other.modulus
-            and self.values == other.values
-        )
 
 
 def gauss_sum(chi) -> complex:

@@ -33,8 +33,8 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class UnimodularMatrix:
-    """Element of SL_2(Z) acting on H by fractional linear maps and on
-    row vectors (u, v) by right multiplication."""
+    """Element of SL_2(Z), acting on row vectors (u, v) by right
+    multiplication."""
 
     a: int
     b: int
@@ -45,29 +45,12 @@ class UnimodularMatrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("matrix must have determinant 1")
 
-    def act(self, z):
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def derivative(self, z):
-        return 1.0 / (self.c * z + self.d) ** 2
-
     def row_action(self, pair, modulus):
         u, v = pair
         return (
             (u * self.a + v * self.c) % modulus,
             (u * self.b + v * self.d) % modulus,
         )
-
-    def __matmul__(self, other):
-        return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self):
-        return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
 
 
 IDENTITY = UnimodularMatrix(1, 0, 0, 1)
@@ -93,10 +76,6 @@ class PairDivisor:
                     self.coeffs[key] = self.coeffs.get(key, 0) + c
 
     @classmethod
-    def delta(cls, modulus, u, v, weight=1.0):
-        return cls(modulus, {(u, v): weight})
-
-    @classmethod
     def from_residue_map(cls, f: FiniteMap):
         """Embed a weight function on Z/N along the row (0, v)."""
         return cls(f.modulus, {(0, v): f(v) for v in range(f.modulus)})
@@ -107,23 +86,6 @@ class PairDivisor:
             y = g.row_action(x, self.modulus)
             out[y] = out.get(y, 0) + c
         return PairDivisor(self.modulus, out)
-
-    def conjugation_flip(self):
-        return PairDivisor(
-            self.modulus,
-            {((-u) % self.modulus, v): c for (u, v), c in self.coeffs.items()},
-        )
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            out[x] = out.get(x, 0) + c
-        return PairDivisor(self.modulus, out)
-
-    def scaled(self, s):
-        return PairDivisor(
-            self.modulus, {x: s * c for x, c in self.coeffs.items()}
-        )
 
     @property
     def degree(self):
@@ -200,9 +162,6 @@ class EisensteinStream:
         """The table of e^{2 pi i r z / N} for r = 0 .. rmax."""
         r = np.arange(self.rmax + 1)
         return np.exp(2j * math.pi * np.multiply.outer(r, z) / self.modulus)
-
-    def value(self, z):
-        return self.jet(z)[0]
 
     def jet(self, z, ez=None):
         """E*_F at z and the coefficients of dz and dzbar in its total

@@ -59,13 +59,6 @@ class CurveModel:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    @property
-    def j_invariant(self):
-        from fractions import Fraction  # on use: it loads decimal too
-
-        c4, _ = self.c_invariants
-        return Fraction(c4**3, self.discriminant)
-
     def rhs(self, x):
         return x**3 + self.a2 * x**2 + self.a4 * x + self.a6
 
@@ -262,32 +255,20 @@ class TorsionCoordinate:
         if self.n < 1:
             raise ValueError("n must be positive")
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed torsion orders")
-        return TorsionCoordinate(
-            self.n, (self.a + other.a) % self.n, (self.b + other.b) % self.n
-        )
-
-    def __neg__(self):
-        return TorsionCoordinate(self.n, (-self.a) % self.n, (-self.b) % self.n)
-
     def scale(self, k):
         return TorsionCoordinate(self.n, (k * self.a) % self.n, (k * self.b) % self.n)
 
-    @property
-    def is_zero(self):
-        return self.a % self.n == 0 and self.b % self.n == 0
 
+def torsion_coordinate(curve: CurveModel, lattice: PeriodLattice, point,
+                       n: int):
+    """Match a rational n-torsion point (x, y) of the curve to its class
+    on the curve's lattice, periods(curve).
 
-def torsion_coordinate(curve: CurveModel, point, n: int, tol=1e-6):
-    """Match a rational n-torsion point (x, y) to its lattice class.
-
-    Scans all n^2 - 1 nonzero classes, comparing both coordinates, and
-    insists on a unique match; anything else is a hard error.
+    Scans all n^2 - 1 nonzero classes, comparing both coordinates to
+    within 1e-6, and insists on a unique match; anything else is a hard
+    error.
     """
     x, y = point
-    lattice = periods(curve)
     target_X = float(x) + lattice.b2 / 12.0
     target_Y = 2.0 * float(y) + curve.a1 * float(x) + curve.a3
     matches = []
@@ -296,7 +277,7 @@ def torsion_coordinate(curve: CurveModel, point, n: int, tol=1e-6):
             if a == 0 and b == 0:
                 continue
             px, py = _weierstrass_pair(lattice, a / n, b / n)
-            if abs(px - target_X) < tol and abs(py - target_Y) < tol:
+            if abs(px - target_X) < 1e-6 and abs(py - target_Y) < 1e-6:
                 matches.append(TorsionCoordinate(n, a, b))
     if len(matches) != 1:
         raise ValueError(

@@ -66,11 +66,6 @@ class ModularFormData:
     def nmax(self) -> int:
         return len(self.coefficients) - 1
 
-    def conjugate_partner(self) -> "ModularFormData":
-        """The form whose coefficients are the conjugate stream."""
-        return ModularFormData(self.level, self.coefficients.conj(),
-                               label=self.label + "~")
-
 
 def newform_from_curve(curve: CurveModel, nmax: int) -> ModularFormData:
     """Rational newform attached to an integral Weierstrass model."""
@@ -270,17 +265,16 @@ def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
 
 
 def residue_tensor_square(form: ModularFormData,
-                          lambda_table: np.ndarray | None = None) -> float:
+                          lambda_table: np.ndarray) -> float:
     """Residue of L(f (x) f, s) at s = 2 for prime-level trivial-character f.
 
     (2 pi i / ((N+1)(N-1)^2)) sum Lambda(f x chi',1) Lambda(f x chi,1)
     / tau(chi chi') over ordered pairs of primitive characters mod N
     with chi chi' odd.  With chi = chi_j and chi' = chi_k that is
-    chi_{j+k}, odd exactly when j + k is.
+    chi_{j+k}, odd exactly when j + k is.  lambda_table is the twisted
+    table of twisted_lambda_table.
     """
     n = form.level
-    if lambda_table is None:
-        lambda_table = twisted_lambda_table(form)
     lam = lambda_table[1:]
     j = np.arange(1, n - 1)
     pair = np.add.outer(j, j) % (n - 1)

@@ -88,11 +88,6 @@ class BivariatePolynomial:
             out[i:i + other.deg_x + 1, j:j + other.deg_y + 1] += c * other.coeffs
         return BivariatePolynomial(out)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BivariatePolynomial)
-                and self.coeffs.shape == other.coeffs.shape
-                and bool(np.all(self.coeffs == other.coeffs)))
-
     def __str__(self) -> str:
         def monomial(i, j):
             parts = []
@@ -140,33 +135,6 @@ def _trimmed(c: np.ndarray) -> np.ndarray:
     return c[:top + 1]
 
 
-def _polished_roots(c: np.ndarray) -> np.ndarray:
-    """Roots of the ascending coefficient vector, with one Newton step."""
-    monic = c / c[-1]
-    roots = np.roots(monic[::-1])
-    poly = np.polynomial.Polynomial(c)
-    dpoly = poly.deriv()
-    for k, r in enumerate(roots):
-        d = dpoly(r)
-        if d != 0:
-            refined = r - poly(r) / d
-            if abs(poly(refined)) < abs(poly(r)):
-                roots[k] = refined
-    return roots
-
-
-def _one_variable_measure(cvec: np.ndarray) -> float:
-    """Jensen's formula for the Mahler measure of sum c[j] Y^j."""
-    c = _trimmed(np.asarray(cvec, dtype=complex))
-    if c[-1] == 0:
-        raise RuntimeError("polynomial vanishes identically at a quadrature node")
-    if len(c) == 1:
-        return math.log(abs(c[0]))
-    roots = _polished_roots(c)
-    return math.log(abs(c[-1])) + float(
-        np.sum(np.log(np.maximum(1.0, np.abs(roots)))))
-
-
 def _column_circle_arguments(col: np.ndarray) -> list:
     """Arguments u of unit-circle roots of an ascending x-coefficient row."""
     c = np.asarray(col, dtype=float)
@@ -184,8 +152,7 @@ def _crossing_indicator(poly: BivariatePolynomial, u: float) -> float:
     c = _trimmed(poly.y_coefficients(cmath.exp(2j * math.pi * u)))
     if len(c) == 1 or c[-1] == 0:
         return 1.0
-    roots = np.roots((c / c[-1])[::-1])
-    return float(np.prod(np.abs(roots) - 1.0))
+    return float(np.prod(np.abs(_companion_roots(c[None])) - 1.0))
 
 
 def _node_rows(poly: BivariatePolynomial, us: np.ndarray):
@@ -194,7 +161,7 @@ def _node_rows(poly: BivariatePolynomial, us: np.ndarray):
 
     Those are the rows np.roots would use untrimmed: Y-degree at least 1
     and nonzero leading and constant coefficients.  The other rows go
-    through the scalar routines.
+    through one row at a time.
     """
     rows = poly.y_coefficients(np.exp(2j * math.pi * us))
     batched = (rows[:, -1] != 0) & (rows[:, 0] != 0) & (poly.deg_y > 0)
@@ -220,10 +187,10 @@ def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each ascending coefficient row evaluated at its own row of points.
 
     The complex products are spelled out in real arithmetic, the rounding
-    of numpy's scalar complex product, which the scalar route's
-    Polynomial evaluation uses; the vectorized complex product may fuse
-    them.  Near a double root the Newton step divides this residual by a
-    small slope, so the two routes agree only if the residuals do.
+    of numpy's scalar complex product, which the tests' scalar reference
+    route evaluates with; the vectorized complex product may fuse them.
+    Near a double root the Newton step divides this residual by a small
+    slope, so the two routes agree only if the residuals do.
     """
     xr, xi = x.real, x.imag
     accr, acci = rows[:, -1:].real, rows[:, -1:].imag
@@ -233,27 +200,47 @@ def _horner(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return accr + 1j * acci
 
 
-def _inner_measures(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarray:
-    """_one_variable_measure of P(e^{2 pi i u}, Y) at every node u.
+def _jensen(rows: np.ndarray) -> np.ndarray:
+    """Jensen's formula, log |c_top| + sum log max(1, |root|), for every
+    ascending coefficient row of a stack of Y-degree at least 1 with
+    nonzero leading coefficients.
 
-    The batched rows follow _polished_roots: companion roots, then one
-    Newton step per root, kept only where it lowers |P|.
+    The roots are the companion roots, each refined by one Newton step
+    that is kept only where it lowers |P|.
     """
+    roots = _companion_roots(rows)
+    value = _horner(rows, roots)
+    slope = _horner(rows[:, 1:] * np.arange(1, rows.shape[1]), roots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        refined = roots - value / slope
+    better = (slope != 0) & (np.abs(_horner(rows, refined)) < np.abs(value))
+    roots = np.where(better, refined, roots)
+    return np.log(np.abs(rows[:, -1])) + np.sum(
+        np.log(np.maximum(1.0, np.abs(roots))), axis=1)
+
+
+def _row_measure(cvec: np.ndarray) -> float:
+    """Jensen's formula for one row that the batched solve leaves out:
+    trimmed, it goes through _jensen as a one-row stack, or gives
+    log |c_0| when only c_0 is left."""
+    c = _trimmed(cvec)
+    if c[-1] == 0:
+        raise RuntimeError("polynomial vanishes identically at a quadrature node")
+    if len(c) == 1:
+        return math.log(abs(c[0]))
+    return float(_jensen(c[None])[0])
+
+
+def _inner_measures(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarray:
+    """The Mahler measure of P(e^{2 pi i u}, Y) at every node u: one
+    _jensen call over the batched rows, and _row_measure on the others,
+    whose leading or constant coefficient is exactly 0."""
     rows, batched = _node_rows(poly, us)
     out = np.empty(len(us))
     if batched.any():
-        c = rows[batched]
-        roots = _companion_roots(c)
-        value = _horner(c, roots)
-        slope = _horner(c[:, 1:] * np.arange(1, c.shape[1]), roots)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            refined = roots - value / slope
-        better = (slope != 0) & (np.abs(_horner(c, refined)) < np.abs(value))
-        roots = np.where(better, refined, roots)
-        out[batched] = np.log(np.abs(c[:, -1])) + np.sum(
-            np.log(np.maximum(1.0, np.abs(roots))), axis=1)
+        out[batched] = _jensen(rows[batched])
     for k in np.flatnonzero(~batched):
-        out[k] = _one_variable_measure(rows[k])
+        out[k] = _row_measure(rows[k])
     return out
 
 

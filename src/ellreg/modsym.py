@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_table
-from .eisenstein import UnimodularMatrix
 from .lseries import (
     ModularFormData,
     _oracle_terms,
     l_value,
     q_expansions,
     root_number,
-    twisted_lambda_table,
 )
 from .special import ABS_TOL, gauss_legendre_nodes
 
@@ -50,16 +48,6 @@ class SymbolIndex:
             raise ValueError("pair (%d, %d) does not have order %d"
                              % (self.u, self.v, self.level))
 
-    @property
-    def pair(self):
-        return (self.u, self.v)
-
-    def act(self, g: UnimodularMatrix) -> "SymbolIndex":
-        return SymbolIndex(self.level, *g.row_action(self.pair, self.level))
-
-    def negated(self) -> "SymbolIndex":
-        return SymbolIndex(self.level, -self.u, -self.v)
-
 
 @dataclass(frozen=True)
 class CuspClass:
@@ -72,18 +60,6 @@ class CuspClass:
     @property
     def pair(self):
         return (self.u, self.v)
-
-    @property
-    def gcd(self) -> int:
-        return math.gcd(self.u, self.level)
-
-    @property
-    def width(self) -> int:
-        return self.level // math.gcd(self.u * self.u, self.level)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.pair == (0, 1)
 
 
 def cusp_class_of(x: SymbolIndex) -> CuspClass:
@@ -152,7 +128,7 @@ class XiTable:
 
 
 def xi_bridge_table(form: ModularFormData,
-                    lambda_table: np.ndarray | None = None) -> XiTable:
+                    lambda_table: np.ndarray) -> XiTable:
     """Period pairing from twisted central values.
 
     xi(x) = (w / (2 pi (p-1))) sum_k tau(chi_-k) conj(chi_k(x)) L(f, chi_k, 1)
@@ -160,12 +136,10 @@ def xi_bridge_table(form: ModularFormData,
     (w / 2 pi) L(f, 1) at v = 0, and xi(0) = -xi(infinity) at u = 0.  The
     chibar(x) weight is the one that agrees with the quadrature route and
     satisfies the Hecke recursion.  L(f, chi_k, 1) = (2 pi / p) Lambda[k],
-    from lambda_table.
+    from lambda_table, the twisted table of lseries.twisted_lambda_table.
     """
     p = form.level
     w = root_number(form)
-    if lambda_table is None:
-        lambda_table = twisted_lambda_table(form)
     _, values, tau = character_table(p)
     k = np.arange(1, p - 1)
     central = tau[-k] * (TWO_PI / p) * lambda_table[k]
@@ -199,14 +173,11 @@ def period_integral_oracle(form: ModularFormData, symbols,
     terms height 1/p needs.  A given quadrature dict is filled with the
     node count per symbol, the panel count, the cut-off tmax, the one
     coset step and the Gauss-Legendre nodes per panel.  symbols holds
-    SymbolIndex objects or pairs (u, v) of order the level.
+    pairs (u, v) of order the level.
     """
     p = form.level
     pairs = []
-    for x in symbols:
-        if getattr(x, "level", p) != p:
-            raise ValueError("level mismatch between form and symbol")
-        u, v = getattr(x, "pair", x)
+    for u, v in symbols:
         if math.gcd(math.gcd(u, v), p) != 1:
             raise ValueError("pair (%d, %d) does not have order %d"
                              % (u, v, p))

@@ -4,9 +4,9 @@ A sum-zero map f on Z/NZ determines a modular unit whose logarithm is
 the Eisenstein series of f divided by pi, normalized to leading Fourier
 coefficient 1 at the infinite cusp.  This module computes the exact
 cusp divisor of such a unit in closed form when f is an even Dirichlet
-character.  The general double-sum order formula and the closed form
-for the Fourier transform of a character are the tests' reference
-routes.
+character.  The general double-sum order formula, the closed form for
+the Fourier transform of a character and the arithmetic of divisors
+are the tests' reference routes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .characters import DirichletCharacter, _prime_factors, l_chi_2
-from .modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
+from .modsym import cusp_classes
 
 
 @dataclass
@@ -25,45 +25,9 @@ class CuspDivisor:
     level: int
     coefficients: dict = field(default_factory=dict)
 
-    def get(self, cls: CuspClass) -> complex:
-        return self.coefficients.get(cls, 0.0)
-
-    @property
-    def degree(self) -> complex:
-        return sum(self.coefficients.values())
-
     def items(self):
         return sorted(self.coefficients.items(),
                       key=lambda kv: (kv[0].u, kv[0].v))
-
-    def __add__(self, other: "CuspDivisor") -> "CuspDivisor":
-        if other.level != self.level:
-            raise ValueError("mixed levels")
-        merged = dict(self.coefficients)
-        for cls, c in other.coefficients.items():
-            merged[cls] = merged.get(cls, 0.0) + c
-        return CuspDivisor(self.level, merged)
-
-    def scaled(self, s) -> "CuspDivisor":
-        return CuspDivisor(
-            self.level, {c: s * v for c, v in self.coefficients.items()})
-
-    def diamond(self, d: int) -> "CuspDivisor":
-        """Pullback along the diamond map [u, v] -> [du, dv]."""
-        n = self.level
-        if math.gcd(d, n) != 1:
-            raise ValueError("%d is not a unit mod %d" % (d, n))
-        coeffs = {}
-        for cls in cusp_classes(n):
-            moved = cusp_class_of(SymbolIndex(n, d * cls.u, d * cls.v))
-            coeffs[cls] = self.coefficients.get(moved, 0.0)
-        return CuspDivisor(n, coeffs)
-
-    def distance(self, other: "CuspDivisor") -> float:
-        keys = set(self.coefficients) | set(other.coefficients)
-        if not keys:
-            return 0.0
-        return max(abs(self.get(c) - other.get(c)) for c in keys)
 
 
 def _primitive_part(chi: DirichletCharacter) -> DirichletCharacter:

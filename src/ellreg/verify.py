@@ -231,7 +231,7 @@ class CurveContext:
     def dilog(self) -> dict:
         """D_E(aP) for a = 1..4 at the five-torsion point P = (0, 0)."""
         lattice = periods(self.curve)
-        point = torsion_coordinate(self.curve, (0, 0), 5)
+        point = torsion_coordinate(self.curve, lattice, (0, 0), 5)
         return {a: elliptic_dilog(lattice, point.scale(a))
                 for a in range(1, 5)}
 

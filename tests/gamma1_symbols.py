@@ -15,7 +15,7 @@ from functools import lru_cache
 from ellreg.eisenstein import SIGMA, TAU_MAT
 from ellreg.modsym import SymbolIndex, cusp_class_of, cusp_classes
 
-from reference_routes import enumerate_symbols
+from reference_routes import enumerate_symbols, symbol_act
 
 
 class SymbolVector:
@@ -59,7 +59,7 @@ class SymbolVector:
 
     def __repr__(self):
         return "SymbolVector(%d, %r)" % (
-            self.level, {k.pair: v for k, v in self.items()})
+            self.level, {(k.u, k.v): v for k, v in self.items()})
 
 
 def _maybe_symbol(level: int, u: int, v: int):
@@ -75,7 +75,7 @@ def hecke_t2(vec: SymbolVector) -> SymbolVector:
     n = vec.level
     out = {}
     for x, c in vec.weights.items():
-        u, v = x.pair
+        u, v = x.u, x.v
         for iu, iv in ((2 * u, v), (u, 2 * v), (2 * u, u + v),
                        (u + v, 2 * v)):
             image = _maybe_symbol(n, iu, iv)
@@ -99,7 +99,7 @@ def boundary(vec: SymbolVector) -> dict:
     out = {}
     for x, c in vec.weights.items():
         for cls, s in ((cusp_class_of(x), c),
-                       (cusp_class_of(x.act(SIGMA)), -c)):
+                       (cusp_class_of(symbol_act(x, SIGMA)), -c)):
             out[cls] = out.get(cls, 0) + s
             if out[cls] == 0:
                 del out[cls]
@@ -113,24 +113,27 @@ def _symbol_space(level: int):
     symbols = enumerate_symbols(level)
     reps = []
     rep_index = {}
+    def key(x):  # the least of x and -x
+        return min((x.u, x.v), (-x.u % level, -x.v % level))
+
     for x in symbols:
-        key = min(x.pair, x.negated().pair)
-        if key not in rep_index:
-            rep_index[key] = len(reps)
-            reps.append(SymbolIndex(level, *key))
+        if key(x) not in rep_index:
+            rep_index[key(x)] = len(reps)
+            reps.append(SymbolIndex(level, *key(x)))
+
     def idx(x):
-        return rep_index[min(x.pair, x.negated().pair)]
+        return rep_index[key(x)]
 
     rel_rows = []
     for x in reps:
         row = [0] * len(reps)
         row[idx(x)] += 1
-        row[idx(x.act(SIGMA))] += 1
+        row[idx(symbol_act(x, SIGMA))] += 1
         rel_rows.append(row)
         row = [0] * len(reps)
         row[idx(x)] += 1
-        row[idx(x.act(TAU_MAT))] += 1
-        row[idx(x.act(TAU_MAT).act(TAU_MAT))] += 1
+        row[idx(symbol_act(x, TAU_MAT))] += 1
+        row[idx(symbol_act(symbol_act(x, TAU_MAT), TAU_MAT))] += 1
         rel_rows.append(row)
 
     classes = cusp_classes(level)
@@ -139,7 +142,7 @@ def _symbol_space(level: int):
     for x in reps:
         row = [0] * len(classes)
         row[class_index[cusp_class_of(x).pair]] += 1
-        row[class_index[cusp_class_of(x.act(SIGMA)).pair]] -= 1
+        row[class_index[cusp_class_of(symbol_act(x, SIGMA)).pair]] -= 1
         bnd_rows.append(row)
 
     relations = Matrix(rel_rows)
@@ -180,7 +183,7 @@ def cuspidal_hecke_t2_matrix(level: int):
 
     def t2_column(x: SymbolIndex) -> Matrix:
         col = [0] * nreps
-        vec = hecke_t2(SymbolVector.delta(x.level, x.pair))
+        vec = hecke_t2(SymbolVector.delta(x.level, (x.u, x.v)))
         for y, c in vec.weights.items():
             col[idx(y)] += c
         return Matrix(col)

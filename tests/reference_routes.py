@@ -16,7 +16,11 @@ transform of a weight map), the Eisenstein-Kronecker lattice sum for
 the elliptic dilogarithm, a single twist f (x) chi as its own form, the
 Rankin convolution identity at the coefficient level, and unit divisors
 by the general double-sum order formula and in closed form for the
-transform of an even character.
+transform of an even character.  Last, the operations on the package's
+classes that no command runs (character products, the Moebius action
+of SL_2(Z), symbol moves, the conjugate partner of a form, the
+j-invariant and cusp-divisor arithmetic) and the scalar route of the
+Mahler inner measure, np.roots on one row with a Newton step.
 """
 
 import cmath
@@ -51,9 +55,11 @@ from ellreg.eisenstein import (
     integrate_one_form,
     suggested_rmax,
 )
-from ellreg.elliptic import TWO_PI_I, PeriodLattice, _class_parameters
+from ellreg.elliptic import (TWO_PI_I, CurveModel, PeriodLattice,
+                             _class_parameters)
 from ellreg.lseries import ModularFormData
-from ellreg.modsym import CuspClass, SymbolIndex, cusp_classes
+from ellreg.mahler import _trimmed
+from ellreg.modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
 from ellreg.special import (
     ABS_TOL,
     MAX_TERMS,
@@ -147,7 +153,7 @@ def e_star_sum_zero_expansion(f: FiniteMap, z, rmax: int):
               + (pi/N^2) sum_r (1/r) (sum_{k|r} k (fhat(k)+fhat(-k))) (q^r+qbar^r)
     """
     N = f.modulus
-    if abs(f.total()) > 1e-12:
+    if abs(sum(f.values)) > 1e-12:
         raise ValueError("expansion requires a sum-zero weight function")
     y_coeff = sum(
         (f(v) + f(-v)) * _restricted_zeta2(v, N) for v in range(1, N + 1)
@@ -163,8 +169,8 @@ def e_star_sum_zero_expansion(f: FiniteMap, z, rmax: int):
 
 def divisor_bracket(l: FiniteMap, m: FiniteMap) -> FiniteMap:
     """(deg m) l - (deg l) m, the obstruction divisor to closedness."""
-    deg_l = l.total()
-    deg_m = m.total()
+    deg_l = sum(l.values)
+    deg_m = sum(m.values)
     return FiniteMap(
         l.modulus,
         [deg_m * l(v) - deg_l * m(v) for v in range(l.modulus)],
@@ -395,7 +401,7 @@ def order_at_cusp(f: FiniteMap, u: int, v: int) -> complex:
     independence is a checkable property rather than a construction.
     """
     n = f.modulus
-    if abs(f.total()) > 1e-9:
+    if abs(sum(f.values)) > 1e-9:
         raise ValueError("unit divisors need a sum-zero map")
     if math.gcd(math.gcd(u, v), n) != 1:
         raise ValueError("(%d, %d) is not an order-%d label" % (u, v, n))
@@ -427,8 +433,8 @@ def reconstruct_x1_13_units() -> dict:
     """
     eps = x1_13_epsilon()
     zeta6 = complex(eps(2))
-    eps2 = eps * eps
-    eps3 = eps2 * eps
+    eps2 = character_product(eps, eps)
+    eps3 = character_product(eps2, eps)
     p_classes = [CuspClass(13, 0, v) for v in range(1, 7)]
 
     div_y = CuspDivisor(13, {c: float(k)
@@ -438,24 +444,26 @@ def reconstruct_x1_13_units() -> dict:
     ratio = -4.0 * math.sqrt(13.0) / 13**2
 
     d_quad = unit_divisor_chi(eps3)
-    y_err = d_quad.distance(div_y.scaled(ratio))
+    y_err = divisor_distance(d_quad, divisor_scaled(div_y, ratio))
     l_err = abs(l_chi_2(eps3) - 4.0 * math.sqrt(13.0) * math.pi**2 / 169)
 
     d_hat = unit_divisor_chihat(eps2)
     d_hat_bar = unit_divisor_chihat(eps2.conjugate())
-    combo = (d_hat.scaled(1 + zeta6)
-             + d_hat_bar.scaled(2 - zeta6)).scaled(13 / 12)
-    swapped = (d_hat.scaled(2 - zeta6)
-               + d_hat_bar.scaled(1 + zeta6)).scaled(13 / 12)
+    combo = divisor_scaled(divisor_sum(divisor_scaled(d_hat, 1 + zeta6),
+                                       divisor_scaled(d_hat_bar, 2 - zeta6)),
+                           13 / 12)
+    swapped = divisor_scaled(divisor_sum(divisor_scaled(d_hat, 2 - zeta6),
+                                         divisor_scaled(d_hat_bar, 1 + zeta6)),
+                             13 / 12)
     return {
         "level": 13,
         "cusp_count": len(cusp_classes(13)),
         "div_y_scalar": ratio,
         "div_y_err": y_err,
         "quadratic_l_value_err": l_err,
-        "div_x_err": combo.distance(div_x),
-        "div_x_swapped_err": swapped.distance(div_x),
-        "degree_bound": max(abs(d.degree) for d in
+        "div_x_err": divisor_distance(combo, div_x),
+        "div_x_swapped_err": divisor_distance(swapped, div_x),
+        "degree_bound": max(abs(divisor_degree(d)) for d in
                             (d_quad, d_hat, d_hat_bar, combo)),
     }
 
@@ -691,7 +699,8 @@ def rankin_convolution_check(form: ModularFormData,
     # The nebentypus is trivial mod the level, so the denominator series
     # L(psi chi1 chi2, 2s-2) contributes (chi1 chi2)(m) m^2 at n = m^2
     # for m prime to the level, zero elsewhere.
-    prod_wide = _character_values_wide(chi1 * chi2, int(math.isqrt(nmax)))
+    prod_wide = _character_values_wide(character_product(chi1, chi2),
+                                       int(math.isqrt(nmax)))
     den = np.zeros(nmax + 1, dtype=_WIDE)
     m = 1
     while m * m <= nmax:
@@ -719,7 +728,7 @@ def _order_from_hat(fhat: FiniteMap, u: int, v: int) -> complex:
 def unit_divisor(f: FiniteMap) -> CuspDivisor:
     """Cusp divisor of the modular unit attached to a sum-zero map."""
     n = f.modulus
-    if abs(f.total()) > 1e-9:
+    if abs(sum(f.values)) > 1e-9:
         raise ValueError("unit divisors need a sum-zero map")
     fhat = fourier_transform(f)
     coeffs = {cls: _order_from_hat(fhat, cls.u, cls.v)
@@ -758,3 +767,145 @@ def unit_divisor_chihat(chi: DirichletCharacter) -> CuspDivisor:
                 for beta in range(d) if math.gcd(beta, d) == 1)
         coeffs[cls] = -front * _induced_value(chi, d, cls.v) * s
     return CuspDivisor(n, coeffs)
+
+
+# Operations on the package's classes that no command runs.
+def character_product(chi: DirichletCharacter,
+                      psi: DirichletCharacter) -> DirichletCharacter:
+    """chi psi, with exact exponents modulo the lcm of the two orders."""
+    if chi.modulus != psi.modulus:
+        raise ValueError("character moduli differ")
+    m = math.lcm(chi.order, psi.order)
+    exps = []
+    for e1, e2 in zip(chi._exp, psi._exp):
+        if e1 is None or e2 is None:
+            exps.append(None)
+        else:
+            exps.append((e1 * (m // chi.order) + e2 * (m // psi.order)) % m)
+    return DirichletCharacter(chi.modulus, m, exps)
+
+
+def delta_map(modulus: int, support: int) -> FiniteMap:
+    """The map on Z/NZ that is 1 at support and 0 elsewhere."""
+    vals = [0.0] * modulus
+    vals[support % modulus] = 1.0
+    return FiniteMap(modulus, vals)
+
+
+def mobius(g: UnimodularMatrix, z):
+    """g acting on the upper half plane: (a z + b) / (c z + d)."""
+    return (g.a * z + g.b) / (g.c * z + g.d)
+
+
+def mobius_derivative(g: UnimodularMatrix, z):
+    """d(g z) / dz = 1 / (c z + d)^2."""
+    return 1.0 / (g.c * z + g.d) ** 2
+
+
+def matrix_product(g: UnimodularMatrix, h: UnimodularMatrix):
+    return UnimodularMatrix(
+        g.a * h.a + g.b * h.c,
+        g.a * h.b + g.b * h.d,
+        g.c * h.a + g.d * h.c,
+        g.c * h.b + g.d * h.d,
+    )
+
+
+def matrix_inverse(g: UnimodularMatrix) -> UnimodularMatrix:
+    return UnimodularMatrix(g.d, -g.b, -g.c, g.a)
+
+
+def symbol_act(x: SymbolIndex, g: UnimodularMatrix) -> SymbolIndex:
+    """The symbol of bottom row (u, v) g."""
+    return SymbolIndex(x.level, *g.row_action((x.u, x.v), x.level))
+
+
+def symbol_negated(x: SymbolIndex) -> SymbolIndex:
+    return SymbolIndex(x.level, -x.u, -x.v)
+
+
+def cusp_width(c: CuspClass) -> int:
+    """The width N / gcd(u^2, N) of the cusp class of (u, v)."""
+    return c.level // math.gcd(c.u * c.u, c.level)
+
+
+def conjugate_partner(form: ModularFormData) -> ModularFormData:
+    """The form whose coefficients are the conjugate stream."""
+    return ModularFormData(form.level, form.coefficients.conj(),
+                           label=form.label + "~")
+
+
+def j_invariant(curve: CurveModel):
+    """c4^3 / Delta as an exact fraction."""
+    from fractions import Fraction  # on use: it loads decimal too
+
+    c4, _ = curve.c_invariants
+    return Fraction(c4**3, curve.discriminant)
+
+
+def divisor_degree(d: CuspDivisor) -> complex:
+    return sum(d.coefficients.values())
+
+
+def divisor_sum(d: CuspDivisor, e: CuspDivisor) -> CuspDivisor:
+    if e.level != d.level:
+        raise ValueError("mixed levels")
+    merged = dict(d.coefficients)
+    for cls, c in e.coefficients.items():
+        merged[cls] = merged.get(cls, 0.0) + c
+    return CuspDivisor(d.level, merged)
+
+
+def divisor_scaled(d: CuspDivisor, s) -> CuspDivisor:
+    return CuspDivisor(d.level,
+                       {c: s * v for c, v in d.coefficients.items()})
+
+
+def divisor_diamond(d: CuspDivisor, k: int) -> CuspDivisor:
+    """Pullback along the diamond map [u, v] -> [k u, k v]."""
+    n = d.level
+    if math.gcd(k, n) != 1:
+        raise ValueError("%d is not a unit mod %d" % (k, n))
+    coeffs = {}
+    for cls in cusp_classes(n):
+        moved = cusp_class_of(SymbolIndex(n, k * cls.u, k * cls.v))
+        coeffs[cls] = d.coefficients.get(moved, 0.0)
+    return CuspDivisor(n, coeffs)
+
+
+def divisor_distance(d: CuspDivisor, e: CuspDivisor) -> float:
+    """The largest coefficient difference over the classes of either."""
+    keys = set(d.coefficients) | set(e.coefficients)
+    if not keys:
+        return 0.0
+    return max(abs(d.coefficients.get(c, 0.0) - e.coefficients.get(c, 0.0))
+               for c in keys)
+
+
+# The scalar route of the Mahler inner measure: np.roots on one row,
+# polished by one Newton step, which the batched solve reproduces.
+def _polished_roots(c: np.ndarray) -> np.ndarray:
+    """Roots of the ascending coefficient vector, with one Newton step."""
+    monic = c / c[-1]
+    roots = np.roots(monic[::-1])
+    poly = np.polynomial.Polynomial(c)
+    dpoly = poly.deriv()
+    for k, r in enumerate(roots):
+        d = dpoly(r)
+        if d != 0:
+            refined = r - poly(r) / d
+            if abs(poly(refined)) < abs(poly(r)):
+                roots[k] = refined
+    return roots
+
+
+def one_variable_measure(cvec: np.ndarray) -> float:
+    """Jensen's formula for the Mahler measure of sum c[j] Y^j."""
+    c = _trimmed(np.asarray(cvec, dtype=complex))
+    if c[-1] == 0:
+        raise RuntimeError("polynomial vanishes identically at a quadrature node")
+    if len(c) == 1:
+        return math.log(abs(c[0]))
+    roots = _polished_roots(c)
+    return math.log(abs(c[-1])) + float(
+        np.sum(np.log(np.maximum(1.0, np.abs(roots)))))

@@ -19,9 +19,9 @@ from ellreg.lseries import (
     lambda_value,
     newform_from_curve,
     root_number,
+    twisted_lambda_table,
 )
 from ellreg.modsym import (
-    SymbolIndex,
     line_index,
     period_integral_oracle,
     xi_bridge_table,
@@ -39,7 +39,10 @@ from ellreg.verify import (
 
 from gamma1_symbols import cuspidal_hecke_t2_matrix
 from reference_routes import (
+    conjugate_partner,
+    divisor_degree,
     e_star_point,
+    mobius,
     rankin_convolution_check,
     unit_divisor,
     zeta_star,
@@ -70,7 +73,7 @@ def test_criterion_1_dilog_value_of_l_at_two():
 def test_criterion_2_exotic_torsion_relation():
     t0 = time.perf_counter()
     lattice = periods(CURVE_11A)
-    point = torsion_coordinate(CURVE_11A, (0, 0), 5)
+    point = torsion_coordinate(CURVE_11A, lattice, (0, 0), 5)
     one = elliptic_dilog(lattice, point)
     two = elliptic_dilog(lattice, point.scale(2))
     elapsed = time.perf_counter() - t0
@@ -164,7 +167,7 @@ def test_criterion_10_property_suites(form11):
         g = UnimodularMatrix(*m)
         x = (rng.randrange(11), rng.randrange(1, 11))
         z = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.7, 1.5))
-        lhs = e_star_point(x, g.act(z), 11)
+        lhs = e_star_point(x, mobius(g, z), 11)
         rhs = e_star_point(g.row_action(x, 11), z, 11)
         assert abs(lhs - rhs) < 1e-9
 
@@ -175,7 +178,7 @@ def test_criterion_10_property_suites(form11):
             total = sum(periodic_bernoulli2((x + j) / m) for j in range(m))
             assert abs(total - periodic_bernoulli2(x) / m) < 1e-10
     lattice = periods(CURVE_11A)
-    point = torsion_coordinate(CURVE_11A, (0, 0), 5)
+    point = torsion_coordinate(CURVE_11A, lattice, (0, 0), 5)
     base = elliptic_dilog(lattice, point)
     for m in (2, 3):
         total = sum(
@@ -188,7 +191,7 @@ def test_criterion_10_property_suites(form11):
     for n in (11, 13):
         values = [rng.randint(-5, 5) for _ in range(n - 1)]
         values.append(-sum(values))
-        assert abs(unit_divisor(FiniteMap(n, values)).degree) < 1e-12
+        assert abs(divisor_degree(unit_divisor(FiniteMap(n, values)))) < 1e-12
 
     # Cuspidal homology dimensions and the T_2 eigenvalue.
     assert cuspidal_hecke_t2_matrix(5).shape == (0, 0)
@@ -199,15 +202,14 @@ def test_criterion_10_property_suites(form11):
 
     # Completed L-function functional equation.
     w = root_number(form11)
-    partner = form11.conjugate_partner()
+    partner = conjugate_partner(form11)
     for s in (0.3, 0.8, 1.5, 1.0 + 0.7j):
         lam = lambda_value(form11, s)
         residual = lam + w * lambda_value(partner, 2.0 - s)
         assert abs(residual) < 1e-10 * max(1.0, abs(lam))
 
     # Period bridge against the direct quadrature oracle.
-    xi = xi_bridge_table(form11)
+    xi = xi_bridge_table(form11, twisted_lambda_table(form11))
     for pair in ((1, 0), (0, 1), (2, 5), (1, 3), (4, 7)):
-        x = SymbolIndex(11, *pair)
         bridge = xi.lines[line_index(*pair, 11)]
-        assert abs(bridge - period_integral_oracle(form11, [x])[0]) < 1e-7
+        assert abs(bridge - period_integral_oracle(form11, [pair])[0]) < 1e-7

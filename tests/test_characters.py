@@ -23,7 +23,8 @@ from ellreg.characters import (
     twisted_bernoulli2,
 )
 
-from reference_routes import fourier_transform, trivial_character
+from reference_routes import (character_product, fourier_transform,
+                              trivial_character)
 
 
 def phi(n):
@@ -39,7 +40,7 @@ def test_enumeration_counts_and_group_closure():
         for a in chars[:4]:
             assert a.conjugate() in chars
             for b in chars[:4]:
-                assert a * b in chars
+                assert character_product(a, b) in chars
 
 
 def test_orthogonality_rows():
@@ -85,7 +86,7 @@ def test_conductor_and_primitivity():
 def test_parity():
     chars11 = enumerate_characters(11)
     assert sum(1 for c in chars11 if c.is_even) == 5
-    assert sum(1 for c in chars11 if c.is_odd) == 5
+    assert sum(1 for c in chars11 if not c.is_even) == 5
     for c in chars11:
         sign = 1.0 if c.is_even else -1.0
         assert abs(c(-1) - sign) < 1e-15
@@ -168,7 +169,7 @@ def test_l_chi_2_matches_direct_series():
 
 def test_l_chi_2_rejects_bad_input():
     chars = enumerate_characters(11)
-    odd = next(c for c in chars if c.is_odd)
+    odd = next(c for c in chars if not c.is_even)
     with pytest.raises(ValueError):
         l_chi_2(odd)
     with pytest.raises(ValueError):
@@ -254,7 +255,7 @@ def test_enumeration_index_is_the_exponent_at_the_primitive_root(p):
         assert chi.exponent_at(g) * (p - 1) == k * chi.order
         assert chi.is_even == (k % 2 == 0)
     for j, k in [(1, 2), (3, p - 4), (p - 2, p - 2), (5, 0)]:
-        assert chars[j] * chars[k] == chars[(j + k) % (p - 1)]
+        assert character_product(chars[j], chars[k]) == chars[(j + k) % (p - 1)]
         assert chars[k].conjugate() == chars[-k % (p - 1)]
 
 

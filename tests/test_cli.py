@@ -194,7 +194,7 @@ def test_verify_leaves_numpy_ma_unloaded(argv):
 
 def test_import_leaves_fractions_unloaded():
     # fractions, and decimal with it, cost about 3 ms to import; only
-    # CurveModel.j_invariant needs it.  The mahler and units commands
+    # the tests' j_invariant needs it.  The mahler and units commands
     # import their modules, and no command imports numpy.polynomial.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

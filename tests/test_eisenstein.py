@@ -40,6 +40,7 @@ from reference_routes import (
     ArcTable,
     _pairings_on_every_line,
     _restricted_zeta2,
+    delta_map,
     divisor_bracket,
     e_star_map,
     e_star_point,
@@ -47,7 +48,11 @@ from reference_routes import (
     e_star_sum_zero_expansion,
     fourier_transform,
     integrate_eta_segment,
+    matrix_inverse,
     matrix_lift,
+    matrix_product,
+    mobius,
+    mobius_derivative,
     zeta_star,
     zeta_star_qexp,
 )
@@ -89,20 +94,20 @@ def test_restricted_zeta_partition():
 
 def test_e_star_stream_matches_closed_form():
     cases = [
-        FiniteMap.delta(N, 3),
+        delta_map(N, 3),
         FiniteMap(N, [1] * N),
         FiniteMap(N, [2, -1, 0, 3, 0, 0, -4, 0, 0, 0, 0]),
     ]
     for f in cases:
         closed = e_star_map(f, Z0)
         stream = e_star_stream(f, 0.8)
-        got = complex(stream.value(np.array([Z0]))[0])
+        got = complex(stream.jet(np.array([Z0]))[0][0])
         assert abs(closed - got) < 1e-11
 
 
 def test_sum_zero_expansion_route():
     f = FiniteMap(N, [2, -1, 0, 3, 0, 0, -4, 0, 0, 0, 0])
-    assert abs(f.total()) == 0
+    assert abs(sum(f.values)) == 0
     closed = e_star_map(f, Z0)
     third = e_star_sum_zero_expansion(f, Z0, rmax=400)
     assert abs(closed - third) < 1e-11
@@ -111,7 +116,7 @@ def test_sum_zero_expansion_route():
 def test_modularity_under_unimodular_action():
     g = UnimodularMatrix(2, 1, 7, 4)
     for x in [(0, 1), (3, 5), (7, 0)]:
-        lhs = e_star_point(x, g.act(Z0), N)
+        lhs = e_star_point(x, mobius(g, Z0), N)
         rhs = e_star_point(g.row_action(x, N), Z0, N)
         assert abs(lhs - rhs) < 1e-11
 
@@ -131,8 +136,8 @@ def test_unimodular_matrix_validation_and_group_ops():
     with pytest.raises(ValueError):
         UnimodularMatrix(1, 1, 1, 1)
     g = UnimodularMatrix(2, 1, 7, 4)
-    gi = g.inverse()
-    assert (g @ gi) == UnimodularMatrix(1, 0, 0, 1)
+    gi = matrix_inverse(g)
+    assert matrix_product(g, gi) == UnimodularMatrix(1, 0, 0, 1)
 
 
 def _loop_integral(form, corners):
@@ -157,16 +162,16 @@ def test_eta_pullback_identity():
     for g, z in cases:
         pulled = eta.pullback(g)
         zz = np.array([z])
-        P, Q = eta.coefficients(g.act(zz))
-        gp = g.derivative(zz)
+        P, Q = eta.coefficients(mobius(g, zz))
+        gp = mobius_derivative(g, zz)
         P2, Q2 = pulled.coefficients(zz)
         assert np.max(np.abs(P * gp - P2)) < 1e-10
         assert np.max(np.abs(Q * np.conj(gp) - Q2)) < 1e-10
 
 
 def test_eta_gamma1_divisor_stability():
-    l = FiniteMap.delta(N, 2)
-    m = FiniteMap.delta(N, 5)
+    l = delta_map(N, 2)
+    m = delta_map(N, 5)
     rmax = suggested_rmax(N, 0.8)
     eta = EtaForm.from_residue_maps(l, m, rmax)
     gam = UnimodularMatrix(1, 0, N, 1)
@@ -202,7 +207,7 @@ def test_eta_stokes_against_area_form():
     ys = np.linspace(c1.imag, c2.imag, ny + 1)
     ys = 0.5 * (ys[1:] + ys[:-1])
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = stream.value((X + 1j * Y).ravel()).reshape(X.shape)
+    vals = stream.jet((X + 1j * Y).ravel())[0].reshape(X.shape)
     cell = (c2.real - c1.real) * (c2.imag - c1.imag) / (nx * ny)
     rhs = (1j * math.pi / N**2) * complex(np.sum(vals / Y**2)) * cell
     assert abs(loop - rhs) < 1e-7 * max(1.0, abs(loop))
@@ -238,7 +243,7 @@ def test_arc_integral_pullback_vs_direct_geodesic():
     g = g_column(2)
     via_pullback = arc_integral(form, g)
     deep = EtaForm(form.left, form.right, suggested_rmax(11, 0.14))
-    direct, _ = integrate_eta_geodesic(deep, g.act(RHO), g.act(RHO2))
+    direct, _ = integrate_eta_geodesic(deep, mobius(g, RHO), mobius(g, RHO2))
     assert abs(via_pullback - direct) < 1e-10
 
 
@@ -247,7 +252,8 @@ def test_arc_integral_lift_independence():
     form = eta_chi(chi)
     g = g_column(2)
     gam = UnimodularMatrix(1, 0, N, 1)
-    assert abs(arc_integral(form, g) - arc_integral(form, gam @ g)) < 1e-11
+    assert abs(arc_integral(form, g)
+               - arc_integral(form, matrix_product(gam, g))) < 1e-11
 
 
 def test_eta_chi_double_sum_assembly():
@@ -269,7 +275,7 @@ def test_eta_chi_double_sum_assembly():
             if wb == 0:
                 continue
             part = EtaForm.from_residue_maps(
-                FiniteMap.delta(N, a), FiniteMap.delta(N, b), local_rmax
+                delta_map(N, a), delta_map(N, b), local_rmax
             )
             pp, qq = part.coefficients(z)
             total_p += wa * wb * pp[0]
@@ -323,13 +329,13 @@ def test_an_unreachable_tolerance_raises_at_the_rounding_floor(monkeypatch):
 
 
 def test_pair_divisor_algebra():
-    d = PairDivisor.delta(N, 1, 2, 3.0) + PairDivisor.delta(N, 1, 2, -1.0)
+    # Pairs are reduced mod N and merged; zero weights are dropped.
+    d = PairDivisor(N, {(1, 2): 3.0, (12, 13): -1.0, (4, 4): 0.0})
     assert d.coeffs == {(1, 2): 2.0}
     assert d.degree == 2.0
-    flipped = d.conjugation_flip()
-    assert flipped.coeffs == {(10, 2): 2.0}
-    scaled = d.scaled(0.5)
-    assert scaled.coeffs == {(1, 2): 1.0}
+    # Right translation moves the pair (1, 2) to (1, 2) sigma = (2, -1).
+    moved = d.right_translate(UnimodularMatrix(0, -1, 1, 0))
+    assert moved.coeffs == {(2, 10): 2.0}
 
 
 def _pairing_reference(table, bottom, left_weights, right_weights,

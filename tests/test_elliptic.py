@@ -22,7 +22,7 @@ import ellreg.elliptic as elliptic
 from ellreg.elliptic import _weierstrass_pair
 from ellreg.special import TruncationError
 
-from reference_routes import dilog_kronecker_oracle
+from reference_routes import dilog_kronecker_oracle, j_invariant
 
 CURVE_X3_MINUS_X = CurveModel(0, 0, 0, -1, 0, 32)
 CURVE_X3_PLUS_1 = CurveModel(0, 0, 0, 0, 1, 36)
@@ -46,7 +46,7 @@ def brute_force_ap(curve, p):
 def test_invariants_11a():
     assert CURVE_11A.discriminant == -11
     assert CURVE_11A.c_invariants == (16, -152)
-    assert CURVE_11A.j_invariant == Fraction(-4096, 11)
+    assert j_invariant(CURVE_11A) == Fraction(-4096, 11)
 
 
 def test_invariants_17a():
@@ -177,7 +177,7 @@ def test_j_invariant_dual_route(curve):
     e4 = 1.0 + 240.0 * float(np.sum(sigma3 * q**n))
     eta24 = q * float(np.prod((1.0 - q**n) ** 24))
     j_q = e4**3 / eta24
-    j_alg = float(curve.j_invariant)
+    j_alg = float(j_invariant(curve))
     if j_alg == 0.0:
         assert abs(j_q) < 1e-6
     else:
@@ -197,36 +197,39 @@ def test_weierstrass_differential_equation(curve):
 
 
 def test_torsion_match_11a_five_torsion():
-    P = torsion_coordinate(CURVE_11A, (0, 0), 5)
+    lattice = periods(CURVE_11A)
+    P = torsion_coordinate(CURVE_11A, lattice, (0, 0), 5)
     assert (P.a, P.b) == (3, 0)
-    minus = torsion_coordinate(CURVE_11A, (0, -1), 5)
-    assert minus == -P
-    double = torsion_coordinate(CURVE_11A, (1, -1), 5)
+    minus = torsion_coordinate(CURVE_11A, lattice, (0, -1), 5)
+    assert minus == P.scale(-1)
+    double = torsion_coordinate(CURVE_11A, lattice, (1, -1), 5)
     assert double == P.scale(2)
-    assert P.scale(5).is_zero and not P.is_zero
+    assert P.scale(5) == TorsionCoordinate(5, 0, 0) != P
 
 
 def test_torsion_match_two_torsion():
-    T = torsion_coordinate(CURVE_X3_MINUS_X, (0, 0), 2)
-    assert T.scale(2).is_zero and not T.is_zero
+    T = torsion_coordinate(CURVE_X3_MINUS_X, periods(CURVE_X3_MINUS_X),
+                           (0, 0), 2)
+    assert T.scale(2) == TorsionCoordinate(2, 0, 0) != T
 
 
 def test_torsion_no_match_raises():
     with pytest.raises(ValueError):
-        torsion_coordinate(CURVE_11A, (5, 7), 5)  # not a torsion point
+        # not a torsion point
+        torsion_coordinate(CURVE_11A, periods(CURVE_11A), (5, 7), 5)
 
 
 def test_torsion_coordinate_arithmetic():
     t = TorsionCoordinate(5, 3, 0)
-    assert (t + t) == t.scale(2)
-    assert (-t).scale(2) == t.scale(-2)
+    assert t.scale(2) == TorsionCoordinate(5, 1, 0)
+    assert t.scale(-1).scale(2) == t.scale(-2) == TorsionCoordinate(5, 4, 0)
     with pytest.raises(ValueError):
         TorsionCoordinate(0, 1, 1)
 
 
 def test_elliptic_dilog_frozen_value_and_doubling():
     lat = periods(CURVE_11A)
-    P = torsion_coordinate(CURVE_11A, (0, 0), 5)
+    P = torsion_coordinate(CURVE_11A, lat, (0, 0), 5)
     d1 = elliptic_dilog(lat, P)
     d2 = elliptic_dilog(lat, P.scale(2))
     assert abs(d1 - D11A_AT_P) < 1e-11
@@ -268,7 +271,7 @@ def test_distribution_relation(n):
 
 def test_kronecker_oracle_agreement():
     lat = periods(CURVE_11A)
-    P = torsion_coordinate(CURVE_11A, (0, 0), 5)
+    P = torsion_coordinate(CURVE_11A, lat, (0, 0), 5)
     direct = elliptic_dilog(lat, P)
     assert abs(dilog_kronecker_oracle(lat, P, 500) - direct) < 1e-5
     rng = np.random.default_rng(23)
@@ -287,7 +290,7 @@ def test_kronecker_oracle_rejects_small_radius():
 def test_elliptic_dilog_consistent_with_direct_l_value():
     """(10/11) pi D_E(P) should reproduce sum a_n / n^2 for the level-11 curve."""
     lat = periods(CURVE_11A)
-    P = torsion_coordinate(CURVE_11A, (0, 0), 5)
+    P = torsion_coordinate(CURVE_11A, lat, (0, 0), 5)
     a = np.array(an_coefficients(CURVE_11A, 20000), dtype=float)
     n = np.arange(len(a), dtype=float)
     n[0] = 1.0

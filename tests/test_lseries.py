@@ -33,6 +33,8 @@ from ellreg.special import (
 )
 
 from reference_routes import (
+    character_product,
+    conjugate_partner,
     dirichlet_series_direct,
     rankin_convolution_check,
     rankin_sigma,
@@ -127,7 +129,7 @@ def test_functional_equation_residual(form11, chars11):
                for _ in range(4)]
     forms = [form11, twist_by_character(form11, chars11[3])]
     for g in forms:
-        gbar = g.conjugate_partner()
+        gbar = conjugate_partner(g)
         w = root_number(g)
         for s in points:
             lam = lambda_value(g, s)
@@ -240,16 +242,16 @@ def test_residue_against_central_value_form(form11, chars11):
     # into p^2 i / ((p+1)(p-1)^2 pi) over even-nontrivial x odd pairs.
     p = 11
     evens = [c for c in chars11 if c.is_even and not c.is_trivial]
-    odds = [c for c in chars11 if c.is_odd]
+    odds = [c for c in chars11 if not c.is_even]
     acc = 0j
     for chi in evens:
         for chi2 in odds:
             acc += (l_value(twist_by_character(form11, chi), 1.0)
                     * l_value(twist_by_character(form11, chi2), 1.0)
-                    / gauss_sum(chi * chi2))
+                    / gauss_sum(character_product(chi, chi2)))
     res_l = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * acc
     assert abs(res_l.imag) < 1e-12
-    res = residue_tensor_square(form11)
+    res = residue_tensor_square(form11, twisted_lambda_table(form11))
     assert abs(res_l.real - res) / res < 1e-10
 
 
@@ -261,8 +263,8 @@ def test_residue_exponent_sum_matches_the_character_product_loop(form11):
     total = 0.0 + 0.0j
     for j in range(1, 10):
         for k in range(1, 10):
-            prod = chars[j] * chars[k]
-            if prod.is_odd:
+            prod = character_product(chars[j], chars[k])
+            if not prod.is_even:
                 total += table[k] * table[j] / gauss_sum(prod)
     want = (total * 2j * math.pi / (12 * 10 ** 2)).real
     assert residue_tensor_square(form11, lambda_table=table) == want

@@ -44,9 +44,14 @@ from gamma1_symbols import (
 )
 from reference_routes import (
     _complete_row,
+    cusp_width,
     enumerate_symbols,
     matrix_lift,
+    mobius,
+    mobius_derivative,
     shifted_cusp_class,
+    symbol_act,
+    symbol_negated,
     twist_by_character,
 )
 
@@ -58,27 +63,28 @@ def form11():
 
 @pytest.fixture(scope="module")
 def table11(form11):
-    return xi_bridge_table(form11)
+    return xi_bridge_table(form11, twisted_lambda_table(form11))
 
 
 def _pair_lookup(table):
-    """xi at a pair (u, v) or SymbolIndex, read from the line that
-    line_index gives it; 0 at the pair (0, 0) of smaller order."""
+    """xi at a pair (u, v), read from the line that line_index gives it;
+    0 at the pair (0, 0) of smaller order."""
     p = table.level
     u, v = np.indices((p, p))
     values = table.lines[line_index(u, v, p)].tolist()
     values[0][0] = 0j
 
     def xi(pair):
-        u, v = getattr(pair, "pair", pair)
+        u, v = pair
         return values[u % p][v % p]
     return xi
 
 
 def test_symbol_index_normalization():
     x = SymbolIndex(11, 13, -3)
-    assert x.pair == (2, 8)
-    assert x.negated().pair == (9, 3)
+    assert (x.u, x.v) == (2, 8)
+    minus = symbol_negated(x)
+    assert (minus.u, minus.v) == (9, 3)
     with pytest.raises(ValueError):
         SymbolIndex(5, 0, 0)
     with pytest.raises(ValueError):
@@ -97,22 +103,22 @@ def test_matrix_lift_properties():
     for x in enumerate_symbols(11):
         g = matrix_lift(x)
         assert g.a * g.d - g.b * g.c == 1
-        assert (g.c % 11, g.d % 11) == x.pair
+        assert (g.c % 11, g.d % 11) == (x.u, x.v)
         assert matrix_lift(x) == g
 
 
 def test_sigma_tau_row_actions():
-    x = SymbolIndex(11, 3, 7)
-    assert x.act(SIGMA).pair == (7, 8)
-    assert x.act(TAU_MAT).pair == (7, 1)
+    assert SIGMA.row_action((3, 7), 11) == (7, 8)
+    assert TAU_MAT.row_action((3, 7), 11) == (7, 1)
     for x in enumerate_symbols(11)[:20]:
-        assert x.act(SIGMA).act(SIGMA) == x.negated()
-        assert x.act(TAU_MAT).act(TAU_MAT).act(TAU_MAT) == x
+        assert symbol_act(symbol_act(x, SIGMA), SIGMA) == symbol_negated(x)
+        turned = symbol_act(symbol_act(x, TAU_MAT), TAU_MAT)
+        assert symbol_act(turned, TAU_MAT) == x
 
 
 def test_hecke_t2_four_terms():
     out = hecke_t2(SymbolVector.delta(11, (0, 1)))
-    weights = {x.pair: c for x, c in out.items()}
+    weights = {(x.u, x.v): c for x, c in out.items()}
     assert weights == {(0, 1): 2, (0, 2): 1, (1, 2): 1}
 
 
@@ -138,13 +144,14 @@ def test_cusp_classes_level_11():
     pairs = {c.pair for c in classes}
     assert pairs == ({(0, v) for v in (1, 2, 3, 4, 5)}
                      | {(v, 0) for v in (1, 2, 3, 4, 5)})
-    widths = {c.pair: c.width for c in classes}
+    widths = {c.pair: cusp_width(c) for c in classes}
     assert all(widths[(0, v)] == 1 for v in (1, 2, 3, 4, 5))
     assert all(widths[(v, 0)] == 11 for v in (1, 2, 3, 4, 5))
-    assert CuspClass(11, 0, 1).is_infinity
+    # The cusp at infinity, the class of the symbol (0, 1).
+    assert cusp_class_of(SymbolIndex(11, 0, 1)) == CuspClass(11, 0, 1)
     # widths add up to the index of the +-1 congruence subgroup
     for n in (5, 11, 13):
-        assert sum(c.width for c in cusp_classes(n)) == (n * n - 1) // 2
+        assert sum(map(cusp_width, cusp_classes(n))) == (n * n - 1) // 2
         assert len(cusp_classes(n)) == n - 1
 
 
@@ -160,11 +167,10 @@ def test_cusp_classes_in_closed_form_match_the_shift_loop():
 
 
 def test_boundary_of_closed_combination():
-    x = SymbolIndex(11, 1, 5)
-    b = boundary(SymbolVector.delta(11, x.pair))
+    b = boundary(SymbolVector.delta(11, (1, 5)))
     assert len(b) == 2 and sorted(b.values()) == [-1, 1]
-    closed = (SymbolVector.delta(11, x.pair)
-              + SymbolVector.delta(11, x.act(SIGMA).pair))
+    closed = (SymbolVector.delta(11, (1, 5))
+              + SymbolVector.delta(11, SIGMA.row_action((1, 5), 11)))
     assert boundary(closed) == {}
 
 
@@ -193,7 +199,7 @@ def test_reduced_eval_modular_invariance(form11):
     w = root_number(form11)
     z1 = 0.1 + 0.3j
     gamma = UnimodularMatrix(1, 0, 11, 1)
-    z0 = gamma.act(z1)
+    z0 = mobius(gamma, z1)
     direct = (11 * z1 + 1) ** 2 * complex(q_expansions(form11.coefficients,
                                                         z1))
     assert abs(_reduced_eval(form11, z0, w) - direct) < 1e-12
@@ -212,11 +218,11 @@ def test_xi_bridge_unit_relations(table11):
     assert abs(xi((1, 1))) < 1e-9
     assert abs(xi((p - 1, 1))) < 1e-9
     for pair in ((1, 3), (2, 7), (0, 1), (1, 0), (4, 9)):
-        x = SymbolIndex(p, *pair)
-        two = xi(x) + xi(x.act(SIGMA))
+        two = xi(pair) + xi(SIGMA.row_action(pair, p))
         assert abs(two) < 1e-9
-        three = (xi(x) + xi(x.act(TAU_MAT))
-                 + xi(x.act(TAU_MAT).act(TAU_MAT)))
+        turned = TAU_MAT.row_action(pair, p)
+        three = (xi(pair) + xi(turned)
+                 + xi(TAU_MAT.row_action(turned, p)))
         assert abs(three) < 1e-9
 
 
@@ -227,7 +233,6 @@ def test_xi_bridge_structure(table11):
     assert xi((3, 0)) == lines[0]
     assert xi((0, 4)) == lines[11] == -lines[0]
     assert xi((2, 6)) == xi((1, 3))
-    assert xi(SymbolIndex(11, 5, 2)) == xi((5, 2))
     # negation leaves the projective class unchanged
     assert xi((9, 5)) == xi((-9, -5))
     # plus() is the even part on every line: xi = xi^+ + xi^-.
@@ -244,7 +249,7 @@ def test_xi_bridge_hecke_recursion(form11, table11):
     xi = _pair_lookup(table11)
     for pair in ((1, 0), (1, 4), (3, 8), (0, 1)):
         image = hecke_t2(SymbolVector.delta(11, pair))
-        acc = sum(c * xi(x) for x, c in image.items())
+        acc = sum(c * xi((x.u, x.v)) for x, c in image.items())
         assert abs(acc - (-2) * xi(pair)) < 1e-9
 
 
@@ -257,8 +262,8 @@ def test_xi_infinity_against_central_value(form11, table11):
 
 def test_period_oracle_matches_bridge(form11, table11):
     rng = random.Random(11)
-    sample = rng.sample(enumerate_symbols(11), 4)
-    sample.append(SymbolIndex(11, 1, 0))
+    sample = [(x.u, x.v) for x in rng.sample(enumerate_symbols(11), 4)]
+    sample.append((1, 0))
     xi = _pair_lookup(table11)
     for x in sample:
         (oracle,) = period_integral_oracle(form11, [x])
@@ -268,11 +273,11 @@ def test_period_oracle_matches_bridge(form11, table11):
 
 
 def test_period_oracle_path_reversal(form11):
-    x = SymbolIndex(11, 2, 5)
+    x = (2, 5)
     (forward,) = period_integral_oracle(form11, [x])
-    (backward,) = period_integral_oracle(form11, [x.act(SIGMA)])
+    (backward,) = period_integral_oracle(form11, [SIGMA.row_action(x, 11)])
     assert abs(forward + backward) < 1e-8
-    (negated,) = period_integral_oracle(form11, [x.negated()])
+    (negated,) = period_integral_oracle(form11, [(-2, -5)])
     assert abs(forward - negated) < 1e-8
 
 
@@ -280,7 +285,7 @@ def test_petersson_positive_and_matches_residue(form11, table11):
     pet = petersson(table11, table11)
     assert pet.real > 0
     assert abs(pet.imag) < 1e-10 * pet.real
-    res = residue_tensor_square(form11)
+    res = residue_tensor_square(form11, twisted_lambda_table(form11))
     assert abs(12 * math.pi * pet.real - res) < 1e-6 * res
 
 
@@ -381,13 +386,11 @@ def _eval_points(form, z, conj):
 
 
 def _reducer_oracle(form, x, nodes=32, panel=3.0, quadrature=None):
-    """period_integral_oracle for one symbol x through the reducer: both
+    """period_integral_oracle for one pair x through the reducer: both
     halves of the path, g(it) and g(i/t), reduced node by node."""
     p = form.level
-    if getattr(x, "level", p) != p:
-        raise ValueError("level mismatch between form and symbol")
     w = root_number(form)
-    g = matrix_lift(getattr(x, "pair", x), p)
+    g = matrix_lift(x, p)
     tmax = p * math.log(1.0 / ABS_TOL) / (2 * math.pi) + 4.0
     cuts = [1.0]
     while cuts[-1] < tmax:
@@ -396,8 +399,8 @@ def _reducer_oracle(form, x, nodes=32, panel=3.0, quadrature=None):
                                        for t0, t1 in zip(cuts, cuts[1:]))))
     # Both halves of the path: g(it), and g(i/t) with dt/t^2.
     it = np.concatenate([1j * ts, 1j / ts])
-    jac = g.derivative(it) * np.concatenate([ws, ws / (ts * ts)])
-    z, mult, conj, moves = _reduce_points(p, g.act(it), w, 0.7 / p)
+    jac = mobius_derivative(g, it) * np.concatenate([ws, ws / (ts * ts)])
+    z, mult, conj, moves = _reduce_points(p, mobius(g, it), w, 0.7 / p)
     values = _eval_points(form, z, conj)
     if quadrature is not None:
         quadrature.update(nodes=int(z.size), panels=len(cuts) - 1,
@@ -420,9 +423,9 @@ def _scalar_reduced_eval(form, z, w, threshold=None, max_steps=40):
         shift = round(z.real)
         z -= shift
         if z.imag >= threshold:
-            g = form.conjugate_partner() if conjugated else form
-            return (mult * complex(q_expansions(g.coefficients, z)), z, mult,
-                    conjugated)
+            a = form.coefficients
+            return (mult * complex(q_expansions(a.conj() if conjugated else a,
+                                                z)), z, mult, conjugated)
         best = None
         for k in range(-8, 9):
             if k == 0:
@@ -543,22 +546,22 @@ def oracle_paths(request):
     w = root_number(form)
     tmax = p * math.log(1.0 / ABS_TOL) / (2 * math.pi) + 4.0
     paths = []
-    for u, v in APPENDIX_SYMBOLS:
-        x = SymbolIndex(p, u, v)
-        g = matrix_lift(x)
+    for x in APPENDIX_SYMBOLS:
+        g = matrix_lift(x, p)
         points, refs, total, t0 = [], [], 0.0 + 0.0j, 1.0
         while t0 < tmax:
             t1 = min(t0 + 3.0, tmax)
             ts, ws = gauss_legendre_nodes(32, t0, t1)
             panel = []
             for tt, wt in zip(ts, ws):
-                up, down = g.act(1j * tt), g.act(1j / tt)
+                up, down = mobius(g, 1j * tt), mobius(g, 1j / tt)
                 ref_up = _scalar_reduced_eval(form, up, w)
                 ref_down = _scalar_reduced_eval(form, down, w)
                 points += [up, down]
                 refs += [ref_up, ref_down]
-                panel.append(wt * (ref_up[0] * g.derivative(1j * tt)
-                                   + ref_down[0] * g.derivative(1j / tt)
+                panel.append(wt * (ref_up[0] * mobius_derivative(g, 1j * tt)
+                                   + ref_down[0]
+                                   * mobius_derivative(g, 1j / tt)
                                    / (tt * tt)))
             total += sum(panel)
             t0 = t1
@@ -698,11 +701,12 @@ def oracle_routes(request):
     symbol by symbol, and the bridge table's values."""
     p = request.param
     form = newform_from_curve(ORACLE_CURVES[p], nmax=4000)
-    symbols = [SymbolIndex(p, *pair) for pair in APPENDIX_SYMBOLS]
-    symbols += random.Random(p).sample(enumerate_symbols(p), 20)
+    symbols = list(APPENDIX_SYMBOLS)
+    symbols += [(x.u, x.v)
+                for x in random.Random(p).sample(enumerate_symbols(p), 20)]
     closed = period_integral_oracle(form, symbols)
     reducer = np.array([_reducer_oracle(form, x) for x in symbols])
-    xi = xi_bridge_table(form)
+    xi = xi_bridge_table(form, twisted_lambda_table(form))
     bridge = np.array(list(map(_pair_lookup(xi), symbols)))
     return form, symbols, closed, reducer, bridge
 
@@ -713,7 +717,7 @@ def test_closed_form_oracle_matches_the_reducer_and_the_bridge(
     assert closed.shape == (25,) and closed.dtype == complex
     # (0, 1) lies in Gamma_0(p), so its g half is f(it) itself; (1, 0)
     # has bottom row (1, 0) and takes the coset step S in its g half.
-    assert symbols[0].pair == (0, 1) and symbols[1].pair == (1, 0)
+    assert symbols[0] == (0, 1) and symbols[1] == (1, 0)
     assert np.all(np.abs(closed[:5] - reducer[:5]) < 1e-13)
     assert np.all(np.abs(closed - bridge) < 1e-13)
     # On the random symbols the reducer itself drifts from 37 on, by up
@@ -732,9 +736,6 @@ def test_one_symbol_alone_gives_the_bits_it_gets_in_a_batch(oracle_routes):
     for i in (0, 1, 2, 12):
         alone = period_integral_oracle(form, [symbols[i]])
         assert alone.tobytes() == closed[i:i + 1].tobytes()
-        # A pair is read as its SymbolIndex.
-        pair = period_integral_oracle(form, [symbols[i].pair])
-        assert pair.tobytes() == alone.tobytes()
     assert period_integral_oracle(form, []).shape == (0,)
 
 
@@ -781,11 +782,11 @@ def test_oracle_stream_is_cut_at_the_height_one_over_p_count():
     assert str(got.value) == str(want.value)
 
 
-def test_oracle_rejects_a_symbol_of_another_level(form11):
-    with pytest.raises(ValueError, match="level mismatch"):
-        period_integral_oracle(form11, [SymbolIndex(17, 1, 2)])
+def test_oracle_rejects_a_pair_of_smaller_order(form11):
     with pytest.raises(ValueError, match="order 11"):
         period_integral_oracle(form11, [(0, 0)])
+    with pytest.raises(ValueError, match="order 11"):
+        period_integral_oracle(form11, [(1, 2), (11, 22)])
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CurveModel(0, 0, 1, -1, 0, 37)],
@@ -795,7 +796,6 @@ def test_xi_from_the_twisted_table_matches_per_twist_central_values(curve):
     p = curve.conductor
     table = twisted_lambda_table(form)
     xi = xi_bridge_table(form, lambda_table=table)
-    assert xi.lines.tobytes() == xi_bridge_table(form).lines.tobytes()
     # The central values summed one twist at a time.
     w = root_number(form)
     central = {chi: l_value(twist_by_character(form, chi), 1.0)
@@ -831,18 +831,18 @@ def _scalar_plus(xi, pair):
     return 0.5 * (xi((u, v)) + xi((-u, v)))
 
 
-def _loop_closedness(table, symbols=None):
+def _loop_closedness(table, pairs=None):
     """The defects pair by pair, over every order-p pair or the given
-    symbols."""
-    xi = _pair_lookup(table)
+    pairs."""
+    n, xi = table.level, _pair_lookup(table)
     worst2 = worst3 = 0.0
-    for x in symbols or enumerate_symbols(table.level):
-        xt = x.act(TAU_MAT)
-        worst2 = max(worst2, abs(_scalar_plus(xi, x.pair)
-                                 + _scalar_plus(xi, x.act(SIGMA).pair)))
+    for x in pairs or [(y.u, y.v) for y in enumerate_symbols(n)]:
+        xt = TAU_MAT.row_action(x, n)
+        worst2 = max(worst2, abs(_scalar_plus(xi, x)
+                                 + _scalar_plus(xi, SIGMA.row_action(x, n))))
         worst3 = max(worst3, abs(
-            _scalar_plus(xi, x.pair) + _scalar_plus(xi, xt.pair)
-            + _scalar_plus(xi, xt.act(TAU_MAT).pair)))
+            _scalar_plus(xi, x) + _scalar_plus(xi, xt)
+            + _scalar_plus(xi, TAU_MAT.row_action(xt, n))))
     return worst2, worst3
 
 
@@ -899,7 +899,7 @@ def bridge(request):
               37: CurveModel(0, 0, 1, -1, 0, 37),
               101: CurveModel(0, 1, 1, -1, -1, 101)}
     form = newform_from_curve(curves[request.param], 4000)
-    return form, xi_bridge_table(form)
+    return form, xi_bridge_table(form, twisted_lambda_table(form))
 
 
 def test_xi_table_array_matches_the_scalar_lookup_on_every_pair(bridge):
@@ -976,8 +976,7 @@ def test_closedness_and_petersson_on_random_tables_at_389():
     rng = np.random.default_rng(p)
     a, b = (XiTable(p, rng.normal(size=p + 1) + 1j * rng.normal(size=p + 1))
             for _ in range(2))
-    rows = [SymbolIndex(p, *pair) for pair in _line_rows(p)]
-    assert a.closedness() == _loop_closedness(a, rows)
+    assert a.closedness() == _loop_closedness(a, _line_rows(p))
     assert min(a.closedness()) > 0.1
     for x, y in ((a, a), (a, b)):
         got = petersson(x, y)

@@ -1,11 +1,15 @@
 """src/ellreg holds what the command line runs.
 
 A fresh interpreter runs ``ellreg.cli.main`` on COMMANDS under a profile
-hook and reports every module-level function of the package that it
-never entered.  The process is fresh so that cached bodies such as
-``character_table`` really run.  A route that only the tests use
-belongs in tests/ (reference_routes.py, gamma1_symbols.py); what stays
-unreached in src/ is named in ALLOWED with its reason.
+hook and reports every module-level function of the package, and every
+method of a class the package defines (plain methods, properties,
+classmethods, staticmethods and cached properties), that it never
+entered.  Code that the module's own file does not hold, such as the
+methods that ``dataclass`` and ``NamedTuple`` generate, is not counted.
+The process is fresh so that cached bodies such as ``character_table``
+really run.  A route that only the tests use belongs in tests/
+(reference_routes.py, gamma1_symbols.py); what stays unreached in src/
+is named in ALLOWED with its reason.
 """
 
 import json
@@ -34,19 +38,25 @@ COMMANDS = [
     ["verify", "thm1", "--curve", "0,1,1,-1,-1,101", "--out", "{out}"],
 ]
 
+# DirichletCharacter's three dunder methods give a public class its value
+# semantics: characters compare, hash and print by what they are.
+VALUE_SEMANTICS = ("equal characters are the same exponent table; a "
+                   "character is a value, whatever the commands compare")
+
 ALLOWED = {
+    "characters.DirichletCharacter.__eq__": VALUE_SEMANTICS,
+    "characters.DirichletCharacter.__hash__": VALUE_SEMANTICS,
+    "characters.DirichletCharacter.__repr__": VALUE_SEMANTICS,
     "eisenstein._straight_path":
         "the vertical branch of _geodesic_path; every arc a command "
         "integrates is a circle",
-    "mahler._polished_roots":
-        "the scalar roots of a node row of Y-degree >= 1 whose leading or "
-        "constant coefficient is exactly 0 at a node, which the batched "
-        "solve cannot take; no known polynomial produces such a row",
     "special.complex_gamma":
         "the complex-s branch of incomplete_gamma_upper_complex and "
         "l_value; tests check the smoothing at complex s",
     "verify.reports_from_json":
         "reads an --out report back, for tools that post-process reports",
+    "verify.CheckReport.from_dict":
+        "reads one row of an --out report back, for reports_from_json",
 }
 
 SCRIPT = """
@@ -68,13 +78,32 @@ for argv in json.loads(sys.argv[1]):
 sys.setprofile(None)
 threading.setprofile(None)
 missed = []
+
+def check(name, obj, module):
+    # A property's getter, a classmethod's or staticmethod's function, a
+    # cached property's function, or the object itself; counted only if
+    # the module's own file holds its code.
+    for fn in (getattr(obj, "fget", None), getattr(obj, "__func__", None),
+               getattr(obj, "func", None), obj):
+        if callable(fn):
+            fn = inspect.unwrap(fn)
+        if inspect.isfunction(fn):
+            break
+    else:
+        return
+    code = fn.__code__
+    if code.co_filename == module.__file__ and code not in entered:
+        missed.append(name)
+
 for info in pkgutil.iter_modules(ellreg.__path__):
     module = importlib.import_module("ellreg." + info.name)
     for name, obj in vars(module).items():
-        fn = inspect.unwrap(obj) if callable(obj) else obj
-        if (inspect.isfunction(fn) and fn.__module__ == module.__name__
-                and fn.__code__ not in entered):
-            missed.append(info.name + "." + name)
+        label = info.name + "." + name
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                check(label + "." + attr, member, module)
+        else:
+            check(label, obj, module)
 print(json.dumps({"codes": codes, "missed": missed}))
 """
 
