@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # the modules it uses.
 _HOME = {name: module for module, names in [
     ("characters", "DirichletCharacter FiniteMap character_from_label "
-     "character_label enumerate_characters gauss_sum l_chi_2 "
+     "enumerate_characters exponent_label gauss_sum l_chi_2 "
      "twisted_bernoulli2"),
     ("eisenstein", "EtaForm UnimodularMatrix arc_integral eta_chi eta_form "
      "g_column"),

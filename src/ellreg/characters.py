@@ -2,7 +2,8 @@
 
 Characters are stored as exponent tables: chi(a) = exp(2 pi i e(a) / M)
 with integer e(a) modulo a common order M, so conjugates and equality
-are exact.  Complex values are cached on first use.
+are exact.  Complex values are cached on first use.  Modulo a prime,
+the verify suites' case, a character is its exponent (character_table).
 """
 
 from __future__ import annotations
@@ -249,10 +250,6 @@ class FiniteMap:
         self.modulus = modulus
         self.values = [complex(v) for v in values]
 
-    @classmethod
-    def from_character(cls, chi):
-        return cls(chi.modulus, [chi(a) for a in range(chi.modulus)])
-
     def __call__(self, n):
         return self.values[n % self.modulus]
 
@@ -266,46 +263,54 @@ def gauss_sum(chi) -> complex:
 
 
 class CharacterTable(NamedTuple):
-    """The characters mod a prime p, indexed by their exponent k.
+    """The characters mod a prime p, as their exponents k.
 
-    chi_k(g^a) = e(k a / (p - 1)) for the smallest primitive root g, so
+    chi_k(g^i) = e(k i / (p - 1)) for the smallest primitive root g, so
     chi_j chi_k = chi_{j+k}, conj chi_k = chi_{-k}, chi_0 is trivial and
-    chi_k is even exactly when k is.  values[k, a] = chi_k(a) for
-    a = 0 .. p - 1 and tau[k] = tau(chi_k); both arrays are read-only.
+    chi_k is even exactly when k is.  powers[i] = g^i mod p, logs[a] is
+    the i with g^i = a (logs[0] = 0 holds no log) and tau[k] = tau(chi_k).
+    A sum sum_a chi_k(a) F(a) over every k is one DFT of F(powers) (Rader's
+    re-indexing).  All three arrays are read-only.
     """
 
-    characters: tuple
-    values: np.ndarray
+    powers: np.ndarray
+    logs: np.ndarray
     tau: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def character_table(p: int) -> CharacterTable:
-    """The exponent-indexed characters mod the prime p, built once."""
+    """The exponent table of the characters mod the prime p, built once."""
     if not _is_prime(p):
         raise ValueError(f"character tables need a prime modulus, not {p}")
-    # enumerate_characters runs one exponent over the one generator.
-    chars = tuple(enumerate_characters(p))
-    # chi_k(a) = e(k log(a) / (p - 1)), read from the roots of chi_k's
-    # reduced order (p - 1) / d as DirichletCharacter reads them.
-    logs = np.array([_dlog_tables(p)[a][0] for a in range(1, p)])
-    ks = np.arange(p - 1)
-    g = np.gcd(ks, p - 1)
-    values = np.zeros((p - 1, p), dtype=complex)
-    for d in _divisors(p - 1):
-        m = (p - 1) // d
-        roots = np.array([cmath.exp(2j * math.pi * e / m) for e in range(m)])
-        values[g == d, 1:] = roots[np.outer(ks[g == d], logs) % (p - 1) // d]
-    # tau[k] = sum_a chi_k(a) e(a / p), added in gauss_sum's order with
-    # its scalar complex products spelled out in real arithmetic, which
-    # numpy's vectorized complex product may fuse.
-    tau = np.zeros(p - 1, dtype=complex)
-    for a in range(1, p):
-        e, column = cmath.exp(2j * math.pi * a / p), values[:, a]
-        tau.real += column.real * e.real - column.imag * e.imag
-        tau.imag += column.real * e.imag + column.imag * e.real
-    values.flags.writeable = tau.flags.writeable = False
-    return CharacterTable(chars, values, tau)
+    g = _primitive_root(p)
+    powers = np.array([pow(g, i, p) for i in range(p - 1)])
+    logs = np.zeros(p, dtype=int)
+    logs[powers] = np.arange(p - 1)
+    # tau[k] = sum_i e(k i / (p - 1)) e(g^i / p), one inverse DFT.
+    tau = np.fft.ifft(np.exp(2j * math.pi * powers / p), norm="forward")
+    for array in (powers, logs, tau):
+        array.flags.writeable = False
+    return CharacterTable(powers, logs, tau)
+
+
+def character_values(p: int, ks) -> np.ndarray:
+    """chi_k(a) for a = 0 .. p - 1, p prime, one row per exponent k in ks
+    (a scalar k gives one row): e(k logs[a] / (p - 1)), and 0 at a = 0."""
+    n = p - 1
+    # e(h / n) with h in (-n / 2, n / 2]: the least angle rounds least.
+    h = np.arange(n)
+    roots = np.exp(2j * math.pi * np.where(2 * h > n, h - n, h) / n)
+    values = roots[np.multiply.outer(ks, character_table(p).logs) % n]
+    values[..., 0] = 0.0
+    return values
+
+
+def exponent_label(p: int, k: int) -> str:
+    """The label of chi_k mod the prime p, which character_from_label
+    reads back: chi_k(g) = e(k / (p - 1)) = zeta_m^e in lowest terms."""
+    d = math.gcd(int(k), p - 1)
+    return f"{p}:g={_primitive_root(p)},zeta{(p - 1) // d}^{int(k) // d}"
 
 
 def twisted_bernoulli2(chi) -> complex:
@@ -370,18 +375,3 @@ def character_from_label(label):
     if len(matches) > 1:
         raise ValueError(f"label {label!r} is ambiguous")
     return matches[0]
-
-
-def character_label(chi) -> str:
-    """Inverse of character_from_label when (Z/N)* is cyclic.
-
-    The value at the smallest primitive root pins the character down
-    uniquely, so the label always round-trips.
-    """
-    n = chi.modulus
-    if n <= 2:
-        return f"{n}:g=1,zeta1^0"
-    g = _primitive_root(n)
-    if g is None:
-        raise ValueError(f"(Z/{n})* is not cyclic; no label for modulus {n}")
-    return f"{n}:g={g},zeta{chi.order}^{chi.exponent_at(g)}"

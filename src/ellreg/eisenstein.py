@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import FiniteMap, character_table
+from .characters import FiniteMap, character_table, character_values
 from .special import ABS_TOL, gauss_legendre_nodes
 
 EULER_GAMMA = 0.5772156649015329
@@ -54,8 +54,6 @@ class UnimodularMatrix:
 
 
 IDENTITY = UnimodularMatrix(1, 0, 0, 1)
-SIGMA = UnimodularMatrix(0, -1, 1, 0)
-TAU_MAT = UnimodularMatrix(0, -1, 1, -1)
 
 
 def g_column(v: int) -> UnimodularMatrix:
@@ -249,12 +247,11 @@ def eta_form(l: FiniteMap, m: FiniteMap,
     return EtaForm.from_residue_maps(l, m, rmax)
 
 
-def eta_chi(chi) -> EtaForm:
-    """eta_chi = sum_{a,b units} chi(a) conj(chi)(b) eta(delta_a, delta_b),
-    truncated for Im z >= sqrt(3) / 2."""
-    left = FiniteMap.from_character(chi)
-    right = FiniteMap.from_character(chi.conjugate())
-    return eta_form(left, right)
+def eta_chi(p: int, k: int) -> EtaForm:
+    """eta_chi = sum_{a,b units} chi(a) conj(chi)(b) eta(delta_a, delta_b)
+    for chi = chi_k mod the prime p, truncated for Im z >= sqrt(3) / 2."""
+    chi = character_values(p, k)
+    return eta_form(FiniteMap(p, chi), FiniteMap(p, chi.conj()))
 
 
 def _geodesic_path(z0: complex, z1: complex):
@@ -373,7 +370,7 @@ def line_arcs(p: int, ks):
     pair {chi, conj chi} is computed once.  Raises unless every gap is
     below 1e-10 max(1, |value|), as integrate_one_form does."""
     ks = np.asarray(ks)
-    _, values, tau = character_table(p)
+    tau = character_table(p).tau
     # Each pair {chi, conj chi} by its lesser exponent; where[j] is ks[j]'s
     # place among the distinct ones, read off the running count.
     half = np.minimum(ks, -ks % (p - 1))
@@ -387,7 +384,7 @@ def line_arcs(p: int, ks):
     step = max(1, min(len(reps), ARC_BLOCK_BYTES
                       // (32 * (p + 1) * max(ARC_NODES))))
     rows = np.resize(reps, -(-len(reps) // step) * step)
-    chi = values[rows]
+    chi = character_values(p, rows)
     rmax = suggested_rmax(p, math.sqrt(3) / 2)
     J = rmax // p + 1
     r = np.arange(J * p)

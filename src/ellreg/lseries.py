@@ -9,10 +9,10 @@ computed from the split integral representation
 
 with c = 2pi/sqrt(M), G_s(x) = x^{-s} Gamma(s, x), and w the
 Atkin-Lehner pseudo-eigenvalue, always measured numerically from the
-transformation g(-1/(Mz)) = w M z^2 gbar(z).  Summation, root numbers
-and Lambda each work on a stack of streams of one level, so the twists
-f (x) chi_k of a prime-level form are the rows of one matrix.  The
-module also covers the residue of L(f (x) f, s) at s = 2 expressed
+transformation g(-1/(Mz)) = w M z^2 gbar(z).  The twists f (x) chi_k of
+a prime-level form are never written out: each of their sums is, for
+every k at once, one transform of the form's terms binned by n mod p.
+The module also covers the residue of L(f (x) f, s) at s = 2 expressed
 through the twisted central values.
 """
 
@@ -89,7 +89,7 @@ def _term_count(level: int, nmax: int) -> int:
 
 def _twist_terms(p: int, nmax: int) -> int:
     """The terms of the twists f (x) chi_k, of level p^2, that
-    _root_numbers (at any height) and _lambda_values read."""
+    twisted_lambda_table reads, at any root-number height."""
     return max(int(_terms_for_rates(_root_rates(p * p), nmax).max()),
                _term_count(p * p, nmax))
 
@@ -158,21 +158,23 @@ def q_expansions(streams: np.ndarray, z) -> np.ndarray:
     return out.reshape(np.shape(streams)[:-1] + z.shape)
 
 
-def _root_numbers(streams: np.ndarray, level: int) -> np.ndarray:
-    """Atkin-Lehner pseudo-eigenvalues of a stack of forms of one level.
+def _root_numbers(series, level: int) -> np.ndarray:
+    """Atkin-Lehner pseudo-eigenvalues of some forms of one level.
 
-    Each row is sampled at the first two of four heights y where its
+    series(z) is the forms' q-series at the points z, one row per form.
+    Each form is sampled at the first two of four heights y where its
     partner, the conjugate stream, does not vanish at iy; the two
     samples must agree and have modulus 1.  The partner at iy is
-    conj(g(iy)), so each height sums every row at two points.
+    conj(g(iy)), so each height sums every form at two points.
     """
     m = level
-    samples = [[] for _ in streams]
+    samples = []
     for c in _ROOT_HEIGHTS:
-        if all(len(s) == 2 for s in samples):
+        if samples and all(len(s) == 2 for s in samples):
             break
         y = c / math.sqrt(m)
-        at_y, at_dual = q_expansions(streams, [1j * y, 1j / (m * y)]).T
+        at_y, at_dual = series(np.array([1j * y, 1j / (m * y)])).T
+        samples = samples or [[] for _ in at_y]
         for s, num, den in zip(samples, at_dual.tolist(),
                                at_y.conj().tolist()):
             if len(s) < 2 and abs(den) >= 1e-12 * math.exp(-TWO_PI * y):
@@ -195,8 +197,9 @@ def root_number(form: ModularFormData) -> complex:
     """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z),
     by the rule of _root_numbers on the one stream."""
     if not form._root_cache:
-        form._root_cache.append(
-            complex(_root_numbers(form.coefficients[None], form.level)[0]))
+        form._root_cache.append(complex(_root_numbers(
+            lambda z: q_expansions(form.coefficients[None], z),
+            form.level)[0]))
     return form._root_cache[0]
 
 
@@ -207,23 +210,18 @@ def _weights(s, level: int, k: int) -> np.ndarray:
         [incomplete_gamma_upper_complex(s, t) for t in x])
 
 
-def _lambda_values(streams: np.ndarray, level: int, s, w):
-    """Lambda(g, s) of one stream or of each row of a stack of streams
-    of one level, given their root numbers w."""
-    k = _term_count(level, np.shape(streams)[-1] - 1)
-    g_s = _weights(s, level, k)
-    # At s = 1 the two halves share their weights.
-    g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s), level, k)
-    a = streams[..., 1:k + 1]
-    return a @ g_s - w * (a.conj() @ g_dual)
-
-
 def lambda_value(form: ModularFormData, s,
                  w: complex | None = None) -> complex:
     """Completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s)."""
     if w is None:
         w = root_number(form)
-    return complex(_lambda_values(form.coefficients, form.level, s, w))
+    k = _term_count(form.level, form.nmax)
+    g_s = _weights(s, form.level, k)
+    # At s = 1 the two halves share their weights.
+    g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s),
+                                                    form.level, k)
+    a = form.coefficients[1:k + 1]
+    return complex(a @ g_s - w * (a.conj() @ g_dual))
 
 
 def l_value(form: ModularFormData, s, w: complex | None = None) -> complex:
@@ -237,31 +235,42 @@ def l_value(form: ModularFormData, s, w: complex | None = None) -> complex:
     return lam * (TWO_PI ** s) * form.level ** (-s / 2.0) / gamma_s
 
 
-def _twist_streams(form: ModularFormData) -> np.ndarray:
-    """Row k - 1 is the stream chi_k(n) a_n of f (x) chi_k, k = 1 .. p - 2,
-    as far as _root_numbers (at any height) and _lambda_values read it at
-    level p^2; if a count is beyond the form's nmax, the whole stream, so
-    that the sums raise as on it."""
-    p = form.level
-    try:
-        k = _twist_terms(p, form.nmax)
-    except TruncationError:
-        k = form.nmax
-    values = character_table(p).values[1:]
-    return values[:, np.arange(k + 1) % p] * form.coefficients[:k + 1]
+def _character_sums(terms: np.ndarray, p: int) -> np.ndarray:
+    """sum_n chi_k(n) terms[n], n = 0, 1, ..., for every exponent k mod
+    the prime p: the terms binned by n mod p, then one transform over the
+    discrete logs, as chi_k(g^i) = e(k i / (p - 1))."""
+    n = np.arange(len(terms)) % p
+    bins = np.bincount(n, terms.real, p) + 1j * np.bincount(n, terms.imag, p)
+    return np.fft.ifft(bins[character_table(p).powers], norm="forward")
+
+
+def _twisted_series(form: ModularFormData, z: np.ndarray) -> np.ndarray:
+    """sum_n chi_k(n) a_n e(n z), the q-series of f (x) chi_k, at each
+    point of z (columns) for k = 1 .. p - 2 (rows); each point sums the
+    terms its height needs (_terms_for_rates), as q_expansions does."""
+    a = form.coefficients
+    counts = _terms_for_rates(TWO_PI * z.imag, form.nmax)
+    return np.stack([
+        _character_sums(a[:k + 1] * np.exp(2j * math.pi * np.arange(k + 1)
+                                           * point), form.level)[1:]
+        for point, k in zip(z, counts)], axis=-1)
 
 
 def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
     """Lambda[k] = Lambda(f (x) chi_k, 1) by character exponent, nan at k = 0.
 
-    The twist streams chi_k(n) a_n, k = 1 .. p - 2, are the rows of one
-    matrix of level p^2, whose root numbers and Lambda values are each
-    one stacked call.
+    f (x) chi_k has level p^2 and the stream chi_k(n) a_n, which is never
+    built: its root number samples _twisted_series, and its Lambda sum
+    S_k = sum_n chi_k(n) a_n G(n) is one _character_sums call for every k.
+    At s = 1 the weights G are real, so the dual half is conj(S_k), and
+    Lambda_k = S_k - w_k conj(S_k).
     """
-    p = form.level
-    streams = _twist_streams(form)
-    w = _root_numbers(streams, p * p)
-    return np.concatenate([[math.nan], _lambda_values(streams, p * p, 1.0, w)])
+    p, m = form.level, form.level ** 2
+    w = _root_numbers(lambda z: _twisted_series(form, z), m)
+    k = _term_count(m, form.nmax)
+    terms = form.coefficients[:k + 1] * np.append(0.0, _weights(1.0, m, k))
+    sums = _character_sums(terms, p)[1:]
+    return np.concatenate([[math.nan], sums - w * sums.conj()])
 
 
 def residue_tensor_square(form: ModularFormData,
@@ -278,11 +287,8 @@ def residue_tensor_square(form: ModularFormData,
     lam = lambda_table[1:]
     j = np.arange(1, n - 1)
     pair = np.add.outer(j, j) % (n - 1)
-    # einsum rounds each product as scalar complex arithmetic does, and
-    # the running sum adds the terms in pair order, as a loop over the
-    # pairs would.
-    terms = np.einsum("j,k->jk", lam, lam) / character_table(n).tau[pair]
-    total = np.cumsum(terms[pair % 2 == 1])[-1]
+    terms = np.outer(lam, lam) / character_table(n).tau[pair]
+    total = terms[pair % 2 == 1].sum()
     value = total * 2j * math.pi / ((n + 1) * (n - 1) ** 2)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise RuntimeError("residue came out non-real: %r" % value)

@@ -140,16 +140,16 @@ def xi_bridge_table(form: ModularFormData,
     """
     p = form.level
     w = root_number(form)
-    _, values, tau = character_table(p)
+    _, logs, tau = character_table(p)
     k = np.arange(1, p - 1)
-    central = tau[-k] * (TWO_PI / p) * lambda_table[k]
-    units = w * np.einsum("kx,k->x", values[k, 1:].conj(), central
-                          ) / (TWO_PI * (p - 1))
+    central = np.append(0.0, tau[-k] * (TWO_PI / p) * lambda_table[k])
+    # At x = g^i, conj chi_k(x) = e(-k i / (p - 1)): one DFT over k.
+    units = w * np.fft.fft(central) / (TWO_PI * (p - 1))
     at_inf = w * l_value(form, 1.0) / TWO_PI
     # Line (1, v) is the class x = 1 / v, the line index of (v, 1).
     v = np.arange(1, p)
     return XiTable(p, np.concatenate(
-        [[at_inf], units[line_index(v, 1, p) - 1], [-at_inf]]))
+        [[at_inf], units[logs[line_index(v, 1, p)]], [-at_inf]]))
 
 
 ORACLE_NODES = 32  # Gauss-Legendre nodes per panel of the period oracle

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import _is_prime, character_label, character_table
+from .characters import (_is_prime, character_table, character_values,
+                         exponent_label)
 from .eisenstein import ARC_NODES, arc_integral, eta_chi, g_column, line_arcs
 from .elliptic import (
     CURVE_11A,
@@ -261,10 +262,12 @@ class CurveContext:
         theorem hold at machine precision for every even character at
         p = 11 and 17.
         """
-        _, values, tau = character_table(self.p)
+        powers, _, tau = character_table(self.p)
         bar = (-np.arange(self.p - 1)) % (self.p - 1)
         arcs, _ = self.eta_arcs
-        return tau[bar] * np.einsum("kv,jv->kj", arcs[:, :-1], values[bar])
+        # conj chi_j(g^i) = e(-j i / (p - 1)): one DFT of each row of arcs
+        # read at v = g^i.
+        return tau[bar] * np.fft.fft(arcs[:, powers], axis=1)
 
     @cached_property
     def residue(self) -> float:
@@ -331,21 +334,20 @@ def run_thm8(config=None):
     rows.truncation["lseries_terms"] = ctx.form.nmax
     dilog, l_two = ctx.dilog, ctx.l_two
     p = config.level
-    chars = character_table(p).characters
     terms = {"lambda_terms": ctx.lambda_terms(p)}
     values = {}
-    for k in ctx.evens:
-        zeta = complex(chars[k](3))
+    for k, zeta in zip(ctx.evens,
+                       character_values(p, ctx.evens)[:, 3].tolist()):
         ratio = (1.0 + 3.0 * (zeta + zeta.conjugate())) / (zeta - zeta.conjugate())
         # The a = 0 term drops out: D_E vanishes at the origin.
         values[k] = (20.0 * math.pi / 121.0) * ratio * sum(
             zeta ** a * dilog[a] for a in range(1, 5))
-        label = character_label(chars[k])
+        label = exponent_label(p, k)
         rows.add(f"thm8:identity:{label}", l_two, values[k], TOL_SERIES,
                  terms, character=label)
     # One row per conjugate pair {chi_k, chi_-k}, at the smaller exponent.
     for k in ctx.evens[ctx.evens < (-ctx.evens) % (p - 1)]:
-        label = character_label(chars[k])
+        label = exponent_label(p, k)
         rows.add(f"thm8:conjugation:{label}", values[k],
                  values[(-k) % (p - 1)], 1e-10, error_kind="abs",
                  character=label)
@@ -389,25 +391,24 @@ def run_thm1(config=None):
     rows.add("thm1:fricke-sign", w, -a_p(config.curve, p), TOL_SERIES,
              error_kind="abs")
 
-    chars, _, tau = character_table(p)
-    evens, odds = ctx.evens, ctx.odds
+    tau, evens, odds = character_table(p).tau, ctx.evens, ctx.odds
     arcs, gap = ctx.eta_arcs
     coef = ctx.arc_coefficients
     prefactor = p * w / (8j * math.pi * (p - 1))
-    rhs = prefactor * tau[evens] * np.einsum(
-        "kj,j->k", coef[np.ix_(evens, evens)], l_one[evens])
+    rhs = prefactor * tau[evens] * (coef[np.ix_(evens, evens)]
+                                    @ l_one[evens])
     sweep = np.abs(coef[np.ix_(evens, odds)]).max(axis=1)
 
     # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
     # and the identity.
     rows.truncation.update(eta_tol=ABS_TOL, arc_count=len(evens) * (p - 1),
                            **_arc_truncation(gap))
-    label = character_label(chars[evens[0]])
+    label = exponent_label(p, evens[0])
     rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[evens[0], [0, p]]).max(),
              0.0, 1e-9, error_kind="abs", character=label)
     terms = {"lambda_terms": ctx.lambda_terms(p, p * p)}
     for i, k in enumerate(evens):
-        label = character_label(chars[k])
+        label = exponent_label(p, k)
         rows.add(f"thm1:identity:{label}", l_two * l_one[k], rhs[i],
                  TOL_QUADRATURE, terms, scale=l_two, character=label)
         rows.add(f"thm1:odd-sweep:{label}", sweep[i], 0.0, 1e-9,
@@ -431,14 +432,14 @@ def run_thm2(config=None):
     # tau(chi_k chi_j) for even k and odd j; chi_k chi_j = chi_{k+j}.
     mixed = tau[np.add.outer(evens, odds) % (p - 1)]
     even_one, odd_one = l_one[evens], l_one[odds]
-    # lam[k, j] = sum_m tau(chi_m) / tau(chi_m chi_j) c[m, k], m even.
-    lam = np.einsum("mj,mk->kj", tau[evens, None] / mixed,
-                    ctx.arc_coefficients[np.ix_(evens, evens)])
-    weighted = np.einsum("kj,k,j->", lam, even_one, odd_one)
+    # sum_{k, j} lam[k, j] L_k L_j with lam[k, j] = sum_m tau(chi_m) /
+    # tau(chi_m chi_j) c[m, k] over even m, summed over m last.
+    weighted = np.sum((ctx.arc_coefficients[np.ix_(evens, evens)] @ even_one)
+                      * ((tau[evens, None] / mixed) @ odd_one))
 
     residue = ctx.residue
-    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * np.einsum(
-        "k,j,kj->", even_one, odd_one, 1.0 / mixed)
+    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * (
+        even_one @ (1.0 / mixed) @ odd_one)
     rows.add("thm2:residue-consistency", residue, explicit, TOL_SERIES,
              {"lambda_terms": ctx.lambda_terms(p * p)})
 
@@ -448,8 +449,7 @@ def run_thm2(config=None):
 
     # Eliminating the residue against the same double sum conjugates the
     # central values in the denominator and drops one power of pi.
-    denominator = np.einsum("kj,k,j->", mixed, even_one.conj(),
-                            odd_one.conj())
+    denominator = even_one.conj() @ mixed @ odd_one.conj()
     free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)
             ) * weighted / denominator
     rows.add("thm2:residue-free", l_two, free, TOL_QUADRATURE)
@@ -479,15 +479,14 @@ def run_thm3(config=None):
     rows.add("thm3:closedness", max(xi.closedness()), 0.0, 1e-9,
              {"lambda_terms": terms}, error_kind="abs")
 
-    chars, _, tau = character_table(p)
-    evens = ctx.evens
+    tau, evens = character_table(p).tau, ctx.evens
     arcs, gap = ctx.eta_arcs
     rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi.plus())
     # The right side's single-pair arcs: every x != 0, up to sign.
     truncation = dict(arc_count=(p * p - 1) // 2, lambda_terms=terms,
                       **_arc_truncation(gap))
     for i, k in enumerate(evens):
-        label = character_label(chars[k])
+        label = exponent_label(p, k)
         rows.add(f"thm3:identity:{label}", l_two * l_one[k], rhs[i],
                  TOL_QUADRATURE, truncation, scale=l_two, character=label)
         if i == 0:
@@ -495,7 +494,7 @@ def run_thm3(config=None):
             # closed-form transforms, against one stream quadrature of
             # the form summed from its divisors.
             quad = _arc_truncation(gap)
-            stream = arc_integral(eta_chi(chars[k]), g_column(3), quad)
+            stream = arc_integral(eta_chi(p, k), g_column(3), quad)
             rows.add(f"thm3:eta-linearity:{label}", arcs[k, 3], stream,
                      1e-9, quad, error_kind="abs", character=label)
     return rows.reports

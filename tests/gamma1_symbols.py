@@ -12,10 +12,9 @@ them.
 import math
 from functools import lru_cache
 
-from ellreg.eisenstein import SIGMA, TAU_MAT
 from ellreg.modsym import SymbolIndex, cusp_class_of, cusp_classes
 
-from reference_routes import enumerate_symbols, symbol_act
+from reference_routes import SIGMA, TAU_MAT, enumerate_symbols, symbol_act
 
 
 class SymbolVector:

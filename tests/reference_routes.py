@@ -16,11 +16,14 @@ transform of a weight map), the Eisenstein-Kronecker lattice sum for
 the elliptic dilogarithm, a single twist f (x) chi as its own form, the
 Rankin convolution identity at the coefficient level, and unit divisors
 by the general double-sum order formula and in closed form for the
-transform of an even character.  Last, the operations on the package's
+transform of an even character.  Then the operations on the package's
 classes that no command runs (character products, the Moebius action
 of SL_2(Z), symbol moves, the conjugate partner of a form, the
 j-invariant and cusp-divisor arithmetic) and the scalar route of the
-Mahler inner measure, np.roots on one row with a Newton step.
+Mahler inner measure, np.roots on one row with a Newton step.  Last,
+the character objects' value tables and labels, and the dense sums over
+them (einsums over a (p - 1) x p value table) that the package now makes
+as one transform over the discrete logs.
 """
 
 import cmath
@@ -36,6 +39,7 @@ from ellreg.characters import (
     _primitive_root,
     _totient,
     _xgcd,
+    character_table,
     enumerate_characters,
     l_chi_2,
 )
@@ -57,7 +61,7 @@ from ellreg.eisenstein import (
 )
 from ellreg.elliptic import (TWO_PI_I, CurveModel, PeriodLattice,
                              _class_parameters)
-from ellreg.lseries import ModularFormData
+from ellreg.lseries import ModularFormData, l_value, root_number
 from ellreg.mahler import _trimmed
 from ellreg.modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
 from ellreg.special import (
@@ -909,3 +913,107 @@ def one_variable_measure(cvec: np.ndarray) -> float:
     roots = _polished_roots(c)
     return math.log(abs(c[-1])) + float(
         np.sum(np.log(np.maximum(1.0, np.abs(roots)))))
+
+
+# The generators sigma and tau of SL_2(Z) in the Manin relations.
+SIGMA = UnimodularMatrix(0, -1, 1, 0)
+TAU_MAT = UnimodularMatrix(0, -1, 1, -1)
+
+
+def character_map(chi: DirichletCharacter) -> FiniteMap:
+    """chi's value table as a map on Z/NZ."""
+    return FiniteMap(chi.modulus, [chi(a) for a in range(chi.modulus)])
+
+
+def character_label(chi) -> str:
+    """Inverse of character_from_label when (Z/N)* is cyclic.
+
+    The value at the smallest primitive root pins the character down
+    uniquely, so the label always round-trips.
+    """
+    n = chi.modulus
+    if n <= 2:
+        return f"{n}:g=1,zeta1^0"
+    g = _primitive_root(n)
+    if g is None:
+        raise ValueError(f"(Z/{n})* is not cyclic; no label for modulus {n}")
+    return f"{n}:g={g},zeta{chi.order}^{chi.exponent_at(g)}"
+
+
+def gauss_sums_mpmath(p: int, ks, dps: int = 30) -> np.ndarray:
+    """tau(chi_k) = sum_a chi_k(a) e(a / p) for each k in ks, summed in
+    dps-digit mpmath arithmetic, chi_k(g^i) = e(k i / (p - 1)) for the
+    smallest primitive root g."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g = _primitive_root(p)
+        unit = [mpmath.expjpi(mpmath.mpf(2 * i) / (p - 1))
+                for i in range(p - 1)]
+        terms = [(i, mpmath.expjpi(mpmath.mpf(2 * pow(g, i, p)) / p))
+                 for i in range(p - 1)]
+        return np.array([complex(mpmath.fsum(unit[k * i % (p - 1)] * e
+                                             for i, e in terms))
+                         for k in ks])
+
+
+def character_values_mpmath(p: int, ks, dps: int = 30) -> np.ndarray:
+    """chi_k(a) for a = 0 .. p - 1, one row per k in ks, from dps-digit
+    roots e(k i / (p - 1)) at a = g^i."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        roots = [complex(mpmath.expjpi(mpmath.mpf(2 * e) / (p - 1)))
+                 for e in range(p - 1)]
+    g, logs = _primitive_root(p), [0] * p
+    for i in range(p - 1):
+        logs[pow(g, i, p)] = i
+    return np.array([[0.0] + [roots[k * logs[a] % (p - 1)]
+                              for a in range(1, p)] for k in ks])
+
+
+def character_value_table(p: int) -> np.ndarray:
+    """values[k, a] = chi_k(a), a = 0 .. p - 1, from the character
+    objects: enumerate_characters(p)[k] is chi_k."""
+    return np.array([[chi(a) for a in range(p)]
+                     for chi in enumerate_characters(p)])
+
+
+def arc_coefficients_einsum(arcs: np.ndarray) -> np.ndarray:
+    """c[k, j] = tau(conj chi_j) sum_v conj chi_j(v) arcs[k, v] for arcs
+    on the p + 1 lines, summed over the value table."""
+    p = arcs.shape[1] - 1
+    values, tau = character_value_table(p), character_table(p).tau
+    bar = (-np.arange(p - 1)) % (p - 1)
+    return tau[bar] * np.einsum("kv,jv->kj", arcs[:, :-1], values[bar])
+
+
+def xi_bridge_lines_einsum(form: ModularFormData,
+                           lambda_table: np.ndarray) -> np.ndarray:
+    """xi_bridge_table's line values, its sum over the characters made
+    over the value table."""
+    p = form.level
+    w = root_number(form)
+    values, tau = character_value_table(p), character_table(p).tau
+    k = np.arange(1, p - 1)
+    central = tau[-k] * (TWO_PI / p) * lambda_table[k]
+    units = w * np.einsum("kx,k->x", values[k, 1:].conj(), central
+                          ) / (TWO_PI * (p - 1))
+    at_inf = w * l_value(form, 1.0) / TWO_PI
+    # Line (1, v) holds x = 1 / v.
+    v = np.arange(1, p)
+    return np.concatenate([[at_inf], units[[pow(int(x), -1, p) - 1
+                                             for x in v]], [-at_inf]])
+
+
+def thm2_weighted_einsum(coef: np.ndarray, l_one: np.ndarray) -> complex:
+    """thm2's double sum sum_{k, j} lam[k, j] L_k L_j, k even nontrivial
+    and j odd, with lam[k, j] = sum_m tau(chi_m) / tau(chi_m chi_j) c[m, k]
+    over even m made as its own (p - 1) / 2 x (p - 1) / 2 array."""
+    p = len(l_one) + 1
+    tau = character_table(p).tau
+    evens, odds = np.arange(2, p - 1, 2), np.arange(1, p - 1, 2)
+    mixed = tau[np.add.outer(evens, odds) % (p - 1)]
+    lam = np.einsum("mj,mk->kj", tau[evens, None] / mixed,
+                    coef[np.ix_(evens, evens)])
+    return np.einsum("kj,k,j->", lam, l_one[evens], l_one[odds])

@@ -16,15 +16,18 @@ from ellreg.characters import (
     FiniteMap,
     character_from_label,
     character_table,
-    character_label,
+    character_values,
     enumerate_characters,
+    exponent_label,
     gauss_sum,
     l_chi_2,
     twisted_bernoulli2,
 )
 
-from reference_routes import (character_product, fourier_transform,
-                              trivial_character)
+from reference_routes import (character_label, character_map,
+                              character_product, fourier_transform,
+                              character_values_mpmath,
+                              gauss_sums_mpmath, trivial_character)
 
 
 def phi(n):
@@ -141,7 +144,7 @@ def test_fourier_of_primitive_character():
         for chi in enumerate_characters(n):
             if chi.is_trivial:
                 continue
-            hat = fourier_transform(FiniteMap.from_character(chi))
+            hat = fourier_transform(character_map(chi))
             tau = gauss_sum(chi)
             for b in range(n):
                 expected = chi(-1) * tau * chi.conjugate()(b)
@@ -277,9 +280,25 @@ def test_enumeration_matches_the_exponent_loop(n):
 
 @pytest.mark.parametrize("p", [11, 37, 101, 389])
 def test_character_table_reads_the_characters(p):
-    # Both arrays are the characters' own values and Gauss sums, bit for
-    # bit, though character_table calls no character.
-    chars, values, tau = character_table(p)
-    assert np.array_equal(values,
-                          [[chi(a) for a in range(p)] for chi in chars])
-    assert np.array_equal(tau, [gauss_sum(chi) for chi in chars])
+    # enumerate_characters(p)[k] is chi_k of the exponent table, exactly,
+    # though character_table makes no character.  The values and tau are
+    # checked against 30-digit sums: every k below 389, every tenth at 389.
+    powers, logs, tau = character_table(p)
+    assert sorted(powers) == list(range(1, p))
+    assert powers[1] == _primitive_root(p)
+    assert (logs[powers] == np.arange(p - 1)).all()
+    for k, chi in enumerate(enumerate_characters(p)):
+        assert [chi.exponent_at(a) * (p - 1) for a in range(1, p)] == [
+            k * logs[a] % (p - 1) * chi.order for a in range(1, p)]
+        assert chi.is_even == (k % 2 == 0)
+    ks = np.arange(0, p - 1, 10 if p > 101 else 1)
+    assert np.abs(character_values(p, ks)
+                  - character_values_mpmath(p, ks)).max() <= 1e-15
+    assert np.abs(tau[ks] - gauss_sums_mpmath(p, ks)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101, 389])
+def test_exponent_labels_are_the_character_labels(p):
+    # The label of chi_k from (p, k) alone is the label of the object.
+    assert [exponent_label(p, k) for k in range(p - 1)] == [
+        character_label(chi) for chi in enumerate_characters(p)]

@@ -40,6 +40,8 @@ from reference_routes import (
     ArcTable,
     _pairings_on_every_line,
     _restricted_zeta2,
+    character_map,
+    character_value_table,
     delta_map,
     divisor_bracket,
     e_star_map,
@@ -238,8 +240,7 @@ def test_eta_antisymmetry_and_self_vanishing():
 
 
 def test_arc_integral_pullback_vs_direct_geodesic():
-    chi = [c for c in enumerate_characters(11) if c.order == 5][0]
-    form = eta_chi(chi)
+    form = eta_chi(11, 2)  # the first quintic character
     g = g_column(2)
     via_pullback = arc_integral(form, g)
     deep = EtaForm(form.left, form.right, suggested_rmax(11, 0.14))
@@ -248,8 +249,7 @@ def test_arc_integral_pullback_vs_direct_geodesic():
 
 
 def test_arc_integral_lift_independence():
-    chi = [c for c in enumerate_characters(11) if c.order == 5][0]
-    form = eta_chi(chi)
+    form = eta_chi(11, 2)
     g = g_column(2)
     gam = UnimodularMatrix(1, 0, N, 1)
     assert abs(arc_integral(form, g)
@@ -259,9 +259,10 @@ def test_arc_integral_lift_independence():
 def test_eta_chi_double_sum_assembly():
     """eta_chi assembled from character divisors equals the literal
     double sum over unit pairs (a, b) with weights chi(a) conj(chi)(b)."""
-    chi = [c for c in enumerate_characters(11) if c.order == 5][0]
+    chi = enumerate_characters(11)[2]
+    assert chi.order == 5
     local_rmax = suggested_rmax(N, math.sqrt(3) / 2)
-    combined = eta_chi(chi)
+    combined = eta_chi(11, 2)
     z = np.array([0.12 + 0.93j])
     P, Q = combined.coefficients(z)
     total_p = 0.0 + 0.0j
@@ -288,7 +289,7 @@ def test_theorem3_weight_divisor():
     """eta(1, chihat) built from the Fourier transform of a character."""
     chi = [c for c in enumerate_characters(11) if c.order == 5][0]
     one = FiniteMap(N, [1] * N)
-    chihat = fourier_transform(FiniteMap.from_character(chi))
+    chihat = fourier_transform(character_map(chi))
     form = eta_form(one, chihat)
     val = arc_integral(form, g_column(3))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
@@ -400,7 +401,7 @@ def _assert_pairings_match_the_reference(p, lines, ks):
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
     values, gaps = table.pairings(ks)
     assert values.shape == gaps.shape == (p + 1, len(ks))
-    chi = character_table(p).values
+    chi = character_value_table(p)
     bottom = np.array(_lines(p))
     for l in lines:
         want = _pairing_reference(table, bottom[[l]], chi[ks], chi[-ks])
@@ -515,10 +516,9 @@ def _column_arcs(p, lines=None, ks=None):
     ks = np.arange(2, p - 1, 2) if ks is None else ks
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
     values, gaps = table.pairings(ks)
-    chars = character_table(p).characters
     lifts = [g_column(v) if v < p else IDENTITY for v in lines]
     return (values[lines], gaps[lines],
-            _stream_arcs([eta_chi(chars[k]) for k in ks], lifts))
+            _stream_arcs([eta_chi(p, k) for k in ks], lifts))
 
 
 @lru_cache(maxsize=None)
@@ -587,9 +587,8 @@ def test_arc_contraction_matches_integral_on_symbol_lifts():
     # bottom row (c, d) reads line d / c mod p, or line p when p | c.
     p = 37
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
-    chars = character_table(p).characters
     ks = np.arange(2, p - 1, 8)
-    forms = [eta_chi(chars[k]) for k in ks]
+    forms = [eta_chi(p, k) for k in ks]
     lifts = [matrix_lift(SymbolIndex(p, u, v)) for u, v in
              [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
     lines = [g.d * pow(g.c, -1, p) % p if g.c % p else p for g in lifts]
@@ -751,7 +750,7 @@ def test_stream_builds_round_as_the_k_loop_does(p):
     # Both halves of an eta_chi form and a divisor off the row u = 0,
     # with one pair at u = p - u' so that both signs land on one k.
     rng = np.random.default_rng(p)
-    form = eta_chi(enumerate_characters(p)[2])
+    form = eta_chi(p, 2)
     other = PairDivisor(p, {(1, 2): 0.5, (p - 1, 3): 1.0 - 2.0j,
                             (3, 0): rng.normal(), (0, 5): 1j})
     for divisor in (form.left, form.right, other):

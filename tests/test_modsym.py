@@ -10,7 +10,7 @@ from sympy import Matrix, Rational
 
 from ellreg.characters import enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
-from ellreg.eisenstein import SIGMA, TAU_MAT, UnimodularMatrix
+from ellreg.eisenstein import UnimodularMatrix
 from ellreg.lseries import (
     ModularFormData,
     _terms_for_rates,
@@ -43,6 +43,8 @@ from gamma1_symbols import (
     relation_quotient_dims,
 )
 from reference_routes import (
+    SIGMA,
+    TAU_MAT,
     _complete_row,
     cusp_width,
     enumerate_symbols,

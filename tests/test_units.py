@@ -17,6 +17,7 @@ from ellreg.units import CuspDivisor, unit_divisor_chi
 from reference_routes import (
     DIV_X_LEVEL13,
     DIV_Y_LEVEL13,
+    character_map,
     character_product,
     delta_map,
     divisor_degree,
@@ -107,7 +108,7 @@ def test_real_map_gives_real_orders():
 def test_character_unit_closed_form_matches_double_sum():
     for n in (11, 13, 10):
         for chi in even_nontrivial(n):
-            direct = unit_divisor(FiniteMap.from_character(chi))
+            direct = unit_divisor(character_map(chi))
             closed = unit_divisor_chi(chi)
             assert divisor_distance(direct, closed) < 1e-11
 
@@ -115,13 +116,13 @@ def test_character_unit_closed_form_matches_double_sum():
 def test_imprimitive_character_euler_factor():
     chi = even_nontrivial(10)[0]
     assert chi.conductor == 5
-    direct = unit_divisor(FiniteMap.from_character(chi))
+    direct = unit_divisor(character_map(chi))
     assert divisor_distance(direct, unit_divisor_chi(chi)) < 1e-11
 
 
 def test_character_unit_vanishes_off_zero_cusps():
     chi = even_nontrivial(13)[0]
-    f = FiniteMap.from_character(chi)
+    f = character_map(chi)
     for cls in cusp_classes(13):
         if cls.u % 13 != 0:
             assert abs(order_at_cusp(f, cls.u, cls.v)) < 1e-12
@@ -154,7 +155,7 @@ def test_transform_unit_matches_double_sum():
             even_nontrivial(11)[0],
             trivial]
     for chi in chis:
-        f = fourier_transform(FiniteMap.from_character(chi))
+        f = fourier_transform(character_map(chi))
         direct = unit_divisor(f)
         assert divisor_distance(direct, unit_divisor_chihat(chi)) < 1e-11
 

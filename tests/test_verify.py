@@ -8,9 +8,9 @@ import pytest
 
 from ellreg.characters import (
     DirichletCharacter,
-    character_label,
     character_table,
-    gauss_sum,
+    character_values,
+    enumerate_characters,
 )
 from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
@@ -34,7 +34,15 @@ from ellreg.verify import (
     summarize,
 )
 
-from reference_routes import ArcTable, _pairings_on_every_line
+from reference_routes import (
+    ArcTable,
+    _pairings_on_every_line,
+    arc_coefficients_einsum,
+    character_label,
+    gauss_sums_mpmath,
+    thm2_weighted_einsum,
+    xi_bridge_lines_einsum,
+)
 
 REPORT_KEYS = {
     "check", "inputs", "left", "right", "abs_err", "rel_err", "error_kind",
@@ -402,7 +410,7 @@ def test_odd_sweep_reads_every_odd_coefficient():
     coef[ctx.evens[2], ctx.odds[-1]] = 1e-3
     ctx.arc_coefficients = coef
     failed = [r.check for r in run_thm1(config) if not r.passed]
-    label = character_label(character_table(17).characters[ctx.evens[2]])
+    label = character_label(enumerate_characters(17)[ctx.evens[2]])
     assert failed == [f"thm1:odd-sweep:{label}"]
 
 
@@ -465,20 +473,22 @@ def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
     ctx.eta_arcs = arcs, gap
     del ctx.arc_coefficients
     failed = [r.check for r in run_thm1(config) if not r.passed]
-    label = character_label(character_table(17).characters[k])
+    label = character_label(enumerate_characters(17)[k])
     assert failed == [f"thm1:odd-sweep:{label}"]
 
 
 def test_context_arrays_are_indexed_by_exponent():
     ctx = resolve_config(level=17).context
-    chars, values, tau = character_table(17)
+    chars, tau = enumerate_characters(17), character_table(17).tau
     assert list(ctx.evens) == [k for k, c in enumerate(chars)
                                if c.is_even and not c.is_trivial]
     assert list(ctx.odds) == [k for k, c in enumerate(chars)
                               if not c.is_even]
+    # tau against 30-digit Gauss sums, the values against the objects'.
+    assert np.abs(tau - gauss_sums_mpmath(17, range(16))).max() <= 1e-13
+    values = character_values(17, np.arange(16))
     for k, chi in enumerate(chars):
-        assert list(values[k]) == [chi(a) for a in range(17)]
-        assert tau[k] == gauss_sum(chi)
+        assert np.abs(values[k] - [chi(a) for a in range(17)]).max() <= 1e-15
         if k:
             assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[k]
     assert math.isnan(ctx.l_one[0].real)
@@ -489,6 +499,38 @@ def test_context_arrays_are_indexed_by_exponent():
 
 CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
 CURVE_101A = CurveModel(0, 1, 1, -1, -1, 101)
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
+                                   CURVE_37A, CURVE_101A],
+                         ids=lambda c: "%da" % c.conductor)
+def test_transforms_match_the_einsums_over_the_value_table(curve):
+    # arc_coefficients, the bridge's xi and thm2's double sum are each one
+    # transform over the discrete logs; the einsums over the characters'
+    # value table give them to rounding, relative to the largest entry.
+    config = resolve_config(curve=curve)
+    ctx = config.context
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    arcs, _ = ctx.eta_arcs
+    assert close(ctx.arc_coefficients, arc_coefficients_einsum(arcs))
+    assert close(ctx.xi.lines,
+                 xi_bridge_lines_einsum(ctx.form, ctx.lambda_table))
+    # thm2's two rows with a right side of the double sum, times the
+    # residue-free row's denominator.
+    rows = {r.check: r.right for r in run_thm2(config)}
+    p, w, evens, odds = ctx.p, ctx.w, ctx.evens, ctx.odds
+    weighted = thm2_weighted_einsum(ctx.arc_coefficients, ctx.l_one)
+    via = (p ** 3 * w / (8.0 * (p + 1) * (p - 1) ** 3 * math.pi ** 2)
+           ) * weighted / ctx.residue
+    assert close(rows["thm2:via-residue"], via)
+    tau = character_table(p).tau
+    mixed = tau[np.add.outer(evens, odds) % (p - 1)]
+    denominator = np.einsum("kj,k,j->", mixed, ctx.l_one[evens].conj(),
+                            ctx.l_one[odds].conj())
+    free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)) * weighted / denominator
+    assert close(rows["thm2:residue-free"], free)
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
@@ -657,7 +699,7 @@ def test_level_generic_suites_read_arrays_not_objects(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
-    for name in ("__eq__", "__hash__"):
+    for name in ("__init__", "__eq__", "__hash__"):
         counting(DirichletCharacter, name)
     counting(modsym.XiTable, "plus")
     counting(modsym.SymbolIndex, "__init__")
