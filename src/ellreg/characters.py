@@ -306,6 +306,13 @@ def character_values(p: int, ks) -> np.ndarray:
     return values
 
 
+def pair_sum(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> complex:
+    """sum_{j, k} a[j] b[k] f[(j + k) mod (p - 1)], a double sum over pairs
+    of characters weighted by their product chi_j chi_k = chi_{j+k}: f
+    against the cyclic convolution of a and b, one transform of each."""
+    return complex(f @ np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)))
+
+
 def exponent_label(p: int, k: int) -> str:
     """The label of chi_k mod the prime p, which character_from_label
     reads back: chi_k(g) = e(k / (p - 1)) = zeta_m^e in lowest terms."""

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import character_table
+from .characters import character_table, pair_sum
 from .elliptic import CurveModel, an_coefficients
 from .special import (
     ABS_TOL,
@@ -280,16 +280,13 @@ def residue_tensor_square(form: ModularFormData,
     (2 pi i / ((N+1)(N-1)^2)) sum Lambda(f x chi',1) Lambda(f x chi,1)
     / tau(chi chi') over ordered pairs of primitive characters mod N
     with chi chi' odd.  With chi = chi_j and chi' = chi_k that is
-    chi_{j+k}, odd exactly when j + k is.  lambda_table is the twisted
-    table of twisted_lambda_table.
+    chi_{j+k}, odd exactly when j + k is: one pair_sum.  lambda_table is
+    the twisted table of twisted_lambda_table.
     """
     n = form.level
-    lam = lambda_table[1:]
-    j = np.arange(1, n - 1)
-    pair = np.add.outer(j, j) % (n - 1)
-    terms = np.outer(lam, lam) / character_table(n).tau[pair]
-    total = terms[pair % 2 == 1].sum()
-    value = total * 2j * math.pi / ((n + 1) * (n - 1) ** 2)
+    lam = np.append(0.0, lambda_table[1:])
+    odd = np.arange(n - 1) % 2 / character_table(n).tau
+    value = pair_sum(lam, lam, odd) * 2j * math.pi / ((n + 1) * (n - 1) ** 2)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise RuntimeError("residue came out non-real: %r" % value)
     return value.real

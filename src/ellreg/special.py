@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 ABS_TOL = 1e-13  # the largest tail a truncated series may drop
 MAX_TERMS = 200_000  # the most terms a series may take before it raises
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .characters import (_is_prime, character_table, character_values,
-                         exponent_label)
+                         exponent_label, pair_sum)
 from .eisenstein import ARC_NODES, arc_integral, eta_chi, g_column, line_arcs
 from .elliptic import (
     CURVE_11A,
@@ -84,13 +84,15 @@ def make_report(check, inputs, left, right, tolerance, seconds,
 
     When both sides are numerically zero against the supplied scale the
     relative error is meaningless (the identity degenerates to 0 = 0),
-    so the row switches to the absolute error and records that.
+    so the row switches to the absolute error and records that.  A side
+    that is not finite makes abs_err and rel_err so: the row fails.
     """
     left, right = complex(left), complex(right)
     truncation = dict(truncation or {})
     abs_err = abs(left - right)
     denom = max(abs(left), abs(right))
-    rel_err = abs_err / denom if denom > 0.0 else 0.0
+    # denom reads nan, or 0 beside a nan: 0 * abs_err is then nan.
+    rel_err = abs_err / denom if denom > 0.0 else 0.0 * abs_err
     if error_kind == "rel" and scale is not None and denom < 1e-10 * scale:
         error_kind = "abs"
         truncation["degenerate"] = True
@@ -254,26 +256,22 @@ class CurveContext:
         return arcs, gaps.max()
 
     @cached_property
-    def arc_coefficients(self):
-        """c[k, j] = tau(conj chi_j) sum_v conj chi_j(v) arcs[k, v].
-
-        The weight is conj(chi_j)(v); this is the pairing that the
-        quadrature-validated period bridge forces, and it makes the
-        theorem hold at machine precision for every even character at
-        p = 11 and 17.
-        """
+    def arc_sums(self) -> np.ndarray:
+        """s[k] = tau_k sum_j c[k, j] L(f, chi_j, 1), j even nontrivial, for
+        c[k, j] = tau(conj chi_j) sum_v conj chi_j(v) arcs[k, v], the pairing
+        the period bridge forces.  Summed over j first, that is one DFT of
+        tau_-j L_j, read at v = g^i: O(p) beyond the arcs; 0 at odd k."""
         powers, _, tau = character_table(self.p)
-        bar = (-np.arange(self.p - 1)) % (self.p - 1)
-        arcs, _ = self.eta_arcs
-        # conj chi_j(g^i) = e(-j i / (p - 1)): one DFT of each row of arcs
-        # read at v = g^i.
-        return tau[bar] * np.fft.fft(arcs[:, powers], axis=1)
+        central = np.zeros(self.p - 1, dtype=complex)
+        central[self.evens] = tau[-self.evens] * self.l_one[self.evens]
+        weights = np.zeros(self.p + 1, dtype=complex)
+        weights[powers] = np.fft.fft(central)
+        return tau * (self.eta_arcs[0] @ weights)
 
     @cached_property
     def residue(self) -> float:
         """Res_{s=2} L(f (x) f, s), from the shared twisted table."""
-        return residue_tensor_square(self.form,
-                                     lambda_table=self.lambda_table)
+        return residue_tensor_square(self.form, self.lambda_table)
 
 
 class _Rows:
@@ -391,13 +389,13 @@ def run_thm1(config=None):
     rows.add("thm1:fricke-sign", w, -a_p(config.curve, p), TOL_SERIES,
              error_kind="abs")
 
-    tau, evens, odds = character_table(p).tau, ctx.evens, ctx.odds
+    powers, _, tau = character_table(p)
+    evens, odds = ctx.evens, ctx.odds
     arcs, gap = ctx.eta_arcs
-    coef = ctx.arc_coefficients
-    prefactor = p * w / (8j * math.pi * (p - 1))
-    rhs = prefactor * tau[evens] * (coef[np.ix_(evens, evens)]
-                                    @ l_one[evens])
-    sweep = np.abs(coef[np.ix_(evens, odds)]).max(axis=1)
+    rhs = p * w / (8j * math.pi * (p - 1)) * ctx.arc_sums[evens]
+    # The odd columns of c[k, j] = tau_-j fft(arcs[k, powers])[j] vanish.
+    odd = np.fft.fft(arcs[evens][:, powers], axis=1)[:, odds]
+    sweep = np.abs(tau[-odds] * odd).max(axis=1)
 
     # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
     # and the identity.
@@ -429,17 +427,16 @@ def run_thm2(config=None):
     rows.truncation.update(_arc_truncation(gap),
                            lambda_terms=ctx.lambda_terms(p, p * p))
 
-    # tau(chi_k chi_j) for even k and odd j; chi_k chi_j = chi_{k+j}.
-    mixed = tau[np.add.outer(evens, odds) % (p - 1)]
-    even_one, odd_one = l_one[evens], l_one[odds]
-    # sum_{k, j} lam[k, j] L_k L_j with lam[k, j] = sum_m tau(chi_m) /
-    # tau(chi_m chi_j) c[m, k] over even m, summed over m last.
-    weighted = np.sum((ctx.arc_coefficients[np.ix_(evens, evens)] @ even_one)
-                      * ((tau[evens, None] / mixed) @ odd_one))
+    # Double sums over even nontrivial k and odd j, weighted on tau_{k+j}.
+    # weighted is sum_{k, j} lam[k, j] L_k L_j, lam[k, j] = sum_m tau_m /
+    # tau_{m+j} c[m, k] over even m: the arc sums (over k) against L_j.
+    even_one, odd_one = np.zeros((2, p - 1), dtype=complex)
+    even_one[evens], odd_one[odds] = l_one[evens], l_one[odds]
+    weighted = pair_sum(ctx.arc_sums, odd_one, 1.0 / tau)
 
     residue = ctx.residue
-    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * (
-        even_one @ (1.0 / mixed) @ odd_one)
+    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * pair_sum(
+        even_one, odd_one, 1.0 / tau)
     rows.add("thm2:residue-consistency", residue, explicit, TOL_SERIES,
              {"lambda_terms": ctx.lambda_terms(p * p)})
 
@@ -449,7 +446,7 @@ def run_thm2(config=None):
 
     # Eliminating the residue against the same double sum conjugates the
     # central values in the denominator and drops one power of pi.
-    denominator = even_one.conj() @ mixed @ odd_one.conj()
+    denominator = pair_sum(even_one.conj(), odd_one.conj(), tau)
     free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)
             ) * weighted / denominator
     rows.add("thm2:residue-free", l_two, free, TOL_QUADRATURE)

@@ -21,6 +21,7 @@ from ellreg.characters import (
     exponent_label,
     gauss_sum,
     l_chi_2,
+    pair_sum,
     twisted_bernoulli2,
 )
 
@@ -302,3 +303,15 @@ def test_exponent_labels_are_the_character_labels(p):
     # The label of chi_k from (p, k) alone is the label of the object.
     assert [exponent_label(p, k) for k in range(p - 1)] == [
         character_label(chi) for chi in enumerate_characters(p)]
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
+def test_pair_sum_is_the_double_loop_over_exponent_pairs(p):
+    n = p - 1
+    rng = np.random.default_rng(p)
+    a, b, f = rng.normal(size=(3, n, 2)) @ [1.0, 1.0j]
+    want = 0.0j
+    for j in range(n):
+        for k in range(n):
+            want += a[j] * b[k] * f[(j + k) % n]
+    assert abs(pair_sum(a, b, f) - want) <= 1e-14 * abs(want)

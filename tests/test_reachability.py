@@ -9,9 +9,12 @@ methods that ``dataclass`` and ``NamedTuple`` generate, is not counted.
 The process is fresh so that cached bodies such as ``character_table``
 really run.  A route that only the tests use belongs in tests/
 (reference_routes.py, gamma1_symbols.py); what stays unreached in src/
-is named in ALLOWED with its reason.
+is named in ALLOWED with its reason.  Every module-level constant is
+read by src/ellreg code as well: a value that only the tests read belongs
+in tests/.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -121,3 +124,32 @@ def test_every_module_function_is_run_by_a_command(tmp_path):
     assert [name for name in missed if name not in ALLOWED] == []
     # An entry that a command now reaches leaves the list.
     assert [name for name in ALLOWED if name not in missed] == []
+
+
+def test_every_module_constant_is_read_by_the_package():
+    # A constant is a name bound at module level by an assignment, dunders
+    # aside.  It is read where its module loads it, or where another
+    # module imports it (from .module import NAME [as ALIAS]) and loads
+    # the name it bound.
+    package = os.path.join(SRC, "ellreg")
+    trees = {name[:-3]: ast.parse(open(os.path.join(package, name)).read())
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    loads = {module: {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)}
+             for module, tree in trees.items()}
+    read = {(module, name) for module in trees for name in loads[module]}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module, alias.name) for alias in node.names
+                            if (alias.asname or alias.name) in loads[module])
+    constants = [(module, target.id) for module, tree in trees.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name)
+                 and not target.id.startswith("__")]
+    assert len(constants) >= 20  # the walk finds the constants
+    assert [".".join(c) for c in constants if c not in read] == []

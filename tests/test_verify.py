@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ellreg.characters import (
 )
 from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
+from ellreg.lseries import residue_tensor_square
 from ellreg.mahler import curve_identity_polynomials
 from ellreg.modsym import line_index
 from ellreg.special import ABS_TOL
@@ -86,6 +88,23 @@ def test_make_report_degenerate_switch():
     assert r.error_kind == "rel" and r.passed
     r = make_report("x", {}, 0.0, 0.0, 1e-8, 0.0)
     assert r.rel_err == 0.0 and r.passed
+
+
+@pytest.mark.parametrize("left, right", [
+    (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+    (math.nan, 0.0), (0.0, math.nan), (complex(1.0, math.nan), 1.0),
+    (math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf),
+])
+@pytest.mark.parametrize("error_kind, scale", [
+    ("rel", None), ("rel", 1.0), ("abs", None)])
+def test_make_report_fails_a_side_that_is_not_finite(left, right,
+                                                     error_kind, scale):
+    # l_one[0] is nan by design: a row that reads it must fail, never
+    # score 0 against a denominator that compares false.
+    r = make_report("x", {}, left, right, 1e-6, 0.0, error_kind=error_kind,
+                    scale=scale)
+    assert not r.passed
+    assert not math.isfinite(r.error) and not math.isfinite(r.rel_err)
 
 
 def test_resolve_config():
@@ -404,14 +423,22 @@ def test_odd_sweep_stays_at_rounding_level():
 
 
 def test_odd_sweep_reads_every_odd_coefficient():
+    # arcs[k, v] + eps chi_j(v), j odd, moves c[k, j] = tau_-j
+    # fft(arcs[k, powers])[j] by tau_-j eps (p - 1) and no other
+    # coefficient, so the sweep of k fails and the identity rows, which
+    # read the even coefficients, hold.
     config = resolve_config(level=17)
     ctx = config.context
-    coef = ctx.arc_coefficients.copy()
-    coef[ctx.evens[2], ctx.odds[-1]] = 1e-3
-    ctx.arc_coefficients = coef
-    failed = [r.check for r in run_thm1(config) if not r.passed]
-    label = character_label(enumerate_characters(17)[ctx.evens[2]])
-    assert failed == [f"thm1:odd-sweep:{label}"]
+    arcs, gap = ctx.eta_arcs
+    k = ctx.evens[2]
+    label = character_label(enumerate_characters(17)[k])
+    for j in ctx.odds:
+        moved = arcs.copy()
+        moved[k, :17] += 1e-5 * character_values(17, j)
+        ctx.eta_arcs = moved, gap
+        ctx.__dict__.pop("arc_sums", None)
+        failed = [r.check for r in run_thm1(config) if not r.passed]
+        assert failed == [f"thm1:odd-sweep:{label}"], j
 
 
 def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
@@ -471,7 +498,8 @@ def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
     for v, shift in shifts.items():
         arcs[k, v] += shift
     ctx.eta_arcs = arcs, gap
-    del ctx.arc_coefficients
+    # The identity rows read the moved arcs too.
+    del ctx.arc_sums
     failed = [r.check for r in run_thm1(config) if not r.passed]
     label = character_label(enumerate_characters(17)[k])
     assert failed == [f"thm1:odd-sweep:{label}"]
@@ -505,32 +533,57 @@ CURVE_101A = CurveModel(0, 1, 1, -1, -1, 101)
                                    CURVE_37A, CURVE_101A],
                          ids=lambda c: "%da" % c.conductor)
 def test_transforms_match_the_einsums_over_the_value_table(curve):
-    # arc_coefficients, the bridge's xi and thm2's double sum are each one
-    # transform over the discrete logs; the einsums over the characters'
-    # value table give them to rounding, relative to the largest entry.
+    # The arc sums, the bridge's xi and thm2's double sums are each made
+    # of transforms over the discrete logs; the einsums over the
+    # characters' value table give them to rounding, relative to the
+    # largest entry.
     config = resolve_config(curve=curve)
     ctx = config.context
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     arcs, _ = ctx.eta_arcs
-    assert close(ctx.arc_coefficients, arc_coefficients_einsum(arcs))
+    p, w, evens, odds = ctx.p, ctx.w, ctx.evens, ctx.odds
+    tau = character_table(p).tau
+    coef = arc_coefficients_einsum(arcs)
+    assert close(ctx.arc_sums, tau * (coef[:, evens] @ ctx.l_one[evens]))
     assert close(ctx.xi.lines,
                  xi_bridge_lines_einsum(ctx.form, ctx.lambda_table))
-    # thm2's two rows with a right side of the double sum, times the
-    # residue-free row's denominator.
+    # thm2's rows against the double sums over the (p - 1) / 2 x
+    # (p - 1) / 2 array of tau(chi_k chi_j), k even and j odd.
     rows = {r.check: r.right for r in run_thm2(config)}
-    p, w, evens, odds = ctx.p, ctx.w, ctx.evens, ctx.odds
-    weighted = thm2_weighted_einsum(ctx.arc_coefficients, ctx.l_one)
+    mixed = tau[np.add.outer(evens, odds) % (p - 1)]
+    even_one, odd_one = ctx.l_one[evens], ctx.l_one[odds]
+    explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * np.einsum(
+        "kj,k,j->", 1.0 / mixed, even_one, odd_one)
+    assert close(rows["thm2:residue-consistency"], explicit)
+    weighted = thm2_weighted_einsum(coef, ctx.l_one)
     via = (p ** 3 * w / (8.0 * (p + 1) * (p - 1) ** 3 * math.pi ** 2)
            ) * weighted / ctx.residue
     assert close(rows["thm2:via-residue"], via)
-    tau = character_table(p).tau
-    mixed = tau[np.add.outer(evens, odds) % (p - 1)]
-    denominator = np.einsum("kj,k,j->", mixed, ctx.l_one[evens].conj(),
-                            ctx.l_one[odds].conj())
+    denominator = np.einsum("kj,k,j->", mixed, even_one.conj(),
+                            odd_one.conj())
     free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)) * weighted / denominator
     assert close(rows["thm2:residue-free"], free)
+
+
+def test_pair_sums_hold_no_array_over_the_pairs():
+    # At 389a one (p - 1) x (p - 1) complex array is 2.4 MB.  With the
+    # newform, the twisted table and the arcs built, the residue and
+    # thm2, its arc sums included, hold a few arrays of length p.
+    config = resolve_config(curve=CurveModel(0, 1, 1, -2, 0, 389))
+    ctx = config.context
+    for name in ("form", "w", "l_one", "l_two", "eta_arcs"):
+        getattr(ctx, name)
+    for run in (lambda: residue_tensor_square(ctx.form, ctx.lambda_table),
+                lambda: run_thm2(config)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 16 * 389
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
