@@ -103,17 +103,18 @@ def _cmd_mahler(args) -> int:
 
 def main(argv=None) -> int:
     """Exit 0 when every check passes, 1 when one fails, 2 on a bad
-    input or an --out file that cannot be written, 3 when a series,
-    quadrature or reduction does not converge (TruncationError and the
-    engines' other RuntimeErrors)."""
+    input, an --out file that cannot be written or an input too large to
+    hold in memory (MemoryError), 3 when a series, quadrature or
+    reduction does not converge (TruncationError and the engines' other
+    RuntimeErrors)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"verify": _cmd_verify, "units": _cmd_units,
                 "mahler": _cmd_mahler}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"ellreg: {exc}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"ellreg: {exc or 'out of memory'}", file=sys.stderr)
         return 3 if isinstance(exc, RuntimeError) else 2
 
 

@@ -114,6 +114,15 @@ def _cosines(x, a, N: int):
     return np.cos(TWO_PI * (np.multiply.outer(x, a) % N) / N)
 
 
+def _multiples(ks, rmax: int):
+    """(k, m) for each k in ks and m = 1 .. rmax // k, in that order: the
+    terms k m <= rmax of the divisor sums over ks."""
+    counts = rmax // ks
+    k = np.repeat(ks, counts)
+    return k, np.arange(1, len(k) + 1) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+
+
 class EisensteinStream:
     """Fourier data of E*_F for a pair divisor F:
 
@@ -142,11 +151,8 @@ class EisensteinStream:
             self.c_0 += c * constant[u]
             for sign in (1, -1):
                 # r = k m with k = sign u mod N gains e(sign m v / N) / k.
-                ks = np.arange((sign * u) % N or N, rmax + 1, N)
-                counts = rmax // ks
-                k = np.repeat(ks, counts)
-                m = np.arange(1, len(k) + 1) - np.repeat(
-                    np.cumsum(counts) - counts, counts)
+                k, m = _multiples(np.arange((sign * u) % N or N, rmax + 1, N),
+                                  rmax)
                 base = np.exp(sign * 2j * math.pi * (m * v % N) / N) / k
                 at.append(k * m)
                 to_a.append(c * (math.pi / N) * base)
@@ -348,15 +354,13 @@ def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY,
 # against the first.  The arcs' q-frequencies reach about rmax / p,
 # which does not grow with p, so neither do these.
 ARC_NODES = (32, 64)
-# The bytes of line_arcs' one buffer per block of characters, which
-# sets how many characters go through at once (at least one).
-ARC_BLOCK_BYTES = 1 << 18
 
 
-def line_arcs(p: int, ks):
-    """(values, gaps)[l, j]: the arc of eta_chi_k, k = ks[j] even, on
-    rho -> rho^2 pulled back along line l of P^1(F_p), p prime: (1, v),
-    v = 0 .. p - 1 (g_column(v)), then (0, 1) (the identity).
+def line_arcs(p: int):
+    """(values, gaps)[l, i]: the arc of eta_chi_k, k = 2 i + 2 (every even
+    nontrivial exponent), on rho -> rho^2 pulled back along line l of
+    P^1(F_p), p prime: (1, v), v = 0 .. p - 1 (g_column(v)), then (0, 1)
+    (the identity).
 
     The arc is i sum (V conj X - conj V X) over the nodes, with V =
     sum_a chi(a) E*_(a l), D = d_z V and X = -i (D wdz - conj(D' wdz)),
@@ -369,81 +373,72 @@ def line_arcs(p: int, ks):
     conj H'(v) is H(-v) at node -x.  conj chi negates the arcs, so each
     pair {chi, conj chi} is computed once.  Raises unless every gap is
     below 1e-10 max(1, |value|), as integrate_one_form does."""
-    ks = np.asarray(ks)
     tau = character_table(p).tau
-    # Each pair {chi, conj chi} by its lesser exponent; where[j] is ks[j]'s
-    # place among the distinct ones, read off the running count.
-    half = np.minimum(ks, -ks % (p - 1))
-    seen = np.bincount(half) > 0
-    reps = np.flatnonzero(seen)
-    where = (np.cumsum(seen) - 1)[half]
-    sign = np.sign(-ks % (p - 1) - ks)  # 0 for a real character
-    # Blocks of step characters, the last padded with repeats, keep the
-    # one buffer of H and D = d_z H on every line and node within
-    # ARC_BLOCK_BYTES.
-    step = max(1, min(len(reps), ARC_BLOCK_BYTES
-                      // (32 * (p + 1) * max(ARC_NODES))))
-    rows = np.resize(reps, -(-len(reps) // step) * step)
-    chi = character_values(p, rows)
+    ks = np.arange(2, p - 1, 2)
+    # Each pair {chi, conj chi} by its lesser exponent k, at k // 2 - 1.
+    reps = np.arange(2, (p + 1) // 2, 2)
+    where = np.minimum(ks, p - 1 - ks) // 2 - 1
+    sign = np.sign(p - 1 - 2 * ks)  # 0 for a real character
     rmax = suggested_rmax(p, math.sqrt(3) / 2)
     J = rmax // p + 1
     r = np.arange(J * p)
-    # lines[k, r] = (2 pi / p) sigma_k(r), one slice per d; W0[c, r / p]
-    # sums 1/d over p | d and m = c mod p.
-    lines = np.zeros((len(rows), J * p), dtype=complex)
+    # sigma(r) adds chi(d) / d over the pairs d m = r in the order of d;
+    # W0[c, r / p] sums 1/d over p | d and m = c mod p.
+    d, m = _multiples(np.arange(1, rmax + 1), rmax)
+    dm, dmod, inverse = d * m, d % p, 1.0 / d
     W0 = np.zeros((p, J))
-    for d in range(1, rmax + 1):
-        lines[:, d:rmax + 1:d] += chi[:, d % p, None] * (1.0 / d)
-        if d % p == 0:
-            m = np.arange(1, rmax // d + 1)
-            np.add.at(W0, (m % p, d // p * m), 1.0 / d)
-    lines *= TWO_PI / p
+    cusp = dmod == 0
+    np.add.at(W0, (m[cusp] % p, d[cusp] // p * m[cusp]), inverse[cusp])
+    chi = character_values(p, reps)
     # r = 0 holds C / 2, and the mirror adds the other half.
-    lines[:, 0] = chi @ _constant_term(np.arange(p), p) / 2
-    cusp = (TWO_PI / p) * tau[rows, None] * (chi.conj() @ W0)
+    const = chi @ _constant_term(np.arange(p), p) / 2
+    a0 = (TWO_PI / p) * tau[reps, None] * (chi.conj() @ W0)
     c_y = (2.0 * math.pi**2 / p) * chi @ _beta2(np.arange(p), p)
+    del chi
     deriv = 2j * math.pi * r / p
     bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
-    out = []
+    rules = []
     for nodes in ARC_NODES:
         x, w = gauss_legendre_nodes(nodes)
         z = 1j * np.exp(1j * (math.pi / 6) * x)  # -x mirrors exactly
-        wdz = (math.pi / 6) * w * 1j * z
         qpow = np.multiply.outer(r, z)
         qpow *= 2j * math.pi
         qpow /= p
         np.exp(qpow, out=qpow)
-        by_residue = qpow.reshape(J, p, nodes).transpose(1, 0, 2)
-        buf = np.empty((p + 1, 2 * step, nodes), dtype=complex)
-        mirror = np.empty((p + 1, step, nodes), dtype=complex)
-        coef = np.empty((2 * step, J * p), dtype=complex)
-        arcs = np.empty((p + 1, len(rows)))
-        for b in range(0, len(rows), step):
-            blk = slice(b, b + step)
-            coef[:step] = lines[blk]
-            np.multiply(lines[blk], deriv, out=coef[step:])
+        rules.append((z, (math.pi / 6) * w * 1j * z, qpow,
+                      qpow.reshape(J, p, nodes).transpose(1, 0, 2)))
+    arcs = np.empty((len(ARC_NODES), p + 1, len(reps)))
+    coef = np.empty((2, J * p), dtype=complex)
+    for i, k in enumerate(reps):
+        terms = character_values(p, k)[dmod] * inverse
+        coef[0].real = np.bincount(dm, terms.real, len(r))
+        coef[0].imag = np.bincount(dm, terms.imag, len(r))
+        coef[0] *= TWO_PI / p
+        coef[0, 0] = const[i]
+        np.multiply(coef[0], deriv, out=coef[1])
+        for (z, wdz, qpow, by_residue), out in zip(rules, arcs):
+            buf = np.empty((p + 1, 2, len(z)), dtype=complex)
             # Summed by residue c, then bin v of the inverse DFT is the
             # e(r v / p) sum; row p is the cusp line.
-            np.matmul(coef.reshape(-1, J, p).transpose(2, 0, 1), by_residue,
+            np.matmul(coef.reshape(2, J, p).transpose(2, 0, 1), by_residue,
                       out=buf[:p])
             np.fft.ifft(buf[:p], axis=0, norm="forward", out=buf[:p])
-            a0 = cusp[blk]
-            np.matmul(np.concatenate([a0, a0 * deriv[::p]]), qpow[::p],
+            np.matmul(np.stack([a0[i], a0[i] * deriv[::p]]), qpow[::p],
                       out=buf[p])
-            H, D = buf[:, :step], buf[:, step:]
-            D[p] += c_y[blk, None] / 2j
-            np.take(H[:, :, ::-1], bar, axis=0, out=mirror, mode="clip")
+            H, D = buf[:, 0], buf[:, 1]
+            D[p] += c_y[i] / 2j
+            mirror = H[bar, ::-1]
             H += mirror  # V
-            H[p] += c_y[blk, None] * z.imag
+            H[p] += c_y[i] * z.imag
             D *= wdz
-            np.take(D[:, :, ::-1], bar, axis=0, out=mirror, mode="clip")
-            mirror += D
+            mirror = D[bar, ::-1] + D
             # -2 Im sum V conj(-i M) is -2 Re sum V conj(M).
             np.conjugate(mirror, out=mirror)
             mirror *= H
-            arcs[:, blk] = -2.0 * mirror.real.sum(axis=-1)
-        out.append(arcs[:, where] * sign)
-    coarse, fine = out
+            out[:, i] = -2.0 * mirror.real.sum(axis=-1)
+    arcs = arcs[:, :, where]
+    arcs *= sign
+    coarse, fine = arcs
     gaps = np.abs(fine - coarse)
     if np.any(gaps >= 1e-10 * np.maximum(1.0, np.abs(fine))):
         raise RuntimeError("quadrature failed to settle below tolerance")

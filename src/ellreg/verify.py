@@ -244,16 +244,13 @@ class CurveContext:
 
     @cached_property
     def eta_arcs(self):
-        """arcs[k, v], the integral of eta_chi_k over the standard arc
-        g_v = g_column(v) for v = 0 .. p - 1 (g_0 is sigma) and over the
-        identity's arc at v = p, for every even nontrivial k (0 at the
-        other k), and the worst node gap among them: line_arcs on the
-        lines (1, v) and (0, 1) of P^1(F_p)."""
-        p, evens = self.p, self.evens
-        values, gaps = line_arcs(p, evens)
-        arcs = np.zeros((p - 1, p + 1), dtype=complex)
-        arcs[evens] = values.T
-        return arcs, gaps.max()
+        """arcs[i, v], the integral of eta_chi_k, k = evens[i], over the
+        standard arc g_v = g_column(v) for v = 0 .. p - 1 (g_0 is sigma)
+        and over the identity's arc at v = p, and the worst node gap among
+        them: line_arcs on the lines (1, v) and (0, 1) of P^1(F_p), one
+        complex row per even character, which BLAS reads in place."""
+        values, gaps = line_arcs(self.p)
+        return values.T.astype(complex), gaps.max()
 
     @cached_property
     def arc_sums(self) -> np.ndarray:
@@ -266,7 +263,9 @@ class CurveContext:
         central[self.evens] = tau[-self.evens] * self.l_one[self.evens]
         weights = np.zeros(self.p + 1, dtype=complex)
         weights[powers] = np.fft.fft(central)
-        return tau * (self.eta_arcs[0] @ weights)
+        sums = np.zeros(self.p - 1, dtype=complex)
+        sums[self.evens] = tau[self.evens] * (self.eta_arcs[0] @ weights)
+        return sums
 
     @cached_property
     def residue(self) -> float:
@@ -394,7 +393,7 @@ def run_thm1(config=None):
     arcs, gap = ctx.eta_arcs
     rhs = p * w / (8j * math.pi * (p - 1)) * ctx.arc_sums[evens]
     # The odd columns of c[k, j] = tau_-j fft(arcs[k, powers])[j] vanish.
-    odd = np.fft.fft(arcs[evens][:, powers], axis=1)[:, odds]
+    odd = np.fft.fft(arcs[:, powers], axis=1)[:, odds]
     sweep = np.abs(tau[-odds] * odd).max(axis=1)
 
     # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
@@ -402,7 +401,7 @@ def run_thm1(config=None):
     rows.truncation.update(eta_tol=ABS_TOL, arc_count=len(evens) * (p - 1),
                            **_arc_truncation(gap))
     label = exponent_label(p, evens[0])
-    rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[evens[0], [0, p]]).max(),
+    rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[0, [0, p]]).max(),
              0.0, 1e-9, error_kind="abs", character=label)
     terms = {"lambda_terms": ctx.lambda_terms(p, p * p)}
     for i, k in enumerate(evens):
@@ -478,7 +477,7 @@ def run_thm3(config=None):
 
     tau, evens = character_table(p).tau, ctx.evens
     arcs, gap = ctx.eta_arcs
-    rhs = (p * 1j / 4.0) * tau[evens] * (arcs[evens] @ xi.plus())
+    rhs = (p * 1j / 4.0) * tau[evens] * (arcs @ xi.plus())
     # The right side's single-pair arcs: every x != 0, up to sign.
     truncation = dict(arc_count=(p * p - 1) // 2, lambda_terms=terms,
                       **_arc_truncation(gap))
@@ -492,7 +491,7 @@ def run_thm3(config=None):
             # the form summed from its divisors.
             quad = _arc_truncation(gap)
             stream = arc_integral(eta_chi(p, k), g_column(3), quad)
-            rows.add(f"thm3:eta-linearity:{label}", arcs[k, 3], stream,
+            rows.add(f"thm3:eta-linearity:{label}", arcs[0, 3], stream,
                      1e-9, quad, error_kind="abs", character=label)
     return rows.reports
 

@@ -111,6 +111,17 @@ def test_bad_inputs_give_one_line(argv, code, words, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("poly", ["X^1000000000000000: 1, 1: 1",
+                                  "Y^1000000000000000: 1, 1: 1"])
+def test_polynomials_too_large_to_hold_give_one_line(poly, capsys):
+    # The coefficient grid of either would take 7.11 PiB.
+    assert main(["mahler", "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellreg: ")
+    assert captured.out == ""
+
+
 def test_unwritable_out_file_gives_one_line(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "r.json"
     assert main(["verify", "cor101", "--out", str(out)]) == 2

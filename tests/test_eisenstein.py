@@ -623,7 +623,7 @@ def test_line_arcs_match_the_node_table(p):
     # conjugate pair included.  Both routes round differently: by 1.3e-15
     # at most at 101, where the arcs reach 6.6e-3.
     ks = np.arange(2, p - 1, 2)
-    values, gaps = line_arcs(p, ks)
+    values, gaps = line_arcs(p)
     want, want_gaps = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)
                                 ).pairings(ks)
     assert values.shape == gaps.shape == (p + 1, len(ks))
@@ -635,7 +635,7 @@ def test_line_arcs_match_the_node_table(p):
 def test_line_arcs_vanish_on_the_cusp_columns(p):
     # The arcs over sigma and the identity, lines (1, 0) and (0, 1), are
     # 0 for every character: here below 2e-16 p, as in the node table.
-    values, _ = line_arcs(p, np.arange(2, p - 1, 2))
+    values, _ = line_arcs(p)
     assert np.abs(values[[0, p]]).max() <= 2e-16 * p
 
 
@@ -643,8 +643,7 @@ def test_line_arcs_vanish_on_the_cusp_columns(p):
 def test_line_arcs_match_arc_integral_on_every_column(p):
     # arc_integral settles at the fine rule of ARC_NODES, so its value and
     # its gap to the coarse rule are those of line_arcs.
-    ks = np.arange(2, p - 1, 2)
-    values, gaps = line_arcs(p, ks)
+    values, gaps = line_arcs(p)
     _, _, (arcs, arc_gaps, nodes) = _every_column(p)
     for (l, j), value in np.ndenumerate(arcs):
         assert nodes[l, j] == ARC_NODES[1]
@@ -655,37 +654,22 @@ def test_line_arcs_match_arc_integral_on_every_column(p):
 def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
     import ellreg.eisenstein as eisenstein
 
-    ks = np.arange(2, N - 1, 2)
-    line_arcs(N, ks)
+    line_arcs(N)
     # Four nodes leave the coarse values far from the fine ones.
     monkeypatch.setattr(eisenstein, "ARC_NODES", (4, ARC_NODES[1]))
     with pytest.raises(RuntimeError, match="settle"):
-        line_arcs(N, ks)
+        line_arcs(N)
     with pytest.raises(ValueError, match="prime"):
-        line_arcs(15, [2])
-
-
-@pytest.mark.parametrize("p", [37, 101])
-def test_line_arcs_do_not_depend_on_the_block_size(p, monkeypatch):
-    import ellreg.eisenstein as eisenstein
-
-    ks = np.arange(2, p - 1, 2)
-    want = line_arcs(p, ks)
-    # One character per block, then every character in one block.
-    for budget in (1, 1 << 40):
-        monkeypatch.setattr(eisenstein, "ARC_BLOCK_BYTES", budget)
-        got = line_arcs(p, ks)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        line_arcs(15)
 
 
 def test_line_arcs_hold_one_buffer_per_block():
-    # At 101 the buffer is 209 KB per character.  A dense p x rmax
+    # At 101 the buffer of one conjugate pair is 209 KB.  A dense p x rmax
     # divisor table and its complex copy alone would take 1.5 MB.
-    ks = np.arange(2, 100, 2)
     character_table(101)
     tracemalloc.start()
     try:
-        line_arcs(101, ks)
+        line_arcs(101)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -360,7 +360,6 @@ def test_summarize_readable(thm8_reports):
 
 
 def test_run_all_builds_each_quantity_once(monkeypatch):
-    import ellreg.lseries as lseries
     import ellreg.verify as verify
 
     calls = {}
@@ -374,16 +373,12 @@ def test_run_all_builds_each_quantity_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     for name in ("newform_from_curve", "twisted_lambda_table", "periods",
-                 "xi_bridge_table"):
+                 "xi_bridge_table", "line_arcs"):
         counting(verify, name)
-    # residue_tensor_square looks the table up in lseries when it is not
-    # handed one.
-    monkeypatch.setattr(lseries, "twisted_lambda_table",
-                        verify.twisted_lambda_table)
     rows = run_all()
     assert len(rows) == 40 and all(r.passed for r in rows)
     assert calls == {"newform_from_curve": 1, "twisted_lambda_table": 1,
-                     "periods": 1, "xi_bridge_table": 1}
+                     "periods": 1, "xi_bridge_table": 1, "line_arcs": 1}
 
 
 def test_context_belongs_to_its_config():
@@ -423,18 +418,18 @@ def test_odd_sweep_stays_at_rounding_level():
 
 
 def test_odd_sweep_reads_every_odd_coefficient():
-    # arcs[k, v] + eps chi_j(v), j odd, moves c[k, j] = tau_-j
-    # fft(arcs[k, powers])[j] by tau_-j eps (p - 1) and no other
-    # coefficient, so the sweep of k fails and the identity rows, which
-    # read the even coefficients, hold.
+    # The arcs of chi_k, k = evens[i], plus eps chi_j(v), j odd, move
+    # c[k, j] = tau_-j fft(arcs[i, powers])[j] by tau_-j eps (p - 1) and
+    # no other coefficient, so the sweep of k fails and the identity rows,
+    # which read the even coefficients, hold.
     config = resolve_config(level=17)
     ctx = config.context
     arcs, gap = ctx.eta_arcs
-    k = ctx.evens[2]
-    label = character_label(enumerate_characters(17)[k])
+    i = 2
+    label = character_label(enumerate_characters(17)[ctx.evens[i]])
     for j in ctx.odds:
         moved = arcs.copy()
-        moved[k, :17] += 1e-5 * character_values(17, j)
+        moved[i, :17] += 1e-5 * character_values(17, j)
         ctx.eta_arcs = moved, gap
         ctx.__dict__.pop("arc_sums", None)
         failed = [r.check for r in run_thm1(config) if not r.passed]
@@ -495,8 +490,9 @@ def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
     assert all(r.passed for r in run_thm1(config))
     arcs, gap = ctx.eta_arcs
     arcs = arcs.copy()
+    i = list(ctx.evens).index(k)
     for v, shift in shifts.items():
-        arcs[k, v] += shift
+        arcs[i, v] += shift
     ctx.eta_arcs = arcs, gap
     # The identity rows read the moved arcs too.
     del ctx.arc_sums
@@ -521,8 +517,7 @@ def test_context_arrays_are_indexed_by_exponent():
             assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[k]
     assert math.isnan(ctx.l_one[0].real)
     arcs, gap = ctx.eta_arcs
-    assert arcs.shape == (16, 18) and 0.0 <= gap < 1e-10
-    assert not arcs[ctx.odds].any() and not arcs[0].any()
+    assert arcs.shape == (7, 18) and 0.0 <= gap < 1e-10
 
 
 CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
@@ -542,8 +537,9 @@ def test_transforms_match_the_einsums_over_the_value_table(curve):
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    arcs, _ = ctx.eta_arcs
     p, w, evens, odds = ctx.p, ctx.w, ctx.evens, ctx.odds
+    arcs = np.zeros((p - 1, p + 1), dtype=complex)
+    arcs[evens] = ctx.eta_arcs[0]
     tau = character_table(p).tau
     coef = arc_coefficients_einsum(arcs)
     assert close(ctx.arc_sums, tau * (coef[:, evens] @ ctx.l_one[evens]))
