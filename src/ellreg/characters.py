@@ -1,9 +1,13 @@
 """Dirichlet characters with exact root-of-unity arithmetic.
 
-Characters are stored as exponent tables: chi(a) = exp(2 pi i e(a) / M)
-with integer e(a) modulo a common order M, so conjugates and equality
-are exact.  Complex values are cached on first use.  Modulo a prime,
-the verify suites' case, a character is its exponent (character_table).
+Characters have one encoding, their exponent at a primitive root: mod N
+with (Z/N)* cyclic (N = 1, 2, 4, q^k and 2 q^k), chi_k(g^i) = e(k i /
+phi(N)) for g the smallest primitive root.  enumerate_characters lists
+chi_k at index k, labels name chi_k by its value at g, and modulo a prime,
+the verify suites' case, character_table holds the exponents as arrays
+and makes no character object.  A DirichletCharacter keeps its values as
+integer exponents modulo its order, so conjugates and equality are
+exact; complex values are cached on first use.
 """
 
 from __future__ import annotations
@@ -11,27 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .special import periodic_bernoulli2
-
-
-def _xgcd(a, b):
-    """(g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _divisors(n):
@@ -45,13 +33,6 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _crt_pair(r1, m1, m2):
-    # x with x = r1 (mod m1), x = 1 (mod m2); gcd(m1, m2) = 1.
-    g, p, q = _xgcd(m1, m2)
-    assert g == 1
-    return (r1 * q * m2 + 1 * p * m1) % (m1 * m2)
 
 
 def _factorize(n):
@@ -85,60 +66,36 @@ def _totient(n):
 
 
 def _primitive_root(n):
-    """The smallest primitive root mod n >= 2, or None if there is none."""
+    """The smallest primitive root mod n >= 1, or None if there is none."""
     odd = [q for q in _prime_factors(n) if q > 2]
-    if n not in (2, 4) and (len(odd) != 1 or n % 4 == 0):
-        return None  # (Z/n)* is cyclic only for n = 2, 4, q^k and 2 q^k
+    if n not in (1, 2, 4) and (len(odd) != 1 or n % 4 == 0):
+        return None  # (Z/n)* is cyclic only for n = 1, 2, 4, q^k and 2 q^k
     phi = _totient(n)
     exponents = [phi // q for q in _prime_factors(phi)]
-    for g in range(1, n):
+    for g in range(1, n + 1):
         if math.gcd(g, n) == 1 and all(pow(g, e, n) != 1 for e in exponents):
             return g
 
 
-@lru_cache(maxsize=None)
-def _unit_group(n):
-    """Generators (g_i, m_i) with (Z/nZ)* the direct product of <g_i>."""
-    if n == 1:
-        return ()
-    gens = []
-    for p, e in _factorize(n):
-        pe = p**e
-        if p == 2:
-            if e == 2:
-                gens.append((_crt_pair(pe - 1, pe, n // pe), 2))
-            elif e >= 3:
-                gens.append((_crt_pair(pe - 1, pe, n // pe), 2))
-                gens.append((_crt_pair(5 % pe, pe, n // pe), 2 ** (e - 2)))
-        else:
-            g = _primitive_root(pe)
-            gens.append((_crt_pair(g, pe, n // pe), pe // p * (p - 1)))
-    return tuple(gens)
+def _unit_logs(n):
+    """(logs, phi(n)) with logs[a] = i for a = g^i mod n, g the smallest
+    primitive root, and None off the units; raises ValueError when
+    (Z/n)* is not cyclic."""
+    g = _primitive_root(n)
+    if g is None:
+        raise ValueError(f"(Z/{n})* is not cyclic: characters mod {n} "
+                         f"need a primitive root")
+    phi = _totient(n)
+    logs = [None] * n
+    for i in range(phi):
+        logs[pow(g, i, n)] = i
+    return logs, phi
 
 
-def _exponent_tuples(orders):
-    """Every tuple (k_1, ..., k_r) with 0 <= k_i < orders[i], the first
-    entry running fastest."""
-    return [t[::-1] for t in product(*map(range, reversed(orders)))]
-
-
-@lru_cache(maxsize=None)
-def _dlog_tables(n):
-    """Discrete logs of every unit mod n on the generator tuple.
-
-    Each generator is congruent to 1 away from its own prime power, so
-    the joint logs are found by enumerating exponent tuples within each
-    CRT component.  Moduli here are tiny, brute force is fine.
-    """
-    gens = _unit_group(n)
-    logs = {}
-    for choices in _exponent_tuples([m for _, m in gens]):
-        val = 1
-        for (g, _), k in zip(gens, choices):
-            val = val * pow(g, k, n) % n
-        logs[val] = choices
-    assert len(logs) == _totient(n), "generators do not span the unit group"
-    return logs
+def _character(n, logs, phi, k):
+    """chi_k mod n, chi_k(g^i) = e(k i / phi), from _unit_logs(n)."""
+    return DirichletCharacter(n, phi,
+                              [None if i is None else k * i for i in logs])
 
 
 class DirichletCharacter:
@@ -222,22 +179,11 @@ class DirichletCharacter:
 
 
 def enumerate_characters(modulus):
-    """All phi(N) Dirichlet characters mod N, closed under products."""
-    if modulus == 1:
-        return [DirichletCharacter(1, 1, [0])]
-    logs = _dlog_tables(modulus)
-    orders = [m for _, m in _unit_group(modulus)]
-    total = math.lcm(*orders)
-    # exps[j, a] = sum_i log_i(a) c_i (total / m_i) for the j-th choice
-    # c of exponents, and -1 off the units.
-    steps = (np.array(_exponent_tuples(orders), dtype=int)
-             * (total // np.array(orders, dtype=int)))
-    exps = np.full((len(steps), modulus), -1)
-    exps[:, list(logs)] = (
-        steps @ np.array(list(logs.values()), dtype=int).T % total)
-    return [DirichletCharacter(modulus, total,
-                               [None if e < 0 else e for e in row])
-            for row in exps.tolist()]
+    """chi_k for k = 0 .. phi(N) - 1 at index k: chi_k(g^i) = e(k i / phi(N))
+    for g the smallest primitive root mod N.  Raises ValueError when
+    (Z/N)* is not cyclic."""
+    logs, phi = _unit_logs(modulus)
+    return [_character(modulus, logs, phi, k) for k in range(phi)]
 
 
 class FiniteMap:
@@ -313,11 +259,13 @@ def pair_sum(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> complex:
     return complex(f @ np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)))
 
 
-def exponent_label(p: int, k: int) -> str:
-    """The label of chi_k mod the prime p, which character_from_label
-    reads back: chi_k(g) = e(k / (p - 1)) = zeta_m^e in lowest terms."""
-    d = math.gcd(int(k), p - 1)
-    return f"{p}:g={_primitive_root(p)},zeta{(p - 1) // d}^{int(k) // d}"
+def exponent_label(n: int, k: int) -> str:
+    """The label of chi_k = enumerate_characters(n)[k], which
+    character_from_label reads back: chi_k(g) = e(k / phi) = zeta_m^e in
+    lowest terms."""
+    phi = _totient(n)
+    d = math.gcd(int(k), phi)
+    return f"{n}:g={_primitive_root(n)},zeta{phi // d}^{int(k) // d}"
 
 
 def twisted_bernoulli2(chi) -> complex:
@@ -351,8 +299,8 @@ def l_chi_2(chi) -> complex:
 def character_from_label(label):
     """Parse labels like '11:g=2,zeta5^1' meaning chi(2) = zeta_5.
 
-    The generator must pin the character down uniquely among all
-    characters mod N; otherwise the label is rejected.
+    (Z/N)* must be cyclic and the generator must pin the character down
+    uniquely among all characters mod N; otherwise the label is rejected.
     """
     try:
         mod_part, rest = label.split(":", 1)
@@ -371,14 +319,15 @@ def character_from_label(label):
                          f"a root order of at least 1")
     if math.gcd(gen, modulus) != 1:
         raise ValueError("generator must be a unit")
-    matches = []
-    for chi in enumerate_characters(modulus):
-        e = chi.exponent_at(gen)
-        # chi(gen) = zeta_m^k exactly iff e/order = k/m (mod 1).
-        if (e * root_order - power * chi.order) % (chi.order * root_order) == 0:
-            matches.append(chi)
-    if not matches:
+    logs, phi = _unit_logs(modulus)
+    j = logs[gen % modulus]
+    # chi_k(gen) = e(k j / phi) is zeta_m^e iff k j m = e phi (mod phi m).
+    # With d = gcd(j, phi) that holds for no k when m d does not divide
+    # e phi, and else for d of the k in 0 .. phi - 1.
+    d = math.gcd(j, phi)
+    if power * phi % (root_order * d):
         raise ValueError(f"no character mod {modulus} with that value")
-    if len(matches) > 1:
+    if d > 1:
         raise ValueError(f"label {label!r} is ambiguous")
-    return matches[0]
+    k = power * phi // root_order * pow(j, -1, phi) % phi
+    return _character(modulus, logs, phi, k)

@@ -39,7 +39,6 @@ from ellreg.characters import (
     _is_prime,
     _primitive_root,
     _totient,
-    _xgcd,
     character_table,
     enumerate_characters,
     l_chi_2,
@@ -387,6 +386,21 @@ def _pairings_on_every_line(table: ArcTable, ks, weights=None):
     fine *= scale
     coarse *= scale
     return fine, np.abs(fine - coarse)
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def _complete_row(c: int, d: int):
@@ -933,8 +947,6 @@ def character_label(chi) -> str:
     uniquely, so the label always round-trips.
     """
     n = chi.modulus
-    if n <= 2:
-        return f"{n}:g=1,zeta1^0"
     g = _primitive_root(n)
     if g is None:
         raise ValueError(f"(Z/{n})* is not cyclic; no label for modulus {n}")

@@ -58,6 +58,9 @@ def test_units_rejects_bad_requests(capsys):
     (["--level", "11", "--char", "11:g=2,zeta0^1"], "root order"),
     (["--level", "0", "--char", "0:g=1,zeta1^0"], "modulus"),
     (["--level=-7", "--char=-7:g=3,zeta6^1"], "modulus"),
+    (["--level", "12", "--char", "12:g=5,zeta2^1"], "(Z/12)* is not cyclic"),
+    # The trivial character mod 1 parses; its unit does not exist.
+    (["--level", "1", "--char", "1:g=1,zeta1^0"], "even nontrivial"),
 ])
 def test_units_bad_labels_give_one_line(argv, words, capsys):
     assert main(["units"] + argv) == 2

@@ -32,6 +32,8 @@ COMMANDS = [
     # The closed-form cusp classes at a size where the O(N^3) shift loop
     # over all N^2 pairs took about 25 s.
     ["units", "--level", "389", "--char", "389:g=2,zeta2^1"],
+    # An imprimitive character mod 2 q: _l2_even's Euler factor at 2.
+    ["units", "--level", "10", "--char", "10:g=3,zeta2^1"],
     ["mahler", "--poly", "X^2 Y: 1, X: -3, 1: 1"],
     # Y-degree 0: every node row takes the scalar _one_variable_measure.
     ["mahler", "--poly", "X: 1, 1: -3"],
@@ -50,6 +52,9 @@ ALLOWED = {
     "characters.DirichletCharacter.__eq__": VALUE_SEMANTICS,
     "characters.DirichletCharacter.__hash__": VALUE_SEMANTICS,
     "characters.DirichletCharacter.__repr__": VALUE_SEMANTICS,
+    "characters.enumerate_characters":
+        "lists every chi_k mod N for the tests and perfbench; a command "
+        "builds only the one character its label solves for",
     "eisenstein._straight_path":
         "the vertical branch of _geodesic_path; every arc a command "
         "integrates is a circle",
