@@ -34,8 +34,7 @@ _HOME = {name: module for module, names in [
      "mahler_measure"),
     ("modsym", "SymbolIndex cusp_classes period_integral_oracle petersson "
      "xi_bridge_table"),
-    ("special", "TruncationError bloch_wigner dilog incomplete_gamma_upper "
-     "periodic_bernoulli2"),
+    ("special", "TruncationError bloch_wigner dilog periodic_bernoulli2"),
     ("units", "CuspDivisor unit_divisor_chi"),
     ("verify", "CheckReport VerifyConfig resolve_config run_all summarize"),
 ] for name in names.split()}

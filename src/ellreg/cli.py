@@ -77,11 +77,17 @@ def _cmd_verify(args) -> int:
 def _cmd_units(args) -> int:
     from .units import unit_divisor_chi
 
-    chi = character_from_label(args.char)
-    if chi.modulus != args.level:
+    # Compare the label's modulus first: its character is built from a
+    # table of that size.  A modulus that does not parse is left to
+    # character_from_label's message.
+    try:
+        modulus = int(args.char.split(":", 1)[0])
+    except ValueError:
+        modulus = args.level
+    if modulus != args.level:
         raise ValueError(
-            f"character modulus {chi.modulus} does not match level {args.level}")
-    divisor = unit_divisor_chi(chi)
+            f"character modulus {modulus} does not match level {args.level}")
+    divisor = unit_divisor_chi(character_from_label(args.char))
     table = [
         {"cusp": [cls.u, cls.v], "order": [coeff.real, coeff.imag]}
         for cls, coeff in divisor.items()

@@ -1,17 +1,21 @@
-"""Completed L-values of weight-2 forms by incomplete-gamma smoothing.
+"""Completed L-values of weight-2 forms at s = 1 and s = 2 by smoothed sums.
 
 A weight-2 newform is carried as one coefficient stream plus its level;
 its functional-equation partner is the complex-conjugate stream.  The
 completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s) is
-computed from the split integral representation
+computed from the split integral representation (Dokchitser, "Computing
+special values of motivic L-functions", Experiment. Math. 13, 2004)
 
     Lambda(g, s) = sum_n a_n G_s(cn) - w sum_n conj(a_n) G_{2-s}(cn),
 
 with c = 2pi/sqrt(M), G_s(x) = x^{-s} Gamma(s, x), and w the
 Atkin-Lehner pseudo-eigenvalue, always measured numerically from the
-transformation g(-1/(Mz)) = w M z^2 gbar(z).  The twists f (x) chi_k of
-a prime-level form are never written out: each of their sums is, for
-every k at once, one transform of the form's terms binned by n mod p.
+transformation g(-1/(Mz)) = w M z^2 gbar(z).  The identities read
+Lambda only at s = 1 (the central values) and s = 2 (L(E, 2)), where
+the weights are elementary: G_1(x) = e^-x / x, G_2(x) = (1 + x) e^-x /
+x^2 and G_0 = E_1.  The twists f (x) chi_k of a prime-level form are
+never written out: each of their sums is, for every k at once, one
+transform of the form's terms binned by n mod p.
 The module also covers the residue of L(f (x) f, s) at s = 2 expressed
 through the twisted central values.
 """
@@ -27,12 +31,7 @@ import numpy as np
 
 from .characters import character_table, pair_sum
 from .elliptic import CurveModel, an_coefficients
-from .special import (
-    ABS_TOL,
-    TruncationError,
-    complex_gamma,
-    incomplete_gamma_upper_complex,
-)
+from .special import ABS_TOL, TruncationError, exp_integral_e1
 
 TWO_PI = 2.0 * math.pi
 _ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # _root_numbers' y * sqrt(level)
@@ -203,36 +202,33 @@ def root_number(form: ModularFormData) -> complex:
     return form._root_cache[0]
 
 
-def _weights(s, level: int, k: int) -> np.ndarray:
-    # G_s(x) = x^{-s} Gamma(s, x) at x = cn, n = 1 .. k, c = 2 pi / sqrt(M).
+def _weights(s: int, level: int, k: int) -> np.ndarray:
+    # G_s(x) = x^{-s} Gamma(s, x) at x = cn, n = 1 .. k, c = 2 pi / sqrt(M),
+    # for the orders 0, 1 and 2 that Lambda at s = 1 and 2 reads.
     x = (TWO_PI / math.sqrt(level)) * np.arange(1, k + 1)
-    return x ** -complex(s) * np.array(
-        [incomplete_gamma_upper_complex(s, t) for t in x])
+    if s == 0:
+        return np.array([exp_integral_e1(t) for t in x.tolist()])
+    e = np.exp(-x)
+    return e / x if s == 1 else (1.0 + x) * e / (x * x)
 
 
-def lambda_value(form: ModularFormData, s,
-                 w: complex | None = None) -> complex:
-    """Completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s)."""
-    if w is None:
-        w = root_number(form)
+def lambda_value(form: ModularFormData, s) -> complex:
+    """Completed value Lambda(g, s) = M^{s/2} (2pi)^{-s} Gamma(s) L(g, s)
+    at s = 1 or 2; any other s raises ValueError."""
+    if s not in (1, 2):
+        raise ValueError(f"Lambda is summed at s = 1 and 2 only, not {s!r}")
     k = _term_count(form.level, form.nmax)
     g_s = _weights(s, form.level, k)
     # At s = 1 the two halves share their weights.
-    g_dual = g_s if complex(s) == 1.0 else _weights(2.0 - complex(s),
-                                                    form.level, k)
+    g_dual = g_s if s == 1 else _weights(0, form.level, k)
     a = form.coefficients[1:k + 1]
-    return complex(a @ g_s - w * (a.conj() @ g_dual))
+    return complex(a @ g_s - root_number(form) * (a.conj() @ g_dual))
 
 
-def l_value(form: ModularFormData, s, w: complex | None = None) -> complex:
-    """Uncompleted L(g, s), from lambda_value and the Gamma factor."""
-    s = complex(s)
-    lam = lambda_value(form, s, w)
-    if s.imag == 0.0:
-        gamma_s = math.gamma(s.real)
-    else:
-        gamma_s = complex_gamma(s)
-    return lam * (TWO_PI ** s) * form.level ** (-s / 2.0) / gamma_s
+def l_value(form: ModularFormData, s) -> complex:
+    """Uncompleted L(g, s) at s = 1 or 2, from lambda_value; there the
+    Gamma factor is 1."""
+    return lambda_value(form, s) * TWO_PI ** s * form.level ** (-s / 2.0)
 
 
 def _character_sums(terms: np.ndarray, p: int) -> np.ndarray:
@@ -268,7 +264,7 @@ def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
     p, m = form.level, form.level ** 2
     w = _root_numbers(lambda z: _twisted_series(form, z), m)
     k = _term_count(m, form.nmax)
-    terms = form.coefficients[:k + 1] * np.append(0.0, _weights(1.0, m, k))
+    terms = form.coefficients[:k + 1] * np.append(0.0, _weights(1, m, k))
     sums = _character_sums(terms, p)[1:]
     return np.concatenate([[math.nan], sums - w * sums.conj()])
 

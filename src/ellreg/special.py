@@ -1,8 +1,8 @@
 """Scalar special functions shared by the rest of the package.
 
-Everything here is plain floating point: dilogarithms, the upper
-incomplete gamma function, the periodic second Bernoulli polynomial
-and Gauss-Legendre nodes.  The package's point-dependent series
+Everything here is plain floating point: dilogarithms, the exponential
+integral E_1, the periodic second Bernoulli polynomial and
+Gauss-Legendre nodes.  The package's point-dependent series
 (q-expansions, Eisenstein streams, the elliptic dilogarithm) stop once
 their tail is below ABS_TOL.  The elliptic dilogarithm takes at most
 MAX_TERMS terms; hitting that cap raises instead of returning a
@@ -108,17 +108,16 @@ def bloch_wigner(z) -> float:
     return dilog(z).imag + cmath.phase(1.0 - z) * math.log(abs(z))
 
 
-def _upper_gamma_cf(s, x):
-    # Modified Lentz continued fraction for Gamma(s, x) / (x^s e^-x),
-    # stable for x > max(1, s).  Every step is generic over complex s;
-    # the caller applies the prefactor with math or cmath.
+def _e1_fraction(x):
+    # Modified Lentz continued fraction for E_1(x) e^x = Gamma(0, x) e^x,
+    # stable for x > 1.
     tiny = 1e-300
-    b = x + 1.0 - s
+    b = x + 1.0
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
+    d = 1.0 / b
     h = d
     for i in range(1, 500):
-        an = -i * (i - s)
+        an = -i * i
         b += 2.0
         d = an * d + b
         if abs(d) < tiny:
@@ -134,23 +133,11 @@ def _upper_gamma_cf(s, x):
     return h
 
 
-def _lower_gamma_series(s, x):
-    # gamma(s, x) / (x^s e^-x) by the standard ascending series, for
-    # x <= max(1, s) and Re s > 0.  Every step is generic over complex s.
-    total = 1.0 / s
-    term = 1.0 / s
-    sk = s
-    for _ in range(1000):
-        sk += 1.0
-        term *= x / sk
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total
-
-
-def _exp_integral_e1(x):
-    # E_1(x) for 0 < x <= 1 via the convergent alternating series.
+def exp_integral_e1(x: float) -> float:
+    """E_1(x) = Gamma(0, x) for x > 0: the convergent alternating series
+    for x <= 1, the continued fraction beyond."""
+    if x > 1.0:
+        return math.exp(-x) * _e1_fraction(x)
     total = -0.5772156649015328606 - math.log(x)
     term = 1.0
     for k in range(1, 60):
@@ -159,80 +146,6 @@ def _exp_integral_e1(x):
         if abs(term / k) < 1e-18:
             break
     return total
-
-
-def incomplete_gamma_upper(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) for real s and x > 0.
-
-    Continued fraction for large x, ascending series for small x, with
-    recursion in s to reach nonpositive orders.
-    """
-    if not x > 0:
-        raise ValueError("incomplete_gamma_upper requires x > 0")
-    s = float(s)
-    x = float(x)
-    if x > max(1.0, s):
-        return math.exp(-x + s * math.log(x)) * _upper_gamma_cf(s, x)
-    if s > 0:
-        return math.gamma(s) - (math.exp(-x + s * math.log(x))
-                                * _lower_gamma_series(s, x))
-    # s <= 0 and x <= 1: climb down from Gamma(0, x) = E_1(x) when s is
-    # integral, otherwise climb up to a positive order and come back.
-    if s == math.floor(s):
-        g = _exp_integral_e1(x)
-        k = 0.0
-        while k > s:
-            k -= 1.0
-            g = (g - math.exp(-x + k * math.log(x))) / k
-        return g
-    shift = int(math.ceil(-s)) + 1
-    ss = s + shift
-    g = math.gamma(ss) - (math.exp(-x + ss * math.log(x))
-                          * _lower_gamma_series(ss, x))
-    for j in range(shift - 1, -1, -1):
-        sj = s + j
-        g = (g - math.exp(-x + sj * math.log(x))) / sj
-    return g
-
-
-# Lanczos coefficients, g = 7, n = 9.
-_LANCZOS = [
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-]
-
-
-def complex_gamma(s) -> complex:
-    """Gamma(s) for complex s via the Lanczos approximation."""
-    s = complex(s)
-    if s.real < 0.5:
-        # Reflection formula; poles at nonpositive integers surface as
-        # a zero denominator, which is the honest failure mode.
-        return math.pi / (cmath.sin(math.pi * s) * complex_gamma(1.0 - s))
-    z = s - 1.0
-    acc = _LANCZOS[0] + sum(_LANCZOS[i] / (z + i) for i in range(1, 9))
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def incomplete_gamma_upper_complex(s, x: float) -> complex:
-    """Upper incomplete gamma Gamma(s, x) for complex s and real x > 0."""
-    s = complex(s)
-    if s.imag == 0.0:
-        return complex(incomplete_gamma_upper(s.real, x))
-    if not x > 0:
-        raise ValueError("incomplete_gamma_upper_complex requires x > 0")
-    prefactor = cmath.exp(-x + s * cmath.log(x))
-    if x > abs(s) + 1.0:
-        return prefactor * _upper_gamma_cf(s, x)
-    return complex_gamma(s) - prefactor * _lower_gamma_series(s, x)
 
 
 def periodic_bernoulli2(x: float) -> float:

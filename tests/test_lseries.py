@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import random
 
 import numpy as np
 import pytest
@@ -28,10 +27,7 @@ from ellreg.lseries import (
     root_number,
     twisted_lambda_table,
 )
-from ellreg.special import (
-    TruncationError,
-    incomplete_gamma_upper_complex,
-)
+from ellreg.special import TruncationError
 
 from reference_routes import (
     character_product,
@@ -119,25 +115,23 @@ def test_l2_matches_elliptic_dilog_route(form11):
     assert abs(val.real - target) / target < 1e-10
 
 
-def test_lambda_at_3_matches_direct_series(form11_big):
-    direct = dirichlet_series_direct(form11_big, 3.0)
-    engine = l_value(form11_big, 3.0)
-    assert abs(engine - direct) / abs(direct) < 1e-9
+def test_lambda_at_2_matches_direct_series(form11_big):
+    # At s = 2 the plain partial sum over 30,000 terms is within 8e-7.
+    direct = dirichlet_series_direct(form11_big, 2.0)
+    engine = l_value(form11_big, 2.0)
+    assert abs(engine - direct) / abs(direct) < 5e-6
 
 
 def test_functional_equation_residual(form11, chars11):
-    rng = random.Random(7)
-    points = [rng.uniform(0.2, 1.8) for _ in range(6)]
-    points += [complex(rng.uniform(0.3, 1.7), rng.uniform(-1.0, 1.0))
-               for _ in range(4)]
+    # At the centre s = 1 = 2 - s, where each partner's root number is
+    # measured on its own.
     forms = [form11, twist_by_character(form11, chars11[3])]
     for g in forms:
         gbar = conjugate_partner(g)
         w = root_number(g)
-        for s in points:
-            lam = lambda_value(g, s)
-            resid = lam + w * lambda_value(gbar, 2.0 - s)
-            assert abs(resid) < 1e-10 * max(1.0, abs(lam))
+        lam = lambda_value(g, 1.0)
+        resid = lam + w * lambda_value(gbar, 1.0)
+        assert abs(resid) < 1e-10 * max(1.0, abs(lam))
 
 
 def test_twist_structure(form11, chars11):
@@ -180,23 +174,21 @@ def test_lambda_truncation_cap(form11, chars11):
     tw = twist_by_character(form11, chi)
     starved = ModularFormData(tw.level, tw.coefficients[:61])
     with pytest.raises(TruncationError):
-        lambda_value(starved, 1.0, w=1.0)
+        lambda_value(starved, 1.0)
 
 
 def test_lambda_control_and_root_override(form11, monkeypatch):
-    a = lambda_value(form11, 1.3)
+    a = lambda_value(form11, 2.0)
     # The term counts are cached per level and length: clear them around
     # the looser tolerance, so that no other test reads its counts.
     with monkeypatch.context() as patch:
         patch.setattr(lseries, "ABS_TOL", 1e-10)
         _term_count.cache_clear()
         try:
-            b = lambda_value(form11, 1.3)
+            b = lambda_value(form11, 2.0)
         finally:
             _term_count.cache_clear()
-    c = lambda_value(form11, 1.3, w=-1.0)
     assert abs(a - b) < 1e-10
-    assert abs(a - c) < 1e-14
 
 
 def test_coefficient_growth(form11):
@@ -293,19 +285,31 @@ def test_residue_is_the_running_sum_over_the_pairs_at_37():
 
 def _term_by_term_lambda(form, s, w):
     # The scalar loop the batched sums replace: two weights per term,
-    # G_s(x) = x^{-s} Gamma(s, x).
+    # G_s(x) = x^{-s} Gamma(s, x), from mpmath's incomplete gamma.
+    mpmath = pytest.importorskip("mpmath")
+
     def weight(s, x):
-        return incomplete_gamma_upper_complex(s, x) * x ** (-complex(s))
+        return float(mpmath.gammainc(s, x) * mpmath.mpf(x) ** -s)
     c = 2.0 * math.pi / math.sqrt(form.level)
     total = 0.0 + 0.0j
     for n in range(1, _term_count(form.level, form.nmax) + 1):
         total += form.coefficients[n] * weight(s, c * n)
         total -= (w * form.coefficients[n].conjugate()
-                  * weight(2.0 - complex(s), c * n))
+                  * weight(2.0 - s, c * n))
     return total
 
 
-@pytest.mark.parametrize("s", [1.0, 2.0, 1.3, 1.0 + 0.7j, 0.4 - 2.0j])
+@pytest.mark.parametrize("s", [1.3, 1.0 + 0.7j, 0.4 - 2.0j, 0.0, 3.0])
+def test_lambda_value_refuses_other_points(form11, s):
+    # The identities read Lambda at s = 1 and 2 only; 0 is the order of
+    # the dual half at s = 2, not a point Lambda takes.
+    with pytest.raises(ValueError, match="s = 1 and 2 only"):
+        lambda_value(form11, s)
+    with pytest.raises(ValueError, match="s = 1 and 2 only"):
+        l_value(form11, s)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
 def test_lambda_value_matches_the_term_by_term_loop(form11, chars11, s):
     tw = twist_by_character(form11, chars11[3])
     for form in (form11, tw):

@@ -38,8 +38,8 @@ COMMANDS = [
     # Y-degree 0: every node row takes the scalar _one_variable_measure.
     ["mahler", "--poly", "X: 1, 1: -3"],
     # --curve parses a model.  At 101, Lambda(f, 2)'s dual half needs
-    # Gamma(0, x) at x = 2 pi n / sqrt(101), below 1 for n = 1: the
-    # integral climb-down from E_1.
+    # G_0 = E_1 at x = 2 pi n / sqrt(101), below 1 for n = 1: the series
+    # branch of special.exp_integral_e1.
     ["verify", "thm1", "--curve", "0,1,1,-1,-1,101", "--out", "{out}"],
 ]
 
@@ -58,9 +58,6 @@ ALLOWED = {
     "eisenstein._straight_path":
         "the vertical branch of _geodesic_path; every arc a command "
         "integrates is a circle",
-    "special.complex_gamma":
-        "the complex-s branch of incomplete_gamma_upper_complex and "
-        "l_value; tests check the smoothing at complex s",
     "verify.reports_from_json":
         "reads an --out report back, for tools that post-process reports",
     "verify.CheckReport.from_dict":

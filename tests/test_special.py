@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellreg.lseries import _term_count, _weights
 from ellreg.special import (
     TruncationError,
     _leggauss,
     bloch_wigner,
-    complex_gamma,
     dilog,
+    exp_integral_e1,
     gauss_legendre_nodes,
-    incomplete_gamma_upper,
-    incomplete_gamma_upper_complex,
     periodic_bernoulli2,
 )
-from ellreg.special import _exp_integral_e1
 
 import reference_routes
 from reference_routes import dedekind_eta, siegel_theta
@@ -120,42 +118,41 @@ def test_bloch_wigner_five_term_relation():
         count += 1
 
 
+def _grid(level, k):
+    """The points x = 2 pi n / sqrt(level), n = 1 .. k, the weights of the
+    level's L-values are taken at."""
+    return (2.0 * math.pi / math.sqrt(level)) * np.arange(1, k + 1)
+
+
 def test_incomplete_gamma_closed_forms():
-    assert abs(incomplete_gamma_upper(1.0, 1.0) - math.exp(-1.0)) < 1e-15
-    assert abs(incomplete_gamma_upper(2.0, 1.0) - 2.0 * math.exp(-1.0)) < 1e-15
-    for x in [0.2, 1.0, 3.5, 17.0]:
-        assert abs(incomplete_gamma_upper(1.0, x) - math.exp(-x)) < 1e-15
-        expected2 = (1.0 + x) * math.exp(-x)
-        assert abs(incomplete_gamma_upper(2.0, x) - expected2) < 1e-14
+    # x^s G_s(x) = Gamma(s, x) is e^-x at s = 1 and (1 + x) e^-x at s = 2.
+    x = _grid(121, 40)
+    for got, t in zip(_weights(1, 121, 40) * x, x):
+        assert abs(got - math.exp(-t)) <= 1e-15 * math.exp(-t)
+    for got, t in zip(_weights(2, 121, 40) * x * x, x):
+        want = (1.0 + t) * math.exp(-t)
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_incomplete_gamma_against_trapezoid_oracle():
-    # Gamma(s, x) = int_x^oo t^{s-1} e^{-t} dt, truncated far in the tail.
-    for s in (1.0, 2.0, 3.0):
-        for x in (0.1, 0.7, 2.0, 8.0, 20.0):
+    # Gamma(s, x) = int_x^oo t^{s-1} e^{-t} dt, truncated far in the tail,
+    # at the orders s = 0, 1, 2 of the weights, on the level-121 grid.
+    x = _grid(121, 35)
+    for s in (0, 1, 2):
+        weights = _weights(s, 121, 35)
+        for n in (1, 3, 13, 34):
             # Truncating at x + 30 leaves a tail below 1e-12; a finer step
             # would push the trapezoid's own h^2 error past the tolerance.
-            t = np.linspace(x, x + 30.0, 1_000_001)
+            t = np.linspace(x[n], x[n] + 30.0, 1_000_001)
             oracle = float(np.trapezoid(t ** (s - 1.0) * np.exp(-t), t))
-            assert abs(incomplete_gamma_upper(s, x) - oracle) < 1e-10
-
-
-def test_incomplete_gamma_recursion_includes_nonpositive_orders():
-    # Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}, exercised down to s = -1.5.
-    for s in (-1.5, -1.0, -0.3, 0.0, 0.8, 2.5):
-        for x in (0.15, 0.6, 1.0, 4.0, 12.0):
-            lhs = incomplete_gamma_upper(s + 1.0, x)
-            rhs = s * incomplete_gamma_upper(s, x) + math.exp(
-                -x + s * math.log(x)
-            )
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+            assert abs(weights[n] * x[n] ** s - oracle) < 1e-10
 
 
 def test_incomplete_gamma_rejects_nonpositive_x():
     with pytest.raises(ValueError):
-        incomplete_gamma_upper(2.0, 0.0)
+        exp_integral_e1(0.0)
     with pytest.raises(ValueError):
-        incomplete_gamma_upper(2.0, -1.0)
+        exp_integral_e1(-1.0)
 
 
 @given(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([2, 3, 5]))
@@ -315,108 +312,63 @@ def test_gauss_legendre_raises_past_its_newton_cap(monkeypatch):
         _leggauss.cache_clear()
 
 
-def test_complex_gamma_matches_real_gamma():
-    for x in (0.5, 1.0, 2.0, 3.7, 5.0, 9.25):
-        got = complex_gamma(x)
-        assert abs(got.imag) < 1e-12 * abs(got)
-        assert got.real == pytest.approx(math.gamma(x), rel=1e-12)
-    assert complex_gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_complex_gamma_moduli_on_critical_lines():
-    # |Gamma(1 + it)|^2 = pi t / sinh(pi t), |Gamma(1/2 + it)|^2 = pi / cosh(pi t)
-    for t in (0.7, 2.3):
-        g1 = complex_gamma(1.0 + 1j * t)
-        assert abs(g1) ** 2 == pytest.approx(math.pi * t / math.sinh(math.pi * t), rel=1e-11)
-        gh = complex_gamma(0.5 + 1j * t)
-        assert abs(gh) ** 2 == pytest.approx(math.pi / math.cosh(math.pi * t), rel=1e-11)
-
-
-def test_complex_gamma_recursion_and_conjugation():
-    for s in (1.3 + 0.9j, -0.7 + 2.1j, 0.2 - 1.4j):
-        assert abs(complex_gamma(s + 1) - s * complex_gamma(s)) < 1e-11 * abs(complex_gamma(s + 1))
-        assert abs(complex_gamma(s.conjugate()) - complex_gamma(s).conjugate()) < 1e-12 * abs(complex_gamma(s))
-
-
-def test_incomplete_gamma_complex_real_axis_delegates():
-    for s, x in ((2.0, 1.5), (0.5, 3.0), (-1.5, 2.0)):
-        got = incomplete_gamma_upper_complex(complex(s), x)
-        assert got.imag == 0.0
-        assert got.real == pytest.approx(incomplete_gamma_upper(s, x), rel=1e-13)
-
-
-def test_incomplete_gamma_complex_recursion():
-    # Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x} on both evaluation branches.
-    for s in (1.3 + 0.9j, -0.4 + 1.7j):
-        for x in (0.4, 8.0):
-            lhs = incomplete_gamma_upper_complex(s + 1, x)
-            rhs = s * incomplete_gamma_upper_complex(s, x) + x**s * math.exp(-x)
-            assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
-
-
-def test_incomplete_gamma_complex_quadrature_oracle():
-    s = 1.3 + 0.9j
-    x = 2.0
-
-    def integrand(t):
-        return cmath.exp((s - 1.0) * cmath.log(t)) * math.exp(-t)
-
-    oracle = sum(wi * integrand(xi)
-                 for a in np.arange(x, x + 60.0, 5.0)
-                 for xi, wi in zip(*gauss_legendre_nodes(32, a, a + 5.0)))
-    got = incomplete_gamma_upper_complex(s, x)
-    assert abs(got - oracle) < 1e-10
-
-
 def test_incomplete_gamma_shared_helpers_keep_real_values_bitwise():
-    # Values of the real routine before the continued fraction and the
-    # series were shared with the complex one: continued fraction
-    # (x > max(1, s)), ascending series (s > 0), the integral climb-down
-    # and the non-integral climb-up.
+    # G_0 = E_1 keeps the values of the general incomplete gamma at order
+    # 0 it replaced: the alternating series (x <= 1) and the continued
+    # fraction (x > 1).
     before = {
-        (2.0, 5.0): "0x1.4b2efe809fe97p-5",
-        (3.0, 10.0): "0x1.6afd800e3c6c7p-8",
-        (0.5, 3.0): "0x1.9f70e8923d59dp-6",
-        (1.5, 0.3): "0x1.96c12b0c87c67p-1",
-        (2.0, 0.7): "0x1.b03a544628878p-1",
-        (0.25, 1.0): "0x1.f854d1a2c3150p-3",
-        (-2.0, 0.5): "0x1.c5d88249b3bcap-1",
-        (-1.5, 0.4): "0x1.3af3e76f06293p+0",
+        0.5: "0x1.1e9aa50574b81p-1",
+        0.9: "0x1.0a6da8996601ep-2",
+        1.5: "0x1.99ae22365646dp-4",
+        4.0: "0x1.ef5e06002f2b1p-9",
     }
-    for (s, x), value in before.items():
-        assert incomplete_gamma_upper(s, x) == float.fromhex(value)
-        assert incomplete_gamma_upper_complex(complex(s), x) == float.fromhex(value)
-    # Complex s on both branches of the shared helpers.
-    before_complex = {
-        (2 + 1j, 5.0): ("-0x1.2d72984974305p-7", "0x1.3de6a835d8107p-5"),
-        (2 + 0.7j, 9.0): ("-0x1.c8af8c00bf4a8p-15", "0x1.42692517444f5p-10"),
-        (0.5 + 3j, 1.2): ("-0x1.45d81f1ea17afp-6", "0x1.02ca53e547bbep-3"),
-        (1.5 - 0.5j, 0.4): ("0x1.688ac45ae17f5p-1", "-0x1.e61ae6ec20144p-4"),
-    }
-    for (s, x), (re, im) in before_complex.items():
-        want = complex(float.fromhex(re), float.fromhex(im))
-        assert abs(incomplete_gamma_upper_complex(s, x) - want) <= 1e-15 * abs(want)
-
-
-def test_incomplete_gamma_complex_small_x_limit():
-    s = 1.3 + 0.9j
-    got = incomplete_gamma_upper_complex(s, 1e-8)
-    assert abs(got - complex_gamma(s)) < 1e-9
-    assert abs(incomplete_gamma_upper_complex(s.conjugate(), 0.7)
-               - incomplete_gamma_upper_complex(s, 0.7).conjugate()) < 1e-12
-    with pytest.raises(ValueError):
-        incomplete_gamma_upper_complex(s, 0.0)
+    for x, value in before.items():
+        assert exp_integral_e1(x) == float.fromhex(value)
 
 
 def test_exp_integral_and_negative_orders_against_mpmath():
-    # The E_1 power series serves Gamma(-k, x) for x <= 1, the branch
-    # L(E, 2) takes at every conductor above 4 pi^2.
+    # E_1 = Gamma(0, x) on both branches: the power series serves x <= 1,
+    # the branch L(E, 2) takes at every conductor above 4 pi^2.
     mpmath = pytest.importorskip("mpmath")
     for x in [1e-6, 1e-3] + list(np.linspace(0.01, 1.0, 100)):
         want = float(mpmath.e1(x))
-        assert abs(_exp_integral_e1(x) - want) <= 1e-15 * want
-        for k in range(5):
-            want = float(mpmath.gammainc(-k, x))
-            assert abs(incomplete_gamma_upper(-k, x) - want) <= 1e-14 * want
-            got = incomplete_gamma_upper_complex(complex(-k), x)
-            assert abs(got - want) <= 1e-14 * want
+        assert abs(exp_integral_e1(x) - want) <= 1e-15 * want
+    for x in np.linspace(1.0, 40.0, 200)[1:]:
+        want = float(mpmath.e1(x))
+        assert abs(exp_integral_e1(x) - want) <= 1e-14 * want
+
+
+def test_exp_integral_branches_meet_at_one():
+    # The series serves x = 1 and the continued fraction the next double.
+    # Their values differ by 2.4e-15 relative, the fraction's rounding
+    # there; E_1 itself falls by only 8e-17 relative over the step.
+    below = exp_integral_e1(1.0)
+    above = exp_integral_e1(math.nextafter(1.0, 2.0))
+    assert abs(below - above) <= 5e-15 * below
+
+
+def test_the_general_incomplete_gamma_is_gone():
+    # L-values are taken at s = 1 and 2 only, so neither the package nor
+    # special names the general or complex routines.
+    import ellreg
+    import ellreg.special as special
+
+    for name in ("incomplete_gamma_upper", "incomplete_gamma_upper_complex",
+                 "complex_gamma"):
+        assert not hasattr(special, name)
+        with pytest.raises(AttributeError):
+            getattr(ellreg, name)
+
+
+@pytest.mark.parametrize("level", [11, 121, 37 ** 2, 389 ** 2])
+def test_weights_match_a_30_digit_reference(level):
+    # G_s(x) = x^{-s} Gamma(s, x) at every point of the level's grid that
+    # Lambda reads, against mpmath at 30 digits at the same double x.
+    mpmath = pytest.importorskip("mpmath")
+    k = _term_count(level, 10 ** 9)
+    x = _grid(level, k)
+    with mpmath.workdps(30):
+        for s, tol in ((0, 1e-14), (1, 5e-16), (2, 5e-16)):
+            for got, t in zip(_weights(s, level, k), x.tolist()):
+                want = mpmath.gammainc(s, t) * mpmath.mpf(t) ** -s
+                assert abs(got - want) <= tol * want, (s, t)

@@ -402,7 +402,7 @@ def test_shared_context_gives_the_rows_of_fresh_ones():
 
 
 def test_thm1_and_thm2_pass_every_row_above_conductor_40():
-    # 43a: L(E, 2) takes the E_1 branch of Gamma(0, x) here.
+    # 43a: L(E, 2) takes the series branch of E_1 = Gamma(0, x) here.
     config = resolve_config(curve=CurveModel(0, 1, 1, 0, 0, 43))
     rows = run_thm1(config) + run_thm2(config)
     assert len(rows) == 42 + 3
@@ -623,20 +623,19 @@ def test_thm3_right_side_matches_the_xi_weighted_pairings(curve):
 @pytest.fixture(scope="module")
 def c37_run():
     """thm1, thm2 and appendix on one 37a config, as the scaling case
-    runs them, with every incomplete-gamma call counted and the length
-    of every weight vector the L-values sum recorded by level."""
+    runs them, with every E_1 call counted and the length of every
+    weight vector the L-values sum recorded by level."""
     import ellreg.lseries as lseries
-    import ellreg.special as special
 
     calls = [0]
     summed = set()
     with pytest.MonkeyPatch.context() as mp:
-        real_gamma = special.incomplete_gamma_upper
+        real_e1 = lseries.exp_integral_e1
 
-        def counting(*args):
+        def counting(x):
             calls[0] += 1
-            return real_gamma(*args)
-        mp.setattr(special, "incomplete_gamma_upper", counting)
+            return real_e1(x)
+        mp.setattr(lseries, "exp_integral_e1", counting)
         real_weights = lseries._weights
 
         def recording(s, level, k):
@@ -652,8 +651,8 @@ def c37_run():
 def test_c37_context_makes_few_incomplete_gamma_calls(c37_run):
     rows, calls, _ = c37_run
     assert all(r.passed for r in rows)
-    # One weight vector per level and exponent; 35,012 calls when every
-    # twist and every term had its own.
+    # E_1 only for the terms of L(E, 2)'s dual half; 35,012
+    # incomplete-gamma calls when every twist and every term had its own.
     assert 0 < calls < 1000
 
 
