@@ -1,8 +1,10 @@
 """Logarithmic Mahler measure of two-variable integer polynomials.
 
-m(P) is the average of log |P| over the unit torus.  The inner average
-over Y is a one-variable Mahler measure evaluated by Jensen's formula
-from the roots of P(x, Y); the outer average over x on the unit circle
+m(P) is the average of log |P| over the unit torus.  P's factors of one
+variable, its contents in Y and in X, are measured by Jensen's formula.
+For the rest, the inner average over Y is a one-variable Mahler measure
+by Jensen's formula, with the roots of P(x, Y) at every node x from one
+stacked companion solve; the outer average over x on the unit circle
 uses Gauss-Legendre panels split wherever a root of P(x, .) crosses the
 unit circle or the Y-degree drops, because the integrand has kinks
 exactly at those points.  Each cut interval is graded toward both ends,
@@ -34,7 +36,10 @@ class BivariatePolynomial:
     """Integer polynomial sum c[i][j] X^i Y^j with a trimmed coefficient matrix."""
 
     def __init__(self, coeffs):
-        arr = np.array(coeffs, dtype=np.int64)
+        try:
+            arr = np.array(coeffs, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a coefficient does not fit in 64 bits") from None
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
@@ -56,10 +61,8 @@ class BivariatePolynomial:
         return self.coeffs.shape[1] - 1
 
     def y_coefficients(self, x) -> np.ndarray:
-        """Coefficients of P(x, Y) as a polynomial in Y, ascending.
-
-        An array of points x gives one coefficient row per point.
-        """
+        """Coefficients of P(x, Y) in Y, ascending: a row for each point
+        of an array x."""
         powers = np.asarray(x)[..., None] ** np.arange(self.deg_x + 1)
         return powers @ self.coeffs.astype(complex)
 
@@ -68,15 +71,12 @@ class BivariatePolynomial:
         return BivariatePolynomial(self.coeffs[::-1])
 
     def terms(self):
-        for i in range(self.deg_x + 1):
-            for j in range(self.deg_y + 1):
-                if self.coeffs[i, j]:
-                    yield (i, j), int(self.coeffs[i, j])
+        for i, j in zip(*np.nonzero(self.coeffs)):
+            yield (int(i), int(j)), int(self.coeffs[i, j])
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        nx = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        ny = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        out = np.zeros((nx, ny), dtype=np.int64)
+        out = np.zeros(np.maximum(self.coeffs.shape, other.coeffs.shape),
+                       dtype=np.int64)
         out[:self.coeffs.shape[0], :self.coeffs.shape[1]] += self.coeffs
         out[:other.coeffs.shape[0], :other.coeffs.shape[1]] += other.coeffs
         return BivariatePolynomial(out)
@@ -122,50 +122,17 @@ class BivariatePolynomial:
             entries[(i, j)] = entries.get((i, j), 0) + int(mo.group(6))
         nx = max(i for i, _ in entries) + 1
         ny = max(j for _, j in entries) + 1
-        out = np.zeros((nx, ny), dtype=np.int64)
+        out = np.zeros((nx, ny), dtype=object)
         for (i, j), c in entries.items():
             out[i, j] = c
         return cls(out)
 
 
-def _trimmed(c: np.ndarray) -> np.ndarray:
-    top = len(c) - 1
-    while top > 0 and c[top] == 0:
-        top -= 1
-    return c[:top + 1]
-
-
 def _column_circle_arguments(col: np.ndarray) -> list:
     """Arguments u of unit-circle roots of an ascending x-coefficient row."""
-    c = np.asarray(col, dtype=float)
-    if not c.any() or np.nonzero(c)[0].max() == 0:
-        return []
-    out = []
-    for r in np.roots(c[::-1]):
-        if abs(abs(r) - 1.0) < 1e-9:
-            out.append((cmath.phase(r) / TWO_PI) % 1.0)
-    return out
-
-
-def _crossing_indicator(poly: BivariatePolynomial, u: float) -> float:
-    """Product of |root| - 1 over the roots of P(e^{2 pi i u}, Y)."""
-    c = _trimmed(poly.y_coefficients(cmath.exp(2j * math.pi * u)))
-    if len(c) == 1 or c[-1] == 0:
-        return 1.0
-    return float(np.prod(np.abs(_companion_roots(c[None])) - 1.0))
-
-
-def _node_rows(poly: BivariatePolynomial, us: np.ndarray):
-    """Y-coefficient rows of P(e^{2 pi i u}, Y) for every u, and the mask
-    of the rows the batched solve takes.
-
-    Those are the rows np.roots would use untrimmed: Y-degree at least 1
-    and nonzero leading and constant coefficients.  The other rows go
-    through one row at a time.
-    """
-    rows = poly.y_coefficients(np.exp(2j * math.pi * us))
-    batched = (rows[:, -1] != 0) & (rows[:, 0] != 0) & (poly.deg_y > 0)
-    return rows, batched
+    c = np.trim_zeros(np.asarray(col, dtype=float), "b")
+    return [(cmath.phase(r) / TWO_PI) % 1.0 for r in np.roots(c[::-1])
+            if abs(abs(r) - 1.0) < 1e-9] if len(c) > 1 else []
 
 
 def _companion_roots(rows: np.ndarray) -> np.ndarray:
@@ -219,63 +186,56 @@ def _jensen(rows: np.ndarray) -> np.ndarray:
         np.log(np.maximum(1.0, np.abs(roots))), axis=1)
 
 
-def _row_measure(cvec: np.ndarray) -> float:
-    """Jensen's formula for one row that the batched solve leaves out:
-    trimmed, it goes through _jensen as a one-row stack, or gives
-    log |c_0| when only c_0 is left."""
-    c = _trimmed(cvec)
-    if c[-1] == 0:
-        raise RuntimeError("polynomial vanishes identically at a quadrature node")
-    if len(c) == 1:
-        return math.log(abs(c[0]))
-    return float(_jensen(c[None])[0])
+def _by_degree(poly: BivariatePolynomial, us: np.ndarray, solve, constant):
+    """A value for the Y-coefficient row of P(e^{2 pi i u}, Y) at every u:
+    each row cut after its top nonzero entry, solve on the rows of each
+    length from 2 up as one stack, and constant on the others' c_0."""
+    rows = poly.y_coefficients(np.exp(2j * math.pi * us))
+    lengths = np.max((rows != 0) * np.arange(1, rows.shape[1] + 1), axis=1)
+    out = np.empty(len(us))
+    for n in np.flatnonzero(np.bincount(lengths)):
+        group = lengths == n
+        out[group] = (solve(rows[group, :n]) if n > 1
+                      else constant(rows[group, 0]))
+    return out
 
 
 def _inner_measures(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarray:
-    """The Mahler measure of P(e^{2 pi i u}, Y) at every node u: one
-    _jensen call over the batched rows, and _row_measure on the others,
-    whose leading or constant coefficient is exactly 0."""
-    rows, batched = _node_rows(poly, us)
-    out = np.empty(len(us))
-    if batched.any():
-        out[batched] = _jensen(rows[batched])
-    for k in np.flatnonzero(~batched):
-        out[k] = _row_measure(rows[k])
-    return out
+    """The Mahler measure of P(e^{2 pi i u}, Y) at every node u."""
+    def constant(c0):
+        if not c0.all():
+            raise RuntimeError(
+                "polynomial vanishes identically at a quadrature node")
+        return np.log(np.abs(c0))
+    return _by_degree(poly, us, _jensen, constant)
 
 
 def _crossing_indicators(poly: BivariatePolynomial, us: np.ndarray) -> np.ndarray:
-    """_crossing_indicator at every u, from one batched eigenvalue solve."""
-    rows, batched = _node_rows(poly, us)
-    out = np.empty(len(us))
-    if batched.any():
-        out[batched] = np.prod(
-            np.abs(_companion_roots(rows[batched])) - 1.0, axis=1)
-    for k in np.flatnonzero(~batched):
-        out[k] = _crossing_indicator(poly, us[k])
-    return out
+    """prod(|y| - 1) over the roots y of P(e^{2 pi i u}, Y) at every u."""
+    return _by_degree(poly, us, lambda rows: np.prod(
+        np.abs(_companion_roots(rows)) - 1.0, axis=1), lambda c0: 1.0)
 
 
 def _unit_circle_crossings(poly: BivariatePolynomial) -> list:
+    """The u where a root of P(e^{2 pi i u}, Y) crosses the unit circle:
+    the indicator's sign changes on a grid, bisected 60 times together."""
     us = np.linspace(0.0, 1.0, CROSSING_GRID + 1)
     vals = _crossing_indicators(poly, us)
     a, b = vals[:-1], vals[1:]
     skip = (np.minimum(np.abs(a), np.abs(b)) < 1e-13) | (a * b >= 0)
-    found = []
-    for m in np.flatnonzero(~skip):
-        lo, hi, flo = us[m], us[m + 1], a[m]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = _crossing_indicator(poly, mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm < 0.0) == (flo < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        found.append(0.5 * (lo + hi))
-    return found
+    m = np.flatnonzero(~skip)
+    if not len(m):
+        return []
+    lo, hi, flo = us[m], us[m + 1], a[m]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = _crossing_indicators(poly, mid)
+        # An exact zero closes its bracket at mid.
+        zero, low = fm == 0.0, (fm < 0.0) == (flo < 0.0)
+        lo = np.where(low | zero, mid, lo)
+        hi = np.where(low & ~zero, hi, mid)
+        flo = np.where(low, fm, flo)
+    return list(0.5 * (lo + hi))
 
 
 def _adaptive_panels(f, intervals, nodes: int, tols):
@@ -355,6 +315,43 @@ def _graded(f, intervals):
     return pulled
 
 
+def _gcd(a: list, b: list) -> list:
+    """The primitive gcd of integer polynomials a and b, lists of ascending
+    ints, b not 0 and a trimmed, by the primitive remainder sequence."""
+    while b:
+        d = math.gcd(*b)
+        b = [x // d for x in b]
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):  # a's pseudo-remainder by b
+            shift = len(a) - len(b)
+            a = ([b[-1] * x for x in a[:shift]]
+                 + [b[-1] * x - a[-1] * y for x, y in zip(a[shift:], b)])
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _divide_content(coeffs: np.ndarray):
+    """m(c) by Jensen's formula and the coefficients of P / c, for c the
+    content of P in Y: the gcd of its Y-coefficients as polynomials in X.
+    Once the running gcd is a constant, c = 1 and P is returned."""
+    columns = coeffs.T.tolist()
+    c = []
+    for col in filter(any, columns):
+        c = _gcd(c, col)
+        if len(c) == 1:
+            return 0.0, coeffs
+    quotient = np.zeros_like(coeffs[len(c) - 1:], dtype=object)
+    for j, a in enumerate(columns):
+        # Long division, exact over Z as c is primitive.
+        for k in range(len(a) - len(c), -1, -1):
+            quotient[k, j] = q = a[k + len(c) - 1] // c[-1]
+            a[k:k + len(c)] = [x - q * y for x, y in zip(a[k:], c)]
+    return float(_jensen(np.array([c], dtype=complex))[0]), quotient
+
+
 def mahler_measure(poly: BivariatePolynomial,
                    quadrature: dict | None = None) -> float:
     """Logarithmic Mahler measure of an integer polynomial in X and Y.
@@ -365,11 +362,11 @@ def mahler_measure(poly: BivariatePolynomial,
     adaptive rule accepted) and outer_gap (the sum of their
     |fine - coarse|, the error the rule achieved).
     """
-    # m(Y^k P) = m(P).  Without the factor Y^k no node row has a zero
-    # constant Y-coefficient, so every row stays on the batched solve.
-    k = int(np.flatnonzero(poly.coeffs.any(axis=0))[0])
-    if k:
-        poly = BivariatePolynomial(poly.coeffs[:, k:])
+    # m(P) = m(c(X)) + m(d(Y)) + m(Q), c the content of P in Y and d that
+    # of P / c in X: no factor of one variable reaches the quadrature.
+    in_x, coeffs = _divide_content(poly.coeffs)
+    in_y, coeffs = _divide_content(coeffs.T)
+    poly = BivariatePolynomial(coeffs.T)
     cuts = {0.0, 1.0}
     for j in range(poly.deg_y + 1):
         cuts.update(_column_circle_arguments(poly.coeffs[:, j]))
@@ -380,7 +377,7 @@ def mahler_measure(poly: BivariatePolynomial,
         _graded(lambda us: _inner_measures(poly, us), intervals), intervals,
         BASE_NODES,
         [max(ABS_TOL * (b - a), ABS_TOL / 64.0) for a, b in intervals])
-    total = 0.0
+    total = in_x + in_y
     for value in values:
         total += value
     if quadrature is not None:

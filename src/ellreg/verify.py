@@ -164,7 +164,8 @@ def resolve_config(level=None, curve=None, tolerance=None) -> VerifyConfig:
     if disc == 0:
         raise ValueError("the curve is singular: its discriminant is 0")
     n = curve.conductor
-    if not _is_prime(n):
+    # Primality, by trial division up to sqrt(N), is tested last.
+    if n < 2:
         raise ValueError(f"level {n} must be prime")
     if disc % n:
         raise ValueError(f"conductor {n} does not divide the "
@@ -175,6 +176,8 @@ def resolve_config(level=None, curve=None, tolerance=None) -> VerifyConfig:
     if rest != 1:
         raise ValueError(f"discriminant {disc} is not +-{n}^k: the model "
                          f"has bad reduction at a prime other than {n}")
+    if not _is_prime(n):
+        raise ValueError(f"level {n} must be prime")
     # With the discriminant +-N^k, N not dividing c4 makes the reduction
     # at N multiplicative, so that the conductor is exactly N.
     c4 = curve.c_invariants[0]

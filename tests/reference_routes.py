@@ -62,7 +62,6 @@ from ellreg.eisenstein import (
 from ellreg.elliptic import (TWO_PI_I, CurveModel, PeriodLattice,
                              _class_parameters)
 from ellreg.lseries import ModularFormData, l_value, root_number
-from ellreg.mahler import _trimmed
 from ellreg.modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
 from ellreg.special import (
     ABS_TOL,
@@ -904,6 +903,14 @@ def divisor_distance(d: CuspDivisor, e: CuspDivisor) -> float:
 
 # The scalar route of the Mahler inner measure: np.roots on one row,
 # polished by one Newton step, which the batched solve reproduces.
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c cut after its top nonzero entry; c_0 alone if all are 0."""
+    top = len(c) - 1
+    while top > 0 and c[top] == 0:
+        top -= 1
+    return c[:top + 1]
+
+
 def _polished_roots(c: np.ndarray) -> np.ndarray:
     """Roots of the ascending coefficient vector, with one Newton step."""
     monic = c / c[-1]

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,9 +120,15 @@ def test_verify_all_skips_suites_that_need_conductor_11(capsys):
     # Conductors 32 and 27, with discriminants 2^6 and -3^3.
     (["--curve", "0,0,0,-1,0,2"], 2, "additive reduction at 2"),
     (["--curve", "0,0,1,0,0,3"], 2, "additive reduction at 3"),
+    # Discriminant 37: the divisibility test answers before a primality
+    # test of N would trial-divide up to sqrt(N), 3e11.
+    (["--curve", "0,0,1,-1,0,99999999999999999999999"], 2,
+     "does not divide the discriminant 37"),
 ])
 def test_bad_inputs_give_one_line(argv, code, words, capsys):
+    start = time.perf_counter()
     assert main(["verify", "thm1"] + argv) == code
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ellreg: ")
@@ -130,9 +137,11 @@ def test_bad_inputs_give_one_line(argv, code, words, capsys):
 
 
 @pytest.mark.parametrize("poly", ["X^1000000000000000: 1, 1: 1",
-                                  "Y^1000000000000000: 1, 1: 1"])
+                                  "Y^1000000000000000: 1, 1: 1",
+                                  "X: 99999999999999999999999, 1: 1"])
 def test_polynomials_too_large_to_hold_give_one_line(poly, capsys):
-    # The coefficient grid of either would take 7.11 PiB.
+    # The coefficient grid of either of the first two would take 7.11
+    # PiB; the third's coefficient does not fit in 64 bits.
     assert main(["mahler", "--poly", poly]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

@@ -11,10 +11,9 @@ from ellreg import mahler
 from ellreg.mahler import (
     BivariatePolynomial,
     _column_circle_arguments,
-    _crossing_indicator,
+    _companion_roots,
     _crossing_indicators,
     _inner_measures,
-    _row_measure,
     _unit_circle_crossings,
     curve_identity_polynomials,
     mahler_measure,
@@ -22,7 +21,7 @@ from ellreg.mahler import (
 from ellreg.special import gauss_legendre_nodes
 from ellreg.verify import VerifyConfig, run_mahler
 
-from reference_routes import one_variable_measure
+from reference_routes import _trimmed, one_variable_measure
 
 X = BivariatePolynomial([[0], [1]])
 Y = BivariatePolynomial([[0, 1]])
@@ -90,12 +89,12 @@ def test_string_roundtrip():
 
 
 def test_degenerate_inner_polynomial_is_loud():
+    # (X - 1)(Y + 1) vanishes for every Y at X = 1, the node u = 0.  Its
+    # inner measure there is refused; its crossing indicator reads 1.
+    poly = BivariatePolynomial([[-1, -1], [1, 1]])
     with pytest.raises(RuntimeError, match="vanishes identically"):
-        _row_measure(np.zeros(3, dtype=complex))
-    # (X - 1)(Y + 1) vanishes for every Y at X = 1, the node u = 0.
-    with pytest.raises(RuntimeError, match="vanishes identically"):
-        _inner_measures(BivariatePolynomial([[-1, -1], [1, 1]]),
-                        np.array([0.25, 0.0]))
+        _inner_measures(poly, np.array([0.25, 0.0]))
+    assert _crossing_indicators(poly, np.array([0.0, 0.25]))[0] == 1.0
 
 
 def test_height_one_line_matches_dirichlet_value():
@@ -244,35 +243,78 @@ def test_batched_newton_step_keeps_the_acceptance_rule():
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+def _scalar_indicators(poly, us):
+    """The crossing indicators one node at a time: the product of
+    |root| - 1 over the companion roots of each trimmed row, or 1 for a
+    row constant in Y.
+
+    The rows are the batched route's: the same x, and one product with
+    the coefficient matrix for all of them, whose rounding depends on
+    the number of rows.  Near a crossing the indicator's sign is that
+    rounding, and the bisection follows the sign.
+    """
+    out = []
+    for row in poly.y_coefficients(np.exp(2j * math.pi * us)):
+        c = _trimmed(row)
+        out.append(1.0 if len(c) == 1 else
+                   float(np.prod(np.abs(_companion_roots(c[None])) - 1.0)))
+    return np.array(out)
+
+
+SIX_CROSSINGS = BivariatePolynomial([[1, 1, 1], [1, 0, 0], [1, 0, 0]])
+
+
 def test_batched_crossing_scan_matches_scalar_scan(monkeypatch):
     polys = [BivariatePolynomial([[1, 1], [1, 0]]),
              BivariatePolynomial([[1, -1], [0, 1]]),
              BivariatePolynomial([[2, 1, 1], [-1, 3, 0], [1, 0, -2]]),
-             *curve_identity_polynomials()]
+             SIX_CROSSINGS, *curve_identity_polynomials()]
     batched = [_unit_circle_crossings(p) for p in polys]
-    assert batched[0] and batched[2]
-    monkeypatch.setattr(mahler, "_crossing_indicators", lambda poly, us: np.array(
-        [_crossing_indicator(poly, u) for u in us]))
+    assert batched[0] and batched[2] and len(batched[3]) == 6
+    monkeypatch.setattr(mahler, "_crossing_indicators", _scalar_indicators)
     assert [_unit_circle_crossings(p) for p in polys] == batched
 
 
-def test_zero_leading_coefficient_takes_the_scalar_route(monkeypatch):
-    # (X - 1) Y + 1 loses its Y term at u = 0, a point of the crossing grid.
+def test_crossing_bisection_is_one_solve_per_step(monkeypatch):
+    # One solve for the grid and one per bisection step.  A bisection of
+    # one bracket at a time took 121 here, for two brackets, and 345 for
+    # the six of 1 + X + X^2 + Y + Y^2.
+    calls = []
+    real_eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(len(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    poly = BivariatePolynomial([[2, 1, 1], [-1, 3, 0], [1, 0, -2]])
+    assert len(_unit_circle_crossings(poly)) == 2
+    assert len(calls) <= 61
+    calls.clear()
+    assert len(_unit_circle_crossings(SIX_CROSSINGS)) == 6
+    assert len(calls) <= 61
+
+
+def test_zero_leading_coefficient_row_is_cut_to_its_degree(monkeypatch):
+    # (X - 1) Y + 1 loses its Y term at u = 0, a point of the crossing
+    # grid: that row is cut to its constant, and the others go to _jensen
+    # as one stack.
     poly = BivariatePolynomial([[1, -1], [0, 1]])
     calls = []
+    real_jensen = mahler._jensen
 
-    def counted(cvec):
-        calls.append(len(cvec))
-        return _row_measure(cvec)
+    def counted(rows):
+        calls.append(rows.shape)
+        return real_jensen(rows)
 
-    monkeypatch.setattr(mahler, "_row_measure", counted)
+    monkeypatch.setattr(mahler, "_jensen", counted)
     us = np.array([0.0, 0.25, 0.6])
     got = _inner_measures(poly, us)
-    assert len(calls) == 1
+    assert calls == [(2, 2)]
     assert got[0] == 0.0
     assert np.max(np.abs(got - [_scalar_inner_measure(poly, u) for u in us])) <= 1e-14
     assert _crossing_indicators(poly, np.array([0.0]))[0] == 1.0
-    assert _crossing_indicator(poly, 0.0) == 1.0
+    assert _scalar_indicators(poly, np.array([0.0]))[0] == 1.0
     # m(1 - Y + XY) = m(1 + X + Y) = 0.32306594721945051409... (mpmath,
     # 30 digits).
     m = mahler_measure(poly)
@@ -356,8 +398,8 @@ def test_identity_checks_use_the_given_l_value(monkeypatch):
 
 
 def test_power_of_y_is_divided_out(monkeypatch):
-    # m(Y^k P) = m(P); without the factor Y the node rows keep a nonzero
-    # constant Y-coefficient and stay on the batched solve.
+    # m(Y^k P) = m(P): Y^k is part of the content in X, which the
+    # quadrature never sees.
     calls = []
     real_roots = np.roots
 
@@ -452,19 +494,60 @@ def test_outer_work_is_bounded(monkeypatch):
     double = BivariatePolynomial.from_string(
         "Y: 1, X: 1, X Y: -3, X Y^2: 1, X^2 Y: 1")
     got = mahler_measure(double)
-    assert sum(evaluated) <= mahler.MAX_OUTER_NODES
+    # It takes 12,024 nodes, more than the budget tried below.
+    assert 10_000 < sum(evaluated) <= mahler.MAX_OUTER_NODES
     m = 2000
     angles = np.exp(2j * math.pi * (np.arange(m) + 0.5) / m)
     vx = np.vander(angles, double.deg_x + 1, increasing=True)
     vy = np.vander(angles, double.deg_y + 1, increasing=True)
     brute = np.mean(np.log(np.abs(vx @ double.coeffs.astype(complex) @ vy.T)))
     assert got == pytest.approx(brute, abs=1e-5)
-    # (X+Y+1)(X+1)(Y+1): its factor Y + 1 vanishes on the torus at every
-    # X, which the crossing scan cannot cut, so it refines until it
-    # stops at the budget, without a value.
+    # Below what it takes, the same quadrature stops at the budget,
+    # without a value.
+    monkeypatch.setattr(mahler, "MAX_OUTER_NODES", 10_000)
     evaluated.clear()
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="budget"):
-        mahler_measure((X + Y + ONE) * (X + ONE) * (Y + ONE))
-    assert sum(evaluated) <= mahler.MAX_OUTER_NODES
+    with pytest.raises(RuntimeError, match="budget of 10000 nodes"):
+        mahler_measure(double)
+    assert sum(evaluated) <= 10_000
     assert time.perf_counter() - start < 30.0
+
+
+def _reference(log_scale, smyth):
+    """log_scale(mpmath) + smyth m(1 + X + Y) at 30 digits, where
+    m(1 + X + Y) = (3 sqrt(3) / 4 pi) L(chi_-3, 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        third = mpmath.mpf(1) / 3
+        return log_scale(mpmath) + smyth * (
+            3 * mpmath.sqrt(3) / (4 * mpmath.pi)
+            * (mpmath.zeta(2, third) - mpmath.zeta(2, 2 * third)) / 9)
+
+
+@pytest.mark.parametrize("text, log_scale, smyth", [
+    ("X: 1, 1: 1", lambda mp: 0, 0),
+    ("X Y: 1, X: 1, Y: 1, 1: 1", lambda mp: 0, 0),
+    # (X + Y + 1) times X + 1, X - 1 and (X + 1)(Y + 1).
+    ("X^2: 1, X Y: 1, X: 2, Y: 1, 1: 1", lambda mp: 0, 1),
+    ("X^2: 1, X Y: 1, Y: -1, 1: -1", lambda mp: 0, 1),
+    ("X^2 Y: 1, X^2: 1, X Y^2: 1, X Y: 3, X: 2, Y^2: 1, Y: 2, 1: 1",
+     lambda mp: 0, 1),
+    # (2X + 1)(3Y + 2) Y^2 (X + Y + 1): the contents 2X + 1 and 3Y + 2,
+    # of measures log 2 and log 3, and Y^2.
+    ("X^2 Y^3: 6, X^2 Y^2: 4, X Y^4: 6, X Y^3: 13, X Y^2: 6, Y^4: 3, "
+     "Y^3: 5, Y^2: 2", lambda mp: mp.log(6), 1),
+    # (X^2 + X + 1)(Y^2 - 3Y + 1)(X + Y + 1): contents of degree 2, one
+    # with its roots on the unit circle, one with the root phi^2 outside.
+    ("X^3 Y^2: 1, X^3 Y: -3, X^3: 1, X^2 Y^3: 1, X^2 Y^2: -1, X^2 Y: -5, "
+     "X^2: 2, X Y^3: 1, X Y^2: -1, X Y: -5, X: 2, Y^3: 1, Y^2: -2, Y: -2, "
+     "1: 1", lambda mp: 2 * mp.log(mp.phi), 1),
+    # An integer content stays with the quadrature: 6 (X + Y + 1).
+    ("X: 6, Y: 6, 1: 6", lambda mp: mp.log(6), 1),
+])
+def test_one_variable_factors_are_split_off(text, log_scale, smyth):
+    # A factor of one variable with a root on the unit circle vanishes on
+    # a whole line of the torus; left in the quadrature, (X+Y+1)(X+1)(Y+1)
+    # refined until it stopped at the budget.
+    poly = BivariatePolynomial.from_string(text)
+    want = _reference(log_scale, smyth)
+    assert abs(mahler_measure(poly) - want) <= 1e-15

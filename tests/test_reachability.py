@@ -35,8 +35,12 @@ COMMANDS = [
     # An imprimitive character mod 2 q: _l2_even's Euler factor at 2.
     ["units", "--level", "10", "--char", "10:g=3,zeta2^1"],
     ["mahler", "--poly", "X^2 Y: 1, X: -3, 1: 1"],
-    # Y-degree 0: every node row takes the scalar _one_variable_measure.
+    # Y-degree 0: Jensen's formula takes the content X - 3, and every node
+    # row of the quotient 1 is the constant log |c_0|.
     ["mahler", "--poly", "X: 1, 1: -3"],
+    # A content with a root on the unit circle, which the quadrature
+    # never sees.
+    ["mahler", "--poly", "X: 1, 1: 1"],
     # --curve parses a model.  At 101, Lambda(f, 2)'s dual half needs
     # G_0 = E_1 at x = 2 pi n / sqrt(101), below 1 for n = 1: the series
     # branch of special.exp_integral_e1.
