@@ -7,16 +7,17 @@ formulas (Dedekind eta and Siegel theta products) are the tests'
 reference route.
 
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
-is evaluated through streams and integrated along geodesics with
-Gauss-Legendre panels and node doubling.  Along the arc rho -> rho^2,
-which every suite integrates over, the arcs of eta_chi pulled back along
-the lines of P^1(F_p) are character transforms of E*, whose q-expansions
-have twisted divisor sums as coefficients (line_arcs).
+is evaluated through streams.  Every suite integrates it over the arc
+rho -> rho^2, pulled back along SL_2(Z), by one pair of Gauss-Legendre
+rules (ARC_NODES): the value at the fine rule, its gap to the coarse
+rule as the error.  The arcs of eta_chi pulled back along the lines of
+P^1(F_p) are character transforms of E*, whose q-expansions have twisted
+divisor sums as coefficients (line_arcs); integrate_one_form evaluates
+any one form from its streams at the same nodes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,100 +261,53 @@ def eta_chi(p: int, k: int) -> EtaForm:
     return eta_form(FiniteMap(p, chi), FiniteMap(p, chi.conj()))
 
 
-def _geodesic_path(z0: complex, z1: complex):
-    """Vectorized parametrization of the geodesic from z0 to z1 on [0, 1]."""
-    z0 = complex(z0)
-    z1 = complex(z1)
-    if abs(z0.real - z1.real) < 1e-14 * max(1.0, abs(z0), abs(z1)):
-        return _straight_path(z0, z1)
-    center = (abs(z1) ** 2 - abs(z0) ** 2) / (2.0 * (z1.real - z0.real))
-    radius = abs(z0 - center)
-    th0 = cmath.phase(z0 - center)
-    th1 = cmath.phase(z1 - center)
-
-    def path(t):
-        th = th0 + np.asarray(t) * (th1 - th0)
-        return center + radius * np.exp(1j * th)
-
-    def velocity(t):
-        th = th0 + np.asarray(t) * (th1 - th0)
-        return radius * 1j * (th1 - th0) * np.exp(1j * th)
-
-    return path, velocity
+# The Gauss-Legendre rules of the arc rho -> rho^2: values at the second,
+# gaps against the first.  The arcs' q-frequencies reach about rmax / p,
+# which does not grow with p, so neither do these.
+ARC_NODES = (32, 64)
 
 
-def _straight_path(z0: complex, z1: complex):
-    dz = complex(z1) - complex(z0)
-
-    def path(t):
-        return z0 + np.asarray(t) * dz
-
-    def velocity(t):
-        return np.full_like(np.asarray(t, dtype=float), dz, dtype=complex)
-
-    return path, velocity
+def _arc_rule(nodes: int):
+    """The nodes z = i e^(i pi x / 6) of the Gauss-Legendre rule on
+    rho -> rho^2, and its weights times dz = (pi / 6) i z dx."""
+    x, w = gauss_legendre_nodes(nodes)
+    z = 1j * np.exp(1j * (math.pi / 6) * x)  # -x mirrors exactly
+    return z, (math.pi / 6) * w * 1j * z
 
 
-def integrate_one_form(form: EtaForm, path, velocity, nodes: int = 32,
-                       tol: float = 1e-10, max_doublings: int = 6,
-                       quadrature: dict | None = None):
-    """Gauss-Legendre quadrature of P dz + Q dzbar with node doubling.
+def _gaps(coarse, fine):
+    """|fine - coarse|; raises unless every gap is below
+    1e-10 max(1, |fine|)."""
+    gaps = np.abs(fine - coarse)
+    if not np.all(gaps < 1e-10 * np.maximum(1.0, np.abs(fine))):
+        raise RuntimeError("quadrature failed to settle below tolerance")
+    return gaps
 
-    Returns (value, error_estimate).  Raises if doubling stalls above
-    tol: after max_doublings, or as soon as a doubling fails to halve the
-    previous error, which then sits at its rounding floor.  A given
-    quadrature dict receives stream_nodes, the node count of the value,
-    and stream_gap, the error estimate: its distance to the value at half
-    the nodes.
-    """
 
-    def quad(n):
-        x, w = gauss_legendre_nodes(n)
-        t = 0.5 * (x + 1.0)
-        z = path(t)
-        v = velocity(t)
+def integrate_one_form(form: EtaForm, quadrature: dict | None = None):
+    """The integral of P dz + Q dzbar along rho -> rho^2 by the fine rule
+    of ARC_NODES, as line_arcs takes it.  Raises unless the gap to the
+    coarse rule's value settles, as _gaps does.  A given quadrature dict
+    receives stream_nodes, the fine rule's node count, and stream_gap,
+    that gap."""
+    values = []
+    for z, wdz in map(_arc_rule, ARC_NODES):
         P, Q = form.coefficients(z)
-        return 0.5 * complex(np.sum(w * (P * v + Q * np.conj(v))))
-
-    prev, last = quad(nodes), math.inf
-    for _ in range(max_doublings):
-        nodes *= 2
-        cur = quad(nodes)
-        err = abs(cur - prev)
-        if err < tol * max(1.0, abs(cur)):
-            if quadrature is not None:
-                quadrature.update(stream_nodes=nodes, stream_gap=err)
-            return cur, err
-        if not err < 0.5 * last:
-            break
-        prev, last = cur, err
-    raise RuntimeError("quadrature failed to settle below tolerance")
-
-
-def integrate_eta_geodesic(form: EtaForm, z0, z1, **kw):
-    path, velocity = _geodesic_path(z0, z1)
-    return integrate_one_form(form, path, velocity, **kw)
-
-
-RHO = cmath.exp(1j * math.pi / 3.0)
-RHO2 = cmath.exp(2j * math.pi / 3.0)
+        values.append(complex(np.sum(P * wdz + Q * np.conj(wdz))))
+    coarse, fine = values
+    gap = float(_gaps(coarse, fine))
+    if quadrature is not None:
+        quadrature.update(stream_nodes=ARC_NODES[1], stream_gap=gap)
+    return fine
 
 
 def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY,
-                 quadrature: dict | None = None, **kw):
+                 quadrature: dict | None = None):
     """Integral of the form along the geodesic g(rho) -> g(rho^2),
-    computed by pulling back to the unit-circle arc; a given quadrature
-    dict receives the node count and error of integrate_one_form."""
+    computed by pulling back to the arc rho -> rho^2; a given quadrature
+    dict receives the node count and gap of integrate_one_form."""
     pulled = form.pullback(g) if g != IDENTITY else form
-    value, _ = integrate_eta_geodesic(pulled, RHO, RHO2,
-                                      quadrature=quadrature, **kw)
-    return value
-
-
-# The Gauss-Legendre rules of line_arcs: values at the second, gaps
-# against the first.  The arcs' q-frequencies reach about rmax / p,
-# which does not grow with p, so neither do these.
-ARC_NODES = (32, 64)
+    return integrate_one_form(pulled, quadrature)
 
 
 def line_arcs(p: int):
@@ -371,8 +325,8 @@ def line_arcs(p: int):
     conj chi(m) / d.  Grouped by r mod p, the v-dependence is one DFT.
     z -> -conj z takes node x to -x, q to conj q and wdz to conj wdz, so
     conj H'(v) is H(-v) at node -x.  conj chi negates the arcs, so each
-    pair {chi, conj chi} is computed once.  Raises unless every gap is
-    below 1e-10 max(1, |value|), as integrate_one_form does."""
+    pair {chi, conj chi} is computed once.  Raises unless every gap
+    settles, as _gaps does."""
     tau = character_table(p).tau
     ks = np.arange(2, p - 1, 2)
     # Each pair {chi, conj chi} by its lesser exponent k, at k // 2 - 1.
@@ -399,13 +353,12 @@ def line_arcs(p: int):
     bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
     rules = []
     for nodes in ARC_NODES:
-        x, w = gauss_legendre_nodes(nodes)
-        z = 1j * np.exp(1j * (math.pi / 6) * x)  # -x mirrors exactly
+        z, wdz = _arc_rule(nodes)
         qpow = np.multiply.outer(r, z)
         qpow *= 2j * math.pi
         qpow /= p
         np.exp(qpow, out=qpow)
-        rules.append((z, (math.pi / 6) * w * 1j * z, qpow,
+        rules.append((z, wdz, qpow,
                       qpow.reshape(J, p, nodes).transpose(1, 0, 2)))
     arcs = np.empty((len(ARC_NODES), p + 1, len(reps)))
     coef = np.empty((2, J * p), dtype=complex)
@@ -439,7 +392,4 @@ def line_arcs(p: int):
     arcs = arcs[:, :, where]
     arcs *= sign
     coarse, fine = arcs
-    gaps = np.abs(fine - coarse)
-    if np.any(gaps >= 1e-10 * np.maximum(1.0, np.abs(fine))):
-        raise RuntimeError("quadrature failed to settle below tolerance")
-    return fine, gaps
+    return fine, _gaps(coarse, fine)

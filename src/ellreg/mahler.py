@@ -62,9 +62,12 @@ class BivariatePolynomial:
 
     def y_coefficients(self, x) -> np.ndarray:
         """Coefficients of P(x, Y) in Y, ascending: a row for each point
-        of an array x."""
-        powers = np.asarray(x)[..., None] ** np.arange(self.deg_x + 1)
-        return powers @ self.coeffs.astype(complex)
+        of an array x, by _horner in X, so that no row depends on the
+        others."""
+        x = np.asarray(x)
+        rows = np.empty((self.deg_y + 1, x.size), dtype=complex)
+        rows[:] = _horner(self.coeffs.T, x.reshape(1, -1))  # X-degree 0 too
+        return rows.T.reshape(x.shape + (self.deg_y + 1,))
 
     def reciprocal_x(self) -> "BivariatePolynomial":
         """X^degX * P(1/X, Y), the reversal in the first variable."""

@@ -2,8 +2,8 @@
 
 Each is a second, plainer way to compute something the package computes
 another way: literal Fourier expansions of the Epstein zeta functions
-and of sum-zero Eisenstein series, eta integrals along straight
-segments, the node table of every single pair E*_x along the arc
+and of sum-zero Eisenstein series, eta integrals along any geodesic or
+straight segment by Gauss-Legendre node doubling, the node table of every single pair E*_x along the arc
 rho -> rho^2 and its pairings (the arcs that line_arcs gives in closed
 form), weighted pairings of that table by four transforms of every
 line, plain Dirichlet partial sums, the order-N symbols with their
@@ -45,8 +45,6 @@ from ellreg.characters import (
 )
 from ellreg.eisenstein import (
     EULER_GAMMA,
-    RHO,
-    RHO2,
     TWO_PI,
     EisensteinStream,
     EtaForm,
@@ -54,9 +52,6 @@ from ellreg.eisenstein import (
     UnimodularMatrix,
     _beta2,
     _constant_term,
-    _geodesic_path,
-    _straight_path,
-    integrate_one_form,
     suggested_rmax,
 )
 from ellreg.elliptic import (TWO_PI_I, CurveModel, PeriodLattice,
@@ -181,9 +176,84 @@ def divisor_bracket(l: FiniteMap, m: FiniteMap) -> FiniteMap:
     )
 
 
+RHO = cmath.exp(1j * math.pi / 3.0)
+RHO2 = cmath.exp(2j * math.pi / 3.0)
+
+
+def _geodesic_path(z0: complex, z1: complex):
+    """Vectorized parametrization of the geodesic from z0 to z1 on [0, 1]."""
+    z0 = complex(z0)
+    z1 = complex(z1)
+    if abs(z0.real - z1.real) < 1e-14 * max(1.0, abs(z0), abs(z1)):
+        return _straight_path(z0, z1)
+    center = (abs(z1) ** 2 - abs(z0) ** 2) / (2.0 * (z1.real - z0.real))
+    radius = abs(z0 - center)
+    th0 = cmath.phase(z0 - center)
+    th1 = cmath.phase(z1 - center)
+
+    def path(t):
+        th = th0 + np.asarray(t) * (th1 - th0)
+        return center + radius * np.exp(1j * th)
+
+    def velocity(t):
+        th = th0 + np.asarray(t) * (th1 - th0)
+        return radius * 1j * (th1 - th0) * np.exp(1j * th)
+
+    return path, velocity
+
+
+def _straight_path(z0: complex, z1: complex):
+    dz = complex(z1) - complex(z0)
+
+    def path(t):
+        return z0 + np.asarray(t) * dz
+
+    def velocity(t):
+        return np.full_like(np.asarray(t, dtype=float), dz, dtype=complex)
+
+    return path, velocity
+
+
+def integrate_path(form: EtaForm, path, velocity, nodes: int = 32,
+                   tol: float = 1e-10, max_doublings: int = 6):
+    """Gauss-Legendre quadrature of P dz + Q dzbar along any path, with
+    node doubling.
+
+    Returns (value, error_estimate), the estimate being the distance to
+    the value at half the nodes.  Raises if doubling stalls above tol:
+    after max_doublings, or as soon as a doubling fails to halve the
+    previous error, which then sits at its rounding floor.
+    """
+
+    def quad(n):
+        x, w = gauss_legendre_nodes(n)
+        t = 0.5 * (x + 1.0)
+        z = path(t)
+        v = velocity(t)
+        P, Q = form.coefficients(z)
+        return 0.5 * complex(np.sum(w * (P * v + Q * np.conj(v))))
+
+    prev, last = quad(nodes), math.inf
+    for _ in range(max_doublings):
+        nodes *= 2
+        cur = quad(nodes)
+        err = abs(cur - prev)
+        if err < tol * max(1.0, abs(cur)):
+            return cur, err
+        if not err < 0.5 * last:
+            break
+        prev, last = cur, err
+    raise RuntimeError("quadrature failed to settle below tolerance")
+
+
+def integrate_eta_geodesic(form: EtaForm, z0, z1, **kw):
+    path, velocity = _geodesic_path(z0, z1)
+    return integrate_path(form, path, velocity, **kw)
+
+
 def integrate_eta_segment(form: EtaForm, z0, z1, **kw):
     path, velocity = _straight_path(z0, z1)
-    return integrate_one_form(form, path, velocity, **kw)
+    return integrate_path(form, path, velocity, **kw)
 
 
 def enumerate_symbols(level: int) -> list:
@@ -315,8 +385,7 @@ class ArcTable:
         f[s mod h] is twice bin -k/2 of the length-h DFT of f for even k,
         and 0 for odd k.  The values use the fine rule of NODES and the
         gaps are their distances to the coarse rule's values; like
-        integrate_one_form, raises if a gap is not below
-        tol * max(1, |value|)."""
+        line_arcs, raises if a gap is not below tol * max(1, |value|)."""
         ks = np.asarray(ks)
         bins = ks // 2
         n = self.NODES[0]

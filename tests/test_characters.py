@@ -255,6 +255,17 @@ def test_number_theory_helpers_match_sympy():
             assert _primitive_root(n) == sympy.primitive_root(n), n
 
 
+def test_primality_matches_sympy_and_rejects_strong_pseudoprimes():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(10**4 + 1)
+            if _is_prime(n) != sympy.isprime(n)] == []
+    # The least strong pseudoprimes to the bases 2; 2 .. 7; 2 .. 23 and
+    # 2 .. 37, and primes of 17 and 19 digits.
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461, 43200002159999963, 2**61 - 1):
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 17, 25, 26, 27, 37, 50, 101])
 def test_enumeration_index_is_the_exponent_at_the_primitive_root(n):
     # The verify layer indexes characters by k: chi_k(g) = e(k / phi(n))

@@ -110,24 +110,30 @@ def test_verify_all_skips_suites_that_need_conductor_11(capsys):
 
 
 @pytest.mark.parametrize("argv, code, words", [
-    (["--curve", "0,0,0,0,0,11"], 2, "singular"),
-    (["--curve", "0,-1,1,0,0,13"], 2, "does not divide the discriminant"),
+    (["thm1", "--curve", "0,0,0,0,0,11"], 2, "singular"),
+    (["thm1", "--curve", "0,-1,1,0,0,13"], 2,
+     "does not divide the discriminant"),
     # The level is the curve's conductor; a --level beside it must agree.
-    (["--level", "17", "--curve", "0,-1,1,0,0,11"], 2,
+    (["thm1", "--level", "17", "--curve", "0,-1,1,0,0,11"], 2,
      "conductor 11 does not match level 17"),
-    (["--tolerance", "nan"], 2, "positive and finite"),
-    (["--tolerance", "inf"], 2, "positive and finite"),
+    (["thm1", "--tolerance", "nan"], 2, "positive and finite"),
+    (["thm1", "--tolerance", "inf"], 2, "positive and finite"),
     # Conductors 32 and 27, with discriminants 2^6 and -3^3.
-    (["--curve", "0,0,0,-1,0,2"], 2, "additive reduction at 2"),
-    (["--curve", "0,0,1,0,0,3"], 2, "additive reduction at 3"),
+    (["thm1", "--curve", "0,0,0,-1,0,2"], 2, "additive reduction at 2"),
+    (["thm1", "--curve", "0,0,1,0,0,3"], 2, "additive reduction at 3"),
     # Discriminant 37: the divisibility test answers before a primality
     # test of N would trial-divide up to sqrt(N), 3e11.
-    (["--curve", "0,0,1,-1,0,99999999999999999999999"], 2,
+    (["thm1", "--curve", "0,0,1,-1,0,99999999999999999999999"], 2,
      "does not divide the discriminant 37"),
+    # A prime conductor of 17 digits, with discriminant -N: the primality
+    # test answers before thm8 turns the curve away.  Trial division up to
+    # sqrt(N), 2e8, took about 22 s.
+    (["thm8", "--curve", "0,0,1,-1,10000000,43200002159999963"], 2,
+     "specific to the conductor-11 curve"),
 ])
 def test_bad_inputs_give_one_line(argv, code, words, capsys):
     start = time.perf_counter()
-    assert main(["verify", "thm1"] + argv) == code
+    assert main(["verify"] + argv) == code
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

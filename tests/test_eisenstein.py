@@ -18,8 +18,6 @@ from ellreg.characters import (
 from ellreg.eisenstein import (
     ARC_NODES,
     IDENTITY,
-    RHO,
-    RHO2,
     EisensteinStream,
     EtaForm,
     PairDivisor,
@@ -28,7 +26,6 @@ from ellreg.eisenstein import (
     eta_chi,
     eta_form,
     g_column,
-    integrate_eta_geodesic,
     line_arcs,
     suggested_rmax,
 )
@@ -36,7 +33,10 @@ from ellreg.characters import _divisors
 from ellreg.eisenstein import _beta2, _constant_term
 from ellreg.modsym import SymbolIndex
 
+import reference_routes
 from reference_routes import (
+    RHO,
+    RHO2,
     ArcTable,
     _pairings_on_every_line,
     _restricted_zeta2,
@@ -49,6 +49,7 @@ from reference_routes import (
     e_star_stream,
     e_star_sum_zero_expansion,
     fourier_transform,
+    integrate_eta_geodesic,
     integrate_eta_segment,
     matrix_inverse,
     matrix_lift,
@@ -309,21 +310,19 @@ def test_an_unreachable_tolerance_raises_at_the_rounding_floor(monkeypatch):
     # eta(delta_1, delta_3) settles to about 1e-16 by 64 nodes, so 3e-18
     # cannot be met; the doubling that fails to halve the error raises,
     # before the rule grows to thousands of nodes.
-    import ellreg.eisenstein as eisenstein
-
     built = []
-    real_nodes = eisenstein.gauss_legendre_nodes
+    real_nodes = reference_routes.gauss_legendre_nodes
 
     def counted(n, *args):
         built.append(n)
         return real_nodes(n, *args)
 
-    monkeypatch.setattr(eisenstein, "gauss_legendre_nodes", counted)
+    monkeypatch.setattr(reference_routes, "gauss_legendre_nodes", counted)
     form = eta_form(FiniteMap(N, [float(v == 1) for v in range(N)]),
                     FiniteMap(N, [float(v == 3) for v in range(N)]))
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="settle"):
-        arc_integral(form, tol=3e-18)
+        integrate_eta_geodesic(form, RHO, RHO2, tol=3e-18)
     assert time.perf_counter() - start < 1.0
     assert max(built) <= 256
     assert abs(arc_integral(form)) > 0.0
@@ -497,9 +496,7 @@ def _assert_values_match_arc_integral(values, arcs):
 
 def _assert_gaps_match_the_stream_rule(values, gaps, arcs):
     """The table's fine-rule values and coarse-vs-fine gaps are those of
-    stream quadrature at the coarse node count with one doubling: of
-    arc_integral, which starts at that count, where it settles at the
-    first doubling."""
+    arc_integral, which takes the same two rules."""
     arc_values, arc_gaps, nodes = arcs
     assert (nodes == 2 * ArcTable.NODES[0]).all()
     for (s, k), value in np.ndenumerate(arc_values):
@@ -641,8 +638,8 @@ def test_line_arcs_vanish_on_the_cusp_columns(p):
 
 @pytest.mark.parametrize("p", [11, 17])
 def test_line_arcs_match_arc_integral_on_every_column(p):
-    # arc_integral settles at the fine rule of ARC_NODES, so its value and
-    # its gap to the coarse rule are those of line_arcs.
+    # arc_integral takes the rules of ARC_NODES at line_arcs' nodes, so
+    # its value and its gap to the coarse rule are those of line_arcs.
     values, gaps = line_arcs(p)
     _, _, (arcs, arc_gaps, nodes) = _every_column(p)
     for (l, j), value in np.ndenumerate(arcs):
@@ -661,6 +658,17 @@ def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
         line_arcs(N)
     with pytest.raises(ValueError, match="prime"):
         line_arcs(15)
+
+
+def test_arc_integral_raises_when_node_counts_disagree(monkeypatch):
+    import ellreg.eisenstein as eisenstein
+
+    form, quad = eta_chi(N, 2), {}
+    arc_integral(form, g_column(3), quad)
+    assert quad["stream_nodes"] == ARC_NODES[1] and quad["stream_gap"] < 1e-15
+    monkeypatch.setattr(eisenstein, "ARC_NODES", (4, ARC_NODES[1]))
+    with pytest.raises(RuntimeError, match="settle"):
+        arc_integral(form, g_column(3))
 
 
 def test_line_arcs_hold_one_buffer_per_block():

@@ -248,17 +248,25 @@ def _scalar_indicators(poly, us):
     |root| - 1 over the companion roots of each trimmed row, or 1 for a
     row constant in Y.
 
-    The rows are the batched route's: the same x, and one product with
-    the coefficient matrix for all of them, whose rounding depends on
-    the number of rows.  Near a crossing the indicator's sign is that
-    rounding, and the bisection follows the sign.
+    The nodes x are the batched route's, and y_coefficients rounds each
+    row the same alone as in a batch.  Near a crossing the indicator's
+    sign is that rounding, and the bisection follows the sign.
     """
     out = []
-    for row in poly.y_coefficients(np.exp(2j * math.pi * us)):
-        c = _trimmed(row)
+    for x in np.exp(2j * math.pi * us):
+        c = _trimmed(poly.y_coefficients(x))
         out.append(1.0 if len(c) == 1 else
                    float(np.prod(np.abs(_companion_roots(c[None])) - 1.0)))
     return np.array(out)
+
+
+def test_node_rows_do_not_depend_on_their_batch():
+    # A product of the powers of x with the coefficient matrix rounded 196
+    # of these 1,000 rows differently in one call than one at a time.
+    poly = BivariatePolynomial([[2, 1, 1], [-1, 3, 0], [1, 0, -2]])
+    xs = np.exp(2j * math.pi * np.random.default_rng(7).random(1000))
+    rows = poly.y_coefficients(xs)
+    assert np.array_equal(rows, [poly.y_coefficients(x) for x in xs])
 
 
 SIX_CROSSINGS = BivariatePolynomial([[1, 1, 1], [1, 0, 0], [1, 0, 0]])

@@ -59,9 +59,6 @@ ALLOWED = {
     "characters.enumerate_characters":
         "lists every chi_k mod N for the tests and perfbench; a command "
         "builds only the one character its label solves for",
-    "eisenstein._straight_path":
-        "the vertical branch of _geodesic_path; every arc a command "
-        "integrates is a circle",
     "verify.reports_from_json":
         "reads an --out report back, for tools that post-process reports",
     "verify.CheckReport.from_dict":
