@@ -2,11 +2,12 @@
 
 Everything here is plain floating point: dilogarithms, the exponential
 integral E_1, the periodic second Bernoulli polynomial and
-Gauss-Legendre nodes.  The package's point-dependent series
-(q-expansions, Eisenstein streams, the elliptic dilogarithm) stop once
-their tail is below ABS_TOL.  The elliptic dilogarithm takes at most
-MAX_TERMS terms; hitting that cap raises instead of returning a
-silently wrong value.
+Gauss-Legendre nodes.  The package's truncated series (q-expansions,
+Eisenstein streams, the period oracle's cut-off) stop once their tail is
+below ABS_TOL; Bloch-Wigner, E_1 and the elliptic dilogarithm are summed
+to double precision.  The elliptic dilogarithm takes at most MAX_TERMS
+terms; hitting that cap raises instead of returning a silently wrong
+value.
 """
 
 from __future__ import annotations
@@ -97,45 +98,34 @@ def bloch_wigner(z) -> float:
     """Bloch-Wigner function D(z) = Im Li_2(z) + arg(1-z) log|z|.
 
     Real analytic off {0, 1}, zero on the real line, and the single-valued
-    cousin of the dilogarithm.  D(0) and D(1) are defined as 0.
+    cousin of the dilogarithm.  D(0) and D(1) are defined as 0.  Outside
+    the unit circle it is read as -D(1/z) (Zagier, "The dilogarithm
+    function", 2007), so Li_2 is only taken on the closed unit disc and
+    no terms of size log^2|z| cancel.
     """
-    z = complex(z)
-    if z == 0 or z == 1:
-        return 0.0
+    z, sign = complex(z), 1.0
+    if abs(z) > 1.0:
+        z, sign = 1.0 / z, -1.0
     if z.imag == 0.0:
         # Exact zero on the reals regardless of rounding in the two parts.
         return 0.0
-    return dilog(z).imag + cmath.phase(1.0 - z) * math.log(abs(z))
+    return sign * (dilog(z).imag + cmath.phase(1.0 - z) * math.log(abs(z)))
 
 
 def _e1_fraction(x):
-    # Modified Lentz continued fraction for E_1(x) e^x = Gamma(0, x) e^x,
-    # stable for x > 1.
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * i
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
+    # E_1(x) e^x = 1/(x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(x + 7 - ...)))),
+    # evaluated backward.  Its error at depth n falls like e^{-4 sqrt(n x)},
+    # so twice the depth at which that reaches 1e-17 is past double
+    # precision for every x > 1.
+    t = 0.0
+    for i in range(int(2.0 * (math.log(1e17) / 4.0) ** 2 / x) + 20, 0, -1):
+        t = i * i / (x + 2 * i + 1 - t)
+    return 1.0 / (x + 1.0 - t)
 
 
 def exp_integral_e1(x: float) -> float:
     """E_1(x) = Gamma(0, x) for x > 0: the convergent alternating series
-    for x <= 1, the continued fraction beyond."""
+    for x <= 1, the continued fraction, evaluated backward, beyond."""
     if x > 1.0:
         return math.exp(-x) * _e1_fraction(x)
     total = -0.5772156649015328606 - math.log(x)

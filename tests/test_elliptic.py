@@ -27,10 +27,10 @@ from reference_routes import dilog_kronecker_oracle, j_invariant
 CURVE_X3_MINUS_X = CurveModel(0, 0, 0, -1, 0, 32)
 CURVE_X3_PLUS_1 = CurveModel(0, 0, 0, 0, 1, 36)
 
-# Frozen after two independent routes (q-sum and lattice sum) agreed and
-# the value reproduced the direct Dirichlet series of L(E, 2) via
-# L(E,2) = (10/11) pi D_E(P); see the consistency tests below.
-D11A_AT_P = 0.19119373708433995
+# D_E(P) for the five-torsion point P = (0, 0) on 11a, to 20 digits of
+# test_reference's 30-digit mpmath route (mpmath periods, and D summed
+# from mpmath.polylog over C*/q^Z).
+D11A_AT_P = 0.19119373708433168526
 
 
 def brute_force_ap(curve, p):
@@ -232,10 +232,10 @@ def test_elliptic_dilog_frozen_value_and_doubling():
     P = torsion_coordinate(CURVE_11A, lat, (0, 0), 5)
     d1 = elliptic_dilog(lat, P)
     d2 = elliptic_dilog(lat, P.scale(2))
-    assert abs(d1 - D11A_AT_P) < 1e-11
-    assert abs(d2 - 1.5 * d1) < 1e-10
-    assert abs(elliptic_dilog(lat, P.scale(4)) + d1) < 1e-12
-    assert abs(elliptic_dilog(lat, P.scale(3)) + d2) < 1e-12
+    assert abs(d1 - D11A_AT_P) < 5e-16
+    assert abs(d2 - 1.5 * d1) < 5e-16
+    assert abs(elliptic_dilog(lat, P.scale(4)) + d1) < 2e-16
+    assert abs(elliptic_dilog(lat, P.scale(3)) + d2) < 2e-16
 
 
 def test_elliptic_dilog_odd():

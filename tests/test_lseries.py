@@ -41,11 +41,10 @@ from reference_routes import (
 )
 
 # Elliptic dilogarithm of the five-torsion point on the conductor-11
-# curve, frozen in test_elliptic from two independent evaluation routes
-# (the q-average and the lattice-sum oracle).  Used here as the
-# independent anchor for the Lambda normalization: L(E,2) must equal
-# (10/11) pi times this number.
-D11A_AT_P = 0.19119373708433995
+# curve, to 20 digits of test_reference's 30-digit mpmath route.  Used
+# here as the independent anchor for the Lambda normalization: L(E,2)
+# must equal (10/11) pi times this number.
+D11A_AT_P = 0.19119373708433168526
 
 
 @pytest.fixture(scope="module")

@@ -201,4 +201,5 @@ def test_periods_and_dilog_against_the_30_digit_reference(name):
         omega1, tau, want = float(omega1), complex(tau), float(want)
     assert abs(lattice.omega1 - omega1) <= 1e-14 * omega1
     assert abs(lattice.tau - tau) <= 1e-14
-    assert abs(elliptic_dilog(lattice, point) - want) <= 1e-13, (name, want)
+    assert abs(elliptic_dilog(lattice, point) - want) <= 2e-15 * abs(want), (
+        name, want)

@@ -96,7 +96,31 @@ def test_bloch_wigner_inversion():
         z = complex(3.0 * (rng.random() - 0.5), 2.5 * (rng.random() - 0.5))
         if abs(z) < 1e-3 or abs(z - 1) < 1e-3 or z.imag == 0:
             continue
-        assert abs(bloch_wigner(1.0 / z) + bloch_wigner(z)) < 1e-12
+        assert abs(bloch_wigner(1.0 / z) + bloch_wigner(z)) < 5e-16
+
+
+def test_bloch_wigner_against_mpmath_from_1e_minus_6_to_1e16():
+    # D(z) = -D(1/z) puts every argument on the closed unit disc, where
+    # the reference sums Li_2 at 30 digits.  Outside the disc the
+    # inversion formula for Li_2 would cancel terms of size log^2|z|.
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(z):
+        if abs(z) > 1:
+            return -reference(1 / z)
+        return (mpmath.im(mpmath.polylog(2, z))
+                + mpmath.arg(1 - z) * mpmath.log(abs(z)))
+
+    rng = random.Random(16)
+    with mpmath.workdps(30):
+        for decade in range(-6, 16):
+            for quadrant in range(4):
+                for _ in range(6):
+                    r = 10.0 ** (decade + rng.random())
+                    theta = (quadrant + rng.uniform(0.01, 0.99)) * math.pi / 2
+                    z = cmath.rect(r, theta)
+                    want = float(reference(mpmath.mpc(z)))
+                    assert abs(bloch_wigner(z) - want) <= 1e-15 * abs(want), z
 
 
 def test_bloch_wigner_five_term_relation():
@@ -314,13 +338,10 @@ def test_gauss_legendre_raises_past_its_newton_cap(monkeypatch):
 
 def test_incomplete_gamma_shared_helpers_keep_real_values_bitwise():
     # G_0 = E_1 keeps the values of the general incomplete gamma at order
-    # 0 it replaced: the alternating series (x <= 1) and the continued
-    # fraction (x > 1).
+    # 0 it replaced on the alternating series (x <= 1).
     before = {
         0.5: "0x1.1e9aa50574b81p-1",
         0.9: "0x1.0a6da8996601ep-2",
-        1.5: "0x1.99ae22365646dp-4",
-        4.0: "0x1.ef5e06002f2b1p-9",
     }
     for x, value in before.items():
         assert exp_integral_e1(x) == float.fromhex(value)
@@ -335,16 +356,16 @@ def test_exp_integral_and_negative_orders_against_mpmath():
         assert abs(exp_integral_e1(x) - want) <= 1e-15 * want
     for x in np.linspace(1.0, 40.0, 200)[1:]:
         want = float(mpmath.e1(x))
-        assert abs(exp_integral_e1(x) - want) <= 1e-14 * want
+        assert abs(exp_integral_e1(x) - want) <= 1e-15 * want
 
 
 def test_exp_integral_branches_meet_at_one():
     # The series serves x = 1 and the continued fraction the next double.
-    # Their values differ by 2.4e-15 relative, the fraction's rounding
+    # Their values differ by 3.8e-16 relative, the two routes' rounding
     # there; E_1 itself falls by only 8e-17 relative over the step.
     below = exp_integral_e1(1.0)
     above = exp_integral_e1(math.nextafter(1.0, 2.0))
-    assert abs(below - above) <= 5e-15 * below
+    assert abs(below - above) <= 5e-16 * below
 
 
 def test_the_general_incomplete_gamma_is_gone():
