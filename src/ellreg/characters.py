@@ -5,9 +5,11 @@ with (Z/N)* cyclic (N = 1, 2, 4, q^k and 2 q^k), chi_k(g^i) = e(k i /
 phi(N)) for g the smallest primitive root.  enumerate_characters lists
 chi_k at index k, labels name chi_k by its value at g, and modulo a prime,
 the verify suites' case, character_table holds the exponents as arrays
-and makes no character object.  A DirichletCharacter keeps its values as
-integer exponents modulo its order, so conjugates and equality are
-exact; complex values are cached on first use.
+and makes no character object.  One cached table per modulus, _unit_logs,
+holds g, its powers and the discrete logs that all of these read.  A
+DirichletCharacter is its modulus and k: its value at a is an integer
+exponent modulo its order, read from the logs, so conjugates and
+equality are exact; complex values are cached on first use.
 """
 
 from __future__ import annotations
@@ -101,55 +103,47 @@ def _primitive_root(n):
             return g
 
 
+@lru_cache(maxsize=None)
 def _unit_logs(n):
-    """(logs, phi(n)) with logs[a] = i for a = g^i mod n, g the smallest
-    primitive root, and None off the units; raises ValueError when
-    (Z/n)* is not cyclic."""
+    """(g, powers, logs) for g the smallest primitive root mod n, built
+    once: powers[i] = g^i mod n for i < phi(n), and logs[a] = i for a =
+    g^i, None off the units.  Raises ValueError when (Z/n)* is not
+    cyclic."""
     g = _primitive_root(n)
     if g is None:
         raise ValueError(f"(Z/{n})* is not cyclic: characters mod {n} "
                          f"need a primitive root")
-    phi = _totient(n)
+    powers = tuple(pow(g, i, n) for i in range(_totient(n)))
     logs = [None] * n
-    for i in range(phi):
-        logs[pow(g, i, n)] = i
-    return logs, phi
-
-
-def _character(n, logs, phi, k):
-    """chi_k mod n, chi_k(g^i) = e(k i / phi), from _unit_logs(n)."""
-    return DirichletCharacter(n, phi,
-                              [None if i is None else k * i for i in logs])
+    for i, a in enumerate(powers):
+        logs[a] = i
+    return g, powers, tuple(logs)
 
 
 class DirichletCharacter:
-    """A Dirichlet character modulo N with exact value exponents."""
+    """chi_k modulo N, the character of exponent k at the primitive root.
 
-    def __init__(self, modulus, order, exponents):
-        self.modulus = modulus
-        exps = [None if e is None else e % order for e in exponents]
-        # Reduce so that `order` is the true multiplicative order of chi.
-        g = order
-        for e in exps:
-            if e:
-                g = math.gcd(g, e)
-        order //= g
-        # exponents[a] is None off the units, else an int modulo `order`.
-        self._exp = tuple(None if e is None else e // g for e in exps)
-        self.order = order
-        assert len(self._exp) == modulus
+    chi_k(g^i) = e(k i / phi) with phi = phi(N), so the order is m = phi /
+    gcd(k, phi) and chi_k(a) = e(e_a / m) with the integer exponent e_a =
+    (k / gcd) logs[a] mod m.  Two characters are equal when their moduli
+    and their k mod phi are.
+    """
+
+    def __init__(self, modulus, k):
+        _, powers, self._logs = _unit_logs(modulus)
+        phi = len(powers)
+        self.modulus, self.k = modulus, k % phi
+        d = math.gcd(self.k, phi)
+        self.order, self._step = phi // d, self.k // d
         self._cache = None
-        # order is the true order, so (modulus, order, exponents) is the
-        # identity behind __eq__ and __hash__.
-        self._key = (modulus, order, self._exp)
-        self._hash = hash(self._key)
 
     def _values(self):
         if self._cache is None:
             m = self.order
             roots = [cmath.exp(2j * math.pi * k / m) for k in range(m)]
             self._cache = tuple(
-                0.0 if e is None else roots[e] for e in self._exp
+                0.0 if e is None else roots[e]
+                for e in map(self.exponent_at, range(self.modulus))
             )
         return self._cache
 
@@ -158,45 +152,39 @@ class DirichletCharacter:
 
     def exponent_at(self, n):
         """Exact exponent e with chi(n) = exp(2 pi i e / order), or None."""
-        return self._exp[n % self.modulus]
+        i = self._logs[n % self.modulus]
+        return None if i is None else self._step * i % self.order
 
     @property
     def is_trivial(self):
-        return all(e is None or e == 0 for e in self._exp)
+        return self.k == 0
 
     @property
     def is_even(self):
-        return self._exp[(-1) % self.modulus] == 0
+        return self.exponent_at(-1) == 0
 
     @property
     def conductor(self):
-        """Smallest d | N such that chi factors through (Z/dZ)*."""
+        """Smallest d | N such that chi factors through (Z/dZ)*: chi is 1
+        on every unit a = 1 mod d (exponent_at is None off the units)."""
         n = self.modulus
-        for d in sorted(_divisors(n)):
-            ok = True
-            for a in range(n):
-                if math.gcd(a, n) == 1 and a % d == 1 % d and self._exp[a] != 0:
-                    ok = False
-                    break
-            if ok:
-                return d
-        return n
+        return next(d for d in _divisors(n)
+                    if not any(map(self.exponent_at, range(1 % d, n, d))))
 
     @property
     def is_primitive(self):
         return self.conductor == self.modulus
 
     def conjugate(self):
-        exps = [None if e is None else (-e) % self.order for e in self._exp]
-        return DirichletCharacter(self.modulus, self.order, exps)
+        return DirichletCharacter(self.modulus, -self.k)
 
     def __eq__(self, other):
         if not isinstance(other, DirichletCharacter):
             return NotImplemented
-        return self._key == other._key
+        return (self.modulus, self.k) == (other.modulus, other.k)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.modulus, self.k))
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus}, order {self.order})"
@@ -206,8 +194,8 @@ def enumerate_characters(modulus):
     """chi_k for k = 0 .. phi(N) - 1 at index k: chi_k(g^i) = e(k i / phi(N))
     for g the smallest primitive root mod N.  Raises ValueError when
     (Z/N)* is not cyclic."""
-    logs, phi = _unit_logs(modulus)
-    return [_character(modulus, logs, phi, k) for k in range(phi)]
+    return [DirichletCharacter(modulus, k)
+            for k in range(len(_unit_logs(modulus)[1]))]
 
 
 class FiniteMap:
@@ -253,10 +241,8 @@ def character_table(p: int) -> CharacterTable:
     """The exponent table of the characters mod the prime p, built once."""
     if not _is_prime(p):
         raise ValueError(f"character tables need a prime modulus, not {p}")
-    g = _primitive_root(p)
-    powers = np.array([pow(g, i, p) for i in range(p - 1)])
-    logs = np.zeros(p, dtype=int)
-    logs[powers] = np.arange(p - 1)
+    _, powers, logs = _unit_logs(p)
+    powers, logs = np.array(powers), np.array((0,) + logs[1:])
     # tau[k] = sum_i e(k i / (p - 1)) e(g^i / p), one inverse DFT.
     tau = np.fft.ifft(np.exp(2j * math.pi * powers / p), norm="forward")
     for array in (powers, logs, tau):
@@ -287,9 +273,10 @@ def exponent_label(n: int, k: int) -> str:
     """The label of chi_k = enumerate_characters(n)[k], which
     character_from_label reads back: chi_k(g) = e(k / phi) = zeta_m^e in
     lowest terms."""
-    phi = _totient(n)
+    g, powers, _ = _unit_logs(n)
+    phi = len(powers)
     d = math.gcd(int(k), phi)
-    return f"{n}:g={_primitive_root(n)},zeta{phi // d}^{int(k) // d}"
+    return f"{n}:g={g},zeta{phi // d}^{int(k) // d}"
 
 
 def twisted_bernoulli2(chi) -> complex:
@@ -343,7 +330,8 @@ def character_from_label(label):
                          f"a root order of at least 1")
     if math.gcd(gen, modulus) != 1:
         raise ValueError("generator must be a unit")
-    logs, phi = _unit_logs(modulus)
+    _, powers, logs = _unit_logs(modulus)
+    phi = len(powers)
     j = logs[gen % modulus]
     # chi_k(gen) = e(k j / phi) is zeta_m^e iff k j m = e phi (mod phi m).
     # With d = gcd(j, phi) that holds for no k when m d does not divide
@@ -354,4 +342,4 @@ def character_from_label(label):
     if d > 1:
         raise ValueError(f"label {label!r} is ambiguous")
     k = power * phi // root_order * pow(j, -1, phi) % phi
-    return _character(modulus, logs, phi, k)
+    return DirichletCharacter(modulus, k)

@@ -49,7 +49,7 @@ class ModularFormData:
     level: int
     coefficients: np.ndarray
     label: str = ""
-    _root_cache: list = field(default_factory=list, repr=False)
+    _root_cache: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.level < 1:

@@ -81,13 +81,10 @@ def cusp_classes(level: int) -> list:
 def line_index(u, v, p: int):
     """The line of P^1(F_p) through (u, v), p prime, in line_arcs' order:
     v / u mod p for u != 0, else p.  Elementwise on arrays."""
+    powers, logs, _ = character_table(p)
     u, v = np.asarray(u) % p, np.asarray(v) % p
-    at_zero, e = u == 0, p - 2
-    while e:  # v u^(p - 2) = v / u, by square and multiply
-        if e & 1:
-            v = v * u % p
-        u, e = u * u % p, e >> 1
-    return np.where(at_zero, p, v)
+    # 1 / g^i = g^(-i); logs[0] = 0 is masked.
+    return np.where(u == 0, p, v * powers[-logs[u] % (p - 1)] % p)
 
 
 def _line_rows(p: int):
@@ -193,13 +190,13 @@ def period_integral_oracle(form: ModularFormData, symbols,
         quadrature.update(nodes=2 * ts.size, panels=len(cuts) - 1,
                           tmax=tmax, max_reduction_steps=1,
                           quadrature_nodes=ORACLE_NODES)
-    # The bottom rows (c, d) of g and gS, mod p; None marks p | c.
-    js = [None if c == 0 else d * pow(c, -1, p) % p
-          for u, v in pairs for c, d in ((u, v), (v, -u))]
+    # j = d / c for the bottom rows (c, d) of g and gS; p marks p | c.
+    rows = np.array([((u, v), (v, -u)) for u, v in pairs], dtype=int)
+    js = line_index(*rows.reshape(-1, 2).T, p).tolist()
     k = _oracle_terms(p, form.nmax)
     a = form.coefficients[:k + 1]
-    halves = {None: q_expansions(a, 1j * ts)}
-    twists = sorted({j for j in js if j is not None})
+    halves = {p: q_expansions(a, 1j * ts)}
+    twists = sorted(set(js) - {p})
     if twists:
         unit = np.exp(TWO_PI * 1j * np.arange(p) / p)  # e(m / p)
         stack = a.conj() * unit[np.outer(twists, np.arange(k + 1)) % p]

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .characters import DirichletCharacter, _prime_factors, l_chi_2
+from .characters import (DirichletCharacter, _prime_factors, _unit_logs,
+                         l_chi_2)
 from .modsym import cusp_classes
 
 
@@ -31,15 +32,15 @@ class CuspDivisor:
 
 
 def _primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive character mod chi's conductor d that chi is induced
+    from: its value at d's primitive root g is chi at a unit lift of g."""
     cond = chi.conductor
     if cond == chi.modulus:
         return chi
-    exps = [None] * cond
-    for beta in range(cond):
-        if math.gcd(beta, cond) != 1:
-            continue
-        exps[beta] = chi.exponent_at(_unit_lift(chi.modulus, cond, beta))
-    return DirichletCharacter(cond, chi.order, exps)
+    g, powers, _ = _unit_logs(cond)
+    e = chi.exponent_at(_unit_lift(chi.modulus, cond, g))
+    # chi_k(g) = e(k / phi(d)) = e(e / order): the orders are equal.
+    return DirichletCharacter(cond, e * (len(powers) // chi.order))
 
 
 def _unit_lift(n: int, d: int, beta: int) -> int:

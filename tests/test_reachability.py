@@ -27,7 +27,8 @@ COMMANDS = [
     ["verify", "all"],
     ["units", "--level", "11", "--char", "11:g=2,zeta5^1"],
     ["units", "--level", "37", "--char", "37:g=2,zeta3^1"],
-    # A character of conductor 5 mod 25: _primitive_part lifts its units.
+    # A character of conductor 5 mod 25: _primitive_part lifts 5's primitive
+    # root.
     ["units", "--level", "25", "--char", "25:g=2,zeta2^1"],
     # The closed-form cusp classes at a size where the O(N^3) shift loop
     # over all N^2 pairs took about 25 s.

@@ -12,7 +12,8 @@ from ellreg.characters import (
     twisted_bernoulli2,
 )
 from ellreg.modsym import CuspClass, cusp_classes
-from ellreg.units import CuspDivisor, unit_divisor_chi
+from ellreg.units import (CuspDivisor, _primitive_part, _unit_lift,
+                          unit_divisor_chi)
 
 from reference_routes import (
     DIV_X_LEVEL13,
@@ -218,3 +219,18 @@ def test_level13_coordinate_reconstruction():
     assert report["degree_bound"] < 1e-12
     assert DIV_X_LEVEL13 == (0, 1, 1, -1, 0, -1)
     assert DIV_Y_LEVEL13 == (1, -1, 1, 1, -1, -1)
+
+
+@pytest.mark.parametrize("n", [25, 27, 49, 50, 54, 98, 121, 125])
+def test_primitive_part_is_chi_on_the_conductor(n):
+    # The primitive character is built from one value, at the conductor's
+    # primitive root; it must agree with chi on every unit mod d.
+    for chi in enumerate_characters(n):
+        if not chi.is_even or chi.is_primitive:
+            continue
+        d = chi.conductor
+        prim = _primitive_part(chi)
+        assert prim.modulus == d and prim.is_primitive
+        for beta in range(d):
+            if math.gcd(beta, d) == 1:
+                assert prim(beta) == chi(_unit_lift(n, d, beta))

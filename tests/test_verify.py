@@ -744,6 +744,7 @@ def test_level_generic_suites_read_arrays_not_objects(monkeypatch):
     config.context
     # A cold character table, so that its build is counted too.
     characters.character_table.cache_clear()
+    characters._unit_logs.cache_clear()
     counts = {}
 
     def counting(owner, name):
