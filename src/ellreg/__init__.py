@@ -20,11 +20,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # imported when the name is first read (PEP 562), so a run loads only
 # the modules it uses.
 _HOME = {name: module for module, names in [
-    ("characters", "DirichletCharacter FiniteMap character_from_label "
+    ("characters", "DirichletCharacter character_from_label "
      "enumerate_characters exponent_label gauss_sum l_chi_2 "
      "twisted_bernoulli2"),
-    ("eisenstein", "EtaForm UnimodularMatrix arc_integral eta_chi eta_form "
-     "g_column"),
+    ("eisenstein", "EtaForm arc_integral eta_chi"),
     ("elliptic", "CURVE_11A CURVE_17A CURVE_REGISTRY CurveModel PeriodLattice "
      "TorsionCoordinate an_coefficients elliptic_dilog periods "
      "torsion_coordinate"),

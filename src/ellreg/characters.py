@@ -198,20 +198,6 @@ def enumerate_characters(modulus):
             for k in range(len(_unit_logs(modulus)[1]))]
 
 
-class FiniteMap:
-    """A function Z/NZ -> C given by its value table."""
-
-    def __init__(self, modulus, values):
-        values = list(values)
-        if len(values) != modulus:
-            raise ValueError("value table length must equal the modulus")
-        self.modulus = modulus
-        self.values = [complex(v) for v in values]
-
-    def __call__(self, n):
-        return self.values[n % self.modulus]
-
-
 def gauss_sum(chi) -> complex:
     """tau(chi) = sum_a chi(a) e^{2 pi i a / N}."""
     n = chi.modulus

@@ -1,97 +1,34 @@
 """Real-analytic Eisenstein series at s = 1 and the eta one-form.
 
 E* is evaluated by one route: a combined divisor-sum expansion
-("stream") for arbitrary weighted sums of E*_{(u,v)}, which the general
-quadrature evaluates.  The closed forms through the Kronecker limit
+("stream") for weighted sums of E*_{(u,v)} over a pair divisor, a dict
+of weights on (Z/N)^2.  The closed forms through the Kronecker limit
 formulas (Dedekind eta and Siegel theta products) are the tests'
 reference route.
 
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams.  Every suite integrates it over the arc
-rho -> rho^2, pulled back along SL_2(Z), by one pair of Gauss-Legendre
-rules (ARC_NODES): the value at the fine rule, its gap to the coarse
-rule as the error.  The arcs of eta_chi pulled back along the lines of
-P^1(F_p) are character transforms of E*, whose q-expansions have twisted
-divisor sums as coefficients (line_arcs); integrate_one_form evaluates
-any one form from its streams at the same nodes.
+rho -> rho^2, pulled back along a line of P^1(F_p), by one pair of
+Gauss-Legendre rules (ARC_NODES): the value at the fine rule, its gap
+to the coarse rule as the error.  The arcs of eta_chi on the lines are
+character transforms of E*, whose q-expansions have twisted divisor
+sums as coefficients (line_arcs); arc_integral evaluates one of them
+from the streams of the pulled-back divisors (eta_chi) at the same
+nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .characters import FiniteMap, character_table, character_values
+from .characters import character_table, character_values
 from .special import ABS_TOL, gauss_legendre_nodes
 
 EULER_GAMMA = 0.5772156649015329
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """Element of SL_2(Z), acting on row vectors (u, v) by right
-    multiplication."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("matrix must have determinant 1")
-
-    def row_action(self, pair, modulus):
-        u, v = pair
-        return (
-            (u * self.a + v * self.c) % modulus,
-            (u * self.b + v * self.d) % modulus,
-        )
-
-
-IDENTITY = UnimodularMatrix(1, 0, 0, 1)
-
-
-def g_column(v: int) -> UnimodularMatrix:
-    """The standard lift (0, -1; 1, v) sending 0 -> -1/v-ish geodesics."""
-    return UnimodularMatrix(0, -1, 1, v)
-
-
-class PairDivisor:
-    """Finitely supported weight function on (Z/N)^2."""
-
-    def __init__(self, modulus: int, coeffs=None):
-        self.modulus = modulus
-        self.coeffs = {}
-        if coeffs:
-            for (u, v), c in coeffs.items():
-                if c != 0:
-                    key = (u % modulus, v % modulus)
-                    self.coeffs[key] = self.coeffs.get(key, 0) + c
-
-    @classmethod
-    def from_residue_map(cls, f: FiniteMap):
-        """Embed a weight function on Z/N along the row (0, v)."""
-        return cls(f.modulus, {(0, v): f(v) for v in range(f.modulus)})
-
-    def right_translate(self, g: UnimodularMatrix):
-        out = {}
-        for x, c in self.coeffs.items():
-            y = g.row_action(x, self.modulus)
-            out[y] = out.get(y, 0) + c
-        return PairDivisor(self.modulus, out)
-
-    @property
-    def degree(self):
-        return sum(self.coeffs.values())
-
-    def items(self):
-        return self.coeffs.items()
 
 
 def _beta2(v, N: int):
@@ -125,18 +62,18 @@ def _multiples(ks, rmax: int):
 
 
 class EisensteinStream:
-    """Fourier data of E*_F for a pair divisor F:
+    """Fourier data of E*_F for a pair divisor F, a dict of weights on
+    pairs (u, v) reduced mod N:
 
     E*_F(z) = c_y y + c_log log y + c_0
               + sum_{r>=1} A_r e^{2 pi i r z / N} + B_r e^{-2 pi i r zbar / N}.
     """
 
-    def __init__(self, divisor: PairDivisor, rmax: int):
-        N = divisor.modulus
+    def __init__(self, N: int, divisor: dict, rmax: int):
         self.modulus = N
         self.rmax = rmax
         self.c_y = self.c_0 = 0.0 + 0.0j
-        self.c_log = -math.pi / N**2 * divisor.degree
+        self.c_log = -math.pi / N**2 * sum(divisor.values())
         self.A = np.zeros(rmax + 1, dtype=complex)
         self.B = np.zeros(rmax + 1, dtype=complex)
         # Every term of A and B in the order of a loop over pairs, signs,
@@ -195,70 +132,44 @@ def suggested_rmax(modulus: int, y_min: float) -> int:
     return int(math.ceil(modulus * math.log(1.0 / ABS_TOL) / (TWO_PI * y_min))) + 16
 
 
-class OneFormValue(NamedTuple):
-    """Pointwise data of a one-form P dz + Q dzbar."""
-
-    dz: complex
-    dzbar: complex
-
-
 class EtaForm:
-    """eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l.
+    """eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l for two
+    pair divisors mod N, as EisensteinStream takes them."""
 
-    Both arguments are pair divisors; weight functions on Z/N enter
-    through their embedding along (0, v).  Pullback under SL_2(Z) acts
-    by right translation of the divisors.
-    """
-
-    def __init__(self, left: PairDivisor, right: PairDivisor, rmax: int):
-        if left.modulus != right.modulus:
-            raise ValueError("mixed moduli")
+    def __init__(self, N: int, left: dict, right: dict, rmax: int):
+        self.modulus = N
         self.left = left
         self.right = right
         self.rmax = rmax
 
     @cached_property
     def left_stream(self):
-        return EisensteinStream(self.left, self.rmax)
+        return EisensteinStream(self.modulus, self.left, self.rmax)
 
     @cached_property
     def right_stream(self):
-        return EisensteinStream(self.right, self.rmax)
+        return EisensteinStream(self.modulus, self.right, self.rmax)
 
-    @classmethod
-    def from_residue_maps(cls, l: FiniteMap, m: FiniteMap, rmax: int):
-        return cls(
-            PairDivisor.from_residue_map(l),
-            PairDivisor.from_residue_map(m),
-            rmax,
-        )
-
-    def pullback(self, g: UnimodularMatrix):
-        return EtaForm(
-            self.left.right_translate(g),
-            self.right.right_translate(g),
-            self.rmax,
-        )
-
-    def coefficients(self, z) -> OneFormValue:
+    def coefficients(self, z):
+        """(P, Q) of the form P dz + Q dzbar at z."""
         M = self.right_stream
         ez = M._exps(np.asarray(z, dtype=complex))  # same level and rmax
         vl, dl, dbl = self.left_stream.jet(z, ez)
         vm, dm, dbm = M.jet(z, ez)
-        return OneFormValue(vl * dm - vm * dl, -(vl * dbm - vm * dbl))
+        return vl * dm - vm * dl, -(vl * dbm - vm * dbl)
 
 
-def eta_form(l: FiniteMap, m: FiniteMap,
-             y_min: float = math.sqrt(3) / 2) -> EtaForm:
-    rmax = suggested_rmax(l.modulus, y_min)
-    return EtaForm.from_residue_maps(l, m, rmax)
-
-
-def eta_chi(p: int, k: int) -> EtaForm:
+def eta_chi(p: int, k: int, l: int) -> EtaForm:
     """eta_chi = sum_{a,b units} chi(a) conj(chi)(b) eta(delta_a, delta_b)
-    for chi = chi_k mod the prime p, truncated for Im z >= sqrt(3) / 2."""
-    chi = character_values(p, k)
-    return eta_form(FiniteMap(p, chi), FiniteMap(p, chi.conj()))
+    for chi = chi_k mod the prime p, pulled back along line l of P^1(F_p)
+    in line_arcs' order, and truncated for Im z >= sqrt(3) / 2.  A lift
+    with bottom row (c, d), (1, l) for l < p and (0, 1) at l = p, moves
+    the pair (0, a) to a (c, d)."""
+    c, d = (1, l) if l < p else (0, 1)
+    chi = character_values(p, k)[1:].tolist()
+    left = {(a * c % p, a * d % p): w for a, w in enumerate(chi, 1)}
+    right = {x: w.conjugate() for x, w in zip(left, chi)}
+    return EtaForm(p, left, right, suggested_rmax(p, math.sqrt(3) / 2))
 
 
 # The Gauss-Legendre rules of the arc rho -> rho^2: values at the second,
@@ -301,20 +212,18 @@ def integrate_one_form(form: EtaForm, quadrature: dict | None = None):
     return fine
 
 
-def arc_integral(form: EtaForm, g: UnimodularMatrix = IDENTITY,
-                 quadrature: dict | None = None):
-    """Integral of the form along the geodesic g(rho) -> g(rho^2),
-    computed by pulling back to the arc rho -> rho^2; a given quadrature
-    dict receives the node count and gap of integrate_one_form."""
-    pulled = form.pullback(g) if g != IDENTITY else form
-    return integrate_one_form(pulled, quadrature)
+def arc_integral(p: int, k: int, l: int, quadrature: dict | None = None):
+    """The arc of eta_chi_k on rho -> rho^2 pulled back along line l of
+    P^1(F_p), by the stream quadrature; a given quadrature dict receives
+    the node count and gap of integrate_one_form."""
+    return integrate_one_form(eta_chi(p, k, l), quadrature)
 
 
 def line_arcs(p: int):
     """(values, gaps)[l, i]: the arc of eta_chi_k, k = 2 i + 2 (every even
     nontrivial exponent), on rho -> rho^2 pulled back along line l of
-    P^1(F_p), p prime: (1, v), v = 0 .. p - 1 (g_column(v)), then (0, 1)
-    (the identity).
+    P^1(F_p), p prime: (1, v), v = 0 .. p - 1, then (0, 1), as eta_chi
+    takes them.
 
     The arc is i sum (V conj X - conj V X) over the nodes, with V =
     sum_a chi(a) E*_(a l), D = d_z V and X = -i (D wdz - conj(D' wdz)),

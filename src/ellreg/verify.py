@@ -18,7 +18,7 @@ import numpy as np
 
 from .characters import (_is_prime, character_table, character_values,
                          exponent_label, pair_sum)
-from .eisenstein import ARC_NODES, arc_integral, eta_chi, g_column, line_arcs
+from .eisenstein import ARC_NODES, arc_integral, line_arcs
 from .elliptic import (
     CURVE_11A,
     CURVE_REGISTRY,
@@ -164,7 +164,7 @@ def resolve_config(level=None, curve=None, tolerance=None) -> VerifyConfig:
     if disc == 0:
         raise ValueError("the curve is singular: its discriminant is 0")
     n = curve.conductor
-    # Primality, by trial division up to sqrt(N), is tested last.
+    # Primality, by deterministic Miller-Rabin, is tested last.
     if n < 2:
         raise ValueError(f"level {n} must be prime")
     if disc % n:
@@ -248,10 +248,10 @@ class CurveContext:
     @cached_property
     def eta_arcs(self):
         """arcs[i, v], the integral of eta_chi_k, k = evens[i], over the
-        standard arc g_v = g_column(v) for v = 0 .. p - 1 (g_0 is sigma)
-        and over the identity's arc at v = p, and the worst node gap among
-        them: line_arcs on the lines (1, v) and (0, 1) of P^1(F_p), one
-        complex row per even character, which BLAS reads in place."""
+        arc rho -> rho^2 pulled back along the line (1, v) of P^1(F_p)
+        for v = 0 .. p - 1 and (0, 1) at v = p, and the worst node gap
+        among them: line_arcs, one complex row per even character, which
+        BLAS reads in place."""
         values, gaps = line_arcs(self.p)
         return values.T.astype(complex), gaps.max()
 
@@ -489,11 +489,11 @@ def run_thm3(config=None):
         rows.add(f"thm3:identity:{label}", l_two * l_one[k], rhs[i],
                  TOL_QUADRATURE, truncation, scale=l_two, character=label)
         if i == 0:
-            # The shared arc of eta_chi over g_column(3), from the
-            # closed-form transforms, against one stream quadrature of
-            # the form summed from its divisors.
+            # The shared arc of eta_chi on line 3, from the closed-form
+            # transforms, against one stream quadrature of the form
+            # summed from its divisors.
             quad = _arc_truncation(gap)
-            stream = arc_integral(eta_chi(p, k), g_column(3), quad)
+            stream = arc_integral(p, k, 3, quad)
             rows.add(f"thm3:eta-linearity:{label}", arcs[0, 3], stream,
                      1e-9, quad, error_kind="abs", character=label)
     return rows.reports

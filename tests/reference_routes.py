@@ -25,21 +25,26 @@ the character objects' value tables and labels, and the dense sums over
 them (einsums over a (p - 1) x p value table) that the package now makes
 as one transform over the discrete logs, and 30-digit mpmath sums (Gauss
 sums, character roots, twisted q-series) to check those transforms by.
+The module opens with weight maps on Z/N, SL_2(Z) acting on pair
+divisors and eta forms of any two weight maps pulled back along any
+lift: the package's stream oracle builds eta_chi on one line of
+P^1(F_p) only.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ellreg.characters import (
     DirichletCharacter,
-    FiniteMap,
     _divisors,
     _is_prime,
     _primitive_root,
     _totient,
     character_table,
+    character_values,
     enumerate_characters,
     l_chi_2,
 )
@@ -48,8 +53,6 @@ from ellreg.eisenstein import (
     TWO_PI,
     EisensteinStream,
     EtaForm,
-    PairDivisor,
-    UnimodularMatrix,
     _beta2,
     _constant_term,
     suggested_rmax,
@@ -66,6 +69,92 @@ from ellreg.special import (
     periodic_bernoulli2,
 )
 from ellreg.units import CuspDivisor, _unit_lift, unit_divisor_chi
+
+
+# Weight maps on Z/N, SL_2(Z) acting on pair divisors, and eta forms of
+# any two weight maps pulled back along any lift.  The package's stream
+# oracle builds eta_chi on one line of P^1(F_p) only.
+class FiniteMap:
+    """A function Z/NZ -> C given by its value table."""
+
+    def __init__(self, modulus, values):
+        values = list(values)
+        if len(values) != modulus:
+            raise ValueError("value table length must equal the modulus")
+        self.modulus = modulus
+        self.values = [complex(v) for v in values]
+
+    def __call__(self, n):
+        return self.values[n % self.modulus]
+
+
+@dataclass(frozen=True)
+class UnimodularMatrix:
+    """Element of SL_2(Z), acting on row vectors (u, v) by right
+    multiplication."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+
+    def __post_init__(self):
+        if self.a * self.d - self.b * self.c != 1:
+            raise ValueError("matrix must have determinant 1")
+
+    def row_action(self, pair, modulus):
+        u, v = pair
+        return (
+            (u * self.a + v * self.c) % modulus,
+            (u * self.b + v * self.d) % modulus,
+        )
+
+
+def pair_divisor(modulus: int, coeffs: dict) -> dict:
+    """A pair divisor as EisensteinStream takes it: the pairs reduced mod
+    N and merged, zero weights dropped."""
+    out = {}
+    for (u, v), c in coeffs.items():
+        if c != 0:
+            key = (u % modulus, v % modulus)
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def residue_divisor(f: FiniteMap) -> dict:
+    """A weight map on Z/N embedded along the row (0, v)."""
+    return pair_divisor(f.modulus, {(0, v): f(v) for v in range(f.modulus)})
+
+
+def residue_form(l: FiniteMap, m: FiniteMap,
+                 y_min: float = math.sqrt(3) / 2) -> EtaForm:
+    """eta(l, m) of two weight maps, truncated for Im z >= y_min."""
+    n = l.modulus
+    return EtaForm(n, residue_divisor(l), residue_divisor(m),
+                   suggested_rmax(n, y_min))
+
+
+def pullback(form: EtaForm, g: UnimodularMatrix) -> EtaForm:
+    """g* eta(L, M) = eta(L g, M g): both divisors right-translated."""
+    n = form.modulus
+
+    def moved(divisor):
+        return pair_divisor(n, {g.row_action(x, n): c
+                                for x, c in divisor.items()})
+
+    return EtaForm(n, moved(form.left), moved(form.right), form.rmax)
+
+
+def chi_form(p: int, k: int) -> EtaForm:
+    """eta_chi_k from the value maps of chi_k and conj chi_k, unpulled."""
+    chi = character_values(p, k)
+    return residue_form(FiniteMap(p, chi), FiniteMap(p, chi.conj()))
+
+
+def line_lift(p: int, l: int) -> UnimodularMatrix:
+    """The lift of line l of P^1(F_p) in line_arcs' order: (0, -1; 1, l)
+    for l < p, the identity at l = p."""
+    return UnimodularMatrix(0, -1, 1, l) if l < p else UnimodularMatrix(1, 0, 0, 1)
 
 
 def trivial_character(modulus):
@@ -123,7 +212,7 @@ def zeta_star_qexp(a: int, b: int, z: complex, modulus: int, rmax: int) -> float
 def e_star_stream(f: FiniteMap, y_min: float):
     """Stream evaluator for E*_f, valid for Im z >= y_min."""
     rmax = suggested_rmax(f.modulus, y_min)
-    return EisensteinStream(PairDivisor.from_residue_map(f), rmax)
+    return EisensteinStream(f.modulus, residue_divisor(f), rmax)
 
 
 def _restricted_zeta2(v: int, N: int, cutoff: int = 2000) -> float:

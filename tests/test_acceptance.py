@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-from ellreg.characters import FiniteMap, enumerate_characters
-from ellreg.eisenstein import UnimodularMatrix
+from ellreg.characters import enumerate_characters
 from ellreg.elliptic import (
     CURVE_11A,
     TorsionCoordinate,
@@ -39,6 +38,8 @@ from ellreg.verify import (
 
 from gamma1_symbols import cuspidal_hecke_t2_matrix
 from reference_routes import (
+    FiniteMap,
+    UnimodularMatrix,
     conjugate_partner,
     divisor_degree,
     e_star_point,

@@ -11,7 +11,6 @@ from ellreg.characters import (
     _prime_factors,
     _primitive_root,
     _totient,
-    FiniteMap,
     character_from_label,
     character_table,
     character_values,
@@ -23,7 +22,7 @@ from ellreg.characters import (
     twisted_bernoulli2,
 )
 
-from reference_routes import (character_label, character_map,
+from reference_routes import (FiniteMap, character_label, character_map,
                               character_product, fourier_transform,
                               character_values_mpmath,
                               gauss_sums_mpmath, trivial_character)

@@ -11,21 +11,16 @@ import numpy as np
 import pytest
 
 from ellreg.characters import (
-    FiniteMap,
     character_table,
     enumerate_characters,
 )
 from ellreg.eisenstein import (
     ARC_NODES,
-    IDENTITY,
     EisensteinStream,
     EtaForm,
-    PairDivisor,
-    UnimodularMatrix,
     arc_integral,
     eta_chi,
-    eta_form,
-    g_column,
+    integrate_one_form,
     line_arcs,
     suggested_rmax,
 )
@@ -38,10 +33,13 @@ from reference_routes import (
     RHO,
     RHO2,
     ArcTable,
+    FiniteMap,
+    UnimodularMatrix,
     _pairings_on_every_line,
     _restricted_zeta2,
     character_map,
     character_value_table,
+    chi_form,
     delta_map,
     divisor_bracket,
     e_star_map,
@@ -51,11 +49,14 @@ from reference_routes import (
     fourier_transform,
     integrate_eta_geodesic,
     integrate_eta_segment,
+    line_lift,
     matrix_inverse,
     matrix_lift,
     matrix_product,
     mobius,
     mobius_derivative,
+    pullback,
+    residue_form,
     zeta_star,
     zeta_star_qexp,
 )
@@ -155,15 +156,14 @@ def test_eta_pullback_identity():
     """g* eta(L, M) = eta(Lg, Mg), checked pointwise on coefficients."""
     l = FiniteMap(N, [0, 1, 0, 0, -2, 0, 0, 0, 0, 1, 0])
     m = FiniteMap(N, [3, 0, -1, 0, 0, 0, 0, -2, 0, 0, 0])
-    rmax = suggested_rmax(N, 0.7)
-    eta = EtaForm.from_residue_maps(l, m, rmax)
+    eta = residue_form(l, m, y_min=0.7)
     # Both z and gz keep Im above the truncation domain for these g.
     cases = [
         (UnimodularMatrix(0, -1, 1, 0), 0.2 + 1.05j),
         (UnimodularMatrix(0, -1, 1, -1), 0.5 + 1.0j),
     ]
     for g, z in cases:
-        pulled = eta.pullback(g)
+        pulled = pullback(eta, g)
         zz = np.array([z])
         P, Q = eta.coefficients(mobius(g, zz))
         gp = mobius_derivative(g, zz)
@@ -175,19 +175,17 @@ def test_eta_pullback_identity():
 def test_eta_gamma1_divisor_stability():
     l = delta_map(N, 2)
     m = delta_map(N, 5)
-    rmax = suggested_rmax(N, 0.8)
-    eta = EtaForm.from_residue_maps(l, m, rmax)
+    eta = residue_form(l, m, y_min=0.8)
     gam = UnimodularMatrix(1, 0, N, 1)
-    pulled = eta.pullback(gam)
-    assert pulled.left.coeffs == eta.left.coeffs
-    assert pulled.right.coeffs == eta.right.coeffs
+    pulled = pullback(eta, gam)
+    assert pulled.left == eta.left
+    assert pulled.right == eta.right
 
 
 def test_eta_closed_for_degree_zero():
     l = FiniteMap(N, [1, -1] + [0] * 9)
     m = FiniteMap(N, [0, 0, 1, 0, 0, -1] + [0] * 5)
-    rmax = suggested_rmax(N, 0.9)
-    eta = EtaForm.from_residue_maps(l, m, rmax)
+    eta = residue_form(l, m, y_min=0.9)
     c1, c2 = 0.15 + 1.0j, 0.45 + 1.25j
     corners = [c1, complex(c2.real, c1.imag), c2, complex(c1.real, c2.imag)]
     assert abs(_loop_integral(eta, corners)) < 1e-12
@@ -197,8 +195,7 @@ def test_eta_stokes_against_area_form():
     """Loop integral equals (pi i / N^2) integral of E*_D dx dy / y^2."""
     l = FiniteMap(N, [0, 1, 0, 0, -2, 0, 0, 0, 0, 1, 0])
     m = FiniteMap(N, [3, 0, -1, 0, 0, 0, 0, -2, 0, 0, 0])
-    rmax = suggested_rmax(N, 0.9)
-    eta = EtaForm.from_residue_maps(l, m, rmax)
+    eta = residue_form(l, m, y_min=0.9)
     c1, c2 = 0.15 + 1.0j, 0.45 + 1.25j
     corners = [c1, complex(c2.real, c1.imag), c2, complex(c1.real, c2.imag)]
     loop = _loop_integral(eta, corners)
@@ -219,7 +216,7 @@ def test_eta_stokes_against_area_form():
 def test_eta_real_divisors_give_imaginary_integrals():
     l = FiniteMap(N, [0, 1, 0, 0, -2, 0, 0, 0, 0, 1, 0])
     m = FiniteMap(N, [3, 0, -1, 0, 0, 0, 0, -2, 0, 0, 0])
-    eta = eta_form(l, m, y_min=0.7)
+    eta = residue_form(l, m, y_min=0.7)
     val, _ = integrate_eta_geodesic(eta, 0.1 + 0.9j, 0.4 + 1.2j)
     assert abs(val.real) < 1e-12
     val2, _ = integrate_eta_segment(eta, 0.1 + 0.9j, 0.4 + 1.2j)
@@ -229,9 +226,9 @@ def test_eta_real_divisors_give_imaginary_integrals():
 def test_eta_antisymmetry_and_self_vanishing():
     l = FiniteMap(N, [0, 1, 0, 0, -2, 0, 0, 0, 0, 1, 0])
     m = FiniteMap(N, [3, 0, -1, 0, 0, 0, 0, -2, 0, 0, 0])
-    e_lm = eta_form(l, m, y_min=0.8)
-    e_ml = eta_form(m, l, y_min=0.8)
-    e_ll = eta_form(l, l, y_min=0.8)
+    e_lm = residue_form(l, m, y_min=0.8)
+    e_ml = residue_form(m, l, y_min=0.8)
+    e_ll = residue_form(l, l, y_min=0.8)
     z = np.array([0.2 + 0.95j])
     p1, q1 = e_lm.coefficients(z)
     p2, q2 = e_ml.coefficients(z)
@@ -241,20 +238,19 @@ def test_eta_antisymmetry_and_self_vanishing():
 
 
 def test_arc_integral_pullback_vs_direct_geodesic():
-    form = eta_chi(11, 2)  # the first quintic character
-    g = g_column(2)
-    via_pullback = arc_integral(form, g)
-    deep = EtaForm(form.left, form.right, suggested_rmax(11, 0.14))
+    form = eta_chi(11, 2, 11)  # the first quintic character, unpulled
+    g = line_lift(11, 2)
+    via_pullback = arc_integral(11, 2, 2)
+    deep = EtaForm(11, form.left, form.right, suggested_rmax(11, 0.14))
     direct, _ = integrate_eta_geodesic(deep, mobius(g, RHO), mobius(g, RHO2))
     assert abs(via_pullback - direct) < 1e-10
 
 
 def test_arc_integral_lift_independence():
-    form = eta_chi(11, 2)
-    g = g_column(2)
+    g = line_lift(11, 2)
     gam = UnimodularMatrix(1, 0, N, 1)
-    assert abs(arc_integral(form, g)
-               - arc_integral(form, matrix_product(gam, g))) < 1e-11
+    moved = pullback(chi_form(11, 2), matrix_product(gam, g))
+    assert abs(arc_integral(11, 2, 2) - integrate_one_form(moved)) < 1e-11
 
 
 def test_eta_chi_double_sum_assembly():
@@ -262,8 +258,7 @@ def test_eta_chi_double_sum_assembly():
     double sum over unit pairs (a, b) with weights chi(a) conj(chi)(b)."""
     chi = enumerate_characters(11)[2]
     assert chi.order == 5
-    local_rmax = suggested_rmax(N, math.sqrt(3) / 2)
-    combined = eta_chi(11, 2)
+    combined = eta_chi(11, 2, 11)
     z = np.array([0.12 + 0.93j])
     P, Q = combined.coefficients(z)
     total_p = 0.0 + 0.0j
@@ -276,9 +271,7 @@ def test_eta_chi_double_sum_assembly():
             wb = chi.conjugate()(b)
             if wb == 0:
                 continue
-            part = EtaForm.from_residue_maps(
-                delta_map(N, a), delta_map(N, b), local_rmax
-            )
+            part = residue_form(delta_map(N, a), delta_map(N, b))
             pp, qq = part.coefficients(z)
             total_p += wa * wb * pp[0]
             total_q += wa * wb * qq[0]
@@ -291,15 +284,15 @@ def test_theorem3_weight_divisor():
     chi = [c for c in enumerate_characters(11) if c.order == 5][0]
     one = FiniteMap(N, [1] * N)
     chihat = fourier_transform(character_map(chi))
-    form = eta_form(one, chihat)
-    val = arc_integral(form, g_column(3))
+    form = residue_form(one, chihat)
+    val = integrate_one_form(pullback(form, line_lift(N, 3)))
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
 def test_quadrature_failure_is_loud():
     l = FiniteMap(N, [1, -1] + [0] * 9)
     m = FiniteMap(N, [0, 0, 1, 0, 0, -1] + [0] * 5)
-    eta = eta_form(l, m, y_min=0.8)
+    eta = residue_form(l, m, y_min=0.8)
     with pytest.raises(RuntimeError):
         integrate_eta_geodesic(
             eta, 0.1 + 0.9j, 0.4 + 1.2j, nodes=2, tol=1e-16, max_doublings=1
@@ -318,24 +311,14 @@ def test_an_unreachable_tolerance_raises_at_the_rounding_floor(monkeypatch):
         return real_nodes(n, *args)
 
     monkeypatch.setattr(reference_routes, "gauss_legendre_nodes", counted)
-    form = eta_form(FiniteMap(N, [float(v == 1) for v in range(N)]),
+    form = residue_form(FiniteMap(N, [float(v == 1) for v in range(N)]),
                     FiniteMap(N, [float(v == 3) for v in range(N)]))
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="settle"):
         integrate_eta_geodesic(form, RHO, RHO2, tol=3e-18)
     assert time.perf_counter() - start < 1.0
     assert max(built) <= 256
-    assert abs(arc_integral(form)) > 0.0
-
-
-def test_pair_divisor_algebra():
-    # Pairs are reduced mod N and merged; zero weights are dropped.
-    d = PairDivisor(N, {(1, 2): 3.0, (12, 13): -1.0, (4, 4): 0.0})
-    assert d.coeffs == {(1, 2): 2.0}
-    assert d.degree == 2.0
-    # Right translation moves the pair (1, 2) to (1, 2) sigma = (2, -1).
-    moved = d.right_translate(UnimodularMatrix(0, -1, 1, 0))
-    assert moved.coeffs == {(2, 10): 2.0}
+    assert abs(integrate_one_form(form)) > 0.0
 
 
 def _pairing_reference(table, bottom, left_weights, right_weights,
@@ -474,17 +457,18 @@ def test_unweighted_pairings_transform_each_line_twice(p, fft_shapes):
     assert sum(s[0] for s in fft_shapes) == 2 * (p + 1)
 
 
-def _stream_arcs(forms, lifts):
-    """arc_integral of each form over each lift, with the error and the
-    node count it settled at: (values, gaps, nodes)[s, k]."""
-    values = np.empty((len(lifts), len(forms)), dtype=complex)
+def _stream_arcs(arc, lifts, ks):
+    """arc(k, lift, quadrature) for each exponent k over each lift, with
+    the error and the node count it settled at: (values, gaps,
+    nodes)[s, j] for k = ks[j]."""
+    values = np.empty((len(lifts), len(ks)), dtype=complex)
     gaps = np.empty(values.shape)
     nodes = np.empty(values.shape, dtype=int)
-    for k, form in enumerate(forms):
+    for j, k in enumerate(ks):
         for s, g in enumerate(lifts):
             quad = {}
-            values[s, k] = arc_integral(form, g, quad)
-            gaps[s, k], nodes[s, k] = quad["stream_gap"], quad["stream_nodes"]
+            values[s, j] = arc(k, g, quad)
+            gaps[s, j], nodes[s, j] = quad["stream_gap"], quad["stream_nodes"]
     return values, gaps, nodes
 
 
@@ -505,17 +489,16 @@ def _assert_gaps_match_the_stream_rule(values, gaps, arcs):
 
 
 def _column_arcs(p, lines=None, ks=None):
-    """thm1's arcs at level p: eta_chi of the even characters ks over the
-    lines' lifts, g_column(v) for line v < p (g_0 is sigma) and the
-    identity for line p, as pairings gives them (values, gaps) and as
-    _stream_arcs does."""
+    """thm1's arcs at level p: eta_chi of the even characters ks on the
+    lines, as pairings gives them (values, gaps) and as arc_integral
+    does through _stream_arcs."""
     lines = range(p + 1) if lines is None else lines
     ks = np.arange(2, p - 1, 2) if ks is None else ks
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
     values, gaps = table.pairings(ks)
-    lifts = [g_column(v) if v < p else IDENTITY for v in lines]
     return (values[lines], gaps[lines],
-            _stream_arcs([eta_chi(p, k) for k in ks], lifts))
+            _stream_arcs(lambda k, l, quad: arc_integral(p, k, l, quad),
+                         lines, ks))
 
 
 @lru_cache(maxsize=None)
@@ -585,12 +568,13 @@ def test_arc_contraction_matches_integral_on_symbol_lifts():
     p = 37
     table = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2))
     ks = np.arange(2, p - 1, 8)
-    forms = [eta_chi(p, k) for k in ks]
+    forms = {k: chi_form(p, k) for k in ks}
     lifts = [matrix_lift(SymbolIndex(p, u, v)) for u, v in
              [(1, 0), (0, 1), (0, 5), (3, 7), (20, 11), (36, 2)]]
     lines = [g.d * pow(g.c, -1, p) % p if g.c % p else p for g in lifts]
     values, gaps = table.pairings(ks)
-    arcs = _stream_arcs(forms, lifts)
+    arcs = _stream_arcs(lambda k, g, quad: integrate_one_form(
+        pullback(forms[k], g), quad), lifts, ks)
     _assert_values_match_arc_integral(values[lines], arcs)
     _assert_gaps_match_the_stream_rule(values[lines], gaps[lines], arcs)
 
@@ -663,12 +647,36 @@ def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
 def test_arc_integral_raises_when_node_counts_disagree(monkeypatch):
     import ellreg.eisenstein as eisenstein
 
-    form, quad = eta_chi(N, 2), {}
-    arc_integral(form, g_column(3), quad)
+    quad = {}
+    arc_integral(N, 2, 3, quad)
     assert quad["stream_nodes"] == ARC_NODES[1] and quad["stream_gap"] < 1e-15
     monkeypatch.setattr(eisenstein, "ARC_NODES", (4, ARC_NODES[1]))
     with pytest.raises(RuntimeError, match="settle"):
-        arc_integral(form, g_column(3))
+        arc_integral(N, 2, 3)
+
+
+@pytest.mark.parametrize("p", [11, 17, 37])
+def test_line_oracle_is_the_pulled_back_residue_form(p):
+    # eta_chi on line l holds the residue-map form of chi_k and conj chi_k
+    # pulled back along the line's lift, weight for weight and in the
+    # same order, so its streams and its arc are those of the general
+    # route bit for bit.  k = 2 and p - 3 are one conjugate pair, which
+    # line_arcs' column k / 2 - 1 gives up to the sign of the pair.
+    values, _ = line_arcs(p)
+    for k in (2, p - 3):
+        reference = chi_form(p, k)
+        for l in range(p + 1):
+            form = eta_chi(p, k, l)
+            pulled = pullback(reference, line_lift(p, l))
+            for side in ("left_stream", "right_stream"):
+                got, want = ([st.A, st.B, np.array([st.c_0, st.c_y, st.c_log])]
+                             for st in (getattr(form, side),
+                                        getattr(pulled, side)))
+                _assert_bitwise_equal(got, want)
+            arc = arc_integral(p, k, l)
+            _assert_bitwise_equal([np.array(arc)],
+                                  [np.array(integrate_one_form(pulled))])
+            assert abs(arc - values[l, k // 2 - 1]) <= 1e-13
 
 
 def test_line_arcs_hold_one_buffer_per_block():
@@ -684,10 +692,9 @@ def test_line_arcs_hold_one_buffer_per_block():
     assert peak <= 4e6
 
 
-def _stream_series_by_loops(divisor, rmax):
+def _stream_series_by_loops(n, divisor, rmax):
     """A_r and B_r of the stream expansion, summed term by term over
     r, the divisors k of r and the divisor's pairs."""
-    n = divisor.modulus
     A = np.zeros(rmax + 1, dtype=complex)
     B = np.zeros(rmax + 1, dtype=complex)
     for r in range(1, rmax + 1):
@@ -710,17 +717,15 @@ def _stream_series_by_loops(divisor, rmax):
     (37, {(0, b): cmath.exp(1j * b) for b in range(37)}),
 ])
 def test_stream_series_match_the_term_by_term_loops(modulus, coeffs):
-    divisor = PairDivisor(modulus, coeffs)
-    stream = EisensteinStream(divisor, 150)
-    A, B = _stream_series_by_loops(divisor, 150)
+    stream = EisensteinStream(modulus, coeffs, 150)
+    A, B = _stream_series_by_loops(modulus, coeffs, 150)
     # The loops raise e(m / N) to the v-th power, a few ulps per factor.
     assert np.abs(stream.A - A).max() <= 1e-13
     assert np.abs(stream.B - B).max() <= 1e-13
 
 
-def _stream_by_k_loop(divisor, rmax):
+def _stream_by_k_loop(n, divisor, rmax):
     """c_0, c_y, A and B built as one loop over pairs, signs and k."""
-    n = divisor.modulus
     c_y = c_0 = 0.0 + 0.0j
     A = np.zeros(rmax + 1, dtype=complex)
     B = np.zeros(rmax + 1, dtype=complex)
@@ -742,13 +747,13 @@ def test_stream_builds_round_as_the_k_loop_does(p):
     # Both halves of an eta_chi form and a divisor off the row u = 0,
     # with one pair at u = p - u' so that both signs land on one k.
     rng = np.random.default_rng(p)
-    form = eta_chi(p, 2)
-    other = PairDivisor(p, {(1, 2): 0.5, (p - 1, 3): 1.0 - 2.0j,
-                            (3, 0): rng.normal(), (0, 5): 1j})
+    form = eta_chi(p, 2, p)
+    other = {(1, 2): 0.5, (p - 1, 3): 1.0 - 2.0j,
+             (3, 0): rng.normal(), (0, 5): 1j}
     for divisor in (form.left, form.right, other):
-        stream = EisensteinStream(divisor, form.rmax)
-        c_0, c_y, A, B = _stream_by_k_loop(divisor, form.rmax)
+        stream = EisensteinStream(p, divisor, form.rmax)
+        c_0, c_y, A, B = _stream_by_k_loop(p, divisor, form.rmax)
         assert stream.c_0 == c_0 and stream.c_y == c_y
         assert np.array_equal(stream.A, A) and np.array_equal(stream.B, B)
-    empty = EisensteinStream(PairDivisor(p), 40)
+    empty = EisensteinStream(p, {}, 40)
     assert not empty.A.any() and not empty.B.any()

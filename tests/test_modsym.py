@@ -10,7 +10,6 @@ from sympy import Matrix, Rational
 
 from ellreg.characters import enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
-from ellreg.eisenstein import UnimodularMatrix
 from ellreg.lseries import (
     ModularFormData,
     _terms_for_rates,
@@ -45,6 +44,7 @@ from gamma1_symbols import (
 from reference_routes import (
     SIGMA,
     TAU_MAT,
+    UnimodularMatrix,
     _complete_row,
     cusp_width,
     enumerate_symbols,

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from ellreg.characters import (
-    FiniteMap,
     enumerate_characters,
     gauss_sum,
     l_chi_2,
@@ -18,6 +17,7 @@ from ellreg.units import (CuspDivisor, _primitive_part, _unit_lift,
 from reference_routes import (
     DIV_X_LEVEL13,
     DIV_Y_LEVEL13,
+    FiniteMap,
     character_map,
     character_product,
     delta_map,
