@@ -5,11 +5,12 @@ with (Z/N)* cyclic (N = 1, 2, 4, q^k and 2 q^k), chi_k(g^i) = e(k i /
 phi(N)) for g the smallest primitive root.  enumerate_characters lists
 chi_k at index k, labels name chi_k by its value at g, and modulo a prime,
 the verify suites' case, character_table holds the exponents as arrays
-and makes no character object.  One cached table per modulus, _unit_logs,
-holds g, its powers and the discrete logs that all of these read.  A
-DirichletCharacter is its modulus and k: its value at a is an integer
-exponent modulo its order, read from the logs, so conjugates and
-equality are exact; complex values are cached on first use.
+and makes no character object, and character_sums takes sum_a chi_k(a)
+f(a) for every k as one transform.  One cached table per modulus,
+_unit_logs, holds g, its powers and the discrete logs that all of these
+read.  A DirichletCharacter is its modulus and k: its value at a is an
+integer exponent modulo its order, read from the logs, so conjugates
+and equality are exact; complex values are cached on first use.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class CharacterTable(NamedTuple):
     chi_k is even exactly when k is.  powers[i] = g^i mod p, logs[a] is
     the i with g^i = a (logs[0] = 0 holds no log) and tau[k] = tau(chi_k).
     A sum sum_a chi_k(a) F(a) over every k is one DFT of F(powers) (Rader's
-    re-indexing).  All three arrays are read-only.
+    re-indexing, character_sums).  All three arrays are read-only.
     """
 
     powers: np.ndarray
@@ -246,6 +247,12 @@ def character_values(p: int, ks) -> np.ndarray:
     values = roots[np.multiply.outer(ks, character_table(p).logs) % n]
     values[..., 0] = 0.0
     return values
+
+
+def character_sums(f: np.ndarray, p: int) -> np.ndarray:
+    """sum_a chi_k(a) f[a] along axis 0 for every exponent k mod the prime
+    p, at index k: one inverse DFT of f at the powers of g (f[0] unread)."""
+    return np.fft.ifft(f[character_table(p).powers], axis=0, norm="forward")
 
 
 def pair_sum(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> complex:

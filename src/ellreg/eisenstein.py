@@ -2,19 +2,19 @@
 
 E* is evaluated by one route: a combined divisor-sum expansion
 ("stream") for weighted sums of E*_{(u,v)} over a pair divisor, a dict
-of weights on (Z/N)^2.  The closed forms through the Kronecker limit
-formulas (Dedekind eta and Siegel theta products) are the tests'
-reference route.
+of weights on (Z/N)^2, with the constant terms of every u mod N from one
+FFT.  The closed forms through the Kronecker limit formulas (Dedekind
+eta and Siegel theta products) are the tests' reference route.
 
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams.  Every suite integrates it over the arc
 rho -> rho^2, pulled back along a line of P^1(F_p), by one pair of
 Gauss-Legendre rules (ARC_NODES): the value at the fine rule, its gap
 to the coarse rule as the error.  The arcs of eta_chi on the lines are
-character transforms of E*, whose q-expansions have twisted divisor
-sums as coefficients (line_arcs); arc_integral evaluates one of them
-from the streams of the pulled-back divisors (eta_chi) at the same
-nodes.
+character transforms of E* (characters.character_sums), whose
+q-expansions have twisted divisor sums as coefficients (line_arcs);
+arc_integral evaluates one of them from the streams of the pulled-back
+divisors (eta_chi) at the same nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import character_table, character_values
+from .characters import character_sums, character_table, character_values
 from .special import ABS_TOL, gauss_legendre_nodes
 
 EULER_GAMMA = 0.5772156649015329
@@ -32,24 +32,22 @@ TWO_PI = 2.0 * math.pi
 
 
 def _beta2(v, N: int):
-    """sum_b cos(2 pi b v / N) B2bar(b / N), for an integer v or array of v."""
-    t = np.arange(N) / N
-    return _cosines(v, np.arange(N), N) @ (t * t - t + 1.0 / 6.0)
+    """sum_b cos(2 pi b v / N) B2bar(b / N) for an integer v or array of v,
+    from the Fourier series of B2: with m = min(v mod N, -v mod N), 1 / (6 N)
+    at m = 0, else 1 / (2 N sin^2(pi m / N)); the lesser angle keeps digits."""
+    m = np.minimum(np.mod(v, N), np.mod(-v, N))
+    s = np.sin(math.pi * np.maximum(m, 1) / N)
+    return np.where(m == 0, 1.0 / (6 * N), 1.0 / (2 * N * s**2))
 
 
-def _constant_term(u, N: int):
-    """The constant term of E*_(u,v), the same for every v, for an
-    integer u or array of u."""
-    a = np.arange(1, N)
-    logs = np.log(np.abs(1.0 - np.exp(2j * math.pi * a / N)))
+def _constant_terms(N: int):
+    """The constant term of E*_(u,v), the same for every v, for u = 0 ..
+    N - 1: (2 pi / N^2)(gamma - log 2 - sum_a cos(2 pi u a / N) l[a]) with
+    l[a] = log |1 - e(a / N)| and l[0] = 0, one FFT of l."""
+    logs = np.zeros(N)
+    logs[1:] = np.log(np.abs(1.0 - np.exp(TWO_PI * 1j * np.arange(1, N) / N)))
     return (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0)
-                              - _cosines(u, a, N) @ logs)
-
-
-def _cosines(x, a, N: int):
-    """cos(2 pi x a / N) for every x and a, with x a reduced mod N in
-    integers first."""
-    return np.cos(TWO_PI * (np.multiply.outer(x, a) % N) / N)
+                              - np.fft.fft(logs).real)
 
 
 def _multiples(ks, rmax: int):
@@ -80,12 +78,10 @@ class EisensteinStream:
         # k and m, added in one pass each: np.add.at adds in index order,
         # so each A_r and B_r rounds as that loop would.
         at, to_a, to_b = [], [], []
-        constant = {}  # the constant term, the same for every pair with this u
+        constant = _constant_terms(N)
         for (u, v), c in divisor.items():
             if u == 0:
                 self.c_y += c * (2.0 * math.pi**2 / N) * _beta2(v, N)
-            if u not in constant:
-                constant[u] = _constant_term(u, N)
             self.c_0 += c * constant[u]
             for sign in (1, -1):
                 # r = k m with k = sign u mod N gains e(sign m v / N) / k.
@@ -252,12 +248,10 @@ def line_arcs(p: int):
     W0 = np.zeros((p, J))
     cusp = dmod == 0
     np.add.at(W0, (m[cusp] % p, d[cusp] // p * m[cusp]), inverse[cusp])
-    chi = character_values(p, reps)
-    # r = 0 holds C / 2, and the mirror adds the other half.
-    const = chi @ _constant_term(np.arange(p), p) / 2
-    a0 = (TWO_PI / p) * tau[reps, None] * (chi.conj() @ W0)
-    c_y = (2.0 * math.pi**2 / p) * chi @ _beta2(np.arange(p), p)
-    del chi
+    # r = 0 holds C / 2 (the mirror adds the rest); conj chi_k = chi_-k.
+    const = character_sums(_constant_terms(p), p)[reps] / 2
+    a0 = (TWO_PI / p) * tau[reps, None] * character_sums(W0, p)[-reps]
+    c_y = 2.0 * math.pi**2 / p * character_sums(_beta2(r[:p], p), p)[reps]
     deriv = 2j * math.pi * r / p
     bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
     rules = []

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import character_table, pair_sum
+from .characters import character_sums, character_table, pair_sum
 from .elliptic import CurveModel, an_coefficients
 from .special import ABS_TOL, TruncationError, exp_integral_e1
 
@@ -231,13 +231,11 @@ def l_value(form: ModularFormData, s) -> complex:
     return lambda_value(form, s) * TWO_PI ** s * form.level ** (-s / 2.0)
 
 
-def _character_sums(terms: np.ndarray, p: int) -> np.ndarray:
-    """sum_n chi_k(n) terms[n], n = 0, 1, ..., for every exponent k mod
-    the prime p: the terms binned by n mod p, then one transform over the
-    discrete logs, as chi_k(g^i) = e(k i / (p - 1))."""
+def _residue_bins(terms: np.ndarray, p: int) -> np.ndarray:
+    """sum of terms[n] over n = 0, 1, ... by n mod p: character_sums of
+    the bins is sum_n chi_k(n) terms[n] for every k."""
     n = np.arange(len(terms)) % p
-    bins = np.bincount(n, terms.real, p) + 1j * np.bincount(n, terms.imag, p)
-    return np.fft.ifft(bins[character_table(p).powers], norm="forward")
+    return np.bincount(n, terms.real, p) + 1j * np.bincount(n, terms.imag, p)
 
 
 def _twisted_series(form: ModularFormData, z: np.ndarray) -> np.ndarray:
@@ -247,8 +245,9 @@ def _twisted_series(form: ModularFormData, z: np.ndarray) -> np.ndarray:
     a = form.coefficients
     counts = _terms_for_rates(TWO_PI * z.imag, form.nmax)
     return np.stack([
-        _character_sums(a[:k + 1] * np.exp(2j * math.pi * np.arange(k + 1)
-                                           * point), form.level)[1:]
+        character_sums(_residue_bins(
+            a[:k + 1] * np.exp(2j * math.pi * np.arange(k + 1) * point),
+            form.level), form.level)[1:]
         for point, k in zip(z, counts)], axis=-1)
 
 
@@ -257,7 +256,7 @@ def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
 
     f (x) chi_k has level p^2 and the stream chi_k(n) a_n, which is never
     built: its root number samples _twisted_series, and its Lambda sum
-    S_k = sum_n chi_k(n) a_n G(n) is one _character_sums call for every k.
+    S_k = sum_n chi_k(n) a_n G(n) is one character_sums call for every k.
     At s = 1 the weights G are real, so the dual half is conj(S_k), and
     Lambda_k = S_k - w_k conj(S_k).
     """
@@ -265,7 +264,7 @@ def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
     w = _root_numbers(lambda z: _twisted_series(form, z), m)
     k = _term_count(m, form.nmax)
     terms = form.coefficients[:k + 1] * np.append(0.0, _weights(1, m, k))
-    sums = _character_sums(terms, p)[1:]
+    sums = character_sums(_residue_bins(terms, p), p)[1:]
     return np.concatenate([[math.nan], sums - w * sums.conj()])
 
 

@@ -24,7 +24,8 @@ Mahler inner measure, np.roots on one row with a Newton step.  Last,
 the character objects' value tables and labels, and the dense sums over
 them (einsums over a (p - 1) x p value table) that the package now makes
 as one transform over the discrete logs, and 30-digit mpmath sums (Gauss
-sums, character roots, twisted q-series) to check those transforms by.
+sums, character roots, twisted q-series, the constant terms of E* and
+its B2bar cosine sums) to check those transforms and closed forms by.
 The module opens with weight maps on Z/N, SL_2(Z) acting on pair
 divisors and eta forms of any two weight maps pulled back along any
 lift: the package's stream oracle builds eta_chi on one line of
@@ -53,8 +54,6 @@ from ellreg.eisenstein import (
     TWO_PI,
     EisensteinStream,
     EtaForm,
-    _beta2,
-    _constant_term,
     suggested_rmax,
 )
 from ellreg.elliptic import (TWO_PI_I, CurveModel, PeriodLattice,
@@ -390,6 +389,29 @@ def matrix_lift(x, level: int | None = None) -> UnimodularMatrix:
     raise RuntimeError("no coprime lift found for %r" % (x,))
 
 
+def _cosines(x, a, N: int):
+    """cos(2 pi x a / N) for every x and a, with x a reduced mod N in
+    integers first."""
+    return np.cos(TWO_PI * (np.multiply.outer(x, a) % N) / N)
+
+
+def beta2_direct(v, N: int):
+    """sum_b cos(2 pi b v / N) B2bar(b / N) as the direct cosine sum, for
+    an integer v or array of v."""
+    t = np.arange(N) / N
+    return _cosines(v, np.arange(N), N) @ (t * t - t + 1.0 / 6.0)
+
+
+def constant_term_direct(u, N: int):
+    """The constant term of E*_(u,v) as the direct cosine sum
+    (2 pi / N^2)(gamma - log 2 - sum_a cos(2 pi u a / N) log |1 - e(a / N)|),
+    for an integer u or array of u."""
+    a = np.arange(1, N)
+    logs = np.log(np.abs(1.0 - np.exp(2j * math.pi * a / N)))
+    return (TWO_PI / N**2) * (EULER_GAMMA - math.log(2.0)
+                              - _cosines(u, a, N) @ logs)
+
+
 class ArcTable:
     """E*_x and the pairing data of d_z E*_x for every x != 0 in (Z/p)^2,
     p prime, at the 32 and 64 Gauss-Legendre nodes of the arc rho -> rho^2.
@@ -439,7 +461,7 @@ class ArcTable:
         us, vs = np.where(x[:, :1] > p - x[:, :1], -x % p, x).T
 
         c_log = -math.pi / p**2
-        c_0 = _constant_term(np.arange((p + 1) // 2), p)
+        c_0 = constant_term_direct(np.arange((p + 1) // 2), p)
         V = np.empty((us.size, z.size))
         X = np.empty((us.size, z.size))
         for u in range((p + 1) // 2):
@@ -451,7 +473,7 @@ class ArcTable:
             dhol = (2j * math.pi**2 / p**2) * (t_u[v] + t_w[(-v) % p])
             c_y = np.zeros((v.size, 1))
             if u == 0:
-                c_y[:, 0] = (2.0 * math.pi**2 / p) * _beta2(v, p)
+                c_y[:, 0] = (2.0 * math.pi**2 / p) * beta2_direct(v, p)
             V[block] = c_y * y + c_log * np.log(y) + c_0[u] + 2.0 * hol.real
             # eta(l, m) is bilinear in the divisors; with X = 2 Im(d_z E*
             # wdz), rows x and y pair to i (V_x X_y - V_y X_x).
@@ -1128,6 +1150,34 @@ def gauss_sums_mpmath(p: int, ks, dps: int = 30) -> np.ndarray:
         return np.array([complex(mpmath.fsum(unit[k * i % (p - 1)] * e
                                              for i, e in terms))
                          for k in ks])
+
+
+def beta2_mpmath(vs, N: int, dps: int = 30) -> np.ndarray:
+    """sum_b cos(2 pi b v / N) B2bar(b / N) for each v in vs, the direct
+    sum in dps-digit mpmath arithmetic, rounded once."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        b2 = [(mpmath.mpf(b) / N) ** 2 - mpmath.mpf(b) / N + mpmath.mpf(1) / 6
+              for b in range(N)]
+        return np.array([float(mpmath.fsum(
+            mpmath.cospi(mpmath.mpf(2 * (b * v % N)) / N) * w
+            for b, w in enumerate(b2))) for v in map(int, vs)])
+
+
+def constant_terms_mpmath(us, N: int, dps: int = 30) -> np.ndarray:
+    """The constant term of E*_(u,v) for each u in us, (2 pi / N^2)(gamma
+    - log 2 - sum_a cos(2 pi u a / N) log |1 - e(a / N)|), summed in
+    dps-digit mpmath arithmetic and rounded once."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        logs = [mpmath.log(2 * mpmath.sinpi(mpmath.mpf(a) / N))
+                for a in range(1, N)]
+        head = mpmath.euler - mpmath.log(2)
+        return np.array([float(2 * mpmath.pi / N**2 * (head - mpmath.fsum(
+            mpmath.cospi(mpmath.mpf(2 * (u * a % N)) / N) * w
+            for a, w in enumerate(logs, 1)))) for u in map(int, us)])
 
 
 def character_values_mpmath(p: int, ks, dps: int = 30) -> np.ndarray:

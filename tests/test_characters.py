@@ -12,6 +12,7 @@ from ellreg.characters import (
     _primitive_root,
     _totient,
     character_from_label,
+    character_sums,
     character_table,
     character_values,
     enumerate_characters,
@@ -344,3 +345,18 @@ def test_pair_sum_is_the_double_loop_over_exponent_pairs(p):
         for k in range(n):
             want += a[j] * b[k] * f[(j + k) % n]
     assert abs(pair_sum(a, b, f) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
+def test_character_sums_are_the_dense_value_table_product(p):
+    # One transform at the powers of g against every row of the (p - 1) x
+    # p value table, for a complex vector and a p x 3 matrix.
+    rng = np.random.default_rng(p)
+    table = character_values(p, np.arange(p - 1))
+    vector = rng.normal(size=(p, 2)) @ [1.0, 1.0j]
+    matrix = rng.normal(size=(p, 3))
+    for f in (vector, matrix):
+        want = table @ f
+        got = character_sums(f, p)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -25,7 +25,7 @@ from ellreg.eisenstein import (
     suggested_rmax,
 )
 from ellreg.characters import _divisors
-from ellreg.eisenstein import _beta2, _constant_term
+from ellreg.eisenstein import _beta2, _constant_terms
 from ellreg.modsym import SymbolIndex
 
 import reference_routes
@@ -37,9 +37,11 @@ from reference_routes import (
     UnimodularMatrix,
     _pairings_on_every_line,
     _restricted_zeta2,
+    beta2_mpmath,
     character_map,
     character_value_table,
     chi_form,
+    constant_terms_mpmath,
     delta_map,
     divisor_bracket,
     e_star_map,
@@ -729,10 +731,11 @@ def _stream_by_k_loop(n, divisor, rmax):
     c_y = c_0 = 0.0 + 0.0j
     A = np.zeros(rmax + 1, dtype=complex)
     B = np.zeros(rmax + 1, dtype=complex)
+    constant = _constant_terms(n)
     for (u, v), c in divisor.items():
         if u == 0:
             c_y += c * (2.0 * math.pi**2 / n) * _beta2(v, n)
-        c_0 += c * _constant_term(u, n)
+        c_0 += c * constant[u]
         for sign in (1, -1):
             for k in range((sign * u) % n or n, rmax + 1, n):
                 m = np.arange(1, rmax // k + 1)
@@ -757,3 +760,20 @@ def test_stream_builds_round_as_the_k_loop_does(p):
         assert np.array_equal(stream.A, A) and np.array_equal(stream.B, B)
     empty = EisensteinStream(p, {}, 40)
     assert not empty.A.any() and not empty.B.any()
+
+
+@pytest.mark.parametrize("n", [11, 37, 389, 997, 5077])
+def test_beta2_closed_form_matches_the_direct_sum(n):
+    # Near v = N / 2 the value is about 1 / (2 N) and the direct cosine
+    # sum cancels; the closed form takes the sine at the lesser angle.
+    v = np.array([0, 1, 2, n // 2, n - 1])
+    exact = beta2_mpmath(v, n)
+    assert np.all(np.abs(_beta2(v, n) - exact) <= 1e-15 * np.abs(exact))
+
+
+@pytest.mark.parametrize("n", [11, 37, 389, 997])
+def test_constant_terms_match_the_direct_sum(n):
+    values = _constant_terms(n)
+    u = np.unique([0, 1, 2, 3, n // 3, n // 2, n - 2, n - 1])
+    exact = constant_terms_mpmath(u, n)
+    assert np.abs(values[u] - exact).max() <= 2e-15 * np.abs(values).max()

@@ -436,12 +436,12 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
     modsym.period_integral_oracle(prime_form, [(1, 0), (2, 5)])
     # The longest prefix of the stream that the twisted table bins.
     binned = []
-    real_sums = lseries._character_sums
+    real_bins = lseries._residue_bins
 
     def binning(terms, p):
         binned.append(len(terms) - 1)
-        return real_sums(terms, p)
-    monkeypatch.setattr(lseries, "_character_sums", binning)
+        return real_bins(terms, p)
+    monkeypatch.setattr(lseries, "_residue_bins", binning)
     twisted_lambda_table(prime_form)
     own = {"lambda p": _term_count(p, nmax),
            "lambda p^2": _term_count(p * p, nmax),

@@ -4,14 +4,20 @@
 
 Rows are matched by their check name, and ``seconds`` is ignored.  When
 every other field of every row agrees bit for bit, this prints
-"identical" and exits 0.  Otherwise it prints, for each row family (the
-first two ':' fields of a check name) with a row that differs, the
+"identical".  Otherwise it prints, for each row family (the first two
+':' fields of a check name) with a row that differs, the fields that
+differ (a dict field by its key, as ``truncation.arc_gap``), the
 largest move of either side and the worst error before and after; then
-every flipped verdict and every row present on one side only.  It then
-exits 1, and exits 2 on a wrong number of arguments.
+every flipped verdict and every row present on one side only.  Last
+comes one line per report, ``margin: D digits (CHECK)``, with D = -log10
+of the largest error / tolerance, the figure perfbench's
+``err_margin_digits`` reads, and CHECK the row that sets it.  It exits
+0 when the reports are identical, 1 when they differ and 2 on a wrong
+number of arguments.
 """
 
 import json
+import math
 import os
 import sys
 from collections import defaultdict
@@ -28,22 +34,46 @@ def _rows(path):
 
 
 def _fields(report):
-    """The row as JSON text without its timing: floats print by repr, so
-    equal text is equal bits (and nan equals nan)."""
+    """The row's fields by name as JSON text, without its timing: floats
+    print by repr, so equal text is equal bits (and nan equals nan).  The
+    inputs and truncation dicts give one entry per key, as
+    truncation.arc_gap."""
     data = report.to_dict()
     del data["seconds"]
-    return json.dumps(data, sort_keys=True)
+    for name in ("inputs", "truncation"):
+        data.update(("%s.%s" % (name, key), item)
+                    for key, item in data.pop(name).items())
+    return {name: json.dumps(value, sort_keys=True)
+            for name, value in data.items()}
+
+
+def margin(rows):
+    """The line "margin: D digits (CHECK)" for a {check: CheckReport} map:
+    D = -log10 max(error / tolerance), as perfbench reads it (a nan error
+    counts as the worst), and CHECK the row with that maximum."""
+    def ratio(check):
+        value = rows[check].error / rows[check].tolerance
+        return math.inf if math.isnan(value) else value
+    worst = max(sorted(rows), key=ratio)
+    digits = -math.log10(ratio(worst)) if ratio(worst) > 0 else math.inf
+    return "margin: %.3f digits (%s)" % (digits, worst)
 
 
 def diff(before, after):
     """The report lines for two {check: CheckReport} maps, [] when they
     are identical."""
     families = defaultdict(list)
+    fields = defaultdict(set)  # the fields that differ, by family
     flipped = []
     for check in before.keys() & after.keys():
         old, new = before[check], after[check]
-        if _fields(old) != _fields(new):
-            families[":".join(check.split(":")[:2])].append((old, new))
+        old_fields, new_fields = _fields(old), _fields(new)
+        moved = {name for name in old_fields.keys() | new_fields.keys()
+                 if old_fields.get(name) != new_fields.get(name)}
+        if moved:
+            family = ":".join(check.split(":")[:2])
+            families[family].append((old, new))
+            fields[family] |= moved
         if old.passed != new.passed:
             flipped.append("flipped: %s %s -> %s" % (
                 check, *("PASS" if r.passed else "FAIL" for r in (old, new))))
@@ -51,10 +81,10 @@ def diff(before, after):
     for family, pairs in sorted(families.items()):
         moved = max(max(abs(new.left - old.left), abs(new.right - old.right))
                     for old, new in pairs)
-        lines.append("%s: %d rows differ, largest side move %.3e, worst "
-                     "error %.3e -> %.3e" % (
-                         family, len(pairs), moved,
-                         max(old.error for old, _ in pairs),
+        lines.append("%s: %d rows differ in %s, largest side move %.3e, "
+                     "worst error %.3e -> %.3e" % (
+                         family, len(pairs), ", ".join(sorted(fields[family])),
+                         moved, max(old.error for old, _ in pairs),
                          max(new.error for _, new in pairs)))
     lines += sorted(flipped)
     lines += ["only in the first report: " + c
@@ -70,8 +100,10 @@ def main(argv=None):
         print("usage: python3 tools/report_diff.py PARENT.json CHANGE.json",
               file=sys.stderr)
         return 2
-    lines = diff(*map(_rows, argv))
-    print("\n".join(lines) if lines else "identical")
+    reports = [_rows(path) for path in argv]
+    lines = diff(*reports)
+    print("\n".join((lines or ["identical"])
+                    + [margin(rows) for rows in reports if rows]))
     return 1 if lines else 0
 
 
