@@ -89,7 +89,9 @@ def a_p(curve: CurveModel, p: int) -> int:
     legendre[x * x % p] = 1
     legendre[0] = 0
     b2, b4, b6 = (b % p for b in curve.b_invariants[:3])
-    return -int(np.sum(legendre[(((4 * x + b2) * x + 2 * b4) * x + b6) % p]))
+    # Reduced after each product, so int64 holds it for p up to 3e9.
+    cubic = ((4 * x + b2) % p * x + 2 * b4) % p * x + b6
+    return -int(np.sum(legendre[cubic % p]))
 
 
 def _smallest_prime_factors(n):

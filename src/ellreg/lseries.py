@@ -9,13 +9,16 @@ special values of motivic L-functions", Experiment. Math. 13, 2004)
     Lambda(g, s) = sum_n a_n G_s(cn) - w sum_n conj(a_n) G_{2-s}(cn),
 
 with c = 2pi/sqrt(M), G_s(x) = x^{-s} Gamma(s, x), and w the
-Atkin-Lehner pseudo-eigenvalue, always measured numerically from the
-transformation g(-1/(Mz)) = w M z^2 gbar(z).  The identities read
-Lambda only at s = 1 (the central values) and s = 2 (L(E, 2)), where
-the weights are elementary: G_1(x) = e^-x / x, G_2(x) = (1 + x) e^-x /
-x^2 and G_0 = E_1.  The twists f (x) chi_k of a prime-level form are
-never written out: each of their sums is, for every k at once, one
-transform of the form's terms binned by n mod p.
+Atkin-Lehner pseudo-eigenvalue.  A form's w is measured numerically from
+the transformation g(-1/(Mz)) = w M z^2 gbar(z); a twist f (x) chi_k of
+a newform of prime level p, p exactly dividing it, has the closed form
+w = tau(chi_k)^2 / p (Atkin and Li, "Twists of newforms and
+pseudo-eigenvalues of W-operators", Invent. Math. 48, 1978).  The
+identities read Lambda only at s = 1 (the central values) and s = 2
+(L(E, 2)), where the weights are elementary: G_1(x) = e^-x / x, G_2(x)
+= (1 + x) e^-x / x^2 and G_0 = E_1.  The twists are never written out:
+their Lambda sum is, for every k at once, one transform of the form's
+terms binned by n mod p.
 The module also covers the residue of L(f (x) f, s) at s = 2 expressed
 through the twisted central values.
 """
@@ -34,7 +37,7 @@ from .elliptic import CurveModel, an_coefficients
 from .special import ABS_TOL, TruncationError, exp_integral_e1
 
 TWO_PI = 2.0 * math.pi
-_ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # _root_numbers' y * sqrt(level)
+_ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # root_number's y * sqrt(level)
 _ROOT_TOL = 1e-8  # how far its two samples may differ, and |w| from 1
 
 
@@ -72,12 +75,6 @@ def newform_from_curve(curve: CurveModel, nmax: int) -> ModularFormData:
     return ModularFormData(curve.conductor, a, label="%da" % curve.conductor)
 
 
-def _root_rates(level: int) -> np.ndarray:
-    # The decay rates of _root_numbers' sums: every height and its dual.
-    y = np.array(_ROOT_HEIGHTS) / math.sqrt(level)
-    return TWO_PI * np.concatenate([y, 1.0 / (level * y)])
-
-
 @lru_cache(maxsize=None)
 def _term_count(level: int, nmax: int) -> int:
     # The terms of a q-expansion at the height 1 / sqrt(level) (1 / sqrt 3
@@ -86,26 +83,12 @@ def _term_count(level: int, nmax: int) -> int:
     return int(_terms_for_rates(np.array([c]), nmax)[0])
 
 
-def _twist_terms(p: int, nmax: int) -> int:
-    """The terms of the twists f (x) chi_k, of level p^2, that
-    twisted_lambda_table reads, at any root-number height."""
-    return max(int(_terms_for_rates(_root_rates(p * p), nmax).max()),
-               _term_count(p * p, nmax))
-
-
-def _oracle_terms(p: int, nmax: int) -> int:
-    """The terms the period oracle sums, at height 1 / p."""
-    return int(_terms_for_rates(np.array([TWO_PI / p]), nmax)[0])
-
-
 def newform_terms(level: int) -> int:
-    """The most terms of a prime-level newform's stream that any sum
-    reads: Lambda and the root number at the level, the twists at its
-    square (_twist_terms) and the period oracle (_oracle_terms)."""
-    n = sys.maxsize
-    return max(_term_count(level, n), _twist_terms(level, n),
-               _oracle_terms(level, n),
-               int(_terms_for_rates(_root_rates(level), n).max()))
+    """The most terms of a newform of prime level p that any sum reads,
+    _term_count(p * p, sys.maxsize): the twists' Lambda at p^2 and the
+    period oracle read it at height 1 / p, which for p >= 3 lies below
+    Lambda's 1 / sqrt(p) and the root number's lowest, 1 / (1.67 sqrt(p))."""
+    return _term_count(level * level, sys.maxsize)
 
 
 def _terms_for_rates(rates: np.ndarray, nmax: int) -> np.ndarray:
@@ -157,48 +140,36 @@ def q_expansions(streams: np.ndarray, z) -> np.ndarray:
     return out.reshape(np.shape(streams)[:-1] + z.shape)
 
 
-def _root_numbers(series, level: int) -> np.ndarray:
-    """Atkin-Lehner pseudo-eigenvalues of some forms of one level.
+def root_number(form: ModularFormData) -> complex:
+    """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z).
 
-    series(z) is the forms' q-series at the points z, one row per form.
-    Each form is sampled at the first two of four heights y where its
+    The stream is sampled at the first two of four heights y where its
     partner, the conjugate stream, does not vanish at iy; the two
     samples must agree and have modulus 1.  The partner at iy is
-    conj(g(iy)), so each height sums every form at two points.
+    conj(g(iy)), so each height sums the stream at two points.
     """
-    m = level
+    if form._root_cache:
+        return form._root_cache[0]
+    m = form.level
     samples = []
     for c in _ROOT_HEIGHTS:
-        if samples and all(len(s) == 2 for s in samples):
-            break
         y = c / math.sqrt(m)
-        at_y, at_dual = series(np.array([1j * y, 1j / (m * y)])).T
-        samples = samples or [[] for _ in at_y]
-        for s, num, den in zip(samples, at_dual.tolist(),
-                               at_y.conj().tolist()):
-            if len(s) < 2 and abs(den) >= 1e-12 * math.exp(-TWO_PI * y):
-                s.append(-num / (m * y * y * den))
-    roots = []
-    for s in samples:
-        if len(s) < 2:
-            raise RuntimeError("root number: q-expansion vanished at every "
-                               "sample height")
-        w1, w2 = s
-        if abs(w1 - w2) > _ROOT_TOL or abs(abs(w1) - 1.0) > _ROOT_TOL:
-            raise RuntimeError(
-                "root number inconsistent: samples %r, %r" % (w1, w2))
-        w = 0.5 * (w1 + w2)
-        roots.append(w / abs(w))
-    return np.array(roots)
-
-
-def root_number(form: ModularFormData) -> complex:
-    """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z),
-    by the rule of _root_numbers on the one stream."""
-    if not form._root_cache:
-        form._root_cache.append(complex(_root_numbers(
-            lambda z: q_expansions(form.coefficients[None], z),
-            form.level)[0]))
+        at_y, at_dual = q_expansions(form.coefficients,
+                                     np.array([1j * y, 1j / (m * y)])).tolist()
+        den = at_y.conjugate()
+        if abs(den) >= 1e-12 * math.exp(-TWO_PI * y):
+            samples.append(-at_dual / (m * y * y * den))
+            if len(samples) == 2:
+                break
+    else:
+        raise RuntimeError("root number: q-expansion vanished at every "
+                           "sample height")
+    w1, w2 = samples
+    if abs(w1 - w2) > _ROOT_TOL or abs(abs(w1) - 1.0) > _ROOT_TOL:
+        raise RuntimeError(
+            "root number inconsistent: samples %r, %r" % (w1, w2))
+    w = 0.5 * (w1 + w2)
+    form._root_cache.append(w / abs(w))
     return form._root_cache[0]
 
 
@@ -238,30 +209,27 @@ def _residue_bins(terms: np.ndarray, p: int) -> np.ndarray:
     return np.bincount(n, terms.real, p) + 1j * np.bincount(n, terms.imag, p)
 
 
-def _twisted_series(form: ModularFormData, z: np.ndarray) -> np.ndarray:
-    """sum_n chi_k(n) a_n e(n z), the q-series of f (x) chi_k, at each
-    point of z (columns) for k = 1 .. p - 2 (rows); each point sums the
-    terms its height needs (_terms_for_rates), as q_expansions does."""
-    a = form.coefficients
-    counts = _terms_for_rates(TWO_PI * z.imag, form.nmax)
-    return np.stack([
-        character_sums(_residue_bins(
-            a[:k + 1] * np.exp(2j * math.pi * np.arange(k + 1) * point),
-            form.level), form.level)[1:]
-        for point, k in zip(z, counts)], axis=-1)
+def _twist_roots(p: int) -> np.ndarray:
+    """w_k = tau(chi_k)^2 / p for k = 1 .. p - 2: the pseudo-eigenvalue
+    of f (x) chi_k when p exactly divides the level of f (Atkin and Li,
+    Invent. Math. 48, 1978).  Taken as chi_k(-1) tau_k / tau_-k, equal
+    as tau_-k = chi_k(-1) conj(tau_k) and |tau_k|^2 = p: half the
+    rounding error of the square, and real at the real character."""
+    tau, k = character_table(p).tau, np.arange(1, p - 1)
+    return (-1.0) ** k * tau[k] / tau[-k]
 
 
 def twisted_lambda_table(form: ModularFormData) -> np.ndarray:
     """Lambda[k] = Lambda(f (x) chi_k, 1) by character exponent, nan at k = 0.
 
     f (x) chi_k has level p^2 and the stream chi_k(n) a_n, which is never
-    built: its root number samples _twisted_series, and its Lambda sum
+    built: its root number is _twist_roots(p)[k - 1], and its Lambda sum
     S_k = sum_n chi_k(n) a_n G(n) is one character_sums call for every k.
     At s = 1 the weights G are real, so the dual half is conj(S_k), and
     Lambda_k = S_k - w_k conj(S_k).
     """
     p, m = form.level, form.level ** 2
-    w = _root_numbers(lambda z: _twisted_series(form, z), m)
+    w = _twist_roots(p)
     k = _term_count(m, form.nmax)
     terms = form.coefficients[:k + 1] * np.append(0.0, _weights(1, m, k))
     sums = character_sums(_residue_bins(terms, p), p)[1:]

@@ -21,7 +21,7 @@ import numpy as np
 from .characters import character_table
 from .lseries import (
     ModularFormData,
-    _oracle_terms,
+    _term_count,
     l_value,
     q_expansions,
     root_number,
@@ -193,7 +193,7 @@ def period_integral_oracle(form: ModularFormData, symbols,
     # j = d / c for the bottom rows (c, d) of g and gS; p marks p | c.
     rows = np.array([((u, v), (v, -u)) for u, v in pairs], dtype=int)
     js = line_index(*rows.reshape(-1, 2).T, p).tolist()
-    k = _oracle_terms(p, form.nmax)
+    k = _term_count(p * p, form.nmax)
     a = form.coefficients[:k + 1]
     halves = {p: q_expansions(a, 1j * ts)}
     twists = sorted(set(js) - {p})

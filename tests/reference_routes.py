@@ -24,8 +24,8 @@ Mahler inner measure, np.roots on one row with a Newton step.  Last,
 the character objects' value tables and labels, and the dense sums over
 them (einsums over a (p - 1) x p value table) that the package now makes
 as one transform over the discrete logs, and 30-digit mpmath sums (Gauss
-sums, character roots, twisted q-series, the constant terms of E* and
-its B2bar cosine sums) to check those transforms and closed forms by.
+sums, character roots, the constant terms of E* and its B2bar cosine
+sums) to check those transforms and closed forms by.
 The module opens with weight maps on Z/N, SL_2(Z) acting on pair
 divisors and eta forms of any two weight maps pulled back along any
 lift: the package's stream oracle builds eta_chi on one line of
@@ -1193,39 +1193,6 @@ def character_values_mpmath(p: int, ks, dps: int = 30) -> np.ndarray:
         logs[pow(g, i, p)] = i
     return np.array([[0.0] + [roots[k * logs[a] % (p - 1)]
                               for a in range(1, p)] for k in ks])
-
-
-def twisted_series_mpmath(form: ModularFormData, z,
-                          dps: int = 30) -> np.ndarray:
-    """sum_n chi_k(n) a_n e(n z) for k = 1 .. p - 2 (rows) at each point
-    of the imaginary axis in z (columns), over the same terms as
-    lseries._twisted_series, summed in dps-digit mpmath arithmetic and
-    rounded once."""
-    import mpmath
-
-    from ellreg.lseries import _terms_for_rates
-
-    p = form.level
-    a = [int(round(x.real)) for x in form.coefficients]
-    g, logs = _primitive_root(p), [0] * p
-    for i in range(p - 1):
-        logs[pow(g, i, p)] = i
-    counts = _terms_for_rates(2 * math.pi * np.imag(z), form.nmax)
-    out = np.empty((p - 2, len(z)), dtype=complex)
-    with mpmath.workdps(dps):
-        unit = [mpmath.expjpi(mpmath.mpf(2 * e) / (p - 1))
-                for e in range(p - 1)]
-        for col, (point, count) in enumerate(zip(z, counts)):
-            q = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(point.imag))
-            bins, qn = [mpmath.mpf(0)] * p, mpmath.mpf(1)
-            for n in range(1, count + 1):
-                qn *= q
-                bins[n % p] += a[n] * qn
-            for k in range(1, p - 1):
-                out[k - 1, col] = complex(mpmath.fsum(
-                    unit[k * logs[b] % (p - 1)] * bins[b]
-                    for b in range(1, p)))
-    return out
 
 
 def character_value_table(p: int) -> np.ndarray:

@@ -276,10 +276,10 @@ def test_summary_reports_the_runs_wall_and_cpu_time(capsys):
 
 
 def test_default_flags_reach_the_389_newform():
-    # The curve alone sizes the newform: 389a builds the 5,411 terms its
+    # The curve alone sizes the newform: 389a builds the 3,000 terms its
     # sums read.
     config = resolve_config(curve=CurveModel(0, 1, 1, -2, 0, 389))
-    assert config.context.form.nmax == newform_terms(389) == 5411
+    assert config.context.form.nmax == newform_terms(389) == 3000
 
 
 def test_terms_is_not_an_option(capsys):
@@ -303,11 +303,11 @@ def test_the_997_model_builds_the_newform_its_sums_read(monkeypatch,
         raise AssertionError("a suite started work")
     monkeypatch.setattr(verify, "newform_from_curve", stop)
     monkeypatch.setattr(verify, "character_table", unreachable)
-    # At default flags a model of conductor 997 builds the 13,891 terms
+    # At default flags a model of conductor 997 builds the 8,671 terms
     # that its sums read.
     for suite in ("all", "thm1", "thm2", "thm3", "appendix"):
         argv = ["verify", suite, "--curve", "0,-1,1,-5,-3,997"]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             "ellreg: stopped at the newform build\n")
-    assert built == [newform_terms(997)] * 5 == [13891] * 5
+    assert built == [newform_terms(997)] * 5 == [8671] * 5

@@ -85,6 +85,21 @@ def point_count_ap(curve, p):
     return p + 1 - count
 
 
+def test_ap_stays_exact_where_the_cubic_passes_int64():
+    # At p = 1,500,007, 4 x^3 passes 2^63 for the largest x: a cubic
+    # formed in int64 before its reduction wraps (a_p read -1080 there).
+    # The reference sums the Legendre symbols in Python integers.
+    p = 1_500_007
+    b2, b4, b6 = CURVE_11A.b_invariants[:3]
+    is_square = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        is_square[y * y % p] = 1
+    values = [(((4 * x + b2) * x + 2 * b4) * x + b6) % p for x in range(p)]
+    want = values.count(0) - p + 2 * sum(is_square[v] for v in values)
+    assert abs(want) <= 2 * math.sqrt(p)
+    assert a_p(CURVE_11A, p) == -want == -1532
+
+
 @pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: "%da" % m[-1])
 def test_ap_legendre_sum_matches_point_count(model):
     curve = CurveModel(*model)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel, a_p
 from ellreg.lseries import (
     ModularFormData,
     _ROOT_HEIGHTS,
-    _root_numbers,
     _term_count,
     _terms_for_rates,
-    _twist_terms,
-    _twisted_series,
+    _twist_roots,
     _weights,
     l_value,
     lambda_value,
@@ -34,10 +33,10 @@ from reference_routes import (
     character_value_table,
     conjugate_partner,
     dirichlet_series_direct,
+    gauss_sums_mpmath,
     rankin_convolution_check,
     rankin_sigma,
     twist_by_character,
-    twisted_series_mpmath,
 )
 
 # Elliptic dilogarithm of the five-torsion point on the conductor-11
@@ -341,32 +340,49 @@ def test_batched_twisted_table_matches_per_twist_values(prime_form):
         assert abs(value - want[k]) <= 1e-14 * scale, k
 
 
-def test_stacked_twist_root_numbers_match_the_per_twist_route(prime_form):
-    # Both routes against one rule applied to 30-digit sums of the same
-    # terms.  They sum in different orders, and at 37 they differ by up to
-    # 9.6e-15; the binned route's worst error is within 2e-15 or no larger
-    # than the per-twist route's.
-    p = prime_form.level
-    chars = enumerate_characters(p)[1:]
-    stacked = _root_numbers(lambda z: _twisted_series(prime_form, z), p * p)
-    assert stacked.shape == (p - 2,)
-    exact = _root_numbers(
-        lambda z: twisted_series_mpmath(prime_form, z), p * p)
-    per_twist = np.array([root_number(twist_by_character(prime_form, chi))
-                          for chi in chars])
-    binned_error = np.abs(stacked - exact).max()
-    assert binned_error <= max(2e-15, np.abs(per_twist - exact).max())
+def _root_terms(level, nmax=sys.maxsize):
+    # q_expansions' count at every root-number height and its dual.
+    y = np.array(_ROOT_HEIGHTS) / math.sqrt(level)
+    imag = np.concatenate([y, 1.0 / (level * y)])
+    return int(_terms_for_rates(2 * math.pi * imag, nmax).max())
+
+
+TWIST_CURVES = {**PRIME_CURVES, 389: CurveModel(0, 1, 1, -2, 0, 389),
+                997: CurveModel(0, -1, 1, -5, -3, 997)}
+
+
+@pytest.mark.parametrize("p", sorted(TWIST_CURVES))
+def test_stacked_twist_root_numbers_match_the_per_twist_route(p):
+    # Atkin-Li: w(f (x) chi_k) = tau(chi_k)^2 / p for p exactly dividing
+    # the level of f, whatever the sign of f.  The reference measures each
+    # twist on its own stream of level p^2, at every root-number height.
+    form = newform_from_curve(TWIST_CURVES[p], _root_terms(p * p))
+    closed = _twist_roots(p)
+    measured = np.array([root_number(twist_by_character(form, chi))
+                         for chi in enumerate_characters(p)[1:]])
+    assert np.abs(closed - measured).max() <= 1e-13
+
+
+def test_twist_root_numbers_match_30_digit_gauss_sums_at_389():
+    # tau_k^2 / p from 30-digit Gauss sums, each rounded once before the
+    # square.  At the real character w is chi(-1) = 1 with no imaginary
+    # part.
+    closed = _twist_roots(389)
+    exact = gauss_sums_mpmath(389, range(1, 388)) ** 2 / 389
+    assert np.abs(closed - exact).max() <= 2e-15
+    assert closed[193].imag == 0.0 and abs(closed[193] - 1.0) <= 1e-15
 
 
 def _full_twist_table(form):
     # Every twist stream chi_k(n) a_n written out, all nmax + 1 columns,
-    # its values from the character objects, summed by q_expansions.
+    # its values from the character objects, summed by q_expansions; each
+    # row's w is measured by root_number on that row's stream.
     p, m = form.level, form.level ** 2
     streams = (character_value_table(p)[1:, np.arange(form.nmax + 1) % p]
                * form.coefficients)
-    w = _root_numbers(lambda z: q_expansions(streams, z), m)
     k = _term_count(m, form.nmax)
     g, a = _weights(1.0, m, k), streams[:, 1:k + 1]
+    w = np.array([root_number(ModularFormData(m, row)) for row in streams])
     return a @ g - w * (a.conj() @ g)
 
 
@@ -379,25 +395,30 @@ def _assert_binned_table_matches_the_full_streams(form):
 
 def test_twist_streams_stop_at_the_last_term_read(prime_form):
     table = _assert_binned_table_matches_the_full_streams(prime_form)
-    # The table reads no coefficient past _twist_terms: 453 of 4,001 at
-    # 37 and 1,313 at 101.
-    p, k = prime_form.level, _twist_terms(prime_form.level, prime_form.nmax)
+    # The table reads no coefficient past the Lambda sums' count at p^2:
+    # 249 of 4,001 at 37 and 727 at 101.
+    p, k = prime_form.level, _term_count(prime_form.level ** 2,
+                                         prime_form.nmax)
     assert k < prime_form.nmax // 2
     short = ModularFormData(p, prime_form.coefficients[:k + 1])
     assert np.array_equal(twisted_lambda_table(short)[1:], table)
 
 
 def test_binned_twist_table_matches_the_full_streams_at_389():
+    # Built to the length the measured root numbers read, 5,411 terms.
     curve = CurveModel(0, 1, 1, -2, 0, 389)
     _assert_binned_table_matches_the_full_streams(
-        newform_from_curve(curve, newform_terms(389)))
+        newform_from_curve(curve, _root_terms(389 ** 2)))
 
 
-@pytest.mark.parametrize("nmax", [280, 356, 358, 400, 452, 453, 460])
+@pytest.mark.parametrize("nmax", [240, 248, 249, 280, 356, 358, 400, 452,
+                                  453, 460])
 def test_short_twist_streams_raise_where_the_full_ones_do(nmax):
-    # At 37 the sums need 249 terms for Lambda, 357 for the first two
-    # root-number heights and 453 for all four: below 357 both routes
-    # raise with one message, and from 357 on both return.
+    # At 37 the table needs the 249 terms of its Lambda sums: below 249
+    # it and the full streams' Lambda sums raise with one message, and
+    # from 249 on it returns.  The full streams' measured root numbers
+    # need 357 terms for the first two heights: from there on the two
+    # tables agree.
     long = newform_from_curve(CurveModel(0, 0, 1, -1, 0, 37), 4000)
     form = ModularFormData(37, long.coefficients[:nmax + 1])
 
@@ -408,8 +429,10 @@ def test_short_twist_streams_raise_where_the_full_ones_do(nmax):
             return str(exc)
     binned = outcome(lambda f: twisted_lambda_table(f)[1:])
     full = outcome(_full_twist_table)
-    if isinstance(full, str):
-        assert binned == full
+    if nmax < 249:
+        assert isinstance(binned, str) and binned == full
+    elif nmax < 357:
+        assert not isinstance(binned, str) and isinstance(full, str)
     else:
         assert np.abs(binned - full).max() <= 1e-13 * np.abs(full).max()
 
@@ -419,13 +442,6 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
     from ellreg.verify import resolve_config
 
     p, nmax = prime_form.level, prime_form.nmax
-
-    def root_terms(m):
-        # q_expansions' count at every root-number height and its dual.
-        y = np.array(_ROOT_HEIGHTS) / math.sqrt(m)
-        imag = np.concatenate([y, 1.0 / (m * y)])
-        return int(_terms_for_rates(2 * math.pi * imag, nmax).max())
-
     widths = []
     real = modsym.q_expansions
 
@@ -445,7 +461,7 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
     twisted_lambda_table(prime_form)
     own = {"lambda p": _term_count(p, nmax),
            "lambda p^2": _term_count(p * p, nmax),
-           "roots p": root_terms(p), "roots p^2": root_terms(p * p),
+           "roots p": _root_terms(p, nmax),
            "twist prefix": max(binned),
            "oracle": max(widths)}
     count = newform_terms(p)
@@ -453,3 +469,18 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
     assert count == max(own.values())
     config = resolve_config(curve=PRIME_CURVES[p])
     assert config.context.form.nmax == count
+
+
+@pytest.mark.parametrize("p", [11, 17, 37, 101, 389, 997, 2017, 5077, 10061,
+                               20089])
+def test_newform_terms_covers_every_reader_by_count(p):
+    # Counts only, no newform: Lambda and the root number at p, the
+    # twisted Lambda at p^2 and the period oracle at height 1 / p.
+    count = newform_terms(p)
+    assert count == _term_count(p * p, sys.maxsize)
+    readers = {"lambda p": _term_count(p, sys.maxsize),
+               "roots p": _root_terms(p),
+               "lambda p^2": _term_count(p * p, sys.maxsize),
+               "oracle": int(_terms_for_rates(np.array([2 * math.pi / p]),
+                                              sys.maxsize)[0])}
+    assert all(count >= k for k in readers.values()), readers

@@ -1,4 +1,5 @@
-"""tools/report_diff.py on small synthetic reports."""
+"""tools/report_diff.py on small synthetic reports, and the run list of
+tools/report_set.py."""
 
 import importlib.util
 import os
@@ -7,16 +8,20 @@ import pytest
 
 from ellreg.verify import make_report, reports_to_json
 
-TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                    "report_diff.py")
+TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(TOOLS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def report_diff():
-    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("report_diff")
 
 
 def _rows(identity_right=1.0 + 1e-12, seconds=0.5, drop=None, gap=1e-14):
@@ -101,3 +106,58 @@ def test_a_row_on_one_side_only_is_listed(report_diff, tmp_path, capsys):
                      _rows(drop="thm1:identity:11:b"), _rows())
     assert (code, out) == (1, ["only in the second report: "
                                "thm1:identity:11:b", MARGIN, MARGIN])
+
+
+def test_directories_compare_each_report_they_share(report_diff, tmp_path,
+                                                    capsys):
+    # a.json identical, b.json with a moved side, c.json on one side only.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for path, rows in ((parent, _rows()), (change, _rows())):
+        path.mkdir()
+        (path / "a.json").write_text(reports_to_json(rows))
+    (parent / "b.json").write_text(reports_to_json(_rows()))
+    (change / "b.json").write_text(reports_to_json(
+        _rows(identity_right=1.0 + 3e-12)))
+    (parent / "c.json").write_text(reports_to_json(_rows()))
+    (parent / "notes.txt").write_text("not a report")
+    code = report_diff.main([str(parent), str(change)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out == ["== a.json", "identical", MARGIN, MARGIN,
+                   "== b.json",
+                   "thm1:identity: 1 rows differ in abs_err, error, "
+                   "rel_err, right, largest side move 2.000e-12, worst "
+                   "error 1.000e-12 -> 3.000e-12",
+                   MARGIN, "margin: 2.523 digits (thm1:identity:11:a)",
+                   "only in the first directory: c.json"]
+    # Identical shared reports and no file on one side only exit 0.
+    (parent / "c.json").unlink()
+    (change / "b.json").write_text(reports_to_json(_rows()))
+    assert report_diff.main([str(parent), str(change)]) == 0
+    capsys.readouterr()
+    # A report file against a directory is a usage error.
+    assert report_diff.main([str(parent / "a.json"), str(change)]) == 2
+
+
+def test_report_set_writes_the_seventeen_standard_reports(tmp_path,
+                                                          monkeypatch):
+    report_set = _load("report_set")
+    calls = []
+
+    def fake_main(argv):
+        calls.append(argv)
+        return 1 if "389" in argv[-3] else 0
+    monkeypatch.setattr(report_set.cli, "main", fake_main)
+    out = tmp_path / "reports"
+    assert report_set.main([str(out)]) == 1
+    assert out.is_dir() and len(calls) == 17
+    assert calls[0] == ["verify", "all", "--level", "11", "--out",
+                        str(out / "11-all.json")]
+    assert calls[-1] == ["verify", "appendix", "--curve", "0,1,1,-2,0,389",
+                         "--out", str(out / "389a-appendix.json")]
+    names = sorted(os.path.basename(argv[-1]) for argv in calls)
+    assert names == sorted(
+        ["11-all.json"] + ["%s-%s.json" % (label, suite)
+                           for label in ("17a", "37a", "101a", "389a")
+                           for suite in ("thm1", "thm2", "thm3", "appendix")])
+    assert report_set.main([]) == 2

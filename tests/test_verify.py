@@ -301,7 +301,7 @@ def test_mahler_rows_record_the_lseries_terms_beside_the_lambda_terms(
     rows = {r.check: r for r in suites[11, "mahler"][0]}
     for name in ("mahler:first", "mahler:second"):
         # The length built at 11, the most terms any sum there reads.
-        assert rows[name].truncation["lseries_terms"] == 120
+        assert rows[name].truncation["lseries_terms"] == 73
         assert set(rows[name].truncation["lambda_terms"]) == {"11"}
     assert "lseries_terms" not in rows["mahler:reciprocal"].truncation
     assert "lambda_terms" not in rows["mahler:reciprocal"].truncation
@@ -342,9 +342,9 @@ def test_mahler_rows_report_what_ran(monkeypatch):
     real_newform = verify.newform_from_curve
     monkeypatch.setattr(verify, "newform_from_curve", newform)
     rows = {r.check: r for r in run_mahler(resolve_config())}
-    # L(E, 2) comes from the configured curve, once, built to the 120
+    # L(E, 2) comes from the configured curve, once, built to the 73
     # terms that the sums at 11 read.
-    assert built == [120]
+    assert built == [73]
     assert set(rows) == {"mahler:first", "mahler:second", "mahler:reciprocal"}
     for r in rows.values():
         assert r.passed
@@ -674,7 +674,7 @@ def test_rows_record_the_lambda_terms_actually_summed(c37_run):
     for r in rows:
         key = next((k for k in want if r.check.startswith(k)), None)
         assert r.truncation.get("lambda_terms") == want.get(key), r.check
-        assert r.truncation["lseries_terms"] == 453
+        assert r.truncation["lseries_terms"] == 249
 
 
 def test_lambda_terms_counts_each_level_once():
@@ -817,7 +817,7 @@ def test_rows_match_a_newform_built_to_the_terms_limit(curve, names):
     full = resolve_config(curve=curve)
     full.context.form = newform_from_curve(curve, 4000)
     rows = run(built)
-    assert built.context.form.nmax == {11: 120, 37: 453}[curve.conductor]
+    assert built.context.form.nmax == {11: 73, 37: 249}[curve.conductor]
     assert _rows_but_length(rows) == _rows_but_length(run(full))
     assert {r.truncation.get("lseries_terms") for r in rows} <= {
         built.context.form.nmax, None}
@@ -836,12 +836,12 @@ def test_each_run_sums_the_coefficients_once_to_the_built_length(
     monkeypatch.setattr(lseries, "an_coefficients", recording)
     config = resolve_config()
     assert all(r.passed for r in run_all(config))
-    assert calls == [config.context.form.nmax] == [120]
+    assert calls == [config.context.form.nmax] == [73]
     calls.clear()
     config = resolve_config(curve=CURVE_37A)
     for name in ("thm1", "thm2", "appendix"):
         SUITES[name](config)
-    assert calls == [453]
+    assert calls == [249]
 
 
 def test_positivity_is_a_predicate_no_tolerance_can_pass(monkeypatch):

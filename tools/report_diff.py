@@ -1,6 +1,7 @@
 """Compare two ``ellreg verify --out`` reports row by row.
 
     python3 tools/report_diff.py PARENT.json CHANGE.json
+    python3 tools/report_diff.py PARENT_DIR CHANGE_DIR
 
 Rows are matched by their check name, and ``seconds`` is ignored.  When
 every other field of every row agrees bit for bit, this prints
@@ -11,9 +12,12 @@ largest move of either side and the worst error before and after; then
 every flipped verdict and every row present on one side only.  Last
 comes one line per report, ``margin: D digits (CHECK)``, with D = -log10
 of the largest error / tolerance, the figure perfbench's
-``err_margin_digits`` reads, and CHECK the row that sets it.  It exits
-0 when the reports are identical, 1 when they differ and 2 on a wrong
-number of arguments.
+``err_margin_digits`` reads, and CHECK the row that sets it.  Given two
+directories (as tools/report_set.py writes), it compares each JSON file
+they share by name, under a line ``== NAME``, and lists the files found
+in one directory only.  It exits 0 when the reports are identical, 1
+when they differ (or a file is on one side only) and 2 on a wrong
+number of arguments or a file against a directory.
 """
 
 import json
@@ -94,17 +98,38 @@ def diff(before, after):
     return lines
 
 
+def compare(paths):
+    """The report lines for two report files and 1 if they differ, else 0."""
+    reports = [_rows(path) for path in paths]
+    lines = diff(*reports)
+    return ((lines or ["identical"]) + [margin(rows) for rows in reports
+                                        if rows], 1 if lines else 0)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: python3 tools/report_diff.py PARENT.json CHANGE.json",
+    if len(argv) != 2 or os.path.isdir(argv[0]) != os.path.isdir(argv[1]):
+        print("usage: python3 tools/report_diff.py PARENT.json CHANGE.json"
+              "\n   or: python3 tools/report_diff.py PARENT_DIR CHANGE_DIR",
               file=sys.stderr)
         return 2
-    reports = [_rows(path) for path in argv]
-    lines = diff(*reports)
-    print("\n".join((lines or ["identical"])
-                    + [margin(rows) for rows in reports if rows]))
-    return 1 if lines else 0
+    if not os.path.isdir(argv[0]):
+        lines, code = compare(argv)
+        print("\n".join(lines))
+        return code
+    first, second = ({name for name in os.listdir(path)
+                      if name.endswith(".json")} for path in argv)
+    lines, code = [], 0
+    for name in sorted(first & second):
+        report, moved = compare([os.path.join(path, name) for path in argv])
+        lines += ["== " + name] + report
+        code = max(code, moved)
+    lines += ["only in the first directory: " + n
+              for n in sorted(first - second)]
+    lines += ["only in the second directory: " + n
+              for n in sorted(second - first)]
+    print("\n".join(lines))
+    return 1 if first ^ second else code
 
 
 if __name__ == "__main__":
