@@ -114,30 +114,27 @@ def _terms_for_rates(rates: np.ndarray, nmax: int) -> np.ndarray:
     return counts
 
 
-def q_expansions(streams: np.ndarray, z) -> np.ndarray:
-    """sum_n streams[..., n] e(n z) at every point of z.
+def q_expansions(stream: np.ndarray, z) -> np.ndarray:
+    """sum_n stream[n] e(n z) at every point of z, in the shape of z.
 
-    streams is one coefficient stream or a stack of them (index 0
-    unused); the result has shape streams.shape[:-1] + z.shape.  Each
-    point sums the terms its height needs (_terms_for_rates), and the
-    points that share a count are summed together, in blocks of at most
-    2^16 products (1 MB).
+    stream is one coefficient stream (index 0 unused).  Each point sums
+    the terms its height needs (_terms_for_rates), and the points that
+    share a count are summed together, in blocks of at most 2^16
+    products (1 MB).
     """
     z = np.asarray(z, dtype=complex)
-    stack = np.atleast_2d(streams)
     points = z.ravel()
-    counts = _terms_for_rates(TWO_PI * points.imag, stack.shape[1] - 1)
-    out = np.empty((len(stack), points.size), dtype=complex)
+    counts = _terms_for_rates(TWO_PI * points.imag, len(stream) - 1)
+    out = np.empty(points.size, dtype=complex)
     # The distinct counts, found without np.unique: its 1-d form imports
     # numpy.ma.
     for k in np.flatnonzero(np.bincount(counts)):
         idx = np.flatnonzero(counts == k)
         n = np.arange(1, k + 1)
-        a = stack[:, None, 1:k + 1]
-        for block in np.array_split(idx, -(-idx.size * k * len(stack) >> 16)):
+        for block in np.array_split(idx, -(-idx.size * k >> 16)):
             q = np.exp((2j * math.pi * points[block])[:, None] * n)
-            out[:, block] = (q * a).sum(axis=-1)
-    return out.reshape(np.shape(streams)[:-1] + z.shape)
+            out[block] = (q * stream[1:k + 1]).sum(axis=-1)
+    return out.reshape(z.shape)
 
 
 def root_number(form: ModularFormData) -> complex:

@@ -6,9 +6,10 @@ module provides the symbols, their cusp classes, and two independent
 ways to pair symbols with a weight-2 rational newform of prime level p:
 a bridge through twisted central L-values, into a table of one value per
 line of P^1(F_p), and a direct path-integral oracle that takes each half
-of a path to height t or t/p in one coset step.  The two- and three-term
-relation quotient and the Hecke action on it, in exact rational linear
-algebra, are the tests' reference (tests/gamma1_symbols.py).
+of a path to the cusp infinity in one coset step and integrates its
+q-series term by term.  The two- and three-term relation quotient and
+the Hecke action on it, in exact rational linear algebra, are the tests'
+reference (tests/gamma1_symbols.py).
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_table
-from .lseries import (
-    ModularFormData,
-    _term_count,
-    l_value,
-    q_expansions,
-    root_number,
-)
-from .special import ABS_TOL, gauss_legendre_nodes
+from .lseries import ModularFormData, _term_count, l_value, root_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,28 +143,25 @@ def xi_bridge_table(form: ModularFormData,
         [[at_inf], units[logs[line_index(v, 1, p)]], [-at_inf]]))
 
 
-ORACLE_NODES = 32  # Gauss-Legendre nodes per panel of the period oracle
-ORACLE_PANEL = 3.0  # the width of its panels along the imaginary axis
-
-
 def period_integral_oracle(form: ModularFormData, symbols,
                            quadrature: dict | None = None) -> np.ndarray:
-    """-i times the integral of f along the lift of each symbol, by quadrature.
+    """-i times the integral of f along the lift of each symbol, term by term.
 
     Loose-tolerance independent route to the period pairing.  For a lift
     g of x = (u, v) the path g(is), s > 0, splits at s = 1 into
-    int_1^tmax F_g dt - int_1^tmax F_gS dt, with F_h(t) = f(h(it)) h'(it)
+    int_1^oo F_g dt - int_1^oo F_gS dt, with F_h(t) = f(h(it)) h'(it)
     and gS of bottom row (v, -u).  Gamma_0(p) has two cusp classes, so
     one coset step h = gamma S T^j (gamma in Gamma_0(p), j = d / c mod p
     for bottom row (c, d)) and f(z) = (w / (p z^2)) fbar(-1/(pz)) give
     F_h(t) = f(it) if p | c, else (w / p) fbar((it + j) / p): the sum of
-    the additive twist conj(a_n) e(nj/p) at it/p.  The halves at infinity
-    are one q-series call at it, the others one call over a stack of
-    twists, one row per distinct j, at it/p; every stream is cut at the
-    terms height 1/p needs.  A given quadrature dict is filled with the
-    node count per symbol, the panel count, the cut-off tmax, the one
-    coset step and the Gauss-Legendre nodes per panel.  symbols holds
-    pairs (u, v) of order the level.
+    the additive twist conj(a_n) e(nj/p) at it/p.  Every term is an
+    exponential and int_1^oo e^(-ct) dt = e^(-c) / c, so a half is
+    sum_n a_n e^(-2 pi n) / (2 pi n) if p | c, else
+    w sum_n conj(a_n) e(nj/p) e^(-2 pi n/p) / (2 pi n), one sum per
+    distinct j; both are cut at the terms height 1/p needs (Cremona,
+    Algorithms for Modular Elliptic Curves, 2nd ed., 1997, 2.10).  A given
+    quadrature dict is filled with that term count and the one coset
+    step.  symbols holds pairs (u, v) of order the level.
     """
     p = form.level
     pairs = []
@@ -179,31 +170,24 @@ def period_integral_oracle(form: ModularFormData, symbols,
             raise ValueError("pair (%d, %d) does not have order %d"
                              % (u, v, p))
         pairs.append((u % p, v % p))
-    tmax = p * math.log(1.0 / ABS_TOL) / TWO_PI + 4.0
-    cuts = [1.0]
-    while cuts[-1] < tmax:
-        cuts.append(min(cuts[-1] + ORACLE_PANEL, tmax))
-    ts, ws = map(np.concatenate, zip(*(
-        gauss_legendre_nodes(ORACLE_NODES, t0, t1)
-        for t0, t1 in zip(cuts, cuts[1:]))))
+    k = _term_count(p * p, form.nmax)
     if quadrature is not None:
-        quadrature.update(nodes=2 * ts.size, panels=len(cuts) - 1,
-                          tmax=tmax, max_reduction_steps=1,
-                          quadrature_nodes=ORACLE_NODES)
+        quadrature.update(oracle_terms=k, max_reduction_steps=1)
     # j = d / c for the bottom rows (c, d) of g and gS; p marks p | c.
     rows = np.array([((u, v), (v, -u)) for u, v in pairs], dtype=int)
     js = line_index(*rows.reshape(-1, 2).T, p).tolist()
-    k = _term_count(p * p, form.nmax)
-    a = form.coefficients[:k + 1]
-    halves = {p: q_expansions(a, 1j * ts)}
+    a, n = form.coefficients[1:k + 1], np.arange(1, k + 1)
+    halves = {p: np.sum(a * (np.exp(-TWO_PI * n) / (TWO_PI * n)))}
     twists = sorted(set(js) - {p})
     if twists:
         unit = np.exp(TWO_PI * 1j * np.arange(p) / p)  # e(m / p)
-        stack = a.conj() * unit[np.outer(twists, np.arange(k + 1)) % p]
-        sums = q_expansions(stack, 1j * ts / p)
-        halves.update(zip(twists, (root_number(form) / p) * sums))
-    f = np.array([halves[j] for j in js]).reshape(len(pairs), 2, ts.size)
-    return np.sum(ws * (f[:, 0] - f[:, 1]), axis=-1)
+        terms = a.conj() * (np.exp(-TWO_PI * n / p) / (TWO_PI * n))
+        # An elementwise product and a sum along the terms: a row's bits
+        # do not depend on the other rows.
+        sums = np.sum(unit[np.outer(twists, n) % p] * terms, axis=-1)
+        halves.update(zip(twists, root_number(form) * sums))
+    f = np.array([halves[j] for j in js], dtype=complex).reshape(-1, 2)
+    return f[:, 0] - f[:, 1]
 
 
 def petersson(xi1: XiTable, xi2: XiTable) -> complex:

@@ -442,14 +442,9 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
     from ellreg.verify import resolve_config
 
     p, nmax = prime_form.level, prime_form.nmax
-    widths = []
-    real = modsym.q_expansions
-
-    def recording(streams, *args, **kwargs):
-        widths.append(np.shape(streams)[-1] - 1)
-        return real(streams, *args, **kwargs)
-    monkeypatch.setattr(modsym, "q_expansions", recording)
-    modsym.period_integral_oracle(prime_form, [(1, 0), (2, 5)])
+    oracle = {}
+    modsym.period_integral_oracle(prime_form, [(1, 0), (2, 5)],
+                                  quadrature=oracle)
     # The longest prefix of the stream that the twisted table bins.
     binned = []
     real_bins = lseries._residue_bins
@@ -463,7 +458,7 @@ def test_newform_terms_is_the_longest_read_of_any_sum(prime_form, monkeypatch):
            "lambda p^2": _term_count(p * p, nmax),
            "roots p": _root_terms(p, nmax),
            "twist prefix": max(binned),
-           "oracle": max(widths)}
+           "oracle": oracle["oracle_terms"]}
     count = newform_terms(p)
     assert all(count >= k for k in own.values()), own
     assert count == max(own.values())

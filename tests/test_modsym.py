@@ -12,9 +12,11 @@ from ellreg.characters import enumerate_characters, gauss_sum
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
 from ellreg.lseries import (
     ModularFormData,
+    _term_count,
     _terms_for_rates,
     l_value,
     newform_from_curve,
+    newform_terms,
     q_expansions,
     residue_tensor_square,
     root_number,
@@ -611,14 +613,12 @@ def test_batched_reduction_matches_scalar_on_every_node(oracle_paths):
 
 def test_period_oracle_matches_scalar_total(oracle_paths):
     form, _, paths = oracle_paths
-    for x, points, _, total in paths:
+    p = form.level
+    for x, _, _, total in paths:
         quad = {}
         (value,) = period_integral_oracle(form, [x], quadrature=quad)
         assert abs(value - total) < 1e-13, (x, value, total)
-        assert quad["nodes"] == len(points)
-        assert quad["nodes"] == 2 * 32 * quad["panels"]
-        assert quad["tmax"] == pytest.approx(
-            form.level * math.log(1e13) / (2 * math.pi) + 4.0)
+        assert quad["oracle_terms"] == _term_count(p * p, form.nmax)
         assert quad["max_reduction_steps"] >= 1
 
 
@@ -707,20 +707,34 @@ def test_reduction_raises_like_the_reference():
 ORACLE_CURVES = {11: CURVE_11A, 17: CURVE_17A, 37: CURVE_37A,
                  43: CurveModel(0, 1, 1, 0, 0, 43),
                  101: CurveModel(0, 1, 1, -1, -1, 101)}
+# Curves checked on a newform of newform_terms(p) terms, the length verify
+# builds: too short for the reducer, whose nodes sit at height 0.7 / p.
+BRIDGE_CURVES = {389: CurveModel(0, 1, 1, -2, 0, 389),
+                 997: CurveModel(0, -1, 1, -5, -3, 997)}
 
 
-@pytest.fixture(scope="module", params=sorted(ORACLE_CURVES))
+@pytest.fixture(scope="module",
+                params=sorted(ORACLE_CURVES) + sorted(BRIDGE_CURVES))
 def oracle_routes(request):
     """The five appendix symbols and 20 seeded random ones, with the
     closed-form oracle over all of them in one call, the reducer oracle
-    symbol by symbol, and the bridge table's values."""
+    symbol by symbol (None on BRIDGE_CURVES), and the bridge table's
+    values."""
     p = request.param
-    form = newform_from_curve(ORACLE_CURVES[p], nmax=4000)
     symbols = list(APPENDIX_SYMBOLS)
-    symbols += [(x.u, x.v)
-                for x in random.Random(p).sample(enumerate_symbols(p), 20)]
+    if p in ORACLE_CURVES:
+        form = newform_from_curve(ORACLE_CURVES[p], nmax=4000)
+        symbols += [(x.u, x.v) for x in
+                    random.Random(p).sample(enumerate_symbols(p), 20)]
+    else:
+        form = newform_from_curve(BRIDGE_CURVES[p], newform_terms(p))
+        # Pairs (u, v) with u a unit have order p.
+        rng = random.Random(p)
+        symbols += [(rng.randrange(1, p), rng.randrange(p))
+                    for _ in range(20)]
     closed = period_integral_oracle(form, symbols)
-    reducer = np.array([_reducer_oracle(form, x) for x in symbols])
+    reducer = (np.array([_reducer_oracle(form, x) for x in symbols])
+               if p in ORACLE_CURVES else None)
     xi = xi_bridge_table(form, twisted_lambda_table(form))
     bridge = np.array(list(map(_pair_lookup(xi), symbols)))
     return form, symbols, closed, reducer, bridge
@@ -733,8 +747,10 @@ def test_closed_form_oracle_matches_the_reducer_and_the_bridge(
     # (0, 1) lies in Gamma_0(p), so its g half is f(it) itself; (1, 0)
     # has bottom row (1, 0) and takes the coset step S in its g half.
     assert symbols[0] == (0, 1) and symbols[1] == (1, 0)
+    assert np.all(np.abs(closed - bridge) < 1e-15)
+    if reducer is None:
+        return
     assert np.all(np.abs(closed[:5] - reducer[:5]) < 1e-13)
-    assert np.all(np.abs(closed - bridge) < 1e-13)
     # On the random symbols the reducer itself drifts from 37 on, by up
     # to 2.7e-12 at 101, as its distance from the bridge table shows.
     # Wherever the two routes differ by 1e-13 or more, the reducer is
@@ -752,34 +768,6 @@ def test_one_symbol_alone_gives_the_bits_it_gets_in_a_batch(oracle_routes):
         alone = period_integral_oracle(form, [symbols[i]])
         assert alone.tobytes() == closed[i:i + 1].tobytes()
     assert period_integral_oracle(form, []).shape == (0,)
-
-
-def test_oracle_sums_every_symbol_in_two_q_series_calls(form11, monkeypatch):
-    import ellreg.modsym as modsym
-
-    calls = []
-
-    def counting(streams, z):
-        calls.append((np.shape(streams), np.shape(z)))
-        return q_expansions(streams, z)
-    monkeypatch.setattr(modsym, "q_expansions", counting)
-    quad = {}
-    values = period_integral_oracle(form11, APPENDIX_SYMBOLS, quadrature=quad)
-    assert len(values) == 5 and len(calls) == 2
-    # The halves at infinity: one stream at the nodes it.  The others:
-    # one twist row per distinct j among the ten halves, at it/11.
-    halves = [(c, d) for u, v in APPENDIX_SYMBOLS
-              for c, d in ((u, v), (v, -u))]
-    js = {d * pow(c, -1, 11) % 11 for c, d in halves if c % 11}
-    (inf_stream, inf_nodes), (twists, twist_nodes) = calls
-    assert len(inf_stream) == 1 and twists[0] == len(js) == 7
-    # Both cut at the count of height 1/11.
-    assert inf_stream[0] == twists[1] == 1 + _terms_for_rates(
-        np.array([2 * math.pi / 11]), 4000)[0]
-    assert inf_nodes == twist_nodes == (quad["nodes"] // 2,)
-    assert quad["max_reduction_steps"] == 1
-    assert quad["quadrature_nodes"] == 32
-    assert quad["nodes"] == 2 * 32 * quad["panels"]
 
 
 def test_oracle_stream_is_cut_at_the_height_one_over_p_count():

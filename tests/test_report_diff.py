@@ -1,7 +1,8 @@
-"""tools/report_diff.py on small synthetic reports, and the run list of
-tools/report_set.py."""
+"""tools/report_diff.py on small synthetic reports, the run list of
+tools/report_set.py, and the keys tools/layer_profile.py prints."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -161,3 +162,28 @@ def test_report_set_writes_the_seventeen_standard_reports(tmp_path,
                            for label in ("17a", "37a", "101a", "389a")
                            for suite in ("thm1", "thm2", "thm3", "appendix")])
     assert report_set.main([]) == 2
+
+
+def test_layer_profile_prints_every_field_and_suite_at_11(capsys):
+    layer_profile = _load("layer_profile")
+    assert layer_profile.main(["--level", "11", "appendix", "thm1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"header", "fields", "suites"}
+    assert set(out["header"]) == {"python", "numpy", "blas", "cpu_count",
+                                  "curve"}
+    assert out["header"]["curve"] == [0, -1, 1, 0, 0, 11]
+    assert list(out["fields"]) == [
+        "form", "w", "lambda_table", "l_one", "l_two", "dilog", "xi",
+        "eta_arcs", "arc_sums", "residue"]
+    assert list(out["suites"]) == ["appendix", "thm1"]
+    for figures in [*out["fields"].values(), *out["suites"].values()]:
+        assert figures["s"] > 0.0 and figures["peak_mb"] > 0.0
+    assert set(out["suites"]["appendix"]["families"]) == {
+        "appendix:petersson-residue", "appendix:imag-part",
+        "appendix:positivity", "appendix:xi-oracle"}
+    # Away from 11 the dilogarithm is not built, and a suite for 11 alone
+    # is skipped.
+    assert layer_profile.main(["--level", "17", "thm8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "dilog" not in out["fields"]
+    assert set(out["suites"]["thm8"]) == {"skipped"}

@@ -15,7 +15,7 @@ from ellreg.characters import (
 )
 from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
-from ellreg.lseries import residue_tensor_square
+from ellreg.lseries import _term_count, residue_tensor_square
 from ellreg.mahler import curve_identity_polynomials
 from ellreg.modsym import line_index
 from ellreg.special import ABS_TOL
@@ -317,17 +317,19 @@ def test_appendix_calls_the_period_oracle_once(monkeypatch):
         calls.append(list(symbols))
         return real_oracle(form, symbols, *args, **kwargs)
     monkeypatch.setattr(verify, "period_integral_oracle", counted)
-    rows = [r for r in verify.run_appendix(resolve_config(level=17))
+    config = resolve_config(level=17)
+    rows = [r for r in verify.run_appendix(config)
             if r.check.startswith("appendix:xi-oracle:")]
     assert calls == [[(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]]
     assert [r.check.rsplit(":", 1)[1] for r in rows] == [
         "0,1", "1,0", "2,5", "1,3", "4,7"]
     for r in rows:
         assert r.passed, r.check
-        # The one coset step, and the nodes per panel the oracle used.
+        # The one coset step, and the terms the oracle summed: the count
+        # at height 1 / p.
         assert r.truncation["max_reduction_steps"] == 1
-        assert r.truncation["quadrature_nodes"] == 32
-        assert r.truncation["nodes"] == 2 * 32 * r.truncation["panels"]
+        assert r.truncation["oracle_terms"] == _term_count(
+            17 * 17, config.context.form.nmax)
 
 
 def test_mahler_rows_report_what_ran(monkeypatch):
@@ -678,8 +680,6 @@ def test_rows_record_the_lambda_terms_actually_summed(c37_run):
 
 
 def test_lambda_terms_counts_each_level_once():
-    from ellreg.lseries import _term_count
-
     ctx = resolve_config(level=11).context
     _term_count.cache_clear()
     both = ctx.lambda_terms(11, 121)
