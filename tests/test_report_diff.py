@@ -187,3 +187,40 @@ def test_layer_profile_prints_every_field_and_suite_at_11(capsys):
     out = json.loads(capsys.readouterr().out)
     assert "dilog" not in out["fields"]
     assert set(out["suites"]["thm8"]) == {"skipped"}
+
+
+def test_the_standard_reports_keep_their_fingerprint():
+    # The 17 reports, rebuilt here, against the fingerprint committed in
+    # tests/data: the same rows in the same order, the same verdicts, and
+    # no family's worst error above 10x its record (or 1e-15).
+    report_fingerprint = _load("report_fingerprint")
+    with open(report_fingerprint.DEFAULT_OUT) as handle:
+        recorded = json.load(handle)
+    assert list(recorded) == [name for name, _ in
+                              report_fingerprint.report_set.RUNS]
+    assert report_fingerprint.compare(recorded,
+                                      report_fingerprint.build()) == []
+
+
+def test_fingerprint_compare_names_every_departure():
+    report_fingerprint = _load("report_fingerprint")
+    record = {"r": {"rows": ["PASS a:x:1", "PASS a:x:2", "PASS b:y"],
+                    "families": {"a:x": 1e-12, "b:y": 0.0}, "margin": ""}}
+    compare = report_fingerprint.compare
+
+    def moved(rows=None, **families):
+        entry = dict(record["r"], families=dict(record["r"]["families"],
+                                                **families))
+        if rows is not None:
+            entry["rows"] = rows
+        return {"r": entry}
+    # A tenfold rise, and a rounding-level move off an exact 0, pass.
+    assert compare(record, moved(**{"a:x": 1e-11, "b:y": 1e-15})) == []
+    assert compare(record, moved(**{"a:x": 1.1e-11, "b:y": 2e-15})) == [
+        "r: a:x: worst error 1.000e-12 -> 1.100e-11",
+        "r: b:y: worst error 0.000e+00 -> 2.000e-15"]
+    assert compare(record, moved(["PASS a:x:1", "FAIL a:x:2", "PASS b:y"])
+                   ) == ["r: flipped: a:x:2 PASS -> FAIL"]
+    assert compare(record, moved(["PASS a:x:2", "PASS a:x:1", "PASS b:y"])
+                   ) == ["r: the row names or their order differ"]
+    assert compare(record, {}) == ["only in the recorded fingerprint: r"]
