@@ -25,10 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .characters import character_sums, character_table, character_values
-from .special import ABS_TOL, gauss_legendre_nodes
+from .special import ABS_TOL, TWO_PI, gauss_legendre_nodes
 
 EULER_GAMMA = 0.5772156649015329
-TWO_PI = 2.0 * math.pi
 
 
 def _beta2(v, N: int):

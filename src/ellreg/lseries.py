@@ -34,9 +34,8 @@ import numpy as np
 
 from .characters import character_sums, character_table, pair_sum
 from .elliptic import CurveModel, an_coefficients
-from .special import ABS_TOL, TruncationError, exp_integral_e1
+from .special import ABS_TOL, TWO_PI, TruncationError, exp_integral_e1
 
-TWO_PI = 2.0 * math.pi
 _ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # root_number's y * sqrt(level)
 _ROOT_TOL = 1e-8  # how far its two samples may differ, and |w| from 1
 

@@ -19,9 +19,8 @@ import re
 
 import numpy as np
 
-from .special import ABS_TOL, gauss_legendre_nodes
+from .special import ABS_TOL, TWO_PI, gauss_legendre_nodes
 
-TWO_PI = 2.0 * math.pi
 CROSSING_GRID = 1024  # steps on [0, 1] of the crossing scan's sign test
 BASE_NODES = 24  # nodes of each outer panel's coarse rule, half the fine's
 # The most inner measures one outer quadrature evaluates: about 8 times

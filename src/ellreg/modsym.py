@@ -3,13 +3,14 @@
 The symbol xi(u, v) is the geodesic path {g0, ginfinity} on the modular
 curve, for any integral unimodular g with bottom row (u, v) mod N.  This
 module provides the symbols, their cusp classes, and two independent
-ways to pair symbols with a weight-2 rational newform of prime level p:
-a bridge through twisted central L-values, into a table of one value per
-line of P^1(F_p), and a direct path-integral oracle that takes each half
-of a path to the cusp infinity in one coset step and integrates its
-q-series term by term.  The two- and three-term relation quotient and
-the Hecke action on it, in exact rational linear algebra, are the tests'
-reference (tests/gamma1_symbols.py).
+ways to pair symbols with a weight-2 rational newform of prime level p,
+into a table of one value per line of P^1(F_p): a direct path-integral
+oracle that takes each half of a path to the cusp infinity in one coset
+step and integrates its q-series term by term, every line in one binned
+DFT, and a bridge through twisted central L-values, which checks it.
+The two- and three-term relation quotient and the Hecke action on it,
+in exact rational linear algebra, are the tests' reference
+(tests/gamma1_symbols.py).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_table
-from .lseries import ModularFormData, _term_count, l_value, root_number
-
-TWO_PI = 2.0 * math.pi
+from .lseries import (ModularFormData, _residue_bins, _term_count, l_value,
+                      root_number)
+from .special import TWO_PI
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,12 @@ def period_integral_oracle(form: ModularFormData, symbols,
     the additive twist conj(a_n) e(nj/p) at it/p.  Every term is an
     exponential and int_1^oo e^(-ct) dt = e^(-c) / c, so a half is
     sum_n a_n e^(-2 pi n) / (2 pi n) if p | c, else
-    w sum_n conj(a_n) e(nj/p) e^(-2 pi n/p) / (2 pi n), one sum per
-    distinct j; both are cut at the terms height 1/p needs (Cremona,
-    Algorithms for Modular Elliptic Curves, 2nd ed., 1997, 2.10).  A given
-    quadrature dict is filled with that term count and the one coset
-    step.  symbols holds pairs (u, v) of order the level.
+    w sum_n conj(a_n) e(nj/p) e^(-2 pi n/p) / (2 pi n), at every j one
+    DFT of the terms binned by n mod p, read at j = line_index(c, d);
+    both are cut at the terms height 1/p needs (Cremona, Algorithms for
+    Modular Elliptic Curves, 2nd ed., 1997, 2.10).  A given quadrature
+    dict is filled with that term count and the one coset step.  symbols
+    holds pairs (u, v) of order the level.
     """
     p = form.level
     pairs = []
@@ -173,21 +175,14 @@ def period_integral_oracle(form: ModularFormData, symbols,
     k = _term_count(p * p, form.nmax)
     if quadrature is not None:
         quadrature.update(oracle_terms=k, max_reduction_steps=1)
-    # j = d / c for the bottom rows (c, d) of g and gS; p marks p | c.
-    rows = np.array([((u, v), (v, -u)) for u, v in pairs], dtype=int)
-    js = line_index(*rows.reshape(-1, 2).T, p).tolist()
     a, n = form.coefficients[1:k + 1], np.arange(1, k + 1)
-    halves = {p: np.sum(a * (np.exp(-TWO_PI * n) / (TWO_PI * n)))}
-    twists = sorted(set(js) - {p})
-    if twists:
-        unit = np.exp(TWO_PI * 1j * np.arange(p) / p)  # e(m / p)
-        terms = a.conj() * (np.exp(-TWO_PI * n / p) / (TWO_PI * n))
-        # An elementwise product and a sum along the terms: a row's bits
-        # do not depend on the other rows.
-        sums = np.sum(unit[np.outer(twists, n) % p] * terms, axis=-1)
-        halves.update(zip(twists, root_number(form) * sums))
-    f = np.array([halves[j] for j in js], dtype=complex).reshape(-1, 2)
-    return f[:, 0] - f[:, 1]
+    terms = np.append(0.0, a.conj() * (np.exp(-TWO_PI * n / p)
+                                       / (TWO_PI * n)))
+    twists = np.fft.ifft(_residue_bins(terms, p), norm="forward")
+    half = np.append(root_number(form) * twists,
+                     np.sum(a * (np.exp(-TWO_PI * n) / (TWO_PI * n))))
+    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
+    return half[line_index(u, v, p)] - half[line_index(v, -u, p)]
 
 
 def petersson(xi1: XiTable, xi2: XiTable) -> complex:

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 ABS_TOL = 1e-13  # the largest tail a truncated series may drop
+TWO_PI = 2.0 * math.pi
 MAX_TERMS = 200_000  # the most terms a series may take before it raises
 
 # Even-index Bernoulli numbers B_2..B_30, used by the log-series branch

@@ -51,7 +51,6 @@ from ellreg.characters import (
 )
 from ellreg.eisenstein import (
     EULER_GAMMA,
-    TWO_PI,
     EisensteinStream,
     EtaForm,
     suggested_rmax,
@@ -63,6 +62,7 @@ from ellreg.modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
 from ellreg.special import (
     ABS_TOL,
     MAX_TERMS,
+    TWO_PI,
     TruncationError,
     gauss_legendre_nodes,
     periodic_bernoulli2,
@@ -548,14 +548,18 @@ def _pairings_on_every_line(table: ArcTable, ks, weights=None):
     (values, gaps)[l, j] of sum_{a, c units} w(a l) chi_k(a) conj chi_k(c)
     J[a l, c l] for k = ks[j], by four transforms of every line and no
     work skipped.  Bin -m of the DFT of w f is the conjugate of bin m of
-    that of conj(w) f."""
+    that of conj(w) f.  With weights, the transforms and sums run in
+    _WIDE, so that the reference's own rounding stays far below what it
+    checks; without, they run in double, as ArcTable.pairings, and give
+    its bits."""
     bins = np.asarray(ks) // 2
+    dtype = complex if weights is None else _WIDE
     cw = np.conj(np.ones(table.pairs.shape[:2]) if weights is None
-                 else weights)[..., None]
+                 else weights).astype(dtype)[..., None]
+    V, X = (f.astype(dtype) for f in (table._V, table._X))
     n = ArcTable.NODES[0]
-    v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (table._V, table._X))
-    wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj()
-              for f in (table._V, table._X))
+    v, x = (np.fft.fft(f, axis=1)[:, bins] for f in (V, X))
+    wv, wx = (np.fft.fft(cw * f, axis=1)[:, bins].conj() for f in (V, X))
     fine, coarse = (np.einsum("lkn,lkn->lk", wv[..., nodes], x[..., nodes])
                     - np.einsum("lkn,lkn->lk", v[..., nodes], wx[..., nodes])
                     for nodes in (slice(n, None), slice(n)))

@@ -17,7 +17,7 @@ from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
 from ellreg.lseries import _term_count, residue_tensor_square
 from ellreg.mahler import curve_identity_polynomials
-from ellreg.modsym import line_index
+from ellreg.modsym import line_index, xi_bridge_table
 from ellreg.special import ABS_TOL
 from ellreg.verify import (
     SUITES,
@@ -320,7 +320,10 @@ def test_appendix_calls_the_period_oracle_once(monkeypatch):
     config = resolve_config(level=17)
     rows = [r for r in verify.run_appendix(config)
             if r.check.startswith("appendix:xi-oracle:")]
-    assert calls == [[(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]]
+    # Once on the lines, for the context's xi, and once on the five
+    # symbols that the bridge is checked at.
+    assert calls == [[(1, v) for v in range(17)] + [(0, 1)],
+                     [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]]
     assert [r.check.rsplit(":", 1)[1] for r in rows] == [
         "0,1", "1,0", "2,5", "1,3", "4,7"]
     for r in rows:
@@ -553,7 +556,7 @@ def test_transforms_match_the_einsums_over_the_value_table(curve):
     tau = character_table(p).tau
     coef = arc_coefficients_einsum(arcs)
     assert close(ctx.arc_sums, tau * (coef[:, evens] @ ctx.l_one[evens]))
-    assert close(ctx.xi.lines,
+    assert close(xi_bridge_table(ctx.form, ctx.lambda_table).lines,
                  xi_bridge_lines_einsum(ctx.form, ctx.lambda_table))
     # thm2's rows against the double sums over the (p - 1) / 2 x
     # (p - 1) / 2 array of tau(chi_k chi_j), k even and j odd.
@@ -606,6 +609,40 @@ def test_xi_is_constant_on_every_line_of_the_node_table(curve):
     assert index.tolist() == [[l] * (p - 1) for l in range(p + 1)]
     xi = ctx.xi.plus()[index]
     assert xi.tobytes() == np.repeat(xi[:, :1], xi.shape[1], 1).tobytes()
+
+
+@pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
+                                   CURVE_37A, CURVE_101A,
+                                   CurveModel(0, 1, 1, -2, 0, 389)],
+                         ids=lambda c: "%da" % c.conductor)
+def test_xi_is_the_period_oracle_and_reads_no_l_value(curve, monkeypatch):
+    import ellreg.lseries as lseries
+    import ellreg.modsym as modsym
+    import ellreg.verify as verify
+
+    config = resolve_config(curve=curve)
+    ctx = config.context
+    read = []
+    for owner, name in ((lseries, "lambda_value"),
+                        (lseries, "twisted_lambda_table"),
+                        (verify, "twisted_lambda_table"),
+                        (modsym, "xi_bridge_table"),
+                        (verify, "xi_bridge_table")):
+        monkeypatch.setattr(owner, name,
+                            lambda *args, name=name, **kwargs:
+                            read.append(name))
+    xi = ctx.xi
+    assert read == []
+    monkeypatch.undo()
+    # On every line, within 5e-15 of the bridge through the twisted
+    # central values (|xi| <= 1.32 here; the gap reads 1.1e-15 at 389a),
+    # and that gap is what the appendix's oracle rows record.
+    gap = np.abs(xi.lines - xi_bridge_table(ctx.form, ctx.lambda_table).lines
+                 ).max()
+    assert gap <= 5e-15
+    rows = [r for r in verify.run_appendix(config)
+            if r.check.startswith("appendix:xi-oracle:")]
+    assert {r.truncation["bridge_gap"] for r in rows} == {gap}
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
@@ -716,7 +753,7 @@ def test_xi_after_the_twisted_table_sums_no_twist_again(monkeypatch):
     ctx = resolve_config(curve=CURVE_37A).context
     ctx.lambda_table
     del calls[:]
-    ctx.xi
+    xi_bridge_table(ctx.form, ctx.lambda_table)
     # Only xi(infinity) = (w / 2 pi) L(f, 1) is summed, at level 37.
     assert calls == [("lambda_value", 37)]
 
