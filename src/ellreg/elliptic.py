@@ -185,28 +185,20 @@ def periods(curve: CurveModel) -> PeriodLattice:
     disc = curve.discriminant
     if disc == 0:
         raise ValueError("singular curve")
-    roots = np.roots([4.0, 0.0, -g2, -g3])
-    if disc > 0:
-        es = sorted(float(r.real) for r in roots)
-        e3, e2, e1 = es
-        omega1 = math.pi / _agm(math.sqrt(e1 - e3), math.sqrt(e1 - e2)).real
-        omega2 = 1j * math.pi / _agm(
-            math.sqrt(e1 - e3), math.sqrt(e2 - e3)
-        ).real
-    else:
-        idx = int(np.argmin(np.abs(roots.imag)))
-        e1 = complex(roots[idx].real, 0.0)
-        others = [roots[i] for i in range(3) if i != idx]
-        e2, e3 = complex(others[0]), complex(others[1])
-        m1 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
-        omega1 = complex(math.pi, 0.0) / m1
-        m2 = _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
-        omega2 = 1j * math.pi / m2
-    tau = complex(omega2) / complex(omega1)
+    # One AGM route (Cremona, Algorithms for Modular Elliptic Curves, 2nd
+    # ed., 3.7): e1 is the real root, the largest if all are; a stable sort
+    # orders the others, leaving a complex pair in np.roots' order.
+    roots = np.roots([4.0, 0.0, -g2, -g3]).astype(complex).tolist()
+    e1 = max(roots, key=lambda r: (-abs(r.imag), r.real))
+    roots.remove(e1)
+    e2, e3 = sorted(roots, key=lambda r: -r.real)
+    e1 = complex(e1.real)
+    omega1 = math.pi / _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
+    omega2 = 1j * math.pi / _agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
+    tau = omega2 / omega1
     if tau.imag < 0:
         tau = -tau
     tau = complex(tau.real - round(tau.real), tau.imag)
-    omega1 = complex(omega1)
     if abs(omega1.imag) > 1e-12 * abs(omega1):
         raise ValueError("real period did not come out real")
     w1 = abs(omega1.real)

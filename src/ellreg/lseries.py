@@ -10,15 +10,16 @@ special values of motivic L-functions", Experiment. Math. 13, 2004)
 
 with c = 2pi/sqrt(M), G_s(x) = x^{-s} Gamma(s, x), and w the
 Atkin-Lehner pseudo-eigenvalue.  A form's w is measured numerically from
-the transformation g(-1/(Mz)) = w M z^2 gbar(z); a twist f (x) chi_k of
-a newform of prime level p, p exactly dividing it, has the closed form
-w = tau(chi_k)^2 / p (Atkin and Li, "Twists of newforms and
-pseudo-eigenvalues of W-operators", Invent. Math. 48, 1978).  The
-identities read Lambda only at s = 1 (the central values) and s = 2
-(L(E, 2)), where the weights are elementary: G_1(x) = e^-x / x, G_2(x)
-= (1 + x) e^-x / x^2 and G_0 = E_1.  The twists are never written out:
-their Lambda sum is, for every k at once, one transform of the form's
-terms binned by n mod p.
+the transformation g(-1/(Mz)) = w M z^2 gbar(z), summed at the heights
+1.13 / sqrt(M) and 1.41 / sqrt(M) and at their duals, the lowest
+1 / (1.41 sqrt(M)); a twist f (x) chi_k of a newform of prime level p,
+p exactly dividing it, has the closed form w = tau(chi_k)^2 / p (Atkin
+and Li, "Twists of newforms and pseudo-eigenvalues of W-operators",
+Invent. Math. 48, 1978).  The identities read Lambda only at s = 1 (the
+central values) and s = 2 (L(E, 2)), where the weights are elementary:
+G_1(x) = e^-x / x, G_2(x) = (1 + x) e^-x / x^2 and G_0 = E_1.  The
+twists are never written out: their Lambda sum is, for every k at once,
+one transform of the form's terms binned by n mod p.
 The module also covers the residue of L(f (x) f, s) at s = 2 expressed
 through the twisted central values.
 """
@@ -36,7 +37,7 @@ from .characters import character_sums, character_table, pair_sum
 from .elliptic import CurveModel, an_coefficients
 from .special import ABS_TOL, TWO_PI, TruncationError, exp_integral_e1
 
-_ROOT_HEIGHTS = (1.13, 1.41, 0.97, 1.67)  # root_number's y * sqrt(level)
+_ROOT_HEIGHTS = (1.13, 1.41)  # root_number's y * sqrt(level)
 _ROOT_TOL = 1e-8  # how far its two samples may differ, and |w| from 1
 
 
@@ -79,89 +80,55 @@ def _term_count(level: int, nmax: int) -> int:
     # The terms of a q-expansion at the height 1 / sqrt(level) (1 / sqrt 3
     # for level <= 2), where the smoothed sums' weights decay as fast.
     c = TWO_PI / math.sqrt(level) if level > 2 else TWO_PI / math.sqrt(3)
-    return int(_terms_for_rates(np.array([c]), nmax)[0])
+    return _terms_for_rate(c, nmax)
 
 
 def newform_terms(level: int) -> int:
     """The most terms of a newform of prime level p that any sum reads,
     _term_count(p * p, sys.maxsize): the twists' Lambda at p^2 and the
     period oracle read it at height 1 / p, which for p >= 3 lies below
-    Lambda's 1 / sqrt(p) and the root number's lowest, 1 / (1.67 sqrt(p))."""
+    Lambda's 1 / sqrt(p) and the root number's lowest, 1 / (1.41 sqrt(p))."""
     return _term_count(level * level, sys.maxsize)
 
 
-def _terms_for_rates(rates: np.ndarray, nmax: int) -> np.ndarray:
-    """At each decay rate, the first k of 8, 10, 12, 14, 16, 19, ...
-    (steps of 1 + k // 8) with 4 k^{3/2} |q|^k / (1 - |q|) below ABS_TOL,
-    |q| = e^{-rate}, where the 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style
-    bound controls the tail."""
-    counts = np.zeros(rates.shape, dtype=int)
-    rates = rates.ravel()
-    left, denom = np.arange(rates.size), 1.0 - np.exp(-rates)  # unsettled
-    k = 8
-    while k <= nmax and left.size:
-        tail = 4.0 * k ** 1.5 * np.exp(-rates[left] * k) / denom[left]
-        counts.flat[left[tail < ABS_TOL]] = k
-        left = left[~(tail < ABS_TOL)]
+def _terms_for_rate(rate: float, nmax: int) -> int:
+    """The first k of 8, 10, 12, 14, 16, 19, ... (steps of 1 + k // 8)
+    with 4 k^{3/2} |q|^k / (1 - |q|) below ABS_TOL, |q| = e^{-rate},
+    where the 4 d(n) sqrt(n) <= 4 n^{3/2} Hasse-style bound controls
+    the tail."""
+    k, denom = 8, 1.0 - math.exp(-rate)
+    while k <= nmax:
+        if 4.0 * k ** 1.5 * math.exp(-rate * k) / denom < ABS_TOL:
+            return k
         k += 1 + k // 8
-    if left.size:
-        rate = float(rates[left[0]])
-        raise TruncationError(
-            "need more coefficients: decay rate %.3g reaches only %.3g "
-            "after %d terms" % (rate, 4.0 * nmax ** 1.5
-                                * math.exp(-rate * nmax), nmax))
-    return counts
-
-
-def q_expansions(stream: np.ndarray, z) -> np.ndarray:
-    """sum_n stream[n] e(n z) at every point of z, in the shape of z.
-
-    stream is one coefficient stream (index 0 unused).  Each point sums
-    the terms its height needs (_terms_for_rates), and the points that
-    share a count are summed together, in blocks of at most 2^16
-    products (1 MB).
-    """
-    z = np.asarray(z, dtype=complex)
-    points = z.ravel()
-    counts = _terms_for_rates(TWO_PI * points.imag, len(stream) - 1)
-    out = np.empty(points.size, dtype=complex)
-    # The distinct counts, found without np.unique: its 1-d form imports
-    # numpy.ma.
-    for k in np.flatnonzero(np.bincount(counts)):
-        idx = np.flatnonzero(counts == k)
-        n = np.arange(1, k + 1)
-        for block in np.array_split(idx, -(-idx.size * k >> 16)):
-            q = np.exp((2j * math.pi * points[block])[:, None] * n)
-            out[block] = (q * stream[1:k + 1]).sum(axis=-1)
-    return out.reshape(z.shape)
+    raise TruncationError(
+        "need more coefficients: decay rate %.3g reaches only %.3g after %d "
+        "terms" % (rate, 4.0 * nmax ** 1.5 * math.exp(-rate * nmax), nmax))
 
 
 def root_number(form: ModularFormData) -> complex:
     """Atkin-Lehner pseudo-eigenvalue from g(-1/(Mz)) = w M z^2 gbar(z).
 
-    The stream is sampled at the first two of four heights y where its
-    partner, the conjugate stream, does not vanish at iy; the two
-    samples must agree and have modulus 1.  The partner at iy is
-    conj(g(iy)), so each height sums the stream at two points.
+    The stream is summed at two heights y and at their duals 1 / (My);
+    the partner at iy is conj(g(iy)).  The two samples must agree and
+    have modulus 1, which a nan sample never does.
     """
     if form._root_cache:
         return form._root_cache[0]
-    m = form.level
+    m, a = form.level, form.coefficients
+
+    def q_sum(z):
+        # sum_n a_n e(nz), over the terms that the height of z needs.
+        k = _terms_for_rate(TWO_PI * z.imag, form.nmax)
+        return complex((np.exp(2j * math.pi * z * np.arange(1, k + 1))
+                        * a[1:k + 1]).sum())
     samples = []
     for c in _ROOT_HEIGHTS:
         y = c / math.sqrt(m)
-        at_y, at_dual = q_expansions(form.coefficients,
-                                     np.array([1j * y, 1j / (m * y)])).tolist()
-        den = at_y.conjugate()
-        if abs(den) >= 1e-12 * math.exp(-TWO_PI * y):
-            samples.append(-at_dual / (m * y * y * den))
-            if len(samples) == 2:
-                break
-    else:
-        raise RuntimeError("root number: q-expansion vanished at every "
-                           "sample height")
+        samples.append(-q_sum(1j / (m * y))
+                       / (m * y * y * q_sum(1j * y).conjugate()))
     w1, w2 = samples
-    if abs(w1 - w2) > _ROOT_TOL or abs(abs(w1) - 1.0) > _ROOT_TOL:
+    if not (abs(w1 - w2) <= _ROOT_TOL and abs(abs(w1) - 1.0) <= _ROOT_TOL):
         raise RuntimeError(
             "root number inconsistent: samples %r, %r" % (w1, w2))
     w = 0.5 * (w1 + w2)

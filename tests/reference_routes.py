@@ -13,8 +13,10 @@ divisors from character units.  Then the routes that left the package
 because no command runs them: the Kronecker-limit closed forms of E*
 (Dedekind eta and Siegel theta products, and the discrete Fourier
 transform of a weight map), the Eisenstein-Kronecker lattice sum for
-the elliptic dilogarithm, a single twist f (x) chi as its own form, the
-Rankin convolution identity at the coefficient level, and unit divisors
+the elliptic dilogarithm, the q-expansion of one stream at many points
+(summed by term count, as the period oracle's old quadrature did), a
+single twist f (x) chi as its own form, the Rankin convolution identity
+at the coefficient level, and unit divisors
 by the general double-sum order formula and in closed form for the
 transform of an even character.  Then the operations on the package's
 classes that no command runs (character products, the Moebius action
@@ -57,7 +59,8 @@ from ellreg.eisenstein import (
 )
 from ellreg.elliptic import (TWO_PI_I, CurveModel, PeriodLattice,
                              _class_parameters)
-from ellreg.lseries import ModularFormData, l_value, root_number
+from ellreg.lseries import (ModularFormData, _terms_for_rate, l_value,
+                            root_number)
 from ellreg.modsym import CuspClass, SymbolIndex, cusp_class_of, cusp_classes
 from ellreg.special import (
     ABS_TOL,
@@ -787,6 +790,29 @@ def dilog_kronecker_oracle(lattice: PeriodLattice, point, radius: int = 500) -> 
     phase = np.exp(TWO_PI_I * (mm[mask] * beta - nn[mask] * alpha))
     terms = phase / (lam * lam * np.conj(lam))
     return float(-(tau.imag**2) / math.pi * np.real(np.sum(terms)))
+
+
+# The q-expansion of one stream at many points, summed by term count.
+def q_expansions(stream: np.ndarray, z) -> np.ndarray:
+    """sum_n stream[n] e(n z) at every point of z, in the shape of z.
+
+    stream is one coefficient stream (index 0 unused).  Each point sums
+    the terms its height needs (lseries._terms_for_rate), and the points
+    that share a count are summed together, in blocks of at most 2^16
+    products (1 MB).
+    """
+    z = np.asarray(z, dtype=complex)
+    points = z.ravel()
+    counts = np.array([_terms_for_rate(TWO_PI * y, len(stream) - 1)
+                       for y in points.imag.tolist()], dtype=int)
+    out = np.empty(points.size, dtype=complex)
+    for k in np.flatnonzero(np.bincount(counts)):
+        idx = np.flatnonzero(counts == k)
+        n = np.arange(1, k + 1)
+        for block in np.array_split(idx, -(-idx.size * k >> 16)):
+            q = np.exp((2j * math.pi * points[block])[:, None] * n)
+            out[block] = (q * stream[1:k + 1]).sum(axis=-1)
+    return out.reshape(z.shape)
 
 
 # One twist f (x) chi as a form of its own.

@@ -14,14 +14,13 @@ from ellreg.lseries import (
     ModularFormData,
     _ROOT_HEIGHTS,
     _term_count,
-    _terms_for_rates,
+    _terms_for_rate,
     _twist_roots,
     _weights,
     l_value,
     lambda_value,
     newform_from_curve,
     newform_terms,
-    q_expansions,
     residue_tensor_square,
     root_number,
     twisted_lambda_table,
@@ -34,6 +33,7 @@ from reference_routes import (
     conjugate_partner,
     dirichlet_series_direct,
     gauss_sums_mpmath,
+    q_expansions,
     rankin_convolution_check,
     rankin_sigma,
     twist_by_character,
@@ -92,6 +92,15 @@ def test_root_number_is_minus_a_p(form11):
     assert abs(w - (-a_p(CURVE_11A, 11))) < 1e-10
     form17 = newform_from_curve(CURVE_17A, 4000)
     assert abs(root_number(form17) - (-a_p(CURVE_17A, 17))) < 1e-8
+
+
+def test_root_number_rejects_a_nan_stream(form11):
+    # A nan coefficient makes both samples nan, which fail the
+    # consistency check: root_number raises and returns no nan w.
+    a = form11.coefficients.copy()
+    a[2] = math.nan
+    with pytest.raises(RuntimeError, match="root number inconsistent"):
+        root_number(ModularFormData(11, a))
 
 
 def test_twist_root_numbers_unit_modulus_and_pairing(form11, chars11):
@@ -341,10 +350,10 @@ def test_batched_twisted_table_matches_per_twist_values(prime_form):
 
 
 def _root_terms(level, nmax=sys.maxsize):
-    # q_expansions' count at every root-number height and its dual.
+    # root_number's count at both of its heights and their duals.
     y = np.array(_ROOT_HEIGHTS) / math.sqrt(level)
     imag = np.concatenate([y, 1.0 / (level * y)])
-    return int(_terms_for_rates(2 * math.pi * imag, nmax).max())
+    return max(_terms_for_rate(2 * math.pi * t, nmax) for t in imag)
 
 
 TWIST_CURVES = {**PRIME_CURVES, 389: CurveModel(0, 1, 1, -2, 0, 389),
@@ -375,8 +384,8 @@ def test_twist_root_numbers_match_30_digit_gauss_sums_at_389():
 
 def _full_twist_table(form):
     # Every twist stream chi_k(n) a_n written out, all nmax + 1 columns,
-    # its values from the character objects, summed by q_expansions; each
-    # row's w is measured by root_number on that row's stream.
+    # its values from the character objects; each row's w is measured by
+    # root_number on that row's stream.
     p, m = form.level, form.level ** 2
     streams = (character_value_table(p)[1:, np.arange(form.nmax + 1) % p]
                * form.coefficients)
@@ -405,7 +414,7 @@ def test_twist_streams_stop_at_the_last_term_read(prime_form):
 
 
 def test_binned_twist_table_matches_the_full_streams_at_389():
-    # Built to the length the measured root numbers read, 5,411 terms.
+    # Built to the length the measured root numbers read, 4,274 terms.
     curve = CurveModel(0, 1, 1, -2, 0, 389)
     _assert_binned_table_matches_the_full_streams(
         newform_from_curve(curve, _root_terms(389 ** 2)))
@@ -417,8 +426,8 @@ def test_short_twist_streams_raise_where_the_full_ones_do(nmax):
     # At 37 the table needs the 249 terms of its Lambda sums: below 249
     # it and the full streams' Lambda sums raise with one message, and
     # from 249 on it returns.  The full streams' measured root numbers
-    # need 357 terms for the first two heights: from there on the two
-    # tables agree.
+    # need 357 terms at their two heights: from there on the two tables
+    # agree.
     long = newform_from_curve(CurveModel(0, 0, 1, -1, 0, 37), 4000)
     form = ModularFormData(37, long.coefficients[:nmax + 1])
 
@@ -476,6 +485,5 @@ def test_newform_terms_covers_every_reader_by_count(p):
     readers = {"lambda p": _term_count(p, sys.maxsize),
                "roots p": _root_terms(p),
                "lambda p^2": _term_count(p * p, sys.maxsize),
-               "oracle": int(_terms_for_rates(np.array([2 * math.pi / p]),
-                                              sys.maxsize)[0])}
+               "oracle": _terms_for_rate(2 * math.pi / p, sys.maxsize)}
     assert all(count >= k for k in readers.values()), readers

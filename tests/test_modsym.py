@@ -13,11 +13,10 @@ from ellreg.elliptic import CURVE_11A, CURVE_17A, CurveModel
 from ellreg.lseries import (
     ModularFormData,
     _term_count,
-    _terms_for_rates,
+    _terms_for_rate,
     l_value,
     newform_from_curve,
     newform_terms,
-    q_expansions,
     residue_tensor_square,
     root_number,
     twisted_lambda_table,
@@ -53,6 +52,7 @@ from reference_routes import (
     matrix_lift,
     mobius,
     mobius_derivative,
+    q_expansions,
     shifted_cusp_class,
     symbol_act,
     symbol_negated,
@@ -521,8 +521,8 @@ def _reduce_points_reference(p, z, w, threshold, max_steps=40):
     raise RuntimeError("point reduction exceeded %d steps" % max_steps)
 
 
-# The term-count rule one rate at a time, as lseries wrote it before the
-# vector rule became the only one.  Kept here as that rule's reference.
+# The term-count rule one rate at a time, written out here as the
+# reference for lseries._terms_for_rate.
 def _scalar_terms_for_rate(rate, nmax, tol):
     k = 8
     while k <= nmax:
@@ -536,13 +536,11 @@ def test_term_counts_match_the_scalar_rule_at_every_rate():
     rng = np.random.default_rng(3)
     heights = np.exp(rng.uniform(math.log(0.01), math.log(10.0), 2000))
     rates = 2 * math.pi * heights
-    counts = _terms_for_rates(rates.reshape(40, 50), 4000)
-    assert counts.shape == (40, 50)
-    assert counts.ravel().tolist() == [
+    assert [_terms_for_rate(r, 4000) for r in rates.tolist()] == [
         _scalar_terms_for_rate(r, 4000, ABS_TOL) for r in rates]
-    # Rates too slow for nmax terms: the message names the first of them.
+    # A rate too slow for nmax terms: the message names it.
     with pytest.raises(TruncationError, match="decay rate 0.01 reaches"):
-        _terms_for_rates(np.array([1.0, 0.01, 0.02, 5.0]), 500)
+        _terms_for_rate(0.01, 500)
 
 
 APPENDIX_SYMBOLS = [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]
@@ -602,7 +600,7 @@ def test_batched_reduction_matches_scalar_on_every_node(oracle_paths):
         # 1e-13, and near a cusp, where |mult| reaches 1e4 and the value
         # 1e-14, that moves the value by up to 6e-13 relative.)
         rates = 2 * math.pi * ref_z.imag
-        assert list(_terms_for_rates(rates, form.nmax)) == [
+        assert [_terms_for_rate(r, form.nmax) for r in rates.tolist()] == [
             _scalar_terms_for_rate(r, form.nmax, ABS_TOL) for r in rates]
         values = _eval_points(form, ref_z, ref_conj)
         err = np.abs(ref_mult * values - ref_value)

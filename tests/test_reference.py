@@ -180,14 +180,19 @@ def _dilog(tau, alpha, beta):
 
 
 # The five-torsion class of P = (0, 0) on 11a, the point of thm8 and
-# cor101, and fixed (alpha, beta) classes on 17a and 43a.
+# cor101, and fixed (alpha, beta) classes on 17a and 43a, whose
+# discriminants are negative, and on 37a, 101a and 389a, whose are
+# positive.
 DILOG_CLASSES = {"11a": TorsionCoordinate(5, 3, 0), "17a": (0.2, 0.3),
-                 "43a": (0.35, 0.15)}
+                 "43a": (0.35, 0.15), "37a": (0.2, 0.3), "101a": (0.2, 0.3),
+                 "389a": (0.2, 0.3)}
+DILOG_CURVES = {**CURVES, "37a": CurveModel(0, 0, 1, -1, 0, 37),
+                "389a": CurveModel(0, 1, 1, -2, 0, 389)}
 
 
 @pytest.mark.parametrize("name", sorted(DILOG_CLASSES))
 def test_periods_and_dilog_against_the_30_digit_reference(name):
-    curve = CURVES[name]
+    curve = DILOG_CURVES[name]
     lattice = periods(curve)
     point = DILOG_CLASSES[name]
     if isinstance(point, TorsionCoordinate):

@@ -174,7 +174,7 @@ def test_layer_profile_prints_every_field_and_suite_at_11(capsys):
     assert out["header"]["curve"] == [0, -1, 1, 0, 0, 11]
     assert list(out["fields"]) == [
         "form", "w", "lambda_table", "l_one", "l_two", "dilog", "xi",
-        "eta_arcs", "arc_sums", "residue"]
+        "pairing", "eta_arcs", "arc_sums", "residue"]
     assert list(out["suites"]) == ["appendix", "thm1"]
     for figures in [*out["fields"].values(), *out["suites"].values()]:
         assert figures["s"] > 0.0 and figures["peak_mb"] > 0.0

@@ -17,7 +17,7 @@ from ellreg.eisenstein import ARC_NODES, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
 from ellreg.lseries import _term_count, residue_tensor_square
 from ellreg.mahler import curve_identity_polynomials
-from ellreg.modsym import line_index, xi_bridge_table
+from ellreg.modsym import line_index, petersson, xi_bridge_table
 from ellreg.special import ABS_TOL
 from ellreg.verify import (
     SUITES,
@@ -320,10 +320,9 @@ def test_appendix_calls_the_period_oracle_once(monkeypatch):
     config = resolve_config(level=17)
     rows = [r for r in verify.run_appendix(config)
             if r.check.startswith("appendix:xi-oracle:")]
-    # Once on the lines, for the context's xi, and once on the five
-    # symbols that the bridge is checked at.
-    assert calls == [[(1, v) for v in range(17)] + [(0, 1)],
-                     [(0, 1), (1, 0), (2, 5), (1, 3), (4, 7)]]
+    # Once, on the lines, for the context's xi: the five symbols that the
+    # bridge is checked at read their lines of xi.
+    assert calls == [[(1, v) for v in range(17)] + [(0, 1)]]
     assert [r.check.rsplit(":", 1)[1] for r in rows] == [
         "0,1", "1,0", "2,5", "1,3", "4,7"]
     for r in rows:
@@ -559,21 +558,25 @@ def test_transforms_match_the_einsums_over_the_value_table(curve):
     assert close(xi_bridge_table(ctx.form, ctx.lambda_table).lines,
                  xi_bridge_lines_einsum(ctx.form, ctx.lambda_table))
     # thm2's rows against the double sums over the (p - 1) / 2 x
-    # (p - 1) / 2 array of tau(chi_k chi_j), k even and j odd.
-    rows = {r.check: r.right for r in run_thm2(config)}
+    # (p - 1) / 2 array of tau(chi_k chi_j), k even and j odd: the
+    # residue-consistency row's left side is one of them, and its right
+    # side is the Petersson norm of xi.
+    rows = {r.check: r for r in run_thm2(config)}
     mixed = tau[np.add.outer(evens, odds) % (p - 1)]
     even_one, odd_one = ctx.l_one[evens], ctx.l_one[odds]
     explicit = (p * p * 1j / ((p + 1) * (p - 1) ** 2 * math.pi)) * np.einsum(
         "kj,k,j->", 1.0 / mixed, even_one, odd_one)
-    assert close(rows["thm2:residue-consistency"], explicit)
+    assert close(rows["thm2:residue-consistency"].left, explicit)
+    assert rows["thm2:residue-consistency"].right == (
+        12.0 * math.pi * petersson(ctx.xi, ctx.xi).real)
     weighted = thm2_weighted_einsum(coef, ctx.l_one)
     via = (p ** 3 * w / (8.0 * (p + 1) * (p - 1) ** 3 * math.pi ** 2)
            ) * weighted / ctx.residue
-    assert close(rows["thm2:via-residue"], via)
+    assert close(rows["thm2:via-residue"].right, via)
     denominator = np.einsum("kj,k,j->", mixed, even_one.conj(),
                             odd_one.conj())
     free = (p * p * 1j * w / (8.0 * (p - 1) * math.pi)) * weighted / denominator
-    assert close(rows["thm2:residue-free"], free)
+    assert close(rows["thm2:residue-free"].right, free)
 
 
 def test_pair_sums_hold_no_array_over_the_pairs():
@@ -582,7 +585,7 @@ def test_pair_sums_hold_no_array_over_the_pairs():
     # thm2, its arc sums included, hold a few arrays of length p.
     config = resolve_config(curve=CurveModel(0, 1, 1, -2, 0, 389))
     ctx = config.context
-    for name in ("form", "w", "l_one", "l_two", "eta_arcs"):
+    for name in ("form", "w", "l_one", "l_two", "eta_arcs", "xi"):
         getattr(ctx, name)
     for run in (lambda: residue_tensor_square(ctx.form, ctx.lambda_table),
                 lambda: run_thm2(config)):

@@ -11,9 +11,8 @@ Imports the ``src/`` beside this script and prints one JSON object:
 - ``suites``: each SUITE (default: every suite), run on one context with
   every field prebuilt, with its rows' seconds from the untraced run
   summed by row family (the first two ':' fields of a check name),
-  where the bridge table and the oracle's call on five symbols show
-  as ``appendix:xi-oracle``; a suite that does not apply to the curve
-  gets ``{"skipped": reason}``.
+  where the bridge table shows as ``appendix:xi-oracle``; a suite
+  that does not apply to the curve gets ``{"skipped": reason}``.
 
 Each build and each run is made twice: once untraced, for its wall
 seconds (``s``), and once under tracemalloc, for its peak in MB of 10^6
