@@ -181,13 +181,13 @@ def _arc_rule(nodes: int):
     return z, (math.pi / 6) * w * 1j * z
 
 
-def _gaps(coarse, fine):
-    """|fine - coarse|; raises unless every gap is below
+def _gaps(coarse, fine) -> float:
+    """The largest |fine - coarse|; raises unless every gap is below
     1e-10 max(1, |fine|)."""
     gaps = np.abs(fine - coarse)
     if not np.all(gaps < 1e-10 * np.maximum(1.0, np.abs(fine))):
         raise RuntimeError("quadrature failed to settle below tolerance")
-    return gaps
+    return float(gaps.max())
 
 
 def integrate_one_form(form: EtaForm, quadrature: dict | None = None):
@@ -201,7 +201,7 @@ def integrate_one_form(form: EtaForm, quadrature: dict | None = None):
         P, Q = form.coefficients(z)
         values.append(complex(np.sum(P * wdz + Q * np.conj(wdz))))
     coarse, fine = values
-    gap = float(_gaps(coarse, fine))
+    gap = _gaps(coarse, fine)
     if quadrature is not None:
         quadrature.update(stream_nodes=ARC_NODES[1], stream_gap=gap)
     return fine
@@ -215,10 +215,12 @@ def arc_integral(p: int, k: int, l: int, quadrature: dict | None = None):
 
 
 def line_arcs(p: int):
-    """(values, gaps)[l, i]: the arc of eta_chi_k, k = 2 i + 2 (every even
-    nontrivial exponent), on rho -> rho^2 pulled back along line l of
-    P^1(F_p), p prime: (1, v), v = 0 .. p - 1, then (0, 1), as eta_chi
-    takes them.
+    """(arcs, gap): arcs[l, k // 2 - 1], one real column per pair {chi_k,
+    chi_-k = conj chi_k} at its lesser even exponent k, is the arc of
+    eta_chi_k on rho -> rho^2 pulled back along line l of P^1(F_p), p
+    prime: (1, v), v = 0 .. p - 1, then (0, 1), as eta_chi takes them.
+    The sign rule: chi_-k's arcs are minus chi_k's; the real character's
+    are 0, its column only noise.  gap is the largest node gap.
 
     The arc is i sum (V conj X - conj V X) over the nodes, with V =
     sum_a chi(a) E*_(a l), D = d_z V and X = -i (D wdz - conj(D' wdz)),
@@ -228,15 +230,10 @@ def line_arcs(p: int):
     conj H0', H0 = (2 pi / p) tau(chi) sum_r q^r sum_{d m = r, p | d}
     conj chi(m) / d.  Grouped by r mod p, the v-dependence is one DFT.
     z -> -conj z takes node x to -x, q to conj q and wdz to conj wdz, so
-    conj H'(v) is H(-v) at node -x.  conj chi negates the arcs, so each
-    pair {chi, conj chi} is computed once.  Raises unless every gap
-    settles, as _gaps does."""
+    conj H'(v) is H(-v) at node -x.  Raises unless every pair's gaps
+    settle, as _gaps does."""
     tau = character_table(p).tau
-    ks = np.arange(2, p - 1, 2)
-    # Each pair {chi, conj chi} by its lesser exponent k, at k // 2 - 1.
     reps = np.arange(2, (p + 1) // 2, 2)
-    where = np.minimum(ks, p - 1 - ks) // 2 - 1
-    sign = np.sign(p - 1 - 2 * ks)  # 0 for a real character
     rmax = suggested_rmax(p, math.sqrt(3) / 2)
     J = rmax // p + 1
     r = np.arange(J * p)
@@ -262,7 +259,9 @@ def line_arcs(p: int):
         np.exp(qpow, out=qpow)
         rules.append((z, wdz, qpow,
                       qpow.reshape(J, p, nodes).transpose(1, 0, 2)))
-    arcs = np.empty((len(ARC_NODES), p + 1, len(reps)))
+    arcs = np.empty((p + 1, len(reps)))
+    coarse = np.empty(p + 1)
+    gap = 0.0
     coef = np.empty((2, J * p), dtype=complex)
     for i, k in enumerate(reps):
         terms = character_values(p, k)[dmod] * inverse
@@ -271,7 +270,7 @@ def line_arcs(p: int):
         coef[0] *= TWO_PI / p
         coef[0, 0] = const[i]
         np.multiply(coef[0], deriv, out=coef[1])
-        for (z, wdz, qpow, by_residue), out in zip(rules, arcs):
+        for (z, wdz, qpow, by_residue), out in zip(rules, (coarse, arcs.T[i])):
             buf = np.empty((p + 1, 2, len(z)), dtype=complex)
             # Summed by residue c, then bin v of the inverse DFT is the
             # e(r v / p) sum; row p is the cusp line.
@@ -290,8 +289,14 @@ def line_arcs(p: int):
             # -2 Im sum V conj(-i M) is -2 Re sum V conj(M).
             np.conjugate(mirror, out=mirror)
             mirror *= H
-            out[:, i] = -2.0 * mirror.real.sum(axis=-1)
-    arcs = arcs[:, :, where]
-    arcs *= sign
-    coarse, fine = arcs
-    return fine, _gaps(coarse, fine)
+            out[:] = -2.0 * mirror.real.sum(axis=-1)
+        gap = max(gap, _gaps(coarse, arcs.T[i]))
+    return arcs, gap
+
+
+def on_evens(pairs, p: int):
+    """Values by line_arcs' column (the last axis) on every even
+    nontrivial k = 2, 4, .. p - 3, by line_arcs' sign rule."""
+    ks = np.arange(2, p - 1, 2)
+    lesser = np.minimum(ks, p - 1 - ks)
+    return np.sign(p - 1 - 2 * ks) * pairs[..., lesser // 2 - 1]

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import (_is_prime, character_table, character_values,
-                         exponent_label, pair_sum)
-from .eisenstein import ARC_NODES, arc_integral, line_arcs
+from .characters import (_is_prime, character_sums, character_table,
+                         character_values, exponent_label, pair_sum)
+from .eisenstein import ARC_NODES, arc_integral, line_arcs, on_evens
 from .elliptic import (
     CURVE_11A,
     CURVE_REGISTRY,
@@ -257,27 +257,24 @@ class CurveContext:
 
     @cached_property
     def eta_arcs(self):
-        """arcs[i, v], the integral of eta_chi_k, k = evens[i], over the
-        arc rho -> rho^2 pulled back along the line (1, v) of P^1(F_p)
-        for v = 0 .. p - 1 and (0, 1) at v = p, and the worst node gap
-        among them: line_arcs, one complex row per even character, which
-        BLAS reads in place."""
-        values, gaps = line_arcs(self.p)
-        return values.T.astype(complex), gaps.max()
+        """line_arcs(p) as it returns them, one real column of arcs per
+        conjugate pair, which the suites read in place, and the gap."""
+        return line_arcs(self.p)
 
     @cached_property
     def arc_sums(self) -> np.ndarray:
         """s[k] = tau_k sum_j c[k, j] L(f, chi_j, 1), j even nontrivial, for
-        c[k, j] = tau(conj chi_j) sum_v conj chi_j(v) arcs[k, v], the pairing
-        the period bridge forces.  Summed over j first, that is one DFT of
-        tau_-j L_j, read at v = g^i: O(p) beyond the arcs; 0 at odd k."""
+        c[k, j] = tau(conj chi_j) sum_v conj chi_j(v) a_k(v) (a_k(v): chi_k's
+        arc on line v), the pairing the period bridge forces.  Summed over j
+        first: one DFT of tau_-j L_j, read at v = g^i, O(p); 0 at odd k."""
         powers, _, tau = character_table(self.p)
         central = np.zeros(self.p - 1, dtype=complex)
         central[self.evens] = tau[-self.evens] * self.l_one[self.evens]
         weights = np.zeros(self.p + 1, dtype=complex)
         weights[powers] = np.fft.fft(central)
         sums = np.zeros(self.p - 1, dtype=complex)
-        sums[self.evens] = tau[self.evens] * (self.eta_arcs[0] @ weights)
+        sums[self.evens] = tau[self.evens] * on_evens(
+            np.einsum("l,li->i", weights, self.eta_arcs[0]), self.p)
         return sums
 
     @cached_property
@@ -401,20 +398,21 @@ def run_thm1(config=None):
     rows.add("thm1:fricke-sign", w, -a_p(config.curve, p), TOL_SERIES,
              error_kind="abs")
 
-    powers, _, tau = character_table(p)
-    evens, odds = ctx.evens, ctx.odds
+    tau, evens, odds = character_table(p).tau, ctx.evens, ctx.odds
     arcs, gap = ctx.eta_arcs
     rhs = p * w / (8j * math.pi * (p - 1)) * ctx.arc_sums[evens]
-    # The odd columns of c[k, j] = tau_-j fft(arcs[k, powers])[j] vanish.
-    odd = np.fft.fft(arcs[:, powers], axis=1)[:, odds]
-    sweep = np.abs(tau[-odds] * odd).max(axis=1)
+    # c[k, j] = tau_-j sum_v conj chi_j(v) a_k(v) vanishes at odd j; a
+    # pair's two rows read one sweep of its column.
+    odd = [np.abs(tau[-odds] * character_sums(column, p)[-odds]).max()
+           for column in arcs.T]
+    sweep = np.abs(on_evens(np.array(odd), p))
 
     # The cusp arcs: the symbols (1, 0) and (0, 1) lift to g_0 = sigma
     # and the identity.
     rows.truncation.update(eta_tol=ABS_TOL, arc_count=len(evens) * (p - 1),
                            **_arc_truncation(gap))
     label = exponent_label(p, evens[0])
-    rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[0, [0, p]]).max(),
+    rows.add(f"thm1:cusp-arcs:{label}", np.abs(arcs[[0, p], 0]).max(),
              0.0, 1e-9, error_kind="abs", character=label)
     terms = {"lambda_terms": ctx.lambda_terms(p, p * p)}
     for i, k in enumerate(evens):
@@ -473,10 +471,10 @@ def run_thm3(config=None):
     is tau_k conj chi_k(b) at b != 0, so A_k(a x) = tau_k chi_k(a) sum_c
     conj chi_k(c) J[a x, c x] for a unit a, J[x, y] the arc of
     eta(delta_x, delta_y), and the A_k on a line l add up to tau_k
-    arcs[k, l], the shared arc of eta_chi_k.  xi is a function on
+    a_k(l), a_k(l) the shared arc of eta_chi_k.  xi is a function on
     P^1(F_p), as the form has trivial character: one value xi_l on line
     l, and xi.plus() holds xi^+ on the lines in the arcs' order.  So the
-    right side is (p i / 4) tau_k sum_l xi_l arcs[k, l].
+    right side is (p i / 4) tau_k sum_l xi_l a_k(l).
     """
     config = config or VerifyConfig()
     rows = _Rows(config, eta_tol=ABS_TOL)
@@ -490,7 +488,8 @@ def run_thm3(config=None):
 
     tau, evens = character_table(p).tau, ctx.evens
     arcs, gap = ctx.eta_arcs
-    rhs = (p * 1j / 4.0) * tau[evens] * (arcs @ xi.plus())
+    rhs = (p * 1j / 4.0) * tau[evens] * on_evens(
+        np.einsum("l,li->i", xi.plus(), arcs), p)
     # The right side's single-pair arcs: every x != 0, up to sign.
     truncation = dict(arc_count=(p * p - 1) // 2, lambda_terms=terms,
                       **_arc_truncation(gap))
@@ -504,7 +503,7 @@ def run_thm3(config=None):
             # summed from its divisors.
             quad = _arc_truncation(gap)
             stream = arc_integral(p, k, 3, quad)
-            rows.add(f"thm3:eta-linearity:{label}", arcs[0, 3], stream,
+            rows.add(f"thm3:eta-linearity:{label}", arcs[3, 0], stream,
                      1e-9, quad, error_kind="abs", character=label)
     return rows.reports
 

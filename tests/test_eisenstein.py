@@ -22,6 +22,7 @@ from ellreg.eisenstein import (
     eta_chi,
     integrate_one_form,
     line_arcs,
+    on_evens,
     suggested_rmax,
 )
 from ellreg.characters import _divisors
@@ -602,16 +603,17 @@ def test_arc_contraction_raises_when_node_counts_disagree():
 
 @pytest.mark.parametrize("p", [11, 17, 37, 101])
 def test_line_arcs_match_the_node_table(p):
-    # Every line and every even character, the quadratic one and each
-    # conjugate pair included.  Both routes round differently: by 1.3e-15
-    # at most at 101, where the arcs reach 6.6e-3.
+    # Every line and, through on_evens, every even character: each
+    # conjugate pair's signs and the real character's zeros included.
+    # Both routes round differently: by 1.3e-15 at most at 101, where the
+    # arcs reach 6.6e-3.
     ks = np.arange(2, p - 1, 2)
-    values, gaps = line_arcs(p)
+    arcs, gap = line_arcs(p)
     want, want_gaps = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)
                                 ).pairings(ks)
-    assert values.shape == gaps.shape == (p + 1, len(ks))
-    assert np.abs(values - want).max() <= 3e-15
-    assert np.abs(gaps - want_gaps).max() <= 3e-15
+    assert arcs.dtype == np.float64 and arcs.shape == (p + 1, (p - 1) // 4)
+    assert np.abs(on_evens(arcs, p) - want).max() <= 3e-15
+    assert abs(gap - want_gaps.max()) <= 3e-15
 
 
 @pytest.mark.parametrize("p", [11, 17, 37, 101])
@@ -625,13 +627,14 @@ def test_line_arcs_vanish_on_the_cusp_columns(p):
 @pytest.mark.parametrize("p", [11, 17])
 def test_line_arcs_match_arc_integral_on_every_column(p):
     # arc_integral takes the rules of ARC_NODES at line_arcs' nodes, so
-    # its value and its gap to the coarse rule are those of line_arcs.
-    values, gaps = line_arcs(p)
+    # its values and its largest gap to the coarse rule are line_arcs'.
+    values, gap = line_arcs(p)
+    values = on_evens(values, p)
     _, _, (arcs, arc_gaps, nodes) = _every_column(p)
     for (l, j), value in np.ndenumerate(arcs):
         assert nodes[l, j] == ARC_NODES[1]
         assert abs(values[l, j] - value) <= 1e-15
-        assert abs(gaps[l, j] - arc_gaps[l, j]) <= 1e-15
+    assert abs(gap - arc_gaps.max()) <= 1e-15
 
 
 def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
@@ -663,8 +666,9 @@ def test_line_oracle_is_the_pulled_back_residue_form(p):
     # pulled back along the line's lift, weight for weight and in the
     # same order, so its streams and its arc are those of the general
     # route bit for bit.  k = 2 and p - 3 are one conjugate pair, which
-    # line_arcs' column k / 2 - 1 gives up to the sign of the pair.
-    values, _ = line_arcs(p)
+    # line_arcs gives as its column 0, and on_evens at k / 2 - 1 with the
+    # sign of each.
+    values = on_evens(line_arcs(p)[0], p)
     for k in (2, p - 3):
         reference = chi_form(p, k)
         for l in range(p + 1):

@@ -13,7 +13,7 @@ from ellreg.characters import (
     character_values,
     enumerate_characters,
 )
-from ellreg.eisenstein import ARC_NODES, suggested_rmax
+from ellreg.eisenstein import ARC_NODES, line_arcs, on_evens, suggested_rmax
 from ellreg.elliptic import CURVE_11A, CURVE_17A, CURVE_REGISTRY, CurveModel
 from ellreg.lseries import _term_count, residue_tensor_square
 from ellreg.mahler import curve_identity_polynomials
@@ -430,22 +430,22 @@ def test_odd_sweep_stays_at_rounding_level():
 
 
 def test_odd_sweep_reads_every_odd_coefficient():
-    # The arcs of chi_k, k = evens[i], plus eps chi_j(v), j odd, move
-    # c[k, j] = tau_-j fft(arcs[i, powers])[j] by tau_-j eps (p - 1) and
-    # no other coefficient, so the sweep of k fails and the identity rows,
-    # which read the even coefficients, hold.
+    # The column of the pair {chi_6, chi_10} plus eps Re chi_j(v), j odd,
+    # moves c[k, j] = tau_-j sum_v conj chi_j(v) a_k(v) at k = 6 and 10 by
+    # tau_-j eps (p - 1) / 2 up to sign, at j and -j, and no other
+    # coefficient, so the sweeps of both fail and the identity rows, which
+    # read the even coefficients, hold.
     config = resolve_config(level=17)
     ctx = config.context
     arcs, gap = ctx.eta_arcs
-    i = 2
-    label = character_label(enumerate_characters(17)[ctx.evens[i]])
+    labels = [character_label(enumerate_characters(17)[k]) for k in (6, 10)]
     for j in ctx.odds:
         moved = arcs.copy()
-        moved[i, :17] += 1e-5 * character_values(17, j)
+        moved[:17, 6 // 2 - 1] += 1e-5 * character_values(17, j).real
         ctx.eta_arcs = moved, gap
         ctx.__dict__.pop("arc_sums", None)
         failed = [r.check for r in run_thm1(config) if not r.passed]
-        assert failed == [f"thm1:odd-sweep:{label}"], j
+        assert failed == [f"thm1:odd-sweep:{label}" for label in labels], j
 
 
 def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
@@ -488,29 +488,34 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
 
 @pytest.mark.parametrize("k, shifts", [
     (6, {5: 1e-8}),
-    # The quadratic character's sweep reads exactly 0 at 17.  Its
-    # identity row is degenerate (the twist's central value vanishes) and
-    # turns relative once its right side moves, so the shift is odd in v:
-    # it moves no even coefficient.
+    # The quadratic character's arcs are 0, which on_evens reads in place
+    # of the column that line_arcs computes for it: a shift there moves
+    # no row.
     (8, {5: 1e-8, 12: -1e-8}),
 ])
 def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
-    # A shift of 1e-8 is far above the sweep's 1e-9 and far below what
-    # the identity rows notice.
+    # A shift of 1e-8 in the column of k's pair is far above the sweep's
+    # 1e-9 and far below what the identity rows notice, so the sweeps of
+    # k and of its conjugate fail.
     config = resolve_config(level=17)
     ctx = config.context
-    assert all(r.passed for r in run_thm1(config))
+    before = run_thm1(config)
+    assert all(r.passed for r in before)
     arcs, gap = ctx.eta_arcs
     arcs = arcs.copy()
-    i = list(ctx.evens).index(k)
     for v, shift in shifts.items():
-        arcs[i, v] += shift
+        arcs[v, k // 2 - 1] += shift
     ctx.eta_arcs = arcs, gap
     # The identity rows read the moved arcs too.
     del ctx.arc_sums
-    failed = [r.check for r in run_thm1(config) if not r.passed]
-    label = character_label(enumerate_characters(17)[k])
-    assert failed == [f"thm1:odd-sweep:{label}"]
+    after = run_thm1(config)
+    failed = [r.check for r in after if not r.passed]
+    chars, pair = enumerate_characters(17), sorted({k, 16 - k} - {8})
+    assert failed == [f"thm1:odd-sweep:{character_label(chars[j])}"
+                      for j in pair]
+    if not pair:
+        assert ([(r.left, r.right) for r in after]
+                == [(r.left, r.right) for r in before])
 
 
 def test_context_arrays_are_indexed_by_exponent():
@@ -529,7 +534,8 @@ def test_context_arrays_are_indexed_by_exponent():
             assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[k]
     assert math.isnan(ctx.l_one[0].real)
     arcs, gap = ctx.eta_arcs
-    assert arcs.shape == (7, 18) and 0.0 <= gap < 1e-10
+    assert arcs.shape == (18, 4) and 0.0 <= gap < 1e-10
+    assert on_evens(arcs, 17).shape == (18, 7)
 
 
 CURVE_37A = CurveModel(0, 0, 1, -1, 0, 37)
@@ -551,7 +557,7 @@ def test_transforms_match_the_einsums_over_the_value_table(curve):
         return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     p, w, evens, odds = ctx.p, ctx.w, ctx.evens, ctx.odds
     arcs = np.zeros((p - 1, p + 1), dtype=complex)
-    arcs[evens] = ctx.eta_arcs[0]
+    arcs[evens] = on_evens(ctx.eta_arcs[0], p).T
     tau = character_table(p).tau
     coef = arc_coefficients_einsum(arcs)
     assert close(ctx.arc_sums, tau * (coef[:, evens] @ ctx.l_one[evens]))
@@ -596,6 +602,39 @@ def test_pair_sums_hold_no_array_over_the_pairs():
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 16 * 389
+
+
+@pytest.mark.parametrize("curve", [CURVE_REGISTRY["17a"], CURVE_37A],
+                         ids=lambda c: "%da" % c.conductor)
+def test_context_keeps_the_arcs_line_arcs_returns(curve, monkeypatch):
+    # One real column per conjugate pair, the array itself: no copy, no
+    # complex cast and no row per even character.
+    import ellreg.verify as verify
+
+    made = []
+    monkeypatch.setattr(verify, "line_arcs",
+                        lambda p: made.append(line_arcs(p)) or made[-1])
+    p = curve.conductor
+    arcs, gap = resolve_config(curve=curve).context.eta_arcs
+    assert arcs is made[0][0] and gap == made[0][1]
+    assert arcs.dtype == np.float64 and arcs.shape == (p + 1, (p - 1) // 4)
+
+
+def test_thm1_holds_no_array_over_the_character_pairs():
+    # At 389a the arcs are 303 KB and one (p - 1) / 2 x (p - 1) complex
+    # array 1.2 MB.  With every context field built, thm1's odd sweep
+    # reads the arcs one pair's column at a time.
+    config = resolve_config(curve=CurveModel(0, 1, 1, -2, 0, 389))
+    ctx = config.context
+    for name in ("form", "w", "l_one", "l_two", "eta_arcs", "arc_sums"):
+        getattr(ctx, name)
+    tracemalloc.start()
+    try:
+        run_thm1(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 @pytest.mark.parametrize("curve", [CURVE_11A, CURVE_REGISTRY["17a"],
