@@ -8,9 +8,9 @@ eta and Siegel theta products) are the tests' reference route.
 
 The eta one-form eta(l, m) = E*_l (d - dbar) E*_m - E*_m (d - dbar) E*_l
 is evaluated through streams.  Every suite integrates it over the arc
-rho -> rho^2, pulled back along a line of P^1(F_p), by one pair of
-Gauss-Legendre rules (ARC_NODES): the value at the fine rule, its gap
-to the coarse rule as the error.  The arcs of eta_chi on the lines are
+rho -> rho^2, pulled back along a line of P^1(F_p), by one Gauss-Legendre
+rule of ARC_NODES nodes, whose own top two Legendre coefficients of the
+integrand bound the error.  The arcs of eta_chi on the lines are
 character transforms of E* (characters.character_sums), whose
 q-expansions have twisted divisor sums as coefficients (line_arcs);
 arc_integral evaluates one of them from the streams of the pulled-back
@@ -20,12 +20,12 @@ divisors (eta_chi) at the same nodes.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .characters import character_sums, character_table, character_values
-from .special import ABS_TOL, TWO_PI, gauss_legendre_nodes
+from .special import ABS_TOL, TWO_PI, _legendre, gauss_legendre_nodes
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -167,50 +167,51 @@ def eta_chi(p: int, k: int, l: int) -> EtaForm:
     return EtaForm(p, left, right, suggested_rmax(p, math.sqrt(3) / 2))
 
 
-# The Gauss-Legendre rules of the arc rho -> rho^2: values at the second,
-# gaps against the first.  The arcs' q-frequencies reach about rmax / p,
-# which does not grow with p, so neither do these.
-ARC_NODES = (32, 64)
+# The node count of the Gauss-Legendre rule on rho -> rho^2: the arcs'
+# q-frequencies reach about rmax / p, which does not grow with p.
+ARC_NODES = 64
 
 
+@lru_cache(maxsize=None)
 def _arc_rule(nodes: int):
-    """The nodes z = i e^(i pi x / 6) of the Gauss-Legendre rule on
-    rho -> rho^2, and its weights times dz = (pi / 6) i z dx."""
+    """The nodes z = i e^(i pi x / 6) of the Gauss-Legendre rule on rho ->
+    rho^2, its weights times dz = (pi / 6) i z dx and (n + 1/2) P_n(x) for
+    _settle at n = nodes - 2, nodes - 1; made once, and not to be written."""
     x, w = gauss_legendre_nodes(nodes)
     z = 1j * np.exp(1j * (math.pi / 6) * x)  # -x mirrors exactly
-    return z, (math.pi / 6) * w * 1j * z
+    tail = np.stack([(n + 0.5) * _legendre(n, x)[0]
+                     for n in (nodes - 2, nodes - 1)], axis=-1)
+    return z, (math.pi / 6) * w * 1j * z, tail
 
 
-def _gaps(coarse, fine) -> float:
-    """The largest |fine - coarse|; raises unless every gap is below
-    1e-10 max(1, |fine|)."""
-    gaps = np.abs(fine - coarse)
-    if not np.all(gaps < 1e-10 * np.maximum(1.0, np.abs(fine))):
+def _settle(values, summands, tail) -> float:
+    """The largest tail of values, the sums of summands over their last
+    axis: the larger of the rule's top two Legendre coefficients, summands
+    @ tail (Trefethen, Approximation Theory and Approximation Practice,
+    ch. 19).  Raises unless each is below 1e-10 max(1, |value|)."""
+    tails = np.abs(summands @ tail).max(axis=-1)
+    if not np.all(tails < 1e-10 * np.maximum(1.0, np.abs(values))):
         raise RuntimeError("quadrature failed to settle below tolerance")
-    return float(gaps.max())
+    return float(tails.max())
 
 
 def integrate_one_form(form: EtaForm, quadrature: dict | None = None):
-    """The integral of P dz + Q dzbar along rho -> rho^2 by the fine rule
-    of ARC_NODES, as line_arcs takes it.  Raises unless the gap to the
-    coarse rule's value settles, as _gaps does.  A given quadrature dict
-    receives stream_nodes, the fine rule's node count, and stream_gap,
-    that gap."""
-    values = []
-    for z, wdz in map(_arc_rule, ARC_NODES):
-        P, Q = form.coefficients(z)
-        values.append(complex(np.sum(P * wdz + Q * np.conj(wdz))))
-    coarse, fine = values
-    gap = _gaps(coarse, fine)
+    """The integral of P dz + Q dzbar along rho -> rho^2 by the rule of
+    ARC_NODES, as line_arcs takes it, checked by _settle.  A given quadrature
+    dict receives stream_nodes, the node count, and stream_gap, the tail."""
+    z, wdz, tail = _arc_rule(ARC_NODES)
+    P, Q = form.coefficients(z)
+    summands = P * wdz + Q * np.conj(wdz)
+    value = complex(np.sum(summands))
+    gap = _settle(value, summands, tail)
     if quadrature is not None:
-        quadrature.update(stream_nodes=ARC_NODES[1], stream_gap=gap)
-    return fine
+        quadrature.update(stream_nodes=ARC_NODES, stream_gap=gap)
+    return value
 
 
 def arc_integral(p: int, k: int, l: int, quadrature: dict | None = None):
     """The arc of eta_chi_k on rho -> rho^2 pulled back along line l of
-    P^1(F_p), by the stream quadrature; a given quadrature dict receives
-    the node count and gap of integrate_one_form."""
+    P^1(F_p) by integrate_one_form, which fills a given quadrature dict."""
     return integrate_one_form(eta_chi(p, k, l), quadrature)
 
 
@@ -220,7 +221,7 @@ def line_arcs(p: int):
     eta_chi_k on rho -> rho^2 pulled back along line l of P^1(F_p), p
     prime: (1, v), v = 0 .. p - 1, then (0, 1), as eta_chi takes them.
     The sign rule: chi_-k's arcs are minus chi_k's; the real character's
-    are 0, its column only noise.  gap is the largest node gap.
+    are 0 and have no column.  gap is the largest tail, as _settle takes it.
 
     The arc is i sum (V conj X - conj V X) over the nodes, with V =
     sum_a chi(a) E*_(a l), D = d_z V and X = -i (D wdz - conj(D' wdz)),
@@ -230,10 +231,10 @@ def line_arcs(p: int):
     conj H0', H0 = (2 pi / p) tau(chi) sum_r q^r sum_{d m = r, p | d}
     conj chi(m) / d.  Grouped by r mod p, the v-dependence is one DFT.
     z -> -conj z takes node x to -x, q to conj q and wdz to conj wdz, so
-    conj H'(v) is H(-v) at node -x.  Raises unless every pair's gaps
-    settle, as _gaps does."""
+    conj H'(v) is H(-v) at node -x.  Raises unless every pair's tails
+    settle, as _settle does."""
     tau = character_table(p).tau
-    reps = np.arange(2, (p + 1) // 2, 2)
+    reps = np.arange(2, (p - 1) // 2, 2)
     rmax = suggested_rmax(p, math.sqrt(3) / 2)
     J = rmax // p + 1
     r = np.arange(J * p)
@@ -250,19 +251,14 @@ def line_arcs(p: int):
     c_y = 2.0 * math.pi**2 / p * character_sums(_beta2(r[:p], p), p)[reps]
     deriv = 2j * math.pi * r / p
     bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
-    rules = []
-    for nodes in ARC_NODES:
-        z, wdz = _arc_rule(nodes)
-        qpow = np.multiply.outer(r, z)
-        qpow *= 2j * math.pi
-        qpow /= p
-        np.exp(qpow, out=qpow)
-        rules.append((z, wdz, qpow,
-                      qpow.reshape(J, p, nodes).transpose(1, 0, 2)))
-    arcs = np.empty((p + 1, len(reps)))
-    coarse = np.empty(p + 1)
-    gap = 0.0
+    z, wdz, tail = _arc_rule(ARC_NODES)
+    qpow = np.multiply.outer(r, z)
+    qpow *= 2j * math.pi
+    qpow /= p
+    np.exp(qpow, out=qpow)
+    arcs, gap = np.empty((p + 1, len(reps))), 0.0
     coef = np.empty((2, J * p), dtype=complex)
+    buf = np.empty((p + 1, 2, len(z)), dtype=complex)
     for i, k in enumerate(reps):
         terms = character_values(p, k)[dmod] * inverse
         coef[0].real = np.bincount(dm, terms.real, len(r))
@@ -270,33 +266,36 @@ def line_arcs(p: int):
         coef[0] *= TWO_PI / p
         coef[0, 0] = const[i]
         np.multiply(coef[0], deriv, out=coef[1])
-        for (z, wdz, qpow, by_residue), out in zip(rules, (coarse, arcs.T[i])):
-            buf = np.empty((p + 1, 2, len(z)), dtype=complex)
-            # Summed by residue c, then bin v of the inverse DFT is the
-            # e(r v / p) sum; row p is the cusp line.
-            np.matmul(coef.reshape(2, J, p).transpose(2, 0, 1), by_residue,
-                      out=buf[:p])
-            np.fft.ifft(buf[:p], axis=0, norm="forward", out=buf[:p])
-            np.matmul(np.stack([a0[i], a0[i] * deriv[::p]]), qpow[::p],
-                      out=buf[p])
-            H, D = buf[:, 0], buf[:, 1]
-            D[p] += c_y[i] / 2j
-            mirror = H[bar, ::-1]
-            H += mirror  # V
-            H[p] += c_y[i] * z.imag
-            D *= wdz
-            mirror = D[bar, ::-1] + D
-            # -2 Im sum V conj(-i M) is -2 Re sum V conj(M).
-            np.conjugate(mirror, out=mirror)
-            mirror *= H
-            out[:] = -2.0 * mirror.real.sum(axis=-1)
-        gap = max(gap, _gaps(coarse, arcs.T[i]))
+        # Summed by residue c, then bin v of the inverse DFT is the
+        # e(r v / p) sum; row p is the cusp line.
+        np.matmul(coef.reshape(2, J, p).transpose(2, 0, 1),
+                  qpow.reshape(J, p, -1).transpose(1, 0, 2), out=buf[:p])
+        np.fft.ifft(buf[:p], axis=0, norm="forward", out=buf[:p])
+        np.matmul(np.stack([a0[i], a0[i] * deriv[::p]]), qpow[::p],
+                  out=buf[p])
+        H, D = buf[:, 0], buf[:, 1]
+        D[p] += c_y[i] / 2j
+        mirror = H[bar, ::-1]
+        H += mirror  # V
+        H[p] += c_y[i] * z.imag
+        D *= wdz
+        mirror = D[bar, ::-1] + D
+        # -2 Im sum V conj(-i M) is -2 Re sum V conj(M), node by node.
+        np.conjugate(mirror, out=mirror)
+        mirror *= H
+        summands = -2.0 * mirror.real
+        arcs[:, i] = summands.sum(axis=-1)
+        gap = max(gap, _settle(arcs[:, i], summands, tail))
     return arcs, gap
 
 
 def on_evens(pairs, p: int):
     """Values by line_arcs' column (the last axis) on every even
-    nontrivial k = 2, 4, .. p - 3, by line_arcs' sign rule."""
+    nontrivial k = 2, 4, .. p - 3, by line_arcs' sign rule: 0 for the
+    real character, which has no column."""
     ks = np.arange(2, p - 1, 2)
-    lesser = np.minimum(ks, p - 1 - ks)
-    return np.sign(p - 1 - 2 * ks) * pairs[..., lesser // 2 - 1]
+    sign = np.sign(p - 1 - 2 * ks)
+    values = np.zeros(pairs.shape[:-1] + ks.shape, dtype=pairs.dtype)
+    values[..., sign != 0] = sign[sign != 0] * pairs[
+        ..., np.minimum(ks, p - 1 - ks)[sign != 0] // 2 - 1]
+    return values

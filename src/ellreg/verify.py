@@ -383,8 +383,8 @@ def run_cor101(config=None):
 
 
 def _arc_truncation(gap):
-    """The node counts of a row's shared arcs and the worst gap between."""
-    return {"arc_nodes": list(ARC_NODES), "arc_gap": gap}
+    """The node count of a row's shared arcs and line_arcs' largest tail."""
+    return {"arc_nodes": ARC_NODES, "arc_gap": gap}
 
 
 def run_thm1(config=None):

@@ -25,6 +25,7 @@ from ellreg.eisenstein import (
     on_evens,
     suggested_rmax,
 )
+import ellreg.eisenstein as eisenstein
 from ellreg.characters import _divisors
 from ellreg.eisenstein import _beta2, _constant_terms
 from ellreg.modsym import SymbolIndex
@@ -482,10 +483,12 @@ def _assert_values_match_arc_integral(values, arcs):
 
 
 def _assert_gaps_match_the_stream_rule(values, gaps, arcs):
-    """The table's fine-rule values and coarse-vs-fine gaps are those of
-    arc_integral, which takes the same two rules."""
+    """The table's fine-rule values are those of arc_integral, which takes
+    the same rule.  Its coarse-vs-fine gaps and arc_integral's tails, two
+    estimates of that rule's error, agree to 1e-13: both sit at rounding
+    level."""
     arc_values, arc_gaps, nodes = arcs
-    assert (nodes == 2 * ArcTable.NODES[0]).all()
+    assert ARC_NODES == ArcTable.NODES[1] and (nodes == ARC_NODES).all()
     for (s, k), value in np.ndenumerate(arc_values):
         assert abs(values[s, k] - value) <= 1e-13
         assert abs(gaps[s, k] - arc_gaps[s, k]) <= 1e-13
@@ -606,14 +609,14 @@ def test_line_arcs_match_the_node_table(p):
     # Every line and, through on_evens, every even character: each
     # conjugate pair's signs and the real character's zeros included.
     # Both routes round differently: by 1.3e-15 at most at 101, where the
-    # arcs reach 6.6e-3.
+    # arcs reach 6.6e-3.  The gaps are two different estimates, which
+    # test_line_arcs_match_arc_integral_on_every_column and
+    # test_the_tail_bounds_the_error_of_coarse_rules check.
     ks = np.arange(2, p - 1, 2)
-    arcs, gap = line_arcs(p)
-    want, want_gaps = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)
-                                ).pairings(ks)
-    assert arcs.dtype == np.float64 and arcs.shape == (p + 1, (p - 1) // 4)
+    arcs, _ = line_arcs(p)
+    want, _ = arc_table(p, suggested_rmax(p, math.sqrt(3) / 2)).pairings(ks)
+    assert arcs.dtype == np.float64 and arcs.shape == (p + 1, (p - 3) // 4)
     assert np.abs(on_evens(arcs, p) - want).max() <= 3e-15
-    assert abs(gap - want_gaps.max()) <= 3e-15
 
 
 @pytest.mark.parametrize("p", [11, 17, 37, 101])
@@ -625,39 +628,69 @@ def test_line_arcs_vanish_on_the_cusp_columns(p):
 
 
 @pytest.mark.parametrize("p", [11, 17])
-def test_line_arcs_match_arc_integral_on_every_column(p):
-    # arc_integral takes the rules of ARC_NODES at line_arcs' nodes, so
-    # its values and its largest gap to the coarse rule are line_arcs'.
+def test_line_arcs_match_arc_integral_on_every_column(p, monkeypatch):
+    # arc_integral takes the rule of ARC_NODES at line_arcs' nodes, so its
+    # values are line_arcs'.  Both take the same tail estimate: at 64
+    # nodes it sits at rounding level on either route, and at 16 nodes,
+    # where it reaches 5.6e-11, their largest tails agree to 1e-5.
     values, gap = line_arcs(p)
     values = on_evens(values, p)
     _, _, (arcs, arc_gaps, nodes) = _every_column(p)
     for (l, j), value in np.ndenumerate(arcs):
-        assert nodes[l, j] == ARC_NODES[1]
+        assert nodes[l, j] == ARC_NODES
         assert abs(values[l, j] - value) <= 1e-15
-    assert abs(gap - arc_gaps.max()) <= 1e-15
+    assert max(gap, arc_gaps.max()) <= 1e-14
+    monkeypatch.setattr(eisenstein, "ARC_NODES", 16)
+    gap = line_arcs(p)[1]
+    _, arc_gaps, _ = _stream_arcs(
+        lambda k, l, quad: arc_integral(p, k, l, quad), range(p + 1),
+        np.arange(2, p - 1, 2))
+    assert 1e-14 < gap and abs(gap - arc_gaps.max()) <= 1e-5 * gap
 
 
-def test_line_arcs_raise_when_node_counts_disagree(monkeypatch):
-    import ellreg.eisenstein as eisenstein
-
+def test_line_arcs_raise_when_the_tail_does_not_settle(monkeypatch):
     line_arcs(N)
-    # Four nodes leave the coarse values far from the fine ones.
-    monkeypatch.setattr(eisenstein, "ARC_NODES", (4, ARC_NODES[1]))
+    # Eight nodes leave the rule's top Legendre coefficients near 1e-5.
+    monkeypatch.setattr(eisenstein, "ARC_NODES", 8)
     with pytest.raises(RuntimeError, match="settle"):
         line_arcs(N)
     with pytest.raises(ValueError, match="prime"):
         line_arcs(15)
 
 
-def test_arc_integral_raises_when_node_counts_disagree(monkeypatch):
-    import ellreg.eisenstein as eisenstein
-
+def test_arc_integral_raises_when_the_tail_does_not_settle(monkeypatch):
     quad = {}
     arc_integral(N, 2, 3, quad)
-    assert quad["stream_nodes"] == ARC_NODES[1] and quad["stream_gap"] < 1e-15
-    monkeypatch.setattr(eisenstein, "ARC_NODES", (4, ARC_NODES[1]))
+    assert quad["stream_nodes"] == ARC_NODES and quad["stream_gap"] < 1e-15
+    monkeypatch.setattr(eisenstein, "ARC_NODES", 8)
     with pytest.raises(RuntimeError, match="settle"):
         arc_integral(N, 2, 3)
+
+
+@pytest.mark.parametrize("p", [17, 101])
+def test_the_tail_bounds_the_error_of_coarse_rules(p, monkeypatch):
+    # Against the 128-node arcs, every arc that a coarser rule misses by
+    # more than 1e-14 has a tail at least that large.  From 12 nodes on
+    # every arc is already within 1e-14, while the tail stays far above
+    # it (3.3e-8 at 12 nodes and p = 17), so the 8-node rule is the one
+    # that gives such arcs.
+    monkeypatch.setattr(eisenstein, "ARC_NODES", 128)
+    want, _ = line_arcs(p)
+    # An infinite value lifts the bound: _settle then gives each line's
+    # tail without the check.
+    settle, tails = eisenstein._settle, []
+    monkeypatch.setattr(eisenstein, "_settle", lambda values, summands, tail:
+                        tails.append([settle(np.inf, s, tail)
+                                      for s in summands]) or 0.0)
+    checked = 0
+    for nodes in (8, 12, 16, 24):
+        monkeypatch.setattr(eisenstein, "ARC_NODES", nodes)
+        tails.clear()
+        error = np.abs(line_arcs(p)[0] - want)
+        missed = error > 1e-14
+        assert (np.stack(tails, axis=-1)[missed] >= error[missed]).all()
+        checked += missed.sum()
+    assert checked > 0
 
 
 @pytest.mark.parametrize("p", [11, 17, 37])

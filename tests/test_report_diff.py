@@ -67,6 +67,19 @@ def test_a_moved_side_is_reported_by_family(report_diff, tmp_path, capsys):
                    MARGIN, "margin: 2.523 digits (thm1:identity:11:a)"]
 
 
+def test_the_worst_error_is_the_familys_over_every_row(
+        report_diff, tmp_path, capsys):
+    # An unmoved row c holds the family's worst error, 5e-12, on both
+    # sides, whichever row moves below it.
+    worst = make_report("thm1:identity:11:c", {}, 1.0, 1.0 + 5e-12, 1e-9, 0.5)
+    code, out = _run(report_diff, tmp_path, capsys, _rows() + [worst],
+                     _rows(identity_right=1.0 + 3e-12) + [worst])
+    assert code == 1
+    assert out[0] == ("thm1:identity: 1 rows differ in abs_err, error, "
+                      "rel_err, right, largest side move 2.000e-12, worst "
+                      "error 5.000e-12 -> 5.000e-12")
+
+
 def test_a_moved_truncation_field_is_named_by_its_key(
         report_diff, tmp_path, capsys):
     # Bitwise sides with only the gap moved: the family names the field.

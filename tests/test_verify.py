@@ -285,14 +285,16 @@ def test_arc_rows_record_nodes_and_gap():
     # Every row but thm1's Fricke sign and thm3's closedness shares its
     # suite's closed-form arcs.
     assert len(arc_rows) == len(rows) - 2
+    # Each records the rule's node count and line_arcs' largest tail.
+    gap = line_arcs(11)[1]
     for r in arc_rows:
-        assert r.truncation["arc_nodes"] == list(ARC_NODES)
-        assert 0.0 <= r.truncation["arc_gap"] < 1e-10
-    # The linearity row's stream quadrature records the rule it settled
-    # at and the error it achieved.
+        assert r.truncation["arc_nodes"] == ARC_NODES
+        assert r.truncation["arc_gap"] == gap and 0.0 < gap < 1e-14
+    # The linearity row's stream quadrature records the same rule and
+    # arc_integral's tail of the same estimate.
     (linearity,) = [r for r in rows if "eta-linearity" in r.check]
-    assert linearity.truncation["stream_nodes"] == ARC_NODES[1]
-    assert 0.0 <= linearity.truncation["stream_gap"] < 1e-10
+    assert linearity.truncation["stream_nodes"] == ARC_NODES
+    assert 0.0 < linearity.truncation["stream_gap"] < 1e-14
 
 
 def test_mahler_rows_record_the_lseries_terms_beside_the_lambda_terms(
@@ -488,10 +490,9 @@ def test_suites_make_no_character_products_or_per_arc_calls(monkeypatch):
 
 @pytest.mark.parametrize("k, shifts", [
     (6, {5: 1e-8}),
-    # The quadratic character's arcs are 0, which on_evens reads in place
-    # of the column that line_arcs computes for it: a shift there moves
-    # no row.
-    (8, {5: 1e-8, 12: -1e-8}),
+    # The quadratic character's arcs are 0, which on_evens gives with no
+    # column to read: there is nothing to shift, and its sweep reads 0.
+    (8, {}),
 ])
 def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
     # A shift of 1e-8 in the column of k's pair is far above the sweep's
@@ -502,6 +503,7 @@ def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
     before = run_thm1(config)
     assert all(r.passed for r in before)
     arcs, gap = ctx.eta_arcs
+    assert arcs.shape[1] == 3
     arcs = arcs.copy()
     for v, shift in shifts.items():
         arcs[v, k // 2 - 1] += shift
@@ -514,6 +516,9 @@ def test_odd_sweep_fails_when_one_arc_moves(k, shifts):
     assert failed == [f"thm1:odd-sweep:{character_label(chars[j])}"
                       for j in pair]
     if not pair:
+        (sweep,) = [r for r in before if r.check
+                    == f"thm1:odd-sweep:{character_label(chars[k])}"]
+        assert sweep.left == 0.0
         assert ([(r.left, r.right) for r in after]
                 == [(r.left, r.right) for r in before])
 
@@ -534,7 +539,7 @@ def test_context_arrays_are_indexed_by_exponent():
             assert ctx.l_one[k] == (2 * math.pi / 17) * ctx.lambda_table[k]
     assert math.isnan(ctx.l_one[0].real)
     arcs, gap = ctx.eta_arcs
-    assert arcs.shape == (18, 4) and 0.0 <= gap < 1e-10
+    assert arcs.shape == (18, 3) and 0.0 <= gap < 1e-10
     assert on_evens(arcs, 17).shape == (18, 7)
 
 
@@ -617,7 +622,7 @@ def test_context_keeps_the_arcs_line_arcs_returns(curve, monkeypatch):
     p = curve.conductor
     arcs, gap = resolve_config(curve=curve).context.eta_arcs
     assert arcs is made[0][0] and gap == made[0][1]
-    assert arcs.dtype == np.float64 and arcs.shape == (p + 1, (p - 1) // 4)
+    assert arcs.dtype == np.float64 and arcs.shape == (p + 1, (p - 3) // 4)
 
 
 def test_thm1_holds_no_array_over_the_character_pairs():

@@ -8,8 +8,9 @@ every other field of every row agrees bit for bit, this prints
 "identical".  Otherwise it prints, for each row family (the first two
 ':' fields of a check name) with a row that differs, the fields that
 differ (a dict field by its key, as ``truncation.arc_gap``), the
-largest move of either side and the worst error before and after; then
-every flipped verdict and every row present on one side only.  Last
+largest move of either side and the family's worst error over all its
+rows before and after (the figure the fingerprint records); then every
+flipped verdict and every row present on one side only.  Last
 comes one line per report, ``margin: D digits (CHECK)``, with D = -log10
 of the largest error / tolerance, the figure perfbench's
 ``err_margin_digits`` reads, and CHECK the row that sets it.  Given two
@@ -51,6 +52,21 @@ def _fields(report):
             for name, value in data.items()}
 
 
+def family(check):
+    """A check's row family: the first two ':' fields of its name."""
+    return ":".join(check.split(":")[:2])
+
+
+def worst_errors(rows):
+    """Each row family's worst error over CheckReport rows, a nan error
+    counting as the worst, as in the margin."""
+    worst = {}
+    for r in rows:
+        error = math.inf if math.isnan(r.error) else r.error
+        worst[family(r.check)] = max(worst.get(family(r.check), 0.0), error)
+    return worst
+
+
 def margin(rows):
     """The line "margin: D digits (CHECK)" for a {check: CheckReport} map:
     D = -log10 max(error / tolerance), as perfbench reads it (a nan error
@@ -75,21 +91,20 @@ def diff(before, after):
         moved = {name for name in old_fields.keys() | new_fields.keys()
                  if old_fields.get(name) != new_fields.get(name)}
         if moved:
-            family = ":".join(check.split(":")[:2])
-            families[family].append((old, new))
-            fields[family] |= moved
+            families[family(check)].append((old, new))
+            fields[family(check)] |= moved
         if old.passed != new.passed:
             flipped.append("flipped: %s %s -> %s" % (
                 check, *("PASS" if r.passed else "FAIL" for r in (old, new))))
+    worst = [worst_errors(rows.values()) for rows in (before, after)]
     lines = []
-    for family, pairs in sorted(families.items()):
+    for name, pairs in sorted(families.items()):
         moved = max(max(abs(new.left - old.left), abs(new.right - old.right))
                     for old, new in pairs)
         lines.append("%s: %d rows differ in %s, largest side move %.3e, "
                      "worst error %.3e -> %.3e" % (
-                         family, len(pairs), ", ".join(sorted(fields[family])),
-                         moved, max(old.error for old, _ in pairs),
-                         max(new.error for _, new in pairs)))
+                         name, len(pairs), ", ".join(sorted(fields[name])),
+                         moved, *(w[name] for w in worst)))
     lines += sorted(flipped)
     lines += ["only in the first report: " + c
               for c in sorted(before.keys() - after.keys())]

@@ -41,20 +41,11 @@ GROWTH = 10.0  # how far a family's worst error may rise over its record
 FLOOR = 1e-15
 
 
-def family(check):
-    return ":".join(check.split(":")[:2])
-
-
 def fingerprint_of(rows):
     """The fingerprint of one report, a list of CheckReport rows."""
-    worst = {}
-    for r in rows:
-        # A nan error counts as the worst, as in report_diff's margin.
-        error = math.inf if math.isnan(r.error) else r.error
-        worst[family(r.check)] = max(worst.get(family(r.check), 0.0), error)
     return {"rows": ["%s %s" % ("PASS" if r.passed else "FAIL", r.check)
                      for r in rows],
-            "families": worst,
+            "families": report_diff.worst_errors(rows),
             "margin": report_diff.margin({r.check: r for r in rows})}
 
 
