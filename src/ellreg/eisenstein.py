@@ -58,6 +58,15 @@ def _multiples(ks, rmax: int):
                                                    counts)
 
 
+def _q_powers(count: int, z, N: int):
+    """The table e^{2 pi i r z / N}, r = 0 .. count - 1 down its first
+    axis, built in place: the arcs and the streams share it."""
+    qpow = np.multiply.outer(np.arange(count), z)
+    qpow *= 2j * math.pi
+    qpow /= N
+    return np.exp(qpow, out=qpow)
+
+
 class EisensteinStream:
     """Fourier data of E*_F for a pair divisor F, a dict of weights on
     pairs (u, v) reduced mod N:
@@ -73,10 +82,9 @@ class EisensteinStream:
         self.c_log = -math.pi / N**2 * sum(divisor.values())
         self.A = np.zeros(rmax + 1, dtype=complex)
         self.B = np.zeros(rmax + 1, dtype=complex)
-        # Every term of A and B in the order of a loop over pairs, signs,
-        # k and m, added in one pass each: np.add.at adds in index order,
-        # so each A_r and B_r rounds as that loop would.
-        at, to_a, to_b = [], [], []
+        # Each pair's and sign's terms go straight into A and B in the
+        # order of a loop over k and m: np.add.at adds in index order, so
+        # each A_r and B_r rounds as that loop would.
         constant = _constant_terms(N)
         for (u, v), c in divisor.items():
             if u == 0:
@@ -87,35 +95,25 @@ class EisensteinStream:
                 k, m = _multiples(np.arange((sign * u) % N or N, rmax + 1, N),
                                   rmax)
                 base = np.exp(sign * 2j * math.pi * (m * v % N) / N) / k
-                at.append(k * m)
-                to_a.append(c * (math.pi / N) * base)
-                to_b.append(c * (math.pi / N) * base.conj())
-        if at:
-            at = np.concatenate(at)
-            np.add.at(self.A, at, np.concatenate(to_a))
-            np.add.at(self.B, at, np.concatenate(to_b))
-
-    def _exps(self, z):
-        """The table of e^{2 pi i r z / N} for r = 0 .. rmax."""
-        r = np.arange(self.rmax + 1)
-        return np.exp(2j * math.pi * np.multiply.outer(r, z) / self.modulus)
+                np.add.at(self.A, k * m, c * (math.pi / N) * base)
+                np.add.at(self.B, k * m, c * (math.pi / N) * base.conj())
 
     def jet(self, z, ez=None):
         """E*_F at z and the coefficients of dz and dzbar in its total
-        differential; ez is _exps(z), which streams of one level and rmax
-        can share."""
+        differential; ez is _q_powers(rmax + 1, z, N), which streams of
+        one level and rmax can share.  The B sums are taken as conj(sum_r
+        conj(B_r) ez_r), so the table is not conjugated."""
         z = np.asarray(z, dtype=complex)
         y = z.imag
-        ez = self._exps(z) if ez is None else ez
-        ezbar = ez.conj()
+        ez = _q_powers(self.rmax + 1, z, self.modulus) if ez is None else ez
         r = np.arange(self.rmax + 1)
         value = (self.c_y * y + self.c_log * np.log(y) + self.c_0
                  + np.einsum("r,r...->...", self.A, ez)
-                 + np.einsum("r,r...->...", self.B, ezbar))
+                 + np.einsum("r,r...->...", self.B.conj(), ez).conj())
         hol = np.einsum(
             "r,r...->...", self.A * (2j * math.pi * r / self.modulus), ez)
-        anti = np.einsum(
-            "r,r...->...", self.B * (-2j * math.pi * r / self.modulus), ezbar)
+        anti = np.einsum("r,r...->...", np.conj(
+            self.B * (-2j * math.pi * r / self.modulus)), ez).conj()
         return (value, self.c_y / 2j + self.c_log / (2j * y) + hol,
                 -self.c_y / 2j - self.c_log / (2j * y) + anti)
 
@@ -148,7 +146,7 @@ class EtaForm:
     def coefficients(self, z):
         """(P, Q) of the form P dz + Q dzbar at z."""
         M = self.right_stream
-        ez = M._exps(np.asarray(z, dtype=complex))  # same level and rmax
+        ez = _q_powers(self.rmax + 1, np.asarray(z, complex), self.modulus)
         vl, dl, dbl = self.left_stream.jet(z, ez)
         vm, dm, dbm = M.jet(z, ez)
         return vl * dm - vm * dl, -(vl * dbm - vm * dbl)
@@ -252,10 +250,7 @@ def line_arcs(p: int):
     deriv = 2j * math.pi * r / p
     bar = np.append(-np.arange(p) % p, p)  # the line of -x for x on line l
     z, wdz, tail = _arc_rule(ARC_NODES)
-    qpow = np.multiply.outer(r, z)
-    qpow *= 2j * math.pi
-    qpow /= p
-    np.exp(qpow, out=qpow)
+    qpow = _q_powers(J * p, z, p)
     arcs, gap = np.empty((p + 1, len(reps))), 0.0
     coef = np.empty((2, J * p), dtype=complex)
     buf = np.empty((p + 1, 2, len(z)), dtype=complex)

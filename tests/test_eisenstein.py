@@ -731,6 +731,22 @@ def test_line_arcs_hold_one_buffer_per_block():
     assert peak <= 4e6
 
 
+@pytest.mark.parametrize("p", [389, 997])
+def test_the_stream_route_holds_one_q_power_table(p):
+    # Two streams and one (rmax + 1) x 64 table e^(2 pi i r z / p): no
+    # per-pair term lists, no conjugate copy and no temporaries of the
+    # table's size.  The first call warms the character table and rule.
+    arc_integral(p, 2, 3)
+    tracemalloc.start()
+    try:
+        arc_integral(p, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (suggested_rmax(p, math.sqrt(3) / 2) + 1) * ARC_NODES * 16
+    assert peak <= 1.5 * table
+
+
 def _stream_series_by_loops(n, divisor, rmax):
     """A_r and B_r of the stream expansion, summed term by term over
     r, the divisors k of r and the divisor's pairs."""
@@ -782,7 +798,7 @@ def _stream_by_k_loop(n, divisor, rmax):
     return c_0, c_y, A, B
 
 
-@pytest.mark.parametrize("p", [11, 17, 37])
+@pytest.mark.parametrize("p", [11, 17, 37, 101])
 def test_stream_builds_round_as_the_k_loop_does(p):
     # Both halves of an eta_chi form and a divisor off the row u = 0,
     # with one pair at u = p - u' so that both signs land on one k.

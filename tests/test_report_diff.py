@@ -1,12 +1,17 @@
 """tools/report_diff.py on small synthetic reports, the run list of
-tools/report_set.py, and the keys tools/layer_profile.py prints."""
+tools/report_set.py, the keys tools/layer_profile.py prints, and the
+record tools/frontier.py writes."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from ellreg import cli
 from ellreg.verify import make_report, reports_to_json
 
 TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
@@ -200,6 +205,50 @@ def test_layer_profile_prints_every_field_and_suite_at_11(capsys):
     out = json.loads(capsys.readouterr().out)
     assert "dilog" not in out["fields"]
     assert set(out["suites"]["thm8"]) == {"skipped"}
+
+
+def test_frontier_records_every_field_of_a_fresh_run(tmp_path):
+    # The tool runs in its own process, as from a shell: its children's
+    # peaks start at its resident size, which must stay small.
+    spec = "0,0,1,-1,0,37"
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, os.path.join(TOOLS, "frontier.py"),
+                    "--curve", spec, str(out)], check=True)
+    record = json.loads(out.read_text())
+    header = record["header"]
+    assert set(header) == {
+        "commit", "dirty", "cpu_model", "cpu_count", "python",
+        "PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "load_before",
+        "load_after", "numpy", "blas", "bare_child"}
+    assert header["cpu_count"] == os.cpu_count()
+    assert header["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert header["numpy"] == np.__version__
+    assert len(header["load_before"]) == len(header["load_after"]) == 3
+    bare = header["bare_child"]
+    assert set(bare) == {"wall_s", "cpu_s", "peak_rss_mb", "code"}
+    assert bare["code"] == 0 and 0 < bare["peak_rss_mb"] < 20
+    [run] = record["models"]
+    assert set(run) == {"model", "curve", "wall_s", "cpu_s", "peak_rss_mb",
+                        "code", "rows", "failed", "worst_error",
+                        "margin_digits", "margin_check"}
+    assert run["model"] == run["curve"] == spec and run["code"] == 0
+    assert run["wall_s"] > 0 and run["cpu_s"] > 0
+    assert run["peak_rss_mb"] > bare["peak_rss_mb"]
+    # The report's figures as report_diff reads the same run in process.
+    report_diff = _load("report_diff")
+    path = str(tmp_path / "37a.json")
+    assert cli.main(["verify", "all", "--curve", spec, "--out", path]) == 0
+    rows = report_diff._rows(path)
+    assert run["rows"] == len(rows) and run["failed"] == []
+    assert run["worst_error"] == report_diff.worst_errors(rows.values())
+    assert [run["margin_digits"], run["margin_check"]] == list(
+        report_diff.margin_digits(rows))
+    # A model that writes no report keeps its exit code and stderr.
+    assert subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "frontier.py"), "--curve",
+         "0,0,1,-1,0,36", str(out)]).returncode == 1
+    [run] = json.loads(out.read_text())["models"]
+    assert run["code"] == 2 and run["rows"] is None and run["stderr"]
 
 
 def test_the_standard_reports_keep_their_fingerprint():

@@ -67,16 +67,21 @@ def worst_errors(rows):
     return worst
 
 
-def margin(rows):
-    """The line "margin: D digits (CHECK)" for a {check: CheckReport} map:
-    D = -log10 max(error / tolerance), as perfbench reads it (a nan error
-    counts as the worst), and CHECK the row with that maximum."""
+def margin_digits(rows):
+    """(D, CHECK) for a {check: CheckReport} map: D = -log10 max(error /
+    tolerance), as perfbench reads it (a nan error counts as the worst),
+    and CHECK the row with that maximum."""
     def ratio(check):
         value = rows[check].error / rows[check].tolerance
         return math.inf if math.isnan(value) else value
     worst = max(sorted(rows), key=ratio)
-    digits = -math.log10(ratio(worst)) if ratio(worst) > 0 else math.inf
-    return "margin: %.3f digits (%s)" % (digits, worst)
+    return -math.log10(ratio(worst)) if ratio(worst) > 0 else math.inf, worst
+
+
+def margin(rows):
+    """The line "margin: D digits (CHECK)" for a {check: CheckReport} map,
+    as margin_digits reads it."""
+    return "margin: %.3f digits (%s)" % margin_digits(rows)
 
 
 def diff(before, after):
